@@ -9,7 +9,7 @@ import (
 
 // PoolFlow proves the sync.Pool recycling discipline the kernels' hot paths
 // depend on: every value taken out of a pool (directly via Get or through a
-// module-local typed wrapper such as bufPool.get or Plan.getWork) must be
+// module-local typed wrapper such as bufPool.get) must be
 // returned to the same pool on every path to function exit, unless
 // ownership is deliberately handed off — returned to the caller, sent on a
 // channel, stored into a longer-lived structure, captured by a closure, or

@@ -1,26 +1,18 @@
 package cvec
 
-import "math"
-
-// Plane kernels: the SoA (split real/imaginary) counterparts of the AoS
-// vector kernels in cvec.go. They are the primitives the SoA FFT backend
-// (internal/fft, kernel.go) and the SoA convolution (internal/conv) are
-// built on.
+// AoS <-> SoA conversions into caller-owned buffers, for hot paths that
+// cannot allocate (fft.Plan.TransformSoA's Bluestein round trip); the
+// allocating pair FromComplex/ToComplex lives in cvec.go.
 //
 // Indexing contract. An SoA value addresses complex element i as
 // (Re[i], Im[i]); the two planes always have equal length and element i of
-// one plane corresponds to element i of the other. Every kernel below
-// preserves that pairing: a kernel that moves element i of Re moves element
-// i of Im with the same source and destination index, so conversions and
-// layout shuffles are bit-exact per component — NaN payloads, infinities,
-// signed zeros and denormals survive unchanged (FuzzSoARoundTrip pins
-// this). Kernels that compute (Scale, PointwiseMul*, AXPY) perform the
-// same arithmetic as their AoS twins but as four independent float64
-// streams, so results agree with AoS only up to floating-point
-// reassociation.
+// one plane corresponds to element i of the other. Both conversions below
+// preserve that pairing and are bit-exact per component — NaN payloads,
+// infinities, signed zeros and denormals survive unchanged
+// (FuzzSoARoundTrip pins this).
 //
-// The reslice preambles (`re = re[:n]` etc.) hoist the bounds proofs out of
-// the inner loops; bce_budget.json pins the loops check-free.
+// The reslice preambles (`re = dst.Re[:len(x)]` etc.) hoist the bounds
+// proofs out of the loops; bce_budget.json pins the loops check-free.
 
 // FromComplexInto splits x into dst's planes; dst must have length >=
 // len(x). The conversion is per-component and bit-exact.
@@ -45,154 +37,4 @@ func (s SoA) CopyToComplex(dst []complex128) {
 	for i, r := range s.Re {
 		dst[i] = complex(r, im[i])
 	}
-}
-
-// ScaleSoA multiplies every element of x by the real scalar a, in place.
-func ScaleSoA(x SoA, a float64) {
-	for i := range x.Re {
-		x.Re[i] *= a
-	}
-	for i := range x.Im {
-		x.Im[i] *= a
-	}
-}
-
-// PointwiseMulSoA computes dst[i] = a[i] * b[i] on planes. dst may alias a
-// or b (plane-wise: dst.Re may be a.Re, etc.).
-//
-//soilint:shape len(a.Re) >= len(dst.Re)
-//soilint:shape len(b.Re) >= len(dst.Re)
-func PointwiseMulSoA(dst, a, b SoA) {
-	n := len(dst.Re)
-	dre, dim := dst.Re[:n], dst.Im[:n]
-	are, aim := a.Re[:n], a.Im[:n]
-	bre, bim := b.Re[:n], b.Im[:n]
-	for i := range dre {
-		ar, ai := are[i], aim[i]
-		br, bi := bre[i], bim[i]
-		dre[i] = ar*br - ai*bi
-		dim[i] = ar*bi + ai*br
-	}
-}
-
-// PointwiseMulConjSoA computes dst[i] = a[i] * conj(b[i]) on planes. dst
-// may alias a or b.
-//
-//soilint:shape len(a.Re) >= len(dst.Re)
-//soilint:shape len(b.Re) >= len(dst.Re)
-func PointwiseMulConjSoA(dst, a, b SoA) {
-	n := len(dst.Re)
-	dre, dim := dst.Re[:n], dst.Im[:n]
-	are, aim := a.Re[:n], a.Im[:n]
-	bre, bim := b.Re[:n], b.Im[:n]
-	for i := range dre {
-		ar, ai := are[i], aim[i]
-		br, bi := bre[i], bim[i]
-		dre[i] = ar*br + ai*bi
-		dim[i] = ai*br - ar*bi
-	}
-}
-
-// AXPYSoA computes y[i] += (ar + i*ai) * x[i] on planes.
-//
-//soilint:shape len(x.Re) >= len(y.Re)
-func AXPYSoA(y SoA, ar, ai float64, x SoA) {
-	n := len(y.Re)
-	yre, yim := y.Re[:n], y.Im[:n]
-	xre, xim := x.Re[:n], x.Im[:n]
-	for i := range yre {
-		xr, xi := xre[i], xim[i]
-		yre[i] += ar*xr - ai*xi
-		yim[i] += ar*xi + ai*xr
-	}
-}
-
-// ConjugateSoA negates the imaginary plane in place.
-func ConjugateSoA(x SoA) {
-	for i := range x.Im {
-		x.Im[i] = -x.Im[i]
-	}
-}
-
-// GatherStrideSoA copies src[offset + i*stride] into dst[i] for
-// i < dst.Len(), element-pair-wise (the SoA twin of GatherStride).
-func GatherStrideSoA(dst, src SoA, offset, stride int) {
-	sre, sim := src.Re, src.Im
-	im := dst.Im[:len(dst.Re)]
-	j := offset
-	for i := range dst.Re {
-		dst.Re[i] = sre[j]
-		im[i] = sim[j]
-		j += stride
-	}
-}
-
-// ScatterStrideSoA copies src[i] into dst[offset + i*stride] for
-// i < src.Len(), element-pair-wise.
-func ScatterStrideSoA(dst, src SoA, offset, stride int) {
-	dre, dim := dst.Re, dst.Im
-	im := src.Im[:len(src.Re)]
-	j := offset
-	for i, r := range src.Re {
-		dre[j] = r
-		dim[j] = im[i]
-		j += stride
-	}
-}
-
-// soaTransposeBlock is the tile edge of the plane transpose. 16 float64
-// values per tile row is the same 128-byte cache-line pair the complex
-// transpose moves, but each plane streams independently, so a tile's
-// working set is half that of the AoS transpose.
-const soaTransposeBlock = 16
-
-// TransposeSoA writes the transpose of src (rows x cols, row-major) into
-// dst (cols x rows, row-major), one plane at a time. dst must not alias
-// src. Moving the planes separately halves the per-stream element size (8
-// bytes vs 16), which doubles the number of logical elements per cache
-// line on the strided side of the tile.
-//
-//soilint:shape len(dst.Re) >= rows * cols
-//soilint:shape len(src.Re) >= rows * cols
-func TransposeSoA(dst, src SoA, rows, cols int) {
-	if len(src.Re) < rows*cols || len(dst.Re) < rows*cols {
-		panic("cvec: TransposeSoA buffer too short")
-	}
-	transposePlane(dst.Re, src.Re, rows, cols)
-	transposePlane(dst.Im, src.Im, rows, cols)
-}
-
-// transposePlane is the blocked float64 transpose behind TransposeSoA.
-func transposePlane(dst, src []float64, rows, cols int) {
-	for rb := 0; rb < rows; rb += soaTransposeBlock {
-		rmax := min(rb+soaTransposeBlock, rows)
-		for cb := 0; cb < cols; cb += soaTransposeBlock {
-			cmax := min(cb+soaTransposeBlock, cols)
-			for r := rb; r < rmax; r++ {
-				srow := src[r*cols:]
-				for c := cb; c < cmax; c++ {
-					dst[c*rows+r] = srow[c]
-				}
-			}
-		}
-	}
-}
-
-// MaxAbsDiffSoA returns max_i |a[i]-b[i]| over the plane pair, the SoA twin
-// of MaxAbsDiff.
-//
-//soilint:shape len(a.Re) == len(b.Re)
-func MaxAbsDiffSoA(a, b SoA) float64 {
-	n := len(a.Re)
-	are, aim := a.Re[:n], a.Im[:n]
-	bre, bim := b.Re[:n], b.Im[:n]
-	m := 0.0
-	for i := range are {
-		dr := are[i] - bre[i]
-		di := aim[i] - bim[i]
-		if v := dr*dr + di*di; v > m {
-			m = v
-		}
-	}
-	return math.Sqrt(m)
 }

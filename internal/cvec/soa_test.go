@@ -40,137 +40,3 @@ func TestFromComplexIntoCopyToComplex(t *testing.T) {
 		t.Fatal("FromComplexInto differs from FromComplex")
 	}
 }
-
-func TestScaleSoAMatchesAoS(t *testing.T) {
-	x := ref.RandomVector(64, 2)
-	want := append([]complex128(nil), x...)
-	Scale(want, 0.375)
-	s := FromComplex(x)
-	ScaleSoA(s, 0.375)
-	if e := MaxAbsDiff(s.ToComplex(), want); e != 0 {
-		// 0.375 is exact in binary; the plane product is the identical
-		// float64 multiply, so the match must be exact.
-		t.Fatalf("ScaleSoA differs by %g", e)
-	}
-}
-
-func TestPointwiseMulSoAMatchesAoS(t *testing.T) {
-	a := ref.RandomVector(100, 3)
-	b := ref.RandomVector(100, 4)
-	want := make([]complex128, 100)
-	PointwiseMul(want, a, b)
-	sa, sb := FromComplex(a), FromComplex(b)
-	dst := NewSoA(100)
-	PointwiseMulSoA(dst, sa, sb)
-	if e := MaxAbsDiff(dst.ToComplex(), want); e != 0 {
-		// Same four multiplies, same two adds, same order: exact match.
-		t.Fatalf("PointwiseMulSoA differs by %g", e)
-	}
-	// Aliased dst == a.
-	PointwiseMulSoA(sa, sa, sb)
-	if !planeEqual(sa, dst) {
-		t.Fatal("aliased PointwiseMulSoA differs")
-	}
-}
-
-func TestPointwiseMulConjSoAMatchesAoS(t *testing.T) {
-	a := ref.RandomVector(77, 5)
-	b := ref.RandomVector(77, 6)
-	want := make([]complex128, 77)
-	PointwiseMulConj(want, a, b)
-	dst := NewSoA(77)
-	PointwiseMulConjSoA(dst, FromComplex(a), FromComplex(b))
-	if e := MaxAbsDiff(dst.ToComplex(), want); e != 0 {
-		t.Fatalf("PointwiseMulConjSoA differs by %g", e)
-	}
-}
-
-func TestAXPYSoAMatchesAoS(t *testing.T) {
-	x := ref.RandomVector(50, 7)
-	y := ref.RandomVector(50, 8)
-	alpha := complex(0.5, -1.25)
-	want := append([]complex128(nil), y...)
-	AXPY(want, alpha, x)
-	sy := FromComplex(y)
-	AXPYSoA(sy, real(alpha), imag(alpha), FromComplex(x))
-	if e := MaxAbsDiff(sy.ToComplex(), want); e > 1e-16 {
-		t.Fatalf("AXPYSoA differs by %g", e)
-	}
-}
-
-func TestConjugateSoA(t *testing.T) {
-	x := ref.RandomVector(33, 9)
-	want := append([]complex128(nil), x...)
-	Conjugate(want)
-	s := FromComplex(x)
-	ConjugateSoA(s)
-	if e := MaxAbsDiff(s.ToComplex(), want); e != 0 {
-		t.Fatalf("ConjugateSoA differs by %g", e)
-	}
-}
-
-func TestGatherScatterStrideSoA(t *testing.T) {
-	const n, count = 24, 5
-	src := FromComplex(ref.RandomVector(n*count, 10))
-	for off := 0; off < count; off++ {
-		col := NewSoA(n)
-		GatherStrideSoA(col, src, off, count)
-		wantCol := make([]complex128, n)
-		GatherStride(wantCol, src.ToComplex(), off, count)
-		if e := MaxAbsDiff(col.ToComplex(), wantCol); e != 0 {
-			t.Fatalf("GatherStrideSoA offset %d differs", off)
-		}
-		back := NewSoA(n * count)
-		ScatterStrideSoA(back, col, off, count)
-		check := NewSoA(n)
-		GatherStrideSoA(check, back, off, count)
-		if !planeEqual(check, col) {
-			t.Fatalf("ScatterStrideSoA offset %d not inverse of gather", off)
-		}
-	}
-}
-
-func TestTransposeSoAMatchesAoS(t *testing.T) {
-	// Edge shapes around the block size, plus degenerate rows/cols.
-	shapes := [][2]int{{1, 1}, {1, 40}, {40, 1}, {8, 8}, {16, 16}, {17, 31}, {33, 15}, {64, 48}}
-	for _, sh := range shapes {
-		rows, cols := sh[0], sh[1]
-		x := ref.RandomVector(rows*cols, int64(rows*100+cols))
-		want := make([]complex128, rows*cols)
-		Transpose(want, x, rows, cols)
-		src := FromComplex(x)
-		dst := NewSoA(rows * cols)
-		TransposeSoA(dst, src, rows, cols)
-		if e := MaxAbsDiff(dst.ToComplex(), want); e != 0 {
-			t.Fatalf("%dx%d: TransposeSoA differs", rows, cols)
-		}
-		// Round trip restores the source bit-exactly.
-		back := NewSoA(rows * cols)
-		TransposeSoA(back, dst, cols, rows)
-		if !planeEqual(back, src) {
-			t.Fatalf("%dx%d: transpose round trip differs", rows, cols)
-		}
-	}
-}
-
-func TestTransposeSoAPanicsOnShortBuffer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	TransposeSoA(NewSoA(3), NewSoA(4), 2, 2)
-}
-
-func TestMaxAbsDiffSoA(t *testing.T) {
-	a := ref.RandomVector(20, 11)
-	b := append([]complex128(nil), a...)
-	b[13] += complex(3, 4) // |delta| = 5
-	got := MaxAbsDiffSoA(FromComplex(a), FromComplex(b))
-	if math.Abs(got-5) > 1e-12 {
-		t.Fatalf("MaxAbsDiffSoA = %g, want 5", got)
-	}
-	if d := MaxAbsDiffSoA(FromComplex(a), FromComplex(a)); d != 0 {
-		t.Fatalf("self diff = %g", d)
-	}
-}

@@ -11,27 +11,28 @@ import (
 )
 
 // The differential kernel-oracle suite. One table drives every algorithm
-// (Plan, all four SixStep variants, forced-backend flavors) through every
-// layout (AoS, SoA) and direction against oracles of known answers:
+// (Plan on both its layouts, all four SixStep variants) in every direction
+// against oracles of known answers:
 //
 //   - the dense O(n^2) reference DFT from internal/ref, for every size
 //     where it is affordable (n <= denseOracleMax);
 //   - analytic closed forms (shifted impulse, tone combs) that are exact at
 //     any size, covering the Fig. 11 geometry sizes where the dense oracle
 //     is out of reach;
-//   - each engine's own AoS result, which the SoA run must match within
-//     reassociation tolerance (the two backends perform the same arithmetic
-//     on different layouts).
+//   - the twin implementation of the same schedule on the other layout,
+//     which must match within reassociation tolerance: Plan.TransformSoA
+//     against Plan.Transform, and the split-plane 6-step-opt against the
+//     interleaved 6-step-pipelined.
 //
 // This replaces the per-kernel ad-hoc comparisons that used to live in
-// plan_test.go and sixstep_test.go: a new kernel backend or variant gets
-// full oracle coverage by appearing in oracleEngines.
+// plan_test.go and sixstep_test.go: a new variant gets full oracle coverage
+// by appearing in oracleEngines.
 
 const (
 	// oracleTol bounds the relative L2 error of any engine against an
 	// exact oracle (dense or analytic).
 	oracleTol = 1e-9
-	// crossTol bounds AoS vs SoA disagreement of one engine: same
+	// crossTol bounds AoS vs SoA disagreement of one schedule: same
 	// operation order on different layouts, so only reassociation by the
 	// compiler may differ.
 	crossTol = 1e-12
@@ -54,13 +55,14 @@ var (
 	oracleLargeSizes = []int{28672, 458752}
 )
 
-// oracleEngine is one (algorithm, variant, backend) under test: an AoS
-// entry point and its SoA twin, plus the directions it implements.
+// oracleEngine is one (algorithm, variant) under test: its entry point, the
+// directions it implements and, where one exists (nil otherwise), the twin
+// implementation of the same schedule on the other memory layout.
 type oracleEngine struct {
 	name string
 	dirs []Direction
-	aos  func(dst, src []complex128, dir Direction)
-	soa  func(dst, src cvec.SoA, dir Direction)
+	run  func(dst, src []complex128, dir Direction)
+	twin func(dst, src []complex128, dir Direction)
 }
 
 // oracleEngines builds every engine applicable to size n.
@@ -70,33 +72,32 @@ func oracleEngines(t *testing.T, n int) []oracleEngine {
 	engines := []oracleEngine{{
 		name: "plan",
 		dirs: []Direction{Forward, Inverse},
-		aos:  p.Transform,
-		soa:  p.TransformSoA,
+		run:  p.Transform,
+		twin: func(dst, src []complex128, dir Direction) {
+			d := cvec.NewSoA(n)
+			p.TransformSoA(d, cvec.FromComplex(src), dir)
+			d.CopyToComplex(dst)
+		},
 	}}
 	if n < 4 {
 		return engines
-	}
-	addSixStep := func(name string, s *SixStep) {
-		engines = append(engines, oracleEngine{
-			name: name,
-			dirs: []Direction{Forward}, // SixStep is forward-only
-			aos:  func(dst, src []complex128, _ Direction) { s.Forward(dst, src) },
-			soa:  func(dst, src cvec.SoA, _ Direction) { s.ForwardSoA(dst, src) },
-		})
 	}
 	for _, v := range AllVariants {
 		s, err := NewSixStep(n, v, 4)
 		if err != nil {
 			return engines // prime n: no 2D split for any variant
 		}
-		addSixStep(fmt.Sprintf("6step/%v/%v", v, s.Backend()), s)
+		engines = append(engines, oracleEngine{
+			name: fmt.Sprintf("6step/%v", v),
+			dirs: []Direction{Forward}, // SixStep is forward-only
+			run:  func(dst, src []complex128, _ Direction) { s.Forward(dst, src) },
+		})
 	}
-	// The opt variant auto-selects the SoA backend; pin the AoS backend as
-	// its own engine so both implementations stay under oracle coverage
-	// and cross-check against each other through the shared oracles.
-	if sAoS, err := NewSixStepBackend(n, SixStepOpt, 4, BackendAoS); err == nil {
-		addSixStep("6step/6-step-opt/forced-aos", sAoS)
-	}
+	// The two surviving Fig. 4b implementations check each other: opt runs
+	// its tiles and rows on split planes, pipelined on interleaved complex
+	// slabs, with the same operation order. (engines[1+v] is variant v:
+	// AllVariants lists them in enum order after the plan.)
+	engines[1+int(SixStepOpt)].twin = engines[1+int(SixStepPipelined)].run
 	return engines
 }
 
@@ -113,7 +114,7 @@ func oracleInputs(n int) []oracleInput {
 	var ins []oracleInput
 
 	// Random data against the dense oracle where affordable; at larger
-	// sizes it still drives the AoS-vs-SoA cross-check.
+	// sizes it still drives the AoS-vs-SoA cross-checks.
 	rnd := oracleInput{name: "random", x: ref.RandomVector(n, int64(n)), want: map[Direction][]complex128{}}
 	if n <= denseOracleMax {
 		rnd.want[Forward] = ref.DFT(rnd.x)
@@ -183,23 +184,24 @@ func runOracleSize(t *testing.T, n int) {
 		for _, dir := range eng.dirs {
 			for _, in := range inputs {
 				want := in.want[dir]
-				gotAoS := make([]complex128, n)
-				eng.aos(gotAoS, in.x, dir)
+				got := make([]complex128, n)
+				eng.run(got, in.x, dir)
 				if want != nil {
-					if e := cvec.RelErrL2(gotAoS, want); e > oracleTol {
-						t.Errorf("%s/%s/aos/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
+					if e := cvec.RelErrL2(got, want); e > oracleTol {
+						t.Errorf("%s/%s/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
 					}
 				}
-				src := cvec.FromComplex(in.x)
-				dst := cvec.NewSoA(n)
-				eng.soa(dst, src, dir)
-				gotSoA := dst.ToComplex()
+				if eng.twin == nil {
+					continue
+				}
+				gotTwin := make([]complex128, n)
+				eng.twin(gotTwin, in.x, dir)
 				if want != nil {
-					if e := cvec.RelErrL2(gotSoA, want); e > oracleTol {
-						t.Errorf("%s/%s/soa/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
+					if e := cvec.RelErrL2(gotTwin, want); e > oracleTol {
+						t.Errorf("%s/%s/twin/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
 					}
 				}
-				if e := cvec.RelErrL2(gotSoA, gotAoS); e > crossTol {
+				if e := cvec.RelErrL2(gotTwin, got); e > crossTol {
 					t.Errorf("%s/%s/%s n=%d: AoS vs SoA disagree by %g", eng.name, dirName(dir), in.name, n, e)
 				}
 			}

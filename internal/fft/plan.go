@@ -44,8 +44,8 @@ type stage struct {
 	r, m, s int
 	tw      []complex128
 	wr      []complex128 // wr[t*r+u] = exp(-2*pi*i*t*u/r); nil for r=2,3,4
-	// Split-plane twiddle tables for the SoA backend; populated lazily by
-	// ensureSoAStages (kernel.go) so AoS-only plans never allocate them.
+	// Split-plane twiddle tables for TransformSoA; populated lazily by
+	// ensureSoAStages (soa_plan.go) so AoS-only plans never allocate them.
 	twRe, twIm []float64
 	wrRe, wrIm []float64
 }
@@ -174,14 +174,6 @@ func buildStages(n int, radices []int) []stage {
 	return stages
 }
 
-func (p *Plan) getWork() []complex128 {
-	return *(p.work.Get().(*[]complex128))
-}
-
-func (p *Plan) putWork(b []complex128) {
-	p.work.Put(&b)
-}
-
 // Transform computes the DFT of src into dst. dst and src must both have
 // length >= p.N(); dst may alias src (in-place). Forward is unnormalized;
 // Inverse applies the 1/n scaling.
@@ -246,8 +238,9 @@ func (p *Plan) Inverse(dst, src []complex128) { p.Transform(dst, src, Inverse) }
 // dst, with no final copy (one fewer memory sweep — the kind of accounting
 // Section 5.2 of the paper is about).
 func (p *Plan) stockham(dst, src []complex128, dir Direction) {
-	w := p.getWork()
-	defer p.putWork(w)
+	wp := p.work.Get().(*[]complex128)
+	defer p.work.Put(wp)
+	w := *wp
 
 	a, b := dst, w
 	if len(p.stages)%2 != 0 {

@@ -17,10 +17,12 @@ import (
 //	                 (Fig. 4a of the paper).
 //	SixStepOpt       loops fused, columns staged through contiguous
 //	                 cache-resident tiles, dynamic-block twiddle tables:
-//	                 4 memory sweeps (Fig. 4b).
-//	SixStepPipelined SixStepOpt plus explicit load/compute/store pipelining
-//	                 across goroutine teams, standing in for the SMT
-//	                 pipelining of Fig. 5 ("latency-hiding").
+//	                 4 memory sweeps (Fig. 4b). The production variant; it
+//	                 runs on split real/imaginary planes (soa_sixstep.go).
+//	SixStepPipelined the SixStepOpt schedule on interleaved complex data,
+//	                 plus explicit load/compute/store pipelining across
+//	                 goroutine teams, standing in for the SMT pipelining of
+//	                 Fig. 5 ("latency-hiding").
 //	SixStepFineGrain SixStepPipelined for the column pass, plus cooperative
 //	                 multi-worker execution of each long row FFT so the
 //	                 working set of a single FFT never exceeds one tile
@@ -85,10 +87,12 @@ type SixStep struct {
 	// Naive variant: full-size twiddle table tw[j2*n1+k1] = W_n^{j2*k1}.
 	twFull []complex128
 	// Optimized variants: dynamic block scheme, W_n^e = twA[e%K]*twB[e/K]
-	// with K a power of two so the split is a mask and a shift.
-	twA, twB []complex128
-	twK      int
-	twKShift uint
+	// with K a power of two so the split is a mask and a shift. SixStepOpt
+	// reads them split into planes (tw?Re/tw?Im).
+	twA, twB                   []complex128
+	twARe, twAIm, twBRe, twBIm []float64
+	twK                        int
+	twKShift                   uint
 
 	demod []complex128 // optional; length n, multiplied into natural-order output
 
@@ -105,32 +109,17 @@ type SixStep struct {
 	// fault per tile and defeats the bandwidth model (soilint:hotalloc).
 	tilePool sync.Pool // length tileCols*(n1+rowPad), column pass
 	rowPool  sync.Pool // length (n2+rowPad)*tileCols, row pass
-
-	// Kernel backend (kernel.go). BackendSoA runs the split-plane pipeline
-	// of soa_sixstep.go; its twiddle planes and plane pools are built
-	// lazily under soaOnce.
-	backend                    Backend
-	soaOnce                    sync.Once
-	twARe, twAIm, twBRe, twBIm []float64
-	workSoA                    sync.Pool // cvec.SoA of length n
-	tileSoAPool                sync.Pool // cvec.SoA planes, column pass slab
-	rowSoAPool                 sync.Pool // cvec.SoA planes, row pass buffer
+	// The same three buffers as cvec.SoA planes, for SixStepOpt.
+	workSoA, tileSoAPool, rowSoAPool sync.Pool
 }
 
 // NewSixStep builds a 6-step plan for length n with the given variant.
 // workers <= 0 selects GOMAXPROCS. n must be >= 4 and have a nontrivial
 // divisor split (every composite n qualifies; primes are rejected — callers
-// use a plain Plan for those). The kernel backend is chosen by PickBackend;
-// NewSixStepBackend (soa_sixstep.go) accepts an explicit one.
+// use a plain Plan for those).
 //
 //soilint:shape return.n == n
 func NewSixStep(n int, variant Variant, workers int) (*SixStep, error) {
-	return NewSixStepBackend(n, variant, workers, BackendAuto)
-}
-
-// newSixStepAoS builds the plan with its AoS resources; backend selection
-// and SoA resources layer on top in NewSixStepBackend.
-func newSixStepAoS(n int, variant Variant, workers int) (*SixStep, error) {
 	if n < 4 {
 		return nil, fmt.Errorf("fft: SixStep length %d too small", n)
 	}
@@ -183,6 +172,9 @@ func newSixStepAoS(n int, variant Variant, workers int) (*SixStep, error) {
 		for b := 0; b < nb; b++ {
 			s.twB[b] = twiddle(Forward, (b*k)%n, n)
 		}
+	}
+	if variant == SixStepOpt {
+		s.initSoA()
 	}
 	if variant != SixStepNaive {
 		if lb, err := NewLaneBatch(n1, tileCols); err == nil {
@@ -249,13 +241,13 @@ func (s *SixStep) Forward(dst, src []complex128) {
 		panic("fft: SixStep buffers too short")
 	}
 	dst, src = dst[:s.n], src[:s.n]
-	switch {
-	case s.variant == SixStepNaive:
+	switch s.variant {
+	case SixStepNaive:
 		s.forwardNaive(dst, src)
-	case s.backend == BackendSoA:
+	case SixStepOpt:
 		// Split-plane pipeline; AoS<->SoA conversion rides the staging
 		// sweeps the pass performs anyway (soa_sixstep.go).
-		s.forwardOptSoA(vec{aos: dst}, vec{aos: src})
+		s.forwardOptSoA(dst, src)
 	default:
 		s.forwardOpt(dst, src)
 	}
@@ -312,26 +304,15 @@ func (s *SixStep) forwardNaive(dst, src []complex128) {
 	}
 }
 
-// forwardOpt is Fig. 4b (plus the pipelined / fine-grain refinements):
-// steps 1-4 fused into one tile pass, steps 5-6 (and demodulation) fused
-// into a second: 4 memory sweeps total.
+// forwardOpt is Fig. 4b with the pipelined / fine-grain refinements, on
+// interleaved complex data: steps 1-4 fused into one tile pass, steps 5-6
+// (and demodulation) fused into a second: 4 memory sweeps total.
 func (s *SixStep) forwardOpt(dst, src []complex128) {
 	wp := s.work.Get().(*[]complex128)
 	defer s.work.Put(wp)
 	w := *wp
 
-	ntiles := (s.n2 + tileCols - 1) / tileCols
-	if s.variant == SixStepOpt {
-		par.ForChunked(s.workers, ntiles, 8, func(lo, hi int) {
-			bp := s.tilePool.Get().(*[]complex128)
-			defer s.tilePool.Put(bp)
-			for t := lo; t < hi; t++ {
-				s.columnTile(w, src, t, *bp)
-			}
-		})
-	} else {
-		s.columnPassPipelined(w, src, ntiles)
-	}
+	s.columnPassPipelined(w, src, (s.n2+tileCols-1)/tileCols)
 
 	if s.variant == SixStepFineGrain && s.sub != nil {
 		s.rowPassFineGrain(dst, w)
@@ -345,22 +326,6 @@ func (s *SixStep) forwardOpt(dst, src []complex128) {
 		defer s.rowPool.Put(rp)
 		s.rowGroupFFTScatter(dst, w, lo, hi, *rp)
 	})
-}
-
-// columnTile processes one tile of tileCols columns with steps 1-4 fused:
-// gather, n1-point FFTs, small-table twiddles, scatter to the transposed
-// position in w. Main-memory accesses touch full cache lines (the tile is 8
-// columns = 128 bytes wide), and the staging slab is PADDED between columns
-// — the paper's "contiguous buffer is padded to avoid cache conflict
-// misses". Without the padding, a power-of-two n1 makes the 8 slab columns
-// alias into one L1 set and the gather thrashes.
-// buf, when non-nil, must have length tileCols*(n1+rowPad) and is reused.
-func (s *SixStep) columnTile(w, src []complex128, tile int, buf []complex128) {
-	if buf == nil {
-		buf = make([]complex128, tileCols*(s.n1+rowPad))
-	}
-	s.gatherTile(buf, src, tile)
-	s.processTile(w, buf, tile)
 }
 
 // useLane reports whether the tile runs through the lane-interleaved batch

@@ -8,8 +8,8 @@ import (
 )
 
 // SixStep correctness against the reference DFT and the plain Plan lives in
-// the kernel-oracle suite (oracle_test.go), which covers every variant and
-// both kernel backends at smooth, rough and Fig. 11 sizes. The tests below
+// the kernel-oracle suite (oracle_test.go), which covers every variant on
+// both kernel layouts at smooth, rough and Fig. 11 sizes. The tests below
 // cover the features the oracle table doesn't parameterize: demod fusion,
 // argument validation and variant metadata.
 

@@ -10,9 +10,9 @@ import (
 // friendlier to SoA than the single-transform case: the combined (q, lane)
 // inner index walks each plane contiguously for n*lanes elements per
 // butterfly leg, so the stage kernels see long unit-stride float64 runs
-// with no complex packing. The serving executor (internal/serve) picks this
-// path via PickLaneBackend once n*lanes is large enough to amortize the
-// plane bookkeeping.
+// with no complex packing. SixStepOpt runs its full column tiles on this
+// path; the serving executor stays on Transform, which is faster once its
+// gather and scatter are counted (DESIGN.md §11).
 
 // ensureSoA lazily splits the stage twiddles and arms the plane pool.
 func (lb *LaneBatch) ensureSoA() {

@@ -31,12 +31,23 @@ func (p *Plan) ensureSoA() {
 	})
 }
 
-func (p *Plan) getWorkSoA() cvec.SoA {
-	return *(p.soa.work.Get().(*cvec.SoA))
+// ensureSoAStages splits each stage's twiddle tables into float64 planes.
+// Called once per plan (under the owner's sync.Once) before the SoA kernel
+// first runs; AoS-only plans never pay the extra memory.
+func ensureSoAStages(stages []stage) {
+	for i := range stages {
+		st := &stages[i]
+		st.twRe, st.twIm = splitPlanes(st.tw)
+		if st.wr != nil {
+			st.wrRe, st.wrIm = splitPlanes(st.wr)
+		}
+	}
 }
 
-func (p *Plan) putWorkSoA(s cvec.SoA) {
-	p.soa.work.Put(&s)
+// splitPlanes converts a complex table into freshly allocated planes.
+func splitPlanes(t []complex128) (re, im []float64) {
+	s := cvec.FromComplex(t)
+	return s.Re, s.Im
 }
 
 // TransformSoA computes the DFT of src into dst on split planes. Both
@@ -85,13 +96,14 @@ func (p *Plan) TransformSoA(dst, src cvec.SoA, dir Direction) {
 		}
 	case p.blue != nil:
 		// Bluestein is AoS-only: round trip through pooled complex scratch.
-		a := p.getWork()
-		b := p.getWork()
-		src.CopyToComplex(a[:n])
-		p.blue.transform(b[:n], a[:n], dir)
-		cvec.FromComplexInto(dst, b[:n])
-		p.putWork(b)
-		p.putWork(a)
+		ap := p.work.Get().(*[]complex128)
+		bp := p.work.Get().(*[]complex128)
+		a, b := (*ap)[:n], (*bp)[:n]
+		src.CopyToComplex(a)
+		p.blue.transform(b, a, dir)
+		cvec.FromComplexInto(dst, b)
+		p.work.Put(bp)
+		p.work.Put(ap)
 	default:
 		p.stockhamSoA(dst, src, dir)
 	}
@@ -114,8 +126,9 @@ func (p *Plan) InverseSoA(dst, src cvec.SoA) { p.TransformSoA(dst, src, Inverse)
 // identity for the inverse.
 func (p *Plan) stockhamSoA(dst, src cvec.SoA, dir Direction) {
 	p.ensureSoA()
-	w := p.getWorkSoA()
-	defer p.putWorkSoA(w)
+	wp := p.soa.work.Get().(*cvec.SoA)
+	defer p.soa.work.Put(wp)
+	w := *wp
 
 	a, b := dst, w
 	if len(p.stages)%2 != 0 {

@@ -1,15 +1,13 @@
 package fft
 
 import (
-	"fmt"
-
 	"soifft/internal/cvec"
 	"soifft/internal/par"
 )
 
-// Split-plane execution for SixStep. The SoA backend keeps the exact Fig. 4b
-// sweep structure of forwardOpt — fused gather/FFT/twiddle column tiles,
-// then fused row-FFT/permute/demodulation — but every staging buffer and
+// Split-plane execution for SixStepOpt. It keeps the exact Fig. 4b sweep
+// structure of forwardOpt — fused gather/FFT/twiddle column tiles, then
+// fused row-FFT/permute/demodulation — but every staging buffer and
 // both passes run on separate float64 planes. Layout conversion is free in
 // the sweep accounting: the tile gather already touches every input element
 // once (it deinterleaves AoS src into the plane slab as it copies), and the
@@ -17,29 +15,24 @@ import (
 // reinterleaves into AoS dst), so Forward keeps its 4-sweep budget while
 // the FFT kernels in between run plane arithmetic end to end.
 
-// ensureSoA lazily builds the split twiddle tables and arms the plane pools.
-func (s *SixStep) ensureSoA() {
-	s.soaOnce.Do(func() {
-		s.twARe, s.twAIm = splitPlanes(s.twA)
-		s.twBRe, s.twBIm = splitPlanes(s.twB)
-		n, n1, n2 := s.n, s.n1, s.n2
-		s.workSoA.New = func() any {
-			v := cvec.NewSoA(n)
-			return &v
-		}
-		s.tileSoAPool.New = func() any {
-			v := cvec.NewSoA(tileCols * (n1 + rowPad))
-			return &v
-		}
-		s.rowSoAPool.New = func() any {
-			v := cvec.NewSoA((n2 + rowPad) * tileCols)
-			return &v
-		}
-	})
+// initSoA builds the split twiddle tables and arms the plane pools.
+func (s *SixStep) initSoA() {
+	s.twARe, s.twAIm = splitPlanes(s.twA)
+	s.twBRe, s.twBIm = splitPlanes(s.twB)
+	n, n1, n2 := s.n, s.n1, s.n2
+	s.workSoA.New = func() any {
+		v := cvec.NewSoA(n)
+		return &v
+	}
+	s.tileSoAPool.New = func() any {
+		v := cvec.NewSoA(tileCols * (n1 + rowPad))
+		return &v
+	}
+	s.rowSoAPool.New = func() any {
+		v := cvec.NewSoA((n2 + rowPad) * tileCols)
+		return &v
+	}
 }
-
-// Backend reports which kernel backend the plan executes Forward with.
-func (s *SixStep) Backend() Backend { return s.backend }
 
 // twiddleOptSoA is twiddleOpt on the split tables: W_n^e as (re, im), with
 // the same mask-and-shift index split and one complex multiply expanded to
@@ -50,38 +43,9 @@ func (s *SixStep) twiddleOptSoA(e int) (float64, float64) {
 	return ar*br - ai*bi, ar*bi + ai*br
 }
 
-// ForwardSoA computes the unnormalized forward DFT on split planes (both of
-// length n; dst must not alias src). Plans whose backend is SoA run the
-// plane pipeline directly with no layout conversion at all; AoS-backend
-// plans (naive, pipelined, fine-grain) round trip through pooled complex
-// scratch, which costs two extra sweeps and is the documented fallback.
-//
-//soilint:shape len(dst.Re) >= n
-//soilint:shape len(src.Re) >= n
-func (s *SixStep) ForwardSoA(dst, src cvec.SoA) {
-	if dst.Len() < s.n || src.Len() < s.n {
-		panic("fft: SixStep SoA buffers too short")
-	}
-	dst, src = dst.Slice(0, s.n), src.Slice(0, s.n)
-	if s.backend == BackendSoA {
-		s.forwardOptSoA(vec{planes: dst}, vec{planes: src})
-		return
-	}
-	ap := s.work.Get().(*[]complex128)
-	bp := s.work.Get().(*[]complex128)
-	defer s.work.Put(ap)
-	defer s.work.Put(bp)
-	a, b := (*ap)[:s.n], (*bp)[:s.n]
-	src.CopyToComplex(a)
-	s.Forward(b, a)
-	cvec.FromComplexInto(dst, b)
-}
-
-// forwardOptSoA is forwardOpt on planes. dst and src are layout-tagged: the
-// AoS-facing Forward passes complex slices (conversion fused into the
-// staging sweeps), ForwardSoA passes planes (no conversion anywhere).
-func (s *SixStep) forwardOptSoA(dst, src vec) {
-	s.ensureSoA()
+// forwardOptSoA is the Fig. 4b pipeline on planes behind Forward's AoS
+// signature: the layout conversion is fused into the staging sweeps.
+func (s *SixStep) forwardOptSoA(dst, src []complex128) {
 	wp := s.workSoA.Get().(*cvec.SoA)
 	defer s.workSoA.Put(wp)
 	w := *wp
@@ -102,52 +66,32 @@ func (s *SixStep) forwardOptSoA(dst, src vec) {
 	})
 }
 
-// gatherTileSoA is gatherTile staging into a plane slab. Reading from AoS
-// src deinterleaves on the fly — the same elements move, split across two
+// gatherTileSoA is gatherTile staging into a plane slab. Reading from src
+// deinterleaves on the fly — the same elements move, split across two
 // streams — so the pass stays one sweep. Slab geometry matches the AoS
 // twin: row-major for full lane tiles, padded column-major otherwise.
-func (s *SixStep) gatherTileSoA(buf cvec.SoA, src vec, tile int) {
+func (s *SixStep) gatherTileSoA(buf cvec.SoA, src []complex128, tile int) {
 	n1, n2 := s.n1, s.n2
 	j2lo := tile * tileCols
 	cols := min(tileCols, n2-j2lo)
 	if s.useLane(cols) {
-		if src.aos != nil {
-			for j1 := 0; j1 < n1; j1++ {
-				srow := src.aos[j1*n2+j2lo : j1*n2+j2lo+tileCols]
-				br := buf.Re[j1*tileCols : j1*tileCols+tileCols]
-				bi := buf.Im[j1*tileCols : j1*tileCols+tileCols]
-				for c, v := range srow {
-					br[c] = real(v)
-					bi[c] = imag(v)
-				}
-			}
-			return
-		}
-		sre, sim := src.planes.Re, src.planes.Im
 		for j1 := 0; j1 < n1; j1++ {
-			copy(buf.Re[j1*tileCols:j1*tileCols+tileCols], sre[j1*n2+j2lo:j1*n2+j2lo+tileCols])
-			copy(buf.Im[j1*tileCols:j1*tileCols+tileCols], sim[j1*n2+j2lo:j1*n2+j2lo+tileCols])
+			srow := src[j1*n2+j2lo : j1*n2+j2lo+tileCols]
+			br := buf.Re[j1*tileCols : j1*tileCols+tileCols]
+			bi := buf.Im[j1*tileCols : j1*tileCols+tileCols]
+			for c, v := range srow {
+				br[c] = real(v)
+				bi[c] = imag(v)
+			}
 		}
 		return
 	}
 	stride := n1 + rowPad
-	if src.aos != nil {
-		for j1 := 0; j1 < n1; j1++ {
-			srow := src.aos[j1*n2+j2lo : j1*n2+j2lo+cols]
-			for c, v := range srow {
-				buf.Re[c*stride+j1] = real(v)
-				buf.Im[c*stride+j1] = imag(v)
-			}
-		}
-		return
-	}
-	sre, sim := src.planes.Re, src.planes.Im
 	for j1 := 0; j1 < n1; j1++ {
-		srowR := sre[j1*n2+j2lo : j1*n2+j2lo+cols]
-		srowI := sim[j1*n2+j2lo : j1*n2+j2lo+cols]
-		for c := range srowR {
-			buf.Re[c*stride+j1] = srowR[c]
-			buf.Im[c*stride+j1] = srowI[c]
+		srow := src[j1*n2+j2lo : j1*n2+j2lo+cols]
+		for c, v := range srow {
+			buf.Re[c*stride+j1] = real(v)
+			buf.Im[c*stride+j1] = imag(v)
 		}
 	}
 }
@@ -205,8 +149,8 @@ func (s *SixStep) processTileSoA(w, buf cvec.SoA, tile int) {
 // rowGroupFFTScatterSoA is rowGroupFFTScatter on planes: the n2-point FFTs
 // of rows [lo, hi) run on the padded plane buffer, then the stride-n1
 // permutation writes natural order, reinterleaving (and demodulating) on
-// the fly when dst is AoS.
-func (s *SixStep) rowGroupFFTScatterSoA(dst vec, w cvec.SoA, lo, hi int, rbuf cvec.SoA) {
+// the fly.
+func (s *SixStep) rowGroupFFTScatterSoA(dst []complex128, w cvec.SoA, lo, hi int, rbuf cvec.SoA) {
 	n1, n2 := s.n1, s.n2
 	rows := hi - lo
 	stride := n2 + rowPad
@@ -214,35 +158,11 @@ func (s *SixStep) rowGroupFFTScatterSoA(dst vec, w cvec.SoA, lo, hi int, rbuf cv
 		s.p2.ForwardSoA(rbuf.Slice(r*stride, r*stride+n2), w.Slice((lo+r)*n2, (lo+r+1)*n2))
 	}
 	rre, rim := rbuf.Re, rbuf.Im
-	if dst.aos != nil {
-		out := dst.aos
-		if s.demod != nil {
-			for k2 := 0; k2 < n2; k2++ {
-				base := lo + n1*k2
-				for r := 0; r < rows; r++ {
-					out[base+r] = complex(rre[r*stride+k2], rim[r*stride+k2]) * s.demod[base+r]
-				}
-			}
-			return
-		}
-		for k2 := 0; k2 < n2; k2++ {
-			base := lo + n1*k2
-			for r := 0; r < rows; r++ {
-				out[base+r] = complex(rre[r*stride+k2], rim[r*stride+k2])
-			}
-		}
-		return
-	}
-	dre, dim := dst.planes.Re, dst.planes.Im
 	if s.demod != nil {
 		for k2 := 0; k2 < n2; k2++ {
 			base := lo + n1*k2
 			for r := 0; r < rows; r++ {
-				vr, vi := rre[r*stride+k2], rim[r*stride+k2]
-				d := s.demod[base+r]
-				mr, mi := real(d), imag(d)
-				dre[base+r] = vr*mr - vi*mi
-				dim[base+r] = vr*mi + vi*mr
+				dst[base+r] = complex(rre[r*stride+k2], rim[r*stride+k2]) * s.demod[base+r]
 			}
 		}
 		return
@@ -250,28 +170,7 @@ func (s *SixStep) rowGroupFFTScatterSoA(dst vec, w cvec.SoA, lo, hi int, rbuf cv
 	for k2 := 0; k2 < n2; k2++ {
 		base := lo + n1*k2
 		for r := 0; r < rows; r++ {
-			dre[base+r] = rre[r*stride+k2]
-			dim[base+r] = rim[r*stride+k2]
+			dst[base+r] = complex(rre[r*stride+k2], rim[r*stride+k2])
 		}
 	}
-}
-
-// NewSixStepBackend is NewSixStep with an explicit kernel backend.
-// BackendAuto resolves via PickBackend; BackendSoA is only implemented for
-// the SixStepOpt schedule (the other variants are AoS-only ablation
-// flavors) and is rejected elsewhere so a forced backend never silently
-// degrades.
-func NewSixStepBackend(n int, variant Variant, workers int, backend Backend) (*SixStep, error) {
-	if backend == BackendAuto {
-		backend = PickBackend(n, variant)
-	}
-	if backend == BackendSoA && variant != SixStepOpt {
-		return nil, fmt.Errorf("fft: SoA backend requires the 6-step-opt variant, not %v", variant)
-	}
-	s, err := newSixStepAoS(n, variant, workers)
-	if err != nil {
-		return nil, err
-	}
-	s.backend = backend
-	return s, nil
 }

@@ -2,17 +2,17 @@ package fft
 
 import "soifft/internal/cvec"
 
-// Split-plane (SoA) Stockham stage kernels — the soaKernel backend. Each
-// function is the exact arithmetic of its stockham.go twin with every
-// complex operation expanded into the four float64 streams (rr, ii, ri,
-// ir), so results match AoS up to floating-point reassociation (in
-// practice bit-exactly, since the operation order is preserved — the
-// oracle suite cross-checks at 1e-12 regardless).
+// Split-plane (SoA) Stockham stage kernels. Each function is the exact
+// arithmetic of its stockham.go twin with every complex operation expanded
+// into the four float64 streams (rr, ii, ri, ir), so results match AoS up
+// to floating-point reassociation (in practice bit-exactly, since the
+// operation order is preserved — the oracle suite cross-checks at 1e-12
+// regardless).
 //
 // The slice preambles reslice each stream to the loop bound so the inner
 // loops compile bounds-check-free (pinned in bce_budget.json); that, plus
 // complex values never being packed/unpacked through 16-byte pairs, is
-// where the SoA backend's throughput comes from.
+// where the SoA kernels' throughput comes from.
 
 // runStageSoA executes one split-plane Stockham pass: y <- butterfly(x).
 // The stage's twiddle planes must be populated (ensureSoAStages).

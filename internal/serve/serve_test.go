@@ -12,6 +12,7 @@ import (
 	"soifft"
 	"soifft/client"
 	"soifft/internal/cvec"
+	"soifft/internal/fft"
 	"soifft/internal/ref"
 	"soifft/internal/wire"
 )
@@ -117,26 +118,45 @@ func TestServeSOI(t *testing.T) {
 	}
 }
 
-// TestServeBatchFrame sends count transforms in one TBatch frame and checks
-// each against the reference.
+// TestServeBatchFrame sends count transforms in one TBatch frame — batches
+// of 128, 256 and 8192 elements, so both small and cache-spilling lane
+// kernels run — and checks each transform, forward and inverse, against the
+// scalar fft.Plan (same arithmetic, so 1e-12) and forward against the
+// reference DFT.
 func TestServeBatchFrame(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	cl := dialClient(t, addr)
 	cl.SetAlg(client.Exact)
 
-	const n, count = 64, 4
-	src := make([]complex128, n*count)
-	for i := 0; i < count; i++ {
-		copy(src[i*n:], ref.RandomVector(n, int64(i+1)))
-	}
-	dst := make([]complex128, n*count)
-	if err := cl.Batch(context.Background(), dst, src, count, false); err != nil {
-		t.Fatalf("Batch: %v", err)
-	}
-	for i := 0; i < count; i++ {
-		want := ref.DFT(src[i*n : (i+1)*n])
-		if e := cvec.RelErrL2(dst[i*n:(i+1)*n], want); e > 1e-9 {
-			t.Errorf("batch transform %d: rel err %g", i, e)
+	for _, tc := range []struct{ n, count int }{{64, 2}, {64, 4}, {1024, 8}} {
+		n, count := tc.n, tc.count
+		plan := fft.MustPlan(n)
+		src := make([]complex128, n*count)
+		for i := 0; i < count; i++ {
+			copy(src[i*n:], ref.RandomVector(n, int64(i+1)))
+		}
+		dst := make([]complex128, n*count)
+		want := make([]complex128, n)
+		for _, inverse := range []bool{false, true} {
+			if err := cl.Batch(context.Background(), dst, src, count, inverse); err != nil {
+				t.Fatalf("Batch %dx%d inverse=%v: %v", n, count, inverse, err)
+			}
+			dir := fft.Forward
+			if inverse {
+				dir = fft.Inverse
+			}
+			for i := 0; i < count; i++ {
+				x, got := src[i*n:(i+1)*n], dst[i*n:(i+1)*n]
+				plan.Transform(want, x, dir)
+				if e := cvec.RelErrL2(got, want); e > 1e-12 {
+					t.Errorf("batch %dx%d inverse=%v transform %d: rel err %g vs fft.Plan", n, count, inverse, i, e)
+				}
+				if !inverse {
+					if e := cvec.RelErrL2(got, ref.DFT(x)); e > 1e-9 {
+						t.Errorf("batch %dx%d transform %d: rel err %g vs reference DFT", n, count, i, e)
+					}
+				}
+			}
 		}
 	}
 }

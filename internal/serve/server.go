@@ -114,7 +114,6 @@ type Server struct {
 	lanePlans  *lru[laneKey, *fft.LaneBatch]
 	exactPlans *lru[int, *fft.Plan]
 	bufs       bufPool
-	soaBufs    soaBufPool
 	breakdown  *trace.Breakdown
 	stats      serverStats
 	// maxResync is the largest rejected-frame payload worth discarding to
@@ -361,38 +360,7 @@ func (s *Server) executeExact(key batchKey, live []*request, total int) error {
 	if lb != nil {
 		// One kernel call for the whole batch: gather the transforms into
 		// lane-interleaved order (element j of lane l at buf[j*total+l]),
-		// run, and scatter back into each request's dst. When the combined
-		// batch is large enough, the kernel runs on split real/imaginary
-		// planes (fft.PickLaneBackend): the gather/scatter the executor
-		// performs anyway absorbs the layout conversion, so SoA execution
-		// costs no extra sweeps.
-		if fft.PickLaneBackend(key.n, total) == fft.BackendSoA {
-			buf := s.soaBufs.get(key.n * total)
-			l := 0
-			for _, r := range live {
-				for c := 0; c < r.count; c++ {
-					seg := r.src[c*key.n : (c+1)*key.n]
-					for j, v := range seg {
-						buf.Re[j*total+l] = real(v)
-						buf.Im[j*total+l] = imag(v)
-					}
-					l++
-				}
-			}
-			lb.TransformSoA(buf, key.dir)
-			l = 0
-			for _, r := range live {
-				for c := 0; c < r.count; c++ {
-					seg := r.dst[c*key.n : (c+1)*key.n]
-					for j := range seg {
-						seg[j] = complex(buf.Re[j*total+l], buf.Im[j*total+l])
-					}
-					l++
-				}
-			}
-			s.soaBufs.put(buf)
-			return nil
-		}
+		// run, and scatter back into each request's dst.
 		buf := s.bufs.get(key.n * total)
 		l := 0
 		for _, r := range live {

@@ -54,14 +54,11 @@ type Plan struct {
 
 	fp      *fft.Batch   // Segments-point FFT batch (stage 2)
 	fm      *fft.SixStep // M'-point FFT (stage 4); nil if no 2D split
-	fmPlain *fft.Plan    // fallback / separate-demod path
+	fmPlain *fft.Plan    // M'-point fallback, built only when fm is nil
 }
 
 // NewPlan designs the window and builds the FFT sub-plans for p.
 func NewPlan(p window.Params, opts Options) (*Plan, error) {
-	if opts.ConvVariant == conv.Baseline && opts.FFTVariant == fft.SixStepNaive {
-		// Valid — the all-baselines configuration used by ablations.
-	}
 	win, err := window.Design(p)
 	if err != nil {
 		return nil, err
@@ -91,12 +88,13 @@ func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 			copy(demodFull, win.Demod)
 			fm.SetDemod(demodFull)
 		}
+		return pl, nil
 	}
-	plain, err := fft.NewPlan(mp)
+	// M' has no 2D split (prime or tiny): one plain M'-point plan.
+	pl.fmPlain, err = fft.NewPlan(mp)
 	if err != nil {
 		return nil, err
 	}
-	pl.fmPlain = plain
 	return pl, nil
 }
 
