@@ -17,11 +17,13 @@
 //	             window through a contiguous circular buffer, converting B
 //	             long-stride loads per inner product into B contiguous
 //	             loads plus dmu strided loads per chunk ("Avoiding Cache
-//	             Conflict Misses by Buffering").
+//	             Conflict Misses by Buffering"). The production variant: it
+//	             also multiplies by window.Filter's real LaneTaps and
+//	             rotates once per output (4B+6 flops against the others'
+//	             8B; DESIGN.md Section 2).
 //
-// All variants produce bit-identical results up to floating-point
-// reassociation; tests pin them against each other and against a direct
-// dense evaluation of W.
+// All variants agree up to floating-point rounding; tests pin them against
+// each other and against a direct dense evaluation of W.
 package conv
 
 import (
@@ -180,66 +182,44 @@ func applyInterchange(f *window.Filter, u, x []complex128, c0, c1, workers int) 
 	})
 }
 
-// applyBuffered adds the circular input staging: lane j's window of B
-// stride-S inputs lives in a contiguous ring; each chunk advances the ring
-// by dmu elements copied from the strided input.
+// applyBuffered adds the circular input staging and the real-tap
+// factorization (DESIGN.md Section 2): lane j's window of B stride-S inputs
+// lives in a contiguous ring that each chunk advances by dmu elements, and
+// every tap of the lane is window.Filter's real LaneTaps entry times one
+// unit phase per (j, a), so an output is a real-weighted sum of the window
+// rotated once at the store: 4*B+6 flops instead of 8*B.
 func applyBuffered(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 	s := f.Segments
 	nmu, dmu, b := f.NMu, f.DMu, f.B
 	nchunks := c1 - c0
 	par.For(workers, s, func(jlo, jhi int) {
-		laneTaps := make([][]complex128, nmu) //soilint:ignore hotalloc per-worker scratch: one make per worker, amortized over the whole lane range
-		for a := range laneTaps {
-			laneTaps[a] = make([]complex128, b) //soilint:ignore hotalloc per-worker scratch: one make per worker, amortized over the whole lane range
-		}
-		ring := make([]complex128, b) //soilint:ignore hotalloc per-worker ring buffer, allocated once per worker
+		// Mirrored ring: ring[i] == ring[i+b], so the window starting at any
+		// head in [0, b) is the single contiguous run ring[head:head+b].
+		ring := make([]complex128, 2*b) //soilint:ignore hotalloc per-worker ring buffer, allocated once per worker
 		for j := jlo; j < jhi; j++ {
-			for a := 0; a < nmu; a++ {
-				src := f.Taps[a]
-				dst := laneTaps[a]
-				for bb := range dst {
-					dst[bb] = src[bb*s+j]
-				}
-			}
+			taps := f.LaneTaps[j*nmu*b:][:nmu*b]
+			phase := f.LanePhase[j*nmu:][:nmu]
 			// Fill the ring with the first chunk's window.
-			for bb := range ring {
+			for bb := range ring[:b] {
 				ring[bb] = x[bb*s+j]
 			}
+			copy(ring[b:], ring[:b])
 			head := 0 // ring[head] is logical window element 0
 			for c := 0; ; c++ {
-				for a := 0; a < nmu; a++ {
-					taps := laneTaps[a]
-					var accRe, accIm float64
-					// Two contiguous runs: [head, b) then [0, head), with
-					// tap block [0, b-head) against the first run and
-					// [b-head, b) against the second. Reslicing each run and
-					// its tap block to a shared length hoists the bounds
-					// proof out of the accumulation loops: the four one-time
-					// slice checks here replace four checks per tap.
-					r1 := ring[head:]
-					t1 := taps[:len(r1)]
-					for k, v := range r1 {
-						t := t1[k]
-						accRe += real(t)*real(v) - imag(t)*imag(v)
-						accIm += real(t)*imag(v) + imag(t)*real(v)
-					}
-					r2 := ring[:head]
-					t2 := taps[len(r1):][:len(r2)]
-					for k, v := range r2 {
-						t := t2[k]
-						accRe += real(t)*real(v) - imag(t)*imag(v)
-						accIm += real(t)*imag(v) + imag(t)*real(v)
-					}
-					u[(c*nmu+a)*s+j] = complex(accRe, accIm)
+				win := ring[head:][:b]
+				for a, ph := range phase {
+					re, im := dotReal(taps[a*b:][:b], win)
+					u[(c*nmu+a)*s+j] = complex(re*real(ph)-im*imag(ph), re*imag(ph)+im*real(ph))
 				}
 				if c == nchunks-1 {
 					break
 				}
 				// Advance the window by dmu: overwrite the dmu oldest
-				// entries with the next strided inputs.
+				// entries (and their mirrors) with the next strided inputs.
 				nextBase := (c+1)*dmu*s + (b-dmu)*s // first new element
 				for d := 0; d < dmu; d++ {
-					ring[head] = x[nextBase+d*s+j]
+					v := x[nextBase+d*s+j]
+					ring[head], ring[head+b] = v, v
 					head++
 					if head == b {
 						head = 0
@@ -248,6 +228,27 @@ func applyBuffered(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 			}
 		}
 	})
+}
+
+// dotReal returns sum_k r[k]*w[k] for real weights r, as separate real and
+// imaginary sums. Each group of four taps feeds two accumulator pairs
+// through a two-product tree, so four multiply-add chains are in flight and
+// the loop is bound by multiply/add throughput, not by one add's latency.
+func dotReal(r []float64, w []complex128) (re, im float64) {
+	w = w[:len(r)]
+	var re0, im0, re1, im1 float64
+	for k := len(r) &^ 3; k < len(r); k++ { // the len(r)%4 tail taps
+		re0 += r[k] * real(w[k])
+		im0 += r[k] * imag(w[k])
+	}
+	for i := 0; i+4 <= len(r); i += 4 {
+		r4, w4 := r[i:i+4:i+4], w[i:i+4:i+4]
+		re0 += r4[0]*real(w4[0]) + r4[2]*real(w4[2])
+		im0 += r4[0]*imag(w4[0]) + r4[2]*imag(w4[2])
+		re1 += r4[1]*real(w4[1]) + r4[3]*real(w4[3])
+		im1 += r4[1]*imag(w4[1]) + r4[3]*imag(w4[3])
+	}
+	return re0 + re1, im0 + im1
 }
 
 // ApplyDense multiplies the dense W matrix for chunks [c0, c1) against x —

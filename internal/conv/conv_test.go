@@ -1,6 +1,8 @@
 package conv
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -59,6 +61,123 @@ func TestChunkRangeDecomposition(t *testing.T) {
 		if e := cvec.RelErrL2(got, whole); e != 0 {
 			t.Errorf("split at %d: recombined range differs by %g", k, e)
 		}
+	}
+}
+
+// TestChunkRangeRaceHammer drives the chunk-range contract the way the
+// distributed per-rank split does, under the race detector: two goroutines
+// write adjacent chunk ranges of one output (disjoint element ranges of the
+// same backing array) while a third computes the whole range, all reading
+// one input, each with internal worker parallelism. Every result must be
+// bit-identical to a single-worker run; the real teeth come from -race.
+func TestChunkRangeRaceHammer(t *testing.T) {
+	f := design(t, smallParams())
+	C := f.Chunks()
+	x := ref.RandomVector(InputLen(f, 0, C), 99)
+	want := make([]complex128, OutputLen(f, 0, C))
+	Apply(Buffered, f, want, x, 0, C, 1)
+
+	iters := 30
+	if testing.Short() {
+		iters = 5
+	}
+	k := C / 2
+	loLen := OutputLen(f, 0, k)
+	for it := 0; it < iters; it++ {
+		shared := make([]complex128, OutputLen(f, 0, C))
+		whole := make([]complex128, OutputLen(f, 0, C))
+		var wg sync.WaitGroup
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			Apply(Buffered, f, shared[:loLen], x, 0, k, 2)
+		}()
+		go func() {
+			defer wg.Done()
+			Apply(Buffered, f, shared[loLen:], x[k*f.DMu*f.Segments:], k, C, 2)
+		}()
+		go func() {
+			defer wg.Done()
+			Apply(Buffered, f, whole, x, 0, C, 3)
+		}()
+		wg.Wait()
+		if e := cvec.RelErrL2(shared, want); e != 0 {
+			t.Fatalf("iter %d: split output differs from the single-worker run by %g", it, e)
+		}
+		if e := cvec.RelErrL2(whole, want); e != 0 {
+			t.Fatalf("iter %d: whole-range output differs from the single-worker run by %g", it, e)
+		}
+	}
+}
+
+// propParams draws a random valid window geometry. The generator walks the
+// constraint chain of window.Validate directly: pick the oversampling ratio
+// and a segment count large enough for it, then build N from an integral
+// chunk count, then a width B >= DMu.
+func propParams(rng *rand.Rand) window.Params {
+	ratios := [][2]int{{8, 7}, {5, 4}, {3, 2}, {9, 8}, {7, 5}}
+	r := ratios[rng.Intn(len(ratios))]
+	nmu, dmu := r[0], r[1]
+	var segs int
+	for {
+		segs = 3 + rng.Intn(8)
+		if segs*dmu > 2*nmu-dmu { // Segments > 2*mu - 1
+			break
+		}
+	}
+	chunks := 2 + rng.Intn(5)
+	return window.Params{
+		N:        dmu * segs * segs * chunks,
+		Segments: segs,
+		NMu:      nmu,
+		DMu:      dmu,
+		B:        dmu + rng.Intn(32),
+	}
+}
+
+// TestBufferedMatchesDenseRandomized pins the real-tap kernel against the
+// dense evaluation of W over randomized geometry: widths on both sides of
+// every multiple of the kernel's group of four taps, chunk sub-ranges that
+// start past zero, single chunks, and worker counts 1 and 3.
+func TestBufferedMatchesDenseRandomized(t *testing.T) {
+	iters := 40
+	if testing.Short() {
+		iters = 8
+	}
+	rng := rand.New(rand.NewSource(20260928))
+	var oddWidth, single, offset int
+	for it := 0; it < iters; it++ {
+		p := propParams(rng)
+		f := design(t, p)
+		C := f.Chunks()
+		c0 := rng.Intn(C)
+		c1 := c0 + 1 + rng.Intn(C-c0)
+		if it%4 == 0 {
+			c1 = c0 + 1
+		}
+		if p.B%4 != 0 {
+			oddWidth++
+		}
+		if c1 == c0+1 {
+			single++
+		}
+		if c0 > 0 {
+			offset++
+		}
+		x := ref.RandomVector(InputLen(f, c0, c1), int64(it)+1)
+		want := make([]complex128, OutputLen(f, c0, c1))
+		ApplyDense(f, want, x, c0, c1)
+		for _, workers := range []int{1, 3} {
+			got := make([]complex128, OutputLen(f, c0, c1))
+			Apply(Buffered, f, got, x, c0, c1, workers)
+			if e := cvec.RelErrL2(got, want); e > 1e-13 {
+				t.Errorf("iter %d %+v range [%d,%d) workers=%d: error vs dense %g", it, p, c0, c1, workers, e)
+			}
+		}
+	}
+	if oddWidth == 0 || single == 0 || offset == 0 {
+		t.Errorf("generator missed a case: %d widths off the group of four, %d single chunks, %d ranges past zero",
+			oddWidth, single, offset)
 	}
 }
 

@@ -24,6 +24,7 @@ package soi
 
 import (
 	"fmt"
+	"sync"
 
 	"soifft/internal/conv"
 	"soifft/internal/cvec"
@@ -55,6 +56,17 @@ type Plan struct {
 	fp      *fft.Batch   // Segments-point FFT batch (stage 2)
 	fm      *fft.SixStep // M'-point FFT (stage 4); nil if no 2D split
 	fmPlain *fft.Plan    // M'-point fallback, built only when fm is nil
+
+	scratch sync.Pool // *scratch: Forward's and Inverse's working set
+}
+
+// scratch is the working set of one transform. A transform takes one from
+// the plan's pool and returns it, so steady-state calls allocate nothing
+// and concurrent calls never share buffers.
+type scratch struct {
+	xx   []complex128 // N + ghost: the input, extended circularly
+	u, t []complex128 // N' each: convolution output and its transpose
+	y    []complex128 // M': FinishSegment's staging
 }
 
 // NewPlan designs the window and builds the FFT sub-plans for p.
@@ -72,6 +84,15 @@ func NewPlan(p window.Params, opts Options) (*Plan, error) {
 //soilint:shape return.Win == win
 func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 	pl := &Plan{Win: win, opts: opts}
+	pl.scratch.New = func() any {
+		np := win.MPrime() * win.Segments // N' = mu*N
+		return &scratch{
+			xx: make([]complex128, win.N+win.GhostElems()),
+			u:  make([]complex128, np),
+			t:  make([]complex128, np),
+			y:  make([]complex128, win.MPrime()),
+		}
+	}
 	fp, err := fft.NewBatch(win.Segments, opts.Workers)
 	if err != nil {
 		return nil, err
@@ -111,28 +132,14 @@ func (pl *Plan) EstimatedError() float64 { return pl.Win.AliasBound() }
 //soilint:shape len(dst) >= Win.N
 //soilint:shape len(src) >= Win.N
 func (pl *Plan) Forward(dst, src []complex128) error {
-	p := pl.Win.Params
-	if len(src) < p.N || len(dst) < p.N {
-		return fmt.Errorf("soi: buffers too short for N=%d", p.N)
+	n := pl.Win.N
+	if len(src) < n || len(dst) < n {
+		return fmt.Errorf("soi: buffers too short for N=%d", n)
 	}
-	dst, src = dst[:p.N], src[:p.N]
-
-	// Stage 1+2: convolve (with circular ghost) and S-point FFTs.
-	xx := withGhost(src, pl.Win.GhostElems())
-	np := p.MPrime() * p.Segments // N' = mu*N
-	u := make([]complex128, np)
-	pl.ConvolveAndFP(u, xx, 0, p.Chunks())
-
-	// Stage 3: stride-S permutation — u viewed as an (M' x S) matrix,
-	// transposed so each segment's t_f is a contiguous row.
-	t := make([]complex128, np)
-	cvec.Transpose(t, u, p.MPrime(), p.Segments)
-
-	// Stage 4+5 per segment.
-	y := make([]complex128, p.MPrime())
-	for f := 0; f < p.Segments; f++ {
-		pl.FinishSegment(dst[f*p.M():(f+1)*p.M()], t[f*p.MPrime():(f+1)*p.MPrime()], y)
-	}
+	sc := pl.scratch.Get().(*scratch)
+	defer pl.scratch.Put(sc)
+	copy(sc.xx, src[:n])
+	pl.forward(dst[:n], sc)
 	return nil
 }
 
@@ -143,13 +150,15 @@ func (pl *Plan) Forward(dst, src []complex128) error {
 //soilint:shape len(src) >= Win.N
 func (pl *Plan) Inverse(dst, src []complex128) error {
 	n := pl.Win.N
-	cc := make([]complex128, n)
+	if len(src) < n || len(dst) < n {
+		return fmt.Errorf("soi: buffers too short for N=%d", n)
+	}
+	sc := pl.scratch.Get().(*scratch)
+	defer pl.scratch.Put(sc)
 	for i, v := range src[:n] {
-		cc[i] = complex(real(v), -imag(v))
+		sc.xx[i] = complex(real(v), -imag(v))
 	}
-	if err := pl.Forward(dst, cc); err != nil {
-		return err
-	}
+	pl.forward(dst[:n], sc)
 	inv := 1 / float64(n)
 	for i, v := range dst[:n] {
 		dst[i] = complex(real(v)*inv, -imag(v)*inv)
@@ -157,17 +166,24 @@ func (pl *Plan) Inverse(dst, src []complex128) error {
 	return nil
 }
 
-// withGhost returns src extended circularly by ghost elements.
-//
-//soilint:shape len(return) == len(src) + ghost
-func withGhost(src []complex128, ghost int) []complex128 {
-	n := len(src)
-	xx := make([]complex128, n+ghost)
-	copy(xx, src)
-	for i := 0; i < ghost; i++ {
-		xx[n+i] = src[i%n]
+// forward transforms the N values the caller placed in sc.xx into dst.
+func (pl *Plan) forward(dst []complex128, sc *scratch) {
+	p := pl.Win.Params
+
+	// Stage 1+2: convolve (with circular ghost) and S-point FFTs.
+	for i := range sc.xx[p.N:] {
+		sc.xx[p.N+i] = sc.xx[i%p.N]
 	}
-	return xx
+	pl.ConvolveAndFP(sc.u, sc.xx, 0, p.Chunks())
+
+	// Stage 3: stride-S permutation — u viewed as an (M' x S) matrix,
+	// transposed so each segment's t_f is a contiguous row.
+	cvec.Transpose(sc.t, sc.u, p.MPrime(), p.Segments)
+
+	// Stage 4+5 per segment.
+	for f := 0; f < p.Segments; f++ {
+		pl.FinishSegment(dst[f*p.M():(f+1)*p.M()], sc.t[f*p.MPrime():(f+1)*p.MPrime()], sc.y)
+	}
 }
 
 // ConvolveAndFP runs stages 1 and 2 for chunks [c0, c1): the convolution of

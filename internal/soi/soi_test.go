@@ -2,6 +2,7 @@ package soi
 
 import (
 	"math/cmplx"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -193,6 +194,9 @@ func TestShortBufferError(t *testing.T) {
 	if err := pl.Forward(make([]complex128, p.N), make([]complex128, 3)); err == nil {
 		t.Error("expected error for short src")
 	}
+	if err := pl.Inverse(make([]complex128, p.N), make([]complex128, 3)); err == nil {
+		t.Error("expected error for short inverse src")
+	}
 }
 
 func TestQuickRandomParams(t *testing.T) {
@@ -284,4 +288,42 @@ func TestWorkerCountsAgree(t *testing.T) {
 			t.Errorf("workers=%d: results differ by %g (parallelization must be bitwise deterministic)", workers, e)
 		}
 	}
+}
+
+// TestConcurrentTransformsOnOnePlan: a plan's pooled scratch must never be
+// shared between transforms in flight. Four goroutines run eight transforms
+// each on one plan (forward and inverse alternating, so both borrowers of
+// the pool meet), every result checked against fft.Plan; run under -race.
+func TestConcurrentTransformsOnOnePlan(t *testing.T) {
+	p := paperParams(4, 8)
+	pl, err := NewPlan(p, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := fft.MustPlan(p.N)
+	tol := pl.EstimatedError()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got, want := make([]complex128, p.N), make([]complex128, p.N)
+			for i := 0; i < 8; i++ {
+				x := ref.RandomVector(p.N, int64(100*g+i))
+				transform, reference := pl.Forward, exact.Forward
+				if i%2 == 1 {
+					transform, reference = pl.Inverse, exact.Inverse
+				}
+				if err := transform(got, x); err != nil {
+					t.Error(err)
+					return
+				}
+				reference(want, x)
+				if e := cvec.RelErrL2(got, want); !(e <= tol) {
+					t.Errorf("goroutine %d transform %d: rel err %g above the designed bound %g", g, i, e, tol)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -118,11 +118,26 @@ func (p Params) GhostElems() int {
 	return g
 }
 
-// ConvFlops returns the floating-point operation count of the convolution,
-// 8*B*mu*N (Section 4 of the paper: B complex multiplies and B-1 complex
-// adds per length-B inner product).
+// ConvFlops returns the paper's nominal floating-point operation count of
+// the convolution, 8*B*mu*N (Section 4: B complex multiplies and B-1 complex
+// adds per length-B inner product). It is the model's and the benchmark's
+// common denominator, not the executed count: the production kernel
+// multiplies by the real LaneTaps and rotates once per output, executing
+// (4*B+6)*mu*N flops (DESIGN.md Section 2); the Baseline and Interchange
+// ablations execute the nominal count.
 func (p Params) ConvFlops() float64 {
 	return 8 * float64(p.B) * p.Mu() * float64(p.N)
+}
+
+// tapShift returns d_a, the fractional shift (in samples) of filter a: steps
+// of Segments/mu centred around zero, so the largest shift truncates only
+// window-edge taps (which are at the stopband floor already). Any common
+// offset cancels between H_a and the measured G = H_0, so correctness is
+// unaffected.
+func (p Params) tapShift(a int) float64 {
+	shift := float64(p.Segments) / p.Mu()
+	delta0 := -float64(p.NMu-1) / 2 * shift
+	return delta0 + float64(a)*shift
 }
 
 func gcd(a, b int) int {
@@ -139,6 +154,12 @@ type Filter struct {
 	// NMu fractionally shifted filters. These are the nmu*P*B distinct
 	// elements of W that the paper stores compactly (Fig. 6a).
 	Taps [][]complex128
+	// LaneTaps and LanePhase are Taps factored per polyphase lane j (see
+	// factorLanes): Taps[a][b*S+j] = LaneTaps[(j*NMu+a)*B+b] * LanePhase[j*NMu+a]
+	// with LaneTaps real and |LanePhase| = 1. The production convolution
+	// kernel reads these; they are derived from Taps, never stored.
+	LaneTaps  []float64
+	LanePhase []complex128
 	// Demod[kappa] = N/(M'*G(kappa)) for kappa in [0,M): the diagonal of
 	// W^-1 in Equation 1.
 	Demod []complex128
@@ -216,16 +237,13 @@ func Design(p Params) (*Filter, error) {
 	// sampled prototype taps, then build the full filter from the winner.
 	beta, cutoff := searchDesign(p, betaBase, trans)
 
-	// Centre the set of fractional shifts around zero, so the largest
-	// shift truncates only window-edge taps (which are at the stopband
-	// floor already). Any common offset delta0 cancels between H_a and the
-	// measured G = H_0, so correctness is unaffected.
 	shift := float64(p.Segments) / mu // per-step fractional shift P/mu samples
-	delta0 := -float64(p.NMu-1) / 2 * shift
-
 	f.Taps = make([][]complex128, p.NMu)
 	for a := 0; a < p.NMu; a++ {
-		f.Taps[a] = prototypeTaps(p, beta, cutoff, delta0+float64(a)*shift)
+		f.Taps[a] = prototypeTaps(p, beta, cutoff, p.tapShift(a))
+	}
+	if err := f.factorLanes(); err != nil {
+		return nil, fmt.Errorf("window: designed taps do not factor: %w", err)
 	}
 
 	// Exact response at every output bin, via chirp-z partial DFT:
@@ -278,6 +296,60 @@ func Design(p Params) (*Filter, error) {
 		}
 	}
 	return f, nil
+}
+
+// phaseError reports a tap that is not a real multiple of its lane's
+// analytic phase: the taps were not sampled from this package's prototype
+// (a tampered or foreign wisdom file).
+type phaseError struct {
+	A, Nu    int     // the offending tap is Taps[A][Nu]
+	Residual float64 // its rotated imaginary part over max|Taps|
+}
+
+func (e *phaseError) Error() string {
+	return fmt.Sprintf("tap [%d][%d] is not real after removing its lane phase (residual %.3g of the largest tap, limit %.0e)",
+		e.A, e.Nu, e.Residual, phaseResidualMax)
+}
+
+// phaseResidualMax bounds the imaginary part a tap may keep after rotation
+// by its conjugate lane phase, relative to the largest tap. Designed taps
+// leave ~1e-15 (the rounding of two evaluations of the same angle).
+const phaseResidualMax = 1e-12
+
+// factorLanes builds LaneTaps and LanePhase from Taps. The prototype is
+// g(t) = lp(t)*e^{-2*pi*i*(M/2)*t/N} with lp real, and N = Segments*M, so at
+// tap nu = b*S + j of filter a (t = nu - t0 - d_a, t0 = B*S/2 - 1/2) the
+// modulation is e^{-i*pi*(b-B/2)} * e^{-i*pi*(j+1/2-d_a)/S}: a sign per
+// block times a unit phase that depends on (j, a) only. The phase is
+// evaluated at that reduced argument (times the exact i^B), not from Taps,
+// so a tap that disagrees with it is detected rather than absorbed.
+func (f *Filter) factorLanes() error {
+	s, nmu, b := f.Segments, f.NMu, f.B
+	var peak float64
+	for _, taps := range f.Taps {
+		for _, t := range taps {
+			peak = math.Max(peak, cabs(t))
+		}
+	}
+	iPowB := [4]complex128{1, 1i, -1, -1i}[b&3] // e^{+i*pi*B/2}
+	f.LaneTaps = make([]float64, s*nmu*b)
+	f.LanePhase = make([]complex128, s*nmu)
+	for j := 0; j < s; j++ {
+		for a, taps := range f.Taps {
+			sn, cs := math.Sincos(-math.Pi * (float64(j) + 0.5 - f.tapShift(a)) / float64(s))
+			ph := complex(cs, sn) * iPowB
+			f.LanePhase[j*nmu+a] = ph
+			row := f.LaneTaps[(j*nmu+a)*b:][:b]
+			for bb := range row {
+				t := taps[bb*s+j] * complex(real(ph), -imag(ph))
+				if res := math.Abs(imag(t)); !(res <= phaseResidualMax*peak) {
+					return &phaseError{A: a, Nu: bb*s + j, Residual: res / peak}
+				}
+				row[bb] = real(t)
+			}
+		}
+	}
+	return nil
 }
 
 // responseOf evaluates the DTFT of taps at bin kappa by the direct sum.

@@ -41,7 +41,8 @@ func (f *Filter) Save(w io.Writer) error {
 }
 
 // Load reads a filter saved by Save, validating its structure against the
-// embedded parameters.
+// embedded parameters and rebuilding the lane tables from the stored taps
+// (a *phaseError if they are not this package's prototype).
 func Load(r io.Reader) (*Filter, error) {
 	var wf wisdomFile
 	if err := gob.NewDecoder(r).Decode(&wf); err != nil {
@@ -64,7 +65,7 @@ func Load(r io.Reader) (*Filter, error) {
 	if len(wf.Demod) != wf.Params.M() {
 		return nil, fmt.Errorf("window: wisdom demod has %d entries, want %d", len(wf.Demod), wf.Params.M())
 	}
-	return &Filter{
+	f := &Filter{
 		Params:      wf.Params,
 		Taps:        wf.Taps,
 		Demod:       wf.Demod,
@@ -72,5 +73,9 @@ func Load(r io.Reader) (*Filter, error) {
 		PassbandMax: wf.PassbandMax,
 		StopbandMax: wf.StopbandMax,
 		ShiftErrMax: wf.ShiftErrMax,
-	}, nil
+	}
+	if err := f.factorLanes(); err != nil {
+		return nil, fmt.Errorf("window: wisdom taps do not factor: %w", err)
+	}
+	return f, nil
 }

@@ -41,7 +41,7 @@ run_gate "go vet ./..." go vet ./...
 run_gate "soilint ./..." go run ./cmd/soilint -timing-budget-file timing_budget.json ./...
 run_gate "escapebudget (hot-kernel escape gate)" go run ./cmd/escapebudget
 run_gate "bcebudget (bounds-check gate)" go run ./cmd/bcebudget
-run_gate "go test -race (concurrency gate)" go test -race ./internal/par ./internal/mpi ./internal/cluster ./internal/dist ./internal/serve ./internal/wire ./client
+run_gate "go test -race (concurrency gate)" go test -race ./internal/par ./internal/conv ./internal/soi ./internal/mpi ./internal/cluster ./internal/dist ./internal/serve ./internal/wire ./client
 run_gate "go test -race (fault-injection sweep)" go test -race ./internal/faultcomm ./internal/testutil
 
 # Fuzz smoke: each untrusted decode surface gets a brief randomized pass
