@@ -23,7 +23,8 @@ import (
 // their own op-timeout machinery) and are exempt. Blocking primitives:
 //
 //   - mpi.Comm.Recv and the deadline-less collectives (SendRecv, AllToAll,
-//     Barrier, Bcast, Gather, Reduce, AllReduce, Scatter) — bounded only
+//     their ...Into forms, Barrier, Bcast, Gather, Reduce, AllReduce,
+//     Scatter) — bounded only
 //     by the transport's op-timeout, so a call site must either run under
 //     one (justified suppression) or use RecvDeadline/RecvTimeout;
 //   - wire reads (ReadHeader, ReadVector, ReadText, DiscardPayload) and
@@ -49,6 +50,7 @@ var deadlineflowTargets = []string{
 // unboundedMPI names the mpi-package calls with no deadline parameter.
 var unboundedMPI = map[string]bool{
 	"Recv": true, "SendRecv": true, "AllToAll": true, "Barrier": true,
+	"SendRecvInto": true, "AllToAllInto": true,
 	"Bcast": true, "Gather": true, "Reduce": true, "AllReduce": true, "Scatter": true,
 }
 

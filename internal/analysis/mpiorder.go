@@ -31,6 +31,7 @@ var MPIOrder = &Analyzer{
 var mpiCollectives = map[string]bool{
 	"AllToAll": true, "Barrier": true, "Bcast": true, "Gather": true,
 	"Reduce": true, "AllReduce": true, "Scatter": true, "SendRecv": true,
+	"AllToAllInto": true, "SendRecvInto": true,
 }
 
 func runMPIOrder(pass *Pass) {
@@ -267,7 +268,7 @@ func reportTagMismatches(pass *Pass, body *ast.BlockStmt) {
 			tagArg, isSend = call.Args[1], true
 		case f.Name() == "Recv" && len(call.Args) >= 2:
 			tagArg, isRecv = call.Args[1], true
-		case f.Name() == "SendRecv" && len(call.Args) >= 5:
+		case (f.Name() == "SendRecv" || f.Name() == "SendRecvInto") && len(call.Args) >= 5:
 			tagArg, isSend, isRecv = call.Args[4], true, true
 		default:
 			return true

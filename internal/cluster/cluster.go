@@ -267,14 +267,18 @@ func VerifyRunComm(world, segments, chunksPerSeg, b int, wrap func(mpi.Comm) mpi
 	want := make([]complex128, p.N)
 	fft.MustPlan(p.N).Forward(want, x)
 
+	plan, err := soi.NewPlan(p, soi.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
 	got := make([]complex128, p.N)
 	bd := trace.NewBreakdown()
 	localN := p.N / world
-	err := mpi.Run(world, func(c mpi.Comm) error {
+	err = mpi.Run(world, func(c mpi.Comm) error {
 		if wrap != nil {
 			c = wrap(c)
 		}
-		d, err := dist.NewSOI(c, p, soi.DefaultOptions())
+		d, err := dist.NewSOIFromPlan(c, plan)
 		if err != nil {
 			return err
 		}

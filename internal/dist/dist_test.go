@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 
@@ -194,16 +193,7 @@ func TestDistSOIOverTCP(t *testing.T) {
 	want := fftRef(x)
 	localN := p.N / world
 
-	listeners := make([]net.Listener, world)
-	addrs := make([]string, world)
-	for i := range listeners {
-		ln, err := mpi.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
+	nodes := tcpMesh(t, world)
 	out := make([]complex128, p.N)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -212,12 +202,7 @@ func TestDistSOIOverTCP(t *testing.T) {
 	for r := 0; r < world; r++ {
 		go func(r int) {
 			defer wg.Done()
-			node, err := mpi.ConnectTCP(r, world, listeners[r], addrs)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer node.Close()
+			node := nodes[r]
 			d, err := NewSOI(node, p, soi.DefaultOptions())
 			if err != nil {
 				errs <- err

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,5 +115,97 @@ func TestSOIForwardCrashTyped(t *testing.T) {
 	}
 	if d := time.Since(start); d > 10*time.Second {
 		t.Fatalf("crash took %v to resolve", d)
+	}
+}
+
+// opWatch counts a rank's communicator operations in flight, and those
+// begun after the rank's transform returned.
+type opWatch struct {
+	mpi.Comm
+	inFlight, late atomic.Int32
+	returned       atomic.Bool
+}
+
+func (w *opWatch) enter() func() {
+	if w.returned.Load() {
+		w.late.Add(1)
+	}
+	w.inFlight.Add(1)
+	return func() { w.inFlight.Add(-1) }
+}
+
+func (w *opWatch) Send(dst, tag int, data []complex128) error {
+	defer w.enter()()
+	return w.Comm.Send(dst, tag, data)
+}
+
+func (w *opWatch) Recv(src, tag int) ([]complex128, int, error) {
+	defer w.enter()()
+	return w.Comm.Recv(src, tag)
+}
+
+// TestForwardJoinsExchangeOnFailure: the pipelined Forward runs exchange
+// g+1 on its own goroutine while it finishes segment g, and that goroutine
+// reads the working set. Whatever kills the transform — a rank crashing at
+// any operation of the ghost exchange or of the four all-to-alls, or
+// dropped messages turning receives into timeouts — Forward must not
+// return while an operation it started is still in flight, nor start one
+// afterwards; otherwise the next transform would reuse buffers a stale
+// exchange still reads. Run under -race, with the package's leak gate.
+func TestForwardJoinsExchangeOnFailure(t *testing.T) {
+	const world = 2
+	p := testParams(8, 2) // 4 segments per rank: three overlapped exchanges
+	plan, err := soi.NewPlan(p, soi.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := ref.RandomVector(p.N, 44)
+	localN := p.N / world
+
+	var scheds []faultcomm.Schedule
+	for op := 0; op < 12; op++ {
+		s := faultcomm.NewSchedule(int64(op), 150*time.Millisecond)
+		s.CrashRank, s.CrashOp = op%world, op
+		scheds = append(scheds, s)
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		s := faultcomm.NewSchedule(seed, 150*time.Millisecond)
+		s.Drop = 0.2
+		scheds = append(scheds, s)
+	}
+	failed := 0
+	for _, sched := range scheds {
+		inj := faultcomm.New(sched)
+		watches := make([]*opWatch, world)
+		err := mpi.Run(world, func(c mpi.Comm) error {
+			w := &opWatch{Comm: inj.Wrap(c)}
+			watches[c.Rank()] = w
+			d, err := NewSOIFromPlan(w, plan)
+			if err != nil {
+				return err
+			}
+			r := c.Rank()
+			dst := make([]complex128, localN)
+			err = d.Forward(dst, x[r*localN:(r+1)*localN])
+			if n := w.inFlight.Load(); n != 0 {
+				return fmt.Errorf("rank %d: Forward returned (%v) with %d operations in flight", r, err, n)
+			}
+			w.returned.Store(true)
+			return err
+		})
+		if err != nil {
+			failed++
+			if !faultcomm.Typed(err) {
+				t.Errorf("%s: %v", sched, err)
+			}
+		}
+		for r, w := range watches {
+			if n := w.late.Load(); n != 0 {
+				t.Errorf("%s: rank %d began %d operations after Forward returned", sched, r, n)
+			}
+		}
+	}
+	if failed < len(scheds)/2 {
+		t.Errorf("only %d of %d fault schedules made Forward fail: the failure paths are not exercised", failed, len(scheds))
 	}
 }

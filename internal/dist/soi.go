@@ -16,9 +16,12 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"soifft/internal/codec"
+	"soifft/internal/cvec"
 	"soifft/internal/mpi"
 	"soifft/internal/soi"
 	"soifft/internal/trace"
@@ -26,14 +29,22 @@ import (
 )
 
 // SOI is a distributed Segment-of-Interest FFT plan bound to a communicator.
+// One transform runs at a time on an SOI: its messages carry no call
+// identity, so concurrent transforms over one communicator would mix.
 type SOI struct {
 	comm mpi.Comm
 	plan *soi.Plan
 
 	segPerRank    int // segments owned per rank (the paper's "segments per MPI process")
 	chunksPerRank int
+	interior      int // leading chunks whose input window ends inside the rank's block
 	localN        int // input/output elements per rank = N/P
 	rowsPerRank   int // M'/P rows of the permutation matrix per rank
+
+	// ws holds the working set between transforms: a pool of one, since
+	// one transform runs at a time. A transform takes it (or builds a
+	// fresh one), and stores it back once nothing references it.
+	ws atomic.Pointer[workset]
 
 	// Breakdown, when non-nil, accumulates per-phase wall time on this rank.
 	Breakdown *trace.Breakdown
@@ -41,6 +52,29 @@ type SOI struct {
 	// NoOverlap disables the pipelining of per-segment all-to-alls with
 	// local FFTs (for ablation measurements).
 	NoOverlap bool
+}
+
+// workset is the working set of one transform; a steady-state transform
+// allocates nothing in proportion to N. Per payload byte the exchange path
+// is: convolved into u, transposed once into ut (whose rows are the send
+// blocks), sent, and received into the segment's slot of u, where the
+// M'-point FFT reads it.
+type workset struct {
+	// tail is the input the last chunks' windows read: the end of the
+	// rank's block followed by the ghost elements of the successor ranks.
+	// The interior chunks convolve straight from the caller's src.
+	tail []complex128
+	// u is the convolution output, rowsPerRank rows of Segments lanes. Once
+	// transposed it is dead, and its segPerRank runs of M' elements become
+	// the segment vectors the all-to-alls receive into.
+	u []complex128
+	// ut is u transposed: row f is lane f, the block sent to the rank that
+	// owns segment f.
+	ut []complex128
+	// send and recv are the all-to-all's block views into ut and u.
+	send, recv [][]complex128
+	y          []complex128 // M': FinishSegment's staging
+	conj       []complex128 // localN: Inverse's conjugated input, built on first use
 }
 
 // NewSOI builds the distributed plan. p.Segments is the total segment count
@@ -84,7 +118,29 @@ func NewSOIFromPlan(c mpi.Comm, plan *soi.Plan) (*SOI, error) {
 	if ghost := p.GhostElems(); ghost >= p.N {
 		return nil, fmt.Errorf("dist: ghost region %d spans the whole input N=%d; increase N or reduce B", ghost, p.N)
 	}
+	// Chunk c reads B blocks of Segments inputs starting at block c*DMu;
+	// the rank's own blocks end at chunksPerRank*DMu.
+	if blocks := d.chunksPerRank * p.DMu; blocks >= p.B {
+		d.interior = (blocks-p.B)/p.DMu + 1
+	}
 	return d, nil
+}
+
+// workset takes the plan's working set, building one when none is stored.
+func (d *SOI) workset() *workset {
+	if ws := d.ws.Swap(nil); ws != nil {
+		return ws
+	}
+	p := d.plan.Win.Params
+	world := d.comm.Size()
+	return &workset{
+		tail: make([]complex128, d.localN+p.GhostElems()-d.interior*p.DMu*p.Segments),
+		u:    make([]complex128, d.rowsPerRank*p.Segments),
+		ut:   make([]complex128, d.rowsPerRank*p.Segments),
+		send: make([][]complex128, world),
+		recv: make([][]complex128, world),
+		y:    make([]complex128, p.MPrime()),
+	}
 }
 
 // SetCodec compresses this rank's exchanges (ghost traffic and the
@@ -140,29 +196,12 @@ const (
 //soilint:shape len(dst) >= localN
 //soilint:shape len(src) >= localN
 func (d *SOI) Forward(dst, src []complex128) error {
-	p := d.plan.Win.Params
 	if len(src) < d.localN || len(dst) < d.localN {
 		return &ShapeError{What: "buffers too short", Got: min(len(src), len(dst)), Want: d.localN}
 	}
-	src, dst = src[:d.localN], dst[:d.localN]
-
-	// Phase 1: nearest-neighbour ghost exchange (latency-bound short
-	// messages, Section 5.1) and convolution + S-point FFTs.
-	stopEtc := timer(d.Breakdown, trace.PhaseEtc)
-	xx, err := d.exchangeGhost(src)
-	stopEtc()
-	if err != nil {
-		return err
-	}
-	stopConv := timer(d.Breakdown, trace.PhaseConv)
-	u := make([]complex128, d.rowsPerRank*p.Segments)
-	c0 := d.comm.Rank() * d.chunksPerRank
-	d.plan.ConvolveAndFP(u, xx, c0, c0+d.chunksPerRank)
-	stopConv()
-
-	// Phase 2+3: per-segment-group all-to-alls, pipelined with the local
-	// M'-point FFT + demodulation of the previously received group.
-	return d.exchangeAndFinish(dst, u)
+	ws := d.workset()
+	defer d.ws.Store(ws)
+	return d.forward(dst[:d.localN], src[:d.localN], ws)
 }
 
 // Inverse computes this rank's block of the normalized inverse DFT via the
@@ -176,11 +215,15 @@ func (d *SOI) Inverse(dst, src []complex128) error {
 	if len(src) < d.localN || len(dst) < d.localN {
 		return &ShapeError{What: "buffers too short", Got: min(len(src), len(dst)), Want: d.localN}
 	}
-	cc := make([]complex128, d.localN)
-	for i, v := range src[:d.localN] {
-		cc[i] = complex(real(v), -imag(v))
+	ws := d.workset()
+	defer d.ws.Store(ws)
+	if ws.conj == nil {
+		ws.conj = make([]complex128, d.localN)
 	}
-	if err := d.Forward(dst, cc); err != nil {
+	for i, v := range src[:d.localN] {
+		ws.conj[i] = complex(real(v), -imag(v))
+	}
+	if err := d.forward(dst[:d.localN], ws.conj, ws); err != nil {
 		return err
 	}
 	inv := 1 / float64(d.plan.Win.N)
@@ -190,115 +233,131 @@ func (d *SOI) Inverse(dst, src []complex128) error {
 	return nil
 }
 
-// exchangeGhost gathers src plus the (B-DMu)*S ghost elements following the
-// rank's block (circularly), which may span several successor ranks. Rank r
+// forward transforms the rank's block src into dst through ws. It returns
+// only once nothing it started references ws.
+func (d *SOI) forward(dst, src []complex128, ws *workset) error {
+	p := d.plan.Win.Params
+
+	// Phase 1: nearest-neighbour ghost exchange (latency-bound short
+	// messages, Section 5.1) and convolution + S-point FFTs. The interior
+	// chunks read src in place; the last few, whose windows cross the end
+	// of the block, read its tail followed by the ghost elements.
+	stopEtc := timer(d.Breakdown, trace.PhaseEtc)
+	err := d.exchangeGhost(ws.tail, src)
+	stopEtc()
+	if err != nil {
+		return err
+	}
+	stopConv := timer(d.Breakdown, trace.PhaseConv)
+	c0 := d.comm.Rank() * d.chunksPerRank
+	split := c0 + d.interior
+	d.plan.ConvolveAndFP(ws.u, src, c0, split)
+	d.plan.ConvolveAndFP(ws.u[d.interior*p.NMu*p.Segments:], ws.tail, split, c0+d.chunksPerRank)
+	stopConv()
+
+	// Phase 2+3: per-segment-group all-to-alls, pipelined with the local
+	// M'-point FFT + demodulation of the previously received group.
+	stopEtc = timer(d.Breakdown, trace.PhaseEtc)
+	cvec.Transpose(ws.ut, ws.u, d.rowsPerRank, p.Segments)
+	stopEtc()
+	return d.exchangeAndFinish(dst, ws)
+}
+
+// exchangeGhost fills tail with the end of src that the non-interior chunks
+// read, followed by the (B-DMu)*S ghost elements after the rank's block
+// (circularly), which may span several successor ranks. Rank r
 // simultaneously serves the mirrored prefixes to its predecessors.
-func (d *SOI) exchangeGhost(src []complex128) ([]complex128, error) {
-	ghost := d.plan.Win.GhostElems()
-	xx := make([]complex128, d.localN+ghost)
-	copy(xx, src)
+func (d *SOI) exchangeGhost(tail, src []complex128) error {
+	p := d.plan.Win.Params
+	own := copy(tail, src[d.interior*p.DMu*p.Segments:])
+	ghost := tail[own:]
 	world := d.comm.Size()
 	r := d.comm.Rank()
-	remaining := ghost
-	for j := 1; remaining > 0; j++ {
+	for j := 1; len(ghost) > 0; j++ {
 		if j >= world+1 {
-			return nil, fmt.Errorf("dist: ghost exchange did not converge")
+			return fmt.Errorf("dist: ghost exchange did not converge")
 		}
 		// Length of the piece exchanged with the j-th neighbour.
-		l := min(remaining, d.localN)
+		l := min(len(ghost), d.localN)
 		to := ((r-j)%world + world) % world // predecessor needing my prefix
 		from := (r + j) % world             // successor providing my suffix
 		//soilint:ignore deadlineflow bounded by the transport op-timeout (World.SetOpTimeout / TCPOptions.OpTimeout)
-		got, err := mpi.SendRecv(d.comm, to, src[:l], from, tagGhost+j)
+		err := mpi.SendRecvInto(d.comm, to, src[:l], from, tagGhost+j, ghost[:l])
 		if err != nil {
-			return nil, err
+			return shapeError(err, fmt.Sprintf("ghost piece %d elems", j))
 		}
-		if len(got) != l {
-			return nil, &ShapeError{What: fmt.Sprintf("ghost piece %d elems", j), Got: len(got), Want: l}
-		}
-		copy(xx[d.localN+(ghost-remaining):], got)
-		remaining -= l
+		ghost = ghost[l:]
 	}
-	return xx, nil
+	return nil
 }
 
 // exchangeAndFinish runs segPerRank all-to-alls (one per local segment
-// index g, carrying lane q*segPerRank+g to each rank q), assembling each
-// segment vector t_f and finishing it with the M'-point FFT + projection +
-// demodulation. Unless NoOverlap is set, exchange g+1 proceeds concurrently
-// with the finish of segment g.
-func (d *SOI) exchangeAndFinish(dst, u []complex128) error {
+// index g, carrying lane q*segPerRank+g to each rank q) that assemble
+// segment vector t_g in its slot of ws.u, and finishes each with the
+// M'-point FFT + projection + demodulation. Unless NoOverlap is set,
+// exchange g+1 proceeds concurrently with the finish of segment g; it is
+// joined before returning, on every path.
+func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 	p := d.plan.Win.Params
-	world := d.comm.Size()
 	mp := p.MPrime()
 	m := p.M()
 
-	results := make(chan arrived, 1) // capacity 1: next exchange overlaps current finish
-
-	exchange := func(g int) {
+	exchange := func(g int) error {
 		stop := timer(d.Breakdown, trace.PhaseExposedMPI)
 		defer stop()
-		send := make([][]complex128, world)
-		for q := 0; q < world; q++ {
+		tg := ws.u[g*mp : (g+1)*mp]
+		for q := range ws.send {
 			f := q*d.segPerRank + g // global segment index for destination q
-			blk := make([]complex128, d.rowsPerRank)
-			for ml := 0; ml < d.rowsPerRank; ml++ {
-				blk[ml] = u[ml*p.Segments+f]
-			}
-			send[q] = blk
+			ws.send[q] = ws.ut[f*d.rowsPerRank : (f+1)*d.rowsPerRank]
+			ws.recv[q] = tg[q*d.rowsPerRank : (q+1)*d.rowsPerRank]
 		}
 		//soilint:ignore deadlineflow bounded by the transport op-timeout (World.SetOpTimeout / TCPOptions.OpTimeout)
-		recv, err := mpi.AllToAll(d.comm, send)
-		results <- arrived{g: g, blocks: recv, err: err}
+		err := mpi.AllToAllInto(d.comm, ws.send, ws.recv)
+		return shapeError(err, "all-to-all block rows")
+	}
+	finish := func(g int) {
+		stop := timer(d.Breakdown, trace.PhaseLocalFFT)
+		defer stop()
+		d.plan.FinishSegment(dst[g*m:(g+1)*m], ws.u[g*mp:(g+1)*mp], ws.y)
 	}
 
 	if d.NoOverlap {
 		// Sequential: exchange then finish, one group at a time.
 		for g := 0; g < d.segPerRank; g++ {
-			exchange(g)
-			if err := d.finishGroup(dst, <-results, mp, m); err != nil {
+			if err := exchange(g); err != nil {
 				return err
 			}
+			finish(g)
 		}
 		return nil
 	}
-	go exchange(0)
+	// At most one exchange is in flight, and each iteration receives its
+	// result before anything else can return, so no exchange outlives this
+	// call.
+	arrived := make(chan error, 1)
+	go func() { arrived <- exchange(0) }()
 	for g := 0; g < d.segPerRank; g++ {
-		res := <-results
-		if g+1 < d.segPerRank {
-			go exchange(g + 1)
-		}
-		if err := d.finishGroup(dst, res, mp, m); err != nil {
+		if err := <-arrived; err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// arrived is one completed per-segment-group all-to-all.
-type arrived struct {
-	g      int
-	blocks [][]complex128
-	err    error
-}
-
-// finishGroup assembles t_f from the received per-rank blocks and completes
-// the segment into its slot of dst.
-func (d *SOI) finishGroup(dst []complex128, res arrived, mp, m int) error {
-	if res.err != nil {
-		return res.err
-	}
-	stop := timer(d.Breakdown, trace.PhaseLocalFFT)
-	defer stop()
-	tf := make([]complex128, mp)
-	for src, blk := range res.blocks {
-		if len(blk) != d.rowsPerRank {
-			return &ShapeError{What: fmt.Sprintf("block from rank %d rows", src), Got: len(blk), Want: d.rowsPerRank}
+		if g+1 < d.segPerRank {
+			go func() { arrived <- exchange(g + 1) }()
 		}
-		copy(tf[src*d.rowsPerRank:], blk)
+		finish(g)
 	}
-	d.plan.FinishSegment(dst[res.g*m:(res.g+1)*m], tf, nil)
 	return nil
+}
+
+// shapeError turns a peer's mis-sized payload into the *ShapeError the
+// distributed protocol reports for rank disagreement on the geometry; any
+// other error passes through.
+func shapeError(err error, what string) error {
+	var te *mpi.TransportError
+	var se *mpi.SizeError
+	if errors.As(err, &te) && errors.As(err, &se) {
+		return &ShapeError{What: fmt.Sprintf("%s from rank %d", what, te.Peer), Got: se.Got, Want: se.Want}
+	}
+	return err
 }
 
 func timer(b *trace.Breakdown, phase string) func() {

@@ -123,6 +123,40 @@ func progAllToAll(c mpi.Comm) error {
 	return nil
 }
 
+// progAllToAllInto runs the caller-buffer all-to-all through the harness
+// (the Comm fallback: the endpoint's Recv hands over the envelope's
+// payload, nothing is recycled) and then the plain one, and requires the
+// two to agree element for element with what every peer sent.
+func progAllToAllInto(c mpi.Comm) error {
+	p := c.Size()
+	r := c.Rank()
+	send := make([][]complex128, p)
+	into := make([][]complex128, p)
+	for i := range send {
+		send[i] = tvec(4+i, r*100+i)
+		into[i] = make([]complex128, 4+r)
+	}
+	if err := mpi.AllToAllInto(c, send, into); err != nil {
+		return err
+	}
+	recv, err := mpi.AllToAll(c, send)
+	if err != nil {
+		return err
+	}
+	for i := range recv {
+		want := tvec(4+r, i*100+r)
+		if len(recv[i]) != len(want) {
+			return errWrong
+		}
+		for j := range want {
+			if recv[i][j] != want[j] || into[i][j] != want[j] {
+				return errWrong
+			}
+		}
+	}
+	return nil
+}
+
 func progRedistribute(c mpi.Comm) error {
 	local := tvec(16, c.Rank())
 	cyc, err := dist.BlockToCyclic(c, local)
@@ -195,6 +229,7 @@ func sweepPrograms(t *testing.T) []program {
 		{"Bcast", progBcast},
 		{"Gather", progGather},
 		{"AllToAll", progAllToAll},
+		{"AllToAllInto", progAllToAllInto},
 		{"Redistribute", progRedistribute},
 		{"SOIForward", progSOI},
 	}

@@ -134,3 +134,55 @@ func BenchmarkProxyOverhead(b *testing.B) {
 	b.Run("proxy-chunk-1k", func(b *testing.B) { run(b, true, 1024) })
 	b.Run("proxy-chunk-4k", func(b *testing.B) { run(b, true, 4096) })
 }
+
+// BenchmarkAllToAllTCPBlocks prices one all-to-all at the block size of
+// soiperf's dist_tcp_458k (2 ranks, 32768 elements per block): AllToAll
+// returns fresh buffers, AllToAllInto receives into the caller's.
+func BenchmarkAllToAllTCPBlocks(b *testing.B) {
+	const size, elems = 2, 32768
+	for _, into := range []bool{false, true} {
+		name := "AllToAll"
+		if into {
+			name = "AllToAllInto"
+		}
+		b.Run(name, func(b *testing.B) {
+			nodes := buildMesh(b, size, TCPOptions{})
+			defer func() {
+				for _, n := range nodes {
+					n.Close()
+				}
+			}()
+			send := make([][]complex128, size)
+			recv := make([][][]complex128, size)
+			for q := range send {
+				send[q] = make([]complex128, elems)
+				recv[q] = make([][]complex128, size)
+				for r := range recv[q] {
+					recv[q][r] = make([]complex128, elems)
+				}
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(size) * int64(size-1) * int64(elems) * 16)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				wg.Add(size)
+				for r := 0; r < size; r++ {
+					go func(r int) {
+						defer wg.Done()
+						var err error
+						if into {
+							err = AllToAllInto(nodes[r], send, recv[r])
+						} else {
+							_, err = AllToAll(nodes[r], send)
+						}
+						if err != nil {
+							b.Error(err)
+						}
+					}(r)
+				}
+				wg.Wait()
+			}
+		})
+	}
+}

@@ -32,27 +32,56 @@ func AllToAll(c Comm, send [][]complex128) ([][]complex128, error) {
 	recv := make([][]complex128, p)
 	// Local block never travels; copy to preserve Send's value semantics.
 	recv[r] = append([]complex128(nil), send[r]...)
-	pow2 := p&(p-1) == 0
 	for k := 1; k < p; k++ {
-		tag := tagAllToAll + k*1 // distinct per round within reserved space
-		var to, from int
-		if pow2 {
-			to = r ^ k
-			from = to
-		} else {
-			to = (r + k) % p
-			from = (r - k + p) % p
-		}
-		if err := c.Send(to, tag, send[to]); err != nil {
+		to, from := exchangePartners(r, p, k)
+		if err := c.Send(to, tagAllToAll+k, send[to]); err != nil {
 			return nil, err
 		}
-		data, _, err := c.Recv(from, tag)
+		data, _, err := c.Recv(from, tagAllToAll+k)
 		if err != nil {
 			return nil, err
 		}
 		recv[from] = data
 	}
 	return recv, nil
+}
+
+// AllToAllInto is AllToAll into caller-owned buffers: the block from rank i
+// must hold exactly len(recv[i]) elements and is written there, so a caller
+// that passes views of one vector assembles it without a further copy, and
+// the local block is copied once, send[r] to recv[r]. Nothing here
+// allocates in proportion to the payload. A block of any other length is a
+// *TransportError wrapping a *SizeError, and its buffer is left untouched.
+func AllToAllInto(c Comm, send, recv [][]complex128) error {
+	p := c.Size()
+	if len(send) != p || len(recv) != p {
+		return fmt.Errorf("mpi: AllToAllInto has %d send and %d receive blocks, world size %d", len(send), len(recv), p)
+	}
+	r := c.Rank()
+	if len(send[r]) != len(recv[r]) {
+		return &TransportError{Op: "recv", Peer: r, Tag: tagAllToAll, Err: &SizeError{Got: len(send[r]), Want: len(recv[r])}}
+	}
+	copy(recv[r], send[r])
+	for k := 1; k < p; k++ {
+		to, from := exchangePartners(r, p, k)
+		if err := c.Send(to, tagAllToAll+k, send[to]); err != nil {
+			return err
+		}
+		if err := recvInto(c, recv[from], from, tagAllToAll+k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// exchangePartners returns whom rank r of p sends to and receives from in
+// round k of the pairwise exchange. Each round has its own tag within the
+// reserved space.
+func exchangePartners(r, p, k int) (to, from int) {
+	if p&(p-1) == 0 {
+		return r ^ k, r ^ k
+	}
+	return (r + k) % p, (r - k + p) % p
 }
 
 // Barrier blocks until every rank has entered it (dissemination barrier,

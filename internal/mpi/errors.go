@@ -43,3 +43,16 @@ func (e *TransportError) Error() string {
 }
 
 func (e *TransportError) Unwrap() error { return e.Err }
+
+// SizeError is the cause of a receive into a caller-owned buffer (the
+// ...Into collectives) whose payload did not have the buffer's length: the
+// ranks disagree on the geometry of the exchange. It arrives wrapped in the
+// *TransportError naming the peer and tag; nothing was written to the buffer.
+type SizeError struct {
+	Got  int // elements in the received payload
+	Want int // elements the receive buffer holds
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("payload of %d elements for a receive buffer of %d", e.Got, e.Want)
+}

@@ -149,10 +149,15 @@ func TestCollectiveErrorPaths(t *testing.T) {
 	for _, col := range collectives {
 		t.Run(col.name+"/peer closed", func(t *testing.T) {
 			start := time.Now()
+			dead := make(chan struct{})
 			errs := runWorld(t, size, 100*time.Millisecond, func(c Comm) error {
 				if c.Rank() == size-1 {
+					defer close(dead)
 					return c.Close() // dies without participating
 				}
+				// A survivor that reaches the peer before it has died
+				// would deliver into a live mailbox and notice nothing.
+				<-dead
 				return col.run(c)
 			})
 			failed := 0
@@ -410,7 +415,7 @@ func TestTCPOpTimeout(t *testing.T) {
 }
 
 // buildMesh forms a TCP mesh and returns every node.
-func buildMesh(t *testing.T, size int, opts TCPOptions) []*TCPNode {
+func buildMesh(t testing.TB, size int, opts TCPOptions) []*TCPNode {
 	t.Helper()
 	listeners := make([]net.Listener, size)
 	addrs := make([]string, size)

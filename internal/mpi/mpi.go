@@ -20,6 +20,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,6 +60,71 @@ func SendRecv(c Comm, dst int, sendData []complex128, src, tag int) ([]complex12
 	}
 	data, _, err := c.Recv(src, tag)
 	return data, err
+}
+
+// SendRecvInto is SendRecv into a caller-owned buffer: the payload from src
+// must hold exactly len(recvData) elements and is written there. A payload
+// of any other length is a *TransportError wrapping a *SizeError, and
+// recvData is left untouched.
+func SendRecvInto(c Comm, dst int, sendData []complex128, src, tag int, recvData []complex128) error {
+	if err := c.Send(dst, tag, sendData); err != nil {
+		return err
+	}
+	return recvInto(c, recvData, src, tag)
+}
+
+// recvInto receives the next (src, tag) message into dst, which the payload
+// must fill exactly. The in-package transports hand out payload-pool
+// buffers nothing else references, so once the payload is copied out its
+// buffer goes back to the pool; a middleware's Recv result is simply
+// dropped, as every Recv caller's is.
+func recvInto(c Comm, dst []complex128, src, tag int) error {
+	data, from, err := c.Recv(src, tag)
+	if err != nil {
+		return err
+	}
+	switch c.(type) {
+	case *inprocComm, *TCPNode:
+		//soilint:pool transfer the transport took data from the pool and handed it over through the mailbox
+		defer putPayload(data)
+	}
+	if len(data) != len(dst) {
+		return &TransportError{Op: "recv", Peer: from, Tag: tag, Err: &SizeError{Got: len(data), Want: len(dst)}}
+	}
+	copy(dst, data)
+	return nil
+}
+
+// payloadPools recycles message payload buffers, one pool per power-of-two
+// capacity. The transports take every buffer a message travels in from here
+// (the in-process Send's copy, the TCP read loop's decode target); only
+// recvInto puts one back, after copying the payload out. A buffer returned
+// by a plain Recv belongs to the caller for good and is never recycled.
+var payloadPools [bits.UintSize]sync.Pool
+
+func init() {
+	for class := range payloadPools {
+		payloadPools[class].New = func() any {
+			b := make([]complex128, 1<<class)
+			return &b
+		}
+	}
+}
+
+// getPayload returns a buffer of n elements whose contents are unspecified.
+func getPayload(n int) []complex128 {
+	if n == 0 {
+		return nil
+	}
+	class := bits.Len(uint(n - 1)) // smallest class with 1<<class >= n
+	return (*payloadPools[class].Get().(*[]complex128))[:n]
+}
+
+func putPayload(b []complex128) {
+	if c := cap(b); c != 0 && c&(c-1) == 0 {
+		b = b[:c]
+		payloadPools[bits.Len(uint(c))-1].Put(&b)
+	}
 }
 
 // DeadlineRecver is the optional per-op deadline extension of Comm. The
@@ -254,7 +320,7 @@ func (c *inprocComm) Send(dst, tag int, data []complex128) error {
 	if tag < 0 {
 		return fmt.Errorf("mpi: negative tag %d", tag)
 	}
-	cp := make([]complex128, len(data))
+	cp := getPayload(len(data))
 	copy(cp, data)
 	return c.world.boxes[dst].put(message{src: c.rank, tag: tag, data: cp})
 }

@@ -23,7 +23,9 @@ import (
 //
 // all big-endian. This is the "symmetric mode" stand-in: every rank is a
 // peer on the interconnect, as the paper's Xeon Phi ranks are on InfiniBand
-// through the host proxy.
+// through the host proxy. A frame is encoded and decoded through one
+// reusable chunk per connection and direction (the wire.WriteVector
+// pattern), so neither side sizes a byte buffer by the payload.
 //
 // Failure discipline: mesh formation retries dials with capped exponential
 // backoff under one overall deadline (so rank startup order does not
@@ -69,6 +71,7 @@ type TCPNode struct {
 	box        *mailbox
 	conns      []net.Conn // conns[i] connects to rank i (nil for self)
 	writeMu    []sync.Mutex
+	writeBuf   [][]byte // writeBuf[i]: encode chunk of conns[i], guarded by writeMu[i]
 	listener   net.Listener
 	closed     atomic.Bool
 	closeOnce  sync.Once
@@ -111,6 +114,7 @@ func ConnectTCPOpts(rank, size int, ln net.Listener, addrs []string, opts TCPOpt
 		box:      newMailbox(),
 		conns:    make([]net.Conn, size),
 		writeMu:  make([]sync.Mutex, size),
+		writeBuf: make([][]byte, size),
 		listener: ln,
 	}
 	var deadline time.Time
@@ -178,6 +182,7 @@ func ConnectTCPOpts(rank, size int, ln net.Listener, addrs []string, opts TCPOpt
 	}
 	for peer, conn := range n.conns {
 		if conn != nil {
+			n.writeBuf[peer] = make([]byte, frameHeaderLen+frameChunkElems*16)
 			go n.readLoop(peer, conn)
 		}
 	}
@@ -219,29 +224,92 @@ func wireErr(err error) error {
 	return fmt.Errorf("%w: %w", ErrClosed, err)
 }
 
-func (n *TCPNode) readLoop(peer int, conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 1<<16)
-	var hdr [12]byte
+// Frame geometry. A header is three uint32s; a payload crosses each
+// connection in chunks of frameChunkElems elements (64 KiB, cache-resident
+// between the encode or decode loop and the socket copy).
+const (
+	frameHeaderLen  = 12
+	frameChunkElems = 4096
+	// maxFrameElems caps the element count a frame header may announce
+	// (1 GiB of payload). The count comes from the peer and sizes the
+	// receive buffer, so it is checked before anything is sized by it;
+	// Send refuses the same payloads rather than have the peer hang up.
+	maxFrameElems = 1 << 26
+)
+
+// writeFrame encodes one message through buf (len frameHeaderLen +
+// 16*frameChunkElems) and writes it to w, the header sharing the first
+// chunk's write.
+func writeFrame(w io.Writer, buf []byte, src, tag int, data []complex128) error {
+	binary.BigEndian.PutUint32(buf[0:4], uint32(src))
+	binary.BigEndian.PutUint32(buf[4:8], uint32(tag))
+	binary.BigEndian.PutUint32(buf[8:12], uint32(len(data)))
+	off := frameHeaderLen
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		k := min(len(data), frameChunkElems)
+		out := buf[off : off+16*k]
+		for i, v := range data[:k] {
+			e := out[16*i : 16*i+16 : 16*i+16] // one bounds check per element
+			binary.BigEndian.PutUint64(e[0:8], math.Float64bits(real(v)))
+			binary.BigEndian.PutUint64(e[8:16], math.Float64bits(imag(v)))
+		}
+		if _, err := w.Write(buf[:off+16*k]); err != nil {
+			return err
+		}
+		data = data[k:]
+		if len(data) == 0 {
+			return nil
+		}
+		off = 0
+	}
+}
+
+// readFrame reads one message from br into a payload-pool buffer, decoding
+// straight out of br's own buffer as the bytes arrive. A header announcing
+// more than maxFrameElems elements is an error before any buffer is sized.
+func readFrame(br *bufio.Reader) (tag int, data []complex128, err error) {
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		return 0, nil, err
+	}
+	// hdr[0:4], the sender's claimed rank, is advisory: the connection
+	// authenticates the sender.
+	tag = int(binary.BigEndian.Uint32(hdr[4:8]))
+	count := binary.BigEndian.Uint32(hdr[8:12])
+	if count > maxFrameElems {
+		return 0, nil, fmt.Errorf("frame announces %d elements, cap %d", count, maxFrameElems)
+	}
+	_, _ = br.Discard(frameHeaderLen) // peeked above: cannot fail
+	data = getPayload(int(count))
+	for rest := data; len(rest) > 0; {
+		// Whatever whole elements are buffered; with less than one, Peek
+		// blocks for the next read.
+		k := min(max(br.Buffered()/16, 1), len(rest))
+		in, err := br.Peek(16 * k)
+		if err != nil {
+			putPayload(data)
+			return 0, nil, err
+		}
+		for i := range rest[:k] {
+			e := in[16*i : 16*i+16 : 16*i+16]
+			re := math.Float64frombits(binary.BigEndian.Uint64(e[0:8]))
+			im := math.Float64frombits(binary.BigEndian.Uint64(e[8:16]))
+			rest[i] = complex(re, im)
+		}
+		_, _ = br.Discard(16 * k) // peeked above: cannot fail
+		rest = rest[k:]
+	}
+	return tag, data, nil
+}
+
+func (n *TCPNode) readLoop(peer int, conn net.Conn) {
+	br := bufio.NewReaderSize(conn, frameChunkElems*16)
+	for {
+		tag, data, err := readFrame(br)
+		if err != nil {
 			n.peerLost(peer, err)
 			return
 		}
-		src := int(binary.BigEndian.Uint32(hdr[0:4]))
-		tag := int(binary.BigEndian.Uint32(hdr[4:8]))
-		count := int(binary.BigEndian.Uint32(hdr[8:12]))
-		data := make([]complex128, count)
-		buf := make([]byte, 16*count)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			n.peerLost(peer, err)
-			return
-		}
-		for i := 0; i < count; i++ {
-			re := math.Float64frombits(binary.BigEndian.Uint64(buf[16*i:]))
-			im := math.Float64frombits(binary.BigEndian.Uint64(buf[16*i+8:]))
-			data[i] = complex(re, im)
-		}
-		_ = src // sender is authenticated by the connection; src is advisory
 		if err := n.box.put(message{src: peer, tag: tag, data: data}); err != nil {
 			return
 		}
@@ -269,7 +337,7 @@ func (n *TCPNode) Size() int { return n.size }
 
 func (n *TCPNode) Send(dst, tag int, data []complex128) error {
 	if dst == n.rank {
-		cp := make([]complex128, len(data))
+		cp := getPayload(len(data))
 		copy(cp, data)
 		return n.box.put(message{src: n.rank, tag: tag, data: cp})
 	}
@@ -279,13 +347,8 @@ func (n *TCPNode) Send(dst, tag int, data []complex128) error {
 	if tag < 0 {
 		return fmt.Errorf("mpi: negative tag %d", tag)
 	}
-	buf := make([]byte, 12+16*len(data))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(n.rank))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(tag))
-	binary.BigEndian.PutUint32(buf[8:12], uint32(len(data)))
-	for i, v := range data {
-		binary.BigEndian.PutUint64(buf[12+16*i:], math.Float64bits(real(v)))
-		binary.BigEndian.PutUint64(buf[12+16*i+8:], math.Float64bits(imag(v)))
+	if len(data) > maxFrameElems {
+		return fmt.Errorf("mpi: send of %d elements exceeds the %d-element frame cap", len(data), maxFrameElems)
 	}
 	mu := &n.writeMu[dst]
 	mu.Lock()
@@ -296,7 +359,7 @@ func (n *TCPNode) Send(dst, tag int, data []complex128) error {
 			return &TransportError{Op: "send", Peer: dst, Tag: tag, Err: wireErr(err)}
 		}
 	}
-	if _, err := conn.Write(buf); err != nil {
+	if err := writeFrame(conn, n.writeBuf[dst], n.rank, tag, data); err != nil {
 		return &TransportError{Op: "send", Peer: dst, Tag: tag, Err: wireErr(err)}
 	}
 	return nil
