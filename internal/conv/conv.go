@@ -13,14 +13,15 @@
 //	             diagonal; loop_a over lanes becomes the outer, thread-
 //	             parallel loop and the per-lane working set is a constant
 //	             nmu*B elements regardless of scale.
-//	Buffered     Interchange plus staging of the lane's stride-S input
-//	             window through a contiguous circular buffer, converting B
-//	             long-stride loads per inner product into B contiguous
-//	             loads plus dmu strided loads per chunk ("Avoiding Cache
-//	             Conflict Misses by Buffering"). The production variant: it
-//	             also multiplies by window.Filter's real LaneTaps and
-//	             rotates once per output (4B+6 flops against the others'
-//	             8B; DESIGN.md Section 2).
+//	Buffered     Interchange plus staging of the lane's stride-S inputs
+//	             through a contiguous buffer, a tile of chunks at a time,
+//	             converting B long-stride loads per inner product into B
+//	             contiguous loads plus about dmu strided loads per chunk
+//	             ("Avoiding Cache Conflict Misses by Buffering"). The
+//	             production variant: it also multiplies by window.Filter's
+//	             real LaneTaps and rotates once per output (4B+6 flops
+//	             against the others' 8B; DESIGN.md Section 2), and ApplyTile
+//	             hands a caller each tile while it is cache-resident.
 //
 // All variants agree up to floating-point rounding; tests pin them against
 // each other and against a direct dense evaluation of W.
@@ -90,12 +91,7 @@ func Apply(v Variant, f *window.Filter, u, x []complex128, c0, c1, workers int) 
 	if c1 <= c0 {
 		return
 	}
-	if len(x) < InputLen(f, c0, c1) {
-		panic(fmt.Sprintf("conv: input too short: len(x)=%d need %d", len(x), InputLen(f, c0, c1)))
-	}
-	if len(u) < OutputLen(f, c0, c1) {
-		panic(fmt.Sprintf("conv: output too short: len(u)=%d need %d", len(u), OutputLen(f, c0, c1)))
-	}
+	checkLens(f, u, x, c0, c1)
 	switch v {
 	case Baseline:
 		applyBaseline(f, u, x, c0, c1, workers)
@@ -105,6 +101,16 @@ func Apply(v Variant, f *window.Filter, u, x []complex128, c0, c1, workers int) 
 		applyBuffered(f, u, x, c0, c1, workers)
 	default:
 		panic(fmt.Sprintf("conv: unknown variant %d", int(v)))
+	}
+}
+
+// checkLens panics unless x and u cover the non-empty chunk range [c0, c1).
+func checkLens(f *window.Filter, u, x []complex128, c0, c1 int) {
+	if len(x) < InputLen(f, c0, c1) {
+		panic(fmt.Sprintf("conv: input too short: len(x)=%d need %d", len(x), InputLen(f, c0, c1)))
+	}
+	if len(u) < OutputLen(f, c0, c1) {
+		panic(fmt.Sprintf("conv: output too short: len(u)=%d need %d", len(u), OutputLen(f, c0, c1)))
 	}
 }
 
@@ -182,52 +188,85 @@ func applyInterchange(f *window.Filter, u, x []complex128, c0, c1, workers int) 
 	})
 }
 
-// applyBuffered adds the circular input staging and the real-tap
-// factorization (DESIGN.md Section 2): lane j's window of B stride-S inputs
-// lives in a contiguous ring that each chunk advances by dmu elements, and
-// every tap of the lane is window.Filter's real LaneTaps entry times one
-// unit phase per (j, a), so an output is a real-weighted sum of the window
-// rotated once at the store: 4*B+6 flops instead of 8*B.
+// tileBytes bounds the outputs of one tile of the Buffered kernel, so that
+// they are still in the first-level cache when the tile's consumer reads them.
+const tileBytes = 32 << 10
+
+// TileChunks returns the number of chunks the Buffered kernel computes per
+// tile: as many as keep the tile's NMu*Segments outputs per chunk within
+// tileBytes, and at least one.
+func TileChunks(f *window.Filter) int {
+	return max(1, tileBytes/16/(f.NMu*f.Segments))
+}
+
+// ApplyTile is Apply on the calling goroutine with caller-provided scratch:
+// the Buffered variant stages each lane's inputs through stage and allocates
+// nothing; the other variants ignore stage. A caller that walks a chunk range
+// in tiles of TileChunks chunks gets every tile's outputs while they are
+// still cache-resident, bit-identical to one Apply over the range.
+//
+//soilint:shape len(x) >= (c1 - 1 - c0) * f.DMu * f.Segments + f.B * f.Segments
+//soilint:shape len(u) >= (c1 - c0) * f.NMu * f.Segments
+//soilint:shape len(stage) >= (c1 - 1 - c0) * f.DMu + f.B
+func ApplyTile(v Variant, f *window.Filter, u, x []complex128, c0, c1 int, stage []complex128) {
+	if v != Buffered || c1 <= c0 {
+		Apply(v, f, u, x, c0, c1, 1)
+		return
+	}
+	checkLens(f, u, x, c0, c1)
+	tileBuffered(f, u, x, c1-c0, stage)
+}
+
+// applyBuffered walks the chunk range in tiles of TileChunks chunks, split
+// across the workers; tiles share no state.
 func applyBuffered(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 	s := f.Segments
-	nmu, dmu, b := f.NMu, f.DMu, f.B
 	nchunks := c1 - c0
-	par.For(workers, s, func(jlo, jhi int) {
-		// Mirrored ring: ring[i] == ring[i+b], so the window starting at any
-		// head in [0, b) is the single contiguous run ring[head:head+b].
-		ring := make([]complex128, 2*b) //soilint:ignore hotalloc per-worker ring buffer, allocated once per worker
-		for j := jlo; j < jhi; j++ {
-			taps := f.LaneTaps[j*nmu*b:][:nmu*b]
-			phase := f.LanePhase[j*nmu:][:nmu]
-			// Fill the ring with the first chunk's window.
-			for bb := range ring[:b] {
-				ring[bb] = x[bb*s+j]
-			}
-			copy(ring[b:], ring[:b])
-			head := 0 // ring[head] is logical window element 0
-			for c := 0; ; c++ {
-				win := ring[head:][:b]
-				for a, ph := range phase {
-					re, im := dotReal(taps[a*b:][:b], win)
-					u[(c*nmu+a)*s+j] = complex(re*real(ph)-im*imag(ph), re*imag(ph)+im*real(ph))
-				}
-				if c == nchunks-1 {
-					break
-				}
-				// Advance the window by dmu: overwrite the dmu oldest
-				// entries (and their mirrors) with the next strided inputs.
-				nextBase := (c+1)*dmu*s + (b-dmu)*s // first new element
-				for d := 0; d < dmu; d++ {
-					v := x[nextBase+d*s+j]
-					ring[head], ring[head+b] = v, v
-					head++
-					if head == b {
-						head = 0
-					}
-				}
+	tc := TileChunks(f)
+	ntiles := (nchunks + tc - 1) / tc
+	if workers <= 0 {
+		workers = par.DefaultWorkers()
+	}
+	workers = min(workers, ntiles)
+	stageLen := (tc-1)*f.DMu + f.B
+	stage := make([]complex128, workers*stageLen)
+	// One index per worker, so that each owns a run of stage and of the tiles.
+	par.For(workers, workers, func(wlo, whi int) {
+		for w := wlo; w < whi; w++ {
+			for t := w * ntiles / workers; t < (w+1)*ntiles/workers; t++ {
+				c := t * tc
+				tileBuffered(f, u[c*f.NMu*s:], x[c*f.DMu*s:], min(tc, nchunks-c), stage[w*stageLen:][:stageLen])
 			}
 		}
 	})
+}
+
+// tileBuffered computes n chunks with the input staging and the real-tap
+// factorization (DESIGN.md Section 2). Lane j's (n-1)*dmu+B stride-S inputs
+// are gathered once into the linear buffer stage, where chunk c's window is
+// the contiguous run stage[c*dmu : c*dmu+B]; every tap of the lane is
+// window.Filter's real LaneTaps entry times one unit phase per (j, a), so an
+// output is a real-weighted sum of the window rotated once at the store:
+// 4*B+6 flops instead of 8*B.
+func tileBuffered(f *window.Filter, u, x []complex128, n int, stage []complex128) {
+	s := f.Segments
+	nmu, dmu, b := f.NMu, f.DMu, f.B
+	stage = stage[:(n-1)*dmu+b]
+	for j := 0; j < s; j++ {
+		taps := f.LaneTaps[j*nmu*b:][:nmu*b]
+		phase := f.LanePhase[j*nmu:][:nmu]
+		for i := range stage {
+			stage[i] = x[i*s+j]
+		}
+		for c := 0; c < n; c++ {
+			win := stage[c*dmu:][:b]
+			out := u[c*nmu*s+j:]
+			for a, ph := range phase {
+				re, im := dotReal(taps[a*b:][:b], win)
+				out[a*s] = complex(re*real(ph)-im*imag(ph), re*imag(ph)+im*real(ph))
+			}
+		}
+	}
 }
 
 // dotReal returns sum_k r[k]*w[k] for real weights r, as separate real and

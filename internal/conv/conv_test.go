@@ -68,44 +68,51 @@ func TestChunkRangeDecomposition(t *testing.T) {
 // distributed per-rank split does, under the race detector: two goroutines
 // write adjacent chunk ranges of one output (disjoint element ranges of the
 // same backing array) while a third computes the whole range, all reading
-// one input, each with internal worker parallelism. Every result must be
-// bit-identical to a single-worker run; the real teeth come from -race.
+// one input, each with internal worker parallelism. The geometry has four
+// tiles of 16 chunks, the unit the Buffered kernel splits across workers,
+// and the worker counts run through 1, 3, S+1 and more than there are
+// tiles. Every result must be bit-identical to a single-worker run; the real
+// teeth come from -race.
 func TestChunkRangeRaceHammer(t *testing.T) {
-	f := design(t, smallParams())
+	f := design(t, window.Params{N: 16 * 448, Segments: 16, NMu: 8, DMu: 7, B: 24})
 	C := f.Chunks()
+	if tiles := C / TileChunks(f); tiles != 4 {
+		t.Fatalf("geometry has %d tiles, the test wants 4", tiles)
+	}
 	x := ref.RandomVector(InputLen(f, 0, C), 99)
 	want := make([]complex128, OutputLen(f, 0, C))
 	Apply(Buffered, f, want, x, 0, C, 1)
 
-	iters := 30
+	iters := 32
 	if testing.Short() {
-		iters = 5
+		iters = 8
 	}
-	k := C / 2
+	k := C/2 + 3 // off the tile grid: both halves end in a partial tile
 	loLen := OutputLen(f, 0, k)
 	for it := 0; it < iters; it++ {
+		workers := []int{1, 3, f.Segments + 1, 64}[it%4]
 		shared := make([]complex128, OutputLen(f, 0, C))
 		whole := make([]complex128, OutputLen(f, 0, C))
 		var wg sync.WaitGroup
 		wg.Add(3)
 		go func() {
 			defer wg.Done()
-			Apply(Buffered, f, shared[:loLen], x, 0, k, 2)
+			Apply(Buffered, f, shared[:loLen], x, 0, k, workers)
 		}()
 		go func() {
 			defer wg.Done()
-			Apply(Buffered, f, shared[loLen:], x[k*f.DMu*f.Segments:], k, C, 2)
+			Apply(Buffered, f, shared[loLen:], x[k*f.DMu*f.Segments:], k, C, workers)
 		}()
 		go func() {
 			defer wg.Done()
-			Apply(Buffered, f, whole, x, 0, C, 3)
+			Apply(Buffered, f, whole, x, 0, C, workers)
 		}()
 		wg.Wait()
 		if e := cvec.RelErrL2(shared, want); e != 0 {
-			t.Fatalf("iter %d: split output differs from the single-worker run by %g", it, e)
+			t.Fatalf("iter %d workers=%d: split output differs from the single-worker run by %g", it, workers, e)
 		}
 		if e := cvec.RelErrL2(whole, want); e != 0 {
-			t.Fatalf("iter %d: whole-range output differs from the single-worker run by %g", it, e)
+			t.Fatalf("iter %d workers=%d: whole-range output differs from the single-worker run by %g", it, workers, e)
 		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"soifft/internal/codec"
-	"soifft/internal/cvec"
 	"soifft/internal/mpi"
 	"soifft/internal/soi"
 	"soifft/internal/trace"
@@ -56,22 +55,21 @@ type SOI struct {
 
 // workset is the working set of one transform; a steady-state transform
 // allocates nothing in proportion to N. Per payload byte the exchange path
-// is: convolved into u, transposed once into ut (whose rows are the send
-// blocks), sent, and received into the segment's slot of u, where the
-// M'-point FFT reads it.
+// is: convolved, transformed and scattered into its send block of ut in one
+// pass (soi.Plan.ConvolveToSegments), sent, and received into the segment's
+// slot of seg, where the M'-point FFT reads it.
 type workset struct {
 	// tail is the input the last chunks' windows read: the end of the
 	// rank's block followed by the ghost elements of the successor ranks.
 	// The interior chunks convolve straight from the caller's src.
 	tail []complex128
-	// u is the convolution output, rowsPerRank rows of Segments lanes. Once
-	// transposed it is dead, and its segPerRank runs of M' elements become
-	// the segment vectors the all-to-alls receive into.
-	u []complex128
-	// ut is u transposed: row f is lane f, the block sent to the rank that
-	// owns segment f.
+	// ut holds the rank's rowsPerRank rows of the convolution output, lane-
+	// major: run f is lane f, the block sent to the rank that owns segment f.
 	ut []complex128
-	// send and recv are the all-to-all's block views into ut and u.
+	// seg holds the segPerRank segment vectors, M' elements each, that the
+	// all-to-alls assemble.
+	seg []complex128
+	// send and recv are the all-to-all's block views into ut and seg.
 	send, recv [][]complex128
 	y          []complex128 // M': FinishSegment's staging
 	conj       []complex128 // localN: Inverse's conjugated input, built on first use
@@ -112,16 +110,12 @@ func NewSOIFromPlan(c mpi.Comm, plan *soi.Plan) (*SOI, error) {
 		plan:          plan,
 		segPerRank:    p.Segments / world,
 		chunksPerRank: p.Chunks() / world,
+		interior:      p.InteriorChunks(p.Chunks() / world),
 		localN:        p.N / world,
 		rowsPerRank:   p.MPrime() / world,
 	}
 	if ghost := p.GhostElems(); ghost >= p.N {
 		return nil, fmt.Errorf("dist: ghost region %d spans the whole input N=%d; increase N or reduce B", ghost, p.N)
-	}
-	// Chunk c reads B blocks of Segments inputs starting at block c*DMu;
-	// the rank's own blocks end at chunksPerRank*DMu.
-	if blocks := d.chunksPerRank * p.DMu; blocks >= p.B {
-		d.interior = (blocks-p.B)/p.DMu + 1
 	}
 	return d, nil
 }
@@ -135,8 +129,8 @@ func (d *SOI) workset() *workset {
 	world := d.comm.Size()
 	return &workset{
 		tail: make([]complex128, d.localN+p.GhostElems()-d.interior*p.DMu*p.Segments),
-		u:    make([]complex128, d.rowsPerRank*p.Segments),
 		ut:   make([]complex128, d.rowsPerRank*p.Segments),
+		seg:  make([]complex128, d.segPerRank*p.MPrime()),
 		send: make([][]complex128, world),
 		recv: make([][]complex128, world),
 		y:    make([]complex128, p.MPrime()),
@@ -239,9 +233,10 @@ func (d *SOI) forward(dst, src []complex128, ws *workset) error {
 	p := d.plan.Win.Params
 
 	// Phase 1: nearest-neighbour ghost exchange (latency-bound short
-	// messages, Section 5.1) and convolution + S-point FFTs. The interior
-	// chunks read src in place; the last few, whose windows cross the end
-	// of the block, read its tail followed by the ghost elements.
+	// messages, Section 5.1), then convolution + S-point FFTs + permutation
+	// straight into the send blocks. The interior chunks read src in place;
+	// the last few, whose windows cross the end of the block, read its tail
+	// followed by the ghost elements.
 	stopEtc := timer(d.Breakdown, trace.PhaseEtc)
 	err := d.exchangeGhost(ws.tail, src)
 	stopEtc()
@@ -251,15 +246,12 @@ func (d *SOI) forward(dst, src []complex128, ws *workset) error {
 	stopConv := timer(d.Breakdown, trace.PhaseConv)
 	c0 := d.comm.Rank() * d.chunksPerRank
 	split := c0 + d.interior
-	d.plan.ConvolveAndFP(ws.u, src, c0, split)
-	d.plan.ConvolveAndFP(ws.u[d.interior*p.NMu*p.Segments:], ws.tail, split, c0+d.chunksPerRank)
+	d.plan.ConvolveToSegments(ws.ut, d.rowsPerRank, src, c0, split)
+	d.plan.ConvolveToSegments(ws.ut[d.interior*p.NMu:], d.rowsPerRank, ws.tail, split, c0+d.chunksPerRank)
 	stopConv()
 
 	// Phase 2+3: per-segment-group all-to-alls, pipelined with the local
 	// M'-point FFT + demodulation of the previously received group.
-	stopEtc = timer(d.Breakdown, trace.PhaseEtc)
-	cvec.Transpose(ws.ut, ws.u, d.rowsPerRank, p.Segments)
-	stopEtc()
 	return d.exchangeAndFinish(dst, ws)
 }
 
@@ -293,7 +285,7 @@ func (d *SOI) exchangeGhost(tail, src []complex128) error {
 
 // exchangeAndFinish runs segPerRank all-to-alls (one per local segment
 // index g, carrying lane q*segPerRank+g to each rank q) that assemble
-// segment vector t_g in its slot of ws.u, and finishes each with the
+// segment vector t_g in its slot of ws.seg, and finishes each with the
 // M'-point FFT + projection + demodulation. Unless NoOverlap is set,
 // exchange g+1 proceeds concurrently with the finish of segment g; it is
 // joined before returning, on every path.
@@ -305,7 +297,7 @@ func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 	exchange := func(g int) error {
 		stop := timer(d.Breakdown, trace.PhaseExposedMPI)
 		defer stop()
-		tg := ws.u[g*mp : (g+1)*mp]
+		tg := ws.seg[g*mp : (g+1)*mp]
 		for q := range ws.send {
 			f := q*d.segPerRank + g // global segment index for destination q
 			ws.send[q] = ws.ut[f*d.rowsPerRank : (f+1)*d.rowsPerRank]
@@ -318,7 +310,7 @@ func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 	finish := func(g int) {
 		stop := timer(d.Breakdown, trace.PhaseLocalFFT)
 		defer stop()
-		d.plan.FinishSegment(dst[g*m:(g+1)*m], ws.u[g*mp:(g+1)*mp], ws.y)
+		d.plan.FinishSegment(dst[g*m:(g+1)*m], ws.seg[g*mp:(g+1)*mp], ws.y)
 	}
 
 	if d.NoOverlap {

@@ -1,0 +1,42 @@
+package soi
+
+import (
+	"testing"
+
+	"soifft/internal/ref"
+	"soifft/internal/window"
+)
+
+// benchParams are the repository benchmark's SOI parameters (soiperf's
+// lib_soi_458k) at N = 7*2^logN.
+func benchParams(logN int) window.Params {
+	return window.Params{N: 7 << logN, Segments: 8, NMu: 8, DMu: 7, B: 72}
+}
+
+// BenchmarkForward458k is soiperf's lib_soi_458k operation, one Forward at
+// N = 7*2^16 on a single-worker plan, for A/B runs of the library path
+// without soiperf: run it with -cpu 1; it reports ms/op beside ns/op and
+// B/op.
+func BenchmarkForward458k(b *testing.B) {
+	p := benchParams(16)
+	opts := DefaultOptions()
+	opts.Workers = 1
+	pl, err := NewPlan(p, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := ref.RandomVector(p.N, 1)
+	out := make([]complex128, p.N)
+	if err := pl.Forward(out, x); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(16 * p.N))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pl.Forward(out, x); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+}

@@ -15,6 +15,8 @@
 //     (I_M' (x) F_P with S = Segments playing the algebraic P).
 //  3. Stride-S permutation: gather lane f of u into segment vector t_f —
 //     the single all-to-all of the algorithm.
+//     Stages 1-3 run as one pass over cache-sized tiles of u
+//     (ConvolveToSegments); u is never materialized.
 //  4. Large local FFT: M'-point transform of t_f (6-step, Section 5.2).
 //  5. Project to the top M bins and demodulate by W^-1 (fused into the
 //     final pass of the 6-step FFT when possible).
@@ -29,6 +31,7 @@ import (
 	"soifft/internal/conv"
 	"soifft/internal/cvec"
 	"soifft/internal/fft"
+	"soifft/internal/par"
 	"soifft/internal/window"
 )
 
@@ -53,21 +56,30 @@ type Plan struct {
 	Win  *window.Filter
 	opts Options
 
-	fp      *fft.Batch   // Segments-point FFT batch (stage 2)
+	fp      *fft.Plan    // Segments-point FFT (stage 2)
 	fm      *fft.SixStep // M'-point FFT (stage 4); nil if no 2D split
 	fmPlain *fft.Plan    // M'-point fallback, built only when fm is nil
 
 	scratch sync.Pool // *scratch: Forward's and Inverse's working set
+	tiles   sync.Pool // *tile: one ConvolveToSegments worker's buffers
 }
 
 // scratch is the working set of one transform. A transform takes one from
 // the plan's pool and returns it, so steady-state calls allocate nothing
 // and concurrent calls never share buffers.
 type scratch struct {
-	xx   []complex128 // N + ghost: the input, extended circularly
-	u, t []complex128 // N' each: convolution output and its transpose
+	// tail is the input the non-interior chunks read: the end of src
+	// followed by the ghost elements, src's start again. The interior chunks
+	// convolve straight from the caller's src.
+	tail []complex128
+	t    []complex128 // N': the segment vectors t_f, M' each
 	y    []complex128 // M': FinishSegment's staging
+	conj []complex128 // N: Inverse's conjugated input, built on first use
 }
+
+// tile is what one worker of ConvolveToSegments computes in: the outputs of
+// conv.TileChunks chunks and the convolution's lane staging.
+type tile struct{ out, stage []complex128 }
 
 // NewPlan designs the window and builds the FFT sub-plans for p.
 func NewPlan(p window.Params, opts Options) (*Plan, error) {
@@ -85,19 +97,24 @@ func NewPlan(p window.Params, opts Options) (*Plan, error) {
 func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 	pl := &Plan{Win: win, opts: opts}
 	pl.scratch.New = func() any {
-		np := win.MPrime() * win.Segments // N' = mu*N
+		own := win.N - win.InteriorChunks(win.Chunks())*win.DMu*win.Segments
 		return &scratch{
-			xx: make([]complex128, win.N+win.GhostElems()),
-			u:  make([]complex128, np),
-			t:  make([]complex128, np),
-			y:  make([]complex128, win.MPrime()),
+			tail: make([]complex128, own+win.GhostElems()),
+			t:    make([]complex128, win.MPrime()*win.Segments), // N' = mu*N
+			y:    make([]complex128, win.MPrime()),
 		}
 	}
-	fp, err := fft.NewBatch(win.Segments, opts.Workers)
-	if err != nil {
+	pl.tiles.New = func() any {
+		tc := conv.TileChunks(win)
+		return &tile{
+			out:   make([]complex128, tc*win.NMu*win.Segments),
+			stage: make([]complex128, (tc-1)*win.DMu+win.B),
+		}
+	}
+	var err error
+	if pl.fp, err = fft.NewPlan(win.Segments); err != nil {
 		return nil, err
 	}
-	pl.fp = fp
 	mp := win.MPrime()
 	if fm, err := fft.NewSixStep(mp, opts.FFTVariant, opts.Workers); err == nil {
 		pl.fm = fm
@@ -138,8 +155,7 @@ func (pl *Plan) Forward(dst, src []complex128) error {
 	}
 	sc := pl.scratch.Get().(*scratch)
 	defer pl.scratch.Put(sc)
-	copy(sc.xx, src[:n])
-	pl.forward(dst[:n], sc)
+	pl.forward(dst[:n], src[:n], sc)
 	return nil
 }
 
@@ -155,10 +171,13 @@ func (pl *Plan) Inverse(dst, src []complex128) error {
 	}
 	sc := pl.scratch.Get().(*scratch)
 	defer pl.scratch.Put(sc)
-	for i, v := range src[:n] {
-		sc.xx[i] = complex(real(v), -imag(v))
+	if sc.conj == nil {
+		sc.conj = make([]complex128, n)
 	}
-	pl.forward(dst[:n], sc)
+	for i, v := range src[:n] {
+		sc.conj[i] = complex(real(v), -imag(v))
+	}
+	pl.forward(dst[:n], sc.conj, sc)
 	inv := 1 / float64(n)
 	for i, v := range dst[:n] {
 		dst[i] = complex(real(v)*inv, -imag(v)*inv)
@@ -166,19 +185,19 @@ func (pl *Plan) Inverse(dst, src []complex128) error {
 	return nil
 }
 
-// forward transforms the N values the caller placed in sc.xx into dst.
-func (pl *Plan) forward(dst []complex128, sc *scratch) {
+// forward transforms src (length N) into dst through sc.
+func (pl *Plan) forward(dst, src []complex128, sc *scratch) {
 	p := pl.Win.Params
 
-	// Stage 1+2: convolve (with circular ghost) and S-point FFTs.
-	for i := range sc.xx[p.N:] {
-		sc.xx[p.N+i] = sc.xx[i%p.N]
+	// Stages 1-3. The interior chunks read src in place; the last few, whose
+	// windows run past its end, read its tail followed by the circular ghost.
+	interior := p.InteriorChunks(p.Chunks())
+	own := copy(sc.tail, src[interior*p.DMu*p.Segments:])
+	for i := range sc.tail[own:] {
+		sc.tail[own+i] = src[i%p.N]
 	}
-	pl.ConvolveAndFP(sc.u, sc.xx, 0, p.Chunks())
-
-	// Stage 3: stride-S permutation — u viewed as an (M' x S) matrix,
-	// transposed so each segment's t_f is a contiguous row.
-	cvec.Transpose(sc.t, sc.u, p.MPrime(), p.Segments)
+	pl.ConvolveToSegments(sc.t, p.MPrime(), src, 0, interior)
+	pl.ConvolveToSegments(sc.t[interior*p.NMu:], p.MPrime(), sc.tail, interior, p.Chunks())
 
 	// Stage 4+5 per segment.
 	for f := 0; f < p.Segments; f++ {
@@ -186,19 +205,44 @@ func (pl *Plan) forward(dst []complex128, sc *scratch) {
 	}
 }
 
-// ConvolveAndFP runs stages 1 and 2 for chunks [c0, c1): the convolution of
-// xWithGhost (whose origin is global input index c0*DMu*Segments, length >=
-// conv.InputLen) followed by in-place Segments-point FFTs over the produced
-// blocks. u receives (c1-c0)*NMu*Segments values. This is exactly the
-// node-local pre-exchange work of a distributed rank.
+// ConvolveToSegments runs stages 1 to 3 for chunks [c0, c1) in one pass over
+// tiles of the convolution output: each tile of rows is convolved from x
+// (whose origin is global input index c0*DMu*Segments, length >=
+// conv.InputLen), transformed row by row with the Segments-point FFT while it
+// is cache-resident, and scattered so that row r of the range lands in
+// element r of every segment's vector, t[f*ld+r] for segment f. With ld = M'
+// t holds the whole segment vectors; a distributed rank passes its share of
+// the rows as ld, and t's runs of ld are the blocks of its all-to-all. Tiles
+// share no state and are split across the plan's workers.
 //
-//soilint:shape len(u) >= (c1 - c0) * Win.NMu * Win.Segments
-//soilint:shape len(xWithGhost) >= (c1 - 1 - c0) * Win.DMu * Win.Segments + Win.B * Win.Segments
-func (pl *Plan) ConvolveAndFP(u, xWithGhost []complex128, c0, c1 int) {
+//soilint:shape len(t) >= (Win.Segments - 1) * ld + (c1 - c0) * Win.NMu
+//soilint:shape len(x) >= (c1 - 1 - c0) * Win.DMu * Win.Segments + Win.B * Win.Segments
+func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c1 int) {
 	p := pl.Win.Params
-	conv.Apply(pl.opts.ConvVariant, pl.Win, u, xWithGhost, c0, c1, pl.opts.Workers)
-	blocks := (c1 - c0) * p.NMu
-	pl.fp.Transform(u, u, blocks, p.Segments, fft.Forward)
+	s, nmu := p.Segments, p.NMu
+	tc := conv.TileChunks(pl.Win)
+	ntiles := (c1 - c0 + tc - 1) / tc
+	par.For(pl.opts.Workers, ntiles, func(lo, hi int) {
+		tl := pl.tiles.Get().(*tile)
+		defer pl.tiles.Put(tl)
+		for i := lo; i < hi; i++ {
+			c := i * tc // first chunk of the tile, relative to c0
+			n := min(tc, c1-c0-c)
+			rows := n * nmu
+			out := tl.out[:rows*s]
+			conv.ApplyTile(pl.opts.ConvVariant, pl.Win, out, x[c*p.DMu*s:], c0+c, c0+c+n, tl.stage)
+			for r := 0; r < rows; r++ {
+				row := out[r*s:][:s]
+				pl.fp.Forward(row, row)
+			}
+			for f := 0; f < s; f++ {
+				seg := t[f*ld+c*nmu:][:rows]
+				for r := range seg {
+					seg[r] = out[r*s+f]
+				}
+			}
+		}
+	})
 }
 
 // FinishSegment runs stages 4 and 5 for one segment: the M'-point FFT of

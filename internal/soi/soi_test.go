@@ -266,26 +266,35 @@ func TestEstimatedErrorCoversMeasured(t *testing.T) {
 }
 
 func TestWorkerCountsAgree(t *testing.T) {
-	p := paperParams(4, 8)
-	x := ref.RandomVector(p.N, 37)
-	var ref1 []complex128
-	for _, workers := range []int{1, 2, 4} {
-		opts := DefaultOptions()
-		opts.Workers = workers
-		pl, err := NewPlan(p, opts)
+	// The unit of parallel work in stages 1-3 is the tile, not the lane: at
+	// S = 16 a tile is 16 chunks and the 64 chunks make 4 interior tiles
+	// and 1 tail tile, so S+1 workers and 64 workers (more than tiles) both
+	// exceed what there is to split.
+	for _, p := range []window.Params{paperParams(4, 8), paperParams(16, 4)} {
+		win, err := window.Design(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]complex128, p.N)
-		if err := pl.Forward(got, x); err != nil {
-			t.Fatal(err)
-		}
-		if ref1 == nil {
-			ref1 = got
-			continue
-		}
-		if e := cvec.RelErrL2(got, ref1); e != 0 {
-			t.Errorf("workers=%d: results differ by %g (parallelization must be bitwise deterministic)", workers, e)
+		x := ref.RandomVector(p.N, 37)
+		var ref1 []complex128
+		for _, workers := range []int{1, 2, 3, 4, p.Segments + 1, 64} {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			pl, err := NewPlanFromFilter(win, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]complex128, p.N)
+			if err := pl.Forward(got, x); err != nil {
+				t.Fatal(err)
+			}
+			if ref1 == nil {
+				ref1 = got
+				continue
+			}
+			if e := cvec.RelErrL2(got, ref1); e != 0 {
+				t.Errorf("S=%d workers=%d: results differ by %g (parallelization must be bitwise deterministic)", p.Segments, workers, e)
+			}
 		}
 	}
 }

@@ -118,6 +118,17 @@ func (p Params) GhostElems() int {
 	return g
 }
 
+// InteriorChunks returns how many leading chunks of a run of n read only the
+// run's own n*DMu*Segments inputs: chunk c reads B blocks of Segments inputs
+// starting at block c*DMu. The rest also read the elements that follow the
+// run (the ghost values of a distributed rank, the circular wrap of a plan).
+func (p Params) InteriorChunks(n int) int {
+	if blocks := n * p.DMu; blocks >= p.B {
+		return (blocks-p.B)/p.DMu + 1
+	}
+	return 0
+}
+
 // ConvFlops returns the paper's nominal floating-point operation count of
 // the convolution, 8*B*mu*N (Section 4: B complex multiplies and B-1 complex
 // adds per length-B inner product). It is the model's and the benchmark's
