@@ -196,20 +196,6 @@ func (c *Client) transform(ctx context.Context, dst, src []complex128, count int
 		Count: uint32(count),
 		N:     uint64(n),
 	}
-	// Identity payloads go out as protocol version 1 — byte-identical to a
-	// pre-codec client, so old servers need no fallback logic. A compressing
-	// codec needs the v2 header fields and buffers the encoded payload once
-	// to learn its declared length.
-	var enc []byte
-	if c.codec == nil {
-		h.Version = 1
-		h.PayloadLen = uint64(len(src)) * wire.BytesPerElem
-	} else {
-		enc = codec.AppendVector(nil, c.codec, src)
-		h.Codec = c.codec.ID()
-		h.CodecParam = codec.Param(c.codec)
-		h.PayloadLen = uint64(len(enc))
-	}
 	switch {
 	case count > 1:
 		h.Type = wire.TBatch
@@ -232,23 +218,7 @@ func (c *Client) transform(ctx context.Context, dst, src []complex128, count int
 	}
 	h.ReqID = id
 
-	c.wmu.Lock()
-	err = c.conn.SetWriteDeadline(c.writeDeadline(ctx))
-	if err == nil {
-		err = wire.WriteHeader(c.bw, &h)
-	}
-	if err == nil {
-		if enc != nil {
-			_, err = c.bw.Write(enc)
-		} else {
-			err = wire.WriteVector(c.bw, src)
-		}
-	}
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.send(ctx, &h, src); err != nil {
 		c.unregister(id)
 		return fmt.Errorf("soifft client: sending request: %w", err)
 	}
@@ -262,6 +232,45 @@ func (c *Client) transform(ctx context.Context, dst, src []complex128, count int
 		c.unregister(id)
 		return ctx.Err()
 	}
+}
+
+// send writes one request frame carrying src, completing h's version, codec
+// and payload-length fields. Identity payloads go out as protocol version 1
+// — byte-identical to a pre-codec client, so old servers need no fallback
+// logic. A compressing codec needs the v2 header fields and stages the
+// encoded payload in a pooled buffer, held until the write has returned, to
+// learn its declared length.
+func (c *Client) send(ctx context.Context, h *wire.Header, src []complex128) error {
+	var enc []byte
+	if c.codec == nil {
+		h.Version = 1
+		h.PayloadLen = uint64(len(src)) * wire.BytesPerElem
+	} else {
+		st := codec.BorrowStaging(len(src))
+		defer codec.ReturnStaging(st)
+		enc = codec.AppendVector(*st, c.codec, src)
+		h.Codec = c.codec.ID()
+		h.CodecParam = codec.Param(c.codec)
+		h.PayloadLen = uint64(len(enc))
+	}
+
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	err := c.conn.SetWriteDeadline(c.writeDeadline(ctx))
+	if err == nil {
+		err = wire.WriteHeader(c.bw, h)
+	}
+	if err == nil {
+		if enc != nil {
+			_, err = c.bw.Write(enc)
+		} else {
+			err = wire.WriteVector(c.bw, src)
+		}
+	}
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	return err
 }
 
 // Stats fetches the server's statistics snapshot as a name -> value map

@@ -40,7 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "input seed")
 	codecStr := flag.String("codec", "identity", "all-to-all payload codec: identity, deltaplane, quant")
 	codecTol := flag.Float64("codec-tolerance", 0, "quant codec tolerance (0 = the plan's accuracy budget)")
-	jsonOut := flag.Bool("json", false, "emit the run summary as JSON (for scripts/bench_codec.sh)")
+	jsonOut := flag.Bool("json", false, "emit the run summary as JSON (one object on stdout, for scripts)")
 	flag.Parse()
 
 	var nmu, dmu int

@@ -57,9 +57,10 @@ func (s *lifecycleSummarizer[T]) of(def *funcDef) T {
 	return v
 }
 
-// stripValue peels parens, type assertions, stars, and unary & off an
-// expression, returning the underlying value expression. It is how
-// `pool.Get().(*[]complex128)` reduces to the Get call and `&x` to x.
+// stripValue peels parens, type assertions, stars, slicings and unary & off
+// an expression, returning the underlying value expression. It is how
+// `pool.Get().(*[]complex128)` reduces to the Get call, `(*b)[:n]` to b and
+// `&x` to x.
 func stripValue(e ast.Expr) ast.Expr {
 	for {
 		switch x := e.(type) {
@@ -68,6 +69,8 @@ func stripValue(e ast.Expr) ast.Expr {
 		case *ast.TypeAssertExpr:
 			e = x.X
 		case *ast.StarExpr:
+			e = x.X
+		case *ast.SliceExpr:
 			e = x.X
 		case *ast.UnaryExpr:
 			if x.Op != token.AND {

@@ -233,6 +233,29 @@ func AppendVector(dst []byte, c Codec, x []complex128) []byte {
 	return dst
 }
 
+// staging pools the buffers BorrowStaging lends out.
+var staging = sync.Pool{New: func() any { return new([]byte) }}
+
+// BorrowStaging returns a pooled, empty buffer with room for the encoded
+// form of elems elements under any codec (MaxEncodedLen): the staging area
+// of a length-prefixed transport, which must hold a whole encoded payload
+// to learn the length its header declares before the first byte leaves.
+// Hand it back with ReturnStaging once the write has returned; nothing may
+// keep a reference into it after that.
+func BorrowStaging(elems int) *[]byte {
+	b := staging.Get().(*[]byte)
+	if n := MaxEncodedLen(elems); uint64(cap(*b)) < n {
+		*b = make([]byte, 0, n)
+	}
+	return b
+}
+
+// ReturnStaging gives a BorrowStaging buffer back to the pool.
+func ReturnStaging(b *[]byte) {
+	*b = (*b)[:0]
+	staging.Put(b)
+}
+
 // appendBlock encodes one block (header + body) onto dst.
 func appendBlock(dst []byte, c Codec, src []complex128) []byte {
 	hdrAt := len(dst)

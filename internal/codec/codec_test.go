@@ -27,7 +27,7 @@ func testVectors() map[string][]complex128 {
 		complex(math.Copysign(0, -1), 0),
 		complex(math.NaN(), math.Inf(1)),
 		complex(math.Inf(-1), math.NaN()),
-		complex(math.Float64frombits(0x7FF8_0000_DEAD_BEEF), 1), // NaN payload
+		complex(math.Float64frombits(0x7FF8_0000_DEAD_BEEF), 1),                       // NaN payload
 		complex(math.Float64frombits(1), math.Float64frombits(0x000F_FFFF_FFFF_FFFF)), // denormals
 		complex(math.MaxFloat64, -math.MaxFloat64),
 		complex(math.SmallestNonzeroFloat64, 4.9406564584124654e-324),
@@ -243,7 +243,7 @@ func TestDecodeHostileHeaders(t *testing.T) {
 		"zero elems":       mk(byte(DeltaPlane), 0, 0, 8, 0, 8),
 		"elems over block": mk(byte(DeltaPlane), 0, BlockElems+1, 8, 0, 8),
 		"zero body":        mk(byte(DeltaPlane), 0, 4, 0, 0, 0),
-		"body over bound":  mk(byte(DeltaPlane), 0, 4, 1 << 30, 0, 0),
+		"body over bound":  mk(byte(DeltaPlane), 0, 4, 1<<30, 0, 0),
 		"body truncated":   mk(byte(DeltaPlane), 0, 4, 64, 0, 8),
 	}
 	for name, stream := range cases {

@@ -1,8 +1,11 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
 // deltaPlaneCodec is the lossless compressor: it exploits the smoothness
@@ -48,26 +51,30 @@ func (deltaPlaneCodec) MaxBodyLen(elems int) int {
 	return numPlanes * (elems + (elems+127)/128)
 }
 
-// planeScratch holds one block's transposed delta bytes: numPlanes planes
-// of BlockElems bytes.
-type planeScratch [numPlanes][BlockElems]byte
+// planeStride is the row pitch of the plane scratch: BlockElems plus one
+// cache line. The transpose stores to all sixteen planes at the same
+// offset; at a 4 096-byte pitch those sixteen store streams would share
+// one L1 set (64 sets of 64-byte lines) with 8 or 12 ways to hold them,
+// so every group would evict the line the previous one was filling. One
+// line of padding walks consecutive planes through consecutive sets.
+const planeStride = BlockElems + 64
+
+// planeScratch holds one block's transposed delta bytes, indexed
+// [component][byte position][element]: the real stream's eight planes,
+// then the imaginary stream's — the order they are concatenated in.
+type planeScratch [2][8][planeStride]byte
 
 // orderMap converts an IEEE-754 bit pattern into a uint64 whose integer
 // ordering matches the float ordering (sign-magnitude made monotone):
-// positives gain the top bit, negatives are bit-complemented.
+// positives gain the top bit, negatives are bit-complemented. Branch-free:
+// the sign of noise is not predictable.
 func orderMap(bits uint64) uint64 {
-	if bits>>63 != 0 {
-		return ^bits
-	}
-	return bits | 1<<63
+	return bits ^ (uint64(int64(bits)>>63) | 1<<63)
 }
 
 // orderUnmap inverts orderMap exactly.
 func orderUnmap(u uint64) uint64 {
-	if u>>63 != 0 {
-		return u &^ (1 << 63)
-	}
-	return ^u
+	return u ^ (^uint64(int64(u)>>63) | 1<<63)
 }
 
 // zigzag folds a signed (two's complement) delta into a small magnitude:
@@ -106,16 +113,102 @@ func (s *deltaStream) inv(z uint64) uint64 {
 	return m
 }
 
-// transpose fills planes[0..15][:k] from src's zigzagged second-order
-// deltas (order-mapped bit patterns, state reset per block).
+// exch swaps the mask-selected bit fields of b with the fields shift bits
+// higher in a — one step of a recursive block transpose.
+func exch(a, b, mask uint64, shift uint) (uint64, uint64) {
+	t := (a>>shift ^ b) & mask
+	return a ^ t<<shift, b ^ t
+}
+
+// transpose8x8 transposes an 8x8 byte matrix held as eight little-endian
+// rows: byte j of result b is byte b of argument j. Three rounds swap the
+// off-diagonal 4x4, 2x2 and 1x1 blocks. It is its own inverse.
+func transpose8x8(w0, w1, w2, w3, w4, w5, w6, w7 uint64) (_, _, _, _, _, _, _, _ uint64) {
+	const m32, m16, m8 = 0x00000000FFFFFFFF, 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF
+	w0, w4 = exch(w0, w4, m32, 32)
+	w1, w5 = exch(w1, w5, m32, 32)
+	w2, w6 = exch(w2, w6, m32, 32)
+	w3, w7 = exch(w3, w7, m32, 32)
+	w0, w2 = exch(w0, w2, m16, 16)
+	w1, w3 = exch(w1, w3, m16, 16)
+	w4, w6 = exch(w4, w6, m16, 16)
+	w5, w7 = exch(w5, w7, m16, 16)
+	w0, w1 = exch(w0, w1, m8, 8)
+	w2, w3 = exch(w2, w3, m8, 8)
+	w4, w5 = exch(w4, w5, m8, 8)
+	w6, w7 = exch(w6, w7, m8, 8)
+	return w0, w1, w2, w3, w4, w5, w6, w7
+}
+
+// fwd8 advances the stream over eight bit patterns and stores their
+// zigzagged deltas as one 8-byte word per plane at elements i..i+7.
+func (s *deltaStream) fwd8(rows *[8][planeStride]byte, i int, v *[8]uint64) {
+	d := *s
+	z0 := d.fwd(orderMap(v[0]))
+	z1 := d.fwd(orderMap(v[1]))
+	z2 := d.fwd(orderMap(v[2]))
+	z3 := d.fwd(orderMap(v[3]))
+	z4 := d.fwd(orderMap(v[4]))
+	z5 := d.fwd(orderMap(v[5]))
+	z6 := d.fwd(orderMap(v[6]))
+	z7 := d.fwd(orderMap(v[7]))
+	*s = d
+	z0, z1, z2, z3, z4, z5, z6, z7 = transpose8x8(z0, z1, z2, z3, z4, z5, z6, z7)
+	binary.LittleEndian.PutUint64(rows[0][i:i+8], z0)
+	binary.LittleEndian.PutUint64(rows[1][i:i+8], z1)
+	binary.LittleEndian.PutUint64(rows[2][i:i+8], z2)
+	binary.LittleEndian.PutUint64(rows[3][i:i+8], z3)
+	binary.LittleEndian.PutUint64(rows[4][i:i+8], z4)
+	binary.LittleEndian.PutUint64(rows[5][i:i+8], z5)
+	binary.LittleEndian.PutUint64(rows[6][i:i+8], z6)
+	binary.LittleEndian.PutUint64(rows[7][i:i+8], z7)
+}
+
+// inv8 is fwd8's inverse: it loads one word per plane at elements i..i+7
+// and advances the stream to the eight bit patterns they encode.
+func (s *deltaStream) inv8(v *[8]uint64, rows *[8][planeStride]byte, i int) {
+	z0, z1, z2, z3, z4, z5, z6, z7 := transpose8x8(
+		binary.LittleEndian.Uint64(rows[0][i:i+8]),
+		binary.LittleEndian.Uint64(rows[1][i:i+8]),
+		binary.LittleEndian.Uint64(rows[2][i:i+8]),
+		binary.LittleEndian.Uint64(rows[3][i:i+8]),
+		binary.LittleEndian.Uint64(rows[4][i:i+8]),
+		binary.LittleEndian.Uint64(rows[5][i:i+8]),
+		binary.LittleEndian.Uint64(rows[6][i:i+8]),
+		binary.LittleEndian.Uint64(rows[7][i:i+8]))
+	d := *s
+	v[0] = orderUnmap(d.inv(z0))
+	v[1] = orderUnmap(d.inv(z1))
+	v[2] = orderUnmap(d.inv(z2))
+	v[3] = orderUnmap(d.inv(z3))
+	v[4] = orderUnmap(d.inv(z4))
+	v[5] = orderUnmap(d.inv(z5))
+	v[6] = orderUnmap(d.inv(z6))
+	v[7] = orderUnmap(d.inv(z7))
+	*s = d
+}
+
+// transpose fills planes[c][b][:len(src)] from src's zigzagged
+// second-order deltas (order-mapped bit patterns, state reset per block),
+// eight elements at a time and the tail one byte at a time.
 func transpose(planes *planeScratch, src []complex128) {
 	var sr, si deltaStream
-	for i, v := range src {
-		zre := sr.fwd(orderMap(math.Float64bits(real(v))))
-		zim := si.fwd(orderMap(math.Float64bits(imag(v))))
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		var re, im [8]uint64
+		for j, v := range (*[8]complex128)(src[i : i+8]) {
+			re[j] = math.Float64bits(real(v))
+			im[j] = math.Float64bits(imag(v))
+		}
+		sr.fwd8(&planes[0], i, &re)
+		si.fwd8(&planes[1], i, &im)
+	}
+	for ; i < len(src); i++ {
+		zre := sr.fwd(orderMap(math.Float64bits(real(src[i]))))
+		zim := si.fwd(orderMap(math.Float64bits(imag(src[i]))))
 		for b := 0; b < 8; b++ {
-			planes[b][i] = byte(zre >> (8 * b))
-			planes[8+b][i] = byte(zim >> (8 * b))
+			planes[0][b][i] = byte(zre >> (8 * b))
+			planes[1][b][i] = byte(zim >> (8 * b))
 		}
 	}
 }
@@ -123,11 +216,21 @@ func transpose(planes *planeScratch, src []complex128) {
 // untranspose rebuilds dst from the planes' delta bytes.
 func untranspose(dst []complex128, planes *planeScratch) {
 	var sr, si deltaStream
-	for i := range dst {
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		var re, im [8]uint64
+		sr.inv8(&re, &planes[0], i)
+		si.inv8(&im, &planes[1], i)
+		g := (*[8]complex128)(dst[i : i+8])
+		for j := range g {
+			g[j] = complex(math.Float64frombits(re[j]), math.Float64frombits(im[j]))
+		}
+	}
+	for ; i < len(dst); i++ {
 		var zre, zim uint64
 		for b := 0; b < 8; b++ {
-			zre |= uint64(planes[b][i]) << (8 * b)
-			zim |= uint64(planes[8+b][i]) << (8 * b)
+			zre |= uint64(planes[0][b][i]) << (8 * b)
+			zim |= uint64(planes[1][b][i]) << (8 * b)
 		}
 		re := orderUnmap(sr.inv(zre))
 		im := orderUnmap(si.inv(zim))
@@ -143,32 +246,84 @@ const (
 	maxZeroRun = 255 - zeroBase
 )
 
-// rleAppend zero-run-encodes plane onto dst.
+// zeroBytes returns 0x80 in every byte position where w holds a zero byte
+// and 0 elsewhere (exact: no carry crosses a byte).
+func zeroBytes(w uint64) uint64 {
+	const low7 = 0x7F7F7F7F7F7F7F7F
+	return ^((w&low7 + low7) | w | low7)
+}
+
+// zeroRun counts the zero bytes p starts with, a word at a time.
+func zeroRun(p []byte) int {
+	q := p
+	for len(q) >= 8 {
+		if w := binary.LittleEndian.Uint64(q); w != 0 {
+			return len(p) - len(q) + bits.TrailingZeros64(w)>>3
+		}
+		q = q[8:]
+	}
+	for len(q) > 0 && q[0] == 0 {
+		q = q[1:]
+	}
+	return len(p) - len(q)
+}
+
+// nextZeroPair returns the first index >= i at which p holds two
+// consecutive zero bytes, or len(p). Each step tests the seven pairs that
+// start inside one word and advances seven bytes, so the pair straddling
+// two words is the next word's first.
+func nextZeroPair(p []byte, i int) int {
+	q := p[i:]
+	for len(q) >= 8 {
+		z := zeroBytes(binary.LittleEndian.Uint64(q))
+		if pair := z & (z >> 8); pair != 0 {
+			return len(p) - len(q) + bits.TrailingZeros64(pair)>>3
+		}
+		q = q[7:]
+	}
+	for len(q) >= 2 {
+		if q[0] == 0 && q[1] == 0 {
+			return len(p) - len(q)
+		}
+		q = q[1:]
+	}
+	return len(p)
+}
+
+// rleAppend zero-run-encodes plane onto dst, which must have room for the
+// worst case (len(plane) + ceil(len(plane)/128) bytes): the tokens are
+// written by index, not appended. The token choice is greedy — at a zero
+// pair, the whole run in tokens of at most maxZeroRun; otherwise literals
+// of at most maxLiteral up to the next zero pair — and a single zero left
+// over by a run of 129k+1 opens the next literal.
 func rleAppend(dst []byte, plane []byte) []byte {
-	i := 0
+	out := dst[len(dst):cap(dst)]
+	o, i := 0, 0
 	for i < len(plane) {
-		// Count a zero run first: only runs of >= 2 pay for a token.
 		if plane[i] == 0 && i+1 < len(plane) && plane[i+1] == 0 {
-			run := 2
-			for i+run < len(plane) && plane[i+run] == 0 && run < maxZeroRun {
-				run++
-			}
-			dst = append(dst, byte(zeroBase+run))
+			run := zeroRun(plane[i:])
 			i += run
+			for ; run >= maxZeroRun; run -= maxZeroRun {
+				out[o] = zeroBase + maxZeroRun
+				o++
+			}
+			if run >= 2 {
+				out[o] = byte(zeroBase + run)
+				o++
+			} else {
+				i -= run
+			}
 			continue
 		}
-		// Literal run: up to the next zero pair (or the literal cap).
-		start := i
-		for i < len(plane) && i-start < maxLiteral {
-			if plane[i] == 0 && i+1 < len(plane) && plane[i+1] == 0 {
-				break
-			}
-			i++
+		for end := nextZeroPair(plane, i); i < end; {
+			k := min(end-i, maxLiteral)
+			out[o] = byte(k - 1)
+			copy(out[o+1:], plane[i:i+k])
+			o += 1 + k
+			i += k
 		}
-		dst = append(dst, byte(i-start-1))
-		dst = append(dst, plane[start:i]...)
 	}
-	return dst
+	return dst[:len(dst)+o]
 }
 
 // rleDecode fills plane (exactly len(plane) bytes) from body, returning
@@ -197,9 +352,7 @@ func rleDecode(plane []byte, body []byte) (int, error) {
 			if out+n > len(plane) {
 				return 0, fmt.Errorf("%w: RLE zero run of %d overruns the plane", ErrCorrupt, n)
 			}
-			for j := 0; j < n; j++ {
-				plane[out+j] = 0
-			}
+			clear(plane[out : out+n])
 			out += n
 		}
 	}
@@ -212,10 +365,16 @@ func (c deltaPlaneCodec) EncodeBlock(dst []byte, src []complex128) []byte {
 
 // encodeDeltaPlanes is the shared DeltaPlane/Quant encode body.
 func encodeDeltaPlanes(dst []byte, src []complex128) []byte {
+	if len(src) > BlockElems {
+		panic("codec: EncodeBlock called with more than BlockElems elements")
+	}
 	var planes planeScratch
 	transpose(&planes, src)
-	for p := 0; p < numPlanes; p++ {
-		dst = rleAppend(dst, planes[p][:len(src)])
+	dst = slices.Grow(dst, deltaPlaneCodec{}.MaxBodyLen(len(src)))
+	for c := range planes {
+		for b := range planes[c] {
+			dst = rleAppend(dst, planes[c][b][:len(src)])
+		}
 	}
 	return dst
 }
@@ -228,12 +387,14 @@ func (c deltaPlaneCodec) DecodeBlock(dst []complex128, body []byte) error {
 // stream is structurally identical — quantization happens pre-delta).
 func decodeDeltaPlanes(dst []complex128, body []byte) error {
 	var planes planeScratch
-	for p := 0; p < numPlanes; p++ {
-		n, err := rleDecode(planes[p][:len(dst)], body)
-		if err != nil {
-			return err
+	for c := range planes {
+		for b := range planes[c] {
+			n, err := rleDecode(planes[c][b][:len(dst)], body)
+			if err != nil {
+				return err
+			}
+			body = body[n:]
 		}
-		body = body[n:]
 	}
 	if len(body) != 0 {
 		return fmt.Errorf("%w: %d bytes after the final RLE plane", ErrCorrupt, len(body))

@@ -2,14 +2,18 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
+
+	"soifft/internal/codec"
 )
 
-// benchAllToAll measures one all-to-all of blockElems complex values per
-// pair across an in-process world.
-func benchAllToAll(b *testing.B, size, blockElems int) {
+// benchAllToAll measures one all-to-all of blockElems smooth complex values
+// per pair across an in-process world, every endpoint wrapped in
+// WithCodec(cdc) (nil: unwrapped).
+func benchAllToAll(b *testing.B, size, blockElems int, cdc codec.Codec) {
 	w, err := NewWorld(size)
 	if err != nil {
 		b.Fatal(err)
@@ -20,6 +24,10 @@ func benchAllToAll(b *testing.B, size, blockElems int) {
 		send[r] = make([][]complex128, size)
 		for q := 0; q < size; q++ {
 			send[r][q] = make([]complex128, blockElems)
+			for i := range send[r][q] {
+				s, c := math.Sincos(2 * math.Pi * float64(3*i+q) / float64(blockElems))
+				send[r][q][i] = complex(c, 0.5*s)
+			}
 		}
 	}
 	b.SetBytes(int64(size) * int64(size) * int64(blockElems) * 16)
@@ -30,7 +38,7 @@ func benchAllToAll(b *testing.B, size, blockElems int) {
 		for r := 0; r < size; r++ {
 			go func(r int) {
 				defer wg.Done()
-				if _, err := AllToAll(w.Comm(r), send[r]); err != nil {
+				if _, err := AllToAll(WithCodec(w.Comm(r), cdc), send[r]); err != nil {
 					b.Error(err)
 				}
 			}(r)
@@ -43,10 +51,17 @@ func BenchmarkAllToAllInProc(b *testing.B) {
 	for _, size := range []int{4, 8} {
 		for _, elems := range []int{64, 4096} {
 			b.Run(fmt.Sprintf("ranks=%d/block=%d", size, elems), func(b *testing.B) {
-				benchAllToAll(b, size, elems)
+				benchAllToAll(b, size, elems, nil)
 			})
 		}
 	}
+}
+
+// BenchmarkAllToAllInProcCodec is the same exchange with every payload
+// crossing as a deltaplane block stream: the price of mpi.WithCodec where
+// the link itself is free.
+func BenchmarkAllToAllInProcCodec(b *testing.B) {
+	benchAllToAll(b, 4, 4096, codec.MustFor(codec.DeltaPlane, 0))
 }
 
 func BenchmarkAllToAllTCP(b *testing.B) {

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -46,9 +47,13 @@ func (cc *codecComm) Size() int { return cc.inner.Size() }
 
 // Send encodes data and ships it as one header word — complex(elements,
 // encoded bytes) — followed by the encoded stream packed 16 bytes per word.
+// Both buffers are borrowed: inner.Send copies what it is given.
 func (cc *codecComm) Send(dst, tag int, data []complex128) error {
-	enc := codec.AppendVector(nil, cc.c, data)
-	msg := make([]complex128, 1+(len(enc)+15)/16)
+	st := codec.BorrowStaging(len(data))
+	defer codec.ReturnStaging(st)
+	enc := codec.AppendVector(*st, cc.c, data)
+	msg := getPayload(1 + (len(enc)+15)/16)
+	defer putPayload(msg)
 	msg[0] = complex(float64(len(data)), float64(len(enc)))
 	packBytes(msg[1:], enc)
 	return cc.inner.Send(dst, tag, msg)
@@ -83,9 +88,9 @@ func (cc *codecComm) Close() error { return cc.inner.Close() }
 // decode validates and decompresses one received message. The framing words
 // come from the peer: the element count and byte length must be exact
 // non-negative integers, the byte length must match the packed words it
-// arrived in, and the element count is capped by the codec size algebra
-// (codec.MaxElemsForEncoded) so a hostile header cannot size an allocation
-// beyond a small multiple of the bytes actually received.
+// arrived in, and the two are held to each other by the codec size algebra
+// (codec.MaxElemsForEncoded, codec.MaxEncodedLen) so a hostile header cannot
+// size an allocation beyond a small multiple of the bytes actually received.
 func (cc *codecComm) decode(msg []complex128, from, tag int) ([]complex128, error) {
 	corrupt := func(format string, a ...any) error {
 		return &TransportError{Op: "recv", Peer: from, Tag: tag,
@@ -107,7 +112,12 @@ func (cc *codecComm) decode(msg []complex128, from, tag int) ([]complex128, erro
 	if elems > 0 && uint64(elems) > codec.MaxElemsForEncoded(uint64(encLen)) {
 		return nil, corrupt("%d elements exceed the %d-byte stream's bound", elems, encLen)
 	}
-	enc := make([]byte, encLen)
+	if uint64(encLen) > codec.MaxEncodedLen(elems) {
+		return nil, corrupt("%d encoded bytes exceed the bound for %d elements", encLen, elems)
+	}
+	st := codec.BorrowStaging(elems)
+	defer codec.ReturnStaging(st)
+	enc := (*st)[:encLen]
 	unpackBytes(enc, msg[1:])
 	dst := make([]complex128, elems)
 	if err := codec.DecodeVector(dst, cc.c, enc); err != nil {
@@ -121,40 +131,31 @@ func (cc *codecComm) decode(msg []complex128, from, tag int) ([]complex128, erro
 // the components are built with math.Float64frombits and never enter
 // floating-point arithmetic.
 func packBytes(words []complex128, b []byte) {
-	var buf [16]byte
 	for i := range words {
-		chunk := buf[:]
+		var tail [16]byte
+		chunk := tail[:]
 		if len(b) >= 16 {
-			chunk = b[:16]
-			b = b[16:]
+			chunk, b = b[:16], b[16:]
 		} else {
-			buf = [16]byte{}
 			copy(chunk, b)
 			b = nil
 		}
-		lo := leUint64(chunk[0:8])
-		hi := leUint64(chunk[8:16])
-		words[i] = complex(math.Float64frombits(lo), math.Float64frombits(hi))
+		words[i] = complex(
+			math.Float64frombits(binary.LittleEndian.Uint64(chunk)),
+			math.Float64frombits(binary.LittleEndian.Uint64(chunk[8:])))
 	}
 }
 
 // unpackBytes is the inverse of packBytes, filling exactly len(b) bytes.
 func unpackBytes(b []byte, words []complex128) {
-	for i := 0; len(b) > 0; i++ {
-		var chunk [16]byte
-		lePutUint64(chunk[0:8], math.Float64bits(real(words[i])))
-		lePutUint64(chunk[8:16], math.Float64bits(imag(words[i])))
-		n := copy(b, chunk[:])
-		b = b[n:]
+	for ; len(b) >= 16; b, words = b[16:], words[1:] {
+		binary.LittleEndian.PutUint64(b, math.Float64bits(real(words[0])))
+		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(words[0])))
 	}
-}
-
-func leUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func lePutUint64(b []byte, v uint64) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
+	if len(b) > 0 {
+		var tail [16]byte
+		binary.LittleEndian.PutUint64(tail[:], math.Float64bits(real(words[0])))
+		binary.LittleEndian.PutUint64(tail[8:], math.Float64bits(imag(words[0])))
+		copy(b, tail[:])
+	}
 }

@@ -178,7 +178,7 @@ func ErrFor(code uint32, msg string) error {
 
 // Header is the decoded fixed-size frame header.
 type Header struct {
-	Version    byte     // protocol revision; 0 encodes as the current Version
+	Version    byte // protocol revision; 0 encodes as the current Version
 	Type       Type
 	Alg        Alg
 	Codec      codec.ID // payload codec (v2; must be Identity under v1)
@@ -415,9 +415,9 @@ func WriteResult(w io.Writer, reqID uint64, count int, x []complex128) error {
 // WriteResultCodec writes a TResult frame carrying x encoded with c at the
 // given protocol version (0 = current; a responder passes the request's
 // version so a v1 peer can read the reply). A nil or identity codec
-// streams the raw payload in bounded chunks; a compressing codec buffers
-// the encoded payload once to learn its length — the price of a
-// length-prefixed frame.
+// streams the raw payload in bounded chunks; a compressing codec stages
+// the encoded payload in a pooled buffer to learn its length — the price
+// of a length-prefixed frame.
 func WriteResultCodec(w io.Writer, version byte, reqID uint64, count int, x []complex128, c codec.Codec) error {
 	h := Header{
 		Version: version,
@@ -433,7 +433,9 @@ func WriteResultCodec(w io.Writer, version byte, reqID uint64, count int, x []co
 		}
 		return WriteVector(w, x)
 	}
-	enc := codec.AppendVector(nil, c, x)
+	st := codec.BorrowStaging(len(x))
+	defer codec.ReturnStaging(st)
+	enc := codec.AppendVector(*st, c, x)
 	h.Codec = c.ID()
 	h.CodecParam = codec.Param(c)
 	h.PayloadLen = uint64(len(enc))

@@ -46,12 +46,13 @@ run_gate "go test -race (fault-injection sweep)" go test -race ./internal/faultc
 
 # Fuzz smoke: each untrusted decode surface gets a brief randomized pass
 # beyond the checked-in corpus — the wire frame codec and the payload block
-# codecs. `go test -fuzz` accepts exactly one target per invocation, hence
-# one gate per target.
+# codecs — and the word-wise deltaplane kernels a differential pass against
+# their byte-loop reference. `go test -fuzz` accepts exactly one target per
+# invocation, hence one gate per target.
 for target in FuzzReadHeader FuzzReadVector FuzzFrameSequence; do
     run_gate "fuzz smoke $target" go test ./internal/wire -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
-for target in FuzzCodecRoundTrip FuzzCodecDecode; do
+for target in FuzzCodecRoundTrip FuzzCodecDecode FuzzKernelsMatchReference; do
     run_gate "fuzz smoke $target" go test ./internal/codec -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
 run_gate "fuzz smoke FuzzSoARoundTrip" go test ./internal/cvec -run '^$' -fuzz '^FuzzSoARoundTrip$' -fuzztime 5s
