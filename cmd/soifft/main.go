@@ -105,7 +105,7 @@ func main() {
 	rt := make([]complex128, *n)
 	fft.MustPlan(*n).Inverse(rt, got)
 	residual := ref.GFFTResidual(x, rt)
-	aliasBound := window.MustAliasBound(p)
+	aliasBound := plan.EstimatedError()
 	if *jsonOut {
 		phases := make(map[string]float64)
 		for _, ph := range bd.Phases() {

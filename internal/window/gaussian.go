@@ -29,65 +29,30 @@ func gaussianPrototype(p Params, sigma, cutoff float64) func(t float64) complex1
 	}
 }
 
-// gaussianResponse evaluates the 2x-oversampled spectrum of the Gaussian
-// prototype at bin kappa (wrap-free over +-N, as continuousResponse).
-func gaussianResponse(p Params, sigma, cutoff, kappa float64) complex128 {
-	L2 := 2 * p.TapsLen()
-	t0 := float64(p.TapsLen())/2 - 0.5
-	g := gaussianPrototype(p, sigma, cutoff)
-	w := math.Pi * kappa / float64(p.N)
-	var re, im float64
-	for nu2 := 0; nu2 < L2; nu2++ {
-		v := g(float64(nu2)/2 - t0)
-		if v == 0 {
-			continue
-		}
-		s, c := math.Sincos(w * float64(nu2))
-		re += real(v)*c - imag(v)*s
-		im += real(v)*s + imag(v)*c
-	}
-	return complex(re/2, im/2)
-}
-
 // GaussianScore returns the best achievable alias score (stopband max over
-// passband min, the same objective scoreCandidate uses) for a
-// Gaussian-windowed sinc prototype at p's tap budget, searching over the
-// window width and cutoff. Larger is worse.
+// passband min, scored by scoreCandidates like the production search's
+// candidates) for a Gaussian-windowed sinc prototype at p's tap budget,
+// searching over the window width and cutoff. Larger is worse.
 func GaussianScore(p Params) float64 {
 	M := p.M()
 	trans := (p.Mu() - 1) * float64(M)
 	half := float64(p.TapsLen()) / 2
-	best := math.Inf(1)
 	// The balanced sigma equates truncation and spectral decay:
 	// sigma^2 = T/(2*pi*delta) with delta the one-sided transition in
 	// cycles/sample; search around it.
 	deltaCyc := trans / (2 * float64(p.N))
 	sigmaBal := math.Sqrt(half / (2 * math.Pi * deltaCyc))
+	var protos [][]complex128
 	for _, sScale := range []float64{0.6, 0.8, 1.0, 1.25, 1.6} {
 		for _, cf := range []float64{0.35, 0.5, 0.65} {
-			sigma := sigmaBal * sScale
-			cutoff := float64(M)/2 + cf*trans
-			pbMin := math.Inf(1)
-			for i := 0; i < 17; i++ {
-				k := float64(i) * float64(M-1) / 16
-				if mag := cabs(gaussianResponse(p, sigma, cutoff, k)); mag < pbMin {
-					pbMin = mag
-				}
-			}
-			if pbMin <= 0 {
-				continue
-			}
-			sbMax := 0.0
-			for _, off := range aliasOffsets(p) {
-				for _, k := range aliasSampleFreqs(p, off) {
-					if mag := cabs(gaussianResponse(p, sigma, cutoff, k)); mag > sbMax {
-						sbMax = mag
-					}
-				}
-			}
-			if score := sbMax / pbMin; score < best {
-				best = score
-			}
+			protos = append(protos, oversample(p, gaussianPrototype(p, sigmaBal*sScale, float64(M)/2+cf*trans)))
+		}
+	}
+	score, _ := scoreCandidates(p, protos)
+	best := math.Inf(1)
+	for _, sc := range score {
+		if sc < best {
+			best = sc
 		}
 	}
 	return best

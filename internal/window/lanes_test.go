@@ -12,16 +12,15 @@ import (
 // kaiserFilter builds a filter's taps at the Kaiser starting point, without
 // Design's (beta, cutoff) search or its demodulation table. The lane
 // factorization depends on the prototype's modulation only, not on the
-// low-pass it modulates, so this walks the design space in milliseconds
-// where Design needs seconds per point.
+// low-pass it modulates, so this walks the design space without a search or
+// a demodulation table per point.
 func kaiserFilter(t *testing.T, p Params) *Filter {
 	t.Helper()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	mu := p.Mu()
-	beta := kaiserBeta(2.285*2*math.Pi*(mu-1)*float64(p.B) + 8)
-	cutoff := float64(p.M())/2 + 0.5*(mu-1)*float64(p.M())
+	beta, trans := kaiserStart(p)
+	cutoff := float64(p.M())/2 + 0.5*trans
 	f := &Filter{Params: p, Taps: make([][]complex128, p.NMu)}
 	for a := range f.Taps {
 		f.Taps[a] = prototypeTaps(p, beta, cutoff, p.tapShift(a))

@@ -200,19 +200,14 @@ func (f *Filter) AliasBound() float64 {
 	return worst / f.PassbandMin
 }
 
-// MustAliasBound designs the filter for p and returns its alias bound,
-// panicking on invalid parameters. Convenience for reporting tools.
-func MustAliasBound(p Params) float64 {
-	f, err := Design(p)
-	if err != nil {
-		panic(err)
-	}
-	return f.AliasBound()
-}
-
-// Design builds the SOI filter for p. The design is deterministic; the
-// demodulation responses are computed with a chirp-z partial DFT in
-// O((B*Segments + M) log) time.
+// Design builds the SOI filter for p. The design is deterministic. With
+// L = B*Segments taps, C = 12 (beta, cutoff) candidates and F probe
+// frequencies (17 in the passband, 18 per aliasing image plus 130 on the
+// first pair: 273 at 8 segments, at most 435), the search costs C*2L
+// prototype samples (one Bessel series each), F*2L Sincos for the phase
+// tables the candidates share and C*F*2L multiply-adds; the NMu tap sets
+// cost NMu*L samples and the demodulation table one chirp-z partial DFT,
+// O((L + M) log (L + M)). Nothing but that last term grows with N.
 func Design(p Params) (*Filter, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -246,7 +241,12 @@ func Design(p Params) (*Filter, error) {
 	// the worst ratio of an aliasing response to a passband response, so
 	// run a small grid search over (beta, cutoff) scoring that objective on
 	// sampled prototype taps, then build the full filter from the winner.
-	beta, cutoff := searchDesign(p, betaBase, trans)
+	// The search also reports the winner's largest sampled response at the
+	// aliasing frequencies kappa + r*M' (unwrapped — see continuousResponse;
+	// the nearest images dominate, and the bounded sample keeps design time
+	// independent of problem size): the stopband diagnostic.
+	beta, cutoff, stopband := searchDesign(p, betaBase, trans)
+	f.StopbandMax = stopband
 
 	shift := float64(p.Segments) / mu // per-step fractional shift P/mu samples
 	f.Taps = make([][]complex128, p.NMu)
@@ -275,19 +275,6 @@ func Design(p Params) (*Filter, error) {
 			return nil, fmt.Errorf("window: zero response at bin %d; parameters %+v are unusable", k, p)
 		}
 		f.Demod[k] = complex(scale, 0) / g[k]
-	}
-	// Stopband diagnostic: sample the continuous-spectrum magnitude at the
-	// aliasing frequencies kappa + r*M' (unwrapped; the integer-sampled
-	// periodic response would over-count the near-Nyquist images, which the
-	// fractional-shift phases route into the discarded bins — see
-	// continuousResponse). The nearest images dominate; a bounded sample
-	// keeps design time independent of problem size.
-	for _, off := range aliasOffsets(p) {
-		for _, k := range aliasSampleFreqs(p, off) {
-			if mag := cabs(continuousResponse(p, beta, cutoff, k)); mag > f.StopbandMax {
-				f.StopbandMax = mag
-			}
-		}
 	}
 	// Fractional-shift fidelity: the extreme shifts (a = 0 and a = NMu-1,
 	// the farthest from the centred grid) lose the most window tail to
@@ -417,8 +404,9 @@ func prototype(p Params, beta, cutoff float64) func(t float64) complex128 {
 	center := float64(p.M()) / 2
 	fc := cutoff / float64(p.N)
 	n := float64(p.N)
+	i0Beta := besselI0(beta)
 	return func(t float64) complex128 {
-		w := kaiser(t/half, beta)
+		w := kaiser(t/half, beta, i0Beta)
 		if w == 0 {
 			return 0
 		}
@@ -440,79 +428,103 @@ func prototypeTaps(p Params, beta, cutoff float64, d float64) []complex128 {
 	return taps
 }
 
-// continuousResponse approximates the continuous spectrum of g_c at bin
-// kappa by the DTFT of a 2x-oversampled sampling of the prototype. Sampling
-// at half-integer steps pushes the sampling images out to +-2N bins, so the
-// evaluation is wrap-free over the whole +-N range where aliasing terms
-// live. This matters for the diagnostics only: the near-Nyquist images of
-// the *actual* (integer-sampled) filter carry an a-dependent phase that
-// routes them into the discarded bins [M, M') (see DESIGN.md), so the
-// integer-sampled periodic response would over-count them as errors.
-func continuousResponse(p Params, beta, cutoff float64, kappa float64) complex128 {
-	L2 := 2 * p.TapsLen()
+// oversample samples the prototype g on the half-integer tap grid, once;
+// continuousResponse evaluates any number of frequencies from the samples.
+func oversample(p Params, g func(t float64) complex128) []complex128 {
 	t0 := float64(p.TapsLen())/2 - 0.5
-	g := prototype(p, beta, cutoff)
-	w := math.Pi * kappa / float64(p.N) // 2*pi*(nu2/2)*kappa/N per half-step
-	var re, im float64
-	for nu2 := 0; nu2 < L2; nu2++ {
-		v := g(float64(nu2)/2 - t0)
-		if v == 0 {
-			continue
-		}
-		s, c := math.Sincos(w * float64(nu2))
-		re += real(v)*c - imag(v)*s
-		im += real(v)*s + imag(v)*c
+	v := make([]complex128, 2*p.TapsLen())
+	for nu2 := range v {
+		v[nu2] = g(float64(nu2)/2 - t0)
 	}
-	return complex(re/2, im/2)
+	return v
+}
+
+// continuousResponse approximates the continuous spectrum of each sampled
+// prototype (see oversample) at bin kappa by the DTFT of its 2x-oversampled
+// sampling. Sampling at half-integer steps pushes the sampling images out to
+// +-2N bins, so the evaluation is wrap-free over the whole +-N range where
+// aliasing terms live. This matters for the diagnostics only: the
+// near-Nyquist images of the *actual* (integer-sampled) filter carry an
+// a-dependent phase that routes them into the discarded bins [M, M') (see
+// DESIGN.md), so the integer-sampled periodic response would over-count them
+// as errors. The phase table ph (scratch, one entry per sample) depends on
+// kappa alone, so its Sincos per sample — the expensive part — is paid once
+// for all the prototypes; out[i] receives the response of protos[i].
+func continuousResponse(p Params, protos [][]complex128, kappa float64, ph, out []complex128) {
+	w := math.Pi * kappa / float64(p.N) // 2*pi*(nu2/2)*kappa/N per half-step
+	for nu2 := range ph {
+		s, c := math.Sincos(w * float64(nu2))
+		ph[nu2] = complex(c, s)
+	}
+	for i, v := range protos {
+		v = v[:len(ph)]
+		var re, im float64
+		for nu2, e := range ph {
+			re += real(v[nu2])*real(e) - imag(v[nu2])*imag(e)
+			im += real(v[nu2])*imag(e) + imag(v[nu2])*real(e)
+		}
+		out[i] = complex(re/2, im/2)
+	}
 }
 
 // searchDesign grid-searches (beta, cutoff) around the Kaiser starting
 // point, scoring each candidate by the measured worst
-// alias-response/passband-response ratio on a sampled grid.
-func searchDesign(p Params, betaBase, trans float64) (beta, cutoff float64) {
-	M := p.M()
-	base := float64(M)/2 + 0.5*trans
-	bestScore := math.Inf(1)
-	beta, cutoff = betaBase, base
+// alias-response/passband-response ratio on a sampled grid. It also returns
+// the winner's sampled alias response, Design's StopbandMax.
+func searchDesign(p Params, betaBase, trans float64) (beta, cutoff, stopband float64) {
+	mid := float64(p.M()) / 2
+	var cands [][2]float64
+	var protos [][]complex128
 	for _, bs := range []float64{0.85, 1.0, 1.15, 1.3} {
 		for _, cf := range []float64{0.35, 0.5, 0.65} {
-			b := betaBase * bs
-			c := float64(M)/2 + cf*trans
-			score := scoreCandidate(p, b, c)
-			if score < bestScore {
-				bestScore = score
-				beta, cutoff = b, c
-			}
+			c := [2]float64{betaBase * bs, mid + cf*trans}
+			cands = append(cands, c)
+			protos = append(protos, oversample(p, prototype(p, c[0], c[1])))
 		}
 	}
-	return beta, cutoff
+	score, sbMax := scoreCandidates(p, protos)
+	best := 4 // the starting point itself (1.0, 0.5): stands if no candidate scores finite
+	bestScore := math.Inf(1)
+	for i, sc := range score {
+		if sc < bestScore {
+			bestScore, best = sc, i
+		}
+	}
+	return cands[best][0], cands[best][1], sbMax[best]
 }
 
-// scoreCandidate returns (max sampled alias response) / (min sampled
-// passband response) for one (beta, cutoff) candidate, using the wrap-free
-// continuous-spectrum evaluation.
-func scoreCandidate(p Params, beta, cutoff float64) float64 {
-	M := p.M()
+// scoreCandidates returns, for each sampled prototype, (max sampled alias
+// response) / (min sampled passband response) and the max itself, using the
+// wrap-free continuous-spectrum evaluation. A prototype whose passband
+// response vanishes scores Inf or NaN, which compare below nothing.
+func scoreCandidates(p Params, protos [][]complex128) (score, sbMax []float64) {
+	score = make([]float64, len(protos))
+	sbMax = make([]float64, len(protos))
+	ph := make([]complex128, 2*p.TapsLen())
+	g := make([]complex128, len(protos))
+	pbMin := make([]float64, len(protos))
+	for c := range pbMin {
+		pbMin[c] = math.Inf(1)
+	}
 	const nPass = 17
-	pbMin := math.Inf(1)
 	for i := 0; i < nPass; i++ {
-		k := float64(i) * float64(M-1) / float64(nPass-1)
-		if mag := cabs(continuousResponse(p, beta, cutoff, k)); mag < pbMin {
-			pbMin = mag
+		continuousResponse(p, protos, float64(i)*float64(p.M()-1)/float64(nPass-1), ph, g)
+		for c, v := range g {
+			pbMin[c] = math.Min(pbMin[c], cabs(v))
 		}
 	}
-	if pbMin == 0 {
-		return math.Inf(1)
-	}
-	sbMax := 0.0
 	for _, off := range aliasOffsets(p) {
 		for _, k := range aliasSampleFreqs(p, off) {
-			if mag := cabs(continuousResponse(p, beta, cutoff, k)); mag > sbMax {
-				sbMax = mag
+			continuousResponse(p, protos, k, ph, g)
+			for c, v := range g {
+				sbMax[c] = math.Max(sbMax[c], cabs(v))
 			}
 		}
 	}
-	return sbMax / pbMin
+	for c := range score {
+		score[c] = sbMax[c] / pbMin[c]
+	}
+	return score, sbMax
 }
 
 // aliasOffsets returns the image offsets +-r*M' (r >= 1) whose terms can
@@ -534,17 +546,7 @@ func aliasOffsets(p Params) []float64 {
 // responseAt evaluates G at a (possibly fractional) bin kappa by the direct
 // O(L) sum. Used for diagnostics and tests; demodulation bins use the
 // chirp-z path in Design.
-func (f *Filter) responseAt(kappa float64) complex128 {
-	var re, im float64
-	w := 2 * math.Pi * kappa / float64(f.N)
-	for nu, v := range f.Taps[0] {
-		s, c := math.Sincos(w * float64(nu))
-		vr, vi := real(v), imag(v)
-		re += vr*c - vi*s
-		im += vr*s + vi*c
-	}
-	return complex(re, im)
-}
+func (f *Filter) responseAt(kappa float64) complex128 { return responseOf(f.Taps[0], f.N, kappa) }
 
 // ResponseAt exposes the exact prototype response for tests and diagnostics.
 func (f *Filter) ResponseAt(kappa float64) complex128 { return f.responseAt(kappa) }
@@ -574,12 +576,13 @@ func kaiserBeta(aDB float64) float64 {
 }
 
 // kaiser evaluates the Kaiser window I0(beta*sqrt(1-x^2))/I0(beta) for
-// |x| <= 1, 0 outside.
-func kaiser(x, beta float64) float64 {
+// |x| <= 1, 0 outside. The caller passes i0Beta = besselI0(beta), the same
+// for every sample of a prototype.
+func kaiser(x, beta, i0Beta float64) float64 {
 	if x < -1 || x > 1 {
 		return 0
 	}
-	return besselI0(beta*math.Sqrt(1-x*x)) / besselI0(beta)
+	return besselI0(beta*math.Sqrt(1-x*x)) / i0Beta
 }
 
 // besselI0 is the modified Bessel function of the first kind, order zero,

@@ -7,10 +7,10 @@ import (
 )
 
 // Wisdom: serialized filter designs (FFTW's term for reusable plan data).
-// The window design is the expensive part of SOI planning — the candidate
-// search and the chirp-z demodulation table take around a second at
-// production sizes — and it is deterministic in Params, so persisting it
-// across runs is both safe and worthwhile.
+// The design is deterministic in Params, so persisting it across runs is
+// safe. What it saves is small: Design takes about 20 ms at the benchmark
+// geometry (N = 7*2^16, 8 segments; 0.13 s at 64) and Load of the same
+// 1.1 MB filter about 2 ms (EXPERIMENTS.md, "Plan set-up").
 
 // wisdomMagic versions the on-disk format.
 const wisdomMagic = "soifft-window-wisdom-v1"
