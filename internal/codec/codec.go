@@ -52,6 +52,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // ID identifies a codec on the wire (one byte in block and frame headers).
@@ -233,8 +234,38 @@ func AppendVector(dst []byte, c Codec, x []complex128) []byte {
 	return dst
 }
 
-// staging pools the buffers BorrowStaging lends out.
-var staging = sync.Pool{New: func() any { return new([]byte) }}
+// freeList pools buffers for callers that borrow on one goroutine what another
+// returned. A sync.Pool alone keeps a returned buffer in the private slot of
+// the P that returned it, so a borrower on another P (a client on two
+// connections, a server's writer goroutines) misses it and allocates a
+// payload-sized buffer again, and two collections drop it. Both sides try
+// the slots first, in order; the pool takes what the slots cannot hold and
+// makes the new values.
+type freeList struct {
+	slots [4]atomic.Pointer[[]byte]
+	pool  sync.Pool
+}
+
+func (l *freeList) get() *[]byte {
+	for i := range l.slots {
+		if p := l.slots[i].Swap(nil); p != nil {
+			return p
+		}
+	}
+	return l.pool.Get().(*[]byte)
+}
+
+func (l *freeList) put(p *[]byte) {
+	for i := range l.slots {
+		if l.slots[i].CompareAndSwap(nil, p) {
+			return
+		}
+	}
+	l.pool.Put(p)
+}
+
+// staging holds the buffers BorrowStaging lends out.
+var staging = freeList{pool: sync.Pool{New: func() any { return new([]byte) }}}
 
 // BorrowStaging returns a pooled, empty buffer with room for the encoded
 // form of elems elements under any codec (MaxEncodedLen): the staging area
@@ -243,7 +274,7 @@ var staging = sync.Pool{New: func() any { return new([]byte) }}
 // Hand it back with ReturnStaging once the write has returned; nothing may
 // keep a reference into it after that.
 func BorrowStaging(elems int) *[]byte {
-	b := staging.Get().(*[]byte)
+	b := staging.get()
 	if n := MaxEncodedLen(elems); uint64(cap(*b)) < n {
 		*b = make([]byte, 0, n)
 	}
@@ -253,7 +284,7 @@ func BorrowStaging(elems int) *[]byte {
 // ReturnStaging gives a BorrowStaging buffer back to the pool.
 func ReturnStaging(b *[]byte) {
 	*b = (*b)[:0]
-	staging.Put(b)
+	staging.put(b)
 }
 
 // appendBlock encodes one block (header + body) onto dst.
@@ -367,12 +398,12 @@ func DecodeVector(dst []complex128, c Codec, src []byte) error {
 
 // readScratch pools one-block read buffers for the streaming reader:
 // header + worst-case DeltaPlane body for a full block.
-var readScratch = sync.Pool{
+var readScratch = freeList{pool: sync.Pool{
 	New: func() any {
 		b := make([]byte, blockHeaderLen+int(MaxEncodedLen(BlockElems)))
 		return &b
 	},
-}
+}}
 
 // ReadVector decodes exactly len(dst) elements from a stream of declared
 // total bytes on r, consuming exactly declared bytes on success. It is the
@@ -385,8 +416,8 @@ func ReadVector(r io.Reader, c Codec, dst []complex128, declared uint64) error {
 		return fmt.Errorf("%w: declared payload %d bytes exceeds the %d-byte bound for %d elements",
 			ErrCorrupt, declared, MaxEncodedLen(len(dst)), len(dst))
 	}
-	bp := readScratch.Get().(*[]byte)
-	defer readScratch.Put(bp)
+	bp := readScratch.get()
+	defer readScratch.put(bp)
 	scratch := *bp
 	remaining := declared
 	for len(dst) > 0 {

@@ -2,6 +2,7 @@ package conv
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"soifft/internal/ref"
@@ -24,10 +25,41 @@ func BenchmarkVariants(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					Apply(v, f, u, x, 0, chunks, 1)
 				}
-				flops := 8 * float64(f.B) * float64(len(u))
-				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+				// The paper's count, 8*B per output, is the axis of Fig. 11
+				// and what Baseline and Interchange execute; Buffered
+				// executes 4*B+6 (DESIGN.md Section 2).
+				perOutput := float64(b.N) * float64(len(u)) / b.Elapsed().Seconds() / 1e9
+				b.ReportMetric(8*float64(f.B)*perOutput, "nominal-GFLOPS")
+				executed := 8 * float64(f.B)
+				if v == Buffered {
+					executed = 4*float64(f.B) + 6
+				}
+				b.ReportMetric(executed*perOutput, "executed-GFLOPS")
 			})
 		}
+	}
+}
+
+// BenchmarkDotRows times the inner kernel alone, in cache: one lane's rows
+// (NMu = 8) against one window at the benchmark's width B = 72, under every
+// kernel the host can execute. A tap costs 4 flops (two products, two adds);
+// ns/tap and the executed rate are the figures ROADMAP item 6's kill
+// criterion reads.
+func BenchmarkDotRows(b *testing.B) {
+	const rows, width = 8, 72
+	rng := rand.New(rand.NewSource(1))
+	taps, dup, win := dotOperands(rows, width, 0, rng.NormFloat64)
+	var sums [rows]complex128
+	for _, k := range kernels() {
+		b.Run(k, func(b *testing.B) {
+			defer useKernel(k)()
+			for i := 0; i < b.N; i++ {
+				dotRows(sums[:], taps, dup, win)
+			}
+			ntaps := float64(b.N) * rows * width
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/ntaps, "ns/tap")
+			b.ReportMetric(4*ntaps/b.Elapsed().Seconds()/1e9, "executed-GFLOPS")
+		})
 	}
 }
 

@@ -25,6 +25,13 @@
 //
 // All variants agree up to floating-point rounding; tests pin them against
 // each other and against a direct dense evaluation of W.
+//
+// The real-weighted sums of Buffered come from one of two kernels that agree
+// bit for bit: dotReal, pure Go, the build for every target and the oracle;
+// and on amd64 processors with AVX2 dotRowsAVX2 (dot_amd64.s), which sums
+// all NMu rows of a window in one call, the same products added in the same
+// order, four rows sharing each load of the window. Which one runs is
+// decided once at init from CPUID; there is nothing to configure.
 package conv
 
 import (
@@ -241,19 +248,28 @@ func applyBuffered(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 	})
 }
 
+// rowGroup is the number of rows of a lane handed to one dotRows call: the
+// sums live in a fixed array on tileBuffered's stack, so a lane with more
+// rows (NMu > 16; the paper's are 3 to 9) takes more than one call.
+const rowGroup = 16
+
 // tileBuffered computes n chunks with the input staging and the real-tap
 // factorization (DESIGN.md Section 2). Lane j's (n-1)*dmu+B stride-S inputs
 // are gathered once into the linear buffer stage, where chunk c's window is
 // the contiguous run stage[c*dmu : c*dmu+B]; every tap of the lane is
 // window.Filter's real LaneTaps entry times one unit phase per (j, a), so an
 // output is a real-weighted sum of the window rotated once at the store:
-// 4*B+6 flops instead of 8*B.
+// 4*B+6 flops instead of 8*B. The sums of all of a window's rows come from
+// one dotRows call — the AVX2 kernel where the processor has it, dotReal
+// elsewhere, bit-identical.
 func tileBuffered(f *window.Filter, u, x []complex128, n int, stage []complex128) {
 	s := f.Segments
 	nmu, dmu, b := f.NMu, f.DMu, f.B
 	stage = stage[:(n-1)*dmu+b]
+	var sumBuf [rowGroup]complex128
 	for j := 0; j < s; j++ {
 		taps := f.LaneTaps[j*nmu*b:][:nmu*b]
+		dup := f.LaneTapsDup[2*j*nmu*b:][:2*nmu*b]
 		phase := f.LanePhase[j*nmu:][:nmu]
 		for i := range stage {
 			stage[i] = x[i*s+j]
@@ -261,11 +277,26 @@ func tileBuffered(f *window.Filter, u, x []complex128, n int, stage []complex128
 		for c := 0; c < n; c++ {
 			win := stage[c*dmu:][:b]
 			out := u[c*nmu*s+j:]
-			for a, ph := range phase {
-				re, im := dotReal(taps[a*b:][:b], win)
-				out[a*s] = complex(re*real(ph)-im*imag(ph), re*imag(ph)+im*real(ph))
+			for a0 := 0; a0 < nmu; a0 += rowGroup {
+				ph := phase[a0:min(a0+rowGroup, nmu)]
+				sums := sumBuf[:len(ph)]
+				dotRows(sums, taps[a0*b:], dup[2*a0*b:], win)
+				for a, z := range sums {
+					re, im := real(z), imag(z)
+					out[(a0+a)*s] = complex(re*real(ph[a])-im*imag(ph[a]), re*imag(ph[a])+im*real(ph[a]))
+				}
 			}
 		}
+	}
+}
+
+// dotRowsGo is the portable dotRows: dotReal on each row of taps (LaneTaps
+// layout, len(win) entries a row).
+func dotRowsGo(sums []complex128, taps []float64, win []complex128) {
+	b := len(win)
+	for a := range sums {
+		re, im := dotReal(taps[a*b:][:b], win)
+		sums[a] = complex(re, im)
 	}
 }
 

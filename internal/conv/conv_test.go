@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -20,6 +21,44 @@ func design(t testing.TB, p window.Params) *window.Filter {
 	return f
 }
 
+// eachKernel runs fn once under every kernel the host can execute.
+func eachKernel(t *testing.T, fn func(t *testing.T)) {
+	for _, k := range kernels() {
+		restore := useKernel(k)
+		t.Run(k, fn)
+		restore()
+	}
+}
+
+// dotOperands carves the operands of one dotRows call out of larger buffers
+// filled with NaN: the element directly after (and before) every operand is a
+// sentinel that poisons any result it reaches, and off shifts the window by
+// whole elements, the misalignment c*DMu gives it in tileBuffered.
+func dotOperands(rows, b, off int, draw func() float64) (taps, dup []float64, win []complex128) {
+	nan := math.NaN()
+	tapBuf := make([]float64, 1+rows*b+1)
+	dupBuf := make([]float64, 1+2*rows*b+1)
+	winBuf := make([]complex128, off+b+1)
+	for i := range tapBuf {
+		tapBuf[i] = nan
+	}
+	for i := range dupBuf {
+		dupBuf[i] = nan
+	}
+	for i := range winBuf {
+		winBuf[i] = complex(nan, nan)
+	}
+	taps, dup, win = tapBuf[1:][:rows*b], dupBuf[1:][:2*rows*b], winBuf[off:][:b]
+	for i := range taps {
+		taps[i] = draw()
+		dup[2*i], dup[2*i+1] = taps[i], taps[i]
+	}
+	for i := range win {
+		win[i] = complex(draw(), draw())
+	}
+	return taps, dup, win
+}
+
 func smallParams() window.Params {
 	// Segments=4, DMu*S=28, chunks=8 per ... M = 224, N = 896.
 	return window.Params{N: 896, Segments: 4, NMu: 8, DMu: 7, B: 24}
@@ -31,15 +70,37 @@ func TestVariantsMatchDense(t *testing.T) {
 	x := ref.RandomVector(InputLen(f, c0, c1), 1)
 	want := make([]complex128, OutputLen(f, c0, c1))
 	ApplyDense(f, want, x, c0, c1)
-	for _, v := range AllVariants {
-		for _, workers := range []int{1, 3} {
-			got := make([]complex128, OutputLen(f, c0, c1))
-			Apply(v, f, got, x, c0, c1, workers)
-			if e := cvec.RelErrL2(got, want); e > 1e-13 {
-				t.Errorf("%v workers=%d: error vs dense %g", v, workers, e)
+	eachKernel(t, func(t *testing.T) {
+		for _, v := range AllVariants {
+			for _, workers := range []int{1, 3} {
+				got := make([]complex128, OutputLen(f, c0, c1))
+				Apply(v, f, got, x, c0, c1, workers)
+				if e := cvec.RelErrL2(got, want); e > 1e-13 {
+					t.Errorf("%v workers=%d: error vs dense %g", v, workers, e)
+				}
 			}
 		}
+	})
+}
+
+// TestBufferedManyRows runs a geometry whose lanes have more rows than one
+// rowGroup (mu = 17/16), so tileBuffered takes two dotRows calls per window.
+func TestBufferedManyRows(t *testing.T) {
+	f := design(t, window.Params{N: 16 * 4 * 4 * 5, Segments: 4, NMu: 17, DMu: 16, B: 21})
+	if f.NMu <= rowGroup {
+		t.Fatalf("NMu = %d does not exceed rowGroup = %d", f.NMu, rowGroup)
 	}
+	c0, c1 := 1, f.Chunks()
+	x := ref.RandomVector(InputLen(f, c0, c1), 5)
+	want := make([]complex128, OutputLen(f, c0, c1))
+	ApplyDense(f, want, x, c0, c1)
+	eachKernel(t, func(t *testing.T) {
+		got := make([]complex128, OutputLen(f, c0, c1))
+		Apply(Buffered, f, got, x, c0, c1, 2)
+		if e := cvec.RelErrL2(got, want); e > 1e-13 {
+			t.Errorf("error vs dense %g", e)
+		}
+	})
 }
 
 func TestChunkRangeDecomposition(t *testing.T) {
@@ -87,34 +148,36 @@ func TestChunkRangeRaceHammer(t *testing.T) {
 	if testing.Short() {
 		iters = 8
 	}
-	k := C/2 + 3 // off the tile grid: both halves end in a partial tile
-	loLen := OutputLen(f, 0, k)
-	for it := 0; it < iters; it++ {
-		workers := []int{1, 3, f.Segments + 1, 64}[it%4]
-		shared := make([]complex128, OutputLen(f, 0, C))
-		whole := make([]complex128, OutputLen(f, 0, C))
-		var wg sync.WaitGroup
-		wg.Add(3)
-		go func() {
-			defer wg.Done()
-			Apply(Buffered, f, shared[:loLen], x, 0, k, workers)
-		}()
-		go func() {
-			defer wg.Done()
-			Apply(Buffered, f, shared[loLen:], x[k*f.DMu*f.Segments:], k, C, workers)
-		}()
-		go func() {
-			defer wg.Done()
-			Apply(Buffered, f, whole, x, 0, C, workers)
-		}()
-		wg.Wait()
-		if e := cvec.RelErrL2(shared, want); e != 0 {
-			t.Fatalf("iter %d workers=%d: split output differs from the single-worker run by %g", it, workers, e)
+	eachKernel(t, func(t *testing.T) {
+		k := C/2 + 3 // off the tile grid: both halves end in a partial tile
+		loLen := OutputLen(f, 0, k)
+		for it := 0; it < iters; it++ {
+			workers := []int{1, 3, f.Segments + 1, 64}[it%4]
+			shared := make([]complex128, OutputLen(f, 0, C))
+			whole := make([]complex128, OutputLen(f, 0, C))
+			var wg sync.WaitGroup
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				Apply(Buffered, f, shared[:loLen], x, 0, k, workers)
+			}()
+			go func() {
+				defer wg.Done()
+				Apply(Buffered, f, shared[loLen:], x[k*f.DMu*f.Segments:], k, C, workers)
+			}()
+			go func() {
+				defer wg.Done()
+				Apply(Buffered, f, whole, x, 0, C, workers)
+			}()
+			wg.Wait()
+			if e := cvec.RelErrL2(shared, want); e != 0 {
+				t.Fatalf("iter %d workers=%d: split output differs from the single-worker run by %g", it, workers, e)
+			}
+			if e := cvec.RelErrL2(whole, want); e != 0 {
+				t.Fatalf("iter %d workers=%d: whole-range output differs from the single-worker run by %g", it, workers, e)
+			}
 		}
-		if e := cvec.RelErrL2(whole, want); e != 0 {
-			t.Fatalf("iter %d workers=%d: whole-range output differs from the single-worker run by %g", it, workers, e)
-		}
-	}
+	})
 }
 
 // propParams draws a random valid window geometry. The generator walks the
@@ -151,41 +214,43 @@ func TestBufferedMatchesDenseRandomized(t *testing.T) {
 	if testing.Short() {
 		iters = 8
 	}
-	rng := rand.New(rand.NewSource(20260928))
-	var oddWidth, single, offset int
-	for it := 0; it < iters; it++ {
-		p := propParams(rng)
-		f := design(t, p)
-		C := f.Chunks()
-		c0 := rng.Intn(C)
-		c1 := c0 + 1 + rng.Intn(C-c0)
-		if it%4 == 0 {
-			c1 = c0 + 1
-		}
-		if p.B%4 != 0 {
-			oddWidth++
-		}
-		if c1 == c0+1 {
-			single++
-		}
-		if c0 > 0 {
-			offset++
-		}
-		x := ref.RandomVector(InputLen(f, c0, c1), int64(it)+1)
-		want := make([]complex128, OutputLen(f, c0, c1))
-		ApplyDense(f, want, x, c0, c1)
-		for _, workers := range []int{1, 3} {
-			got := make([]complex128, OutputLen(f, c0, c1))
-			Apply(Buffered, f, got, x, c0, c1, workers)
-			if e := cvec.RelErrL2(got, want); e > 1e-13 {
-				t.Errorf("iter %d %+v range [%d,%d) workers=%d: error vs dense %g", it, p, c0, c1, workers, e)
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(20260928))
+		var oddWidth, single, offset int
+		for it := 0; it < iters; it++ {
+			p := propParams(rng)
+			f := design(t, p)
+			C := f.Chunks()
+			c0 := rng.Intn(C)
+			c1 := c0 + 1 + rng.Intn(C-c0)
+			if it%4 == 0 {
+				c1 = c0 + 1
+			}
+			if p.B%4 != 0 {
+				oddWidth++
+			}
+			if c1 == c0+1 {
+				single++
+			}
+			if c0 > 0 {
+				offset++
+			}
+			x := ref.RandomVector(InputLen(f, c0, c1), int64(it)+1)
+			want := make([]complex128, OutputLen(f, c0, c1))
+			ApplyDense(f, want, x, c0, c1)
+			for _, workers := range []int{1, 3} {
+				got := make([]complex128, OutputLen(f, c0, c1))
+				Apply(Buffered, f, got, x, c0, c1, workers)
+				if e := cvec.RelErrL2(got, want); e > 1e-13 {
+					t.Errorf("iter %d %+v range [%d,%d) workers=%d: error vs dense %g", it, p, c0, c1, workers, e)
+				}
 			}
 		}
-	}
-	if oddWidth == 0 || single == 0 || offset == 0 {
-		t.Errorf("generator missed a case: %d widths off the group of four, %d single chunks, %d ranges past zero",
-			oddWidth, single, offset)
-	}
+		if oddWidth == 0 || single == 0 || offset == 0 {
+			t.Errorf("generator missed a case: %d widths off the group of four, %d single chunks, %d ranges past zero",
+				oddWidth, single, offset)
+		}
+	})
 }
 
 func TestInputOutputLen(t *testing.T) {

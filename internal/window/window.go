@@ -171,6 +171,12 @@ type Filter struct {
 	// kernel reads these; they are derived from Taps, never stored.
 	LaneTaps  []float64
 	LanePhase []complex128
+	// LaneTapsDup is LaneTaps with every entry stored twice,
+	// LaneTapsDup[2*i] = LaneTapsDup[2*i+1] = LaneTaps[i]: one tap lines up
+	// with the (re, im) pair of a complex128, so a vector kernel multiplies a
+	// run of window elements by a plain load, no shuffle. Twice LaneTaps'
+	// size (S*NMu*B*16 bytes), built with it.
+	LaneTapsDup []float64
 	// Demod[kappa] = N/(M'*G(kappa)) for kappa in [0,M): the diagonal of
 	// W^-1 in Equation 1.
 	Demod []complex128
@@ -314,13 +320,15 @@ func (e *phaseError) Error() string {
 // leave ~1e-15 (the rounding of two evaluations of the same angle).
 const phaseResidualMax = 1e-12
 
-// factorLanes builds LaneTaps and LanePhase from Taps. The prototype is
-// g(t) = lp(t)*e^{-2*pi*i*(M/2)*t/N} with lp real, and N = Segments*M, so at
-// tap nu = b*S + j of filter a (t = nu - t0 - d_a, t0 = B*S/2 - 1/2) the
-// modulation is e^{-i*pi*(b-B/2)} * e^{-i*pi*(j+1/2-d_a)/S}: a sign per
-// block times a unit phase that depends on (j, a) only. The phase is
-// evaluated at that reduced argument (times the exact i^B), not from Taps,
-// so a tap that disagrees with it is detected rather than absorbed.
+// factorLanes builds LaneTaps, LaneTapsDup and LanePhase from Taps; Design
+// and Load both end here, so the derived tables are never stored. The
+// prototype is g(t) = lp(t)*e^{-2*pi*i*(M/2)*t/N} with lp real, and
+// N = Segments*M, so at tap nu = b*S + j of filter a (t = nu - t0 - d_a,
+// t0 = B*S/2 - 1/2) the modulation is
+// e^{-i*pi*(b-B/2)} * e^{-i*pi*(j+1/2-d_a)/S}: a sign per block times a unit
+// phase that depends on (j, a) only. The phase is evaluated at that reduced
+// argument (times the exact i^B), not from Taps, so a tap that disagrees with
+// it is detected rather than absorbed.
 func (f *Filter) factorLanes() error {
 	s, nmu, b := f.Segments, f.NMu, f.B
 	var peak float64
@@ -346,6 +354,10 @@ func (f *Filter) factorLanes() error {
 				row[bb] = real(t)
 			}
 		}
+	}
+	f.LaneTapsDup = make([]float64, 0, 2*len(f.LaneTaps))
+	for _, r := range f.LaneTaps {
+		f.LaneTapsDup = append(f.LaneTapsDup, r, r)
 	}
 	return nil
 }

@@ -56,6 +56,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"soifft/internal/codec"
 )
@@ -330,17 +331,42 @@ func CheckTransformPayload(h *Header) error {
 // chunkElems bounds the codec scratch: 4096 complex128s = 64 KiB.
 const chunkElems = 4096
 
-var chunkPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, chunkElems*BytesPerElem)
-		return &b
-	},
+// chunkSlots and chunkPool hold the scratch of WriteVector and ReadVector,
+// slots first on both sides, for the reason codec's freeList gives: the two
+// ends of a connection run on different goroutines, and a sync.Pool alone
+// misses across Ps.
+var (
+	chunkSlots [4]atomic.Pointer[[]byte]
+	chunkPool  = sync.Pool{
+		New: func() any {
+			b := make([]byte, chunkElems*BytesPerElem)
+			return &b
+		},
+	}
+)
+
+func getChunk() *[]byte {
+	for i := range chunkSlots {
+		if bp := chunkSlots[i].Swap(nil); bp != nil {
+			return bp
+		}
+	}
+	return chunkPool.Get().(*[]byte)
+}
+
+func putChunk(bp *[]byte) {
+	for i := range chunkSlots {
+		if chunkSlots[i].CompareAndSwap(nil, bp) {
+			return
+		}
+	}
+	chunkPool.Put(bp)
 }
 
 // WriteVector streams x to w in bounded chunks.
 func WriteVector(w io.Writer, x []complex128) error {
-	bp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bp)
+	bp := getChunk()
+	defer putChunk(bp)
 	buf := *bp
 	for len(x) > 0 {
 		c := len(x)
@@ -361,8 +387,8 @@ func WriteVector(w io.Writer, x []complex128) error {
 
 // ReadVector streams len(dst) complex128s from r into dst.
 func ReadVector(r io.Reader, dst []complex128) error {
-	bp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bp)
+	bp := getChunk()
+	defer putChunk(bp)
 	buf := *bp
 	for len(dst) > 0 {
 		c := len(dst)
