@@ -412,8 +412,9 @@ func (c *Client) readLoop() {
 				}
 			} else if p == nil || elems != len(p.dst) {
 				// Cancelled caller or geometry mismatch: drop the payload.
-				//soilint:taint checked CheckTransformPayload bounded PayloadLen through the codec size algebra for this geometry
-				if err := wire.DiscardPayload(br, h.PayloadLen); err != nil { //soilint:ignore intflow same bound: PayloadLen was just validated against the codec's encoded-size cap
+				// CheckTransformPayload bounded PayloadLen through the codec
+				// size algebra for this geometry.
+				if err := wire.DiscardPayload(br, h.PayloadLen); err != nil {
 					fatal = err
 				}
 				if p != nil {

@@ -83,8 +83,6 @@ type RunStats struct {
 // running the distributed SOI program across the cluster's ranks. The
 // input is block-distributed internally: rank r processes
 // src[r*N/ranks : (r+1)*N/ranks].
-//
-//soilint:shape len(dst) >= len(src)
 func (c *Cluster) Forward(dst, src []complex128) (*RunStats, error) {
 	n := len(src)
 	if len(dst) < n {
@@ -132,8 +130,6 @@ func (c *Cluster) Forward(dst, src []complex128) (*RunStats, error) {
 // Inverse computes the normalized inverse DFT of src into dst across the
 // cluster (the conjugation identity around Forward; the conjugations are
 // rank-local).
-//
-//soilint:shape len(dst) >= len(src)
 func (c *Cluster) Inverse(dst, src []complex128) (*RunStats, error) {
 	n := len(src)
 	cc := make([]complex128, n)

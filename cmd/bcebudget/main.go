@@ -10,11 +10,10 @@
 // Bounds checks are cheap individually but not free in the paper's
 // bandwidth-bound inner loops: a check per element is a compare-and-branch
 // on the critical path of kernels that are otherwise pure streaming
-// arithmetic, and it blocks vectorization-friendly code shapes. The shape
-// contracts (//soilint:shape) prove slice relations statically for the
-// reviewer; this gate tracks how much of that proof the compiler also
-// discovers, and stops hot loops from silently regressing to per-iteration
-// checking when someone reorders an index expression. The budget records
+// arithmetic, and it blocks vectorization-friendly code shapes. This gate
+// tracks how many of the slice relations the compiler proves, and stops hot
+// loops from silently regressing to per-iteration checking when someone
+// reorders an index expression. The budget records
 // the residual checks that are deliberate (one-time reslice preambles,
 // strided gathers the compiler cannot prove) so that only NEW checks fail.
 //

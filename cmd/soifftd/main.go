@@ -2,13 +2,12 @@
 //
 // It fronts the soifft library with internal/serve: concurrent requests for
 // the same transform length are coalesced into one call to the batched FFT
-// kernel, SOI plans are cached (and persisted as wisdom) across requests,
-// and admission control sheds load beyond -max-inflight with a typed
+// kernel, SOI plans are cached across requests, and admission control sheds load beyond -max-inflight with a typed
 // overload error instead of queueing without bound.
 //
 // Usage:
 //
-//	soifftd -listen :7311 -wisdom-dir /var/lib/soifft &
+//	soifftd -listen :7311 &
 //	soiload -addr localhost:7311 -n 64 -c 8
 //
 // SIGTERM or SIGINT starts a graceful drain: the listener closes, new
@@ -30,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"soifft"
 	"soifft/internal/serve"
 )
 
@@ -42,29 +40,17 @@ func main() {
 		maxBatch     = flag.Int("max-batch", 32, "max transforms coalesced into one kernel call (1 disables batching)")
 		maxInflight  = flag.Int("max-inflight", 256, "admitted-transform bound; beyond it requests are shed")
 		planCache    = flag.Int("plan-cache", 32, "SOI plan LRU capacity")
-		wisdomDir    = flag.String("wisdom-dir", "", "directory persisting SOI window designs across runs (empty disables)")
-		soiMinN      = flag.Int("soi-min-n", 1<<20, "smallest length auto-routed to the SOI algorithm")
 		maxN         = flag.Int("max-n", 1<<24, "largest accepted transform length")
-		segments     = flag.Int("soi-segments", 0, "SOI segment count (0 = library default)")
-		convWidth    = flag.Int("soi-conv-width", 0, "SOI convolution width (0 = library default)")
 		codecShare   = flag.Int("codec-budget-share", 16, "lossy response codecs are clamped to EstimatedError/share")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound after SIGTERM/SIGINT")
 	)
 	flag.Parse()
 
-	if *wisdomDir != "" {
-		if err := os.MkdirAll(*wisdomDir, 0o755); err != nil {
-			log.Fatalf("soifftd: wisdom dir: %v", err)
-		}
-	}
 	srv := serve.New(serve.Config{
 		MaxInFlight:      *maxInflight,
 		MaxBatch:         *maxBatch,
 		Workers:          *workers,
 		PlanCacheSize:    *planCache,
-		WisdomDir:        *wisdomDir,
-		SOI:              soifft.Config{Segments: *segments, ConvWidth: *convWidth},
-		SOIMinN:          *soiMinN,
 		MaxN:             *maxN,
 		CodecBudgetShare: *codecShare,
 	})

@@ -1,14 +1,17 @@
 // Soilint runs the repo-native static analyzers over soifft packages: the
-// performance-programming discipline of the paper (no hot-path allocation,
-// precomputed twiddles, no dropped communicator errors, race-free parallel
-// bodies) enforced mechanically. See internal/analysis for the checks.
+// checks no cheaper gate performs (dropped communicator errors, per-element
+// trigonometry, racing parallel bodies, leaked pool values, conns and
+// goroutines, lock re-entry, unbounded blocking I/O, stale protocol
+// switches). See internal/analysis for the checks and the catch matrix that
+// keeps each of them.
 //
 // Usage:
 //
-//	soilint [-json] [-sarif] [-stats] [-timing] [-checks hotalloc,errdrop,...] [-v] [packages]
+//	soilint [-json] [-sarif] [-stats] [-timing] [-checks errdrop,errflow,...] [-v] [packages]
 //
 // Packages default to ./... relative to the enclosing module root. Exit
-// status: 0 clean, 1 findings, 2 usage or load failure. -sarif emits SARIF
+// status: 0 clean, 1 findings or a package that does not type-check, 2
+// usage or load failure. -sarif emits SARIF
 // 2.1.0 (for CI code-scanning upload) instead of the plain listing; -stats
 // emits per-check active/suppressed counts plus per-check wall time as JSON
 // (the CI lint-trend artifact); like -json both still exit 1 on findings.
@@ -23,9 +26,8 @@
 // Findings are suppressed line-by-line
 // with a justified "//soilint:ignore <check>" comment on the offending line
 // or the line above, or file-wide with "//soilint:file-ignore <check> --
-// <reason>" at the top of the file (the reason is mandatory). Analyzer
-// notes (shapecheck's "unprovable" outcomes) are informational only and
-// print under -v.
+// <reason>" at the top of the file (the reason is mandatory); -v lists what
+// they suppress.
 package main
 
 import (
@@ -51,7 +53,7 @@ func run() int {
 	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	statsOut := flag.Bool("stats", false, "emit per-check active/suppressed counts and wall time as JSON")
 	checks := flag.String("checks", "", "comma-separated checks to run (default: all)")
-	verbose := flag.Bool("v", false, "also list suppressed findings, analyzer notes and type-check warnings")
+	verbose := flag.Bool("v", false, "also list suppressed findings")
 	timing := flag.Bool("timing", false, "print a per-analyzer wall-time table to stderr")
 	timingBudget := flag.Duration("timing-budget", 30*time.Second, "warn (without failing) when one analyzer exceeds this much total wall time")
 	timingBudgetFile := flag.String("timing-budget-file", "", "JSON map of check name to max wall time in ms; a hard gate: over budget, a selected check with no entry, or an unknown entry exits 1")
@@ -88,22 +90,22 @@ func run() int {
 		return 2
 	}
 
-	active, suppressed, notes := []analysis.Diagnostic{}, []analysis.Diagnostic{}, []analysis.Diagnostic{}
+	active, suppressed := []analysis.Diagnostic{}, []analysis.Diagnostic{}
 	elapsed := make(map[string]time.Duration, len(analyzers))
+	typeErrors := false
 	for _, pkg := range pkgs {
-		if *verbose {
-			for _, te := range pkg.TypeErrors {
-				fmt.Fprintf(os.Stderr, "soilint: typecheck %s: %v\n", pkg.Path, te)
-			}
+		// A package that does not type-check is analysed on partial type
+		// information, so silence from the analyzers means nothing: fail.
+		for _, te := range pkg.TypeErrors {
+			fmt.Fprintf(os.Stderr, "soilint: typecheck %s: %v\n", pkg.Path, te)
+			typeErrors = true
 		}
-		a, s, n := analysis.RunTimed(pkg, analyzers, elapsed)
+		a, s := analysis.RunTimed(pkg, analyzers, elapsed)
 		active = append(active, a...)
 		suppressed = append(suppressed, s...)
-		notes = append(notes, n...)
 	}
 	relativize(root, active)
 	relativize(root, suppressed)
-	relativize(root, notes)
 
 	if *timing {
 		writeTimingTable(os.Stderr, analyzers, elapsed)
@@ -156,9 +158,6 @@ func run() int {
 			for _, d := range suppressed {
 				fmt.Printf("%s (suppressed)\n", d)
 			}
-			for _, d := range notes {
-				fmt.Printf("%s (note)\n", d)
-			}
 		}
 	}
 	if len(active) > 0 {
@@ -167,7 +166,7 @@ func run() int {
 		}
 		return 1
 	}
-	if budgetFailed {
+	if budgetFailed || typeErrors {
 		return 1
 	}
 	return 0

@@ -2,8 +2,7 @@ package main
 
 // Minimal SARIF 2.1.0 serialization of soilint findings, enough for GitHub
 // code scanning to annotate PRs inline. Only active findings are exported:
-// suppressed findings carry an in-tree justification already, and notes are
-// informational.
+// suppressed findings carry an in-tree justification already.
 
 import (
 	"encoding/json"

@@ -1,73 +1,61 @@
-// Package analysis is soifft's repo-native static-analysis framework. It
-// encodes the performance-programming discipline of the source paper as
-// mechanical checks: bandwidth-centric kernels must not allocate on hot
-// paths (hotalloc), twiddle/window trigonometry must come from precomputed
-// tables (twiddleloop), communicator errors must never be silently dropped
-// (errdrop), and parallel-for bodies must not race on captured state
-// (parcapture).
+// Package analysis is soifft's repo-native static-analysis suite: the twelve
+// checks that are each the first — usually the only — gate to notice some
+// class of defect seeded into the real module. That claim is an experiment,
+// not a belief: matrix_rows_test.go seeds 33 defects (every historical bug
+// that can be re-introduced deterministically, and a mutant of real code per
+// failure class an analyzer claims) and records which gate — the compiler,
+// go vet, a tier-1 test, a budget tool, an analyzer, -race, a fuzz target —
+// fires first. TestCatchMatrix re-checks the static half in tier-1 and fails
+// on an analyzer that is the first gate of no row — everything it catches,
+// something cheaper to own catches too, so it is deleted; scripts/check.sh
+// re-runs the dynamic half. DESIGN.md §7 prints the table.
 //
-// On top of the syntactic tier sits a small CFG/dataflow core (cfg.go) and
-// three flow-aware analyzers: collectives must not be control-dependent on
-// Rank() and constant Send/Recv tags must pair up (mpiorder), out-of-place
-// kernels must get disjoint buffers and zero-copy-sent slices must not be
-// mutated in flight (bufalias), and a stored communicator error must be
-// observed on every path to return (errflow).
+// The survivors, by what they are built on:
 //
-// The third tier is interprocedural (ipa.go): a module-local call graph
-// (direct calls, single-assignment function values, interface dispatch to
-// the known concrete set) with memoized, cycle-tolerant per-function
-// summaries, feeding four concurrency-lifecycle analyzers — goroutines
-// must have a bounded exit (goleak), channel close/send protocols and
-// annotated //soilint:chan ownership contracts must hold (chanlife),
-// blocking transport calls reachable from serving entry points must
-// observe a deadline (deadlineflow), and the mutex acquisition graph must
-// be cycle-free with no lock-held re-acquisition (lockorder).
+//   - syntax and types only: communicator errors must not be discarded at
+//     the call (errdrop), kernel loops must read twiddles from tables, not
+//     compute them (twiddleloop), par.For bodies must not write captured
+//     state (parcapture), switches over codec.ID must be exhaustive or
+//     reject (codecflow), and the wire protocol's enums, code/sentinel
+//     mapping, dispatch and response headers must stay in lockstep across
+//     internal/wire, internal/serve and client (wireconform);
+//   - the intraprocedural CFG (cfg.go): a stored communicator error must be
+//     read on every path to return (errflow);
+//   - the module-local call graph with memoized per-function summaries
+//     (ipa.go): goroutines must have a bounded exit (goleak), channel
+//     close/send protocols and //soilint:chan contracts must hold
+//     (chanlife), blocking transport calls reachable from serving entry
+//     points must observe a deadline (deadlineflow), no call may re-acquire
+//     a held mutex and the acquisition graph must be acyclic (lockorder);
+//   - the acquire/release core (lifecycle.go): sync.Pool values must go back
+//     to their pool on every path or be handed off (poolflow), acquired
+//     io.Closers must be closed or transferred on every path that uses them
+//     (closeflow).
 //
-// The fourth tier covers resource lifecycles and protocol conformance:
-// sync.Pool values (and their typed wrappers) must be returned to their
-// pool on every path or deliberately handed off via //soilint:pool
-// transfer (poolflow), acquired io.Closers must be closed or
-// ownership-transferred on every path that uses them (closeflow), and the
-// wire protocol's enum discipline — exhaustive Type/code switches, the
-// CodeFor/ErrFor bijection, server/client dispatch coverage, response
-// header completeness — must hold across internal/wire, internal/serve,
-// and client (wireconform).
-//
-// The fifth tier is condition-aware (guard.go): a guard lattice records
-// which values are dominated by a comparison against a trusted bound, and
-// a saturating integer-range domain evaluates the wire/serve/client size
-// algebra. On top sit two analyzers enforcing the trust boundary around
-// attacker-controlled frame headers — values decoded by wire.ReadHeader
-// and codec.ReadBlockHeader must pass a dominating bound check before
-// sizing an allocation, index, reslice, loop, or io read, with reviewed
-// sinks escaped via //soilint:taint checked (taintflow), and size products
-// or narrowing conversions on those values must not wrap or go negative
-// before the guard that is supposed to bound them (intflow). The payload
-// codec layer gets its own conformance check (codecflow): switches over
-// codec.ID must be exhaustive or rejecting, and no interface-dispatched
-// DecodeBlock may run before a dominating crc32.Checksum verification.
-//
-// The framework is standard-library only (go/ast, go/parser, go/token,
-// go/types): a Loader that parses and type-checks module packages, an
-// Analyzer interface with position-carrying Diagnostics, and two
-// suppression directives:
+// The framework is standard-library only (go/ast, go/build, go/parser,
+// go/types): a Loader that parses and type-checks the files of each module
+// package the host's go build would compile, an Analyzer type with
+// position-carrying Diagnostics, and one comment-directive grammar
+// (directive.go) with four verbs: chanlife's "chan", poolflow's "pool", and
+// the two suppressions
 //
 //	//soilint:ignore <check>[,<check>...] [justification]
 //
-// placed on the offending line or the line directly above it, and
+// on the offending line or the line directly above it, and
 //
 //	//soilint:file-ignore <check>[,<check>...] -- <reason>
 //
-// conventionally at the top of a file, suppressing the named checks for the
-// whole file (the reason after "--" is mandatory; a file-ignore without one
-// is not recognized). Suppressed findings are reported separately so the
-// CLI can surface them with -v without failing the build.
+// conventionally at the top of a file, for the whole file (the reason after
+// "--" is mandatory; without one the directive suppresses nothing).
+// Suppressed findings are reported separately so the CLI can list them with
+// -v without failing the build.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -100,36 +88,24 @@ type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 	diags    []Diagnostic
-	notes    []Diagnostic
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.diags = append(p.diags, p.diagAt(pos, format, args...))
-}
-
-// Notef records an informational note at pos — shapecheck's "unprovable"
-// outcomes, for example. Notes never fail a run; the CLI prints them only
-// under -v.
-func (p *Pass) Notef(pos token.Pos, format string, args ...any) {
-	p.notes = append(p.notes, p.diagAt(pos, format, args...))
-}
-
-func (p *Pass) diagAt(pos token.Pos, format string, args ...any) Diagnostic {
 	position := p.Pkg.Fset.Position(pos)
-	return Diagnostic{
+	p.diags = append(p.diags, Diagnostic{
 		Check:   p.Analyzer.Name,
 		File:    position.Filename,
 		Line:    position.Line,
 		Col:     position.Column,
 		Message: fmt.Sprintf(format, args...),
-	}
+	})
 }
 
 // All lists every registered analyzer in stable order.
-var All = []*Analyzer{HotAlloc, ErrDrop, TwiddleLoop, ParCapture, MPIOrder, BufAlias, ErrFlow, ShapeCheck, GoLeak, ChanLife, DeadlineFlow, LockOrder, PoolFlow, CloseFlow, WireConform, TaintFlow, IntFlow, CodecFlow}
+var All = []*Analyzer{ErrDrop, TwiddleLoop, ParCapture, ErrFlow, GoLeak, ChanLife, DeadlineFlow, LockOrder, PoolFlow, CloseFlow, WireConform, CodecFlow}
 
-// ByName resolves a comma-separated check list ("hotalloc,errdrop") against
+// ByName resolves a comma-separated check list ("errflow,errdrop") against
 // the registry; the empty string selects all analyzers.
 func ByName(list string) ([]*Analyzer, error) {
 	if strings.TrimSpace(list) == "" {
@@ -151,140 +127,69 @@ func ByName(list string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// ignoreDirective is the comment prefix that suppresses findings on one
-// line; fileIgnoreDirective suppresses a check for a whole file.
-const (
-	ignoreDirective     = "soilint:ignore"
-	fileIgnoreDirective = "soilint:file-ignore"
-)
-
-// suppressions records, for one package, which findings are covered by a
-// directive: byLine maps file -> line -> set of suppressed check names; a
-// line directive covers its own line and the line directly below it (i.e.
-// it may trail the offending statement or sit on its own line above it).
-// byFile maps file -> set of file-wide suppressed checks.
+// suppressions records, for one package, which findings a directive covers:
+// an ignore directive covers the checks it names on its own line and the
+// line directly below, a file-ignore directive covers them in its whole file.
 type suppressions struct {
-	byLine map[string]map[int]map[string]bool
+	lines  *directiveIndex
 	byFile map[string]map[string]bool
 }
 
 // collectSuppressions scans every comment of the package for ignore and
 // file-ignore directives.
 func collectSuppressions(pkg *Package) suppressions {
-	sup := suppressions{
-		byLine: make(map[string]map[int]map[string]bool),
-		byFile: make(map[string]map[string]bool),
-	}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				pos := pkg.Fset.Position(c.Pos())
-				if checks, ok := parseFileIgnore(c.Text); ok {
-					set := sup.byFile[pos.Filename]
-					if set == nil {
-						set = make(map[string]bool)
-						sup.byFile[pos.Filename] = set
-					}
-					for _, ch := range checks {
-						set[ch] = true
-					}
-					continue
-				}
-				checks, ok := parseIgnore(c.Text)
-				if !ok {
-					continue
-				}
-				byLine := sup.byLine[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int]map[string]bool)
-					sup.byLine[pos.Filename] = byLine
-				}
-				for _, line := range []int{pos.Line, pos.Line + 1} {
-					set := byLine[line]
-					if set == nil {
-						set = make(map[string]bool)
-						byLine[line] = set
-					}
-					for _, ch := range checks {
-						set[ch] = true
-					}
-				}
-			}
+	lines, _ := collectDirectives(pkg, "ignore", nil)
+	files, _ := collectDirectives(pkg, "file-ignore", nil)
+	sup := suppressions{lines: lines, byFile: make(map[string]map[string]bool)}
+	for _, d := range files.all {
+		file := pkg.Fset.Position(d.pos).Filename
+		if sup.byFile[file] == nil {
+			sup.byFile[file] = make(map[string]bool)
+		}
+		for _, ch := range fileIgnoreChecks(d.args) {
+			sup.byFile[file][ch] = true
 		}
 	}
 	return sup
 }
 
-// parseIgnore extracts the check names from one comment, if it is an ignore
-// directive. Directive grammar: "//soilint:ignore check1[,check2...]
-// [free-form justification]".
-func parseIgnore(text string) ([]string, bool) {
-	text = strings.TrimPrefix(text, "//")
-	text = strings.TrimPrefix(text, "/*")
-	text = strings.TrimSuffix(text, "*/")
-	text = strings.TrimSpace(text)
-	rest, ok := strings.CutPrefix(text, ignoreDirective)
-	if !ok {
-		return nil, false
+// ignoreChecks returns the check names of an ignore directive's arguments:
+// "check1[,check2...] [free-form justification]".
+func ignoreChecks(args []string) []string {
+	if len(args) == 0 {
+		return nil
 	}
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, false // e.g. soilint:ignoredsomething — not this directive
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return nil, false
-	}
-	var checks []string
-	for _, c := range strings.Split(fields[0], ",") {
-		if c = strings.TrimSpace(c); c != "" {
-			checks = append(checks, c)
-		}
-	}
-	return checks, len(checks) > 0
+	return splitList(args[0])
 }
 
-// parseFileIgnore extracts the check names from one comment, if it is a
-// file-ignore directive. Grammar: "//soilint:file-ignore check1[,check2...]
-// -- reason". The "-- reason" part is mandatory: a file-wide waiver with no
-// recorded justification is not recognized as a directive at all.
-func parseFileIgnore(text string) ([]string, bool) {
-	text = strings.TrimPrefix(text, "//")
-	text = strings.TrimPrefix(text, "/*")
-	text = strings.TrimSuffix(text, "*/")
-	text = strings.TrimSpace(text)
-	rest, ok := strings.CutPrefix(text, fileIgnoreDirective)
-	if !ok {
-		return nil, false
+// fileIgnoreChecks returns the check names of a file-ignore directive's
+// arguments: "check1[,check2...] -- reason". The "-- reason" part is
+// mandatory: a file-wide waiver with no recorded justification names no
+// checks and so suppresses nothing.
+func fileIgnoreChecks(args []string) []string {
+	if len(args) < 2 || strings.HasPrefix(args[0], "--") {
+		return nil
 	}
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil, false
+	reason, ok := strings.CutPrefix(strings.Join(args[1:], " "), "--")
+	if !ok || reason == "" {
+		return nil
 	}
-	spec, reason, found := strings.Cut(rest, "--")
-	if !found || strings.TrimSpace(reason) == "" {
-		return nil, false
-	}
-	fields := strings.Fields(spec)
-	if len(fields) == 0 {
-		return nil, false
-	}
-	var checks []string
-	for _, c := range strings.Split(fields[0], ",") {
-		if c = strings.TrimSpace(c); c != "" {
-			checks = append(checks, c)
-		}
-	}
-	return checks, len(checks) > 0
+	return splitList(args[0])
 }
 
 // suppressed reports whether d is covered by a line or file directive.
 func (s suppressions) suppressed(d Diagnostic) bool {
-	return s.byLine[d.File][d.Line][d.Check] || s.byFile[d.File][d.Check]
+	for _, dir := range s.lines.covering(d.File, d.Line) {
+		if dir != nil && slices.Contains(ignoreChecks(dir.args), d.Check) {
+			return true
+		}
+	}
+	return s.byFile[d.File][d.Check]
 }
 
 // Run applies the analyzers to pkg and splits the findings into active and
-// suppressed, each sorted by position and de-duplicated. The third result
-// carries informational notes (never gating, not subject to suppression).
-func Run(pkg *Package, analyzers []*Analyzer) (active, suppressed, notes []Diagnostic) {
+// suppressed, each sorted by position and de-duplicated.
+func Run(pkg *Package, analyzers []*Analyzer) (active, suppressed []Diagnostic) {
 	return RunTimed(pkg, analyzers, nil)
 }
 
@@ -292,7 +197,7 @@ func Run(pkg *Package, analyzers []*Analyzer) (active, suppressed, notes []Diagn
 // non-nil, each analyzer's execution time over this package is accumulated
 // into elapsed[name] (summing across packages when the caller reuses the
 // map). The CLI's -timing flag and the CI trend artifact are built on it.
-func RunTimed(pkg *Package, analyzers []*Analyzer, elapsed map[string]time.Duration) (active, suppressed, notes []Diagnostic) {
+func RunTimed(pkg *Package, analyzers []*Analyzer, elapsed map[string]time.Duration) (active, suppressed []Diagnostic) {
 	sup := collectSuppressions(pkg)
 	seen := make(map[Diagnostic]bool)
 	for _, a := range analyzers {
@@ -313,18 +218,10 @@ func RunTimed(pkg *Package, analyzers []*Analyzer, elapsed map[string]time.Durat
 				active = append(active, d)
 			}
 		}
-		for _, d := range pass.notes {
-			if seen[d] {
-				continue
-			}
-			seen[d] = true
-			notes = append(notes, d)
-		}
 	}
 	sortDiags(active)
 	sortDiags(suppressed)
-	sortDiags(notes)
-	return active, suppressed, notes
+	return active, suppressed
 }
 
 func sortDiags(ds []Diagnostic) {

@@ -6,10 +6,11 @@ import (
 	"go/types"
 )
 
-// This file is the shared control-flow/dataflow core the flow-aware
-// analyzers (mpiorder, bufalias, errflow) are built on. It is deliberately
-// small: an intraprocedural basic-block CFG over go/ast statements, a
-// reachability query, and a def-to-exit path search. Function literals are
+// This file is the shared control-flow core the flow-aware analyzers
+// (errflow, chanlife, deadlineflow, lockorder, poolflow, closeflow) are
+// built on. It is deliberately small: an intraprocedural basic-block CFG
+// over go/ast statements, a reachability query, a backward must-analysis
+// and a def-to-exit path search. Function literals are
 // opaque to the enclosing function's CFG (their bodies execute at call
 // time, not inline) and get their own CFG via funcBodies.
 

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -33,9 +34,6 @@ var ChanLife = &Analyzer{
 	Doc:  "channel protocol violations: send-after-close, double close, //soilint:chan ownership contracts",
 	Run:  runChanLife,
 }
-
-// chanDirective is the comment prefix of a channel contract.
-const chanDirective = "soilint:chan"
 
 // chanContract is the parsed contract of one channel identity.
 type chanContract struct {
@@ -119,7 +117,7 @@ func checkChanScope(pass *Pass, file *ast.File, scope funcScope, contracts map[t
 		name := refName(op.obj)
 		if !op.send && len(c.owners) > 0 {
 			owner := enclosingFuncName(file, nodeAt(op.pos))
-			if !containsString(c.owners, owner) {
+			if !slices.Contains(c.owners, owner) {
 				pass.Reportf(op.pos, "channel '%s' is closed outside its owner(s) %s (//soilint:chan owner contract)",
 					name, strings.Join(c.owners, ","))
 			}
@@ -184,15 +182,6 @@ func nodeAt(p token.Pos) ast.Node { return posNode(p) }
 func isFuncLitNode(n ast.Node) bool {
 	_, ok := n.(*ast.FuncLit)
 	return ok
-}
-
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // resolveTokenMutex resolves the mutex a token contract names: a sibling
@@ -267,43 +256,12 @@ func heldOnAllPaths(pkg *Package, g *funcCFG, node ast.Node, mu types.Object) bo
 // directives and binds each to the channel identities declared on the
 // directive's line or the line directly below it.
 func collectChanContracts(pkg *Package) (map[types.Object]*chanContract, []token.Pos) {
-	type rawDirective struct {
-		role, args string
-		pos        token.Pos
-		used       bool
-	}
-	byLine := make(map[string]map[int]*rawDirective)
-	var all []*rawDirective
-	var malformed []token.Pos
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"), "*/"))
-				rest, ok := strings.CutPrefix(text, chanDirective)
-				if !ok {
-					continue
-				}
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) != 2 || fields[0] != "owner" && fields[0] != "token" {
-					malformed = append(malformed, c.Pos())
-					continue
-				}
-				d := &rawDirective{role: fields[0], args: fields[1], pos: c.Pos()}
-				all = append(all, d)
-				position := pkg.Fset.Position(c.Pos())
-				if byLine[position.Filename] == nil {
-					byLine[position.Filename] = make(map[int]*rawDirective)
-				}
-				byLine[position.Filename][position.Line] = d
-			}
-		}
-	}
+	dirs, malformed := collectDirectives(pkg, "chan", func(args []string) bool {
+		return len(args) == 2 && (args[0] == "owner" || args[0] == "token")
+	})
 	contracts := make(map[types.Object]*chanContract)
-	bind := func(obj types.Object, d *rawDirective) {
-		if obj == nil {
+	bind := func(obj types.Object, d *directive) {
+		if obj == nil || d == nil {
 			return
 		}
 		if t := obj.Type(); t != nil {
@@ -317,51 +275,30 @@ func collectChanContracts(pkg *Package) (map[types.Object]*chanContract, []token
 			contracts[obj] = c
 		}
 		d.used = true
-		switch d.role {
+		switch d.args[0] {
 		case "owner":
-			for _, o := range strings.Split(d.args, ",") {
-				if o = strings.TrimSpace(o); o != "" {
-					c.owners = append(c.owners, o)
-				}
-			}
+			c.owners = append(c.owners, splitList(d.args[1])...)
 			sort.Strings(c.owners)
 		case "token":
-			c.token = d.args
+			c.token = d.args[1]
 		}
-	}
-	directiveFor := func(pos token.Pos) *rawDirective {
-		position := pkg.Fset.Position(pos)
-		lines := byLine[position.Filename]
-		if lines == nil {
-			return nil
-		}
-		if d := lines[position.Line]; d != nil {
-			return d
-		}
-		return lines[position.Line-1]
 	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.Field:
 				for _, name := range x.Names {
-					if d := directiveFor(name.Pos()); d != nil {
-						bind(pkg.Info.Defs[name], d)
-					}
+					bind(pkg.Info.Defs[name], dirs.at(name.Pos()))
 				}
 			case *ast.ValueSpec:
 				for _, name := range x.Names {
-					if d := directiveFor(name.Pos()); d != nil {
-						bind(pkg.Info.Defs[name], d)
-					}
+					bind(pkg.Info.Defs[name], dirs.at(name.Pos()))
 				}
 			case *ast.AssignStmt:
 				if x.Tok == token.DEFINE {
 					for _, l := range x.Lhs {
 						if id, ok := l.(*ast.Ident); ok {
-							if d := directiveFor(id.Pos()); d != nil {
-								bind(pkg.Info.Defs[id], d)
-							}
+							bind(pkg.Info.Defs[id], dirs.at(id.Pos()))
 						}
 					}
 				}
@@ -369,7 +306,7 @@ func collectChanContracts(pkg *Package) (map[types.Object]*chanContract, []token
 			return true
 		})
 	}
-	for _, d := range all {
+	for _, d := range dirs.all {
 		if !d.used {
 			malformed = append(malformed, d.pos)
 		}

@@ -52,7 +52,7 @@ type closeFnInfo struct {
 
 type closeIPA struct {
 	view *ipaView
-	sum  *lifecycleSummarizer[closeFnInfo]
+	sum  *summarizer[closeFnInfo]
 }
 
 var closeIPACache = make(map[*Package]*closeIPA)
@@ -62,7 +62,7 @@ func closeIPAFor(pkg *Package) *closeIPA {
 		return ci
 	}
 	ci := &closeIPA{view: newIPAView(pkg)}
-	ci.sum = newLifecycleSummarizer(ci.computeSummary)
+	ci.sum = newSummarizer(ci.computeSummary)
 	closeIPACache[pkg] = ci
 	return ci
 }

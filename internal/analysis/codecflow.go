@@ -7,27 +7,17 @@ import (
 	"strings"
 )
 
-// CodecFlow is the static twin of the codec fuzz targets: where the
-// fuzzers prove the block codecs never crash or mis-decode on hostile
-// bytes, this analyzer proves the codec *dispatch and verification
-// discipline* stays intact as the codec set grows. Two rules:
-//
-//   - Every switch over codec.ID either covers all declared ID constants
-//     or carries a rejecting (non-empty) default — a new codec added to
-//     the enum without updating its dispatch sites (the For registry, the
-//     wire negotiation clamp, the flag parsers) becomes findings naming
-//     each stale switch, not a peer that silently drops frames.
-//
-//   - Every interface-dispatched DecodeBlock call is dominated on all
-//     backward paths by a crc32.Checksum verification: a block body must
-//     never reach a decoder before its checksum was compared, because the
-//     decoders' only contract on malformed input is a typed error, and the
-//     checksum is what turns in-flight corruption into one. Concrete
-//     method calls (one codec delegating to another's decoder) are exempt:
-//     they sit below the boundary their caller already verified.
+// CodecFlow keeps the codec dispatch intact as the codec set grows: every
+// switch over codec.ID either covers all declared ID constants or carries a
+// rejecting (non-empty) default, so a new codec added to the enum without
+// updating its dispatch sites (the For registry, the wire negotiation clamp,
+// the flag parsers) becomes findings naming each stale switch, not a peer
+// that silently drops frames. (That a block's CRC is verified before it is
+// decoded is the tamper tests' to catch: matrix row
+// codecflow-decode-before-crc.)
 var CodecFlow = &Analyzer{
 	Name: "codecflow",
-	Doc:  "codec conformance: exhaustive codec.ID switches and CRC-verified block bodies before DecodeBlock",
+	Doc:  "codec conformance: switches over codec.ID are exhaustive or reject unknowns",
 	Run:  runCodecFlow,
 }
 
@@ -89,7 +79,6 @@ func runCodecFlow(pass *Pass) {
 		return
 	}
 	checkIDSwitches(pass, model)
-	checkDecodeCRC(pass)
 }
 
 // checkIDSwitches verifies every tagged switch over codec.ID is exhaustive
@@ -143,67 +132,4 @@ func checkIDSwitches(pass *Pass, model *codecModel) {
 		}
 		return true
 	})
-}
-
-// checkDecodeCRC verifies every interface-dispatched DecodeBlock call is
-// dominated by a crc32.Checksum verification on all backward paths.
-func checkDecodeCRC(pass *Pass) {
-	pkg := pass.Pkg
-	info := pkg.Info
-	for _, f := range pkg.Files {
-		for _, scope := range funcBodies(f) {
-			var g *funcCFG
-			walkNoLits(scope.body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(info, call)
-				if fn == nil || fn.Name() != "DecodeBlock" {
-					return true
-				}
-				sig, ok := fn.Type().(*types.Signature)
-				if !ok || sig.Recv() == nil || !types.IsInterface(sig.Recv().Type()) {
-					return true
-				}
-				if g == nil {
-					g = buildCFG(scope.body)
-				}
-				node := registeredNodeFor(g, call)
-				if node == nil {
-					return true
-				}
-				verified := g.precededOnAllPaths(node, func(m ast.Node) pathMark {
-					if mentionsChecksum(info, m) {
-						return markSatisfy
-					}
-					return markNone
-				})
-				if !verified {
-					pass.Reportf(call.Pos(), "DecodeBlock call is not dominated by a crc32.Checksum verification: a corrupted block body could reach the decoder unchecked")
-				}
-				return true
-			})
-		}
-	}
-}
-
-// mentionsChecksum reports whether the CFG node contains a call to
-// crc32.Checksum — the verification the decode paths must pass through.
-func mentionsChecksum(info *types.Info, m ast.Node) bool {
-	found := false
-	ast.Inspect(m, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		c, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := calleeFunc(info, c); fn != nil && fn.Name() == "Checksum" && pkgPathOf(fn) == "hash/crc32" {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

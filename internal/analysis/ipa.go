@@ -6,8 +6,8 @@ import (
 	"sort"
 )
 
-// This file is the interprocedural layer the concurrency-lifecycle
-// analyzers (goleak, deadlineflow, lockorder) are built on: a module-local
+// This file is the interprocedural layer goleak, deadlineflow, lockorder,
+// poolflow and closeflow are built on: a module-local
 // view of every function body reachable from one package, call-site
 // resolution (direct calls, method values bound to locals, interface
 // dispatch to the known module-local concrete set), and a memoized,
@@ -56,7 +56,7 @@ type funcBinding struct {
 	pkg *Package
 }
 
-// ipaCache keeps one view per root package: the passes of the four
+// ipaCache keeps one view per root package: the passes of the
 // interprocedural analyzers over the same package share the index instead
 // of rebuilding it. The linter is single-threaded per Run, so a plain map
 // suffices.
@@ -269,58 +269,87 @@ func (v *ipaView) implementers(m *types.Func, recv types.Type) []*types.Func {
 	return out
 }
 
-// summarizer memoizes one per-function summary of type T with cycle
-// tolerance: while a function's summary is being computed, a recursive
-// demand for it yields bottom (the zero summary). A summary computed while
-// any transitive callee was in progress is *provisional* — it was built
-// against a bottom placeholder — so it is invalidated (not cached) and
-// recomputed on the next demand. This keeps results independent of the
-// order functions are first analyzed in, which the golden tests pin.
+// summarizer memoizes one summary of type T per function and tolerates
+// recursion: a demand for a function that is still being computed yields the
+// zero summary. A summary built while something outside its own computation
+// was still unfinished may rest on such a zero, so it is provisional: it is
+// reused until the unfinished function it waited on returns — a recursion
+// cluster costs one computation per member, not one per call path — and then
+// forgotten, so what stays cached never depends on which function was asked
+// for first (ipa_test.go pins that). The one summarizer serves goleak,
+// lockorder, poolflow and closeflow.
 type summarizer[T any] struct {
-	compute    func(def *funcDef) T
-	memo       map[*types.Func]T
-	inProgress map[*types.Func]bool
-	sawCycle   bool
-	depth      int
+	compute func(def *funcDef) T
+	memo    map[*types.Func]T
+	active  map[*types.Func]int // functions being computed -> stack depth, outermost 1
+	prov    map[*types.Func]provisional[T]
+	trail   []*types.Func // prov's keys, oldest first
+	low     int           // shallowest unfinished depth the running computation has met
+}
+
+// provisional is a summary with the shallowest stack depth it waited on.
+type provisional[T any] struct {
+	v   T
+	low int
 }
 
 // summaryDepthLimit bounds call-chain recursion; past it, summaries degrade
-// to bottom (under-approximate, never wrong-position).
+// to the zero summary (under-approximate, never wrong-position) and nothing
+// on the stack is cached.
 const summaryDepthLimit = 64
 
 func newSummarizer[T any](compute func(def *funcDef) T) *summarizer[T] {
 	return &summarizer[T]{
-		compute:    compute,
-		memo:       make(map[*types.Func]T),
-		inProgress: make(map[*types.Func]bool),
+		compute: compute,
+		memo:    make(map[*types.Func]T),
+		active:  make(map[*types.Func]int),
+		prov:    make(map[*types.Func]provisional[T]),
 	}
 }
 
-// of returns the summary for def.fn, computing and (when not provisional)
-// caching it.
+// of returns the summary for def.fn.
 func (s *summarizer[T]) of(def *funcDef) T {
-	var bottom T
+	var zero T
 	if def == nil {
-		return bottom
+		return zero
 	}
 	if v, ok := s.memo[def.fn]; ok {
 		return v
 	}
-	if s.inProgress[def.fn] || s.depth >= summaryDepthLimit {
-		s.sawCycle = true
-		return bottom
+	if p, ok := s.prov[def.fn]; ok {
+		s.low = min(s.low, p.low)
+		return p.v
 	}
-	s.inProgress[def.fn] = true
-	saved := s.sawCycle
-	s.sawCycle = false
-	s.depth++
+	if d, ok := s.active[def.fn]; ok {
+		s.low = min(s.low, d)
+		return zero
+	}
+	depth := len(s.active) + 1
+	if depth > summaryDepthLimit {
+		s.low = 0
+		return zero
+	}
+	s.active[def.fn] = depth
+	outer, mark := s.low, len(s.trail)
+	s.low = depth
 	v := s.compute(def)
-	s.depth--
-	tainted := s.sawCycle
-	s.sawCycle = saved || tainted
-	delete(s.inProgress, def.fn)
-	if !tainted {
+	delete(s.active, def.fn)
+	final := s.low >= depth // waited on nothing outside itself
+	if final {
 		s.memo[def.fn] = v
+		s.low = outer
+	} else {
+		s.prov[def.fn] = provisional[T]{v, s.low}
+		s.trail = append(s.trail, def.fn)
+		s.low = min(s.low, outer)
+	}
+	if final || depth == 1 {
+		// Whatever became provisional in here was waiting on this function
+		// (or, past the depth limit, on nothing that will ever finish).
+		for _, fn := range s.trail[mark:] {
+			delete(s.prov, fn)
+		}
+		s.trail = s.trail[:mark]
 	}
 	return v
 }

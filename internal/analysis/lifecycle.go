@@ -15,48 +15,6 @@ import (
 // per-scope statement walk that keeps nested function literals opaque, and
 // kill-aware forward path scans the CFG core does not provide.
 
-// lifecycleSummarizer memoizes per-function summaries like ipa.go's
-// summarizer, but caches unconditionally: a recursive demand yields the
-// zero summary AND the enclosing results are still cached. The
-// cycle-invalidating summarizer re-derives every summary in a recursion
-// cluster at each demand site, which is exponential on bodies with many
-// calls into the cluster (the CFG builder's own mutual recursion, for one
-// — these analyzers run over this package too). For the lifecycle
-// summaries that trade-off is sound: a wrapper that recursively Gets/Puts
-// through itself degrades to "not a wrapper" (under-report, never a wrong
-// position), and real pool/closer wrappers are non-recursive.
-type lifecycleSummarizer[T any] struct {
-	compute    func(def *funcDef) T
-	memo       map[*types.Func]T
-	inProgress map[*types.Func]bool
-}
-
-func newLifecycleSummarizer[T any](compute func(def *funcDef) T) *lifecycleSummarizer[T] {
-	return &lifecycleSummarizer[T]{
-		compute:    compute,
-		memo:       make(map[*types.Func]T),
-		inProgress: make(map[*types.Func]bool),
-	}
-}
-
-func (s *lifecycleSummarizer[T]) of(def *funcDef) T {
-	var bottom T
-	if def == nil {
-		return bottom
-	}
-	if v, ok := s.memo[def.fn]; ok {
-		return v
-	}
-	if s.inProgress[def.fn] {
-		return bottom
-	}
-	s.inProgress[def.fn] = true
-	v := s.compute(def)
-	delete(s.inProgress, def.fn)
-	s.memo[def.fn] = v
-	return v
-}
-
 // stripValue peels parens, type assertions, stars, slicings and unary & off
 // an expression, returning the underlying value expression. It is how
 // `pool.Get().(*[]complex128)` reduces to the Get call, `(*b)[:n]` to b and

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -26,7 +27,8 @@ type Package struct {
 	Types  *types.Package
 	Info   *types.Info
 	// TypeErrors holds every error the type checker reported for this
-	// package (not for its dependencies). Analyzers still run.
+	// package (not for its dependencies). Analyzers still run, but on
+	// degraded type information: soilint and TestRepoIsClean fail on any.
 	TypeErrors []error
 	// Deps maps the import paths of this package's module-local imports to
 	// their loaded packages. Because ImportFrom routes module-local imports
@@ -46,6 +48,10 @@ type Package struct {
 type Loader struct {
 	Root   string // absolute module root (directory containing go.mod)
 	Module string // module path from go.mod
+	// Overlay maps absolute file names to the source to parse in place of
+	// the file on disk (the catch matrix's seeded defects). Set it before
+	// the first load.
+	Overlay map[string][]byte
 
 	fset    *token.FileSet
 	std     types.ImporterFrom
@@ -158,7 +164,12 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		filename := filepath.Join(dir, name)
+		var src any // nil: read the file
+		if b, ok := l.Overlay[filename]; ok {
+			src = b
+		}
+		f, err := parser.ParseFile(l.fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
@@ -199,7 +210,9 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// goSources lists the non-test .go files of dir, sorted.
+// goSources lists the non-test .go files of dir that the host's go build
+// would compile — file-name suffixes and //go:build lines decided by
+// go/build for the default GOOS/GOARCH — sorted.
 func goSources(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -211,7 +224,11 @@ func goSources(dir string) ([]string, error) {
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
 			continue
 		}
-		names = append(names, n)
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		} else if ok {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -33,9 +33,27 @@ func TestLoadTypeErrors(t *testing.T) {
 		t.Fatal("TypeErrors is empty, want the undefined-identifier and bad-import errors collected")
 	}
 	// Analyzers must degrade gracefully on partial type information.
-	active, suppressed, _ := Run(pkg, All)
+	active, suppressed := Run(pkg, All)
 	if len(active) != 0 || len(suppressed) != 0 {
 		t.Errorf("analyzers reported findings on fixture with no hot code: %v %v", active, suppressed)
+	}
+}
+
+// TestLoadHonoursBuildConstraints: of a kernel_amd64.go / "//go:build !amd64"
+// pair (internal/conv's shape) the loader takes the one file the host's go
+// build compiles, so the package type-checks. Taking every .go file
+// type-checks a redeclaration, and every analyzer then runs over the package
+// on partial type information (matrix row loader-build-constraints).
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	pkg, err := loaderFor(t).LoadDir(fixtureDir("buildtags"))
+	if err != nil {
+		t.Fatalf("LoadDir(buildtags): %v", err)
+	}
+	if len(pkg.Files) != 2 {
+		t.Errorf("loaded %d files, want 2 (buildtags.go and one kernel file)", len(pkg.Files))
+	}
+	for _, te := range pkg.TypeErrors {
+		t.Errorf("type error: %v", te)
 	}
 }
 
@@ -80,11 +98,11 @@ func TestExpandSkipsTestdata(t *testing.T) {
 // TestImportPathMapping: fixture directories map to module-rooted import
 // paths, which is what makes suffix-matched analyzers testable.
 func TestImportPathMapping(t *testing.T) {
-	pkg, err := loaderFor(t).LoadDir(fixtureDir("hot", "internal", "fft"))
+	pkg, err := loaderFor(t).LoadDir(fixtureDir("trig", "internal", "fft"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "soifft/internal/analysis/testdata/src/hot/internal/fft"
+	want := "soifft/internal/analysis/testdata/src/trig/internal/fft"
 	if pkg.Path != want {
 		t.Errorf("fixture import path = %q, want %q", pkg.Path, want)
 	}

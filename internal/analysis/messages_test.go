@@ -137,54 +137,6 @@ func TestConcurrencyMessageFormats(t *testing.T) {
 			dir: fixtureDir("wireconform", "client"), analyzer: WireConform, line: 16,
 			want: "response type TError is not handled by any wire.Type switch in this package (stale client demux)",
 		},
-		{
-			dir: fixtureDir("taintflow", "internal", "serve"), analyzer: TaintFlow, line: 25,
-			want: "untrusted wire value 'h.N' reaches a make size with no dominating bound check (guard it against a trusted limit or annotate //soilint:taint checked)",
-		},
-		{
-			dir: fixtureDir("taintflow", "internal", "serve"), analyzer: TaintFlow, line: 26,
-			want: "untrusted wire value 'h.Count' reaches a slice index with no dominating bound check (guard it against a trusted limit or annotate //soilint:taint checked)",
-		},
-		{
-			dir: fixtureDir("taintflow", "internal", "serve"), analyzer: TaintFlow, line: 27,
-			want: "untrusted wire value 'h.PayloadLen' reaches a reslice bound with no dominating bound check (guard it against a trusted limit or annotate //soilint:taint checked)",
-		},
-		{
-			dir: fixtureDir("taintflow", "internal", "serve"), analyzer: TaintFlow, line: 28,
-			want: "untrusted wire value 'h.N' reaches a loop bound with no dominating bound check (guard it against a trusted limit or annotate //soilint:taint checked)",
-		},
-		{
-			dir: fixtureDir("taintflow", "internal", "serve"), analyzer: TaintFlow, line: 31,
-			want: "untrusted wire value 'h.PayloadLen' reaches an io read length with no dominating bound check (guard it against a trusted limit or annotate //soilint:taint checked)",
-		},
-		{
-			dir: fixtureDir("taintflow", "internal", "serve"), analyzer: TaintFlow, line: 86,
-			want: "untrusted wire value 'h.N' is passed to fill, where it reaches a make size with no dominating bound check (guard it before the call or annotate //soilint:taint checked)",
-		},
-		{
-			dir: fixtureDir("taintflow", "internal", "serve"), analyzer: TaintFlow, line: 113,
-			want: "//soilint:taint checked directive does not cover any taintflow sink",
-		},
-		{
-			dir: fixtureDir("taintflow", "internal", "serve"), analyzer: TaintFlow, line: 116,
-			want: "malformed //soilint:taint directive: want 'checked <reason>'",
-		},
-		{
-			dir: fixtureDir("intflow", "internal", "serve"), analyzer: IntFlow, line: 19,
-			want: "size product 'h.N * uint64(h.Count) * wire.BytesPerElem' on untrusted wire input can wrap uint64 before any bound check (use wire.CheckedSize or a quotient-form guard)",
-		},
-		{
-			dir: fixtureDir("intflow", "internal", "serve"), analyzer: IntFlow, line: 27,
-			want: "conversion 'int(h.N)' of untrusted wire value 'h.N' can go negative before any bound check (guard the value against a trusted limit first)",
-		},
-		{
-			dir: fixtureDir("intflow", "internal", "serve"), analyzer: IntFlow, line: 37,
-			want: "conversion 'uint32(h.N)' of untrusted wire value 'h.N' can truncate before any bound check (guard the value against a trusted limit first)",
-		},
-		{
-			dir: fixtureDir("intflow", "internal", "serve"), analyzer: IntFlow, line: 74,
-			want: "untrusted wire value 'h.N' is passed to byteLen, where it can wrap in a size product before any bound check (guard it before the call)",
-		},
 	}
 	diags := map[string][]Diagnostic{}
 	for _, tt := range tests {
@@ -193,7 +145,7 @@ func TestConcurrencyMessageFormats(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LoadDir(%s): %v", tt.dir, err)
 			}
-			active, _, _ := Run(pkg, All)
+			active, _ := Run(pkg, All)
 			diags[tt.dir] = active
 		}
 		found := false

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // PoolFlow proves the sync.Pool recycling discipline the kernels' hot paths
@@ -22,79 +21,24 @@ import (
 // an acquirer at its call sites, and a function that Puts one of its
 // parameters is a releaser. Values received as parameters, read from
 // struct fields, or captured from an enclosing scope are someone else's to
-// release and are exempt. A matched Put that is not deferred additionally
-// gets an informational note (printed under -v): a panic between Get and
-// Put leaks the value.
+// release and are exempt.
 var PoolFlow = &Analyzer{
 	Name: "poolflow",
 	Doc:  "sync.Pool values must be returned on every path: leaks, double-Put, cross-pool Put, use-after-Put",
 	Run:  runPoolFlow,
 }
 
-// poolDirective marks a deliberate ownership handoff the flow analysis
-// cannot see (e.g. Gets and Puts living in different loops of a pipelined
-// stage). Grammar: "//soilint:pool transfer <reason>", placed on the line
-// of the Get/Put it covers or the line directly above; the reason is
-// mandatory.
-const poolDirective = "soilint:pool"
+// A "//soilint:pool transfer <reason>" directive marks a deliberate ownership
+// handoff the flow analysis cannot see (e.g. Gets and Puts living in
+// different loops of a pipelined stage), on the line of the Get/Put it covers
+// or the line directly above; the reason is mandatory.
 
-type poolXferDirective struct {
-	pos  token.Pos
-	used bool
-}
-
-// poolTransfers indexes the //soilint:pool transfer directives of one
-// package by file and line.
-type poolTransfers struct {
-	byLine map[string]map[int]*poolXferDirective
-	all    []*poolXferDirective
-}
-
-// covers reports whether a directive covers pos (same line, or the line
-// above), marking it used.
-func (t *poolTransfers) covers(fset *token.FileSet, pos token.Pos) bool {
-	position := fset.Position(pos)
-	for _, line := range []int{position.Line, position.Line - 1} {
-		if d := t.byLine[position.Filename][line]; d != nil {
-			d.used = true
-			return true
-		}
-	}
-	return false
-}
-
-// collectPoolTransfers scans the package comments for //soilint:pool
-// directives, returning the index plus the positions of malformed ones.
-func collectPoolTransfers(pkg *Package) (*poolTransfers, []token.Pos) {
-	t := &poolTransfers{byLine: make(map[string]map[int]*poolXferDirective)}
-	var malformed []token.Pos
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimSuffix(strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*"), "*/"))
-				rest, ok := strings.CutPrefix(text, poolDirective)
-				if !ok {
-					continue
-				}
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) < 2 || fields[0] != "transfer" {
-					malformed = append(malformed, c.Pos())
-					continue
-				}
-				d := &poolXferDirective{pos: c.Pos()}
-				t.all = append(t.all, d)
-				position := pkg.Fset.Position(c.Pos())
-				if t.byLine[position.Filename] == nil {
-					t.byLine[position.Filename] = make(map[int]*poolXferDirective)
-				}
-				t.byLine[position.Filename][position.Line] = d
-			}
-		}
-	}
-	return t, malformed
+// collectPoolTransfers indexes the package's //soilint:pool directives,
+// returning them plus the positions of malformed ones.
+func collectPoolTransfers(pkg *Package) (*directiveIndex, []token.Pos) {
+	return collectDirectives(pkg, "pool", func(args []string) bool {
+		return len(args) >= 2 && args[0] == "transfer"
+	})
 }
 
 // poolFnInfo is the interprocedural summary of one module-local function:
@@ -108,7 +52,7 @@ type poolFnInfo struct {
 // poolIPA bundles the module view with the memoized wrapper summaries.
 type poolIPA struct {
 	view *ipaView
-	sum  *lifecycleSummarizer[poolFnInfo]
+	sum  *summarizer[poolFnInfo]
 }
 
 var poolIPACache = make(map[*Package]*poolIPA)
@@ -118,7 +62,7 @@ func poolIPAFor(pkg *Package) *poolIPA {
 		return pi
 	}
 	pi := &poolIPA{view: newIPAView(pkg)}
-	pi.sum = newLifecycleSummarizer(pi.computeSummary)
+	pi.sum = newSummarizer(pi.computeSummary)
 	poolIPACache[pkg] = pi
 	return pi
 }
@@ -311,7 +255,7 @@ func runPoolFlow(pass *Pass) {
 	}
 }
 
-func analyzePoolScope(pass *Pass, pi *poolIPA, scope funcScope, transfers *poolTransfers) {
+func analyzePoolScope(pass *Pass, pi *poolIPA, scope funcScope, transfers *directiveIndex) {
 	pkg := pass.Pkg
 	info := pkg.Info
 
@@ -345,7 +289,7 @@ func analyzePoolScope(pass *Pass, pi *poolIPA, scope funcScope, transfers *poolT
 	for _, r := range releases {
 		acqs, ok := acquired[r.obj]
 		if !ok {
-			if !transfers.covers(pkg.Fset, r.pos) {
+			if !transfers.claim(r.pos) {
 				pass.Reportf(r.pos, "'%s' is returned to the pool but was not acquired from one in this function (annotate //soilint:pool transfer if ownership was handed in)", r.obj.Name())
 			}
 			continue
@@ -424,7 +368,6 @@ func analyzePoolScope(pass *Pass, pi *poolIPA, scope funcScope, transfers *poolT
 		if use != nil {
 			pass.Reportf(use.Pos(), "pooled value '%s' may be used here after being returned to the pool", obj.Name())
 		}
-		pass.Notef(r.pos, "Put of '%s' is not deferred; a panic between Get and Put leaks the value from the pool", obj.Name())
 	}
 }
 
@@ -432,7 +375,7 @@ func analyzePoolScope(pass *Pass, pi *poolIPA, scope funcScope, transfers *poolT
 // returned or placed in a composite literal at birth (ownership transferred
 // immediately — clean), or unbound (untrackable — a finding unless a
 // transfer directive covers it).
-func handleGet(pass *Pass, scope funcScope, transfers *poolTransfers, st ast.Node, call *ast.CallExpr, poolExpr ast.Expr, acquires *[]*poolAcquire) {
+func handleGet(pass *Pass, scope funcScope, transfers *directiveIndex, st ast.Node, call *ast.CallExpr, poolExpr ast.Expr, acquires *[]*poolAcquire) {
 	pkg := pass.Pkg
 	info := pkg.Info
 	var poolObj types.Object
@@ -467,7 +410,7 @@ func handleGet(pass *Pass, scope funcScope, transfers *poolTransfers, st ast.Nod
 				pos:     call.Pos(),
 				obj:     obj,
 				poolObj: poolObj,
-				handoff: transfers.covers(pkg.Fset, call.Pos()),
+				handoff: transfers.claim(call.Pos()),
 			})
 			return true
 		}
@@ -509,7 +452,7 @@ func handleGet(pass *Pass, scope funcScope, transfers *poolTransfers, st ast.Nod
 	if inComposite {
 		return
 	}
-	if !transfers.covers(pkg.Fset, call.Pos()) {
+	if !transfers.claim(call.Pos()) {
 		pass.Reportf(call.Pos(), "result of %s() is not bound to a local variable; its return to the pool cannot be tracked (bind it or annotate //soilint:pool transfer)", exprName(call.Fun))
 	}
 }

@@ -33,8 +33,8 @@ func cleanFile(path string) (int64, error) {
 	return st.Size(), nil
 }
 
-// saveAtomic mirrors serve/cache.go saveWisdom: temp file, explicit Close
-// on every used path, then rename. Pinned clean.
+// saveAtomic is the atomic-replace idiom: temp file, explicit Close on every
+// used path, then rename. Pinned clean.
 func saveAtomic(dir, path string, data []byte) error {
 	f, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {

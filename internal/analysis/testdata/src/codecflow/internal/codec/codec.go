@@ -1,12 +1,8 @@
 // Package codec is the audited fixture for codecflow: switches over the
-// fixture-local ID enum must be exhaustive or rejecting, and interface
-// DecodeBlock calls must sit behind a dominating checksum verification.
+// fixture-local ID enum must be exhaustive or rejecting.
 package codec
 
-import (
-	"errors"
-	"hash/crc32"
-)
+import "errors"
 
 // ID mirrors the real wire codec identifier.
 type ID byte
@@ -17,17 +13,7 @@ const (
 	Quant      ID = 2
 )
 
-var (
-	errUnknown = errors.New("unknown codec")
-	errCorrupt = errors.New("corrupt block")
-	table      = crc32.MakeTable(crc32.Castagnoli)
-)
-
-// Codec mirrors the real decode surface.
-type Codec interface {
-	ID() ID
-	DecodeBlock(dst []complex128, body []byte) error
-}
+var errUnknown = errors.New("unknown codec")
 
 // For covers every declared constant: clean.
 func For(id ID) string {
@@ -73,46 +59,11 @@ func Reject(id ID) error {
 	}
 }
 
-// DecodeChecked verifies the body checksum before decoding: clean.
-func DecodeChecked(c Codec, dst []complex128, body []byte, want uint32) error {
-	if crc32.Checksum(body, table) != want {
-		return errCorrupt
+// Suppressed documents a reviewed stale switch.
+func Suppressed(id ID) bool {
+	switch id { //soilint:ignore codecflow fixture: reviewed
+	case Identity:
+		return true
 	}
-	return c.DecodeBlock(dst, body)
-}
-
-// DecodeUnchecked hands the body to the decoder with no checksum anywhere.
-func DecodeUnchecked(c Codec, dst []complex128, body []byte) error {
-	return c.DecodeBlock(dst, body) // finding: no dominating verification
-}
-
-// DecodeOneBranch verifies on one path only: the trusted=true path reaches
-// the decoder unchecked.
-func DecodeOneBranch(c Codec, dst []complex128, body []byte, want uint32, trusted bool) error {
-	if !trusted {
-		if crc32.Checksum(body, table) != want {
-			return errCorrupt
-		}
-	}
-	return c.DecodeBlock(dst, body) // finding: unverified on the trusted path
-}
-
-// identity is a concrete decoder.
-type identity struct{}
-
-func (identity) ID() ID                                          { return Identity }
-func (identity) DecodeBlock(dst []complex128, body []byte) error { return nil }
-
-// quant delegates to another concrete decoder: clean, the caller already
-// verified the block it handed down.
-type quant struct{}
-
-func (quant) ID() ID { return Quant }
-func (quant) DecodeBlock(dst []complex128, body []byte) error {
-	return identity{}.DecodeBlock(dst, body)
-}
-
-// Suppressed documents a reviewed unchecked decode.
-func Suppressed(c Codec, dst []complex128, body []byte) error {
-	return c.DecodeBlock(dst, body) //soilint:ignore codecflow fixture: reviewed
+	return false
 }

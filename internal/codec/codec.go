@@ -313,9 +313,8 @@ type blockHeader struct {
 
 // ReadBlockHeader decodes and bound-checks one block header from buf. This
 // is a trust boundary: elems and body come off the wire, so they are
-// range-checked here against the hard caps — and the soilint taintflow
-// analyzer seeds from this function, so any derived size reaching an
-// allocation elsewhere without a guard is a lint finding.
+// range-checked here against the hard caps before anything is sized by
+// them.
 func ReadBlockHeader(buf []byte, want ID) (blockHeader, error) {
 	if len(buf) < blockHeaderLen {
 		return blockHeader{}, fmt.Errorf("%w: truncated block header (%d bytes)", ErrCorrupt, len(buf))
@@ -441,7 +440,9 @@ func ReadVector(r io.Reader, c Codec, dst []complex128, declared uint64) error {
 		if uint64(h.body) > remaining {
 			return fmt.Errorf("%w: block body %d bytes exceeds the %d payload bytes left", ErrCorrupt, h.body, remaining)
 		}
-		//soilint:taint checked checkBody capped h.body at MaxBodyLen, which the pooled scratch is sized for; remaining only shrinks below the caller-validated declared total
+		// checkBody capped h.body at MaxBodyLen, which the pooled scratch is
+		// sized for; remaining only shrinks below the caller-validated
+		// declared total.
 		body := scratch[:h.body]
 		if _, err := io.ReadFull(r, body); err != nil {
 			return fmt.Errorf("codec: reading block body: %w", err)

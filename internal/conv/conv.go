@@ -70,8 +70,6 @@ var AllVariants = []Variant{Baseline, Interchange, Buffered}
 // InputLen returns the input span chunks [c0, c1) read: the last chunk
 // starts at (c1-1)*DMu*S and reads B*S elements. The symbolic form below
 // assumes a non-empty range c1 > c0 (the degenerate empty range returns 0).
-//
-//soilint:shape return == (c1 - 1 - c0) * f.DMu * f.Segments + f.B * f.Segments
 func InputLen(f *window.Filter, c0, c1 int) int {
 	if c1 <= c0 {
 		return 0
@@ -80,8 +78,6 @@ func InputLen(f *window.Filter, c0, c1 int) int {
 }
 
 // OutputLen returns the number of outputs chunks [c0, c1) produce.
-//
-//soilint:shape return == (c1 - c0) * f.NMu * f.Segments
 func OutputLen(f *window.Filter, c0, c1 int) int {
 	return (c1 - c0) * f.NMu * f.Segments
 }
@@ -91,9 +87,6 @@ func OutputLen(f *window.Filter, c0, c1 int) int {
 // len(x) >= InputLen(f, c0, c1); u receives OutputLen(f, c0, c1) values,
 // u[(c-c0)*NMu*S + a*S + j] being global output (c*NMu + a)*S + j.
 // workers <= 0 selects GOMAXPROCS.
-//
-//soilint:shape len(x) >= (c1 - 1 - c0) * f.DMu * f.Segments + f.B * f.Segments
-//soilint:shape len(u) >= (c1 - c0) * f.NMu * f.Segments
 func Apply(v Variant, f *window.Filter, u, x []complex128, c0, c1, workers int) {
 	if c1 <= c0 {
 		return
@@ -160,9 +153,9 @@ func applyInterchange(f *window.Filter, u, x []complex128, c0, c1, workers int) 
 	par.For(workers, s, func(jlo, jhi int) {
 		// Per-lane compact taps: laneTaps[a][bb] = Taps[a][bb*s+j]. This is
 		// the constant nmu*B working set of the decomposed form.
-		laneTaps := make([][]complex128, nmu) //soilint:ignore hotalloc per-worker scratch: one make per worker, amortized over the whole lane range
+		laneTaps := make([][]complex128, nmu) // per-worker scratch: one make per worker, amortized over the whole lane range
 		for a := range laneTaps {
-			laneTaps[a] = make([]complex128, b) //soilint:ignore hotalloc per-worker scratch: one make per worker, amortized over the whole lane range
+			laneTaps[a] = make([]complex128, b) // per-worker scratch: one make per worker, amortized over the whole lane range
 		}
 		for j := jlo; j < jhi; j++ {
 			for a := 0; a < nmu; a++ {
@@ -211,10 +204,6 @@ func TileChunks(f *window.Filter) int {
 // nothing; the other variants ignore stage. A caller that walks a chunk range
 // in tiles of TileChunks chunks gets every tile's outputs while they are
 // still cache-resident, bit-identical to one Apply over the range.
-//
-//soilint:shape len(x) >= (c1 - 1 - c0) * f.DMu * f.Segments + f.B * f.Segments
-//soilint:shape len(u) >= (c1 - c0) * f.NMu * f.Segments
-//soilint:shape len(stage) >= (c1 - 1 - c0) * f.DMu + f.B
 func ApplyTile(v Variant, f *window.Filter, u, x []complex128, c0, c1 int, stage []complex128) {
 	if v != Buffered || c1 <= c0 {
 		Apply(v, f, u, x, c0, c1, 1)

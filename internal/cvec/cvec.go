@@ -33,17 +33,12 @@ const soaPlanePad = 8
 // NewSoA allocates an SoA vector of length n. Both planes share one backing
 // allocation, skewed by soaPlanePad; the planes are capacity-clipped so no
 // append or reslice can reach across the gap.
-//
-//soilint:shape len(return.Re) == n
-//soilint:shape len(return.Im) == n
 func NewSoA(n int) SoA {
 	b := make([]float64, 2*n+soaPlanePad)
 	return SoA{Re: b[:n:n], Im: b[n+soaPlanePad : 2*n+soaPlanePad : 2*n+soaPlanePad]}
 }
 
 // Len returns the number of complex elements.
-//
-//soilint:shape return == len(Re)
 func (s SoA) Len() int { return len(s.Re) }
 
 // Slice returns the sub-vector [lo, hi).
@@ -85,9 +80,6 @@ func Scale(x []complex128, a float64) {
 }
 
 // PointwiseMul computes dst[i] = a[i] * b[i]. dst may alias a or b.
-//
-//soilint:shape len(a) >= len(dst)
-//soilint:shape len(b) >= len(dst)
 func PointwiseMul(dst, a, b []complex128) {
 	// Reslicing a and b to len(dst) hoists the bounds proof out of the
 	// loop: i ranges below len(dst) == len(a) == len(b), so the three
@@ -100,9 +92,6 @@ func PointwiseMul(dst, a, b []complex128) {
 }
 
 // PointwiseMulConj computes dst[i] = a[i] * conj(b[i]). dst may alias a or b.
-//
-//soilint:shape len(a) >= len(dst)
-//soilint:shape len(b) >= len(dst)
 func PointwiseMulConj(dst, a, b []complex128) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
@@ -114,8 +103,6 @@ func PointwiseMulConj(dst, a, b []complex128) {
 }
 
 // AXPY computes y[i] += a * x[i].
-//
-//soilint:shape len(x) >= len(y)
 func AXPY(y []complex128, a complex128, x []complex128) {
 	x = x[:len(y)]
 	for i := range y {
@@ -158,9 +145,6 @@ const transposeBlock = 8
 // (cols x rows, row-major). dst must not alias src. It walks tiles so that
 // both streams stay within cache-resident tiles, which is what makes steps
 // 1/4/6 of the 6-step FFT bandwidth-bound rather than latency-bound.
-//
-//soilint:shape len(dst) >= rows * cols
-//soilint:shape len(src) >= rows * cols
 func Transpose(dst, src []complex128, rows, cols int) {
 	if len(src) < rows*cols || len(dst) < rows*cols {
 		panic("cvec: Transpose buffer too short")
@@ -212,8 +196,6 @@ func L2Norm(x []complex128) float64 {
 // RelErrL2 returns ||a-b||_2 / ||b||_2, or ||a-b||_2 when b is zero.
 // It is the accuracy metric used throughout the test suite to compare the
 // SOI pipeline against reference transforms.
-//
-//soilint:shape len(a) == len(b)
 func RelErrL2(a, b []complex128) float64 {
 	if len(a) != len(b) {
 		panic("cvec: RelErrL2 length mismatch")

@@ -16,8 +16,6 @@ package cvec
 
 // FromComplexInto splits x into dst's planes; dst must have length >=
 // len(x). The conversion is per-component and bit-exact.
-//
-//soilint:shape len(dst.Re) >= len(x)
 func FromComplexInto(dst SoA, x []complex128) {
 	re := dst.Re[:len(x)]
 	im := dst.Im[:len(x)]
@@ -29,8 +27,6 @@ func FromComplexInto(dst SoA, x []complex128) {
 
 // CopyToComplex interleaves s into dst; dst must have length >= s.Len().
 // The conversion is per-component and bit-exact.
-//
-//soilint:shape len(dst) >= len(Re)
 func (s SoA) CopyToComplex(dst []complex128) {
 	dst = dst[:len(s.Re)]
 	im := s.Im[:len(s.Re)]

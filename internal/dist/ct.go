@@ -77,17 +77,11 @@ func expi(theta float64) complex128 {
 }
 
 // LocalN returns the per-rank block length N/P.
-//
-//soilint:shape return == m
 func (ct *CT) LocalN() int { return ct.m }
 
 // Forward computes this rank's block of the in-order spectrum from its
 // block of the input. dst must not alias src: rows are streamed out of src
-// while dst fills in transposed order (soilint's bufalias check enforces
-// this at call sites).
-//
-//soilint:shape len(dst) >= m
-//soilint:shape len(src) >= m
+// while dst fills in transposed order.
 func (ct *CT) Forward(dst, src []complex128) error {
 	if len(src) < ct.m || len(dst) < ct.m {
 		return &ShapeError{What: "CT buffers too short", Got: min(len(src), len(dst)), Want: ct.m}

@@ -2,9 +2,8 @@ package dist
 
 import "fmt"
 
-// ShapeError is the runtime counterpart of a //soilint:shape contract: a
-// buffer passed by the caller, or a message received from a peer, whose
-// length violates the required relation. The distributed protocol treats
+// ShapeError reports a buffer passed by the caller, or a message received
+// from a peer, whose length violates the relation the geometry requires. The distributed protocol treats
 // the two cases very differently — a short caller buffer is a local bug,
 // while a mis-sized received block means rank disagreement on the problem
 // geometry — but both carry the same three facts: what was mis-shaped, the

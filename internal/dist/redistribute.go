@@ -16,8 +16,6 @@ import (
 // BlockToCyclic converts this rank's block of a block-distributed vector
 // into its share of the cyclic distribution. localN must be equal on all
 // ranks and divisible by the world size.
-//
-//soilint:shape len(return) == len(local)
 func BlockToCyclic(c mpi.Comm, local []complex128) ([]complex128, error) {
 	p := c.Size()
 	localN := len(local)
@@ -59,8 +57,6 @@ func BlockToCyclic(c mpi.Comm, local []complex128) ([]complex128, error) {
 }
 
 // CyclicToBlock is the inverse of BlockToCyclic.
-//
-//soilint:shape len(return) == len(local)
 func CyclicToBlock(c mpi.Comm, local []complex128) ([]complex128, error) {
 	p := c.Size()
 	localN := len(local)

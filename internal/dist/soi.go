@@ -91,8 +91,6 @@ func NewSOI(c mpi.Comm, p window.Params, opts soi.Options) (*SOI, error) {
 // communicator, sharing its (expensive) window design and FFT sub-plans.
 // The plan must not be mutated; it is safe to share one plan across many
 // ranks of an in-process world and across repeated transforms.
-//
-//soilint:shape return.localN == plan.Win.N / c.Size()
 func NewSOIFromPlan(c mpi.Comm, plan *soi.Plan) (*SOI, error) {
 	p := plan.Win.Params
 	world := c.Size()
@@ -169,8 +167,6 @@ func (d *SOI) SetCodec(name string, tol float64) error {
 func (d *SOI) Params() window.Params { return d.plan.Win.Params }
 
 // LocalN returns the per-rank input/output length N/P.
-//
-//soilint:shape return == localN
 func (d *SOI) LocalN() int { return d.localN }
 
 // EstimatedError returns the designed alias bound.
@@ -184,11 +180,7 @@ const (
 // Forward computes this rank's block of the in-order spectrum: src is the
 // rank's N/P input elements, dst receives its N/P output elements. dst
 // must not alias src: the pipelined finish writes dst while ghost rows of
-// src may still be read (soilint's bufalias check enforces this at call
-// sites).
-//
-//soilint:shape len(dst) >= localN
-//soilint:shape len(src) >= localN
+// src may still be read.
 func (d *SOI) Forward(dst, src []complex128) error {
 	if len(src) < d.localN || len(dst) < d.localN {
 		return &ShapeError{What: "buffers too short", Got: min(len(src), len(dst)), Want: d.localN}
@@ -202,9 +194,6 @@ func (d *SOI) Forward(dst, src []complex128) error {
 // conjugation identity IFFT(x) = conj(SOI(conj(x)))/N. The conjugations are
 // purely rank-local, so the distributed structure is identical to Forward.
 // Like Forward, dst must not alias src.
-//
-//soilint:shape len(dst) >= localN
-//soilint:shape len(src) >= localN
 func (d *SOI) Inverse(dst, src []complex128) error {
 	if len(src) < d.localN || len(dst) < d.localN {
 		return &ShapeError{What: "buffers too short", Got: min(len(src), len(dst)), Want: d.localN}

@@ -30,9 +30,6 @@ func (b *Batch) Plan() *Plan { return b.plan }
 // Transform runs count transforms. Transform i reads src[i*dist : i*dist+n]
 // and writes dst[i*dist : i*dist+n]; dist must be >= n. dst may alias src.
 // The symbolic form assumes count >= 1 (count <= 0 is a no-op).
-//
-//soilint:shape len(dst) >= (count - 1) * dist + plan.n
-//soilint:shape len(src) >= (count - 1) * dist + plan.n
 func (b *Batch) Transform(dst, src []complex128, count, dist int, dir Direction) {
 	n := b.plan.n
 	if dist < n {
@@ -63,8 +60,8 @@ func (b *Batch) TransformStrided(dst, src []complex128, count int, dir Direction
 		panic("fft: TransformStrided buffers too short")
 	}
 	par.For(b.workers, count, func(lo, hi int) {
-		in := make([]complex128, n)  //soilint:ignore hotalloc deliberate slow baseline: strided access is what sixstep.go is measured against
-		out := make([]complex128, n) //soilint:ignore hotalloc deliberate slow baseline: strided access is what sixstep.go is measured against
+		in := make([]complex128, n)  // deliberate slow baseline: strided access is what sixstep.go is measured against
+		out := make([]complex128, n) // deliberate slow baseline: strided access is what sixstep.go is measured against
 		for i := lo; i < hi; i++ {
 			for j := 0; j < n; j++ {
 				in[j] = src[i+j*count]

@@ -51,8 +51,6 @@ type stage struct {
 }
 
 // NewPlan creates a transform plan for length n (n >= 1).
-//
-//soilint:shape return.n == n
 func NewPlan(n int) (*Plan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fft: invalid transform length %d", n)
@@ -89,8 +87,6 @@ func MustPlan(n int) *Plan {
 }
 
 // N returns the transform length.
-//
-//soilint:shape return == n
 func (p *Plan) N() int { return p.n }
 
 // aliasingStride8 reports whether a radix-8 butterfly whose write legs are
@@ -124,19 +120,19 @@ func factorize(n, strideMul int) (radices []int, smooth bool) {
 	}
 	s := strideMul
 	for e2 >= 3 && !aliasingStride8(s) {
-		radices = append(radices, 8) //soilint:ignore hotalloc plan-time factorization, O(log n) appends
+		radices = append(radices, 8) // plan-time factorization, O(log n) appends
 		s *= 8
 		e2 -= 3
 	}
 	for ; e2 >= 2; e2 -= 2 {
-		radices = append(radices, 4) //soilint:ignore hotalloc plan-time factorization, O(log n) appends
+		radices = append(radices, 4) // plan-time factorization, O(log n) appends
 	}
 	if e2 == 1 {
 		radices = append(radices, 2)
 	}
 	for _, r := range []int{3, 5, 7, 11, 13} {
 		for n%r == 0 {
-			radices = append(radices, r) //soilint:ignore hotalloc plan-time factorization, O(log n) appends
+			radices = append(radices, r) // plan-time factorization, O(log n) appends
 			n /= r
 		}
 	}
@@ -177,9 +173,6 @@ func buildStages(n int, radices []int) []stage {
 // Transform computes the DFT of src into dst. dst and src must both have
 // length >= p.N(); dst may alias src (in-place). Forward is unnormalized;
 // Inverse applies the 1/n scaling.
-//
-//soilint:shape len(dst) >= n
-//soilint:shape len(src) >= n
 func (p *Plan) Transform(dst, src []complex128, dir Direction) {
 	n := p.n
 	if len(dst) < n || len(src) < n {
@@ -221,15 +214,9 @@ func (p *Plan) Transform(dst, src []complex128, dir Direction) {
 }
 
 // Forward computes the unnormalized forward DFT of src into dst.
-//
-//soilint:shape len(dst) >= n
-//soilint:shape len(src) >= n
 func (p *Plan) Forward(dst, src []complex128) { p.Transform(dst, src, Forward) }
 
 // Inverse computes the normalized (1/n) inverse DFT of src into dst.
-//
-//soilint:shape len(dst) >= n
-//soilint:shape len(src) >= n
 func (p *Plan) Inverse(dst, src []complex128) { p.Transform(dst, src, Inverse) }
 
 // stockham runs the mixed-radix autosort pipeline. The two ping-pong buffers

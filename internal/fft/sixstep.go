@@ -106,7 +106,7 @@ type SixStep struct {
 	work sync.Pool // scratch of length n
 	// Per-chunk staging buffers for the fused passes. Pooled so the hot
 	// par.For bodies never allocate: a fresh make per chunk costs a page
-	// fault per tile and defeats the bandwidth model (soilint:hotalloc).
+	// fault per tile and defeats the bandwidth model.
 	tilePool sync.Pool // length tileCols*(n1+rowPad), column pass
 	rowPool  sync.Pool // length (n2+rowPad)*tileCols, row pass
 	// The same three buffers as cvec.SoA planes, for SixStepOpt.
@@ -117,8 +117,6 @@ type SixStep struct {
 // workers <= 0 selects GOMAXPROCS. n must be >= 4 and have a nontrivial
 // divisor split (every composite n qualifies; primes are rejected — callers
 // use a plain Plan for those).
-//
-//soilint:shape return.n == n
 func NewSixStep(n int, variant Variant, workers int) (*SixStep, error) {
 	if n < 4 {
 		return nil, fmt.Errorf("fft: SixStep length %d too small", n)
@@ -192,8 +190,6 @@ func NewSixStep(n int, variant Variant, workers int) (*SixStep, error) {
 }
 
 // N returns the transform length.
-//
-//soilint:shape return == n
 func (s *SixStep) N() int { return s.n }
 
 // Split returns the 2D decomposition (n1 rows, n2 columns).
@@ -233,9 +229,6 @@ func (s *SixStep) twiddleOpt(e int) complex128 {
 
 // Forward computes the unnormalized forward DFT of src into dst (both of
 // length n). dst must not alias src.
-//
-//soilint:shape len(dst) >= n
-//soilint:shape len(src) >= n
 func (s *SixStep) Forward(dst, src []complex128) {
 	if len(dst) < s.n || len(src) < s.n {
 		panic("fft: SixStep buffers too short")

@@ -28,8 +28,6 @@ func (lb *LaneBatch) ensureSoA() {
 
 // TransformSoA runs all lanes in place on the plane pair x (length >=
 // n*lanes), lane-interleaved exactly like Transform.
-//
-//soilint:shape len(x.Re) >= n * lanes
 func (lb *LaneBatch) TransformSoA(x cvec.SoA, dir Direction) {
 	total := lb.n * lb.lanes
 	if x.Len() < total {

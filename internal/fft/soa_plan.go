@@ -56,9 +56,6 @@ func splitPlanes(t []complex128) (re, im []float64) {
 // Transform. Smooth lengths run entirely on planes; rough (Bluestein)
 // lengths convert through a pooled AoS scratch pair, which costs two extra
 // sweeps and is the documented fallback, not a fast path.
-//
-//soilint:shape len(dst.Re) >= n
-//soilint:shape len(src.Re) >= n
 func (p *Plan) TransformSoA(dst, src cvec.SoA, dir Direction) {
 	n := p.n
 	if dst.Len() < n || src.Len() < n {
@@ -110,15 +107,9 @@ func (p *Plan) TransformSoA(dst, src cvec.SoA, dir Direction) {
 }
 
 // ForwardSoA computes the unnormalized forward DFT on planes.
-//
-//soilint:shape len(dst.Re) >= n
-//soilint:shape len(src.Re) >= n
 func (p *Plan) ForwardSoA(dst, src cvec.SoA) { p.TransformSoA(dst, src, Forward) }
 
 // InverseSoA computes the normalized (1/n) inverse DFT on planes.
-//
-//soilint:shape len(dst.Re) >= n
-//soilint:shape len(src.Re) >= n
 func (p *Plan) InverseSoA(dst, src cvec.SoA) { p.TransformSoA(dst, src, Inverse) }
 
 // stockhamSoA is stockham with the ping-pong pair on planes: same parity

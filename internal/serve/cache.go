@@ -2,9 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -105,38 +102,33 @@ type planKey struct {
 
 // CacheStats is a point-in-time snapshot of PlanCache counters.
 type CacheStats struct {
-	Hits        int64
-	Misses      int64
-	Evictions   int64
-	Designs     int64 // full window-design runs (the expensive path)
-	WisdomLoads int64 // plans rebuilt from persisted wisdom
-	WisdomFails int64 // wisdom files that failed to load or save
-	Entries     int
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Designs   int64 // window-design runs (one per miss)
+	Entries   int
 }
 
 // PlanCache is the concurrency-safe, single-flight LRU of SOI plans keyed
-// by (N, Config). On a miss it first tries the wisdom directory (gob files
-// written by soifft.SaveWisdom); only if no usable wisdom exists does it run
-// the full window design, and then persists the fresh wisdom for the next
-// process.
+// by (N, Config); a miss designs the window (≈ 20 ms of a ≈ 70 ms cold plan
+// at N = 7·2^16).
 type PlanCache struct {
-	core        *lru[planKey, *soifft.Plan]
-	dir         string // "" disables persistence
-	designs     atomic.Int64
-	wisdomLoads atomic.Int64
-	wisdomFails atomic.Int64
+	core    *lru[planKey, *soifft.Plan]
+	designs atomic.Int64
 }
 
-// NewPlanCache creates a plan cache holding up to capacity plans, persisting
-// wisdom under wisdomDir ("" disables persistence).
-func NewPlanCache(capacity int, wisdomDir string) *PlanCache {
-	c := &PlanCache{dir: wisdomDir}
-	c.core = newLRU(capacity, c.buildPlan)
+// NewPlanCache creates a plan cache holding up to capacity plans.
+func NewPlanCache(capacity int) *PlanCache {
+	c := &PlanCache{}
+	c.core = newLRU(capacity, func(key planKey) (*soifft.Plan, error) {
+		c.designs.Add(1)
+		return soifft.NewPlan(key.n, key.cfg)
+	})
 	return c
 }
 
-// Get returns the plan for (n, cfg), designing or wisdom-loading it on a
-// miss. Concurrent demanders of one key share a single design.
+// Get returns the plan for (n, cfg), designing it on a miss. Concurrent
+// demanders of one key share a single design.
 func (c *PlanCache) Get(n int, cfg soifft.Config) (*soifft.Plan, error) {
 	return c.core.Get(planKey{n: n, cfg: cfg.Canonical()})
 }
@@ -144,74 +136,12 @@ func (c *PlanCache) Get(n int, cfg soifft.Config) (*soifft.Plan, error) {
 // Stats returns a snapshot of the cache counters.
 func (c *PlanCache) Stats() CacheStats {
 	return CacheStats{
-		Hits:        c.core.hits.Load(),
-		Misses:      c.core.misses.Load(),
-		Evictions:   c.core.evictions.Load(),
-		Designs:     c.designs.Load(),
-		WisdomLoads: c.wisdomLoads.Load(),
-		WisdomFails: c.wisdomFails.Load(),
-		Entries:     c.core.Len(),
+		Hits:      c.core.hits.Load(),
+		Misses:    c.core.misses.Load(),
+		Evictions: c.core.evictions.Load(),
+		Designs:   c.designs.Load(),
+		Entries:   c.core.Len(),
 	}
-}
-
-// wisdomPath names a key's wisdom file by its structural identity only —
-// execution knobs (Workers, Optimizations) don't affect the window design.
-func (c *PlanCache) wisdomPath(key planKey) string {
-	return filepath.Join(c.dir, fmt.Sprintf("n%d-s%d-mu%d-%d-b%d.wisdom",
-		key.n, key.cfg.Segments, key.cfg.OversampleNum, key.cfg.OversampleDen, key.cfg.ConvWidth))
-}
-
-func (c *PlanCache) buildPlan(key planKey) (*soifft.Plan, error) {
-	if c.dir != "" {
-		if p, ok := c.loadWisdom(key); ok {
-			c.wisdomLoads.Add(1)
-			return p, nil
-		}
-	}
-	c.designs.Add(1)
-	p, err := soifft.NewPlan(key.n, key.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if c.dir != "" {
-		if err := c.saveWisdom(key, p); err != nil {
-			c.wisdomFails.Add(1)
-		}
-	}
-	return p, nil
-}
-
-func (c *PlanCache) loadWisdom(key planKey) (*soifft.Plan, bool) {
-	f, err := os.Open(c.wisdomPath(key))
-	if err != nil {
-		return nil, false // no wisdom yet — the common cold-start case
-	}
-	defer f.Close()
-	p, err := soifft.NewPlanFromWisdom(f, key.cfg)
-	if err != nil {
-		// Corrupt or stale wisdom: fall back to a fresh design.
-		c.wisdomFails.Add(1)
-		return nil, false
-	}
-	return p, true
-}
-
-// saveWisdom persists via temp-file + rename so concurrent processes sharing
-// a wisdom directory never observe a torn file.
-func (c *PlanCache) saveWisdom(key planKey, p *soifft.Plan) error {
-	tmp, err := os.CreateTemp(c.dir, ".wisdom-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := p.SaveWisdom(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), c.wisdomPath(key))
 }
 
 // laneKey identifies one lane-interleaved batch kernel instance.

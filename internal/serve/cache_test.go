@@ -1,15 +1,10 @@
 package serve
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
 	"soifft"
-	"soifft/internal/cvec"
-	"soifft/internal/ref"
 )
 
 // hammerCfg is a small SOI configuration whose window designs are fast
@@ -22,7 +17,7 @@ var hammerCfg = soifft.Config{Segments: 2, ConvWidth: 48}
 // must get the same plan.
 func TestPlanCacheHammer(t *testing.T) {
 	sizes := []int{448, 896, 1792}
-	c := NewPlanCache(8, "")
+	c := NewPlanCache(8)
 
 	const goroutines = 16
 	const rounds = 8
@@ -53,9 +48,6 @@ func TestPlanCacheHammer(t *testing.T) {
 	if st.Designs != int64(len(sizes)) {
 		t.Errorf("designed %d times, want exactly %d (single-flight violated)", st.Designs, len(sizes))
 	}
-	if st.WisdomLoads != 0 {
-		t.Errorf("wisdom loads %d without a wisdom dir", st.WisdomLoads)
-	}
 	if st.Hits+st.Misses != goroutines*rounds {
 		t.Errorf("hits %d + misses %d != %d lookups", st.Hits, st.Misses, goroutines*rounds)
 	}
@@ -72,77 +64,8 @@ func TestPlanCacheHammer(t *testing.T) {
 	}
 }
 
-// TestPlanCacheWisdomRoundTrip checks the persistence path end to end:
-// a cache populated in one "process" writes wisdom; a fresh cache over the
-// same directory rebuilds plans from wisdom alone (zero designs) and the
-// rebuilt plan produces bit-identical output on a fixed input.
-func TestPlanCacheWisdomRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	const n = 896
-
-	first := NewPlanCache(4, dir)
-	p1, err := first.Get(n, hammerCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := first.Stats(); st.Designs != 1 || st.WisdomLoads != 0 || st.WisdomFails != 0 {
-		t.Fatalf("first cache stats %+v", st)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.wisdom"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("wisdom files %v (err %v), want exactly one", files, err)
-	}
-
-	second := NewPlanCache(4, dir)
-	p2, err := second.Get(n, hammerCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := second.Stats(); st.Designs != 0 || st.WisdomLoads != 1 {
-		t.Fatalf("second cache stats %+v: plan not rebuilt from wisdom", st)
-	}
-
-	x := ref.RandomVector(n, 42)
-	a := make([]complex128, n)
-	b := make([]complex128, n)
-	if err := p1.Forward(a, x); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.Forward(b, x); err != nil {
-		t.Fatal(err)
-	}
-	if e := cvec.RelErrL2(a, b); e != 0 {
-		t.Errorf("wisdom-rebuilt plan output differs by %g (want bit-identical)", e)
-	}
-}
-
-// TestPlanCacheCorruptWisdom: a truncated wisdom file falls back to a fresh
-// design (and counts the failure) instead of surfacing an error.
-func TestPlanCacheCorruptWisdom(t *testing.T) {
-	dir := t.TempDir()
-	seed := NewPlanCache(4, dir)
-	if _, err := seed.Get(448, hammerCfg); err != nil {
-		t.Fatal(err)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*.wisdom"))
-	if len(files) != 1 {
-		t.Fatalf("wisdom files %v", files)
-	}
-	if err := os.WriteFile(files[0], []byte("truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c := NewPlanCache(4, dir)
-	if _, err := c.Get(448, hammerCfg); err != nil {
-		t.Fatalf("corrupt wisdom should fall back to design, got %v", err)
-	}
-	if st := c.Stats(); st.Designs != 1 || st.WisdomLoads != 0 || st.WisdomFails != 1 {
-		t.Errorf("stats %+v, want 1 design, 0 loads, 1 fail", st)
-	}
-}
-
 func TestPlanCacheEviction(t *testing.T) {
-	c := NewPlanCache(2, "")
+	c := NewPlanCache(2)
 	for _, n := range []int{448, 896, 1792} {
 		if _, err := c.Get(n, hammerCfg); err != nil {
 			t.Fatal(err)
@@ -166,7 +89,7 @@ func TestPlanCacheEviction(t *testing.T) {
 
 // TestPlanCacheErrorNotCached: a failed build must not poison the key.
 func TestPlanCacheErrorNotCached(t *testing.T) {
-	c := NewPlanCache(4, "")
+	c := NewPlanCache(4)
 	if _, err := c.Get(100, hammerCfg); err == nil { // 100 is not SOI-valid
 		t.Fatal("invalid length accepted")
 	}
@@ -183,7 +106,7 @@ func TestPlanCacheErrorNotCached(t *testing.T) {
 }
 
 func TestPlanCacheKeyCanonical(t *testing.T) {
-	c := NewPlanCache(4, "")
+	c := NewPlanCache(4)
 	// Default-equivalent configs must share one entry. 3136 = 8^2*7^2 is
 	// valid for the default Segments=8, mu=8/7 (granularity 448).
 	a, err := c.Get(3136, soifft.Config{})
@@ -245,18 +168,4 @@ func TestBufPool(t *testing.T) {
 		t.Fatalf("got len %d", len(y))
 	}
 	b.put(nil) // must not panic
-}
-
-// TestWisdomPathStructuralOnly: execution knobs must not fragment the
-// wisdom files (wisdom content is structural).
-func TestWisdomPathStructuralOnly(t *testing.T) {
-	c := NewPlanCache(4, "/tmp")
-	k1 := planKey{n: 448, cfg: soifft.Config{Segments: 2, ConvWidth: 48, Workers: 1}.Canonical()}
-	k2 := planKey{n: 448, cfg: soifft.Config{Segments: 2, ConvWidth: 48, Workers: 8}.Canonical()}
-	if c.wisdomPath(k1) != c.wisdomPath(k2) {
-		t.Error("Workers changed the wisdom path")
-	}
-	if !strings.Contains(c.wisdomPath(k1), "n448-s2-mu8-7-b48") {
-		t.Errorf("unexpected wisdom path %s", c.wisdomPath(k1))
-	}
 }

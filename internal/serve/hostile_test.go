@@ -141,3 +141,46 @@ func TestServeHostileResyncCap(t *testing.T) {
 		t.Fatalf("fresh connection not served after hostile hangup: type=%v id=%d", h.Type, h.ReqID)
 	}
 }
+
+// TestServeEnforcesConfiguredLimits: a frame that is honest about itself —
+// geometry, payload length and the bytes that follow all agree — but asks
+// for more than Config.MaxN points or Config.MaxCount transforms draws a
+// bad-request error, the stream stays in sync, and a request at the limits
+// is served. (TestServeHostileGeometry's over-limit frame also lies about
+// its payload, so it is rejected with or without the two limit checks:
+// analysis matrix row serve-limits-unenforced.)
+func TestServeEnforcesConfiguredLimits(t *testing.T) {
+	cfg := Config{MaxN: 256, MaxCount: 4}
+	_, addr := startServer(t, cfg)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	for id, g := range []struct{ n, count int }{{2 * cfg.MaxN, 1}, {64, cfg.MaxCount + 1}} {
+		typ := wire.TBatch
+		if g.count == 1 {
+			typ = wire.TForward
+		}
+		elems := g.n * g.count
+		rawRequest(t, conn, wire.Header{
+			Type: typ, Alg: wire.AlgExact, Count: uint32(g.count), ReqID: uint64(id + 1),
+			N: uint64(g.n), PayloadLen: uint64(elems) * wire.BytesPerElem,
+		}, ref.RandomVector(elems, int64(id)))
+		h, msg := readResponse(t, conn)
+		if h.Type != wire.TError || h.Code != wire.CodeBadRequest || h.ReqID != uint64(id+1) {
+			t.Fatalf("n=%d count=%d: got type=%v code=%d id=%d msg=%q, want bad-request for id %d",
+				g.n, g.count, h.Type, h.Code, h.ReqID, msg, id+1)
+		}
+	}
+
+	elems := cfg.MaxN * cfg.MaxCount
+	rawRequest(t, conn, wire.Header{
+		Type: wire.TBatch, Alg: wire.AlgExact, Count: uint32(cfg.MaxCount), ReqID: 9,
+		N: uint64(cfg.MaxN), PayloadLen: uint64(elems) * wire.BytesPerElem,
+	}, ref.RandomVector(elems, 3))
+	if h, _ := readResponse(t, conn); h.Type != wire.TResult || h.ReqID != 9 {
+		t.Fatalf("request at the limits: type=%v id=%d, want a result", h.Type, h.ReqID)
+	}
+}

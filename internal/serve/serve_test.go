@@ -446,3 +446,33 @@ func TestServeBadGeometry(t *testing.T) {
 		t.Error("connection still open after protocol violation")
 	}
 }
+
+// TestResolveAlg: AlgAuto is the exact plan at every length, long SOI-valid
+// ones included; SOI is served to the requests that name it, and naming it
+// for a length the server's SOI configuration cannot plan is a bad request.
+func TestResolveAlg(t *testing.T) {
+	s := New(Config{SOI: hammerCfg})
+	defer s.Close()
+	soiValid := 7 << 18 // >= 2^20, valid under hammerCfg
+	if ok, _ := soifft.ValidLength(soiValid, hammerCfg); !ok {
+		t.Fatalf("test length %d is not SOI-valid", soiValid)
+	}
+	for _, tc := range []struct {
+		alg     wire.Alg
+		n       int
+		want    algKind
+		wantErr error
+	}{
+		{wire.AlgAuto, 1024, algExact, nil},
+		{wire.AlgAuto, soiValid, algExact, nil},
+		{wire.AlgExact, soiValid, algExact, nil},
+		{wire.AlgSOI, soiValid, algSOI, nil},
+		{wire.AlgSOI, soiValid + 1, 0, wire.ErrBadRequest},
+		{wire.Alg(9), 1024, 0, wire.ErrBadRequest},
+	} {
+		got, err := s.resolveAlg(tc.alg, tc.n)
+		if !errors.Is(err, tc.wantErr) || (err == nil) != (tc.wantErr == nil) || got != tc.want {
+			t.Errorf("resolveAlg(%d, %d) = %v, %v; want %v, %v", tc.alg, tc.n, got, err, tc.want, tc.wantErr)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Package serve implements soifftd's serving engine: a TCP front end over
 // the internal/wire protocol, per-size batching queues that coalesce
 // same-length requests into one call to the lane-interleaved batch FFT
-// kernel, a single-flight LRU plan cache with wisdom persistence, bounded
-// admission control, deadline propagation, and graceful drain.
+// kernel, a single-flight LRU plan cache, bounded admission control,
+// deadline propagation, and graceful drain.
 //
 // The batching discipline (DESIGN.md §8): requests are grouped by
 // (length, direction, algorithm); an executor worker drains up to MaxBatch
@@ -46,14 +46,9 @@ type Config struct {
 	PlanCacheSize int
 	// KernelCacheSize bounds the lane-batch and exact-plan LRUs. Default 64.
 	KernelCacheSize int
-	// WisdomDir persists SOI window designs across processes ("" disables).
-	WisdomDir string
 	// SOI supplies the structural knobs for SOI plans (Workers is
 	// overridden by Config.Workers).
 	SOI soifft.Config
-	// SOIMinN is the smallest length AlgAuto routes to SOI (when
-	// SOI-valid). Default 1 << 20.
-	SOIMinN int
 	// MaxN bounds accepted transform lengths. Default 1 << 24.
 	MaxN int
 	// MaxCount bounds transforms per batch frame. Default 4096.
@@ -86,9 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.KernelCacheSize == 0 {
 		c.KernelCacheSize = 64
-	}
-	if c.SOIMinN == 0 {
-		c.SOIMinN = 1 << 20
 	}
 	if c.MaxN <= 0 {
 		c.MaxN = 1 << 24
@@ -133,7 +125,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:        cfg,
-		soiPlans:   NewPlanCache(cfg.PlanCacheSize, cfg.WisdomDir),
+		soiPlans:   NewPlanCache(cfg.PlanCacheSize),
 		lanePlans:  newLaneCache(cfg.KernelCacheSize),
 		exactPlans: newExactCache(cfg.KernelCacheSize),
 		breakdown:  trace.NewBreakdown(),
@@ -271,7 +263,9 @@ func (s *Server) removeConn(cn *conn) {
 // resolveAlg maps the wire algorithm selector to an executable kind.
 func (s *Server) resolveAlg(a wire.Alg, n int) (algKind, error) {
 	switch a {
-	case wire.AlgExact:
+	case wire.AlgAuto, wire.AlgExact:
+		// On one node the exact plan is both faster and exact at every
+		// size measured, so SOI is served only to requests that name it.
 		return algExact, nil
 	case wire.AlgSOI:
 		if ok, next := soifft.ValidLength(n, s.cfg.SOI); !ok {
@@ -279,13 +273,6 @@ func (s *Server) resolveAlg(a wire.Alg, n int) (algKind, error) {
 				wire.ErrBadRequest, n, next)
 		}
 		return algSOI, nil
-	case wire.AlgAuto:
-		if n >= s.cfg.SOIMinN {
-			if ok, _ := soifft.ValidLength(n, s.cfg.SOI); ok {
-				return algSOI, nil
-			}
-		}
-		return algExact, nil
 	}
 	return 0, fmt.Errorf("%w: unknown algorithm %d", wire.ErrBadRequest, a)
 }

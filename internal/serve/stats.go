@@ -103,8 +103,6 @@ func (s *Server) MetricsText() string {
 	line("soifftd_plan_cache_misses_total", snap.PlanCache.Misses)
 	line("soifftd_plan_cache_evictions_total", snap.PlanCache.Evictions)
 	line("soifftd_plan_cache_designs_total", snap.PlanCache.Designs)
-	line("soifftd_plan_cache_wisdom_loads_total", snap.PlanCache.WisdomLoads)
-	line("soifftd_plan_cache_wisdom_fails_total", snap.PlanCache.WisdomFails)
 	for _, ph := range []string{trace.PhaseQueueWait, trace.PhasePlan, trace.PhaseExecute, trace.PhaseSerialize} {
 		fmt.Fprintf(&b, "%s %.6f\n", phaseMetricName(ph), snap.PhaseSeconds[ph])
 	}

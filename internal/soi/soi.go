@@ -56,9 +56,8 @@ type Plan struct {
 	Win  *window.Filter
 	opts Options
 
-	fp      *fft.Plan    // Segments-point FFT (stage 2)
-	fm      *fft.SixStep // M'-point FFT (stage 4); nil if no 2D split
-	fmPlain *fft.Plan    // M'-point fallback, built only when fm is nil
+	fp *fft.Plan    // Segments-point FFT (stage 2)
+	fm *fft.SixStep // M'-point FFT (stage 4)
 
 	scratch sync.Pool // *scratch: Forward's and Inverse's working set
 	tiles   sync.Pool // *tile: one ConvolveToSegments worker's buffers
@@ -90,10 +89,8 @@ func NewPlan(p window.Params, opts Options) (*Plan, error) {
 	return NewPlanFromFilter(win, opts)
 }
 
-// NewPlanFromFilter builds a plan around an existing (e.g. deserialized)
+// NewPlanFromFilter builds a plan around an existing (e.g. shared)
 // window design, skipping the design search.
-//
-//soilint:shape return.Win == win
 func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 	pl := &Plan{Win: win, opts: opts}
 	pl.scratch.New = func() any {
@@ -115,23 +112,19 @@ func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 	if pl.fp, err = fft.NewPlan(win.Segments); err != nil {
 		return nil, err
 	}
+	// M' = NMu*Segments*k with NMu, Segments >= 2 is composite, so the
+	// six-step's 2D split exists for every validated window.Params.
 	mp := win.MPrime()
-	if fm, err := fft.NewSixStep(mp, opts.FFTVariant, opts.Workers); err == nil {
-		pl.fm = fm
-		if !opts.NoFuseDemod {
-			// Fused W^-1: multiply during the final pass of the 6-step
-			// FFT. Bins >= M are discarded by the projection; zeroing them
-			// keeps the fused pass branch-free.
-			demodFull := make([]complex128, mp)
-			copy(demodFull, win.Demod)
-			fm.SetDemod(demodFull)
-		}
-		return pl, nil
-	}
-	// M' has no 2D split (prime or tiny): one plain M'-point plan.
-	pl.fmPlain, err = fft.NewPlan(mp)
-	if err != nil {
+	if pl.fm, err = fft.NewSixStep(mp, opts.FFTVariant, opts.Workers); err != nil {
 		return nil, err
+	}
+	if !opts.NoFuseDemod {
+		// Fused W^-1: multiply during the final pass of the 6-step FFT.
+		// Bins >= M are discarded by the projection; zeroing them keeps the
+		// fused pass branch-free.
+		demodFull := make([]complex128, mp)
+		copy(demodFull, win.Demod)
+		pl.fm.SetDemod(demodFull)
 	}
 	return pl, nil
 }
@@ -145,9 +138,6 @@ func (pl *Plan) EstimatedError() float64 { return pl.Win.AliasBound() }
 
 // Forward computes the in-order forward DFT of src (length N) into dst.
 // dst must not alias src.
-//
-//soilint:shape len(dst) >= Win.N
-//soilint:shape len(src) >= Win.N
 func (pl *Plan) Forward(dst, src []complex128) error {
 	n := pl.Win.N
 	if len(src) < n || len(dst) < n {
@@ -161,9 +151,6 @@ func (pl *Plan) Forward(dst, src []complex128) error {
 
 // Inverse computes the normalized inverse DFT via the conjugation identity
 // IFFT(x) = conj(SOI(conj(x)))/N, inheriting SOI's accuracy.
-//
-//soilint:shape len(dst) >= Win.N
-//soilint:shape len(src) >= Win.N
 func (pl *Plan) Inverse(dst, src []complex128) error {
 	n := pl.Win.N
 	if len(src) < n || len(dst) < n {
@@ -214,9 +201,6 @@ func (pl *Plan) forward(dst, src []complex128, sc *scratch) {
 // t holds the whole segment vectors; a distributed rank passes its share of
 // the rows as ld, and t's runs of ld are the blocks of its all-to-all. Tiles
 // share no state and are split across the plan's workers.
-//
-//soilint:shape len(t) >= (Win.Segments - 1) * ld + (c1 - c0) * Win.NMu
-//soilint:shape len(x) >= (c1 - 1 - c0) * Win.DMu * Win.Segments + Win.B * Win.Segments
 func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c1 int) {
 	p := pl.Win.Params
 	s, nmu := p.Segments, p.NMu
@@ -250,9 +234,6 @@ func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c
 // M in-order spectrum values of the segment into dst. scratch must have
 // length >= M' (pass nil to allocate; nil keeps scratch outside the shape
 // contracts below).
-//
-//soilint:shape len(dst) >= Win.N / Win.Segments
-//soilint:shape len(tf) >= Win.N * Win.NMu / (Win.Segments * Win.DMu)
 func (pl *Plan) FinishSegment(dst, tf, scratch []complex128) {
 	p := pl.Win.Params
 	mp := p.MPrime()
@@ -260,15 +241,10 @@ func (pl *Plan) FinishSegment(dst, tf, scratch []complex128) {
 	if scratch == nil {
 		scratch = make([]complex128, mp)
 	}
-	if pl.fm != nil && !pl.opts.NoFuseDemod {
-		pl.fm.Forward(scratch, tf)
+	pl.fm.Forward(scratch, tf)
+	if !pl.opts.NoFuseDemod {
 		copy(dst[:m], scratch[:m])
 		return
-	}
-	if pl.fm != nil {
-		pl.fm.Forward(scratch, tf)
-	} else {
-		pl.fmPlain.Forward(scratch, tf)
 	}
 	// Separate demodulation pass (projection keeps only the top M bins).
 	cvec.PointwiseMul(dst[:m], scratch[:m], pl.Win.Demod)

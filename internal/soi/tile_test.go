@@ -92,34 +92,23 @@ func TestTiledPassMatchesStagedPipeline(t *testing.T) {
 		x := ref.RandomVector(tc.p.N, 41)
 		for _, cv := range conv.AllVariants {
 			for _, noFuse := range []bool{false, true} {
-				for _, plain := range []bool{false, true} {
-					if plain && (cv != conv.Buffered || !noFuse) {
-						continue // the fallback has no fused pass; one variant suffices
+				name := fmt.Sprintf("%s/%v/noFuse=%v", tc.name, cv, noFuse)
+				pl, err := NewPlanFromFilter(win, Options{Workers: 3, ConvVariant: cv, FFTVariant: fft.SixStepOpt, NoFuseDemod: noFuse})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				got, want := make([]complex128, tc.p.N), make([]complex128, tc.p.N)
+				for _, inverse := range []bool{false, true} {
+					transform := pl.Forward
+					if inverse {
+						transform = pl.Inverse
 					}
-					name := fmt.Sprintf("%s/%v/noFuse=%v/plain=%v", tc.name, cv, noFuse, plain)
-					pl, err := NewPlanFromFilter(win, Options{Workers: 3, ConvVariant: cv, FFTVariant: fft.SixStepOpt, NoFuseDemod: noFuse})
-					if err != nil {
+					if err := transform(got, x); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if plain {
-						// M' = NMu*Segments*k always has a 2-D split, so
-						// validated parameters never build the fallback:
-						// install it by hand.
-						pl.fm, pl.fmPlain = nil, fft.MustPlan(tc.p.MPrime())
-					}
-					got, want := make([]complex128, tc.p.N), make([]complex128, tc.p.N)
-					for _, inverse := range []bool{false, true} {
-						transform := pl.Forward
-						if inverse {
-							transform = pl.Inverse
-						}
-						if err := transform(got, x); err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						stagedForward(t, pl, want, x, inverse)
-						if i := firstBitDiff(got, want); i >= 0 {
-							t.Errorf("%s inverse=%v: output[%d] = %v, staged pipeline %v", name, inverse, i, got[i], want[i])
-						}
+					stagedForward(t, pl, want, x, inverse)
+					if i := firstBitDiff(got, want); i >= 0 {
+						t.Errorf("%s inverse=%v: output[%d] = %v, staged pipeline %v", name, inverse, i, got[i], want[i])
 					}
 				}
 			}

@@ -23,9 +23,9 @@ const (
 
 // Serving-layer phases: the per-request lifecycle accounting of soifftd
 // (internal/serve). Queue wait is time between admission and being drained
-// into an executed batch; plan is plan-cache lookup (including any design or
-// wisdom load on a miss); execute is kernel time; serialize is response
-// framing and socket writes.
+// into an executed batch; plan is plan-cache lookup (including the design on
+// a miss); execute is kernel time; serialize is response framing and socket
+// writes.
 const (
 	PhaseQueueWait = "Queue wait"
 	PhasePlan      = "Plan"

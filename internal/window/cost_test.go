@@ -6,7 +6,6 @@
 package window
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -46,25 +45,5 @@ func BenchmarkDesign(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkLoad reads the 8-segment design back from an in-memory wisdom
-// stream: what a cold plan pays in place of BenchmarkDesign/S=8.
-func BenchmarkLoad(b *testing.B) {
-	f, err := Design(benchParams(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

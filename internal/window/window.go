@@ -79,14 +79,10 @@ func (p Params) Validate() error {
 }
 
 // M returns the per-segment output length N/Segments.
-//
-//soilint:shape return == N / Segments
 func (p Params) M() int { return p.N / p.Segments }
 
 // MPrime returns the oversampled per-segment length mu*M. (Validate
 // guarantees the divisions below are exact, so the symbolic form holds.)
-//
-//soilint:shape return == N * NMu / (Segments * DMu)
 func (p Params) MPrime() int { return p.M() / p.DMu * p.NMu }
 
 // Mu returns the oversampling factor as a float.
@@ -94,13 +90,9 @@ func (p Params) Mu() float64 { return float64(p.NMu) / float64(p.DMu) }
 
 // Chunks returns the total number of convolution chunks M/DMu; each chunk
 // emits NMu*Segments outputs and advances the input by DMu*Segments.
-//
-//soilint:shape return == N / (Segments * DMu)
 func (p Params) Chunks() int { return p.M() / p.DMu }
 
 // TapsLen returns the prototype filter length B*Segments.
-//
-//soilint:shape return == B * Segments
 func (p Params) TapsLen() int { return p.B * p.Segments }
 
 // GhostElems returns the number of input elements the owner of a chunk
@@ -108,8 +100,6 @@ func (p Params) TapsLen() int { return p.B * p.Segments }
 // nearest-neighbour "ghost values" of Fig. 2; tens of KB in the paper's
 // configurations). The symbolic form assumes B >= DMu, which Validate
 // enforces (the runtime clamp to zero is unreachable for valid parameters).
-//
-//soilint:shape return == (B - DMu) * Segments
 func (p Params) GhostElems() int {
 	g := (p.B - p.DMu) * p.Segments
 	if g < 0 {
@@ -303,8 +293,8 @@ func Design(p Params) (*Filter, error) {
 }
 
 // phaseError reports a tap that is not a real multiple of its lane's
-// analytic phase: the taps were not sampled from this package's prototype
-// (a tampered or foreign wisdom file).
+// analytic phase: the taps were not sampled from this package's prototype.
+// Design's self-check; a designed filter never produces one.
 type phaseError struct {
 	A, Nu    int     // the offending tap is Taps[A][Nu]
 	Residual float64 // its rotated imaginary part over max|Taps|
@@ -320,8 +310,8 @@ func (e *phaseError) Error() string {
 // leave ~1e-15 (the rounding of two evaluations of the same angle).
 const phaseResidualMax = 1e-12
 
-// factorLanes builds LaneTaps, LaneTapsDup and LanePhase from Taps; Design
-// and Load both end here, so the derived tables are never stored. The
+// factorLanes builds LaneTaps, LaneTapsDup and LanePhase from Taps, the
+// last step of Design. The
 // prototype is g(t) = lp(t)*e^{-2*pi*i*(M/2)*t/N} with lp real, and
 // N = Segments*M, so at tap nu = b*S + j of filter a (t = nu - t0 - d_a,
 // t0 = B*S/2 - 1/2) the modulation is

@@ -1,7 +1,6 @@
 package window
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -245,30 +244,5 @@ func TestGhostElemsNeverNegative(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Errorf("B == DMu should validate: %v", err)
-	}
-}
-
-func TestWisdomPreservesDiagnostics(t *testing.T) {
-	f, err := Design(paperParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.AliasBound() != f.AliasBound() || g.PassbandMin != f.PassbandMin {
-		t.Error("diagnostics changed through save/load")
-	}
-	if len(g.Taps) != len(f.Taps) || g.Params != f.Params {
-		t.Error("structure changed through save/load")
-	}
-	// Corrupt stream.
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("junk accepted")
 	}
 }

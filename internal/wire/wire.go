@@ -113,7 +113,7 @@ func (t Type) String() string {
 type Alg byte
 
 const (
-	AlgAuto  Alg = 0 // server picks: SOI for large SOI-valid lengths, exact otherwise
+	AlgAuto  Alg = 0 // server picks; today always the exact plan
 	AlgExact Alg = 1 // exact mixed-radix/Bluestein FFT
 	AlgSOI   Alg = 2 // approximate SOI factorization (paper accuracy bound)
 )
@@ -285,8 +285,8 @@ const maxSizeElems = math.MaxInt64 / BytesPerElem
 // declared geometry (count transforms of n points) into an element count,
 // rejecting zero geometry and any product that would overflow the byte
 // size n*count*BytesPerElem. Every header-derived size must pass through
-// here (or an equivalent bound check) before it reaches an allocation —
-// the contract the taintflow/intflow analyzers enforce.
+// here (or an equivalent bound check) before it reaches an allocation;
+// the hostile-geometry tests of serve and client hold both to it.
 func CheckedSize(n uint64, count uint32) (int, error) {
 	if n == 0 || count == 0 {
 		return 0, fmt.Errorf("%w: empty transform geometry n=%d count=%d", ErrBadRequest, n, count)

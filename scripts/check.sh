@@ -1,8 +1,8 @@
 #!/bin/sh
-# Tier-2 pre-PR gate: build, vet, repo-native static analysis (including
-# the shapecheck symbolic length contracts), the compiler escape- and
-# bounds-check-budget gates on the hot kernels, and the race-clean
-# concurrency gate over the packages that spawn goroutines. Tier-1
+# Tier-2 pre-PR gate: build, vet, repo-native static analysis, the compiler
+# escape- and bounds-check-budget gates on the hot kernels, the race-clean
+# concurrency gate over the packages that spawn goroutines, the fuzz smoke,
+# and the catch matrix that says what each of those gates is for. Tier-1
 # (go build ./... && go test ./...) must of course also pass; this script
 # layers the discipline checks on top.
 #
@@ -60,6 +60,14 @@ for target in FuzzCodecRoundTrip FuzzCodecDecode FuzzKernelsMatchReference; do
     run_gate "fuzz smoke $target" go test ./internal/codec -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
 run_gate "fuzz smoke FuzzSoARoundTrip" go test ./internal/cvec -run '^$' -fuzz '^FuzzSoARoundTrip$' -fuzztime 5s
+
+# The catch matrix's dynamic rows (internal/analysis/matrix_rows_test.go,
+# DESIGN.md section 7): each seeded defect whose first catcher is a test, a
+# budget tool or -race is seeded again — as a build overlay, the tree is not
+# written — and the recorded command must still fail on it. Tier-1 runs the
+# static half (which analyzers fire on each seed); this half compiles and
+# tests one seeded tree per row, so it runs here, by name.
+run_gate "catch matrix (dynamic rows)" go test ./internal/analysis -run '^TestCatchMatrixDynamic$' -count=1
 
 if [ -n "$failures" ]; then
     echo "check.sh: FAILED gates:$failures"

@@ -85,7 +85,7 @@ func DefaultConfig() Config {
 // (Segments, OversampleNum/Den, ConvWidth). Two configs that canonicalize
 // equal produce interchangeable plans for a given length, which makes the
 // canonical form the natural plan-cache key (internal/serve keys its LRU on
-// it) and the stable identity for wisdom files.
+// it).
 func (c Config) Canonical() Config {
 	if c.Segments == 0 {
 		c.Segments = 8
@@ -147,13 +147,9 @@ func NewPlan(n int, cfg Config) (*Plan, error) {
 }
 
 // N returns the transform length.
-//
-//soilint:shape return == inner.Win.N
 func (p *Plan) N() int { return p.inner.Win.N }
 
 // Segments returns the segment count.
-//
-//soilint:shape return == inner.Win.Segments
 func (p *Plan) Segments() int { return p.inner.Win.Segments }
 
 // EstimatedError returns the designed relative-accuracy bound of the plan.
@@ -161,22 +157,14 @@ func (p *Plan) EstimatedError() float64 { return p.inner.EstimatedError() }
 
 // Forward computes the unnormalized in-order forward DFT of src into dst.
 // Both must have length >= N; dst must not alias src.
-//
-//soilint:shape len(dst) >= inner.Win.N
-//soilint:shape len(src) >= inner.Win.N
 func (p *Plan) Forward(dst, src []complex128) error { return p.inner.Forward(dst, src) }
 
 // Inverse computes the normalized inverse DFT of src into dst.
-//
-//soilint:shape len(dst) >= inner.Win.N
-//soilint:shape len(src) >= inner.Win.N
 func (p *Plan) Inverse(dst, src []complex128) error { return p.inner.Inverse(dst, src) }
 
 // FFT computes the unnormalized forward DFT of x by the library's exact
 // mixed-radix kernel (any length; O(n log n)). It is the reference the SOI
 // path is validated against and a convenient general-purpose FFT.
-//
-//soilint:shape len(return) == len(x)
 func FFT(x []complex128) ([]complex128, error) {
 	p, err := fft.NewPlan(len(x))
 	if err != nil {
@@ -188,8 +176,6 @@ func FFT(x []complex128) ([]complex128, error) {
 }
 
 // IFFT computes the normalized inverse DFT of x.
-//
-//soilint:shape len(return) == len(x)
 func IFFT(x []complex128) ([]complex128, error) {
 	p, err := fft.NewPlan(len(x))
 	if err != nil {

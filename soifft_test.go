@@ -226,3 +226,17 @@ func TestClusterInverseRoundTrip(t *testing.T) {
 		t.Errorf("cluster round trip error %g", e)
 	}
 }
+
+func TestConfigCanonical(t *testing.T) {
+	def := DefaultConfig()
+	if got := (Config{}).Canonical(); got != def {
+		t.Errorf("zero config canonicalizes to %+v, want %+v", got, def)
+	}
+	full := Config{Segments: 16, OversampleNum: 5, OversampleDen: 4, ConvWidth: 48, Workers: 2}
+	if got := full.Canonical(); got != full {
+		t.Errorf("explicit config changed by Canonical: %+v", got)
+	}
+	if got := def.Canonical(); got != def {
+		t.Errorf("default config not a fixed point: %+v", got)
+	}
+}
