@@ -27,24 +27,6 @@ func BenchmarkTransposeBlockedVsNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkLayoutConversion(b *testing.B) {
-	const n = 1 << 16
-	x := seqVec(n)
-	s := FromComplex(x)
-	b.Run("AoS-to-SoA", func(b *testing.B) {
-		b.SetBytes(n * 16)
-		for i := 0; i < b.N; i++ {
-			s = FromComplex(x)
-		}
-	})
-	b.Run("SoA-to-AoS", func(b *testing.B) {
-		b.SetBytes(n * 16)
-		for i := 0; i < b.N; i++ {
-			x = s.ToComplex()
-		}
-	})
-}
-
 func BenchmarkPointwiseMul(b *testing.B) {
 	const n = 1 << 16
 	x, y := seqVec(n), seqVec(n)

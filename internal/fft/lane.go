@@ -20,7 +20,6 @@ type LaneBatch struct {
 	n, lanes int
 	stages   []stage
 	work     sync.Pool
-	soa      soaState // lazy SoA resources (soa_lane.go)
 }
 
 // NewLaneBatch builds a batch plan for `lanes` interleaved transforms of
@@ -38,10 +37,7 @@ func NewLaneBatch(n, lanes int) (*LaneBatch, error) {
 		return nil, fmt.Errorf("fft: LaneBatch length %d has a large prime factor", n)
 	}
 	lb := &LaneBatch{n: n, lanes: lanes}
-	lb.work.New = func() any {
-		b := make([]complex128, n*lanes)
-		return &b
-	}
+	poolVectors(&lb.work, n*lanes)
 	if n == 1 {
 		return lb, nil
 	}

@@ -11,18 +11,17 @@ import (
 )
 
 // The differential kernel-oracle suite. One table drives every algorithm
-// (Plan on both its layouts, all four SixStep variants) in every direction
-// against oracles of known answers:
+// (Plan, all four SixStep variants) in every direction against oracles of
+// known answers:
 //
 //   - the dense O(n^2) reference DFT from internal/ref, for every size
 //     where it is affordable (n <= denseOracleMax);
 //   - analytic closed forms (shifted impulse, tone combs) that are exact at
 //     any size, covering the Fig. 11 geometry sizes where the dense oracle
 //     is out of reach;
-//   - the twin implementation of the same schedule on the other layout,
-//     which must match within reassociation tolerance: Plan.TransformSoA
-//     against Plan.Transform, and the split-plane 6-step-opt against the
-//     interleaved 6-step-pipelined.
+//   - the other column schedule of the same arithmetic, which must match
+//     bit for bit: 6-step-opt (each worker gathers and transforms its own
+//     tiles) against 6-step-pipelined (loader and compute teams).
 //
 // This replaces the per-kernel ad-hoc comparisons that used to live in
 // plan_test.go and sixstep_test.go: a new variant gets full oracle coverage
@@ -32,9 +31,8 @@ const (
 	// oracleTol bounds the relative L2 error of any engine against an
 	// exact oracle (dense or analytic).
 	oracleTol = 1e-9
-	// crossTol bounds AoS vs SoA disagreement of one schedule: same
-	// operation order on different layouts, so only reassociation by the
-	// compiler may differ.
+	// crossTol bounds the disagreement of a lane of a LaneBatch with the
+	// Plan of the same length: same radices, different stage strides.
 	crossTol = 1e-12
 	// denseOracleMax is the largest size the O(n^2) dense oracle runs at.
 	denseOracleMax = 2048
@@ -56,13 +54,13 @@ var (
 )
 
 // oracleEngine is one (algorithm, variant) under test: its entry point, the
-// directions it implements and, where one exists (nil otherwise), the twin
-// implementation of the same schedule on the other memory layout.
+// directions it implements and, where one exists (nil otherwise), another
+// schedule of the same arithmetic whose output must match bit for bit.
 type oracleEngine struct {
-	name string
-	dirs []Direction
-	run  func(dst, src []complex128, dir Direction)
-	twin func(dst, src []complex128, dir Direction)
+	name   string
+	dirs   []Direction
+	run    func(dst, src []complex128, dir Direction)
+	sameAs func(dst, src []complex128, dir Direction)
 }
 
 // oracleEngines builds every engine applicable to size n.
@@ -73,11 +71,6 @@ func oracleEngines(t *testing.T, n int) []oracleEngine {
 		name: "plan",
 		dirs: []Direction{Forward, Inverse},
 		run:  p.Transform,
-		twin: func(dst, src []complex128, dir Direction) {
-			d := cvec.NewSoA(n)
-			p.TransformSoA(d, cvec.FromComplex(src), dir)
-			d.CopyToComplex(dst)
-		},
 	}}
 	if n < 4 {
 		return engines
@@ -93,11 +86,11 @@ func oracleEngines(t *testing.T, n int) []oracleEngine {
 			run:  func(dst, src []complex128, _ Direction) { s.Forward(dst, src) },
 		})
 	}
-	// The two surviving Fig. 4b implementations check each other: opt runs
-	// its tiles and rows on split planes, pipelined on interleaved complex
-	// slabs, with the same operation order. (engines[1+v] is variant v:
-	// AllVariants lists them in enum order after the plan.)
-	engines[1+int(SixStepOpt)].twin = engines[1+int(SixStepPipelined)].run
+	// The two column schedules of Fig. 4b check each other: the same tiles
+	// through the same kernels, so the outputs agree bit for bit.
+	// (engines[1+v] is variant v: AllVariants lists them in enum order
+	// after the plan.)
+	engines[1+int(SixStepOpt)].sameAs = engines[1+int(SixStepPipelined)].run
 	return engines
 }
 
@@ -114,7 +107,7 @@ func oracleInputs(n int) []oracleInput {
 	var ins []oracleInput
 
 	// Random data against the dense oracle where affordable; at larger
-	// sizes it still drives the AoS-vs-SoA cross-checks.
+	// sizes it still drives the schedule cross-check.
 	rnd := oracleInput{name: "random", x: ref.RandomVector(n, int64(n)), want: map[Direction][]complex128{}}
 	if n <= denseOracleMax {
 		rnd.want[Forward] = ref.DFT(rnd.x)
@@ -175,8 +168,7 @@ func dirName(d Direction) string {
 	return "forward"
 }
 
-// runOracleSize drives every engine x direction x layout x stimulus at one
-// size.
+// runOracleSize drives every engine x direction x stimulus at one size.
 func runOracleSize(t *testing.T, n int) {
 	engines := oracleEngines(t, n)
 	inputs := oracleInputs(n)
@@ -191,18 +183,13 @@ func runOracleSize(t *testing.T, n int) {
 						t.Errorf("%s/%s/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
 					}
 				}
-				if eng.twin == nil {
+				if eng.sameAs == nil {
 					continue
 				}
-				gotTwin := make([]complex128, n)
-				eng.twin(gotTwin, in.x, dir)
-				if want != nil {
-					if e := cvec.RelErrL2(gotTwin, want); e > oracleTol {
-						t.Errorf("%s/%s/twin/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
-					}
-				}
-				if e := cvec.RelErrL2(gotTwin, got); e > crossTol {
-					t.Errorf("%s/%s/%s n=%d: AoS vs SoA disagree by %g", eng.name, dirName(dir), in.name, n, e)
+				other := make([]complex128, n)
+				eng.sameAs(other, in.x, dir)
+				if i := firstBitDiff(got, other); i >= 0 {
+					t.Errorf("%s/%s/%s n=%d: column schedules disagree at %d: %v vs %v", eng.name, dirName(dir), in.name, n, i, got[i], other[i])
 				}
 			}
 		}
@@ -231,8 +218,7 @@ func TestKernelOracleFig11Sizes(t *testing.T) {
 }
 
 // TestKernelOracleLaneBatch drives the lane-interleaved batch kernel, both
-// layouts and directions, against the (oracle-verified) Plan on each
-// deinterleaved lane.
+// directions, against the (oracle-verified) Plan on each deinterleaved lane.
 func TestKernelOracleLaneBatch(t *testing.T) {
 	cases := [][2]int{
 		{1, 4}, {2, 3}, {4, 8}, {8, 8}, {16, 5}, {64, 8},
@@ -247,24 +233,30 @@ func TestKernelOracleLaneBatch(t *testing.T) {
 		p := MustPlan(n)
 		x := ref.RandomVector(n*lanes, int64(n*lanes))
 		for _, dir := range []Direction{Forward, Inverse} {
-			gotAoS := append([]complex128(nil), x...)
-			lb.Transform(gotAoS, dir)
-			s := cvec.FromComplex(x)
-			lb.TransformSoA(s, dir)
-			gotSoA := s.ToComplex()
-			if e := cvec.RelErrL2(gotSoA, gotAoS); e > crossTol {
-				t.Errorf("lane n=%d lanes=%d %s: AoS vs SoA disagree by %g", n, lanes, dirName(dir), e)
-			}
+			got := append([]complex128(nil), x...)
+			lb.Transform(got, dir)
 			col := make([]complex128, n)
 			want := make([]complex128, n)
 			for l := 0; l < lanes; l++ {
 				cvec.GatherStride(col, x, l, lanes)
 				p.Transform(want, col, dir)
-				cvec.GatherStride(col, gotAoS, l, lanes)
+				cvec.GatherStride(col, got, l, lanes)
 				if e := cvec.RelErrL2(col, want); e > crossTol {
 					t.Errorf("lane n=%d lanes=%d %s lane %d: relerr %g vs plan", n, lanes, dirName(dir), l, e)
 				}
 			}
 		}
 	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in any bit
+// (NaN payloads and signed zeros included), or -1.
+func firstBitDiff(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
 }

@@ -13,8 +13,9 @@
 //     pipelined and fine-grain-parallel flavors used for the Fig. 10
 //     ablation), including a variant with a fused demodulation pass.
 //
-// Forward transforms are unnormalized; Inverse applies the 1/n factor, so
-// Inverse(Forward(x)) == x.
+// Every engine works on interleaved []complex128, with one kernel source
+// per radix. Forward transforms are unnormalized; Inverse applies the 1/n
+// factor, so Inverse(Forward(x)) == x.
 package fft
 
 import (
@@ -34,7 +35,6 @@ type Plan struct {
 	stages []stage    // mixed-radix schedule (nil when blue != nil or n <= 2)
 	blue   *bluestein // chirp-z fallback for rough sizes
 	work   sync.Pool
-	soa    soaState // lazy SoA resources (soa_plan.go)
 }
 
 // stage describes one Stockham pass: the current sub-transform length is
@@ -43,11 +43,7 @@ type Plan struct {
 type stage struct {
 	r, m, s int
 	tw      []complex128
-	wr      []complex128 // wr[t*r+u] = exp(-2*pi*i*t*u/r); nil for r=2,3,4
-	// Split-plane twiddle tables for TransformSoA; populated lazily by
-	// ensureSoAStages (soa_plan.go) so AoS-only plans never allocate them.
-	twRe, twIm []float64
-	wrRe, wrIm []float64
+	wr      []complex128 // wr[t*r+u] = exp(-2*pi*i*t*u/r); nil for r=2,3,4,8
 }
 
 // NewPlan creates a transform plan for length n (n >= 1).
@@ -56,10 +52,7 @@ func NewPlan(n int) (*Plan, error) {
 		return nil, fmt.Errorf("fft: invalid transform length %d", n)
 	}
 	p := &Plan{n: n}
-	p.work.New = func() any {
-		b := make([]complex128, n)
-		return &b
-	}
+	poolVectors(&p.work, n)
 	if n <= 2 {
 		return p, nil
 	}
@@ -74,6 +67,15 @@ func NewPlan(n int) (*Plan, error) {
 	}
 	p.stages = buildStages(n, radices)
 	return p, nil
+}
+
+// poolVectors arms p to hand out *[]complex128 scratch of length n, the one
+// shape every pool in this package holds.
+func poolVectors(p *sync.Pool, n int) {
+	p.New = func() any {
+		b := make([]complex128, n)
+		return &b
+	}
 }
 
 // MustPlan is NewPlan that panics on error, for tests and internal use with
@@ -91,8 +93,7 @@ func (p *Plan) N() int { return p.n }
 
 // aliasingStride8 reports whether a radix-8 butterfly whose write legs are
 // separated by s complex elements maps all eight of them onto one L1 set
-// group. 256 complex elements = 4096 bytes in AoS layout; the SoA planes
-// alias at s%512 == 0, so the AoS criterion covers both layouts.
+// group: 256 complex128 elements = 4096 bytes.
 func aliasingStride8(s int) bool { return s%256 == 0 }
 
 // factorize splits n into the radix schedule used by the Stockham kernel.
@@ -109,7 +110,7 @@ func aliasingStride8(s int) bool { return s%256 == 0 }
 // aliasing read legs every power-of-two length has) against 8-way hardware
 // and thrashes at every working-set size; a radix-4 stage needs exactly 8
 // ways and stays at streaming bandwidth, so two radix-4 passes beat one
-// thrashing radix-8 pass on both kernel layouts.
+// thrashing radix-8 pass.
 //
 // Returns smooth=false when n has a prime factor > maxGenericRadix.
 func factorize(n, strideMul int) (radices []int, smooth bool) {
@@ -263,7 +264,11 @@ func runStage(st *stage, y, x []complex128) {
 	case 4:
 		stageRadix4(st, y, x)
 	case 8:
-		stageRadix8(st, y, x)
+		if st.s == 1 {
+			stageRadix8Unit(st, y, x)
+		} else {
+			stageRadix8(st, y, x)
+		}
 	default:
 		stageGeneric(st, y, x)
 	}

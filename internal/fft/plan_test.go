@@ -23,8 +23,8 @@ var testSizes = []int{
 }
 
 // Forward/Inverse comparisons against the dense reference DFT live in the
-// kernel-oracle suite (oracle_test.go), which drives every engine, layout
-// and direction through shared oracles.
+// kernel-oracle suite (oracle_test.go), which drives every engine and
+// direction through shared oracles.
 
 func TestRoundTrip(t *testing.T) {
 	for _, n := range testSizes {

@@ -17,12 +17,12 @@ import (
 //	                 (Fig. 4a of the paper).
 //	SixStepOpt       loops fused, columns staged through contiguous
 //	                 cache-resident tiles, dynamic-block twiddle tables:
-//	                 4 memory sweeps (Fig. 4b). The production variant; it
-//	                 runs on split real/imaginary planes (soa_sixstep.go).
-//	SixStepPipelined the SixStepOpt schedule on interleaved complex data,
-//	                 plus explicit load/compute/store pipelining across
-//	                 goroutine teams, standing in for the SMT pipelining of
-//	                 Fig. 5 ("latency-hiding").
+//	                 4 memory sweeps (Fig. 4b). The production variant:
+//	                 every worker gathers and transforms its own tiles.
+//	SixStepPipelined the SixStepOpt pass structure with explicit
+//	                 load/compute/store pipelining of the column tiles
+//	                 across goroutine teams, standing in for the SMT
+//	                 pipelining of Fig. 5 ("latency-hiding").
 //	SixStepFineGrain SixStepPipelined for the column pass, plus cooperative
 //	                 multi-worker execution of each long row FFT so the
 //	                 working set of a single FFT never exceeds one tile
@@ -87,12 +87,10 @@ type SixStep struct {
 	// Naive variant: full-size twiddle table tw[j2*n1+k1] = W_n^{j2*k1}.
 	twFull []complex128
 	// Optimized variants: dynamic block scheme, W_n^e = twA[e%K]*twB[e/K]
-	// with K a power of two so the split is a mask and a shift. SixStepOpt
-	// reads them split into planes (tw?Re/tw?Im).
-	twA, twB                   []complex128
-	twARe, twAIm, twBRe, twBIm []float64
-	twK                        int
-	twKShift                   uint
+	// with K a power of two so the split is a mask and a shift.
+	twA, twB []complex128
+	twK      int
+	twKShift uint
 
 	demod []complex128 // optional; length n, multiplied into natural-order output
 
@@ -109,8 +107,6 @@ type SixStep struct {
 	// fault per tile and defeats the bandwidth model.
 	tilePool sync.Pool // length tileCols*(n1+rowPad), column pass
 	rowPool  sync.Pool // length (n2+rowPad)*tileCols, row pass
-	// The same three buffers as cvec.SoA planes, for SixStepOpt.
-	workSoA, tileSoAPool, rowSoAPool sync.Pool
 }
 
 // NewSixStep builds a 6-step plan for length n with the given variant.
@@ -138,18 +134,9 @@ func NewSixStep(n int, variant Variant, workers int) (*SixStep, error) {
 		workers = par.DefaultWorkers()
 	}
 	s := &SixStep{n: n, n1: n1, n2: n2, p1: p1, p2: p2, variant: variant, workers: workers}
-	s.work.New = func() any {
-		b := make([]complex128, n)
-		return &b
-	}
-	s.tilePool.New = func() any {
-		b := make([]complex128, tileCols*(n1+rowPad))
-		return &b
-	}
-	s.rowPool.New = func() any {
-		b := make([]complex128, (n2+rowPad)*tileCols)
-		return &b
-	}
+	poolVectors(&s.work, n)
+	poolVectors(&s.tilePool, tileCols*(n1+rowPad))
+	poolVectors(&s.rowPool, (n2+rowPad)*tileCols)
 	if variant == SixStepNaive {
 		s.twFull = make([]complex128, n)
 		for j2 := 0; j2 < n2; j2++ {
@@ -170,9 +157,6 @@ func NewSixStep(n int, variant Variant, workers int) (*SixStep, error) {
 		for b := 0; b < nb; b++ {
 			s.twB[b] = twiddle(Forward, (b*k)%n, n)
 		}
-	}
-	if variant == SixStepOpt {
-		s.initSoA()
 	}
 	if variant != SixStepNaive {
 		if lb, err := NewLaneBatch(n1, tileCols); err == nil {
@@ -234,16 +218,11 @@ func (s *SixStep) Forward(dst, src []complex128) {
 		panic("fft: SixStep buffers too short")
 	}
 	dst, src = dst[:s.n], src[:s.n]
-	switch s.variant {
-	case SixStepNaive:
+	if s.variant == SixStepNaive {
 		s.forwardNaive(dst, src)
-	case SixStepOpt:
-		// Split-plane pipeline; AoS<->SoA conversion rides the staging
-		// sweeps the pass performs anyway (soa_sixstep.go).
-		s.forwardOptSoA(dst, src)
-	default:
-		s.forwardOpt(dst, src)
+		return
 	}
+	s.forwardOpt(dst, src)
 }
 
 // forwardNaive is Fig. 4a: every step is a separate full pass.
@@ -297,16 +276,15 @@ func (s *SixStep) forwardNaive(dst, src []complex128) {
 	}
 }
 
-// forwardOpt is Fig. 4b with the pipelined / fine-grain refinements, on
-// interleaved complex data: steps 1-4 fused into one tile pass, steps 5-6
-// (and demodulation) fused into a second: 4 memory sweeps total.
+// forwardOpt is Fig. 4b for every optimized variant: steps 1-4 fused into
+// one tile pass, steps 5-6 (and demodulation) fused into a second: 4 memory
+// sweeps total.
 func (s *SixStep) forwardOpt(dst, src []complex128) {
 	wp := s.work.Get().(*[]complex128)
 	defer s.work.Put(wp)
 	w := *wp
 
-	s.columnPassPipelined(w, src, (s.n2+tileCols-1)/tileCols)
-
+	s.columnPass(w, src)
 	if s.variant == SixStepFineGrain && s.sub != nil {
 		s.rowPassFineGrain(dst, w)
 		return
@@ -429,6 +407,27 @@ func (s *SixStep) rowGroupFFTScatter(dst, w []complex128, lo, hi int, rbuf []com
 // rowPad is the padding (in elements) between staged rows; one cache line
 // pair keeps group-column reads spread across sets.
 const rowPad = 8
+
+// columnPass runs the fused steps 1-4 of every optimized variant into w.
+// The variants differ only in how the tiles are scheduled: SixStepOpt hands
+// each worker runs of 8 tiles, which it gathers and transforms itself
+// through a pooled staging buffer; the others pipeline a loader team into a
+// compute team.
+func (s *SixStep) columnPass(w, src []complex128) {
+	ntiles := (s.n2 + tileCols - 1) / tileCols
+	if s.variant != SixStepOpt {
+		s.columnPassPipelined(w, src, ntiles)
+		return
+	}
+	par.ForChunked(s.workers, ntiles, 8, func(lo, hi int) {
+		bp := s.tilePool.Get().(*[]complex128)
+		defer s.tilePool.Put(bp)
+		for t := lo; t < hi; t++ {
+			s.gatherTile(*bp, src, t)
+			s.processTile(w, *bp, t)
+		}
+	})
+}
 
 // columnPassPipelined splits the workers into a loader team and a compute
 // team connected by a channel of staged tiles, emulating the SMT

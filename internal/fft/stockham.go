@@ -13,8 +13,8 @@ import "math"
 // choice for bandwidth-bound FFTs.
 //
 // The s == 1 case (the first stage, where inner vectors are single elements)
-// is special-cased in each butterfly to keep the hot first pass free of the
-// inner q loop overhead.
+// is special-cased in the radix-2, -4 and -8 butterflies to keep the hot
+// first pass free of the inner q loop overhead.
 
 func stageRadix2(st *stage, y, x []complex128) {
 	m, s := st.m, st.s
@@ -118,6 +118,7 @@ func stageRadix3(st *stage, y, x []complex128) {
 // radix-4 halves joined by the W8 constants, exactly the dft8 codelet) plus
 // the stage twiddles. The higher radix cuts the number of Stockham passes
 // over memory to log8(n), the paper's "radix 8 and 16, case by case".
+// It is correct at every stride; runStage sends s == 1 to stageRadix8Unit.
 func stageRadix8(st *stage, y, x []complex128) {
 	m, s := st.m, st.s
 	for p := 0; p < m; p++ {
@@ -171,12 +172,57 @@ func stageRadix8(st *stage, y, x []complex128) {
 	}
 }
 
+// stageRadix8Unit is stageRadix8 at s == 1 (the first pass of every
+// radix-8-first plan) with the same operations in the same order, so the
+// two agree bit for bit. Its butterflies touch single elements, where the
+// 16 per-p slice preambles of the strided loop cost more than they save.
+func stageRadix8Unit(st *stage, y, x []complex128) {
+	m := st.m
+	tw := st.tw[:7*m]
+	x, y = x[:8*m], y[:8*m]
+	for p := 0; p < m; p++ {
+		u0, u1, u2, u3 := x[p], x[p+m], x[p+2*m], x[p+3*m]
+		u4, u5, u6, u7 := x[p+4*m], x[p+5*m], x[p+6*m], x[p+7*m]
+		a0, a1, a2, a3 := u0+u4, u1+u5, u2+u6, u3+u7
+		b0 := u0 - u4
+		b1 := u1 - u5
+		b2 := u2 - u6
+		b3 := u3 - u7
+		b1 = complex(invSqrt2*(real(b1)+imag(b1)), invSqrt2*(imag(b1)-real(b1)))
+		b2 = complex(imag(b2), -real(b2))
+		b3 = complex(invSqrt2*(imag(b3)-real(b3)), -invSqrt2*(real(b3)+imag(b3)))
+		w := tw[7*p : 7*p+7]
+		y8 := y[8*p : 8*p+8]
+		{
+			a, c := a0+a2, a0-a2
+			b, d := a1+a3, a1-a3
+			id := mulByI(d)
+			y8[0] = a + b
+			y8[2] = (c - id) * w[1]
+			y8[4] = (a - b) * w[3]
+			y8[6] = (c + id) * w[5]
+		}
+		{
+			a, c := b0+b2, b0-b2
+			b, d := b1+b3, b1-b3
+			id := mulByI(d)
+			y8[1] = (a + b) * w[0]
+			y8[3] = (c - id) * w[2]
+			y8[5] = (a - b) * w[4]
+			y8[7] = (c + id) * w[6]
+		}
+	}
+}
+
 // stageGeneric handles any radix with an r-point matrix DFT per butterfly.
 // It costs O(r^2) per butterfly, which is acceptable for the small primes
 // (5, 7, 11, 13) it is used for; larger primes go through Bluestein.
 func stageGeneric(st *stage, y, x []complex128) {
 	r, m, s := st.r, st.m, st.s
-	u := make([]complex128, r)
+	// The butterfly's inputs u live in a stack array (r <= maxGenericRadix);
+	// u[0] is read as ubuf[0], whose constant index needs no bounds check.
+	var ubuf [maxGenericRadix]complex128
+	u := ubuf[:r]
 	for p := 0; p < m; p++ {
 		twRow := st.tw[p*(r-1) : p*(r-1)+(r-1)]
 		for q := 0; q < s; q++ {
@@ -184,14 +230,14 @@ func stageGeneric(st *stage, y, x []complex128) {
 				u[t] = x[q+s*(p+m*t)]
 			}
 			// t = 0: plain sum, no twiddle.
-			acc := u[0]
+			acc := ubuf[0]
 			for t := 1; t < r; t++ {
 				acc += u[t]
 			}
 			y[q+s*r*p] = acc
 			for t := 1; t < r; t++ {
 				wrRow := st.wr[t*r:]
-				acc = u[0]
+				acc = ubuf[0]
 				for uu := 1; uu < r; uu++ {
 					acc += u[uu] * wrRow[uu]
 				}

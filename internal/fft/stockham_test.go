@@ -1,0 +1,64 @@
+package fft
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestRadix8UnitMatchesStrided pins stageRadix8Unit to the strided radix-8
+// loop run at s == 1, bit for bit, over every butterfly count m in 1..64.
+// Random operands check the arithmetic order; operands sprinkled with ±0,
+// ±Inf, NaN and denormals check that no operation was folded away (x+0 is
+// not an identity on -0, nor x*0 a zero on ±Inf and NaN). The twiddles are
+// random too, so a swapped table index cannot hide behind a symmetry. A
+// NaN matches any NaN: the compiler may emit either operand order of a
+// floating-point addition or multiplication, and x86 propagates the first
+// operand's payload, so payloads are not part of the contract.
+func TestRadix8UnitMatchesStrided(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -5e-324, math.SmallestNonzeroFloat64 * 3, 1, -1,
+	}
+	draw := func(specials bool) float64 {
+		if specials && rng.Intn(16) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64()
+	}
+	for m := 1; m <= 64; m++ {
+		for _, specials := range []bool{false, true} {
+			st := &stage{r: 8, m: m, s: 1, tw: make([]complex128, 7*m)}
+			for i := range st.tw {
+				st.tw[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			x := make([]complex128, 8*m)
+			for i := range x {
+				x[i] = complex(draw(specials), draw(specials))
+			}
+			want := make([]complex128, 8*m)
+			got := make([]complex128, 8*m)
+			stageRadix8(st, want, x)
+			stageRadix8Unit(st, got, x)
+			if i := firstBitDiff(nanless(got), nanless(want)); i >= 0 {
+				t.Fatalf("m=%d specials=%v: element %d is %v, strided loop gives %v", m, specials, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// nanless returns x with every NaN component replaced by one canonical NaN.
+func nanless(x []complex128) []complex128 {
+	canon := func(v float64) float64 {
+		if math.IsNaN(v) {
+			return math.NaN()
+		}
+		return v
+	}
+	out := make([]complex128, len(x))
+	for i, v := range x {
+		out[i] = complex(canon(real(v)), canon(imag(v)))
+	}
+	return out
+}

@@ -59,7 +59,6 @@ done
 for target in FuzzCodecRoundTrip FuzzCodecDecode FuzzKernelsMatchReference; do
     run_gate "fuzz smoke $target" go test ./internal/codec -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
-run_gate "fuzz smoke FuzzSoARoundTrip" go test ./internal/cvec -run '^$' -fuzz '^FuzzSoARoundTrip$' -fuzztime 5s
 
 # The catch matrix's dynamic rows (internal/analysis/matrix_rows_test.go,
 # DESIGN.md section 7): each seeded defect whose first catcher is a test, a

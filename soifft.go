@@ -186,20 +186,20 @@ func IFFT(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// ValidLength reports whether n admits an SOI plan under cfg, and if not,
-// the smallest n' >= n that does (n' is a multiple of the per-segment
-// chunk granularity Segments^2 * OversampleDen).
+// ValidLength reports whether n admits an SOI plan under cfg (exactly when
+// NewPlan(n, cfg) succeeds), and if not, the smallest n' >= n that does.
+// The valid lengths are the positive multiples of the chunk granularity
+// Segments^2 * OversampleDen of the canonical config; when cfg itself is
+// invalid (say, mu = 10/8, or a convolution narrower than OversampleDen),
+// no length is, and next is 0.
 func ValidLength(n int, cfg Config) (ok bool, next int) {
-	if cfg.Segments == 0 {
-		cfg.Segments = 8
+	c := cfg.Canonical()
+	gran := c.Segments * c.Segments * c.OversampleDen
+	if _, _, err := c.params(gran); err != nil {
+		return false, 0
 	}
-	if cfg.OversampleDen == 0 {
-		cfg.OversampleDen = 7
-	}
-	gran := cfg.Segments * cfg.Segments * cfg.OversampleDen
-	if n > 0 && n%gran == 0 {
+	if _, _, err := c.params(n); err == nil {
 		return true, n
 	}
-	next = (n/gran + 1) * gran
-	return false, next
+	return false, max(n/gran+1, 1) * gran
 }

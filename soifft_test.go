@@ -123,6 +123,53 @@ func TestInvalidLengths(t *testing.T) {
 	}
 }
 
+// TestValidLengthAgreesWithNewPlan: ValidLength(n, cfg) says ok exactly
+// when NewPlan(n, cfg) succeeds, over configs that canonicalize away a
+// lone field (OversampleDen or OversampleNum without its partner) and
+// configs that window.Params.Validate rejects (one segment, B < DMu, mu not
+// in lowest terms or not above 1, too few segments for mu), and every next
+// length it quotes is itself valid.
+func TestValidLengthAgreesWithNewPlan(t *testing.T) {
+	configs := []Config{
+		{},
+		DefaultConfig(),
+		{Segments: 4},
+		{Segments: 2, OversampleNum: 5, OversampleDen: 4},
+		{OversampleNum: 5, OversampleDen: 4},
+		{OversampleDen: 4},
+		{OversampleNum: 5},
+		{Segments: 1},
+		{Segments: -8},
+		{ConvWidth: 5},
+		{ConvWidth: -1},
+		{OversampleNum: 10, OversampleDen: 8},
+		{OversampleNum: 7, OversampleDen: 7},
+		{Segments: 2, OversampleNum: 3, OversampleDen: 1},
+	}
+	lengths := []int{-896, -448, -1, 0, 1, 16, 28, 32, 100, 112, 224, 256, 448, 512, 896, 1000, 1344}
+	for _, cfg := range configs {
+		for _, n := range lengths {
+			ok, next := ValidLength(n, cfg)
+			_, err := NewPlan(n, cfg)
+			if ok != (err == nil) {
+				t.Errorf("%+v n=%d: ValidLength ok=%v but NewPlan error %v", cfg, n, ok, err)
+			}
+			if ok && next != n {
+				t.Errorf("%+v n=%d: valid, but next = %d", cfg, n, next)
+			}
+			if ok || next == 0 {
+				continue
+			}
+			if next < n {
+				t.Errorf("%+v n=%d: next %d below n", cfg, n, next)
+			}
+			if _, err := NewPlan(next, cfg); err != nil {
+				t.Errorf("%+v n=%d: quoted next %d fails NewPlan: %v", cfg, n, next, err)
+			}
+		}
+	}
+}
+
 func TestFFTAndIFFT(t *testing.T) {
 	for _, n := range []int{16, 100, 101} {
 		x := ref.RandomVector(n, int64(n))
