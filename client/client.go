@@ -383,7 +383,7 @@ func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 64<<10)
 	var fatal error
 	for {
-		h, err := wire.ReadHeader(br) //soilint:ignore deadlineflow the demultiplexer parks between frames by design; Close fails this read to stop it
+		h, err := wire.ReadHeader(br)
 		if err != nil {
 			fatal = err
 			break

@@ -42,8 +42,7 @@ func TestTransformArgChecks(t *testing.T) {
 	}
 }
 
-// TestTransformPeerStopsReading pins the no-hang write path (the fix for
-// the deadlineflow findings on transform's frame writes): a peer that
+// TestTransformPeerStopsReading pins the no-hang write path: a peer that
 // accepts the connection and then never reads lets the socket buffers fill
 // mid-payload, and without a write deadline the client would wedge forever
 // inside wire.WriteVector. With the I/O timeout armed, Transform must
@@ -83,11 +82,7 @@ func TestTransformPeerStopsReading(t *testing.T) {
 	if elapsed > 10*time.Second {
 		t.Fatalf("Forward took %v to fail; the write deadline did not bound the blocked write (err: %v)", elapsed, err)
 	}
-	select {
-	case c := <-accepted:
-		c.Close()
-	default:
-	}
+	(<-accepted).Close()
 }
 
 func TestAlgConstantsMatchWire(t *testing.T) {

@@ -1,43 +1,35 @@
-// Package analysis is soifft's repo-native static-analysis suite: the twelve
+// Package analysis is soifft's repo-native static-analysis suite: the six
 // checks that are each the first — usually the only — gate to notice some
 // class of defect seeded into the real module. That claim is an experiment,
-// not a belief: matrix_rows_test.go seeds 33 defects (every historical bug
-// that can be re-introduced deterministically, and a mutant of real code per
-// failure class an analyzer claims) and records which gate — the compiler,
-// go vet, a tier-1 test, a budget tool, an analyzer, -race, a fuzz target —
-// fires first. TestCatchMatrix re-checks the static half in tier-1 and fails
-// on an analyzer that is the first gate of no row — everything it catches,
-// something cheaper to own catches too, so it is deleted; scripts/check.sh
-// re-runs the dynamic half. DESIGN.md §7 prints the table.
+// not a belief: matrix_rows_test.go seeds 58 defects (every historical bug
+// that can be re-introduced deterministically, and two or three mutants of
+// real code per failure class an analyzer claimed) and records which gate
+// — the compiler, go vet, a tier-1 test, a budget tool, an analyzer, -race,
+// a fuzz target — fires first. TestCatchMatrix re-checks the static half in
+// tier-1 and fails on an analyzer that is the first gate of no row —
+// everything it catches, something cheaper to own catches too, so it is
+// deleted; scripts/check.sh re-runs the dynamic half. DESIGN.md §7 prints
+// the table.
 //
 // The survivors, by what they are built on:
 //
 //   - syntax and types only: communicator errors must not be discarded at
 //     the call (errdrop), kernel loops must read twiddles from tables, not
-//     compute them (twiddleloop), par.For bodies must not write captured
-//     state (parcapture), switches over codec.ID must be exhaustive or
-//     reject (codecflow), and the wire protocol's enums, code/sentinel
-//     mapping, dispatch and response headers must stay in lockstep across
-//     internal/wire, internal/serve and client (wireconform);
+//     compute them (twiddleloop), and par.For bodies must not write
+//     captured state (parcapture);
 //   - the intraprocedural CFG (cfg.go): a stored communicator error must be
-//     read on every path to return (errflow);
-//   - the module-local call graph with memoized per-function summaries
-//     (ipa.go): goroutines must have a bounded exit (goleak), channel
-//     close/send protocols and //soilint:chan contracts must hold
-//     (chanlife), blocking transport calls reachable from serving entry
-//     points must observe a deadline (deadlineflow), no call may re-acquire
-//     a held mutex and the acquisition graph must be acyclic (lockorder);
-//   - the acquire/release core (lifecycle.go): sync.Pool values must go back
-//     to their pool on every path or be handed off (poolflow), acquired
+//     read on every path to return (errflow), channel close/send protocols
+//     and //soilint:chan contracts must hold (chanlife), and acquired
 //     io.Closers must be closed or transferred on every path that uses them
-//     (closeflow).
+//     (closeflow, which also summarizes the module-local functions it calls
+//     to see through dial and listen wrappers).
 //
 // The framework is standard-library only (go/ast, go/build, go/parser,
 // go/types): a Loader that parses and type-checks the files of each module
 // package the host's go build would compile, an Analyzer type with
 // position-carrying Diagnostics, and one comment-directive grammar
-// (directive.go) with four verbs: chanlife's "chan", poolflow's "pool", and
-// the two suppressions
+// (directive.go) with three verbs: chanlife's "chan", and the two
+// suppressions
 //
 //	//soilint:ignore <check>[,<check>...] [justification]
 //
@@ -103,7 +95,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All lists every registered analyzer in stable order.
-var All = []*Analyzer{ErrDrop, TwiddleLoop, ParCapture, ErrFlow, GoLeak, ChanLife, DeadlineFlow, LockOrder, PoolFlow, CloseFlow, WireConform, CodecFlow}
+var All = []*Analyzer{ErrDrop, TwiddleLoop, ParCapture, ErrFlow, ChanLife, CloseFlow}
 
 // ByName resolves a comma-separated check list ("errflow,errdrop") against
 // the registry; the empty string selects all analyzers.

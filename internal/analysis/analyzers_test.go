@@ -68,18 +68,6 @@ func TestAnalyzersGolden(t *testing.T) {
 			wantSuppressed: []int{72},
 		},
 		{
-			// True positives: bare receive (15), WaitGroup.Wait (22),
-			// escape-free select (29), a leak inside a named callee (44)
-			// and inside a bound function value (50). The close-blessed,
-			// buffered, ctx/timer/default and interface-dispatch shapes
-			// stay silent.
-			name:           "goleak",
-			dir:            fixtureDir("goleak"),
-			analyzer:       GoLeak,
-			wantActive:     []int{15, 22, 29, 44, 50},
-			wantSuppressed: []int{116},
-		},
-		{
 			// Send-after-close (13), double close (20), close in a loop
 			// (27), token contract without/after mu (57, 64), close outside
 			// the owner (74), the two bad directives (79 malformed role,
@@ -92,42 +80,6 @@ func TestAnalyzersGolden(t *testing.T) {
 			wantSuppressed: []int{102},
 		},
 		{
-			// The A->B / B->A cycle edges (15, 23), a callee re-acquiring a
-			// held mutex (43), a direct double Lock (50), and the wrapper
-			// whose interface dispatch may re-enter itself (84). The
-			// unlock-before-call and goroutine hand-off shapes stay silent.
-			name:           "lockorder",
-			dir:            fixtureDir("lockorder"),
-			analyzer:       LockOrder,
-			wantActive:     []int{15, 23, 43, 50, 84},
-			wantSuppressed: []int{91},
-		},
-		{
-			// Bare reads/writes in an entry (25), in a helper reached from
-			// it (34), on one branch only (51), under the wrong deadline
-			// kind (58), an unbounded collective (70) and a goroutine read
-			// (83). The all-path, combined-deadline, bounded-variant and
-			// unreached-function shapes stay silent.
-			name:           "deadlineflow",
-			dir:            fixtureDir("deadlineflow", "internal", "serve"),
-			analyzer:       DeadlineFlow,
-			wantActive:     []int{25, 34, 51, 58, 70, 83},
-			wantSuppressed: []int{102},
-		},
-		{
-			// A leak on the error path (13), a double-Put (28), a
-			// cross-pool Put (34), a use-after-Put (41), an unbound Get
-			// (46), a Put of a foreign value (53), an unbound transfer
-			// directive (120) and a malformed one (122). The defer,
-			// wrapper, return/send-transfer and directive-covered shapes
-			// stay silent.
-			name:           "poolflow",
-			dir:            fixtureDir("poolflow"),
-			analyzer:       PoolFlow,
-			wantActive:     []int{13, 28, 34, 41, 46, 53, 120, 122},
-			wantSuppressed: []int{111},
-		},
-		{
 			// A used-then-leaked conn (14), the same leak through a
 			// freshCloser wrapper (63), and a discarded acquire (120). The
 			// error-path read witness, defer Close, temp+rename idiom,
@@ -137,45 +89,6 @@ func TestAnalyzersGolden(t *testing.T) {
 			analyzer:       CloseFlow,
 			wantActive:     []int{14, 63, 120},
 			wantSuppressed: []int{125},
-		},
-		{
-			// A non-exhaustive Type switch (43), an empty-default code
-			// switch (56), the CodeFor bijection holes and round-trip
-			// mismatch (76, twice), and the ErrFor hole (88).
-			name:           "wireconform wire",
-			dir:            fixtureDir("wireconform", "internal", "wire"),
-			analyzer:       WireConform,
-			wantActive:     []int{43, 56, 76, 88},
-			wantSuppressed: nil,
-		},
-		{
-			// A request type unhandled by the dispatch (11), a response
-			// Header literal without ReqID (21) and a TError literal
-			// without Code (26).
-			name:           "wireconform serve",
-			dir:            fixtureDir("wireconform", "internal", "serve"),
-			analyzer:       WireConform,
-			wantActive:     []int{11, 21, 26},
-			wantSuppressed: nil,
-		},
-		{
-			// A response type unhandled by the demux (16) and a suppressed
-			// empty-default code switch (26).
-			name:           "wireconform client",
-			dir:            fixtureDir("wireconform", "client"),
-			analyzer:       WireConform,
-			wantActive:     []int{16},
-			wantSuppressed: []int{26},
-		},
-		{
-			// A stale ID switch missing Quant (33) and an empty default
-			// swallowing unknown codecs (44). The exhaustive registry and
-			// the rejecting default stay silent.
-			name:           "codecflow",
-			dir:            fixtureDir("codecflow", "internal", "codec"),
-			analyzer:       CodecFlow,
-			wantActive:     []int{33, 44},
-			wantSuppressed: []int{64},
 		},
 		{
 			name:           "file-ignore suppresses named check",

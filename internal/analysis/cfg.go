@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the shared control-flow core the flow-aware analyzers
-// (errflow, chanlife, deadlineflow, lockorder, poolflow, closeflow) are
+// (errflow, chanlife, closeflow) are
 // built on. It is deliberately small: an intraprocedural basic-block CFG
 // over go/ast statements, a reachability query, a backward must-analysis
 // and a def-to-exit path search. Function literals are
@@ -432,8 +432,7 @@ const (
 // function entry hits a markSatisfy node before a markKill node. Loops are
 // handled optimistically (a back edge defers to the paths that enter the
 // loop), so a fact established before a loop guards every iteration unless
-// a kill inside the loop intervenes. This is the shared core of chanlife's
-// token-held check and deadlineflow's deadline-observed check.
+// a kill inside the loop intervenes. It is chanlife's token-held check.
 func (g *funcCFG) precededOnAllPaths(node ast.Node, classify func(ast.Node) pathMark) bool {
 	p, ok := g.pos[node]
 	if !ok {

@@ -313,3 +313,78 @@ func collectChanContracts(pkg *Package) (map[types.Object]*chanContract, []token
 	}
 	return contracts, malformed
 }
+
+// refObj resolves the object a channel/mutex operand refers to: a local or
+// package-level variable for identifiers, the field variable for (possibly
+// nested) selectors — which is identical across every instance of the
+// struct and across packages, since the whole module shares one loader.
+// Index and slice layers are peeled (writeMu[dst] conflates to the writeMu
+// field — conservative). Returns nil for unresolvable operands (call
+// results, map loads through interfaces, ...).
+func refObj(info *types.Info, e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			if o := info.Uses[x]; o != nil {
+				return o
+			}
+			return info.Defs[x]
+		case *ast.SelectorExpr:
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+				return sel.Obj()
+			}
+			if o := info.Uses[x.Sel]; o != nil {
+				return o // package-qualified var
+			}
+			return nil
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// refName renders a short, deterministic name for a resolved operand
+// object: "T.field" for struct fields, the plain name otherwise.
+func refName(obj types.Object) string {
+	if obj == nil {
+		return "?"
+	}
+	if v, ok := obj.(*types.Var); ok && v.IsField() {
+		if owner := fieldOwner(v); owner != "" {
+			return owner + "." + v.Name()
+		}
+	}
+	return obj.Name()
+}
+
+// fieldOwner finds the named type declaring field v, scanning the field's
+// package scope (best-effort; "" when not found, e.g. anonymous structs).
+func fieldOwner(v *types.Var) string {
+	pkg := v.Pkg()
+	if pkg == nil {
+		return ""
+	}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i) == v {
+				return tn.Name()
+			}
+		}
+	}
+	return ""
+}

@@ -13,8 +13,8 @@ import (
 // or has its ownership transferred: returned to the caller, sent on a
 // channel, stored into a longer-lived structure (the struct's owner closes
 // it), captured by a closure, or passed to a module-local function that
-// stores or closes it (summarized interprocedurally, like poolflow's
-// wrappers). The "actually uses it" witness is what makes the ubiquitous
+// stores or closes it (summarized interprocedurally). The "actually uses
+// it" witness is what makes the ubiquitous
 //
 //	f, err := os.Open(path)
 //	if err != nil { return err }
@@ -50,9 +50,21 @@ type closeFnInfo struct {
 	keeps       uint64
 }
 
+// closeIPA summarizes the module-local functions reachable from one
+// package: every body of the package and of its module dependencies, which
+// the loader type-checked through itself, so a *types.Func names the same
+// function from any package.
 type closeIPA struct {
-	view *ipaView
-	sum  *summarizer[closeFnInfo]
+	fns  map[*types.Func]funcDef
+	memo map[*types.Func]closeFnInfo
+	busy map[*types.Func]bool // being summarized; a recursive demand gets the zero summary
+}
+
+// funcDef is one module-local function body and the package whose type
+// information resolves it.
+type funcDef struct {
+	decl *ast.FuncDecl
+	pkg  *Package
 }
 
 var closeIPACache = make(map[*Package]*closeIPA)
@@ -61,10 +73,60 @@ func closeIPAFor(pkg *Package) *closeIPA {
 	if ci, ok := closeIPACache[pkg]; ok {
 		return ci
 	}
-	ci := &closeIPA{view: newIPAView(pkg)}
-	ci.sum = newSummarizer(ci.computeSummary)
+	ci := &closeIPA{fns: make(map[*types.Func]funcDef), memo: make(map[*types.Func]closeFnInfo), busy: make(map[*types.Func]bool)}
+	seen := make(map[*Package]bool)
+	var index func(p *Package)
+	index = func(p *Package) {
+		if p == nil || seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+						ci.fns[fn] = funcDef{decl: fd, pkg: p}
+					}
+				}
+			}
+		}
+		for _, dep := range p.Deps {
+			index(dep)
+		}
+	}
+	index(pkg)
 	closeIPACache[pkg] = ci
 	return ci
+}
+
+// summary returns fn's closeFnInfo (the zero value for functions without a
+// module-local body). A function demanded again while its own summary is
+// being computed counts as the zero summary: within a recursion cluster
+// the result may depend on which member was asked for first.
+func (ci *closeIPA) summary(fn *types.Func) closeFnInfo {
+	def, ok := ci.fns[fn]
+	if !ok || ci.busy[fn] {
+		return closeFnInfo{}
+	}
+	if s, ok := ci.memo[fn]; ok {
+		return s
+	}
+	ci.busy[fn] = true
+	s := ci.computeSummary(def)
+	delete(ci.busy, fn)
+	ci.memo[fn] = s
+	return s
+}
+
+// callee is the module-local function a call invokes directly, or nil
+// (interface dispatch, function values, literals, builtins).
+func (ci *closeIPA) callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	if fn := calleeFunc(info, call); fn != nil {
+		if _, ok := ci.fns[fn]; ok {
+			return fn
+		}
+	}
+	return nil
 }
 
 // isCloserType reports whether t has a Close() error method (possibly
@@ -104,14 +166,14 @@ func (ci *closeIPA) classifyAcquire(p *Package, call *ast.CallExpr) (string, boo
 	if strings.HasPrefix(fn.Name(), "Accept") && isCloserType(sig.Results().At(0).Type()) {
 		return funcDisplayName(fn), true
 	}
-	if def := ci.view.def(fn); def != nil && ci.sum.of(def).freshCloser {
+	if ci.summary(fn).freshCloser {
 		return funcDisplayName(fn), true
 	}
 	return "", false
 }
 
 // computeSummary derives freshCloser/closesParam/keeps for one body.
-func (ci *closeIPA) computeSummary(def *funcDef) closeFnInfo {
+func (ci *closeIPA) computeSummary(def funcDef) closeFnInfo {
 	var out closeFnInfo
 	body := def.decl.Body
 	info := def.pkg.Info
@@ -178,15 +240,8 @@ func (ci *closeIPA) computeSummary(def *funcDef) closeFnInfo {
 					out.closesParam = idx
 				}
 			}
-			for _, ref := range ci.view.resolveCall(def.pkg, x) {
-				if ref.viaIface || ref.fn == nil {
-					continue
-				}
-				cd := ci.view.def(ref.fn)
-				if cd == nil {
-					continue
-				}
-				if cp := ci.sum.of(cd).closesParam; cp > 0 && cp <= len(x.Args) {
+			if fn := ci.callee(info, x); fn != nil {
+				if cp := ci.summary(fn).closesParam; cp > 0 && cp <= len(x.Args) {
 					if id, ok := ast.Unparen(x.Args[cp-1]).(*ast.Ident); ok {
 						if idx, ok := params[info.Uses[id]]; ok {
 							out.closesParam = idx
@@ -269,15 +324,8 @@ func analyzeCloseScope(pass *Pass, ci *closeIPA, scope funcScope) {
 				release(obj, st)
 				continue
 			}
-			for _, ref := range ci.view.resolveCall(pkg, call) {
-				if ref.viaIface || ref.fn == nil {
-					continue
-				}
-				def := ci.view.def(ref.fn)
-				if def == nil {
-					continue
-				}
-				if cp := ci.sum.of(def).closesParam; cp > 0 && cp <= len(call.Args) {
+			if fn := ci.callee(info, call); fn != nil {
+				if cp := ci.summary(fn).closesParam; cp > 0 && cp <= len(call.Args) {
 					if id, ok := ast.Unparen(call.Args[cp-1]).(*ast.Ident); ok {
 						if obj := info.Uses[id]; obj != nil && declaredWithin(obj, scope.body) {
 							release(obj, st)
@@ -315,17 +363,8 @@ func (ci *closeIPA) keeperCall(p *Package, st ast.Node, obj types.Object) bool {
 			if !ok || p.Info.Uses[id] != obj {
 				continue
 			}
-			for _, ref := range ci.view.resolveCall(p, call) {
-				if ref.viaIface || ref.fn == nil {
-					continue
-				}
-				def := ci.view.def(ref.fn)
-				if def == nil {
-					continue
-				}
-				if ci.sum.of(def).keeps&(1<<i) != 0 {
-					return true
-				}
+			if fn := ci.callee(p.Info, call); fn != nil && ci.summary(fn).keeps&(1<<i) != 0 {
+				return true
 			}
 		}
 	}
@@ -458,4 +497,150 @@ func leakWithWitness(g *funcCFG, info *types.Info, start ast.Node, obj types.Obj
 		return false
 	}
 	return scan(p.b, p.idx+1, false)
+}
+
+// stripValue peels parens, type assertions, stars, slicings and unary & off
+// an expression, returning the underlying value expression. It is how
+// `pool.Get().(*[]complex128)` reduces to the Get call, `(*b)[:n]` to b and
+// `&x` to x.
+func stripValue(e ast.Expr) ast.Expr {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.TypeAssertExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.UnaryExpr:
+			if x.Op != token.AND {
+				return e
+			}
+			e = x.X
+		default:
+			return e
+		}
+	}
+}
+
+// lifecycleStmts calls handle on every top-level statement of body that can
+// carry an acquire, release, or transfer, without descending into nested
+// function literals (their bodies run at call time and are analyzed as
+// their own scopes). Control statements (if/for/switch) are traversed so
+// their init assignments and bodies are reached; the statements handed to
+// handle are exactly the nodes the CFG registers.
+func lifecycleStmts(body *ast.BlockStmt, handle func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n != body && isFuncLitNode(n) {
+			return false
+		}
+		switch n.(type) {
+		case *ast.AssignStmt, *ast.ExprStmt, *ast.DeferStmt, *ast.GoStmt,
+			*ast.ReturnStmt, *ast.SendStmt, *ast.DeclStmt:
+			handle(n)
+			return false
+		}
+		return true
+	})
+}
+
+// callsIn collects the call expressions inside one statement, skipping
+// nested function literals.
+func callsIn(st ast.Node) []*ast.CallExpr {
+	var out []*ast.CallExpr
+	ast.Inspect(st, func(n ast.Node) bool {
+		if n != st && isFuncLitNode(n) {
+			return false
+		}
+		if c, ok := n.(*ast.CallExpr); ok {
+			out = append(out, c)
+		}
+		return true
+	})
+	return out
+}
+
+// transfersOwnership reports whether statement st hands ownership of obj to
+// someone outside the current scope: returning it, sending it on a channel,
+// storing it into a composite literal / field / index / package variable,
+// taking its address as a call argument, or capturing it in a function
+// literal (the closure may release it later; conservative). Plain reads —
+// passing the value to a call, dereferencing it into a local — are borrows,
+// not transfers.
+func transfersOwnership(info *types.Info, st ast.Node, obj types.Object) bool {
+	switch s := st.(type) {
+	case *ast.ReturnStmt:
+		return usesObj(s, obj, info)
+	case *ast.SendStmt:
+		return usesObj(s, obj, info)
+	}
+	found := false
+	ast.Inspect(st, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			if usesObj(x, obj, info) {
+				found = true
+			}
+			return false
+		case *ast.CompositeLit:
+			if usesObj(x, obj, info) {
+				found = true
+			}
+			return false
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				if id, ok := ast.Unparen(x.X).(*ast.Ident); ok && info.Uses[id] == obj {
+					found = true
+				}
+			}
+		case *ast.AssignStmt:
+			reads := false
+			for _, r := range x.Rhs {
+				if usesObj(r, obj, info) {
+					reads = true
+					break
+				}
+			}
+			if !reads {
+				return true
+			}
+			for _, l := range x.Lhs {
+				id, ok := ast.Unparen(l).(*ast.Ident)
+				if !ok {
+					found = true // store through a field/index/deref lvalue
+					break
+				}
+				if o := info.Uses[id]; o != nil && o.Pkg() != nil &&
+					o.Parent() == o.Pkg().Scope() {
+					found = true // store into a package-level variable
+					break
+				}
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// funcDisplayName renders fn for diagnostics: "pkgname.Name" or
+// "(T).Name" for methods, without module-path noise.
+func funcDisplayName(fn *types.Func) string {
+	if fn == nil {
+		return "func literal"
+	}
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			return n.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return fn.Name()
 }

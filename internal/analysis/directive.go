@@ -11,8 +11,8 @@ import (
 //
 // in a line or block comment, with optional space after the comment marker.
 // What the words mean is the verb's business — the suppressions in
-// analysis.go (ignore, file-ignore), chanlife's channel contracts (chan) and
-// poolflow's ownership hand-offs (pool) — but where a directive applies is
+// analysis.go (ignore, file-ignore) and chanlife's channel contracts (chan)
+// — but where a directive applies is
 // the same for all of them: to its own line and the line directly below, so
 // it may trail the code it governs or sit on its own line above it.
 
@@ -20,7 +20,7 @@ import (
 type directive struct {
 	args []string
 	pos  token.Pos
-	used bool // set by the analyzer that honours it; chan and pool directives left unused are findings
+	used bool // set by the analyzer that honours it; chan directives left unused are findings
 }
 
 // parseDirective splits a comment's text into a directive's verb and
@@ -103,13 +103,4 @@ func (x *directiveIndex) at(pos token.Pos) *directive {
 		return c[0]
 	}
 	return c[1]
-}
-
-// claim reports whether a directive applies to pos, marking it used.
-func (x *directiveIndex) claim(pos token.Pos) bool {
-	d := x.at(pos)
-	if d != nil {
-		d.used = true
-	}
-	return d != nil
 }

@@ -34,8 +34,8 @@ type Package struct {
 	// their loaded packages. Because ImportFrom routes module-local imports
 	// through the same loader during type checking, every dependency's
 	// syntax trees and type info are already cached when Check returns —
-	// Deps just exposes that link, which is what lets the interprocedural
-	// layer (ipa.go) resolve *types.Func objects to bodies across package
+	// Deps just exposes that link, which is what lets closeflow's function
+	// summaries resolve *types.Func objects to bodies across package
 	// boundaries with consistent pointer identity (one shared fset, one
 	// loader).
 	Deps map[string]*Package

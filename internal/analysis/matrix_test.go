@@ -215,6 +215,7 @@ func TestCatchMatrixDynamic(t *testing.T) {
 			continue
 		}
 		t.Run(r.name, func(t *testing.T) {
+			t.Parallel() // most rows wait on a timeout or a leak gate, not on the CPU
 			replace := make(map[string]string) // seeded file -> its stand-in
 			dir := t.TempDir()
 			for name, src := range r.apply(t, root) {

@@ -2,9 +2,16 @@ package codec
 
 import (
 	"bytes"
+	_ "embed"
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -300,6 +307,48 @@ func TestSizeAlgebra(t *testing.T) {
 		enc := AppendVector(nil, c, x)
 		if uint64(len(x)) > MaxElemsForEncoded(uint64(len(enc))) {
 			t.Errorf("%s: %d elems in %d bytes violates MaxElemsForEncoded", c.Name(), len(x), len(enc))
+		}
+	}
+}
+
+// codecSrc is embedded, not read, so a build overlay of codec.go reaches
+// TestIDsMatchDeclarations.
+//
+//go:embed codec.go
+var codecSrc string
+
+// TestIDsMatchDeclarations: IDs() lists exactly the ID constants codec.go
+// declares, each with a String case, so the conformance tests that range
+// over IDs() cover a codec once it is declared.
+func TestIDsMatchDeclarations(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "codec.go", codecSrc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []ID
+	ast.Inspect(f, func(n ast.Node) bool {
+		if vs, ok := n.(*ast.ValueSpec); ok && fmt.Sprint(vs.Type) == "ID" {
+			for i, v := range vs.Values {
+				lit, _ := v.(*ast.BasicLit)
+				if lit == nil {
+					t.Fatalf("ID constant %s is not an integer literal", vs.Names[i])
+				}
+				id, err := strconv.Atoi(lit.Value)
+				if err != nil {
+					t.Fatalf("ID constant %s: %v", vs.Names[i], err)
+				}
+				declared = append(declared, ID(id))
+			}
+		}
+		return true
+	})
+	slices.Sort(declared)
+	if !slices.Equal(IDs(), declared) {
+		t.Errorf("IDs() = %v, codec.go declares %v", IDs(), declared)
+	}
+	for _, id := range declared {
+		if id.String() == fmt.Sprintf("codec(%d)", byte(id)) {
+			t.Errorf("ID %d has no String case", byte(id))
 		}
 	}
 }

@@ -98,7 +98,6 @@ func (ct *CT) Forward(dst, src []complex128) error {
 	for q := 0; q < world; q++ {
 		send[q] = src[q*rows : (q+1)*rows]
 	}
-	//soilint:ignore deadlineflow bounded by the transport op-timeout (World.SetOpTimeout / TCPOptions.OpTimeout); the faultcomm sweep exercises the no-hang contract
 	recv, err := mpi.AllToAll(ct.comm, send)
 	stopMPI()
 	if err != nil {
@@ -144,7 +143,6 @@ func (ct *CT) Forward(dst, src []complex128) error {
 		}
 		send2[q] = blk
 	}
-	//soilint:ignore deadlineflow bounded by the transport op-timeout (World.SetOpTimeout / TCPOptions.OpTimeout)
 	recv2, err := mpi.AllToAll(ct.comm, send2)
 	stopMPI()
 	if err != nil {
@@ -175,7 +173,6 @@ func (ct *CT) Forward(dst, src []complex128) error {
 	for q := 0; q < world; q++ {
 		send3[q] = eRow[q*rows : (q+1)*rows]
 	}
-	//soilint:ignore deadlineflow bounded by the transport op-timeout (World.SetOpTimeout / TCPOptions.OpTimeout)
 	recv3, err := mpi.AllToAll(ct.comm, send3)
 	stopMPI()
 	if err != nil {

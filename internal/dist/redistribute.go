@@ -38,7 +38,6 @@ func BlockToCyclic(c mpi.Comm, local []complex128) ([]complex128, error) {
 		}
 		send[q] = blk
 	}
-	//soilint:ignore deadlineflow bounded by the transport op-timeout (World.SetOpTimeout / TCPOptions.OpTimeout)
 	recv, err := mpi.AllToAll(c, send)
 	if err != nil {
 		return nil, err
@@ -72,7 +71,6 @@ func CyclicToBlock(c mpi.Comm, local []complex128) ([]complex128, error) {
 	for q := 0; q < p; q++ {
 		send[q] = local[q*per : (q+1)*per]
 	}
-	//soilint:ignore deadlineflow bounded by the transport op-timeout (World.SetOpTimeout / TCPOptions.OpTimeout)
 	recv, err := mpi.AllToAll(c, send)
 	if err != nil {
 		return nil, err

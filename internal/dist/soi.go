@@ -262,7 +262,6 @@ func (d *SOI) exchangeGhost(tail, src []complex128) error {
 		l := min(len(ghost), d.localN)
 		to := ((r-j)%world + world) % world // predecessor needing my prefix
 		from := (r + j) % world             // successor providing my suffix
-		//soilint:ignore deadlineflow bounded by the transport op-timeout (World.SetOpTimeout / TCPOptions.OpTimeout)
 		err := mpi.SendRecvInto(d.comm, to, src[:l], from, tagGhost+j, ghost[:l])
 		if err != nil {
 			return shapeError(err, fmt.Sprintf("ghost piece %d elems", j))
@@ -292,7 +291,6 @@ func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 			ws.send[q] = ws.ut[f*d.rowsPerRank : (f+1)*d.rowsPerRank]
 			ws.recv[q] = tg[q*d.rowsPerRank : (q+1)*d.rowsPerRank]
 		}
-		//soilint:ignore deadlineflow bounded by the transport op-timeout (World.SetOpTimeout / TCPOptions.OpTimeout)
 		err := mpi.AllToAllInto(d.comm, ws.send, ws.recv)
 		return shapeError(err, "all-to-all block rows")
 	}

@@ -31,8 +31,6 @@
 // trace on failure, turning any sweep failure into a replayable schedule.
 package faultcomm
 
-//soilint:file-ignore lockorder -- lockorder's interface dispatch assumes e.inner may itself be an *Endpoint, making every inner call under e.mu look like a re-acquisition; Wrap is applied exactly once per rank around a raw transport, never nested, so calls through e.inner cannot re-enter Endpoint methods
-
 import (
 	"errors"
 	"fmt"
@@ -421,7 +419,6 @@ func (e *Endpoint) RecvDeadline(src, tag int, deadline time.Time) ([]complex128,
 		if dr, ok := e.inner.(mpi.DeadlineRecver); ok && !deadline.IsZero() {
 			msg, from, err = dr.RecvDeadline(src, tag, deadline)
 		} else {
-			//soilint:ignore deadlineflow fallback for inner transports without mpi.DeadlineRecver (both in-tree transports implement it); the sweep's watchdog aborts a wedged op
 			msg, from, err = e.inner.Recv(src, tag)
 		}
 		if err != nil {

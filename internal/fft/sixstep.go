@@ -445,7 +445,6 @@ func (s *SixStep) columnPassPipelined(w, src []complex128, ntiles int) {
 	free := make(chan []complex128, loaders+workers+2)
 	pooled := make([]*[]complex128, cap(free))
 	for i := range pooled {
-		//soilint:pool transfer headers are parked in pooled and returned after both teams drain
 		pooled[i] = s.tilePool.Get().(*[]complex128)
 		free <- *pooled[i]
 	}
@@ -459,7 +458,6 @@ func (s *SixStep) columnPassPipelined(w, src []complex128, ntiles int) {
 	}
 	close(next)
 	for l := 0; l < loaders; l++ {
-		//soilint:ignore goleak bounded: next is closed and pre-filled, and every buffer taken from free is returned to it by the compute team, which keeps draining ready while any loader runs
 		go func() {
 			defer loadWG.Done()
 			for t := range next {
@@ -469,7 +467,6 @@ func (s *SixStep) columnPassPipelined(w, src []complex128, ntiles int) {
 			}
 		}()
 	}
-	//soilint:ignore goleak loadWG.Wait is bounded: each loader exits after draining the closed next channel
 	go func() {
 		loadWG.Wait()
 		close(ready)
@@ -491,7 +488,6 @@ func (s *SixStep) columnPassPipelined(w, src []complex128, ntiles int) {
 	// headers in pooled still reference them all. Return them for the next
 	// transform.
 	for _, bp := range pooled {
-		//soilint:pool transfer returning the headers acquired during pipeline priming above
 		s.tilePool.Put(bp)
 	}
 }

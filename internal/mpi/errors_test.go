@@ -3,7 +3,9 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -363,6 +365,43 @@ func TestConnectTCPDialDeadline(t *testing.T) {
 	}
 	if e := time.Since(start); e > 5*time.Second {
 		t.Fatalf("dial failure took %v, deadline was 300ms", e)
+	}
+}
+
+// TestConnectTCPClosesRejectedPeer: a connection whose hello is refused —
+// it names an invalid rank, or it ends early — fails mesh formation and is
+// closed, so the peer sees end of stream rather than a silent socket. The
+// collector is off: a leaked conn's finalizer must not close it for us.
+func TestConnectTCPClosesRejectedPeer(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for name, hello := range map[string][]byte{
+		"invalid rank":    {0, 0, 0, 0}, // rank 0 accepts only higher ranks
+		"hello cut short": {0, 0},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := ListenTCP("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			peer, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer peer.Close()
+			if _, err := peer.Write(hello); err != nil {
+				t.Fatal(err)
+			}
+			if err := peer.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ConnectTCP(0, 2, ln, nil); err == nil {
+				t.Fatal("mesh formed with a rejected peer")
+			}
+			peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := io.Copy(io.Discard, peer); err != nil {
+				t.Fatalf("rejected connection not closed: %v", err)
+			}
+		})
 	}
 }
 

@@ -85,7 +85,6 @@ func recvInto(c Comm, dst []complex128, src, tag int) error {
 	}
 	switch c.(type) {
 	case *inprocComm, *TCPNode:
-		//soilint:pool transfer the transport took data from the pool and handed it over through the mailbox
 		defer putPayload(data)
 	}
 	if len(data) != len(dst) {

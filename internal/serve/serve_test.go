@@ -25,6 +25,11 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, cfg, ln), ln.Addr().String()
+}
+
+// serveOn runs a Server on ln and tears it down with the test.
+func serveOn(t *testing.T, cfg Config, ln net.Listener) *Server {
 	srv := New(cfg)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
@@ -34,7 +39,7 @@ func startServer(t *testing.T, cfg Config) (*Server, string) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return srv, ln.Addr().String()
+	return srv
 }
 
 func dialClient(t *testing.T, addr string) *client.Client {

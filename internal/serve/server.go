@@ -196,7 +196,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.connWG.Add(1)
 		s.mu.Unlock()
 		s.stats.connsTotal.Add(1)
-		//soilint:ignore goleak handle's pending.Wait is bounded: the scheduler calls done exactly once per admitted request, and the writer drains out until handle closes it
 		go cn.handle()
 	}
 }
@@ -222,7 +221,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 
 	done := make(chan struct{})
-	//soilint:ignore goleak connWG.Wait is bounded: readers observe the poke above and exit, and the ctx-expiry force-close below fails any straggler's read
 	go func() {
 		s.connWG.Wait()
 		close(done)
@@ -486,7 +484,7 @@ func (cn *conn) handle() {
 
 	cn.br = bufio.NewReaderSize(cn.c, 64<<10)
 	for {
-		h, err := wire.ReadHeader(cn.br) //soilint:ignore deadlineflow the reader parks between frames by design; Shutdown's SetReadDeadline poke unblocks it
+		h, err := wire.ReadHeader(cn.br)
 		if err != nil {
 			// Clean close, peer error, or the drain poke — either way the
 			// reader stops; drain semantics only require completing what

@@ -1,6 +1,7 @@
 package testutil
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +31,27 @@ func TestLeakCheckFlagsBlockedGoroutine(t *testing.T) {
 func leakyWorker(started chan<- struct{}, block <-chan struct{}) {
 	close(started)
 	<-block
+}
+
+func TestFDLeakCheckFlagsOpenPipe(t *testing.T) {
+	before := openFiles()
+	if before == nil {
+		t.Skip("no /proc/self/fd on this system")
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	w.Close() // one end stays open: the leak
+	err = fdLeakCheck(before, 100*time.Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "pipe:") {
+		t.Fatalf("fdLeakCheck missed an open pipe end: %v", err)
+	}
+	r.Close()
+	if err := fdLeakCheck(before, 2*time.Second); err != nil {
+		t.Fatalf("pipe closed but fdLeakCheck still reports: %v", err)
+	}
 }
 
 func TestLeakCheckCleanByDefault(t *testing.T) {

@@ -5,39 +5,6 @@ import (
 	"testing"
 )
 
-// codeSentinels pairs every declared wire code with its sentinel. Growing
-// the enum without extending this table fails TestCodeErrRoundTrip, the
-// dynamic twin of the wireconform bijection check.
-var codeSentinels = []struct {
-	code     uint32
-	sentinel error
-}{
-	{CodeOverloaded, ErrOverloaded},
-	{CodeDeadlineExceeded, ErrDeadlineExceeded},
-	{CodeShuttingDown, ErrShuttingDown},
-	{CodeBadRequest, ErrBadRequest},
-	{CodeInternal, ErrInternal},
-}
-
-// TestCodeErrRoundTrip proves CodeFor and ErrFor invert each other over
-// every declared code/sentinel pair, with and without a detail message.
-func TestCodeErrRoundTrip(t *testing.T) {
-	for _, cs := range codeSentinels {
-		if got := CodeFor(cs.sentinel); got != cs.code {
-			t.Errorf("CodeFor(%v) = %d, want %d", cs.sentinel, got, cs.code)
-		}
-		for _, msg := range []string{"", "detail text"} {
-			rebuilt := ErrFor(cs.code, msg)
-			if !errors.Is(rebuilt, cs.sentinel) {
-				t.Errorf("ErrFor(%d, %q) = %v, not errors.Is %v", cs.code, msg, rebuilt, cs.sentinel)
-			}
-			if got := CodeFor(rebuilt); got != cs.code {
-				t.Errorf("CodeFor(ErrFor(%d, %q)) = %d, want the same code back", cs.code, msg, got)
-			}
-		}
-	}
-}
-
 // TestCodeErrUnknowns pins the degradation contract: unknown codes rebuild
 // as ErrInternal-based errors (never panic), and errors outside the
 // sentinel family map to CodeInternal.

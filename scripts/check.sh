@@ -65,8 +65,9 @@ done
 # budget tool or -race is seeded again — as a build overlay, the tree is not
 # written — and the recorded command must still fail on it. Tier-1 runs the
 # static half (which analyzers fire on each seed); this half compiles and
-# tests one seeded tree per row, so it runs here, by name.
-run_gate "catch matrix (dynamic rows)" go test ./internal/analysis -run '^TestCatchMatrixDynamic$' -count=1
+# tests one seeded tree per row, so it runs here, by name. Four rows at a
+# time: most of them wait on a test timeout or the leak gate's grace period.
+run_gate "catch matrix (dynamic rows)" go test ./internal/analysis -run '^TestCatchMatrixDynamic$' -count=1 -parallel 4
 
 if [ -n "$failures" ]; then
     echo "check.sh: FAILED gates:$failures"
