@@ -1,10 +1,10 @@
 package conv
 
+import "soifft/internal/cpu"
+
 // haveAVX2 selects dotRowsAVX2 over the portable dotReal. It is decided once,
 // here; only tests assign it, to run the portable path on an AVX2 host.
-var haveAVX2 = cpuHasAVX2()
-
-func cpuHasAVX2() bool
+var haveAVX2 = cpu.AVX2
 
 //go:noescape
 func dotRowsAVX2(out *complex128, taps *float64, win *complex128, rows, b int)

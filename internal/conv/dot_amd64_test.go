@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"soifft/internal/cpu"
 )
 
 // kernels names the convolution kernels the host can execute: the AVX2 one,
 // when the processor has it, and the portable one.
 func kernels() []string {
-	if cpuHasAVX2() {
+	if cpu.AVX2 {
 		return []string{"avx2", "portable"}
 	}
 	return []string{"portable"}

@@ -1,0 +1,10 @@
+// Package cpu reports the processor features the vector kernels of
+// internal/conv and internal/fft are chosen by. It is probed once, at
+// package initialisation; the kernels' packages read it into their own
+// unexported switches, which only their tests assign.
+package cpu
+
+// AVX2 reports whether the processor has AVX2 and the operating system saves
+// the YMM registers across context switches. It is false on every target
+// without an assembler probe.
+var AVX2 = hasAVX2()

@@ -31,4 +31,27 @@ func TestPlanForwardAllocatesNothing(t *testing.T) {
 			t.Errorf("n=%d: %v allocations per warm Forward, want 0", n, a)
 		}
 	}
+
+	// The six-step reads its src in place and stages tiles and rows through
+	// its pools; the lane batch ping-pongs through its own.
+	const n = 1 << 16
+	s, err := NewSixStep(n, SixStepOpt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := ref.RandomVector(n, 1)
+	dst := make([]complex128, n)
+	s.Forward(dst, x)
+	if a := testing.AllocsPerRun(10, func() { s.Forward(dst, x) }); a != 0 {
+		t.Errorf("SixStep n=%d: %v allocations per warm Forward, want 0", n, a)
+	}
+	lb, err := NewLaneBatch(1024, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := ref.RandomVector(1024*8, 2)
+	lb.Forward(y)
+	if a := testing.AllocsPerRun(10, func() { lb.Forward(y) }); a != 0 {
+		t.Errorf("LaneBatch 1024x8: %v allocations per warm Forward, want 0", a)
+	}
 }

@@ -66,6 +66,77 @@ func BenchmarkSixStepVariants(b *testing.B) {
 	}
 }
 
+// BenchmarkStages prices each Stockham stage kernel in isolation, AVX2
+// against its Go twin, in ns per butterfly, at the shapes the 2^16-point
+// six-step (256 x 256) runs: the column pass's lane batch (radix 8 at s = 8
+// reading its first pass at xs = n2 = 256, radix 8 at s = 64, radix 4 at
+// s = 512), the row pass's plan (radix 8 unit-stride, radix 8 at s = 8,
+// radix 4 at s = 64), and the radix-2 tail of a 1024-point plan. A kernel
+// under 1.3x its twin here does not ship (DESIGN.md section 11).
+func BenchmarkStages(b *testing.B) {
+	shapes := []struct{ r, m, s, xs int }{
+		{8, 32, 8, 256}, {8, 4, 64, 64}, {4, 1, 512, 512},
+		{8, 32, 1, 1}, {8, 4, 8, 8}, {4, 1, 64, 64},
+		{2, 1, 512, 512},
+	}
+	for _, sh := range shapes {
+		st := &stage{r: sh.r, m: sh.m, s: sh.s, rs: sh.xs, tw: ref.RandomVector((sh.r-1)*sh.m, 1)}
+		if sh.r == 8 && sh.s == 1 {
+			st.twv = pairTwiddles(st.tw, sh.m)
+		}
+		x := ref.RandomVector(sh.xs*(sh.r*sh.m-1)+sh.s, 2)
+		y := make([]complex128, sh.r*sh.m*sh.s)
+		for _, k := range kernels() {
+			b.Run(fmt.Sprintf("r=%d/m=%d/s=%d/xs=%d/%s", sh.r, sh.m, sh.s, sh.xs, k), func(b *testing.B) {
+				defer useKernel(k)()
+				for i := 0; i < b.N; i++ {
+					runStage(st, y, x)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.m*sh.s), "ns/butterfly")
+			})
+		}
+	}
+	// The 8-point codelet over a tile of 8-point rows (the SOI stage-2
+	// shape: 4096 rows per tile at the benchmark geometry).
+	rows := ref.RandomVector(8*4096, 3)
+	p := MustPlan(8)
+	for _, k := range kernels() {
+		b.Run("dft8-rows/"+k, func(b *testing.B) {
+			defer useKernel(k)()
+			for i := 0; i < b.N; i++ {
+				p.ForwardRows(rows)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*4096), "ns/butterfly")
+		})
+	}
+	// The six-step's two per-element products at 2^16: one lane tile's
+	// twiddle pass and one row group's fused demodulation.
+	s, err := NewSixStep(1<<16, SixStepOpt, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.SetDemod(ref.RandomVector(1<<16, 4))
+	w := make([]complex128, 1<<16)
+	tile := ref.RandomVector(s.n1*tileCols, 5)
+	rbuf := ref.RandomVector((s.n2+rowPad)*tileCols, 6)
+	for _, k := range kernels() {
+		b.Run("twiddle-tile/"+k, func(b *testing.B) {
+			defer useKernel(k)()
+			for i := 0; i < b.N; i++ {
+				s.twiddleTile(w, tile, 8)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.n1*tileCols), "ns/element")
+		})
+		b.Run("demod-scatter/"+k, func(b *testing.B) {
+			defer useKernel(k)()
+			for i := 0; i < b.N; i++ {
+				s.rowGroupScatter(w, rbuf, 8, 16)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.n2*tileCols), "ns/element")
+		})
+	}
+}
+
 func BenchmarkBatchSmallFFTs(b *testing.B) {
 	// The I_M' (x) F_P stage shape: many tiny transforms.
 	const p, count = 64, 4096

@@ -15,7 +15,9 @@ import (
 // identical arithmetic. The implementation insight is that the
 // lane-interleaved batch is *exactly* the Stockham schedule with the
 // initial stride set to `lanes` instead of 1 — the combined (q, lane) inner
-// index is contiguous — so the scalar stage kernels are reused unchanged.
+// index is contiguous — so the stage kernels are reused unchanged, and with
+// an even lane count every stride is even and the AVX2 kernels take two
+// lanes per register (an odd lane count runs the Go stages).
 type LaneBatch struct {
 	n, lanes int
 	stages   []stage
@@ -42,10 +44,7 @@ func NewLaneBatch(n, lanes int) (*LaneBatch, error) {
 		return lb, nil
 	}
 	// Standard schedule, but the accumulated stride starts at `lanes`.
-	lb.stages = buildStages(n, radices)
-	for i := range lb.stages {
-		lb.stages[i].s *= lanes
-	}
+	lb.stages = buildStages(n, lanes, radices)
 	return lb, nil
 }
 
@@ -67,24 +66,23 @@ func (lb *LaneBatch) Transform(x []complex128, dir Direction) {
 	defer lb.work.Put(wp)
 	w := (*wp)[:total]
 
-	a, b := x, w
-	if len(lb.stages)%2 != 0 {
-		a, b = w, x
-	}
-	if dir == Forward {
-		if &a[0] != &x[0] {
-			copy(a, x)
-		}
-	} else {
+	// In place, the first pass may read x only when it writes w (an even
+	// count); otherwise the input is staged in w, which it then reads.
+	odd := len(lb.stages)%2 != 0
+	src := x
+	if dir == Inverse {
 		// Conjugation identity; the final conjugate+scale happens below.
-		for i, v := range x {
-			a[i] = complex(real(v), -imag(v))
+		if odd {
+			src = w
 		}
+		for i, v := range x {
+			src[i] = complex(real(v), -imag(v))
+		}
+	} else if odd {
+		src = w
+		copy(src, x)
 	}
-	for i := range lb.stages {
-		runStage(&lb.stages[i], b, a)
-		a, b = b, a
-	}
+	runStages(lb.stages, x, src, w, lb.lanes)
 	// Result is in x now.
 	if dir == Inverse {
 		inv := 1 / float64(lb.n)
@@ -92,6 +90,22 @@ func (lb *LaneBatch) Transform(x []complex128, dir Direction) {
 			x[i] = complex(real(v)*inv, -imag(v)*inv)
 		}
 	}
+}
+
+// forwardFrom runs all lanes forward from src into dst (length n*lanes,
+// lane-interleaved), reading element j of lane l at src[j*rowStride + l]:
+// the lanes may be `lanes` adjacent columns of a row-major matrix with rows
+// of rowStride elements, read in place. src must not overlap dst.
+func (lb *LaneBatch) forwardFrom(dst, src []complex128, rowStride int) {
+	total := lb.n * lb.lanes
+	dst = dst[:total]
+	if lb.n == 1 {
+		copy(dst, src[:lb.lanes])
+		return
+	}
+	wp := lb.work.Get().(*[]complex128)
+	defer lb.work.Put(wp)
+	runStages(lb.stages, dst, src, (*wp)[:total], rowStride)
 }
 
 // Forward runs all lanes forward, in place.

@@ -8,6 +8,10 @@ import (
 )
 
 func TestLaneBatchMatchesSeparateTransforms(t *testing.T) {
+	forEachKernel(t, laneBatchMatchesSeparateTransforms)
+}
+
+func laneBatchMatchesSeparateTransforms(t *testing.T) {
 	for _, n := range []int{1, 4, 8, 12, 64, 7 * 32, 1024} {
 		for _, lanes := range []int{1, 3, 8} {
 			lb, err := NewLaneBatch(n, lanes)

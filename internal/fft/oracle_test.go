@@ -196,30 +196,51 @@ func runOracleSize(t *testing.T, n int) {
 	}
 }
 
-func TestKernelOracleSmooth(t *testing.T) {
-	for _, n := range oracleSmoothSizes {
-		runOracleSize(t, n)
+// forEachKernel runs body once per kernel set the host can execute (the AVX2
+// stages and their Go twins, or the twins alone), as subtests named after it.
+func forEachKernel(t *testing.T, body func(t *testing.T)) {
+	for _, k := range kernels() {
+		t.Run(k, func(t *testing.T) {
+			defer useKernel(k)()
+			body(t)
+		})
 	}
 }
 
+func TestKernelOracleSmooth(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		for _, n := range oracleSmoothSizes {
+			runOracleSize(t, n)
+		}
+	})
+}
+
 func TestKernelOracleBluestein(t *testing.T) {
-	for _, n := range oracleRoughSizes {
-		runOracleSize(t, n)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		for _, n := range oracleRoughSizes {
+			runOracleSize(t, n)
+		}
+	})
 }
 
 func TestKernelOracleFig11Sizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large sizes skipped in -short mode")
 	}
-	for _, n := range oracleLargeSizes {
-		runOracleSize(t, n)
-	}
+	forEachKernel(t, func(t *testing.T) {
+		for _, n := range oracleLargeSizes {
+			runOracleSize(t, n)
+		}
+	})
 }
 
 // TestKernelOracleLaneBatch drives the lane-interleaved batch kernel, both
 // directions, against the (oracle-verified) Plan on each deinterleaved lane.
 func TestKernelOracleLaneBatch(t *testing.T) {
+	forEachKernel(t, runOracleLaneBatch)
+}
+
+func runOracleLaneBatch(t *testing.T) {
 	cases := [][2]int{
 		{1, 4}, {2, 3}, {4, 8}, {8, 8}, {16, 5}, {64, 8},
 		{120, 3}, {128, 16}, {360, 2}, {448, 8},

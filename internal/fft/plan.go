@@ -13,14 +13,18 @@
 //     pipelined and fine-grain-parallel flavors used for the Fig. 10
 //     ablation), including a variant with a fused demodulation pass.
 //
-// Every engine works on interleaved []complex128, with one kernel source
-// per radix. Forward transforms are unnormalized; Inverse applies the 1/n
+// Every engine works on interleaved []complex128, with one Go kernel source
+// per radix; on amd64 hosts with AVX2 the radix-2, -4 and -8 stages, the
+// 8-point codelet and the six-step's twiddle and demodulation products run
+// as Go-assembler twins (stockham_amd64.s) that agree with the Go kernels
+// bit for bit. Forward transforms are unnormalized; Inverse applies the 1/n
 // factor, so Inverse(Forward(x)) == x.
 package fft
 
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // maxGenericRadix is the largest prime factor handled by the mixed-radix
@@ -42,8 +46,17 @@ type Plan struct {
 // exp(-2*pi*i*p*t/(r*m)) and, for generic radices, the r x r DFT matrix wr.
 type stage struct {
 	r, m, s int
-	tw      []complex128
-	wr      []complex128 // wr[t*r+u] = exp(-2*pi*i*t*u/r); nil for r=2,3,4,8
+	// rs is the row stride the stage reads its input at (readStride); zero,
+	// its value in every plan's own schedule, means s.
+	rs int
+	tw []complex128
+	wr []complex128 // wr[t*r+u] = exp(-2*pi*i*t*u/r); nil for r=2,3,4,8
+	// twv is tw laid out for the unit-stride radix-8 vector kernel, which
+	// takes butterflies p and p+1 together: for each such pair and t in
+	// [0, 7), the real parts [wr_p, wr_p, wr_p+1, wr_p+1] then the imaginary
+	// parts likewise, the same values as tw. Built only for r == 8, s == 1
+	// and even m.
+	twv []float64
 }
 
 // NewPlan creates a transform plan for length n (n >= 1).
@@ -65,7 +78,7 @@ func NewPlan(n int) (*Plan, error) {
 		p.blue = b
 		return p, nil
 	}
-	p.stages = buildStages(n, radices)
+	p.stages = buildStages(n, 1, radices)
 	return p, nil
 }
 
@@ -141,12 +154,12 @@ func factorize(n, strideMul int) (radices []int, smooth bool) {
 }
 
 // buildStages precomputes the per-stage twiddle tables for the forward
-// direction. The inverse direction reuses them via the conjugation identity
-// IFFT(x) = conj(FFT(conj(x)))/n.
-func buildStages(n int, radices []int) []stage {
+// direction, the first stage at stride strideMul. The inverse direction
+// reuses them via the conjugation identity IFFT(x) = conj(FFT(conj(x)))/n.
+func buildStages(n, strideMul int, radices []int) []stage {
 	stages := make([]stage, 0, len(radices))
 	cur := n
-	s := 1
+	s := strideMul
 	for _, r := range radices {
 		m := cur / r
 		st := stage{r: r, m: m, s: s}
@@ -155,6 +168,9 @@ func buildStages(n int, radices []int) []stage {
 			for t := 1; t < r; t++ {
 				st.tw[pi*(r-1)+(t-1)] = twiddle(Forward, pi*t, cur)
 			}
+		}
+		if r == 8 && s == 1 && m%2 == 0 {
+			st.twv = pairTwiddles(st.tw, m)
 		}
 		if r != 2 && r != 3 && r != 4 && r != 8 {
 			st.wr = make([]complex128, r*r)
@@ -169,6 +185,20 @@ func buildStages(n int, radices []int) []stage {
 		s *= r
 	}
 	return stages
+}
+
+// pairTwiddles lays out a radix-8 stage's table tw (m even) as stage.twv.
+func pairTwiddles(tw []complex128, m int) []float64 {
+	twv := make([]float64, 28*m)
+	for p := 0; p < m; p += 2 {
+		for t := 0; t < 7; t++ {
+			v := twv[(p/2*7+t)*8:][:8]
+			w0, w1 := tw[p*7+t], tw[(p+1)*7+t]
+			v[0], v[1], v[2], v[3] = real(w0), real(w0), real(w1), real(w1)
+			v[4], v[5], v[6], v[7] = imag(w0), imag(w0), imag(w1), imag(w1)
+		}
+	}
+	return twv
 }
 
 // Transform computes the DFT of src into dst. dst and src must both have
@@ -220,32 +250,52 @@ func (p *Plan) Forward(dst, src []complex128) { p.Transform(dst, src, Forward) }
 // Inverse computes the normalized (1/n) inverse DFT of src into dst.
 func (p *Plan) Inverse(dst, src []complex128) { p.Transform(dst, src, Inverse) }
 
+// ForwardRows computes the forward DFT of each consecutive length-N row of x
+// in place; len(x) must be a multiple of N. The rows agree bit for bit with
+// Forward on each: at N = 8 they go two at a time through the vector codelet.
+func (p *Plan) ForwardRows(x []complex128) {
+	n := p.n
+	if len(x)%n != 0 {
+		panic(fmt.Sprintf("fft: ForwardRows length %d is not a multiple of %d", len(x), n))
+	}
+	done := 0
+	if n == 8 {
+		done = dft8RowsVec(x)
+	}
+	for r := done; r < len(x)/n; r++ {
+		row := x[r*n : (r+1)*n]
+		p.Transform(row, row, Forward)
+	}
+}
+
 // stockham runs the mixed-radix autosort pipeline. The two ping-pong buffers
-// are dst and a pooled scratch vector; the parity of the stage count decides
-// which buffer the pipeline starts in so that the last pass always lands in
-// dst, with no final copy (one fewer memory sweep — the kind of accounting
-// Section 5.2 of the paper is about).
+// are dst and a pooled scratch vector (runStages), so the last pass always
+// lands in dst, with no final copy (one fewer memory sweep — the kind of
+// accounting Section 5.2 of the paper is about). The first pass reads src
+// in place; only an inverse (which conjugates its input first) or an odd
+// stage count over an src that dst overlaps stages a copy.
 func (p *Plan) stockham(dst, src []complex128, dir Direction) {
 	wp := p.work.Get().(*[]complex128)
 	defer p.work.Put(wp)
 	w := *wp
 
-	a, b := dst, w
-	if len(p.stages)%2 != 0 {
-		a, b = w, dst
-	}
-	if dir == Forward {
-		copy(a, src)
-	} else {
-		for i, v := range src {
-			a[i] = complex(real(v), -imag(v))
+	odd := len(p.stages)%2 != 0
+	x := src
+	switch {
+	case dir == Inverse:
+		// The first pass writes dst when the count is odd, w when even.
+		x = dst
+		if odd {
+			x = w
 		}
+		for i, v := range src {
+			x[i] = complex(real(v), -imag(v))
+		}
+	case odd && overlaps(dst, src):
+		x = w
+		copy(x, src)
 	}
-	for i := range p.stages {
-		runStage(&p.stages[i], b, a)
-		a, b = b, a
-	}
-	// Result is now in dst (== a after the final swap).
+	runStages(p.stages, dst, x, w, 1)
 	if dir == Inverse {
 		inv := 1 / float64(p.n)
 		for i, v := range dst {
@@ -254,8 +304,44 @@ func (p *Plan) stockham(dst, src []complex128, dir Direction) {
 	}
 }
 
-// runStage executes one Stockham pass: y <- butterfly(x).
+// readStride returns the row stride the stage reads its input at.
+func (st *stage) readStride() int {
+	if st.rs == 0 {
+		return st.s
+	}
+	return st.rs
+}
+
+// runStages runs the Stockham passes from src into dst, alternating between
+// dst and the scratch vector w so that the last pass lands in dst: the first
+// pass writes dst when the count is odd, w when it is even. The first pass
+// reads src at row stride rs, every later one the previous output at its own
+// stride. src may be the buffer the first pass does not write (w for an odd
+// count, dst for an even one); otherwise it must overlap neither.
+func runStages(stages []stage, dst, src, w []complex128, rs int) {
+	y, z := dst, w
+	if len(stages)%2 == 0 {
+		y, z = w, dst
+	}
+	x := src
+	for i := range stages {
+		st := &stages[i]
+		if i == 0 && rs != st.s {
+			first := *st
+			first.rs = rs
+			st = &first
+		}
+		runStage(st, y, x)
+		x, y, z = y, z, y
+	}
+}
+
+// runStage executes one Stockham pass, y <- butterfly(x), with the vector
+// kernel when there is one and the Go twin otherwise.
 func runStage(st *stage, y, x []complex128) {
+	if stageVec(st, y, x) {
+		return
+	}
 	switch st.r {
 	case 2:
 		stageRadix2(st, y, x)
@@ -264,7 +350,7 @@ func runStage(st *stage, y, x []complex128) {
 	case 4:
 		stageRadix4(st, y, x)
 	case 8:
-		if st.s == 1 {
+		if st.s == 1 && st.readStride() == 1 {
 			stageRadix8Unit(st, y, x)
 		} else {
 			stageRadix8(st, y, x)
@@ -272,4 +358,14 @@ func runStage(st *stage, y, x []complex128) {
 	default:
 		stageGeneric(st, y, x)
 	}
+}
+
+// overlaps reports whether a and b share any element.
+func overlaps(a, b []complex128) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(complex128(0))
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b))*size && pb < pa+uintptr(len(a))*size
 }

@@ -101,7 +101,8 @@ type SixStep struct {
 
 	sub *SixStep // fine-grain: cooperative plan for single rows of length n2
 
-	work sync.Pool // scratch of length n
+	work sync.Pool // naive variant: scratch of length n
+	jobs sync.Pool // optimized variants: *sixStepJob
 	// Per-chunk staging buffers for the fused passes. Pooled so the hot
 	// par.For bodies never allocate: a fresh make per chunk costs a page
 	// fault per tile and defeats the bandwidth model.
@@ -135,6 +136,7 @@ func NewSixStep(n int, variant Variant, workers int) (*SixStep, error) {
 	}
 	s := &SixStep{n: n, n1: n1, n2: n2, p1: p1, p2: p2, variant: variant, workers: workers}
 	poolVectors(&s.work, n)
+	s.jobs.New = s.newJob
 	poolVectors(&s.tilePool, tileCols*(n1+rowPad))
 	poolVectors(&s.rowPool, (n2+rowPad)*tileCols)
 	if variant == SixStepNaive {
@@ -280,23 +282,60 @@ func (s *SixStep) forwardNaive(dst, src []complex128) {
 // one tile pass, steps 5-6 (and demodulation) fused into a second: 4 memory
 // sweeps total.
 func (s *SixStep) forwardOpt(dst, src []complex128) {
-	wp := s.work.Get().(*[]complex128)
-	defer s.work.Put(wp)
-	w := *wp
+	j := s.jobs.Get().(*sixStepJob)
+	defer s.jobs.Put(j)
+	j.dst, j.src = dst, src
 
-	s.columnPass(w, src)
+	s.columnPass(j)
 	if s.variant == SixStepFineGrain && s.sub != nil {
-		s.rowPassFineGrain(dst, w)
-		return
+		s.rowPassFineGrain(dst, j.w)
+	} else {
+		// Row pass: 8 rows per chunk ("loop_b over P rows, 8 rows at a
+		// time") so the permuted writeback emits full cache lines (8
+		// consecutive k1 values share each k2 line of dst).
+		par.ForChunked(s.workers, s.n1, tileCols, j.rows)
 	}
-	// Row pass: 8 rows per chunk ("loop_b over P rows, 8 rows at a time")
-	// so the permuted writeback emits full cache lines (8 consecutive k1
-	// values share each k2 line of dst).
-	par.ForChunked(s.workers, s.n1, tileCols, func(lo, hi int) {
-		rp := s.rowPool.Get().(*[]complex128)
-		defer s.rowPool.Put(rp)
-		s.rowGroupFFTScatter(dst, w, lo, hi, *rp)
-	})
+	j.dst, j.src = nil, nil // the pool must not keep the caller's vectors alive
+}
+
+// sixStepJob is one optimized Forward's working set: the length-n
+// intermediate w, the call's vectors, and the par bodies of its two passes,
+// bound to the job once when the pool builds it, so that a warm Forward
+// allocates nothing (a closure over the call's vectors would escape into
+// par and be allocated on every call).
+type sixStepJob struct {
+	s             *SixStep
+	w, dst, src   []complex128
+	columns, rows func(lo, hi int)
+}
+
+func (s *SixStep) newJob() any {
+	j := &sixStepJob{s: s, w: make([]complex128, s.n)}
+	j.columns, j.rows = j.columnChunk, j.rowChunk
+	return j
+}
+
+// columnChunk is SixStepOpt's column pass over tiles [lo, hi).
+func (j *sixStepJob) columnChunk(lo, hi int) {
+	s := j.s
+	bp := s.tilePool.Get().(*[]complex128)
+	defer s.tilePool.Put(bp)
+	for t := lo; t < hi; t++ {
+		j2lo := t * tileCols
+		if s.useLane(min(tileCols, s.n2-j2lo)) {
+			s.laneTile(j.w, j.src[j2lo:], s.n2, *bp, t)
+			continue
+		}
+		s.gatherTile(*bp, j.src, t)
+		s.processTile(j.w, *bp, t)
+	}
+}
+
+// rowChunk is the row pass over the row group [lo, hi).
+func (j *sixStepJob) rowChunk(lo, hi int) {
+	rp := j.s.rowPool.Get().(*[]complex128)
+	defer j.s.rowPool.Put(rp)
+	j.s.rowGroupFFTScatter(j.dst, j.w, lo, hi, *rp)
 }
 
 // useLane reports whether the tile runs through the lane-interleaved batch
@@ -304,8 +343,9 @@ func (s *SixStep) forwardOpt(dst, src []complex128) {
 func (s *SixStep) useLane(cols int) bool { return s.lane != nil && cols == tileCols }
 
 // gatherTile stages one tile of columns from src into buf. With the lane
-// kernel the slab is row-major (pure 128-byte copies); otherwise it is a
-// padded column-major slab (the padding is the paper's "contiguous buffer
+// kernel the slab is row-major (pure 128-byte copies: only the pipelined
+// variants' loader team stages lane tiles, SixStepOpt reads them in place);
+// otherwise it is a padded column-major slab (the padding is the paper's "contiguous buffer
 // is padded to avoid cache conflict misses" — without it a power-of-two n1
 // makes the 8 slab columns alias into one L1 set).
 func (s *SixStep) gatherTile(buf, src []complex128, tile int) {
@@ -327,31 +367,46 @@ func (s *SixStep) gatherTile(buf, src []complex128, tile int) {
 	}
 }
 
-// processTile runs the tile's n1-point FFTs, applies the stage twiddles
-// (incremental exponent — one 64-bit division per row, not per element) and
-// scatters the transposed rows into w with 8-wide contiguous writes.
+// laneTile runs the n1-point FFTs of a full tile's 8 columns together,
+// lane-interleaved (outer-loop vectorization): the first Stockham pass reads
+// them from in, whose rows are ins elements apart — the caller's src itself
+// (ins = n2) or a staged slab (ins = tileCols) — and the last writes buf,
+// row-major. It then applies the stage twiddles and scatters the rows into
+// w with 8-wide contiguous writes (twiddleTile).
+func (s *SixStep) laneTile(w, in []complex128, ins int, buf []complex128, tile int) {
+	s.lane.forwardFrom(buf, in, ins)
+	s.twiddleTile(w, buf, tile*tileCols)
+}
+
+// twiddleTile sets w[k1*n2 + j2lo + c] = buf[k1*tileCols + c] * W_n^{(j2lo+c)*k1}
+// for a full tile, the twiddle drawn from the dynamic-block tables
+// (incremental exponent — one 64-bit division per row, not per element).
+func (s *SixStep) twiddleTile(w, buf []complex128, j2lo int) {
+	if s.twiddleTileVec(w, buf, j2lo) {
+		return
+	}
+	n1, n2 := s.n1, s.n2
+	for k1 := 0; k1 < n1; k1++ {
+		row := buf[k1*tileCols : k1*tileCols+tileCols]
+		out := w[k1*n2+j2lo:]
+		e := j2lo * k1 % s.n
+		for c := 0; c < tileCols; c++ {
+			out[c] = row[c] * s.twiddleOpt(e)
+			e += k1
+			if e >= s.n {
+				e -= s.n
+			}
+		}
+	}
+}
+
+// processTile runs the n1-point FFTs of a tile staged as a padded
+// column-major slab (an edge tile, or a non-smooth n1), applies the stage
+// twiddles and scatters the transposed rows into w.
 func (s *SixStep) processTile(w, buf []complex128, tile int) {
 	n1, n2 := s.n1, s.n2
 	j2lo := tile * tileCols
 	cols := min(tileCols, n2-j2lo)
-	if s.useLane(cols) {
-		// All 8 column FFTs together, lane-interleaved (outer-loop
-		// vectorization); the slab stays row-major throughout.
-		s.lane.Forward(buf[:n1*tileCols])
-		for k1 := 0; k1 < n1; k1++ {
-			row := buf[k1*tileCols : k1*tileCols+tileCols]
-			out := w[k1*n2+j2lo:]
-			e := j2lo * k1 % s.n
-			for c := 0; c < tileCols; c++ {
-				out[c] = row[c] * s.twiddleOpt(e)
-				e += k1
-				if e >= s.n {
-					e -= s.n
-				}
-			}
-		}
-		return
-	}
 	stride := n1 + rowPad
 	for c := 0; c < cols; c++ {
 		col := buf[c*stride : c*stride+n1]
@@ -375,19 +430,32 @@ func (s *SixStep) processTile(w, buf []complex128, tile int) {
 // demodulation multiply when present (steps 5+6 fused, "Saving Bandwidth by
 // Fusing Demodulation and FFT"). Writing all rows of a group per k2 makes
 // the stride-n1 permutation emit hi-lo consecutive elements at a time.
-// rbuf must have length >= n2*(hi-lo).
+// rbuf must have length >= (n2+rowPad)*(hi-lo).
 func (s *SixStep) rowGroupFFTScatter(dst, w []complex128, lo, hi int, rbuf []complex128) {
-	n1, n2 := s.n1, s.n2
-	rows := hi - lo
+	n2 := s.n2
 	// The buffer rows are padded by rowPad elements so that reading column
 	// k2 across the group does not alias into a single cache set when n2
 	// is a power of two (the "buffer is padded to avoid cache conflict
-	// misses" of Section 5.2.3).
+	// misses" of Section 5.2.3). Each row's first Stockham pass reads w in
+	// place.
 	stride := n2 + rowPad
-	for r := 0; r < rows; r++ {
+	for r := 0; r < hi-lo; r++ {
 		s.p2.Forward(rbuf[r*stride:r*stride+n2], w[(lo+r)*n2:(lo+r+1)*n2])
 	}
+	s.rowGroupScatter(dst, rbuf, lo, hi)
+}
+
+// rowGroupScatter writes the transformed rows [lo, hi), staged in rbuf
+// n2+rowPad elements apart, to dst in natural order, times the demodulation
+// when there is one.
+func (s *SixStep) rowGroupScatter(dst, rbuf []complex128, lo, hi int) {
+	n1, n2 := s.n1, s.n2
+	rows := hi - lo
+	stride := n2 + rowPad
 	if s.demod != nil {
+		if rows == tileCols && s.demodScatterVec(dst, rbuf, lo, stride) {
+			return
+		}
 		for k2 := 0; k2 < n2; k2++ {
 			base := lo + n1*k2
 			for r := 0; r < rows; r++ {
@@ -410,23 +478,17 @@ const rowPad = 8
 
 // columnPass runs the fused steps 1-4 of every optimized variant into w.
 // The variants differ only in how the tiles are scheduled: SixStepOpt hands
-// each worker runs of 8 tiles, which it gathers and transforms itself
-// through a pooled staging buffer; the others pipeline a loader team into a
-// compute team.
-func (s *SixStep) columnPass(w, src []complex128) {
+// each worker runs of 8 tiles, which it transforms itself — a full tile's
+// first Stockham pass reads src in place, so only edge tiles are gathered —
+// through a pooled buffer; the others pipeline a loader team, which stages
+// every tile, into a compute team.
+func (s *SixStep) columnPass(j *sixStepJob) {
 	ntiles := (s.n2 + tileCols - 1) / tileCols
 	if s.variant != SixStepOpt {
-		s.columnPassPipelined(w, src, ntiles)
+		s.columnPassPipelined(j.w, j.src, ntiles)
 		return
 	}
-	par.ForChunked(s.workers, ntiles, 8, func(lo, hi int) {
-		bp := s.tilePool.Get().(*[]complex128)
-		defer s.tilePool.Put(bp)
-		for t := lo; t < hi; t++ {
-			s.gatherTile(*bp, src, t)
-			s.processTile(w, *bp, t)
-		}
-	})
+	par.ForChunked(s.workers, ntiles, 8, j.columns)
 }
 
 // columnPassPipelined splits the workers into a loader team and a compute
@@ -477,8 +539,14 @@ func (s *SixStep) columnPassPipelined(w, src []complex128, ntiles int) {
 	for c := 0; c < workers; c++ {
 		go func() {
 			defer compWG.Done()
+			out := s.tilePool.Get().(*[]complex128)
+			defer s.tilePool.Put(out)
 			for st := range ready {
-				s.processTile(w, st.buf, st.tile)
+				if s.useLane(min(tileCols, s.n2-st.tile*tileCols)) {
+					s.laneTile(w, st.buf, tileCols, *out, st.tile)
+				} else {
+					s.processTile(w, st.buf, st.tile)
+				}
 				free <- st.buf
 			}
 		}()

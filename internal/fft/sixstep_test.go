@@ -14,6 +14,10 @@ import (
 // argument validation and variant metadata.
 
 func TestSixStepDemodFusion(t *testing.T) {
+	forEachKernel(t, sixStepDemodFusion)
+}
+
+func sixStepDemodFusion(t *testing.T) {
 	n := 2048
 	x := ref.RandomVector(n, 5)
 	d := ref.RandomVector(n, 6)

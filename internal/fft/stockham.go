@@ -15,10 +15,18 @@ import "math"
 // The s == 1 case (the first stage, where inner vectors are single elements)
 // is special-cased in the radix-2, -4 and -8 butterflies to keep the hot
 // first pass free of the inner q loop overhead.
+//
+// Every stage reads x at row stride xs = st.readStride(): input leg u of
+// butterfly p is x[q + xs*(p + m*u)]. A stage reading the previous stage's
+// output has xs == s; the first stage of a plan may read its caller's
+// vector in place, and the first stage of a lane batch inside the six-step
+// reads the columns of a row-major matrix, xs being its row length (see
+// runStages).
 
 func stageRadix2(st *stage, y, x []complex128) {
+	xs := st.readStride()
 	m, s := st.m, st.s
-	if s == 1 {
+	if s == 1 && xs == 1 {
 		for p := 0; p < m; p++ {
 			w := st.tw[p]
 			a, b := x[p], x[p+m]
@@ -29,8 +37,8 @@ func stageRadix2(st *stage, y, x []complex128) {
 	}
 	for p := 0; p < m; p++ {
 		w := st.tw[p]
-		x0 := x[s*p:]
-		x1 := x[s*(p+m):]
+		x0 := x[xs*p:]
+		x1 := x[xs*(p+m):]
 		y0 := y[s*2*p:]
 		y1 := y[s*(2*p+1):]
 		for q := 0; q < s; q++ {
@@ -45,8 +53,9 @@ func stageRadix2(st *stage, y, x []complex128) {
 func mulByI(z complex128) complex128 { return complex(-imag(z), real(z)) }
 
 func stageRadix4(st *stage, y, x []complex128) {
+	xs := st.readStride()
 	m, s := st.m, st.s
-	if s == 1 {
+	if s == 1 && xs == 1 {
 		for p := 0; p < m; p++ {
 			w1 := st.tw[p*3]
 			w2 := st.tw[p*3+1]
@@ -66,10 +75,10 @@ func stageRadix4(st *stage, y, x []complex128) {
 		w1 := st.tw[p*3]
 		w2 := st.tw[p*3+1]
 		w3 := st.tw[p*3+2]
-		x0 := x[s*p:]
-		x1 := x[s*(p+m):]
-		x2 := x[s*(p+2*m):]
-		x3 := x[s*(p+3*m):]
+		x0 := x[xs*p:]
+		x1 := x[xs*(p+m):]
+		x2 := x[xs*(p+2*m):]
+		x3 := x[xs*(p+3*m):]
 		y0 := y[s*4*p:]
 		y1 := y[s*(4*p+1):]
 		y2 := y[s*(4*p+2):]
@@ -91,13 +100,14 @@ func stageRadix4(st *stage, y, x []complex128) {
 var sin2pi3 = math.Sin(2 * math.Pi / 3)
 
 func stageRadix3(st *stage, y, x []complex128) {
+	xs := st.readStride()
 	m, s := st.m, st.s
 	for p := 0; p < m; p++ {
 		w1 := st.tw[p*2]
 		w2 := st.tw[p*2+1]
-		x0 := x[s*p:]
-		x1 := x[s*(p+m):]
-		x2 := x[s*(p+2*m):]
+		x0 := x[xs*p:]
+		x1 := x[xs*(p+m):]
+		x2 := x[xs*(p+2*m):]
 		y0 := y[s*3*p:]
 		y1 := y[s*(3*p+1):]
 		y2 := y[s*(3*p+2):]
@@ -118,19 +128,21 @@ func stageRadix3(st *stage, y, x []complex128) {
 // radix-4 halves joined by the W8 constants, exactly the dft8 codelet) plus
 // the stage twiddles. The higher radix cuts the number of Stockham passes
 // over memory to log8(n), the paper's "radix 8 and 16, case by case".
-// It is correct at every stride; runStage sends s == 1 to stageRadix8Unit.
+// It is correct at every stride; runStage sends s == xs == 1 to
+// stageRadix8Unit.
 func stageRadix8(st *stage, y, x []complex128) {
+	xs := st.readStride()
 	m, s := st.m, st.s
 	for p := 0; p < m; p++ {
 		tw := st.tw[p*7 : p*7+7]
-		x0 := x[s*p:]
-		x1 := x[s*(p+m):]
-		x2 := x[s*(p+2*m):]
-		x3 := x[s*(p+3*m):]
-		x4 := x[s*(p+4*m):]
-		x5 := x[s*(p+5*m):]
-		x6 := x[s*(p+6*m):]
-		x7 := x[s*(p+7*m):]
+		x0 := x[xs*p:]
+		x1 := x[xs*(p+m):]
+		x2 := x[xs*(p+2*m):]
+		x3 := x[xs*(p+3*m):]
+		x4 := x[xs*(p+4*m):]
+		x5 := x[xs*(p+5*m):]
+		x6 := x[xs*(p+6*m):]
+		x7 := x[xs*(p+7*m):]
 		y0 := y[s*8*p:]
 		y1 := y[s*(8*p+1):]
 		y2 := y[s*(8*p+2):]
@@ -218,6 +230,7 @@ func stageRadix8Unit(st *stage, y, x []complex128) {
 // It costs O(r^2) per butterfly, which is acceptable for the small primes
 // (5, 7, 11, 13) it is used for; larger primes go through Bluestein.
 func stageGeneric(st *stage, y, x []complex128) {
+	xs := st.readStride()
 	r, m, s := st.r, st.m, st.s
 	// The butterfly's inputs u live in a stack array (r <= maxGenericRadix);
 	// u[0] is read as ubuf[0], whose constant index needs no bounds check.
@@ -227,7 +240,7 @@ func stageGeneric(st *stage, y, x []complex128) {
 		twRow := st.tw[p*(r-1) : p*(r-1)+(r-1)]
 		for q := 0; q < s; q++ {
 			for t := 0; t < r; t++ {
-				u[t] = x[q+s*(p+m*t)]
+				u[t] = x[q+xs*(p+m*t)]
 			}
 			// t = 0: plain sum, no twiddle.
 			acc := ubuf[0]

@@ -64,9 +64,13 @@ func ForChunked(workers, n, chunk int, body func(lo, hi int)) {
 		}
 		return
 	}
+	// The goroutines capture copies made here, so that the serial path above
+	// moves nothing to the heap (chunk is reassigned, which would make a
+	// closure capture it by reference).
 	var wg sync.WaitGroup
 	next := make(chan int, nchunks)
-	for lo := 0; lo < n; lo += chunk {
+	size, end := chunk, n
+	for lo := 0; lo < end; lo += size {
 		next <- lo
 	}
 	close(next)
@@ -75,7 +79,7 @@ func ForChunked(workers, n, chunk int, body func(lo, hi int)) {
 		go func() {
 			defer wg.Done()
 			for lo := range next {
-				body(lo, min(lo+chunk, n))
+				body(lo, min(lo+size, end))
 			}
 		}()
 	}

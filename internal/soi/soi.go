@@ -215,10 +215,7 @@ func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c
 			rows := n * nmu
 			out := tl.out[:rows*s]
 			conv.ApplyTile(pl.opts.ConvVariant, pl.Win, out, x[c*p.DMu*s:], c0+c, c0+c+n, tl.stage)
-			for r := 0; r < rows; r++ {
-				row := out[r*s:][:s]
-				pl.fp.Forward(row, row)
-			}
+			pl.fp.ForwardRows(out)
 			for f := 0; f < s; f++ {
 				seg := t[f*ld+c*nmu:][:rows]
 				for r := range seg {

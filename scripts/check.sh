@@ -34,10 +34,11 @@ run_gate() {
 
 run_gate "go build ./..." go build ./...
 run_gate "go vet ./..." go vet ./...
-# internal/conv has an amd64 assembler kernel beside its portable Go one;
-# cross-building (offline: the toolchain carries every target) keeps the
-# portable file set compiling, and vet checks it where no .s shadows it.
-run_gate "arm64 cross-build (portable file set)" sh -c 'GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/conv'
+# internal/conv and internal/fft have amd64 assembler kernels beside their
+# portable Go twins, and internal/cpu an amd64 probe; cross-building
+# (offline: the toolchain carries every target) keeps the portable file sets
+# compiling, and vet checks them where no .s shadows them.
+run_gate "arm64 cross-build (portable file set)" sh -c 'GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/conv ./internal/fft ./internal/cpu'
 # The combined run doubles as the hard per-analyzer wall-time gate: an
 # analyzer over its checked-in budget (or a budget entry out of sync with
 # the suite) fails CI even with zero findings. Every finding is printed
