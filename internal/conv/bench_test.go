@@ -41,24 +41,47 @@ func BenchmarkVariants(b *testing.B) {
 }
 
 // BenchmarkDotRows times the inner kernel alone, in cache: one lane's rows
-// (NMu = 8) against one window at the benchmark's width B = 72, under every
-// kernel the host can execute. A tap costs 4 flops (two products, two adds);
-// ns/tap and the executed rate are the figures ROADMAP item 6's kill
-// criterion reads.
+// (NMu = 8) against one window at the benchmark's width B = 72, each sum
+// rotated by its phase and stored S = 8 apart (Apply's row-major layout),
+// under every kernel the host can execute. A tap costs 4 flops (two
+// products, two adds); ns/tap and the executed rate are the figures the
+// kernel's kill criterion reads.
 func BenchmarkDotRows(b *testing.B) {
-	const rows, width = 8, 72
+	const rows, width, stride = 8, 72, 8
 	rng := rand.New(rand.NewSource(1))
 	taps, dup, win := dotOperands(rows, width, 0, rng.NormFloat64)
-	var sums [rows]complex128
+	phase := phases(rows, rng, false)
+	var out [(rows-1)*stride + 1]complex128
 	for _, k := range kernels() {
 		b.Run(k, func(b *testing.B) {
 			defer useKernel(k)()
 			for i := 0; i < b.N; i++ {
-				dotRows(sums[:], taps, dup, win)
+				dotRows(out[:], stride, taps, dup, win, phase)
 			}
 			ntaps := float64(b.N) * rows * width
 			b.ReportMetric(b.Elapsed().Seconds()*1e9/ntaps, "ns/tap")
 			b.ReportMetric(4*ntaps/b.Elapsed().Seconds()/1e9, "executed-GFLOPS")
+		})
+	}
+}
+
+// BenchmarkGatherLanes times the staging gather alone, in cache: the 289
+// inputs of each of the 8 lanes of one tile at the benchmark geometry
+// (T = 32, DMu = 7, B = 72), at the production lane stride, under every
+// kernel the host can execute. A kernel under 1.3x its Go twin here does not
+// ship.
+func BenchmarkGatherLanes(b *testing.B) {
+	const s, l = 8, 31*7 + 72
+	sl := offLattice(l)
+	x := ref.RandomVector(l*s, 1)
+	stage := make([]complex128, s*sl)
+	for _, k := range kernels() {
+		b.Run(k, func(b *testing.B) {
+			defer useKernel(k)()
+			for i := 0; i < b.N; i++ {
+				gatherLanes(stage, sl, x, s, l)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*l*s), "ns/element")
 		})
 	}
 }

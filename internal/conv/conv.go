@@ -13,25 +13,32 @@
 //	             diagonal; loop_a over lanes becomes the outer, thread-
 //	             parallel loop and the per-lane working set is a constant
 //	             nmu*B elements regardless of scale.
-//	Buffered     Interchange plus staging of the lane's stride-S inputs
-//	             through a contiguous buffer, a tile of chunks at a time,
-//	             converting B long-stride loads per inner product into B
-//	             contiguous loads plus about dmu strided loads per chunk
-//	             ("Avoiding Cache Conflict Misses by Buffering"). The
-//	             production variant: it also multiplies by window.Filter's
-//	             real LaneTaps and rotates once per output (4B+6 flops
-//	             against the others' 8B; DESIGN.md Section 2), and ApplyTile
-//	             hands a caller each tile while it is cache-resident.
+//	Buffered     Interchange plus staging of the lanes' stride-S inputs
+//	             through a lane-major buffer, a tile of chunks at a time,
+//	             gathered in one sequential pass over the input, so that
+//	             every inner product reads B contiguous elements ("Avoiding
+//	             Cache Conflict Misses by Buffering"). The production
+//	             variant: it also multiplies by window.Filter's real LaneTaps
+//	             and rotates once per output (4B+6 flops against the others'
+//	             8B; DESIGN.md Section 2).
 //
-// All variants agree up to floating-point rounding; tests pin them against
-// each other and against a direct dense evaluation of W.
+// Apply stores the outputs row-major, as W*x is ordered. ApplyTile computes
+// one tile on the calling goroutine and stores it lane-major — each lane's
+// outputs one contiguous run, the layout Fig. 7's loop interchange produces
+// and the Segments-point FFT over the tile's columns reads — while it is
+// cache-resident. Every variant reaches both layouts through one pair of
+// (row, lane) output strides. All variants agree up to floating-point
+// rounding; tests pin them against each other and against a direct dense
+// evaluation of W.
 //
-// The real-weighted sums of Buffered come from one of two kernels that agree
-// bit for bit: dotReal, pure Go, the build for every target and the oracle;
-// and on amd64 processors with AVX2 dotRowsAVX2 (dot_amd64.s), which sums
-// all NMu rows of a window in one call, the same products added in the same
-// order, four rows sharing each load of the window. Which one runs is
-// decided once at init from CPUID; there is nothing to configure.
+// The rotated sums of Buffered come from one of two kernels that agree bit
+// for bit: dotReal and a Go rotation, pure Go, the build for every target
+// and the oracle; and on amd64 processors with AVX2 dotRowsAVX2
+// (dot_amd64.s), which sums, rotates and stores all NMu rows of a window in
+// one call, the same products added in the same order, four rows sharing
+// each load of the window. The staging gather likewise has a Go loop and an
+// AVX2 twin (gatherLanesAVX2), copies that agree trivially. Which ones run
+// is decided once at init from CPUID; there is nothing to configure.
 package conv
 
 import (
@@ -91,40 +98,51 @@ func Apply(v Variant, f *window.Filter, u, x []complex128, c0, c1, workers int) 
 	if c1 <= c0 {
 		return
 	}
-	checkLens(f, u, x, c0, c1)
+	checkLens(f, u, x, c0, c1, OutputLen(f, c0, c1))
+	if v == Buffered {
+		applyBuffered(f, u, x, c0, c1, workers)
+		return
+	}
+	applyUnbuffered(v, f, u, f.Segments, 1, x, c0, c1, workers)
+}
+
+// applyUnbuffered runs Baseline or Interchange, storing row r of the range's
+// lane j at u[r*rs + j*ls].
+func applyUnbuffered(v Variant, f *window.Filter, u []complex128, rs, ls int, x []complex128, c0, c1, workers int) {
 	switch v {
 	case Baseline:
-		applyBaseline(f, u, x, c0, c1, workers)
+		applyBaseline(f, u, rs, ls, x, c0, c1, workers)
 	case Interchange:
-		applyInterchange(f, u, x, c0, c1, workers)
-	case Buffered:
-		applyBuffered(f, u, x, c0, c1, workers)
+		applyInterchange(f, u, rs, ls, x, c0, c1, workers)
 	default:
 		panic(fmt.Sprintf("conv: unknown variant %d", int(v)))
 	}
 }
 
-// checkLens panics unless x and u cover the non-empty chunk range [c0, c1).
-func checkLens(f *window.Filter, u, x []complex128, c0, c1 int) {
+// checkLens panics unless x covers the non-empty chunk range [c0, c1) and u
+// holds nu outputs.
+func checkLens(f *window.Filter, u, x []complex128, c0, c1, nu int) {
 	if len(x) < InputLen(f, c0, c1) {
 		panic(fmt.Sprintf("conv: input too short: len(x)=%d need %d", len(x), InputLen(f, c0, c1)))
 	}
-	if len(u) < OutputLen(f, c0, c1) {
-		panic(fmt.Sprintf("conv: output too short: len(u)=%d need %d", len(u), OutputLen(f, c0, c1)))
+	if len(u) < nu {
+		panic(fmt.Sprintf("conv: output too short: len(u)=%d need %d", len(u), nu))
 	}
 }
 
 // applyBaseline walks output rows in order (Fig. 6a). Parallelization
 // distributes chunks to workers; within a chunk, every row touches all
-// nmu*S*B distinct taps.
-func applyBaseline(f *window.Filter, u, x []complex128, c0, c1, workers int) {
+// nmu*S*B distinct taps. Row r of the range's lane j is stored at
+// u[r*rs + j*ls]: rs = S, ls = 1 is Apply's row-major layout, rs = 1,
+// ls = ldu the lane-major tile of ApplyTile.
+func applyBaseline(f *window.Filter, u []complex128, rs, ls int, x []complex128, c0, c1, workers int) {
 	s := f.Segments
 	nmu, dmu, b := f.NMu, f.DMu, f.B
 	nchunks := c1 - c0
 	par.For(workers, nchunks, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			in := x[c*dmu*s:]
-			out := u[c*nmu*s:]
+			out := u[c*nmu*rs:]
 			for a := 0; a < nmu; a++ {
 				taps := f.Taps[a]
 				for j := 0; j < s; j++ {
@@ -137,7 +155,7 @@ func applyBaseline(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 						accRe += tr*vr - ti*vi
 						accIm += tr*vi + ti*vr
 					}
-					out[a*s+j] = complex(accRe, accIm)
+					out[a*rs+j*ls] = complex(accRe, accIm)
 				}
 			}
 		}
@@ -145,8 +163,9 @@ func applyBaseline(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 }
 
 // applyInterchange makes the lane loop outermost (Fig. 7: loop_a over the S
-// sub-matrices, thread-parallel, no data shared between iterations).
-func applyInterchange(f *window.Filter, u, x []complex128, c0, c1, workers int) {
+// sub-matrices, thread-parallel, no data shared between iterations). Outputs
+// are stored as in applyBaseline.
+func applyInterchange(f *window.Filter, u []complex128, rs, ls int, x []complex128, c0, c1, workers int) {
 	s := f.Segments
 	nmu, dmu, b := f.NMu, f.DMu, f.B
 	nchunks := c1 - c0
@@ -181,7 +200,7 @@ func applyInterchange(f *window.Filter, u, x []complex128, c0, c1, workers int) 
 						accRe += tr*vr - ti*vi
 						accIm += tr*vi + ti*vr
 					}
-					u[(c*nmu+a)*s+j] = complex(accRe, accIm)
+					u[(c*nmu+a)*rs+j*ls] = complex(accRe, accIm)
 				}
 			}
 		}
@@ -199,22 +218,65 @@ func TileChunks(f *window.Filter) int {
 	return max(1, tileBytes/16/(f.NMu*f.Segments))
 }
 
-// ApplyTile is Apply on the calling goroutine with caller-provided scratch:
-// the Buffered variant stages each lane's inputs through stage and allocates
-// nothing; the other variants ignore stage. A caller that walks a chunk range
-// in tiles of TileChunks chunks gets every tile's outputs while they are
-// still cache-resident, bit-identical to one Apply over the range.
-func ApplyTile(v Variant, f *window.Filter, u, x []complex128, c0, c1 int, stage []complex128) {
-	if v != Buffered || c1 <= c0 {
-		Apply(v, f, u, x, c0, c1, 1)
+// TileStride returns the lane stride of a tile of TileChunks chunks for
+// ApplyTile: its NMu*TileChunks rows, laid out by offLattice.
+func TileStride(f *window.Filter) int {
+	return offLattice(TileChunks(f) * f.NMu)
+}
+
+// StageLen returns the length of the staging buffer ApplyTile's Buffered
+// variant needs: the inputs of all Segments lanes of a tile, one lane every
+// stageStride elements.
+func StageLen(f *window.Filter) int {
+	return f.Segments * stageStride(f)
+}
+
+// stageStride is the lane stride of the Buffered kernel's staging: the
+// (T-1)*DMu+B inputs a lane of a tile of T = TileChunks chunks reads, laid
+// out by offLattice.
+func stageStride(f *window.Filter) int {
+	return offLattice((TileChunks(f)-1)*f.DMu + f.B)
+}
+
+// offLattice returns the row stride, in complex128, for rows of n elements:
+// n rounded up to whole 64-byte cache lines, so that every row starts on one
+// (the vector kernels' 32-byte accesses then never straddle two), plus one
+// more line when that is a whole number of 4 KiB pages, so that the rows do
+// not all fall in one L1 set.
+func offLattice(n int) int {
+	n = (n + 3) &^ 3
+	if n%256 == 0 {
+		return n + 4
+	}
+	return n
+}
+
+// ApplyTile is Apply on the calling goroutine with caller-provided scratch,
+// for at most TileChunks(f) chunks, storing the tile lane-major: u[j*ldu + r]
+// is row r of the range in lane j, global output ((c0*NMu + r)*S + j), for
+// ldu >= (c1-c0)*NMu — the layout in which each lane's outputs are one
+// contiguous run (Fig. 7). The Buffered variant stages the tile's inputs
+// through stage (length >= StageLen(f)) and allocates nothing; the other
+// variants ignore stage. Every output is bit-identical to Apply's.
+func ApplyTile(v Variant, f *window.Filter, u []complex128, ldu int, x []complex128, c0, c1 int, stage []complex128) {
+	if c1 <= c0 {
 		return
 	}
-	checkLens(f, u, x, c0, c1)
-	tileBuffered(f, u, x, c1-c0, stage)
+	rows := (c1 - c0) * f.NMu
+	if ldu < rows {
+		panic(fmt.Sprintf("conv: tile stride %d below its %d rows", ldu, rows))
+	}
+	checkLens(f, u, x, c0, c1, (f.Segments-1)*ldu+rows)
+	if v == Buffered {
+		tileBuffered(f, u, 1, ldu, x, c1-c0, stage)
+		return
+	}
+	applyUnbuffered(v, f, u, 1, ldu, x, c0, c1, 1)
 }
 
 // applyBuffered walks the chunk range in tiles of TileChunks chunks, split
-// across the workers; tiles share no state.
+// across the workers; tiles share no state. The tiles are stored row-major,
+// as Apply's contract has it.
 func applyBuffered(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 	s := f.Segments
 	nchunks := c1 - c0
@@ -224,68 +286,65 @@ func applyBuffered(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 		workers = par.DefaultWorkers()
 	}
 	workers = min(workers, ntiles)
-	stageLen := (tc-1)*f.DMu + f.B
+	stageLen := StageLen(f)
 	stage := make([]complex128, workers*stageLen)
 	// One index per worker, so that each owns a run of stage and of the tiles.
 	par.For(workers, workers, func(wlo, whi int) {
 		for w := wlo; w < whi; w++ {
 			for t := w * ntiles / workers; t < (w+1)*ntiles/workers; t++ {
 				c := t * tc
-				tileBuffered(f, u[c*f.NMu*s:], x[c*f.DMu*s:], min(tc, nchunks-c), stage[w*stageLen:][:stageLen])
+				tileBuffered(f, u[c*f.NMu*s:], s, 1, x[c*f.DMu*s:], min(tc, nchunks-c), stage[w*stageLen:][:stageLen])
 			}
 		}
 	})
 }
 
-// rowGroup is the number of rows of a lane handed to one dotRows call: the
-// sums live in a fixed array on tileBuffered's stack, so a lane with more
-// rows (NMu > 16; the paper's are 3 to 9) takes more than one call.
-const rowGroup = 16
-
-// tileBuffered computes n chunks with the input staging and the real-tap
-// factorization (DESIGN.md Section 2). Lane j's (n-1)*dmu+B stride-S inputs
-// are gathered once into the linear buffer stage, where chunk c's window is
-// the contiguous run stage[c*dmu : c*dmu+B]; every tap of the lane is
+// tileBuffered computes n <= TileChunks(f) chunks with the input staging and
+// the real-tap factorization (DESIGN.md Section 2), storing row r of lane j
+// at u[r*rs + j*ls]. One sequential pass over x (gatherLanes) gathers the
+// (n-1)*dmu+B inputs of every lane into stage, lane j's from
+// stage[j*stageStride], where chunk c's window is the contiguous run at
+// c*dmu. Every tap of the lane is
 // window.Filter's real LaneTaps entry times one unit phase per (j, a), so an
-// output is a real-weighted sum of the window rotated once at the store:
-// 4*B+6 flops instead of 8*B. The sums of all of a window's rows come from
-// one dotRows call — the AVX2 kernel where the processor has it, dotReal
-// elsewhere, bit-identical.
-func tileBuffered(f *window.Filter, u, x []complex128, n int, stage []complex128) {
+// output is a real-weighted sum of the window rotated once: 4*B+6 flops
+// instead of 8*B. The sums of all of a window's rows, rotated and stored,
+// come from one dotRows call — the AVX2 kernel where the processor has it,
+// dotReal elsewhere, bit-identical.
+func tileBuffered(f *window.Filter, u []complex128, rs, ls int, x []complex128, n int, stage []complex128) {
 	s := f.Segments
 	nmu, dmu, b := f.NMu, f.DMu, f.B
-	stage = stage[:(n-1)*dmu+b]
-	var sumBuf [rowGroup]complex128
+	l, sl := (n-1)*dmu+b, stageStride(f)
+	stage = stage[:(s-1)*sl+l]
+	gatherLanes(stage, sl, x, s, l)
 	for j := 0; j < s; j++ {
+		lane := stage[j*sl:][:l]
 		taps := f.LaneTaps[j*nmu*b:][:nmu*b]
 		dup := f.LaneTapsDup[2*j*nmu*b:][:2*nmu*b]
 		phase := f.LanePhase[j*nmu:][:nmu]
-		for i := range stage {
-			stage[i] = x[i*s+j]
-		}
 		for c := 0; c < n; c++ {
-			win := stage[c*dmu:][:b]
-			out := u[c*nmu*s+j:]
-			for a0 := 0; a0 < nmu; a0 += rowGroup {
-				ph := phase[a0:min(a0+rowGroup, nmu)]
-				sums := sumBuf[:len(ph)]
-				dotRows(sums, taps[a0*b:], dup[2*a0*b:], win)
-				for a, z := range sums {
-					re, im := real(z), imag(z)
-					out[(a0+a)*s] = complex(re*real(ph[a])-im*imag(ph[a]), re*imag(ph[a])+im*real(ph[a]))
-				}
-			}
+			dotRows(u[c*nmu*rs+j*ls:], rs, taps, dup, lane[c*dmu:][:b], phase)
+		}
+	}
+}
+
+// gatherLanesGo is the portable gatherLanes for inputs [i0, l): one
+// sequential pass over x, input i of lane j to stage[j*sl + i].
+func gatherLanesGo(stage []complex128, sl int, x []complex128, s, i0, l int) {
+	for i, k := i0, i0*s; i < l; i, k = i+1, k+s {
+		for j, v := range x[k : k+s] {
+			stage[j*sl+i] = v
 		}
 	}
 }
 
 // dotRowsGo is the portable dotRows: dotReal on each row of taps (LaneTaps
-// layout, len(win) entries a row).
-func dotRowsGo(sums []complex128, taps []float64, win []complex128) {
+// layout, len(win) entries a row), rotated by the row's phase and stored at
+// out[a*stride].
+func dotRowsGo(out []complex128, stride int, taps []float64, win, phase []complex128) {
 	b := len(win)
-	for a := range sums {
+	for a, ph := range phase {
 		re, im := dotReal(taps[a*b:][:b], win)
-		sums[a] = complex(re, im)
+		out[a*stride] = complex(re*real(ph)-im*imag(ph), re*imag(ph)+im*real(ph))
 	}
 }
 

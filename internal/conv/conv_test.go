@@ -2,6 +2,7 @@ package conv
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"sync"
 	"testing"
@@ -59,6 +60,30 @@ func dotOperands(rows, b, off int, draw func() float64) (taps, dup []float64, wi
 	return taps, dup, win
 }
 
+// phases returns rows unit phases cut out of a NaN-filled buffer, so that a
+// kernel reading past them reads NaN: random angles, with one in three drawn
+// from phases with ±0, ±1, ±i and denormal parts when specials is set.
+func phases(rows int, rng *rand.Rand, specials bool) []complex128 {
+	nz := math.Copysign(0, -1)
+	special := []complex128{
+		1, -1, 1i, -1i, complex(nz, 1), complex(1, nz), complex(-1, nz), complex(nz, -1),
+		complex(5e-324, 1), complex(-1, -1e-310), complex(1e-310, -1),
+	}
+	nan := complex(math.NaN(), math.NaN())
+	buf := make([]complex128, rows+2)
+	buf[0], buf[rows+1] = nan, nan
+	ph := buf[1 : rows+1 : rows+1]
+	for a := range ph {
+		if specials && rng.Intn(3) == 0 {
+			ph[a] = special[rng.Intn(len(special))]
+			continue
+		}
+		sin, cos := math.Sincos(2 * math.Pi * rng.Float64())
+		ph[a] = complex(cos, sin)
+	}
+	return ph
+}
+
 func smallParams() window.Params {
 	// Segments=4, DMu*S=28, chunks=8 per ... M = 224, N = 896.
 	return window.Params{N: 896, Segments: 4, NMu: 8, DMu: 7, B: 24}
@@ -83,13 +108,11 @@ func TestVariantsMatchDense(t *testing.T) {
 	})
 }
 
-// TestBufferedManyRows runs a geometry whose lanes have more rows than one
-// rowGroup (mu = 17/16), so tileBuffered takes two dotRows calls per window.
+// TestBufferedManyRows runs a geometry whose lanes have more rows than the
+// kernel's blocks of four and than the paper's widest lane (mu = 17/16): one
+// dotRows call still computes, rotates and stores all of a window's rows.
 func TestBufferedManyRows(t *testing.T) {
 	f := design(t, window.Params{N: 16 * 4 * 4 * 5, Segments: 4, NMu: 17, DMu: 16, B: 21})
-	if f.NMu <= rowGroup {
-		t.Fatalf("NMu = %d does not exceed rowGroup = %d", f.NMu, rowGroup)
-	}
 	c0, c1 := 1, f.Chunks()
 	x := ref.RandomVector(InputLen(f, c0, c1), 5)
 	want := make([]complex128, OutputLen(f, c0, c1))
@@ -99,6 +122,62 @@ func TestBufferedManyRows(t *testing.T) {
 		Apply(Buffered, f, got, x, c0, c1, 2)
 		if e := cvec.RelErrL2(got, want); e > 1e-13 {
 			t.Errorf("error vs dense %g", e)
+		}
+	})
+}
+
+// TestApplyTileMatchesApply pins ApplyTile's lane-major tile to Apply's
+// row-major outputs bit for bit, for every variant, over the tile-edge
+// geometries of soi.TestTiledPassMatchesStagedPipeline (T is TileChunks):
+// every tile of the chunk range, the last one partial where T does not
+// divide it, each at TileStride, and the padding rows past a tile's own are
+// never written.
+func TestApplyTileMatchesApply(t *testing.T) {
+	geometries := []window.Params{
+		{N: 4 * 56, Segments: 4, NMu: 8, DMu: 7, B: 24},    // 8 chunks < T = 64
+		{N: 4 * 448, Segments: 4, NMu: 8, DMu: 7, B: 24},   // one full tile
+		{N: 8 * 280, Segments: 8, NMu: 8, DMu: 7, B: 24},   // T = 32: tiles of 32 and 8
+		{N: 64 * 128, Segments: 64, NMu: 3, DMu: 2, B: 24}, // T = 10: six of 10 and a 4
+		{N: 2 * 28, Segments: 2, NMu: 8, DMu: 7, B: 16},
+		{N: 3 * 12, Segments: 3, NMu: 3, DMu: 2, B: 8},
+		{N: 2 * 14, Segments: 2, NMu: 8, DMu: 7, B: 24},
+	}
+	eachKernel(t, func(t *testing.T) {
+		for _, p := range geometries {
+			f := design(t, p)
+			s, nmu, C := f.Segments, f.NMu, f.Chunks()
+			tc, ldu := TileChunks(f), TileStride(f)
+			x := ref.RandomVector(InputLen(f, 0, C), 43)
+			stage := make([]complex128, StageLen(f))
+			nan := complex(math.NaN(), math.NaN())
+			for _, v := range AllVariants {
+				want := make([]complex128, OutputLen(f, 0, C))
+				Apply(v, f, want, x, 0, C, 1)
+				for c := 0; c < C; c += tc {
+					n := min(tc, C-c)
+					u := make([]complex128, s*ldu)
+					for i := range u {
+						u[i] = nan
+					}
+					ApplyTile(v, f, u, ldu, x[c*f.DMu*s:], c, c+n, stage)
+					for j := 0; j < s; j++ {
+						for r := 0; r < ldu; r++ {
+							got := u[j*ldu+r]
+							if r >= n*nmu {
+								if !cmplx.IsNaN(got) {
+									t.Fatalf("%+v %v tile at chunk %d: padding row %d of lane %d written", p, v, c, r, j)
+								}
+								continue
+							}
+							w := want[(c*nmu+r)*s+j]
+							if math.Float64bits(real(got)) != math.Float64bits(real(w)) ||
+								math.Float64bits(imag(got)) != math.Float64bits(imag(w)) {
+								t.Fatalf("%+v %v tile at chunk %d: lane %d row %d = %v, Apply %v", p, v, c, j, r, got, w)
+							}
+						}
+					}
+				}
+			}
 		}
 	})
 }

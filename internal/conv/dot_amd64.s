@@ -1,26 +1,44 @@
 #include "textflag.h"
 
-// func dotRowsAVX2(out *complex128, taps *float64, win *complex128, rows, b int)
+// ROTSTORE rotates the sum in X by the unit phase at off(BX) and stores it at
+// (DI), then advances DI by the output stride R8: Go's
+// complex(re*pr - im*pi, re*pi + im*pr), the imaginary part's two products
+// added in the other order (IEEE addition commutes). Uses X12 and X13.
+#define ROTSTORE(X, off) \
+	VMOVDDUP  off(BX), X12;   \
+	VMOVDDUP  off+8(BX), X13; \
+	VMULPD    X12, X, X12;    \
+	VPERMILPD $1, X, X;       \
+	VMULPD    X13, X, X13;    \
+	VADDSUBPD X13, X12, X;    \
+	VMOVUPD   X, (DI);        \
+	ADDQ      R8, DI
+
+// func dotRowsAVX2(out *complex128, taps *float64, win, phase *complex128, rows, b, stride int)
 //
-// out[a] = sum_k taps[a][k]*win[k] for a in [0, rows), where row a of taps is
-// the 2*b doubles [r0, r0, r1, r1, ...] at taps + a*b*16 (window.Filter's
-// LaneTapsDup), bit for bit what dotReal returns for row a: one YMM register
-// per row is dotReal's [re0, im0, re1, im1]; the b%4 tail taps are added
-// first into its low half; each group of four taps then adds
-// [r0,r0,r1,r1]*[w0,w1] + [r2,r2,r3,r3]*[w2,w3] to it, the products summed
-// before they meet the accumulator; the two halves are added at the end.
-// Multiplies and adds only, each rounded: no FMA.
+// out[a*stride] = phase[a] * sum_k taps[a][k]*win[k] for a in [0, rows),
+// where row a of taps is the 2*b doubles [r0, r0, r1, r1, ...] at
+// taps + a*b*16 (window.Filter's LaneTapsDup); the sum is bit for bit what
+// dotReal returns for row a: one YMM register per row is dotReal's
+// [re0, im0, re1, im1]; the b%4 tail taps are added first into its low half;
+// each group of four taps then adds [r0,r0,r1,r1]*[w0,w1] + [r2,r2,r3,r3]*[w2,w3]
+// to it, the products summed before they meet the accumulator; the two
+// halves are added at the end, and the sum is rotated at the store
+// (ROTSTORE). Multiplies and adds only, each rounded: no FMA.
 //
 // A tap and a window element are both 16 bytes, so one byte offset (AX)
 // indexes both. Rows go four at a time, sharing the two window loads of a
-// group, then one at a time. Reads rows*b*16 bytes of taps and b*16 of win,
-// writes rows*16 of out.
-TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-40
+// group, then one at a time. Reads rows*b*16 bytes of taps, b*16 of win and
+// rows*16 of phase; writes 16 bytes at each of out + a*stride*16.
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-56
 	MOVQ out+0(FP), DI
 	MOVQ taps+8(FP), SI
 	MOVQ win+16(FP), DX
-	MOVQ rows+24(FP), CX
-	MOVQ b+32(FP), R9
+	MOVQ phase+24(FP), BX
+	MOVQ rows+32(FP), CX
+	MOVQ b+40(FP), R9
+	MOVQ stride+48(FP), R8
+	SHLQ $4, R8  // output stride in bytes
 	MOVQ R9, R10
 	ANDQ $-4, R10
 	SHLQ $4, R10 // byte offset of the tail taps: (b &^ 3)*16
@@ -89,11 +107,11 @@ store4:
 	VADDPD X5, X1, X1
 	VADDPD X6, X2, X2
 	VADDPD X7, X3, X3
-	VMOVUPD X0, (DI)
-	VMOVUPD X1, 16(DI)
-	VMOVUPD X2, 32(DI)
-	VMOVUPD X3, 48(DI)
-	ADDQ $64, DI
+	ROTSTORE(X0, 0)
+	ROTSTORE(X1, 16)
+	ROTSTORE(X2, 32)
+	ROTSTORE(X3, 48)
+	ADDQ $64, BX
 	LEAQ (SI)(R9*4), SI
 	SUBQ $4, CX
 	JMP  rows4
@@ -131,12 +149,52 @@ loop1:
 store1:
 	VEXTRACTF128 $1, Y0, X4
 	VADDPD X4, X0, X0
-	VMOVUPD X0, (DI)
-	ADDQ $16, DI
+	ROTSTORE(X0, 0)
+	ADDQ $16, BX
 	ADDQ R9, SI
 	DECQ CX
 	JMP  rows1
 
 done:
+	VZEROUPPER
+	RET
+
+// func gatherLanesAVX2(stage *complex128, sl int, x *complex128, s, pairs int)
+//
+// stage[j*sl + i] = x[i*s + j] for i in [0, 2*pairs) and j in [0, s), s even:
+// a 2x2 transpose of complex128 per step, inputs i and i+1 of lanes j and
+// j+1 loaded as two registers, their low halves and their high halves
+// joined by VPERM2F128 and stored as lane j's and lane j+1's pair. Copies
+// only, so every bit is x's.
+TEXT ·gatherLanesAVX2(SB), NOSPLIT, $0-40
+	MOVQ stage+0(FP), DI
+	MOVQ sl+8(FP), R8
+	SHLQ $4, R8            // lane stride of stage in bytes
+	MOVQ x+16(FP), SI
+	MOVQ s+24(FP), R9
+	SHLQ $4, R9            // row stride of x in bytes
+	MOVQ pairs+32(FP), BX
+
+glrow:
+	LEAQ (SI)(R9*1), R10   // input i+1
+	MOVQ DI, DX
+	XORQ AX, AX
+
+gllane:
+	VMOVUPD    (SI)(AX*1), Y0
+	VMOVUPD    (R10)(AX*1), Y1
+	VPERM2F128 $0x20, Y1, Y0, Y2
+	VPERM2F128 $0x31, Y1, Y0, Y3
+	VMOVUPD    Y2, (DX)
+	VMOVUPD    Y3, (DX)(R8*1)
+	LEAQ       (DX)(R8*2), DX
+	ADDQ       $32, AX
+	CMPQ       AX, R9
+	JLT        gllane
+
+	LEAQ (SI)(R9*2), SI
+	ADDQ $32, DI
+	DECQ BX
+	JNZ  glrow
 	VZEROUPPER
 	RET

@@ -26,27 +26,34 @@ func useKernel(name string) (restore func()) {
 	return func() { haveAVX2 = host }
 }
 
-// checkDotRows runs both kernels on one set of operands and requires equal
-// bits (equal NaN-ness where a sum is NaN), and that the kernel wrote its
-// rows sums and nothing after them.
-func checkDotRows(t *testing.T, rows, b, off int, draw func() float64) {
+// checkDotRows runs both kernels on one set of operands, row a stored at
+// out[a*stride], and requires equal bits (equal NaN-ness where a result is
+// NaN), and that the kernel wrote its rows outputs and nothing between or
+// after them.
+func checkDotRows(t *testing.T, rows, b, off, stride int, draw func() float64, phase []complex128) {
 	t.Helper()
 	taps, dup, win := dotOperands(rows, b, off, draw)
-	want := make([]complex128, rows)
-	dotRowsGo(want, taps, win)
+	n := (rows-1)*stride + 1
+	want := make([]complex128, n)
+	dotRowsGo(want, stride, taps, win, phase)
 	const guard = 0x5a5a
-	gotBuf := make([]complex128, rows+1)
-	gotBuf[rows] = guard
-	dotRows(gotBuf[:rows], taps, dup, win)
-	if gotBuf[rows] != guard {
-		t.Fatalf("rows=%d B=%d off=%d: kernel wrote past its %d sums", rows, b, off, rows)
+	gotBuf := make([]complex128, n+stride)
+	for i := range gotBuf {
+		gotBuf[i] = guard
 	}
+	dotRows(gotBuf[:n], stride, taps, dup, win, phase)
 	same := func(x, y float64) bool {
 		return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 	}
-	for a, w := range want {
-		if g := gotBuf[a]; !same(real(g), real(w)) || !same(imag(g), imag(w)) {
-			t.Fatalf("rows=%d B=%d off=%d row %d: kernel %v (%x, %x), dotReal %v (%x, %x)", rows, b, off, a,
+	for i, g := range gotBuf {
+		if i >= n || i%stride != 0 {
+			if g != guard {
+				t.Fatalf("rows=%d B=%d off=%d stride=%d: kernel wrote element %d, no row's output", rows, b, off, stride, i)
+			}
+			continue
+		}
+		if w := want[i]; !same(real(g), real(w)) || !same(imag(g), imag(w)) {
+			t.Fatalf("rows=%d B=%d off=%d stride=%d row %d: kernel %v (%x, %x), Go %v (%x, %x)", rows, b, off, stride, i/stride,
 				g, math.Float64bits(real(g)), math.Float64bits(imag(g)),
 				w, math.Float64bits(real(w)), math.Float64bits(imag(w)))
 		}
@@ -59,17 +66,22 @@ func needAVX2(t *testing.T) {
 	}
 }
 
-// TestDotRowsBitIdentical pins dotRowsAVX2 to dotReal bit for bit over every
-// width through 96 (all tail lengths, zero to 24 groups of four), 1 to 17 rows
-// (zero to four blocks of four, zero to three single rows, one more than a
-// rowGroup) and eight window offsets, on random data.
+// TestDotRowsBitIdentical pins dotRowsAVX2 to dotRowsGo bit for bit over
+// every width through 96 (all tail lengths, zero to 24 groups of four), 1 to
+// 17 rows (zero to four blocks of four, zero to three single rows), eight
+// window offsets and the output strides of both layouts (1 for ApplyTile's
+// lane-major tile, S = 8 for Apply's rows), on random data, the rotation by
+// random unit phases and by phases with ±0, ±1, ±i and denormal parts.
 func TestDotRowsBitIdentical(t *testing.T) {
 	needAVX2(t)
 	rng := rand.New(rand.NewSource(22))
 	for b := 1; b <= 96; b++ {
-		for rows := 1; rows <= rowGroup+1; rows++ {
+		for rows := 1; rows <= 17; rows++ {
 			for off := 0; off < 8; off++ {
-				checkDotRows(t, rows, b, off, rng.NormFloat64)
+				for _, stride := range []int{1, 8} {
+					phase := phases(rows, rng, off%2 == 1)
+					checkDotRows(t, rows, b, off, stride, rng.NormFloat64, phase)
+				}
 			}
 		}
 	}
@@ -77,7 +89,7 @@ func TestDotRowsBitIdentical(t *testing.T) {
 
 // TestDotRowsSpecialValues repeats the comparison with signed zeros,
 // denormals, magnitudes whose products overflow and underflow, infinities and
-// NaN mixed into the operands: same bits, and NaN exactly where dotReal has
+// NaN mixed into the operands: same bits, and NaN exactly where dotRowsGo has
 // NaN. No sentinel may leak: a row without a NaN input, an infinity or an
 // overflow must stay finite, which dotRowsGo's answer already decides.
 func TestDotRowsSpecialValues(t *testing.T) {
@@ -96,14 +108,62 @@ func TestDotRowsSpecialValues(t *testing.T) {
 		}
 		for iter := 0; iter < 40; iter++ {
 			for b := 1; b <= 96; b += 1 + rng.Intn(3) {
-				checkDotRows(t, 1+rng.Intn(9), b, rng.Intn(8), draw)
+				rows := 1 + rng.Intn(9)
+				checkDotRows(t, rows, b, rng.Intn(8), 1+rng.Intn(8), draw, phases(rows, rng, true))
 			}
 		}
 	}
-	// All-finite, exactly representable operands: the sums are exact, so a
-	// sentinel or a misplaced tap shows as a wrong integer, not a rounding.
+	// All-finite, exactly representable operands and phases ±1, ±i: the
+	// results are exact, so a sentinel or a misplaced tap or phase shows as a
+	// wrong integer, not a rounding.
 	ints := func() float64 { return float64(rng.Intn(17) - 8) }
+	quarter := []complex128{1, -1, 1i, -1i}
 	for b := 1; b <= 96; b++ {
-		checkDotRows(t, 1+rng.Intn(9), b, rng.Intn(8), ints)
+		rows := 1 + rng.Intn(9)
+		phase := phases(rows, rng, false)
+		for a := range phase {
+			phase[a] = quarter[rng.Intn(4)]
+		}
+		checkDotRows(t, rows, b, rng.Intn(8), 1+rng.Intn(8), ints, phase)
+	}
+}
+
+// TestGatherLanesMatchesGo pins the AVX2 lane gather to gatherLanesGo bit for
+// bit over lane counts odd and even (an odd count runs the Go loop, an odd
+// input count ends in it), 1 to 40 inputs per lane and a staging stride equal
+// to the input count and wider. x is NaN-filled past its l*s inputs and the
+// staging buffer sentinel-filled, so that a read past x's inputs or a write
+// outside the lanes' runs fails.
+func TestGatherLanesMatchesGo(t *testing.T) {
+	needAVX2(t)
+	rng := rand.New(rand.NewSource(30))
+	nan := complex(math.NaN(), math.NaN())
+	const guard = complex(0x5a5a, -0x5a5a)
+	for _, s := range []int{2, 3, 4, 8, 16, 64} {
+		for l := 1; l <= 40; l++ {
+			for _, sl := range []int{l, l + 5} {
+				xBuf := make([]complex128, l*s+2*s)
+				for i := range xBuf {
+					xBuf[i] = nan
+				}
+				x := xBuf[:l*s]
+				for i := range x {
+					x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+				want := make([]complex128, s*sl+1)
+				got := make([]complex128, s*sl+1)
+				for i := range got {
+					want[i], got[i] = guard, guard
+				}
+				gatherLanesGo(want, sl, xBuf, s, 0, l)
+				gatherLanes(got, sl, xBuf, s, l)
+				for i := range got {
+					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+						t.Fatalf("s=%d l=%d sl=%d: stage[%d] = %v, Go %v", s, l, sl, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -96,17 +96,21 @@ func BenchmarkStages(b *testing.B) {
 			})
 		}
 	}
-	// The 8-point codelet over a tile of 8-point rows (the SOI stage-2
-	// shape: 4096 rows per tile at the benchmark geometry).
-	rows := ref.RandomVector(8*4096, 3)
+	// The 8-point codelet over the columns of a lane-major tile, each bin's
+	// run stored into its segment vector (the SOI stage-2 shape: 256 columns
+	// per tile at the benchmark geometry, 260 apart, segment vectors 2^16
+	// long).
+	const cols, xs, ys = 256, 260, 1 << 16
+	tileX := ref.RandomVector(7*xs+cols, 3)
+	segs := make([]complex128, 7*ys+cols)
 	p := MustPlan(8)
 	for _, k := range kernels() {
-		b.Run("dft8-rows/"+k, func(b *testing.B) {
+		b.Run("dft8-cols/"+k, func(b *testing.B) {
 			defer useKernel(k)()
 			for i := 0; i < b.N; i++ {
-				p.ForwardRows(rows)
+				p.ForwardCols(segs, ys, tileX, xs, cols)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*4096), "ns/butterfly")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cols), "ns/butterfly")
 		})
 	}
 	// The six-step's two per-element products at 2^16: one lane tile's

@@ -12,7 +12,8 @@ import (
 // never writes src, bit for bit, and an in-place call computes exactly what
 // the out-of-place one does. Plans run at even and odd stage counts (the
 // odd ones are those whose first pass writes dst, so in place they must
-// stage their input), at the codelet sizes and through Bluestein; lane
+// stage their input), at the codelet sizes and through Bluestein, and
+// ForwardCols reads a matrix's columns without writing them; lane
 // batches read a row-major matrix's columns in place; every six-step
 // variant reads its src in place, with and without fused demodulation.
 func TestOutOfPlaceLeavesSourceUnchanged(t *testing.T) {
@@ -39,12 +40,23 @@ func TestOutOfPlaceLeavesSourceUnchanged(t *testing.T) {
 					t.Fatalf("%s: in place differs at %d: %v vs %v", what, i, in[i], out[i])
 				}
 			}
-			rows := append(append([]complex128(nil), src...), src...)
-			p.ForwardRows(rows)
+			// Columns 0 and 1 of a three-column matrix whose column 1 is src.
+			mat := ref.RandomVector(3*n, int64(n)+1)
+			for k, v := range src {
+				mat[3*k+1] = v
+			}
+			keepMat := append([]complex128(nil), mat...)
+			cols := make([]complex128, 2*n)
+			p.ForwardCols(cols, 2, mat, 3, 2)
+			if i := firstBitDiff(mat, keepMat); i >= 0 {
+				t.Fatalf("plan n=%d: ForwardCols changed x[%d]", n, i)
+			}
 			want := make([]complex128, n)
 			p.Forward(want, src)
-			if i := firstBitDiff(rows[n:], want); i >= 0 {
-				t.Fatalf("plan n=%d: ForwardRows differs from Forward at %d", n, i)
+			for f, w := range want {
+				if g := cols[2*f+1]; firstBitDiff([]complex128{g}, []complex128{w}) >= 0 {
+					t.Fatalf("plan n=%d: ForwardCols differs from Forward at bin %d", n, f)
+				}
 			}
 		}
 

@@ -250,21 +250,40 @@ func (p *Plan) Forward(dst, src []complex128) { p.Transform(dst, src, Forward) }
 // Inverse computes the normalized (1/n) inverse DFT of src into dst.
 func (p *Plan) Inverse(dst, src []complex128) { p.Transform(dst, src, Inverse) }
 
-// ForwardRows computes the forward DFT of each consecutive length-N row of x
-// in place; len(x) must be a multiple of N. The rows agree bit for bit with
-// Forward on each: at N = 8 they go two at a time through the vector codelet.
-func (p *Plan) ForwardRows(x []complex128) {
+// ForwardCols computes the forward DFT of each of the first rows columns of
+// the N-by-xs matrix x, column r being x[k*xs + r] for k in [0, N), and stores
+// bin f of column r at y[f*ys + r]: the Segments-point transforms of a
+// lane-major convolution tile written straight into the segment vectors
+// (paper Section 5.2.4, "ffts in strides of P"). The columns agree bit for
+// bit with Forward on each: at N = 8 they go two at a time through the
+// vector codelet, elsewhere one at a time through Transform. y must not
+// overlap x.
+func (p *Plan) ForwardCols(y []complex128, ys int, x []complex128, xs, rows int) {
 	n := p.n
-	if len(x)%n != 0 {
-		panic(fmt.Sprintf("fft: ForwardRows length %d is not a multiple of %d", len(x), n))
+	if rows <= 0 {
+		return
+	}
+	if xs < rows || ys < rows {
+		panic(fmt.Sprintf("fft: ForwardCols strides %d, %d below %d rows", xs, ys, rows))
 	}
 	done := 0
 	if n == 8 {
-		done = dft8RowsVec(x)
+		done = dft8ColsVec(y, ys, x, xs, rows)
 	}
-	for r := done; r < len(x)/n; r++ {
-		row := x[r*n : (r+1)*n]
-		p.Transform(row, row, Forward)
+	if done == rows {
+		return
+	}
+	wp := p.work.Get().(*[]complex128)
+	defer p.work.Put(wp)
+	col := *wp
+	for r := done; r < rows; r++ {
+		for k := range col {
+			col[k] = x[k*xs+r]
+		}
+		p.Transform(col, col, Forward)
+		for f, v := range col {
+			y[f*ys+r] = v
+		}
 	}
 }
 

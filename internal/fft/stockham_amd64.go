@@ -20,7 +20,7 @@ func radix4AVX2(y, x, tw *complex128, m, s, xs int)
 func radix2AVX2(y, x, tw *complex128, m, s, xs int)
 
 //go:noescape
-func dft8RowsAVX2(x *complex128, pairs int)
+func dft8ColsAVX2(y *complex128, ys int, x *complex128, xs, pairs int)
 
 //go:noescape
 func twiddleTileAVX2(w, buf, twA, twB *complex128, n1, n2, j2lo, n, k int, shift uint)
@@ -60,14 +60,17 @@ func stageVec(st *stage, y, x []complex128) bool {
 	return true
 }
 
-// dft8RowsVec runs dft8 in place on the leading even number of 8-point rows
-// of x and returns how many rows it transformed.
-func dft8RowsVec(x []complex128) int {
-	pairs := len(x) / 16
+// dft8ColsVec runs dft8 on the leading even number of the rows columns of x
+// (row stride xs), storing bin f of column r at y[f*ys + r], and returns how
+// many columns it transformed. The reslices are the kernel's bounds checks:
+// it reads x[k*xs + r] and writes y[f*ys + r] for r below that count.
+func dft8ColsVec(y []complex128, ys int, x []complex128, xs, rows int) int {
+	pairs := rows / 2
 	if !haveAVX2 || pairs == 0 {
 		return 0
 	}
-	dft8RowsAVX2(&x[:16*pairs][0], pairs)
+	x, y = x[:7*xs+2*pairs], y[:7*ys+2*pairs]
+	dft8ColsAVX2(&y[0], ys, &x[0], xs, pairs)
 	return 2 * pairs
 }
 

@@ -359,51 +359,55 @@ r2q:
 	VZEROUPPER
 	RET
 
-// func dft8RowsAVX2(x *complex128, pairs int)
+// func dft8ColsAVX2(y *complex128, ys int, x *complex128, xs, pairs int)
 //
-// dft8 in place on the 2*pairs consecutive 8-point rows at x, two rows
-// together: element k of rows r and r+1 share a register.
-TEXT ·dft8RowsAVX2(SB), NOSPLIT, $0-16
-	MOVQ x+0(FP), SI
-	MOVQ pairs+8(FP), CX
+// dft8 on the 2*pairs columns of the 8-row matrix at x (row stride xs), two
+// adjacent columns together: element k of columns r and r+1 is one register,
+// loaded from x + 16*(k*xs + r); bin f of both is stored at
+// y + 16*(f*ys + r).
+TEXT ·dft8ColsAVX2(SB), NOSPLIT, $0-40
+	MOVQ y+0(FP), DI
+	MOVQ ys+8(FP), R8
+	SHLQ $4, R8            // output row stride in bytes
+	MOVQ x+16(FP), SI
+	MOVQ xs+24(FP), R9
+	SHLQ $4, R9            // input row stride in bytes
+	MOVQ pairs+32(FP), CX
+	LEAQ (SI)(R9*2), R10
+	ADDQ R9, R10           // input row 3
+	LEAQ (R10)(R9*2), R11
+	ADDQ R9, R11           // input row 6
+	LEAQ (DI)(R8*2), R12
+	ADDQ R8, R12           // bin 3
+	LEAQ (R12)(R8*2), R13
+	ADDQ R8, R13           // bin 6
 
-d8:
-	VMOVUPD      (SI), X0
-	VINSERTF128  $1, 128(SI), Y0, Y0
-	VMOVUPD      16(SI), X1
-	VINSERTF128  $1, 144(SI), Y1, Y1
-	VMOVUPD      32(SI), X2
-	VINSERTF128  $1, 160(SI), Y2, Y2
-	VMOVUPD      48(SI), X3
-	VINSERTF128  $1, 176(SI), Y3, Y3
-	VMOVUPD      64(SI), X4
-	VINSERTF128  $1, 192(SI), Y4, Y4
-	VMOVUPD      80(SI), X5
-	VINSERTF128  $1, 208(SI), Y5, Y5
-	VMOVUPD      96(SI), X6
-	VINSERTF128  $1, 224(SI), Y6, Y6
-	VMOVUPD      112(SI), X7
-	VINSERTF128  $1, 240(SI), Y7, Y7
+d8c:
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(R9*1), Y1
+	VMOVUPD (SI)(R9*2), Y2
+	VMOVUPD (R10), Y3
+	VMOVUPD (R10)(R9*1), Y4
+	VMOVUPD (R10)(R9*2), Y5
+	VMOVUPD (R11), Y6
+	VMOVUPD (R11)(R9*1), Y7
 	BFLY8
-	VMOVUPD      X8, (SI)
-	VEXTRACTF128 $1, Y8, 128(SI)
-	VMOVUPD      X0, 16(SI)
-	VEXTRACTF128 $1, Y0, 144(SI)
-	VMOVUPD      X10, 32(SI)
-	VEXTRACTF128 $1, Y10, 160(SI)
-	VMOVUPD      X2, 48(SI)
-	VEXTRACTF128 $1, Y2, 176(SI)
-	VMOVUPD      X9, 64(SI)
-	VEXTRACTF128 $1, Y9, 192(SI)
-	VMOVUPD      X1, 80(SI)
-	VEXTRACTF128 $1, Y1, 208(SI)
-	VMOVUPD      X11, 96(SI)
-	VEXTRACTF128 $1, Y11, 224(SI)
-	VMOVUPD      X3, 112(SI)
-	VEXTRACTF128 $1, Y3, 240(SI)
-	ADDQ         $256, SI
-	DECQ         CX
-	JNZ          d8
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y0, (DI)(R8*1)
+	VMOVUPD Y10, (DI)(R8*2)
+	VMOVUPD Y2, (R12)
+	VMOVUPD Y9, (R12)(R8*1)
+	VMOVUPD Y1, (R12)(R8*2)
+	VMOVUPD Y11, (R13)
+	VMOVUPD Y3, (R13)(R8*1)
+	ADDQ    $32, SI
+	ADDQ    $32, R10
+	ADDQ    $32, R11
+	ADDQ    $32, DI
+	ADDQ    $32, R12
+	ADDQ    $32, R13
+	DECQ    CX
+	JNZ     d8c
 	VZEROUPPER
 	RET
 

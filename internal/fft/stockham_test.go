@@ -62,3 +62,61 @@ func nanless(x []complex128) []complex128 {
 	}
 	return out
 }
+
+// operandDraw returns a generator of float64 operands: normal deviates,
+// with one in sixteen drawn from ±0, ±Inf, NaN and denormals when specials
+// is set.
+func operandDraw(rng *rand.Rand, specials bool) func() float64 {
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -5e-324, math.SmallestNonzeroFloat64 * 3, 1e-310, -1e-310, 1, -1,
+	}
+	return func() float64 {
+		if specials && rng.Intn(16) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64()
+	}
+}
+
+// carve returns n complex operands drawn by draw, cut out of a larger
+// NaN-filled buffer with a margin on either side, so that a kernel reading
+// one element out of range reads NaN. Pass draw == nil for NaN operands.
+func carve(n int, draw func() float64) []complex128 {
+	nan := complex(math.NaN(), math.NaN())
+	buf := make([]complex128, n+4)
+	for i := range buf {
+		buf[i] = nan
+	}
+	x := buf[2 : 2+n : 2+n]
+	if draw != nil {
+		for i := range x {
+			x[i] = complex(draw(), draw())
+		}
+	}
+	return x
+}
+
+// guarded returns an n-element output carved out of a buffer whose margins
+// hold a sentinel, and a check that the margins are intact.
+func guarded(n int) (y []complex128, intact func() bool) {
+	const guard = complex(0x5a5a, -0x5a5a)
+	buf := make([]complex128, n+4)
+	for i := range buf {
+		buf[i] = guard
+	}
+	return buf[2 : 2+n : 2+n], func() bool {
+		return buf[0] == guard && buf[1] == guard && buf[n+2] == guard && buf[n+3] == guard
+	}
+}
+
+// sameBits requires got and want equal bit for bit, any NaN matching any
+// NaN (payloads are not part of the contract; see TestRadix8UnitMatchesStrided).
+func sameBits(t *testing.T, what string, got, want []complex128) {
+	t.Helper()
+	if i := firstBitDiff(nanless(got), nanless(want)); i >= 0 {
+		t.Fatalf("%s: element %d is %v (%x, %x), Go twin gives %v (%x, %x)", what, i,
+			got[i], math.Float64bits(real(got[i])), math.Float64bits(imag(got[i])),
+			want[i], math.Float64bits(real(want[i])), math.Float64bits(imag(want[i])))
+	}
+}

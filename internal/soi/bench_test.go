@@ -40,3 +40,27 @@ func BenchmarkForward458k(b *testing.B) {
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 }
+
+// BenchmarkConvolveToSegments458k is stages 1 to 3 of BenchmarkForward458k
+// alone: the convolution, the Segments-point FFTs and the permutation into
+// the segment vectors, over all chunks of a circularly extended input on a
+// single-worker plan. Run it with -cpu 1; it reports ms/op beside ns/op and
+// allocs/op.
+func BenchmarkConvolveToSegments458k(b *testing.B) {
+	p := benchParams(16)
+	opts := DefaultOptions()
+	opts.Workers = 1
+	pl, err := NewPlan(p, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := ref.RandomVector(p.N+p.GhostElems(), 1)
+	t := make([]complex128, p.MPrime()*p.Segments)
+	pl.ConvolveToSegments(t, p.MPrime(), x, 0, p.Chunks())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl.ConvolveToSegments(t, p.MPrime(), x, 0, p.Chunks())
+	}
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+}

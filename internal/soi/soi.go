@@ -16,7 +16,10 @@
 //  3. Stride-S permutation: gather lane f of u into segment vector t_f —
 //     the single all-to-all of the algorithm.
 //     Stages 1-3 run as one pass over cache-sized tiles of u
-//     (ConvolveToSegments); u is never materialized.
+//     (ConvolveToSegments); u is never materialized. A tile is stored
+//     lane-major, so the S-point transforms run over its columns and write
+//     each bin's run straight into its segment vector: stage 3 is where
+//     stage 2 stores, not a pass.
 //  4. Large local FFT: M'-point transform of t_f (6-step, Section 5.2).
 //  5. Project to the top M bins and demodulate by W^-1 (fused into the
 //     final pass of the 6-step FFT when possible).
@@ -76,8 +79,9 @@ type scratch struct {
 	conj []complex128 // N: Inverse's conjugated input, built on first use
 }
 
-// tile is what one worker of ConvolveToSegments computes in: the outputs of
-// conv.TileChunks chunks and the convolution's lane staging.
+// tile is what one worker of ConvolveToSegments computes in: the lane-major
+// outputs of conv.TileChunks chunks, conv.TileStride apart, and the
+// convolution's lane staging.
 type tile struct{ out, stage []complex128 }
 
 // NewPlan designs the window and builds the FFT sub-plans for p.
@@ -102,10 +106,9 @@ func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 		}
 	}
 	pl.tiles.New = func() any {
-		tc := conv.TileChunks(win)
 		return &tile{
-			out:   make([]complex128, tc*win.NMu*win.Segments),
-			stage: make([]complex128, (tc-1)*win.DMu+win.B),
+			out:   make([]complex128, win.Segments*conv.TileStride(win)),
+			stage: make([]complex128, conv.StageLen(win)),
 		}
 	}
 	var err error
@@ -195,16 +198,16 @@ func (pl *Plan) forward(dst, src []complex128, sc *scratch) {
 // ConvolveToSegments runs stages 1 to 3 for chunks [c0, c1) in one pass over
 // tiles of the convolution output: each tile of rows is convolved from x
 // (whose origin is global input index c0*DMu*Segments, length >=
-// conv.InputLen), transformed row by row with the Segments-point FFT while it
-// is cache-resident, and scattered so that row r of the range lands in
-// element r of every segment's vector, t[f*ld+r] for segment f. With ld = M'
-// t holds the whole segment vectors; a distributed rank passes its share of
-// the rows as ld, and t's runs of ld are the blocks of its all-to-all. Tiles
-// share no state and are split across the plan's workers.
+// conv.InputLen) into a lane-major tile, and while it is cache-resident the
+// Segments-point FFT over the tile's columns stores bin f of row r of the
+// range at t[f*ld+r], element r of segment f's vector. With ld = M' t holds
+// the whole segment vectors; a distributed rank passes its share of the rows
+// as ld, and t's runs of ld are the blocks of its all-to-all. Tiles share no
+// state and are split across the plan's workers.
 func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c1 int) {
 	p := pl.Win.Params
 	s, nmu := p.Segments, p.NMu
-	tc := conv.TileChunks(pl.Win)
+	tc, ldu := conv.TileChunks(pl.Win), conv.TileStride(pl.Win)
 	ntiles := (c1 - c0 + tc - 1) / tc
 	par.For(pl.opts.Workers, ntiles, func(lo, hi int) {
 		tl := pl.tiles.Get().(*tile)
@@ -213,15 +216,8 @@ func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c
 			c := i * tc // first chunk of the tile, relative to c0
 			n := min(tc, c1-c0-c)
 			rows := n * nmu
-			out := tl.out[:rows*s]
-			conv.ApplyTile(pl.opts.ConvVariant, pl.Win, out, x[c*p.DMu*s:], c0+c, c0+c+n, tl.stage)
-			pl.fp.ForwardRows(out)
-			for f := 0; f < s; f++ {
-				seg := t[f*ld+c*nmu:][:rows]
-				for r := range seg {
-					seg[r] = out[r*s+f]
-				}
-			}
+			conv.ApplyTile(pl.opts.ConvVariant, pl.Win, tl.out, ldu, x[c*p.DMu*s:], c0+c, c0+c+n, tl.stage)
+			pl.fp.ForwardCols(t[c*nmu:], ld, tl.out, ldu, rows)
 		}
 	})
 }

@@ -37,8 +37,9 @@ run_gate "go vet ./..." go vet ./...
 # internal/conv and internal/fft have amd64 assembler kernels beside their
 # portable Go twins, and internal/cpu an amd64 probe; cross-building
 # (offline: the toolchain carries every target) keeps the portable file sets
-# compiling, and vet checks them where no .s shadows them.
-run_gate "arm64 cross-build (portable file set)" sh -c 'GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/conv ./internal/fft ./internal/cpu'
+# compiling, and vet checks them where no .s shadows them — and internal/soi,
+# which reaches the kernels' entry points through them.
+run_gate "arm64 cross-build (portable file set)" sh -c 'GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/conv ./internal/fft ./internal/cpu ./internal/soi'
 # The combined run doubles as the hard per-analyzer wall-time gate: an
 # analyzer over its checked-in budget (or a budget entry out of sync with
 # the suite) fails CI even with zero findings. Every finding is printed
