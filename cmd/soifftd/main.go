@@ -60,7 +60,7 @@ func main() {
 		log.Fatalf("soifftd: %v", err)
 	}
 	// The resolved address line is machine-readable on purpose: with port 0,
-	// scripts (scripts/bench_serve.sh) parse the actual port from it.
+	// a launcher parses the actual port from it.
 	log.Printf("soifftd: listening on %s (workers=%d max-batch=%d max-inflight=%d)",
 		ln.Addr(), *workers, *maxBatch, *maxInflight)
 

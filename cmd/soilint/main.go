@@ -15,14 +15,12 @@
 // 2.1.0 (for CI code-scanning upload) instead of the plain listing; -stats
 // emits per-check active/suppressed counts plus per-check wall time as JSON
 // (the CI lint-trend artifact); like -json both still exit 1 on findings.
-// -timing prints a per-analyzer wall-time table to stderr and warns when
-// any analyzer exceeds -timing-budget (default 30s) summed over all
-// packages — a soft budget: the exit status is unaffected.
+// -timing prints a per-analyzer wall-time table to stderr.
 // -timing-budget-file names a JSON map of check name to maximum wall time
 // in milliseconds and is a hard gate: an analyzer over its budget, a
 // selected analyzer with no entry, or an entry naming no known analyzer
 // all fail the run with exit 1 (the checked-in timing_budget.json is the
-// CI contract; widen it deliberately in review, like the escape budget).
+// CI contract; widen it deliberately in review).
 // Findings are suppressed line-by-line
 // with a justified "//soilint:ignore <check>" comment on the offending line
 // or the line above, or file-wide with "//soilint:file-ignore <check> --
@@ -55,7 +53,6 @@ func run() int {
 	checks := flag.String("checks", "", "comma-separated checks to run (default: all)")
 	verbose := flag.Bool("v", false, "also list suppressed findings")
 	timing := flag.Bool("timing", false, "print a per-analyzer wall-time table to stderr")
-	timingBudget := flag.Duration("timing-budget", 30*time.Second, "warn (without failing) when one analyzer exceeds this much total wall time")
 	timingBudgetFile := flag.String("timing-budget-file", "", "JSON map of check name to max wall time in ms; a hard gate: over budget, a selected check with no entry, or an unknown entry exits 1")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: soilint [-json] [-sarif] [-stats] [-timing] [-checks list] [-v] [packages]\navailable checks:\n")
@@ -109,11 +106,6 @@ func run() int {
 
 	if *timing {
 		writeTimingTable(os.Stderr, analyzers, elapsed)
-	}
-	for _, a := range analyzers {
-		if d := elapsed[a.Name]; d > *timingBudget {
-			fmt.Fprintf(os.Stderr, "soilint: warning: %s took %v across all packages, over the %v budget\n", a.Name, d.Round(time.Millisecond), *timingBudget)
-		}
 	}
 	budgetFailed := false
 	if *timingBudgetFile != "" {

@@ -4,8 +4,8 @@
 // not a belief: matrix_rows_test.go seeds 58 defects (every historical bug
 // that can be re-introduced deterministically, and two or three mutants of
 // real code per failure class an analyzer claimed) and records which gate
-// — the compiler, go vet, a tier-1 test, a budget tool, an analyzer, -race,
-// a fuzz target — fires first. TestCatchMatrix re-checks the static half in
+// — the compiler, go vet, a tier-1 test, an analyzer, -race, a fuzz
+// target — fires first. TestCatchMatrix re-checks the static half in
 // tier-1 and fails on an analyzer that is the first gate of no row —
 // everything it catches, something cheaper to own catches too, so it is
 // deleted; scripts/check.sh re-runs the dynamic half. DESIGN.md §7 prints

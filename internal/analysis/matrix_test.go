@@ -32,7 +32,6 @@ import (
 //	test        a test tier-1 runs anyway: an oracle, a golden digest, an
 //	            allocation budget, a hostile-input table, the testutil
 //	            goroutine-leak gate (deterministic, already paid for)
-//	budget      cmd/escapebudget or cmd/bcebudget against its checked-in JSON
 //	<analyzer>  a soilint check (static, deterministic, ≈ 3 s for the tree,
 //	            but several hundred lines each to own)
 //	-race       check.sh's race gate (tier-2 only, 30 s, schedule-dependent)
@@ -177,7 +176,7 @@ func TestCatchMatrix(t *testing.T) {
 				if r.cmd != "" || len(r.static) != 0 {
 					t.Errorf("a row nothing catches carries no command and no analyzer")
 				}
-			case slices.Contains([]string{"go build", "go vet", "test", "budget", "-race", "fuzz"}, r.first):
+			case slices.Contains([]string{"go build", "go vet", "test", "-race", "fuzz"}, r.first):
 				if r.cmd == "" || r.want == "" {
 					t.Errorf("first gate %q: the row must record the command and what it prints", r.first)
 				}
@@ -202,9 +201,9 @@ func isAnalyzer(name string) bool {
 // TestCatchMatrixDynamic re-runs, on each seeded tree, the command the row
 // records for its first gate, and requires it to fail the way the row says.
 // The seed reaches the go tool as a build overlay (GOFLAGS=-overlay=…), so
-// the working tree is never written and nested go invocations (the budget
-// tools') see it too. It costs a compile and a test run per row; it runs
-// when -run names it, which is what check.sh's matrix gate does.
+// the working tree is never written and nested go invocations see it too.
+// It costs a compile and a test run per row; it runs when -run names it,
+// which is what check.sh's matrix gate does.
 func TestCatchMatrixDynamic(t *testing.T) {
 	if !strings.Contains(flag.Lookup("test.run").Value.String(), "TestCatchMatrixDynamic") {
 		t.Skip("compiles and tests one seeded tree per row (minutes); run it by name: go test ./internal/analysis -run TestCatchMatrixDynamic")

@@ -288,3 +288,16 @@ func TestEncodeDecodeStackOnly(t *testing.T) {
 		t.Errorf("DecodeBlock: %v allocations per call, want 0", n)
 	}
 }
+
+// TestEncodeBlockRejectsOversizedBlock: the plane scratch is padded past
+// BlockElems, so a block one element too long would fit it and encode
+// silently past the format's per-block cap; EncodeBlock must panic instead.
+func TestEncodeBlockRejectsOversizedBlock(t *testing.T) {
+	src := make([]complex128, BlockElems+1)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("EncodeBlock accepted %d elements, want a panic above BlockElems = %d", len(src), BlockElems)
+		}
+	}()
+	deltaPlaneCodec{}.EncodeBlock(nil, src)
+}

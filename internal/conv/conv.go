@@ -192,7 +192,7 @@ func applyInterchange(f *window.Filter, u []complex128, rs, ls int, x []complex1
 					var accRe, accIm float64
 					// Ranging over the compact taps yields t without a
 					// bounds check; the strided x load is the one access
-					// the compiler cannot prove and stays budgeted.
+					// the compiler cannot prove.
 					for bb, t := range laneTaps[a] {
 						v := x[base+bb*s+j]
 						tr, ti := real(t), imag(t)

@@ -22,7 +22,7 @@ func Scale(x []complex128, a float64) {
 func PointwiseMul(dst, a, b []complex128) {
 	// Reslicing a and b to len(dst) hoists the bounds proof out of the
 	// loop: i ranges below len(dst) == len(a) == len(b), so the three
-	// indexings compile check-free (see bce_budget.json).
+	// indexings compile check-free.
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	for i := range dst {

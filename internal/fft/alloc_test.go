@@ -33,17 +33,23 @@ func TestPlanForwardAllocatesNothing(t *testing.T) {
 	}
 
 	// The six-step reads its src in place and stages tiles and rows through
-	// its pools; the lane batch ping-pongs through its own.
+	// its pools; the lane batch ping-pongs through its own. Each variant's
+	// ceiling is its per-call set-up on one worker — the naive variant's
+	// par.For closures, the pipelined variants' stage goroutines and
+	// channels — so scratch made per row or per tile shows as hundreds.
 	const n = 1 << 16
-	s, err := NewSixStep(n, SixStepOpt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	x := ref.RandomVector(n, 1)
 	dst := make([]complex128, n)
-	s.Forward(dst, x)
-	if a := testing.AllocsPerRun(10, func() { s.Forward(dst, x) }); a != 0 {
-		t.Errorf("SixStep n=%d: %v allocations per warm Forward, want 0", n, a)
+	ceiling := map[Variant]float64{SixStepNaive: 3, SixStepOpt: 0, SixStepPipelined: 11, SixStepFineGrain: 12}
+	for _, v := range AllVariants {
+		s, err := NewSixStep(n, v, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Forward(dst, x)
+		if a := testing.AllocsPerRun(10, func() { s.Forward(dst, x) }); a > ceiling[v] {
+			t.Errorf("SixStep %v n=%d: %v allocations per warm Forward, ceiling %v", v, n, a, ceiling[v])
+		}
 	}
 	lb, err := NewLaneBatch(1024, 8)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,6 +58,55 @@ func TestServeCodecRoundTrip(t *testing.T) {
 			t.Errorf("%s(%g) Inverse(Forward): rel err %g > %g", tc.name, tc.tol, e, tc.acc)
 		}
 	}
+}
+
+// TestServeCodecConcurrentClients sends from several goroutines on two
+// connections of one process at once under a compressing codec, so the
+// pooled staging a request (client side) or a response (server side) is
+// encoded into is borrowed by one goroutine while another is still writing
+// from its own: a buffer handed back before its write returns is re-filled
+// under that write. Every answer is checked against the reference DFT, not
+// against an earlier answer, because batch coalescing may change the last
+// bits from one call to the next.
+func TestServeCodecConcurrentClients(t *testing.T) {
+	_, addr := startServer(t, Config{})
+	ctx := context.Background()
+	const n, callers, calls = 2048, 4, 40
+	base := ref.RandomVector(n, 11)
+	baseDFT := ref.DFT(base)
+	var wg sync.WaitGroup
+	for c := range 2 {
+		cl := dialClient(t, addr)
+		cl.SetAlg(client.Exact)
+		if err := cl.SetCodec("deltaplane", 0); err != nil {
+			t.Fatal(err)
+		}
+		for g := range callers {
+			// Distinct inputs per caller, so a payload encoded over another
+			// caller's shows; their DFTs follow from one by linearity.
+			scale := complex(float64(1+c*callers+g), 0)
+			x, want := make([]complex128, n), make([]complex128, n)
+			for i := range x {
+				x[i], want[i] = scale*base[i], scale*baseDFT[i]
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst := make([]complex128, n)
+				for i := range calls {
+					if err := cl.Forward(ctx, dst, x); err != nil {
+						t.Errorf("client %d caller %d call %d: %v", c, g, i, err)
+						return
+					}
+					if e := cvec.RelErrL2(dst, want); e > 1e-9 {
+						t.Errorf("client %d caller %d call %d: rel err %g > 1e-9", c, g, i, e)
+						return
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // TestServeSOICodecBudget runs the SOI path with a lossy request codec

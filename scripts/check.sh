@@ -1,10 +1,10 @@
 #!/bin/sh
-# Tier-2 pre-PR gate: build, vet, repo-native static analysis, the compiler
-# escape- and bounds-check-budget gates on the hot kernels, the race-clean
-# concurrency gate over the packages that spawn goroutines, the fuzz smoke,
-# and the catch matrix that says what each of those gates is for. Tier-1
-# (go build ./... && go test ./...) must of course also pass; this script
-# layers the discipline checks on top.
+# Tier-2 pre-PR gate: build, vet (with the arm64 cross-build of the portable
+# kernels), repo-native static analysis, the race-clean concurrency gate over
+# the packages that spawn goroutines, the fuzz smoke, and the catch matrix
+# that says what each of those gates is for. Tier-1 (go build ./... &&
+# go test ./...) must of course also pass; this script layers the discipline
+# checks on top.
 #
 # Every gate runs even if an earlier one fails, so one CI run reports all
 # broken gates; each gate prints its wall-clock time, and the script exits
@@ -45,8 +45,6 @@ run_gate "arm64 cross-build (portable file set)" sh -c 'GOARCH=arm64 go build ./
 # the suite) fails CI even with zero findings. Every finding is printed
 # with its [check] name, so a regression names the analyzer that fired.
 run_gate "soilint ./..." go run ./cmd/soilint -timing-budget-file timing_budget.json ./...
-run_gate "escapebudget (hot-kernel escape gate)" go run ./cmd/escapebudget
-run_gate "bcebudget (bounds-check gate)" go run ./cmd/bcebudget
 run_gate "go test -race (concurrency gate)" go test -race ./internal/par ./internal/conv ./internal/soi ./internal/mpi ./internal/cluster ./internal/dist ./internal/serve ./internal/wire ./client
 run_gate "go test -race (fault-injection sweep)" go test -race ./internal/faultcomm ./internal/testutil
 
@@ -63,11 +61,11 @@ for target in FuzzCodecRoundTrip FuzzCodecDecode FuzzKernelsMatchReference; do
 done
 
 # The catch matrix's dynamic rows (internal/analysis/matrix_rows_test.go,
-# DESIGN.md section 7): each seeded defect whose first catcher is a test, a
-# budget tool or -race is seeded again — as a build overlay, the tree is not
-# written — and the recorded command must still fail on it. Tier-1 runs the
-# static half (which analyzers fire on each seed); this half compiles and
-# tests one seeded tree per row, so it runs here, by name. Four rows at a
+# DESIGN.md section 7): each seeded defect whose first catcher is a test or
+# -race is seeded again — as a build overlay, the tree is not written — and
+# the recorded command must still fail on it. Tier-1 runs the static half
+# (which analyzers fire on each seed); this half compiles and tests one
+# seeded tree per row, so it runs here, by name. Four rows at a
 # time: most of them wait on a test timeout or the leak gate's grace period.
 run_gate "catch matrix (dynamic rows)" go test ./internal/analysis -run '^TestCatchMatrixDynamic$' -count=1 -parallel 4
 
