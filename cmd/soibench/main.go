@@ -168,7 +168,9 @@ func printFigure(id string, size, convChunks int) {
 }
 
 // runFig10 measures the local-FFT ablation of Fig. 10 on this host and
-// reports the modeled Xeon Phi numbers beside it.
+// reports the modeled Xeon Phi numbers beside it. Only the first two steps,
+// 6-step-naive and 6-step-opt, run: the last two (latency hiding and
+// fine-grain row FFTs) need Phi's SMT threads and 512 KB private L2.
 func runFig10(n int) {
 	fmt.Printf("== Fig 10: %dM-point local FFT optimization ablation ==\n", n>>20)
 	x := ref.RandomVector(n, 1)

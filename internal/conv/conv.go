@@ -48,13 +48,15 @@ import (
 	"soifft/internal/window"
 )
 
-// Variant selects the convolution implementation strategy.
+// Variant selects the convolution implementation strategy. Buffered, the
+// production one, is the zero value; Baseline and Interchange are the
+// earlier steps of the Fig. 11 ablation.
 type Variant int
 
 const (
-	Baseline Variant = iota
+	Buffered Variant = iota
+	Baseline
 	Interchange
-	Buffered
 )
 
 // String returns the label used in benchmark output, matching Fig. 11.

@@ -26,13 +26,3 @@ func BenchmarkTransposeBlockedVsNaive(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkPointwiseMul(b *testing.B) {
-	const n = 1 << 16
-	x, y := seqVec(n), seqVec(n)
-	dst := make([]complex128, n)
-	b.SetBytes(n * 16 * 3)
-	for i := 0; i < b.N; i++ {
-		PointwiseMul(dst, x, y)
-	}
-}

@@ -18,20 +18,11 @@ func Scale(x []complex128, a float64) {
 	}
 }
 
-// PointwiseMul computes dst[i] = a[i] * b[i]. dst may alias a or b.
-func PointwiseMul(dst, a, b []complex128) {
-	// Reslicing a and b to len(dst) hoists the bounds proof out of the
-	// loop: i ranges below len(dst) == len(a) == len(b), so the three
-	// indexings compile check-free.
-	a = a[:len(dst)]
-	b = b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
-}
-
 // PointwiseMulConj computes dst[i] = a[i] * conj(b[i]). dst may alias a or b.
 func PointwiseMulConj(dst, a, b []complex128) {
+	// Reslicing a and b to len(dst) hoists the bounds proof out of the
+	// loop: i ranges below len(dst) == len(a) == len(b), so the indexings
+	// compile check-free.
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	for i := range dst {

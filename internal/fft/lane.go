@@ -48,9 +48,8 @@ func NewLaneBatch(n, lanes int) (*LaneBatch, error) {
 	return lb, nil
 }
 
-// N returns the per-transform length; Lanes the batch width.
-func (lb *LaneBatch) N() int     { return lb.n }
-func (lb *LaneBatch) Lanes() int { return lb.lanes }
+// N returns the per-transform length.
+func (lb *LaneBatch) N() int { return lb.n }
 
 // Transform runs all lanes in place on x (length >= n*lanes).
 func (lb *LaneBatch) Transform(x []complex128, dir Direction) {

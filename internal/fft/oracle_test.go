@@ -11,17 +11,14 @@ import (
 )
 
 // The differential kernel-oracle suite. One table drives every algorithm
-// (Plan, all four SixStep variants) in every direction against oracles of
+// (Plan, both SixStep variants) in every direction against oracles of
 // known answers:
 //
 //   - the dense O(n^2) reference DFT from internal/ref, for every size
 //     where it is affordable (n <= denseOracleMax);
 //   - analytic closed forms (shifted impulse, tone combs) that are exact at
 //     any size, covering the Fig. 11 geometry sizes where the dense oracle
-//     is out of reach;
-//   - the other column schedule of the same arithmetic, which must match
-//     bit for bit: 6-step-opt (each worker gathers and transforms its own
-//     tiles) against 6-step-pipelined (loader and compute teams).
+//     is out of reach.
 //
 // This replaces the per-kernel ad-hoc comparisons that used to live in
 // plan_test.go and sixstep_test.go: a new variant gets full oracle coverage
@@ -53,14 +50,12 @@ var (
 	oracleLargeSizes = []int{28672, 458752}
 )
 
-// oracleEngine is one (algorithm, variant) under test: its entry point, the
-// directions it implements and, where one exists (nil otherwise), another
-// schedule of the same arithmetic whose output must match bit for bit.
+// oracleEngine is one (algorithm, variant) under test: its entry point and
+// the directions it implements.
 type oracleEngine struct {
-	name   string
-	dirs   []Direction
-	run    func(dst, src []complex128, dir Direction)
-	sameAs func(dst, src []complex128, dir Direction)
+	name string
+	dirs []Direction
+	run  func(dst, src []complex128, dir Direction)
 }
 
 // oracleEngines builds every engine applicable to size n.
@@ -86,11 +81,6 @@ func oracleEngines(t *testing.T, n int) []oracleEngine {
 			run:  func(dst, src []complex128, _ Direction) { s.Forward(dst, src) },
 		})
 	}
-	// The two column schedules of Fig. 4b check each other: the same tiles
-	// through the same kernels, so the outputs agree bit for bit.
-	// (engines[1+v] is variant v: AllVariants lists them in enum order
-	// after the plan.)
-	engines[1+int(SixStepOpt)].sameAs = engines[1+int(SixStepPipelined)].run
 	return engines
 }
 
@@ -106,8 +96,7 @@ type oracleInput struct {
 func oracleInputs(n int) []oracleInput {
 	var ins []oracleInput
 
-	// Random data against the dense oracle where affordable; at larger
-	// sizes it still drives the schedule cross-check.
+	// Random data against the dense oracle where affordable.
 	rnd := oracleInput{name: "random", x: ref.RandomVector(n, int64(n)), want: map[Direction][]complex128{}}
 	if n <= denseOracleMax {
 		rnd.want[Forward] = ref.DFT(rnd.x)
@@ -182,14 +171,6 @@ func runOracleSize(t *testing.T, n int) {
 					if e := cvec.RelErrL2(got, want); e > oracleTol {
 						t.Errorf("%s/%s/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
 					}
-				}
-				if eng.sameAs == nil {
-					continue
-				}
-				other := make([]complex128, n)
-				eng.sameAs(other, in.x, dir)
-				if i := firstBitDiff(got, other); i >= 0 {
-					t.Errorf("%s/%s/%s n=%d: column schedules disagree at %d: %v vs %v", eng.name, dirName(dir), in.name, n, i, got[i], other[i])
 				}
 			}
 		}

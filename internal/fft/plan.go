@@ -8,10 +8,10 @@
 //   - Batch: many independent transforms of the same length, optionally
 //     strided, optionally executed by a worker pool (the paper's
 //     "I_m (x) F_p is naturally parallel");
-//   - SixStep*: the large-1D-FFT variants of Section 5.2 of the paper
-//     (Bailey's 6-step algorithm, naive and bandwidth-optimized, with
-//     pipelined and fine-grain-parallel flavors used for the Fig. 10
-//     ablation), including a variant with a fused demodulation pass.
+//   - SixStep: the large-1D-FFT variants of Section 5.2 of the paper
+//     (Bailey's 6-step algorithm, naive and bandwidth-optimized, the first
+//     two steps of the Fig. 10 ablation), with an optional fused
+//     demodulation pass.
 //
 // Every engine works on interleaved []complex128, with one Go kernel source
 // per radix; on amd64 hosts with AVX2 the radix-2, -4 and -8 stages, the

@@ -9,31 +9,26 @@ import (
 	"soifft/internal/par"
 )
 
-// Variant selects the large-1D-FFT implementation strategy, mirroring the
-// Fig. 10 ablation of the paper (Section 5.2):
+// Variant selects the large-1D-FFT implementation strategy: the first two
+// steps of the paper's Fig. 10 ablation (Section 5.2).
 //
-//	SixStepNaive     Bailey's 6-step algorithm with explicit transposes and
-//	                 a separate full-size twiddle pass: 13 memory sweeps
-//	                 (Fig. 4a of the paper).
-//	SixStepOpt       loops fused, columns staged through contiguous
-//	                 cache-resident tiles, dynamic-block twiddle tables:
-//	                 4 memory sweeps (Fig. 4b). The production variant:
-//	                 every worker gathers and transforms its own tiles.
-//	SixStepPipelined the SixStepOpt pass structure with explicit
-//	                 load/compute/store pipelining of the column tiles
-//	                 across goroutine teams, standing in for the SMT
-//	                 pipelining of Fig. 5 ("latency-hiding").
-//	SixStepFineGrain SixStepPipelined for the column pass, plus cooperative
-//	                 multi-worker execution of each long row FFT so the
-//	                 working set of a single FFT never exceeds one tile
-//	                 ("fine-grain parallelization", Section 5.2.3).
+//	SixStepOpt   loops fused, columns staged through contiguous
+//	             cache-resident tiles, dynamic-block twiddle tables:
+//	             4 memory sweeps (Fig. 4b). The production variant:
+//	             every worker gathers and transforms its own tiles.
+//	SixStepNaive Bailey's 6-step algorithm with explicit transposes and
+//	             a separate full-size twiddle pass: 13 memory sweeps
+//	             (Fig. 4a of the paper).
+//
+// SixStepOpt is the zero value, so an unset Variant is the production one.
+// Fig. 10's last two steps, latency hiding and fine-grain row FFTs, rely on
+// Xeon Phi's SMT threads and 512 KB private L2; no host this package targets
+// has either, so they are not implemented (EXPERIMENTS.md, Figure 10).
 type Variant int
 
 const (
-	SixStepNaive Variant = iota
-	SixStepOpt
-	SixStepPipelined
-	SixStepFineGrain
+	SixStepOpt Variant = iota
+	SixStepNaive
 )
 
 // String returns the label used in benchmark output, matching Fig. 10.
@@ -43,10 +38,6 @@ func (v Variant) String() string {
 		return "6-step-naive"
 	case SixStepOpt:
 		return "6-step-opt"
-	case SixStepPipelined:
-		return "latency-hiding"
-	case SixStepFineGrain:
-		return "fine-grain"
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
@@ -54,10 +45,7 @@ func (v Variant) String() string {
 
 // MemorySweeps returns the number of full passes over the dataset the
 // variant performs (loads + stores of the entire array), the quantity the
-// paper's bandwidth model is built on. The pipelined and fine-grain
-// variants keep the 4-sweep structure and additionally hide latency /
-// shrink working sets, plus one tile-sized core-to-core read counted as a
-// fifth partial sweep in the paper's 16M analysis.
+// paper's bandwidth model is built on.
 func (v Variant) MemorySweeps() int {
 	if v == SixStepNaive {
 		return 13
@@ -66,7 +54,7 @@ func (v Variant) MemorySweeps() int {
 }
 
 // AllVariants lists the ablation order of Fig. 10.
-var AllVariants = []Variant{SixStepNaive, SixStepOpt, SixStepPipelined, SixStepFineGrain}
+var AllVariants = []Variant{SixStepNaive, SixStepOpt}
 
 // tileCols is the number of columns staged together in the fused column
 // pass ("8 columns at a time", Fig. 4b): 8 complex128 values per row of a
@@ -86,7 +74,7 @@ type SixStep struct {
 
 	// Naive variant: full-size twiddle table tw[j2*n1+k1] = W_n^{j2*k1}.
 	twFull []complex128
-	// Optimized variants: dynamic block scheme, W_n^e = twA[e%K]*twB[e/K]
+	// Optimized variant: dynamic block scheme, W_n^e = twA[e%K]*twB[e/K]
 	// with K a power of two so the split is a mask and a shift.
 	twA, twB []complex128
 	twK      int
@@ -99,10 +87,8 @@ type SixStep struct {
 	// and non-smooth n1 fall back to per-column transforms.
 	lane *LaneBatch
 
-	sub *SixStep // fine-grain: cooperative plan for single rows of length n2
-
 	work sync.Pool // naive variant: scratch of length n
-	jobs sync.Pool // optimized variants: *sixStepJob
+	jobs sync.Pool // optimized variant: *sixStepJob
 	// Per-chunk staging buffers for the fused passes. Pooled so the hot
 	// par.For bodies never allocate: a fresh make per chunk costs a page
 	// fault per tile and defeats the bandwidth model.
@@ -165,13 +151,6 @@ func NewSixStep(n int, variant Variant, workers int) (*SixStep, error) {
 			s.lane = lb
 		}
 	}
-	if variant == SixStepFineGrain && n2 >= 64 {
-		sub, err := NewSixStep(n2, SixStepOpt, workers)
-		if err == nil {
-			s.sub = sub
-		}
-		// n2 prime or too small: fall back to plain rows (sub == nil).
-	}
 	return s, nil
 }
 
@@ -182,7 +161,7 @@ func (s *SixStep) N() int { return s.n }
 func (s *SixStep) Split() (n1, n2 int) { return s.n1, s.n2 }
 
 // SetDemod installs a demodulation vector d (length n) that is multiplied
-// pointwise into the natural-order output. For the optimized variants this
+// pointwise into the natural-order output. For the optimized variant this
 // is fused into the final pass at zero extra sweeps; the naive variant
 // applies it as a separate pass, which is exactly the contrast the paper
 // draws for the out-of-the-box MKL path on Xeon.
@@ -278,23 +257,20 @@ func (s *SixStep) forwardNaive(dst, src []complex128) {
 	}
 }
 
-// forwardOpt is Fig. 4b for every optimized variant: steps 1-4 fused into
-// one tile pass, steps 5-6 (and demodulation) fused into a second: 4 memory
-// sweeps total.
+// forwardOpt is Fig. 4b: steps 1-4 fused into one tile pass, steps 5-6 (and
+// demodulation) fused into a second: 4 memory sweeps total.
 func (s *SixStep) forwardOpt(dst, src []complex128) {
 	j := s.jobs.Get().(*sixStepJob)
 	defer s.jobs.Put(j)
 	j.dst, j.src = dst, src
 
-	s.columnPass(j)
-	if s.variant == SixStepFineGrain && s.sub != nil {
-		s.rowPassFineGrain(dst, j.w)
-	} else {
-		// Row pass: 8 rows per chunk ("loop_b over P rows, 8 rows at a
-		// time") so the permuted writeback emits full cache lines (8
-		// consecutive k1 values share each k2 line of dst).
-		par.ForChunked(s.workers, s.n1, tileCols, j.rows)
-	}
+	// Column pass: each worker takes runs of 8 tiles and transforms them
+	// itself through a pooled buffer.
+	par.ForChunked(s.workers, (s.n2+tileCols-1)/tileCols, 8, j.columns)
+	// Row pass: 8 rows per chunk ("loop_b over P rows, 8 rows at a time")
+	// so the permuted writeback emits full cache lines (8 consecutive k1
+	// values share each k2 line of dst).
+	par.ForChunked(s.workers, s.n1, tileCols, j.rows)
 	j.dst, j.src = nil, nil // the pool must not keep the caller's vectors alive
 }
 
@@ -315,15 +291,21 @@ func (s *SixStep) newJob() any {
 	return j
 }
 
-// columnChunk is SixStepOpt's column pass over tiles [lo, hi).
+// columnChunk is the column pass over tiles [lo, hi). A full tile with a
+// smooth n1 runs its 8 column FFTs together, lane-interleaved (outer-loop
+// vectorization): the first Stockham pass reads them from src in place, n2
+// elements apart, and the last writes the pooled buffer row-major, which
+// twiddleTile then scatters into w. An edge tile, or a non-smooth n1, is
+// gathered into the buffer and transformed column by column.
 func (j *sixStepJob) columnChunk(lo, hi int) {
 	s := j.s
 	bp := s.tilePool.Get().(*[]complex128)
 	defer s.tilePool.Put(bp)
 	for t := lo; t < hi; t++ {
 		j2lo := t * tileCols
-		if s.useLane(min(tileCols, s.n2-j2lo)) {
-			s.laneTile(j.w, j.src[j2lo:], s.n2, *bp, t)
+		if s.lane != nil && s.n2-j2lo >= tileCols {
+			s.lane.forwardFrom(*bp, j.src[j2lo:], s.n2)
+			s.twiddleTile(j.w, *bp, j2lo)
 			continue
 		}
 		s.gatherTile(*bp, j.src, t)
@@ -338,26 +320,14 @@ func (j *sixStepJob) rowChunk(lo, hi int) {
 	j.s.rowGroupFFTScatter(j.dst, j.w, lo, hi, *rp)
 }
 
-// useLane reports whether the tile runs through the lane-interleaved batch
-// kernel (full-width tiles with a smooth n1).
-func (s *SixStep) useLane(cols int) bool { return s.lane != nil && cols == tileCols }
-
-// gatherTile stages one tile of columns from src into buf. With the lane
-// kernel the slab is row-major (pure 128-byte copies: only the pipelined
-// variants' loader team stages lane tiles, SixStepOpt reads them in place);
-// otherwise it is a padded column-major slab (the padding is the paper's "contiguous buffer
-// is padded to avoid cache conflict misses" — without it a power-of-two n1
-// makes the 8 slab columns alias into one L1 set).
+// gatherTile stages one tile of columns from src into buf as a padded
+// column-major slab (the padding is the paper's "contiguous buffer is padded
+// to avoid cache conflict misses" — without it a power-of-two n1 makes the 8
+// slab columns alias into one L1 set).
 func (s *SixStep) gatherTile(buf, src []complex128, tile int) {
 	n1, n2 := s.n1, s.n2
 	j2lo := tile * tileCols
 	cols := min(tileCols, n2-j2lo)
-	if s.useLane(cols) {
-		for j1 := 0; j1 < n1; j1++ {
-			copy(buf[j1*tileCols:j1*tileCols+tileCols], src[j1*n2+j2lo:j1*n2+j2lo+tileCols])
-		}
-		return
-	}
 	stride := n1 + rowPad
 	for j1 := 0; j1 < n1; j1++ {
 		srow := src[j1*n2+j2lo : j1*n2+j2lo+cols]
@@ -365,17 +335,6 @@ func (s *SixStep) gatherTile(buf, src []complex128, tile int) {
 			buf[c*stride+j1] = v
 		}
 	}
-}
-
-// laneTile runs the n1-point FFTs of a full tile's 8 columns together,
-// lane-interleaved (outer-loop vectorization): the first Stockham pass reads
-// them from in, whose rows are ins elements apart — the caller's src itself
-// (ins = n2) or a staged slab (ins = tileCols) — and the last writes buf,
-// row-major. It then applies the stage twiddles and scatters the rows into
-// w with 8-wide contiguous writes (twiddleTile).
-func (s *SixStep) laneTile(w, in []complex128, ins int, buf []complex128, tile int) {
-	s.lane.forwardFrom(buf, in, ins)
-	s.twiddleTile(w, buf, tile*tileCols)
 }
 
 // twiddleTile sets w[k1*n2 + j2lo + c] = buf[k1*tileCols + c] * W_n^{(j2lo+c)*k1}
@@ -475,110 +434,3 @@ func (s *SixStep) rowGroupScatter(dst, rbuf []complex128, lo, hi int) {
 // rowPad is the padding (in elements) between staged rows; one cache line
 // pair keeps group-column reads spread across sets.
 const rowPad = 8
-
-// columnPass runs the fused steps 1-4 of every optimized variant into w.
-// The variants differ only in how the tiles are scheduled: SixStepOpt hands
-// each worker runs of 8 tiles, which it transforms itself — a full tile's
-// first Stockham pass reads src in place, so only edge tiles are gathered —
-// through a pooled buffer; the others pipeline a loader team, which stages
-// every tile, into a compute team.
-func (s *SixStep) columnPass(j *sixStepJob) {
-	ntiles := (s.n2 + tileCols - 1) / tileCols
-	if s.variant != SixStepOpt {
-		s.columnPassPipelined(j.w, j.src, ntiles)
-		return
-	}
-	par.ForChunked(s.workers, ntiles, 8, j.columns)
-}
-
-// columnPassPipelined splits the workers into a loader team and a compute
-// team connected by a channel of staged tiles, emulating the SMT
-// load/FFT/store pipeline of Fig. 5: while one team copies tile i+1 out of
-// main memory, the other runs the in-cache FFT+twiddle of tile i.
-func (s *SixStep) columnPassPipelined(w, src []complex128, ntiles int) {
-	loaders := max(1, s.workers/2)
-	workers := max(1, s.workers-loaders)
-	type staged struct {
-		tile int
-		buf  []complex128
-	}
-	// Prime the pipeline from the tile pool: after the first transform the
-	// staging buffers are warm and no allocation happens per call.
-	free := make(chan []complex128, loaders+workers+2)
-	pooled := make([]*[]complex128, cap(free))
-	for i := range pooled {
-		pooled[i] = s.tilePool.Get().(*[]complex128)
-		free <- *pooled[i]
-	}
-	ready := make(chan staged, cap(free))
-
-	var loadWG sync.WaitGroup
-	loadWG.Add(loaders)
-	next := make(chan int, ntiles)
-	for t := 0; t < ntiles; t++ {
-		next <- t
-	}
-	close(next)
-	for l := 0; l < loaders; l++ {
-		go func() {
-			defer loadWG.Done()
-			for t := range next {
-				buf := <-free
-				s.gatherTile(buf, src, t)
-				ready <- staged{tile: t, buf: buf}
-			}
-		}()
-	}
-	go func() {
-		loadWG.Wait()
-		close(ready)
-	}()
-
-	var compWG sync.WaitGroup
-	compWG.Add(workers)
-	for c := 0; c < workers; c++ {
-		go func() {
-			defer compWG.Done()
-			out := s.tilePool.Get().(*[]complex128)
-			defer s.tilePool.Put(out)
-			for st := range ready {
-				if s.useLane(min(tileCols, s.n2-st.tile*tileCols)) {
-					s.laneTile(w, st.buf, tileCols, *out, st.tile)
-				} else {
-					s.processTile(w, st.buf, st.tile)
-				}
-				free <- st.buf
-			}
-		}()
-	}
-	compWG.Wait()
-	// Both teams have drained, so every backing array is idle again; the
-	// headers in pooled still reference them all. Return them for the next
-	// transform.
-	for _, bp := range pooled {
-		s.tilePool.Put(bp)
-	}
-}
-
-// rowPassFineGrain processes rows sequentially but lets every worker
-// cooperate on each single n2-point FFT through a nested 2D decomposition,
-// so the per-FFT working set stays tile-sized instead of n2-sized — the
-// paper's answer to a 32K-point FFT overflowing a 512 KB private L2.
-func (s *SixStep) rowPassFineGrain(dst, w []complex128) {
-	n1, n2 := s.n1, s.n2
-	rbuf := make([]complex128, n2)
-	for k1 := 0; k1 < n1; k1++ {
-		row := w[k1*n2 : (k1+1)*n2]
-		s.sub.Forward(rbuf, row) // internally parallel across all workers
-		if s.demod != nil {
-			for k2 := 0; k2 < n2; k2++ {
-				idx := k1 + n1*k2
-				dst[idx] = rbuf[k2] * s.demod[idx]
-			}
-		} else {
-			for k2 := 0; k2 < n2; k2++ {
-				dst[k1+n1*k2] = rbuf[k2]
-			}
-		}
-	}
-}

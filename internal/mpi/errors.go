@@ -17,7 +17,8 @@ import (
 // the configured deadline.
 
 // ErrTimeout reports that an operation's deadline expired before it could
-// complete. See World.SetOpTimeout, TCPOptions.OpTimeout and RecvTimeout.
+// complete. See World.SetOpTimeout, TCPOptions.OpTimeout and
+// DeadlineRecver.RecvDeadline.
 var ErrTimeout = errors.New("mpi: operation timed out")
 
 // ErrAborted reports that the world was torn down mid-operation by Abort —

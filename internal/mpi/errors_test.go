@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"runtime/debug"
@@ -231,45 +230,6 @@ func TestRunReportsRootCauseNotFallout(t *testing.T) {
 	if errors.Is(err, ErrAborted) {
 		t.Fatalf("Run returned abort fallout %v instead of the root cause", err)
 	}
-}
-
-// TestRecvTimeoutHelper covers both halves of the RecvTimeout contract:
-// deadline applied when the transport supports it, plain Recv otherwise.
-func TestRecvTimeoutHelper(t *testing.T) {
-	t.Run("deadline on supporting transport", func(t *testing.T) {
-		errs := runWorld(t, 2, 0 /* no default: helper sets its own */, func(c Comm) error {
-			if c.Rank() == 1 {
-				return nil
-			}
-			_, _, err := RecvTimeout(c, 1, 3, 50*time.Millisecond)
-			return err
-		})
-		var te *TransportError
-		if !errors.As(errs[0], &te) || !errors.Is(errs[0], ErrTimeout) {
-			t.Fatalf("got %v, want TransportError wrapping ErrTimeout", errs[0])
-		}
-	})
-	t.Run("fallback without deadline support", func(t *testing.T) {
-		errs := runWorld(t, 2, 0, func(c Comm) error {
-			if c.Rank() == 1 {
-				return c.Send(0, 3, []complex128{5})
-			}
-			// opaque hides RecvDeadline, forcing the plain-Recv fallback.
-			data, _, err := RecvTimeout(opaque{c}, 1, 3, time.Second)
-			if err != nil {
-				return err
-			}
-			if len(data) != 1 || data[0] != 5 {
-				return fmt.Errorf("fallback recv got %v", data)
-			}
-			return nil
-		})
-		for r, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d: %v", r, err)
-			}
-		}
-	})
 }
 
 // opaque strips every non-Comm method (in particular RecvDeadline) from a

@@ -137,16 +137,6 @@ type DeadlineRecver interface {
 	RecvDeadline(src, tag int, deadline time.Time) ([]complex128, int, error)
 }
 
-// RecvTimeout receives with a per-op timeout when the transport supports
-// deadlines, falling back to a plain (potentially unbounded) Recv when it
-// does not. timeout <= 0 means no limit.
-func RecvTimeout(c Comm, src, tag int, timeout time.Duration) ([]complex128, int, error) {
-	if dr, ok := c.(DeadlineRecver); ok && timeout > 0 {
-		return dr.RecvDeadline(src, tag, time.Now().Add(timeout))
-	}
-	return c.Recv(src, tag)
-}
-
 // message is an in-flight payload.
 type message struct {
 	src, tag int

@@ -322,82 +322,6 @@ func TestTCPCollectives(t *testing.T) {
 	})
 }
 
-func TestReduceAndAllReduce(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 5, 8} {
-		for root := 0; root < size; root += 3 {
-			err := Run(size, func(c Comm) error {
-				data := []complex128{complex(float64(c.Rank()), 1), 10}
-				out, err := Reduce(c, root, data)
-				if err != nil {
-					return err
-				}
-				wantSum := complex(float64(size*(size-1)/2), float64(size))
-				if c.Rank() == root {
-					if len(out) != 2 || out[0] != wantSum || out[1] != complex(10*float64(size), 0) {
-						return fmt.Errorf("root got %v", out)
-					}
-				} else if out != nil {
-					return fmt.Errorf("non-root got %v", out)
-				}
-				all, err := AllReduce(c, data)
-				if err != nil {
-					return err
-				}
-				if all[0] != wantSum {
-					return fmt.Errorf("rank %d allreduce got %v", c.Rank(), all)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("size=%d root=%d: %v", size, root, err)
-			}
-		}
-	}
-}
-
-func TestScatter(t *testing.T) {
-	const size, root = 4, 1
-	err := Run(size, func(c Comm) error {
-		var blocks [][]complex128
-		if c.Rank() == root {
-			for i := 0; i < size; i++ {
-				blocks = append(blocks, []complex128{complex(float64(i*i), 0)})
-			}
-		}
-		mine, err := Scatter(c, root, blocks)
-		if err != nil {
-			return err
-		}
-		if len(mine) != 1 || mine[0] != complex(float64(c.Rank()*c.Rank()), 0) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), mine)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatterValidation(t *testing.T) {
-	err := Run(2, func(c Comm) error {
-		if c.Rank() == 0 {
-			if _, err := Scatter(c, 0, [][]complex128{{1}}); err == nil {
-				return fmt.Errorf("short blocks accepted")
-			}
-			// Unblock rank 1 which is waiting for its block.
-			return c.Send(1, tagScatter, []complex128{2})
-		}
-		d, err := Scatter(c, 0, nil)
-		if err != nil || d[0] != 2 {
-			return fmt.Errorf("rank 1: %v %v", d, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTCPCloseUnblocksRecv(t *testing.T) {
 	ln0, _ := ListenTCP("127.0.0.1:0")
 	ln1, _ := ListenTCP("127.0.0.1:0")

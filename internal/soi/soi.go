@@ -22,7 +22,7 @@
 //     stage 2 stores, not a pass.
 //  4. Large local FFT: M'-point transform of t_f (6-step, Section 5.2).
 //  5. Project to the top M bins and demodulate by W^-1 (fused into the
-//     final pass of the 6-step FFT when possible).
+//     final pass of the 6-step FFT).
 //
 // Segment f of the output is y[f*M : (f+1)*M] — the transform is in-order.
 package soi
@@ -32,7 +32,6 @@ import (
 	"sync"
 
 	"soifft/internal/conv"
-	"soifft/internal/cvec"
 	"soifft/internal/fft"
 	"soifft/internal/par"
 	"soifft/internal/window"
@@ -43,10 +42,6 @@ type Options struct {
 	Workers     int          // intra-node workers; <= 0 selects GOMAXPROCS
 	ConvVariant conv.Variant // convolution strategy (default Buffered)
 	FFTVariant  fft.Variant  // local large-FFT strategy (default SixStepOpt)
-	// NoFuseDemod forces demodulation to run as a separate pass even when
-	// the 6-step FFT could fuse it — the "out-of-the-box library" behaviour
-	// the paper observes on Xeon (Section 6.1, "etc." time).
-	NoFuseDemod bool
 }
 
 // DefaultOptions returns the optimized configuration.
@@ -121,14 +116,12 @@ func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 	if pl.fm, err = fft.NewSixStep(mp, opts.FFTVariant, opts.Workers); err != nil {
 		return nil, err
 	}
-	if !opts.NoFuseDemod {
-		// Fused W^-1: multiply during the final pass of the 6-step FFT.
-		// Bins >= M are discarded by the projection; zeroing them keeps the
-		// fused pass branch-free.
-		demodFull := make([]complex128, mp)
-		copy(demodFull, win.Demod)
-		pl.fm.SetDemod(demodFull)
-	}
+	// Fused W^-1: multiply during the final pass of the 6-step FFT. Bins >=
+	// M are discarded by the projection; zeroing them keeps the fused pass
+	// branch-free.
+	demodFull := make([]complex128, mp)
+	copy(demodFull, win.Demod)
+	pl.fm.SetDemod(demodFull)
 	return pl, nil
 }
 
@@ -223,22 +216,11 @@ func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c
 }
 
 // FinishSegment runs stages 4 and 5 for one segment: the M'-point FFT of
-// tf, projection to the top M bins, and demodulation by W^-1, writing the
-// M in-order spectrum values of the segment into dst. scratch must have
-// length >= M' (pass nil to allocate; nil keeps scratch outside the shape
-// contracts below).
+// tf with the demodulation by W^-1 fused into its last pass, then the
+// projection to the top M bins, writing the M in-order spectrum values of
+// the segment into dst. scratch must have length >= M'.
 func (pl *Plan) FinishSegment(dst, tf, scratch []complex128) {
-	p := pl.Win.Params
-	mp := p.MPrime()
-	m := p.M()
-	if scratch == nil {
-		scratch = make([]complex128, mp)
-	}
+	m := pl.Win.M()
 	pl.fm.Forward(scratch, tf)
-	if !pl.opts.NoFuseDemod {
-		copy(dst[:m], scratch[:m])
-		return
-	}
-	// Separate demodulation pass (projection keeps only the top M bins).
-	cvec.PointwiseMul(dst[:m], scratch[:m], pl.Win.Demod)
+	copy(dst[:m], scratch[:m])
 }

@@ -71,21 +71,31 @@ func TestAllOptionCombinations(t *testing.T) {
 	want := fftReference(x)
 	for _, cv := range conv.AllVariants {
 		for _, fv := range fft.AllVariants {
-			for _, noFuse := range []bool{false, true} {
-				opts := Options{ConvVariant: cv, FFTVariant: fv, NoFuseDemod: noFuse, Workers: 2}
-				pl, err := NewPlan(p, opts)
-				if err != nil {
-					t.Fatalf("%v/%v: %v", cv, fv, err)
-				}
-				got := make([]complex128, p.N)
-				if err := pl.Forward(got, x); err != nil {
-					t.Fatal(err)
-				}
-				if e := cvec.RelErrL2(got, want); e > 1e-6 {
-					t.Errorf("conv=%v fft=%v noFuse=%v: error %g", cv, fv, noFuse, e)
-				}
+			opts := Options{ConvVariant: cv, FFTVariant: fv, Workers: 2}
+			pl, err := NewPlan(p, opts)
+			if err != nil {
+				t.Fatalf("%v/%v: %v", cv, fv, err)
+			}
+			got := make([]complex128, p.N)
+			if err := pl.Forward(got, x); err != nil {
+				t.Fatal(err)
+			}
+			if e := cvec.RelErrL2(got, want); e > 1e-6 {
+				t.Errorf("conv=%v fft=%v: error %g", cv, fv, e)
 			}
 		}
+	}
+}
+
+// TestZeroOptionsAreTheDefaults: Options that set only Workers select the
+// strategies DefaultOptions names, so a caller who leaves the variants unset
+// gets the production plan, not the Fig. 10/11 baselines.
+func TestZeroOptionsAreTheDefaults(t *testing.T) {
+	got, want := Options{Workers: 1}, DefaultOptions()
+	want.Workers = 1
+	if got != want {
+		t.Errorf("Options{Workers: 1} selects conv=%v fft=%v, DefaultOptions conv=%v fft=%v",
+			got.ConvVariant, got.FFTVariant, want.ConvVariant, want.FFTVariant)
 	}
 }
 

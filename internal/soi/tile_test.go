@@ -37,8 +37,9 @@ func stagedForward(t *testing.T, pl *Plan, dst, src []complex128, conj bool) {
 	fp.Transform(u, u, p.Chunks()*p.NMu, p.Segments, fft.Forward)
 	tt := make([]complex128, np)
 	cvec.Transpose(tt, u, mp, p.Segments)
+	y := make([]complex128, mp)
 	for f := 0; f < p.Segments; f++ {
-		pl.FinishSegment(dst[f*m:(f+1)*m], tt[f*mp:(f+1)*mp], nil)
+		pl.FinishSegment(dst[f*m:(f+1)*m], tt[f*mp:(f+1)*mp], y)
 	}
 	if conj {
 		inv := 1 / float64(p.N)
@@ -62,9 +63,8 @@ func firstBitDiff(a, b []complex128) int {
 
 // TestTiledPassMatchesStagedPipeline: the tiled pass decides where the
 // convolution's outputs live between stages, never what they are. Over the
-// tile-edge geometries (T is conv.TileChunks), every convolution variant,
-// fused and separate demodulation and the plain M'-point fallback, Forward
-// and Inverse equal the staged pipeline bit for bit.
+// tile-edge geometries (T is conv.TileChunks) and every convolution variant,
+// Forward and Inverse equal the staged pipeline bit for bit.
 func TestTiledPassMatchesStagedPipeline(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -91,25 +91,23 @@ func TestTiledPassMatchesStagedPipeline(t *testing.T) {
 		}
 		x := ref.RandomVector(tc.p.N, 41)
 		for _, cv := range conv.AllVariants {
-			for _, noFuse := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%v/noFuse=%v", tc.name, cv, noFuse)
-				pl, err := NewPlanFromFilter(win, Options{Workers: 3, ConvVariant: cv, FFTVariant: fft.SixStepOpt, NoFuseDemod: noFuse})
-				if err != nil {
+			name := fmt.Sprintf("%s/%v", tc.name, cv)
+			pl, err := NewPlanFromFilter(win, Options{Workers: 3, ConvVariant: cv, FFTVariant: fft.SixStepOpt})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, want := make([]complex128, tc.p.N), make([]complex128, tc.p.N)
+			for _, inverse := range []bool{false, true} {
+				transform := pl.Forward
+				if inverse {
+					transform = pl.Inverse
+				}
+				if err := transform(got, x); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				got, want := make([]complex128, tc.p.N), make([]complex128, tc.p.N)
-				for _, inverse := range []bool{false, true} {
-					transform := pl.Forward
-					if inverse {
-						transform = pl.Inverse
-					}
-					if err := transform(got, x); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					stagedForward(t, pl, want, x, inverse)
-					if i := firstBitDiff(got, want); i >= 0 {
-						t.Errorf("%s inverse=%v: output[%d] = %v, staged pipeline %v", name, inverse, i, got[i], want[i])
-					}
+				stagedForward(t, pl, want, x, inverse)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Errorf("%s inverse=%v: output[%d] = %v, staged pipeline %v", name, inverse, i, got[i], want[i])
 				}
 			}
 		}

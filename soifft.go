@@ -33,13 +33,13 @@
 package soifft
 
 import (
-	"soifft/internal/conv"
 	"soifft/internal/fft"
 	"soifft/internal/soi"
 	"soifft/internal/window"
 )
 
-// Config selects the SOI parameters and implementation strategies.
+// Config selects the SOI parameters and the intra-node parallelism. The
+// node-local strategies are always the paper's optimized ones.
 type Config struct {
 	// Segments is the number of spectrum segments P (the algebraic P of
 	// the factorization). Default 8. N/Segments must be a multiple of
@@ -53,23 +53,6 @@ type Config struct {
 	ConvWidth int
 	// Workers bounds intra-node parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Optimizations selects the node-local implementation strategies.
-	// The zero value is fully optimized.
-	Optimizations Optimizations
-}
-
-// Optimizations toggles the paper's node-local optimizations off, for
-// ablation studies (Figures 10 and 11). The zero value enables everything.
-type Optimizations struct {
-	// NaiveLocalFFT uses the 13-sweep 6-step local FFT (Fig. 4a) instead
-	// of the 4-sweep fused implementation (Fig. 4b).
-	NaiveLocalFFT bool
-	// NaiveConvolution uses the row-wise convolution (Fig. 6a) instead of
-	// the loop-interchanged, circularly buffered form (Fig. 6b/7).
-	NaiveConvolution bool
-	// NoFuseDemod applies demodulation as a separate pass instead of
-	// fusing it into the local FFT's final sweep.
-	NoFuseDemod bool
 }
 
 // DefaultConfig returns the paper's production configuration.
@@ -112,18 +95,8 @@ func (c Config) params(n int) (window.Params, soi.Options, error) {
 	if err := p.Validate(); err != nil {
 		return p, soi.Options{}, err
 	}
-	opts := soi.Options{
-		Workers:     c.Workers,
-		ConvVariant: conv.Buffered,
-		FFTVariant:  fft.SixStepOpt,
-		NoFuseDemod: c.Optimizations.NoFuseDemod,
-	}
-	if c.Optimizations.NaiveConvolution {
-		opts.ConvVariant = conv.Baseline
-	}
-	if c.Optimizations.NaiveLocalFFT {
-		opts.FFTVariant = fft.SixStepNaive
-	}
+	opts := soi.DefaultOptions()
+	opts.Workers = c.Workers
 	return p, opts, nil
 }
 

@@ -64,8 +64,6 @@ func TestConfigVariants(t *testing.T) {
 	cfgs := []Config{
 		DefaultConfig(),
 		{Segments: 4, OversampleNum: 8, OversampleDen: 7, ConvWidth: 48},
-		{Segments: 8, OversampleNum: 8, OversampleDen: 7, ConvWidth: 72,
-			Optimizations: Optimizations{NaiveLocalFFT: true, NaiveConvolution: true, NoFuseDemod: true}},
 		{Workers: 2}, // all defaults otherwise
 	}
 	for i, cfg := range cfgs {
