@@ -2,7 +2,7 @@
 // evaluation (see DESIGN.md for the index, EXPERIMENTS.md for results).
 //
 // Figures 10 and 11 are true measurements of this repository's kernels on
-// the host; the model/simulator figures (3, 8, 9, 12) run their generators
+// the host; the model figures (3, 8, 9, 12) run their generators
 // and publish the headline quantities as benchmark metrics so a regression
 // in either the model or its calibration shows up in benchmark diffs.
 //
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"testing"
 
-	"soifft/internal/cluster"
 	"soifft/internal/conv"
 	"soifft/internal/cvec"
 	"soifft/internal/dist"
@@ -56,23 +55,16 @@ func BenchmarkFig3Model(b *testing.B) {
 // benchmark exercises the real generator).
 func Fig3Rows(cfg perfmodel.Config) []perfmodel.Fig3Row { return perfmodel.Fig3(cfg) }
 
-// BenchmarkFig8WeakScaling regenerates the Fig. 8 sweep through both the
-// closed-form model and the event simulator, publishing the headline
-// TFLOPS numbers.
+// BenchmarkFig8WeakScaling regenerates the Fig. 8 sweep from the model,
+// publishing the headline TFLOPS numbers.
 func BenchmarkFig8WeakScaling(b *testing.B) {
 	cfg := perfmodel.Default()
 	var rows []perfmodel.Fig8Row
-	var sims []cluster.Result
 	for i := 0; i < b.N; i++ {
 		rows = perfmodel.Fig8(cfg)
-		sims = cluster.WeakScaling(cluster.Config{
-			Node: machine.XeonPhi(), Algorithm: perfmodel.SOI,
-			Overlap: true, FuseDemod: true,
-		}, perfmodel.Fig8Nodes)
 	}
 	last := rows[len(rows)-1]
 	b.ReportMetric(last.SOIPhi, "model-tflops-512")
-	b.ReportMetric(sims[len(sims)-1].TFLOPS, "sim-tflops-512")
 	b.ReportMetric(last.SpeedupSOI, "soi-speedup-512")
 }
 

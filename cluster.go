@@ -84,6 +84,18 @@ type RunStats struct {
 // input is block-distributed internally: rank r processes
 // src[r*N/ranks : (r+1)*N/ranks].
 func (c *Cluster) Forward(dst, src []complex128) (*RunStats, error) {
+	return c.run(dst, src, false)
+}
+
+// Inverse computes the normalized inverse DFT of src into dst across the
+// cluster: every rank runs dist.SOI.Inverse on its block.
+func (c *Cluster) Inverse(dst, src []complex128) (*RunStats, error) {
+	return c.run(dst, src, true)
+}
+
+// run executes one distributed transform, forward or inverse, and sums the
+// ranks' phase breakdowns.
+func (c *Cluster) run(dst, src []complex128, inverse bool) (*RunStats, error) {
 	n := len(src)
 	if len(dst) < n {
 		return nil, fmt.Errorf("soifft: dst shorter than src")
@@ -105,8 +117,12 @@ func (c *Cluster) Forward(dst, src []complex128) (*RunStats, error) {
 		}
 		bd := trace.NewBreakdown()
 		d.Breakdown = bd
+		transform := d.Forward
+		if inverse {
+			transform = d.Inverse
+		}
 		r := comm.Rank()
-		if err := d.Forward(dst[r*localN:(r+1)*localN], src[r*localN:(r+1)*localN]); err != nil {
+		if err := transform(dst[r*localN:(r+1)*localN], src[r*localN:(r+1)*localN]); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -123,26 +139,6 @@ func (c *Cluster) Forward(dst, src []complex128) (*RunStats, error) {
 	stats := &RunStats{PhaseSeconds: map[string]float64{}}
 	for _, ph := range agg.Phases() {
 		stats.PhaseSeconds[ph] = agg.Get(ph).Seconds()
-	}
-	return stats, nil
-}
-
-// Inverse computes the normalized inverse DFT of src into dst across the
-// cluster (the conjugation identity around Forward; the conjugations are
-// rank-local).
-func (c *Cluster) Inverse(dst, src []complex128) (*RunStats, error) {
-	n := len(src)
-	cc := make([]complex128, n)
-	for i, v := range src {
-		cc[i] = complex(real(v), -imag(v))
-	}
-	stats, err := c.Forward(dst, cc)
-	if err != nil {
-		return nil, err
-	}
-	inv := 1 / float64(n)
-	for i, v := range dst[:n] {
-		dst[i] = complex(real(v)*inv, -imag(v)*inv)
 	}
 	return stats, nil
 }

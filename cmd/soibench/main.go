@@ -7,7 +7,7 @@
 //	soibench -table 2          # Xeon vs Xeon Phi spec comparison
 //	soibench -table 3          # experiment setup
 //	soibench -fig 3            # modeled CT/SOI x Xeon/Phi, 32 nodes
-//	soibench -fig 8            # weak scaling 4..512 nodes (model + simulator)
+//	soibench -fig 8            # weak scaling 4..512 nodes (model)
 //	soibench -fig 9            # SOI execution-time breakdowns
 //	soibench -fig 10           # local FFT optimization ablation (measured)
 //	soibench -fig 11           # convolution optimization ablation (measured)
@@ -25,7 +25,7 @@ import (
 	"strings"
 	"time"
 
-	"soifft/internal/cluster"
+	"soifft"
 	"soifft/internal/conv"
 	"soifft/internal/cvec"
 	"soifft/internal/fft"
@@ -143,10 +143,6 @@ func printFigure(id string, size, convChunks int) {
 			fmt.Printf("  %-6d %-9.2f %-9.2f %-9.2f %-9.2f %-10.2f %.2f\n",
 				r.Nodes, r.CTXeon, r.CTPhi, r.SOIXeon, r.SOIPhi, r.SpeedupCT, r.SpeedupSOI)
 		}
-		fmt.Println("  -- event simulation cross-check (SOI Xeon Phi) --")
-		for _, r := range cluster.WeakScaling(cluster.Config{Node: machine.XeonPhi(), Algorithm: perfmodel.SOI, Overlap: true, FuseDemod: true}, perfmodel.Fig8Nodes) {
-			fmt.Printf("  %s\n", r)
-		}
 	case "9":
 		fmt.Println("== Fig 9: Execution time breakdowns of SOI (seconds) ==")
 		fmt.Printf("  %-10s %-6s %-10s %-12s %-12s %-8s %s\n", "platform", "nodes", "local FFT", "convolution", "exposed MPI", "etc.", "total")
@@ -250,19 +246,38 @@ func runFig11(chunks int) {
 func runVerify() {
 	fmt.Println("== Verification: real distributed SOI (in-process ranks) vs serial FFT ==")
 	for _, tc := range [][4]int{{2, 8, 4, 72}, {4, 8, 4, 72}, {8, 8, 4, 72}, {4, 16, 2, 72}} {
-		vr, err := cluster.VerifyRun(tc[0], tc[1], tc[2], tc[3])
+		world, segments, chunks := tc[0], tc[1], tc[2]
+		n := 7 * segments * chunks * segments
+		relErr, stats, err := verifyCluster(world, segments, tc[3], n)
 		if err != nil {
-			fmt.Printf("  world=%d: %v\n", tc[0], err)
+			fmt.Printf("  world=%d: %v\n", world, err)
 			continue
 		}
+		ms := func(phase string) float64 { return 1000 * stats.PhaseSeconds[phase] }
 		fmt.Printf("  world=%d segments=%d N=%d: rel err %.2e (conv %.1fms, fft %.1fms, mpi %.1fms)\n",
-			vr.World, vr.Params.Segments, vr.Params.N, vr.RelErr,
-			msOf(vr, trace.PhaseConv), msOf(vr, trace.PhaseLocalFFT), msOf(vr, trace.PhaseExposedMPI))
+			world, segments, n, relErr,
+			ms(trace.PhaseConv), ms(trace.PhaseLocalFFT), ms(trace.PhaseExposedMPI))
 	}
 }
 
-func msOf(vr *cluster.VerifyResult, phase string) float64 {
-	return float64(vr.Breakdown.Get(phase).Microseconds()) / 1000
+// verifyCluster runs one n-point forward transform through soifft.Cluster
+// on world in-process ranks and returns its error against the serial FFT.
+func verifyCluster(world, segments, b, n int) (float64, *soifft.RunStats, error) {
+	cfg := soifft.DefaultConfig()
+	cfg.Segments, cfg.ConvWidth = segments, b
+	cl, err := soifft.NewCluster(world, cfg)
+	if err != nil {
+		return 0, nil, err
+	}
+	x := ref.RandomVector(n, 12345)
+	got := make([]complex128, n)
+	stats, err := cl.Forward(got, x)
+	if err != nil {
+		return 0, nil, err
+	}
+	want := make([]complex128, n)
+	fft.MustPlan(n).Forward(want, x)
+	return cvec.RelErrL2(got, want), stats, nil
 }
 
 // runExtraStudies prints the design-space explorations the paper discusses

@@ -41,18 +41,16 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 256, "admitted-transform bound; beyond it requests are shed")
 		planCache    = flag.Int("plan-cache", 32, "SOI plan LRU capacity")
 		maxN         = flag.Int("max-n", 1<<24, "largest accepted transform length")
-		codecShare   = flag.Int("codec-budget-share", 16, "lossy response codecs are clamped to EstimatedError/share")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound after SIGTERM/SIGINT")
 	)
 	flag.Parse()
 
 	srv := serve.New(serve.Config{
-		MaxInFlight:      *maxInflight,
-		MaxBatch:         *maxBatch,
-		Workers:          *workers,
-		PlanCacheSize:    *planCache,
-		MaxN:             *maxN,
-		CodecBudgetShare: *codecShare,
+		MaxInFlight:   *maxInflight,
+		MaxBatch:      *maxBatch,
+		Workers:       *workers,
+		PlanCacheSize: *planCache,
+		MaxN:          *maxN,
 	})
 
 	ln, err := net.Listen("tcp", *listen)

@@ -1,11 +1,11 @@
 // Weakscaling: a miniature of the paper's Fig. 8/Fig. 9 experiment run for
-// real on this machine (in-process ranks), next to the calibrated cluster
-// simulation of the paper's Stampede platform at full scale.
+// real on this machine (in-process ranks), next to the calibrated Section 4
+// model of the paper's Stampede platform at full scale.
 //
 // Each rank gets a fixed share of the problem; the rank count doubles from
 // 1 to 8. The real runs report measured wall time and per-phase breakdowns
-// (the shape of Fig. 9); the simulation reports the projected TFLOPS of the
-// 4..512-node Xeon and Xeon Phi clusters (the shape of Fig. 8).
+// (the shape of Fig. 9); the model (perfmodel.Fig8) reports the projected
+// TFLOPS of the 4..512-node Xeon and Xeon Phi clusters (the shape of Fig. 8).
 package main
 
 import (
@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"soifft"
-	"soifft/internal/cluster"
-	"soifft/internal/machine"
 	"soifft/internal/perfmodel"
 	"soifft/internal/ref"
 )
@@ -52,18 +50,9 @@ func main() {
 	}
 
 	fmt.Println()
-	fmt.Println("== simulated weak scaling on the paper's platform (2^27 points/node) ==")
+	fmt.Println("== modelled weak scaling on the paper's platform (2^27 points/node) ==")
 	fmt.Printf("  %-6s %-14s %-14s %s\n", "nodes", "SOI Xeon (TF)", "SOI Phi (TF)", "speedup")
-	for _, nodes := range perfmodel.Fig8Nodes {
-		xeon := cluster.Simulate(cluster.Config{
-			Nodes: nodes, Node: machine.XeonE5(),
-			Algorithm: perfmodel.SOI, Overlap: true,
-		})
-		phi := cluster.Simulate(cluster.Config{
-			Nodes: nodes, Node: machine.XeonPhi(),
-			Algorithm: perfmodel.SOI, Overlap: true, FuseDemod: true,
-		})
-		fmt.Printf("  %-6d %-14.2f %-14.2f %.2fx\n",
-			nodes, xeon.TFLOPS, phi.TFLOPS, phi.TFLOPS/xeon.TFLOPS)
+	for _, r := range perfmodel.Fig8(perfmodel.Default()) {
+		fmt.Printf("  %-6d %-14.2f %-14.2f %.2fx\n", r.Nodes, r.SOIXeon, r.SOIPhi, r.SpeedupSOI)
 	}
 }

@@ -10,16 +10,16 @@ import (
 // instrumentation failures. A dropped Send error means a rank silently
 // computed on garbage — the distributed transform returns a wrong spectrum
 // with no diagnostic, the worst possible failure mode at cluster scale.
-var errdropTargets = []string{"internal/mpi", "internal/cluster", "internal/trace"}
+var errdropTargets = []string{"internal/mpi", "internal/trace"}
 
-// ErrDrop flags errors returned by the mpi, cluster and trace APIs that are
+// ErrDrop flags errors returned by the mpi and trace APIs that are
 // discarded: calls used as bare statements, go statements, or with the
 // error result assigned to the blank identifier. Deferred Close calls are
 // exempt (the conventional best-effort teardown idiom); any other deferred
 // drop is flagged.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc:  "flags discarded errors from internal/mpi, internal/cluster and internal/trace calls",
+	Doc:  "flags discarded errors from internal/mpi and internal/trace calls",
 	Run:  runErrDrop,
 }
 

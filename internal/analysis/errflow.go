@@ -7,7 +7,7 @@ import (
 
 // errflowTargets are the packages whose errors report communicator and
 // distributed-transform failures.
-var errflowTargets = []string{"internal/mpi", "internal/cluster", "internal/dist"}
+var errflowTargets = []string{"internal/mpi", "internal/dist"}
 
 // ErrFlow is the flow-aware upgrade of errdrop. errdrop catches errors
 // discarded AT the call site (`c.Send(...)` as a bare statement, `_ =`).
@@ -28,7 +28,7 @@ var errflowTargets = []string{"internal/mpi", "internal/cluster", "internal/dist
 // returns them invisibly, which path scanning cannot see.
 var ErrFlow = &Analyzer{
 	Name: "errflow",
-	Doc:  "flags mpi/cluster/dist errors stored in a variable and dropped on some path to return",
+	Doc:  "flags mpi/dist errors stored in a variable and dropped on some path to return",
 	Run:  runErrFlow,
 }
 
@@ -127,7 +127,7 @@ func errSourceLabel(info *types.Info, as *ast.AssignStmt) string {
 			}
 		}
 	}
-	return "an mpi/cluster/dist call"
+	return "an mpi/dist call"
 }
 
 // namedResultObjs collects the named result variables of a function type; a

@@ -353,6 +353,29 @@ func TestIDsMatchDeclarations(t *testing.T) {
 	}
 }
 
+// TestClamp pins the budget clamp: lossless and within-budget codecs pass
+// through, an over-budget Quant is rebuilt at EstimatedError/BudgetShare,
+// and a budget below the representable quantization step falls back to
+// lossless.
+func TestClamp(t *testing.T) {
+	lossless := MustFor(DeltaPlane, 0)
+	if got := Clamp(lossless, BudgetShare*1e-12); got != lossless {
+		t.Errorf("lossless clamped to %v", got)
+	}
+	fine, _ := NewQuant(1e-12)
+	if got := Clamp(fine, BudgetShare*1e-6); got != fine {
+		t.Errorf("within-budget quant clamped to %v", got)
+	}
+	coarse, _ := NewQuant(1e-3)
+	got := Clamp(coarse, BudgetShare*1e-9)
+	if got.ID() != Quant || Tolerance(got) > 1e-9 {
+		t.Errorf("over-budget quant clamped to %v (tol %g), want quant at <= 1e-9", got, Tolerance(got))
+	}
+	if got := Clamp(coarse, BudgetShare*1e-18); !got.Lossless() {
+		t.Errorf("sub-representable budget gave %v, want lossless fallback", got)
+	}
+}
+
 func TestByNameAndIDs(t *testing.T) {
 	for _, tc := range []struct {
 		name string

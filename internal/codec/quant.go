@@ -80,6 +80,28 @@ func Tolerance(c Codec) float64 {
 	return 0
 }
 
+// BudgetShare is the share of a plan's designed error bound a lossy codec
+// may spend: Clamp holds a codec's tolerance to EstimatedError/BudgetShare,
+// so compression error stays invisible under the designed alias bound.
+const BudgetShare = 16
+
+// Clamp bounds c against a plan whose designed error bound is
+// estimatedError: a lossy codec whose per-element tolerance exceeds
+// estimatedError/BudgetShare is rebuilt at that budget, and a budget too
+// small for any quantization falls back to the lossless DeltaPlane codec.
+// Lossless codecs (tolerance 0) pass through untouched.
+func Clamp(c Codec, estimatedError float64) Codec {
+	budget := estimatedError / BudgetShare
+	if Tolerance(c) <= budget {
+		return c
+	}
+	clamped, err := NewQuant(budget)
+	if err != nil {
+		return deltaPlaneCodec{}
+	}
+	return clamped
+}
+
 func (q quantCodec) ID() ID       { return Quant }
 func (q quantCodec) Name() string { return "quant" }
 

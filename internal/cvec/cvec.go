@@ -1,66 +1,19 @@
 // Package cvec provides low-level kernels on interleaved double-precision
-// complex vectors ([]complex128): pointwise arithmetic, strided
-// gather/scatter, cache-blocked matrix transposition and error norms.
+// complex vectors ([]complex128): strided gather, cache-blocked matrix
+// transposition and error norms.
 //
-// These kernels are the Go analogue of the hand-vectorized primitives the
-// paper builds its node-local FFT and convolution on (Section 5.2 and 5.3):
-// blocked transposes bound the working set, and fused scale/multiply passes
-// save memory sweeps.
+// The blocked transpose is the Go analogue of the register-tile transposes
+// the paper builds its node-local FFT on (Section 5.2): it bounds the
+// working set of each pass.
 package cvec
 
 import "math"
-
-// Scale multiplies every element of x by the real scalar a, in place.
-func Scale(x []complex128, a float64) {
-	c := complex(a, 0)
-	for i := range x {
-		x[i] *= c
-	}
-}
-
-// PointwiseMulConj computes dst[i] = a[i] * conj(b[i]). dst may alias a or b.
-func PointwiseMulConj(dst, a, b []complex128) {
-	// Reslicing a and b to len(dst) hoists the bounds proof out of the
-	// loop: i ranges below len(dst) == len(a) == len(b), so the indexings
-	// compile check-free.
-	a = a[:len(dst)]
-	b = b[:len(dst)]
-	for i := range dst {
-		br, bi := real(b[i]), imag(b[i])
-		ar, ai := real(a[i]), imag(a[i])
-		dst[i] = complex(ar*br+ai*bi, ai*br-ar*bi)
-	}
-}
-
-// AXPY computes y[i] += a * x[i].
-func AXPY(y []complex128, a complex128, x []complex128) {
-	x = x[:len(y)]
-	for i := range y {
-		y[i] += a * x[i]
-	}
-}
-
-// Conjugate conjugates x in place.
-func Conjugate(x []complex128) {
-	for i := range x {
-		x[i] = complex(real(x[i]), -imag(x[i]))
-	}
-}
 
 // GatherStride copies src[offset + i*stride] into dst[i] for i < len(dst).
 func GatherStride(dst, src []complex128, offset, stride int) {
 	j := offset
 	for i := range dst {
 		dst[i] = src[j]
-		j += stride
-	}
-}
-
-// ScatterStride copies src[i] into dst[offset + i*stride] for i < len(src).
-func ScatterStride(dst, src []complex128, offset, stride int) {
-	j := offset
-	for i := range src {
-		dst[j] = src[i]
 		j += stride
 	}
 }

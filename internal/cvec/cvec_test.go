@@ -14,56 +14,13 @@ func seqVec(n int) []complex128 {
 	return x
 }
 
-func TestScale(t *testing.T) {
-	x := seqVec(9)
-	Scale(x, 2)
-	for i := range x {
-		want := complex(2*float64(i), -float64(i))
-		if x[i] != want {
-			t.Fatalf("Scale[%d] = %v want %v", i, x[i], want)
-		}
-	}
-}
-
-func TestPointwiseMulConj(t *testing.T) {
-	a := []complex128{1 + 2i, 3 - 1i, -2 + 0.5i}
-	b := []complex128{2 - 1i, 0 + 1i, 4 + 4i}
-	dst := make([]complex128, 3)
-	PointwiseMulConj(dst, a, b)
-	for i := range dst {
-		want := a[i] * complex(real(b[i]), -imag(b[i]))
-		if math.Abs(real(dst[i]-want)) > 1e-15 || math.Abs(imag(dst[i]-want)) > 1e-15 {
-			t.Fatalf("PointwiseMulConj[%d] = %v want %v", i, dst[i], want)
-		}
-	}
-}
-
-func TestAXPYConjugate(t *testing.T) {
-	y := []complex128{1, 2i}
-	AXPY(y, 2i, []complex128{3, 1 + 1i})
-	if y[0] != 1+6i || y[1] != -2+4i {
-		t.Fatalf("AXPY got %v", y)
-	}
-	Conjugate(y)
-	if y[0] != 1-6i || y[1] != -2-4i {
-		t.Fatalf("Conjugate got %v", y)
-	}
-}
-
-func TestGatherScatterStride(t *testing.T) {
+func TestGatherStride(t *testing.T) {
 	src := seqVec(24)
 	dst := make([]complex128, 6)
 	GatherStride(dst, src, 1, 4)
 	for i := range dst {
 		if dst[i] != src[1+4*i] {
 			t.Fatalf("GatherStride[%d]", i)
-		}
-	}
-	out := make([]complex128, 24)
-	ScatterStride(out, dst, 1, 4)
-	for i := range dst {
-		if out[1+4*i] != dst[i] {
-			t.Fatalf("ScatterStride[%d]", i)
 		}
 	}
 }

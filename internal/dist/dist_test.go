@@ -231,70 +231,6 @@ func TestDistSOIOverTCP(t *testing.T) {
 	}
 }
 
-func TestDistSOIOverHostProxy(t *testing.T) {
-	// The full distributed SOI running through the Section 5.1 host-proxy
-	// layer: every rank's traffic is chunked over the modeled PCIe link and
-	// reassembled, exactly as symmetric-mode Xeon Phi ranks communicate.
-	const world = 4
-	p := testParams(4, 4)
-	x := ref.RandomVector(p.N, 77)
-	want := fftRef(x)
-	out := make([]complex128, p.N)
-	localN := p.N / world
-	var mu sync.Mutex
-	savings := make([]float64, world)
-	w, err := mpi.NewWorld(world)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, world)
-	wg.Add(world)
-	for r := 0; r < world; r++ {
-		go func(r int) {
-			defer wg.Done()
-			proxy, err := mpi.NewProxy(w.Comm(r), 8, 6e9, 3e9)
-			if err != nil {
-				errs <- err
-				return
-			}
-			d, err := NewSOI(proxy, p, soi.DefaultOptions())
-			if err != nil {
-				errs <- err
-				return
-			}
-			dst := make([]complex128, localN)
-			if err := d.Forward(dst, x[r*localN:(r+1)*localN]); err != nil {
-				errs <- err
-				return
-			}
-			mu.Lock()
-			copy(out[r*localN:], dst)
-			savings[r] = proxy.Ledger().OverlapSavings()
-			mu.Unlock()
-			errs <- nil
-		}(r)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e := cvec.RelErrL2(out, want); e > 1e-6 {
-		t.Errorf("proxied distributed SOI error %g", e)
-	}
-	// The all-to-all blocks are large enough to chunk, so every rank's
-	// ledger must show pipelining gains.
-	for r, s := range savings {
-		if s <= 0 {
-			t.Errorf("rank %d: no pipelining savings recorded (%g)", r, s)
-		}
-	}
-}
-
 func TestDistSOIInverse(t *testing.T) {
 	// Distributed forward + distributed inverse round trip.
 	const world = 4

@@ -10,7 +10,7 @@
 //     all-to-all exchanges (the mkl-fft stand-in baseline).
 //
 // Both are SPMD programs over an mpi.Comm, agnostic to the transport
-// (in-process, TCP, or the simulated cluster). Both consume a block-
+// (in-process or TCP, with or without middleware). Both consume a block-
 // distributed input (rank p owns x[p*N/P : (p+1)*N/P]) and produce the
 // block-distributed in-order spectrum.
 package dist
@@ -139,27 +139,19 @@ func (d *SOI) workset() *workset {
 // all-to-alls) with the named payload codec — see codec.ByName. Every rank
 // of the world must apply the same codec before the first transform; the
 // peer streams are decoded against the local configuration. A lossy codec's
-// tolerance is clamped against a 1/16 share of the plan's designed accuracy
-// bound, the same budget discipline the serving layer applies, so
-// compression error stays far inside EstimatedError. Not safe to call
-// concurrently with a transform.
+// tolerance (tol 0 asks for the whole budget) is clamped by codec.Clamp to
+// a 1/codec.BudgetShare share of the plan's designed accuracy bound, the
+// same clamp the serving layer applies, so compression error stays far
+// inside EstimatedError. Not safe to call concurrently with a transform.
 func (d *SOI) SetCodec(name string, tol float64) error {
-	budget := d.EstimatedError() / 16
 	if tol == 0 {
-		tol = budget
+		tol = d.EstimatedError() / codec.BudgetShare
 	}
 	c, err := codec.ByName(name, tol)
 	if err != nil {
 		return fmt.Errorf("dist: %w", err)
 	}
-	if !c.Lossless() && codec.Tolerance(c) > budget {
-		if c, err = codec.NewQuant(budget); err != nil {
-			// Budget below the representable quantization step: compress
-			// losslessly rather than overshoot it.
-			c = codec.MustFor(codec.DeltaPlane, 0)
-		}
-	}
-	d.comm = mpi.WithCodec(d.comm, c)
+	d.comm = mpi.WithCodec(d.comm, codec.Clamp(c, d.EstimatedError()))
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // (bytes-per-ops) the paper's Section 5.2 analysis is built on.
 //
 // These models are what replaces the physical Stampede cluster in this
-// reproduction: the simulator and the analytic performance model charge
+// reproduction: the analytic performance model (internal/perfmodel) charges
 // compute time against peak flops x efficiency and data movement against
 // STREAM / interconnect / PCIe bandwidths, exactly as the paper's own
 // Section 4 model does.
@@ -105,7 +105,7 @@ type Fabric struct {
 
 // StampedeFDR returns the fabric model calibrated to the paper: 3 GiB/s
 // per node at 32 nodes (Section 4), with congestion calibrated so the
-// simulated weak scaling lands on the paper's headline numbers (>= 1 TFLOPS
+// modelled weak scaling lands on the paper's headline numbers (>= 1 TFLOPS
 // at 64 Xeon Phi nodes, ~6.7 TFLOPS at 512; see EXPERIMENTS.md).
 func StampedeFDR() Fabric {
 	return Fabric{

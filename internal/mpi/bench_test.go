@@ -119,37 +119,6 @@ func BenchmarkAllToAllTCP(b *testing.B) {
 	}
 }
 
-func BenchmarkProxyOverhead(b *testing.B) {
-	// The proxy's chunking cost relative to the bare transport.
-	const elems = 1 << 14
-	payload := make([]complex128, elems)
-	run := func(b *testing.B, useProxy bool, chunk int) {
-		w, _ := NewWorld(2)
-		defer w.Close()
-		var tx, rx Comm = w.Comm(0), w.Comm(1)
-		if useProxy {
-			tx, _ = NewProxy(w.Comm(0), chunk, 6e9, 3e9)
-			rx, _ = NewProxy(w.Comm(1), chunk, 6e9, 3e9)
-		}
-		b.SetBytes(int64(elems) * 16)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			done := make(chan struct{})
-			go func() {
-				rx.Recv(0, 1)
-				close(done)
-			}()
-			if err := tx.Send(1, 1, payload); err != nil {
-				b.Fatal(err)
-			}
-			<-done
-		}
-	}
-	b.Run("bare", func(b *testing.B) { run(b, false, 0) })
-	b.Run("proxy-chunk-1k", func(b *testing.B) { run(b, true, 1024) })
-	b.Run("proxy-chunk-4k", func(b *testing.B) { run(b, true, 4096) })
-}
-
 // BenchmarkAllToAllTCPBlocks prices one all-to-all at the block size of
 // soiperf's dist_tcp_458k (2 ranks, 32768 elements per block): AllToAll
 // returns fresh buffers, AllToAllInto receives into the caller's.

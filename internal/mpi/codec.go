@@ -24,9 +24,9 @@ import (
 // *TransportError wrapping codec.ErrCorrupt. An identity or nil codec
 // returns inner unchanged.
 //
-// Stacking order: apply WithCodec outermost (WithCodec(NewProxy(...))), so
-// the proxy's internal framing crosses the wire unencoded and only
-// application payloads are compressed.
+// Stacking order: apply WithCodec outermost, over any other middleware
+// (faultcomm's sweep runs WithCodec(injected comm)), so only application
+// payloads are compressed and the inner layers carry the encoded stream.
 func WithCodec(inner Comm, c codec.Codec) Comm {
 	if c == nil || c.ID() == codec.Identity {
 		return inner

@@ -3,7 +3,7 @@ package mpi
 import "fmt"
 
 // The collectives are written against the Comm interface only, so every
-// transport (in-process, TCP, simulated fabric) gets them for free. Each
+// transport (in-process, TCP) and middleware gets them for free. Each
 // collective uses its own reserved tag sub-range so concurrent user traffic
 // with ordinary tags can never interfere.
 

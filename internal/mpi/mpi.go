@@ -5,11 +5,11 @@
 // type 1D FFT traffic carries.
 //
 // Two real transports implement the Comm interface: an in-process transport
-// (one goroutine per rank, used by the cmd tools, examples and the cluster
-// simulator) and a TCP transport (full mesh over net.Conn, demonstrating
-// that the algorithm layer runs unchanged over a real wire). The simulated
-// cluster in internal/cluster wraps a Comm with virtual-time cost
-// accounting.
+// (one goroutine per rank, used by soifft.Cluster, the cmd tools and the
+// examples) and a TCP transport (full mesh over net.Conn, demonstrating that
+// the algorithm layer runs unchanged over a real wire). Middlewares wrap a
+// Comm without changing its semantics: WithCodec compresses payloads, and
+// internal/faultcomm injects transport faults for the robustness tests.
 //
 // Semantics follow MPI's blocking mode: Send may buffer (the payload is
 // copied, the caller may reuse its slice immediately); Recv blocks until a
@@ -127,7 +127,7 @@ func putPayload(b []complex128) {
 }
 
 // DeadlineRecver is the optional per-op deadline extension of Comm. The
-// in-process and TCP transports implement it; middlewares (Proxy, the
+// in-process and TCP transports implement it; middlewares (WithCodec, the
 // fault-injection harness) forward it when their inner transport supports
 // it.
 type DeadlineRecver interface {

@@ -177,10 +177,7 @@ func (c Config) Estimate(alg Algorithm, p Platform, opt Options) Estimate {
 		e.ExposedMPI = e.MPI // the baseline does not overlap
 		e.Total = e.LocalFFT + e.ExposedMPI
 	case SOI:
-		segs := opt.Segments
-		if segs == 0 {
-			segs = SegmentsFor(opt.Nodes)
-		}
+		segs := opt.segments()
 		if opt.Offload {
 			// Offload mode: local compute is hidden behind the two PCIe
 			// crossings (input down, output up), which dominate
@@ -203,18 +200,31 @@ func (c Config) Estimate(alg Algorithm, p Platform, opt Options) Estimate {
 			sweeps = c.EtcSweepsPhi
 		}
 		e.Etc = sweeps * 16 * mu * nTotal / (stream * float64(opt.Nodes))
-		e.ExposedMPI = e.MPI
-		if opt.Overlap && segs > 1 {
-			// Exchange of segment g overlaps the M'-point FFT (+ fused
-			// demodulation) of segment g-1: the first exchange and any
-			// residual per segment stay exposed.
-			perSegMPI := e.MPI / float64(segs)
-			perSegFFT := e.LocalFFT / float64(segs)
-			e.ExposedMPI = perSegMPI + float64(segs-1)*math.Max(0, perSegMPI-perSegFFT)
-		}
+		e.ExposedMPI = exposedMPI(e.MPI, e.LocalFFT, segs, opt.Overlap)
 		e.Total = e.LocalFFT + e.Conv + e.ExposedMPI + e.Etc
 	}
 	return e
+}
+
+// segments resolves the segments-per-process choice (0 = SegmentsFor).
+func (o Options) segments() int {
+	if o.Segments == 0 {
+		return SegmentsFor(o.Nodes)
+	}
+	return o.Segments
+}
+
+// exposedMPI returns the part of the exchange time mpi that the local FFT
+// does not hide. With overlap, the exchange of segment g overlaps the
+// M'-point FFT (+ fused demodulation) of segment g-1: the first exchange and
+// any residual per segment stay exposed.
+func exposedMPI(mpi, localFFT float64, segs int, overlap bool) float64 {
+	if !overlap || segs <= 1 {
+		return mpi
+	}
+	perSegMPI := mpi / float64(segs)
+	perSegFFT := localFFT / float64(segs)
+	return perSegMPI + float64(segs-1)*math.Max(0, perSegMPI-perSegFFT)
 }
 
 // TFLOPS returns the G-FFT rate 5*N*log2(N)/T in teraflops for the

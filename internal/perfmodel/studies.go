@@ -23,16 +23,7 @@ func (c Config) EstimateHybrid(opt Options) Estimate {
 	// Memory-bound "etc." scales with the combined STREAM bandwidth.
 	e.Etc *= c.Phi.StreamGBps / (c.Phi.StreamGBps + c.Xeon.StreamGBps)
 	// Re-derive the overlap with the faster compute.
-	segs := opt.Segments
-	if segs == 0 {
-		segs = SegmentsFor(opt.Nodes)
-	}
-	e.ExposedMPI = e.MPI
-	if opt.Overlap && segs > 1 {
-		perSegMPI := e.MPI / float64(segs)
-		perSegFFT := e.LocalFFT / float64(segs)
-		e.ExposedMPI = perSegMPI + float64(segs-1)*max(0, perSegMPI-perSegFFT)
-	}
+	e.ExposedMPI = exposedMPI(e.MPI, e.LocalFFT, opt.segments(), opt.Overlap)
 	e.Total = e.LocalFFT + e.Conv + e.ExposedMPI + e.Etc
 	return e
 }

@@ -152,29 +152,6 @@ func TestServeSOICodecBudget(t *testing.T) {
 	}
 }
 
-// TestClampResponseCodec pins the server-side budget clamp: lossless and
-// within-budget codecs pass through, an over-budget Quant is rebuilt at the
-// budget, and a budget below the representable quantization step falls back
-// to lossless.
-func TestClampResponseCodec(t *testing.T) {
-	lossless := codec.MustFor(codec.DeltaPlane, 0)
-	if got := clampResponseCodec(lossless, 1e-12); got != lossless {
-		t.Errorf("lossless clamped to %v", got)
-	}
-	fine, _ := codec.NewQuant(1e-12)
-	if got := clampResponseCodec(fine, 1e-6); got != fine {
-		t.Errorf("within-budget quant clamped to %v", got)
-	}
-	coarse, _ := codec.NewQuant(1e-3)
-	got := clampResponseCodec(coarse, 1e-9)
-	if got.ID() != codec.Quant || codec.Tolerance(got) > 1e-9 {
-		t.Errorf("over-budget quant clamped to %v (tol %g), want quant at <= 1e-9", got, codec.Tolerance(got))
-	}
-	if got := clampResponseCodec(coarse, 1e-18); !got.Lossless() {
-		t.Errorf("sub-representable budget gave %v, want lossless fallback", got)
-	}
-}
-
 // TestServeCodecTamper drives the server with corrupted compressed frames:
 // every case must draw a typed bad-request error frame (never a silently
 // wrong result, never a hang), and cases that desync the stream must end in

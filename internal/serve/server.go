@@ -59,11 +59,6 @@ type Config struct {
 	// connection's goroutines. Between frames a connection may idle
 	// indefinitely. Default one minute.
 	IOTimeout time.Duration
-	// CodecBudgetShare is the denominator of the lossy response-codec
-	// accuracy budget: an SOI response may be quantized to at most
-	// EstimatedError/CodecBudgetShare, so compression error stays a small
-	// fraction of the designed alias bound. Default 16.
-	CodecBudgetShare int
 }
 
 func (c Config) withDefaults() Config {
@@ -90,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IOTimeout == 0 {
 		c.IOTimeout = time.Minute
-	}
-	if c.CodecBudgetShare <= 0 {
-		c.CodecBudgetShare = 16
 	}
 	return c
 }
@@ -392,11 +384,11 @@ func (s *Server) executeSOI(key batchKey, live []*request) error {
 		return fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
 	}
 	// SOI results carry a designed error bound; the wire must not dominate
-	// it. Clamp each response's lossy codec to a 1/CodecBudgetShare share of
-	// the plan's budget (the Quant stream is self-describing, so the client
-	// decodes whatever fidelity the server actually used).
+	// it. Clamp each response's lossy codec to a 1/codec.BudgetShare share
+	// of the plan's budget (the Quant stream is self-describing, so the
+	// client decodes whatever fidelity the server actually used).
 	for _, r := range live {
-		r.codec = clampResponseCodec(r.codec, plan.EstimatedError()/float64(s.cfg.CodecBudgetShare))
+		r.codec = codec.Clamp(r.codec, plan.EstimatedError())
 	}
 	defer s.breakdown.Timer(trace.PhaseExecute)()
 	for _, r := range live {
@@ -413,22 +405,6 @@ func (s *Server) executeSOI(key batchKey, live []*request) error {
 		}
 	}
 	return nil
-}
-
-// clampResponseCodec bounds a lossy response codec against an accuracy
-// budget: if the codec's per-element tolerance exceeds the budget it is
-// rebuilt at the budget, and a budget too small for any quantization falls
-// back to the lossless DeltaPlane codec. Lossless codecs (tolerance 0)
-// pass through untouched.
-func clampResponseCodec(c codec.Codec, budget float64) codec.Codec {
-	if codec.Tolerance(c) <= budget {
-		return c
-	}
-	clamped, err := codec.NewQuant(budget)
-	if err != nil {
-		return codec.MustFor(codec.DeltaPlane, 0)
-	}
-	return clamped
 }
 
 // outFrame is one response awaiting serialization on a connection.

@@ -1,8 +1,8 @@
 // Package trace provides the per-phase time accounting used to produce the
 // paper's execution-time breakdowns (Fig. 9: Local FFT / Convolution /
 // Exposed MPI / etc.). A Breakdown accumulates wall-clock durations per
-// named phase; the cluster simulator fills the same structure with
-// virtual-clock durations, so reporting code is shared.
+// named phase; the phase names are the ones internal/perfmodel prices, so
+// measured and modelled breakdowns line up.
 package trace
 
 import (

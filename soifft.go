@@ -20,9 +20,9 @@
 //
 // The library also ships a serial mixed-radix FFT (used internally and
 // exposed via FFT/IFFT), an in-process distributed runtime (Cluster), the
-// Cooley-Tukey distributed baseline, the paper's analytic performance
-// model, and a cluster simulator that regenerates every figure of the
-// paper's evaluation — see cmd/soibench and EXPERIMENTS.md.
+// Cooley-Tukey distributed baseline, and the paper's analytic performance
+// model that regenerates every modelled figure of the paper's evaluation —
+// see cmd/soibench and EXPERIMENTS.md.
 //
 // # Accuracy
 //

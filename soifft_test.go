@@ -7,6 +7,7 @@ import (
 
 	"soifft/internal/cvec"
 	"soifft/internal/ref"
+	"soifft/internal/trace"
 )
 
 // validN returns a valid SOI length near the requested magnitude for the
@@ -207,6 +208,12 @@ func TestClusterForward(t *testing.T) {
 		}
 		if len(stats.PhaseSeconds) == 0 {
 			t.Errorf("ranks=%d: no phase stats", ranks)
+		}
+		// Every Fig. 9 phase the model prices runs for real.
+		for _, phase := range []string{trace.PhaseConv, trace.PhaseLocalFFT, trace.PhaseExposedMPI} {
+			if stats.PhaseSeconds[phase] <= 0 {
+				t.Errorf("ranks=%d: phase %q not exercised", ranks, phase)
+			}
 		}
 		if cl.Ranks() != ranks {
 			t.Errorf("Ranks() = %d", cl.Ranks())
