@@ -65,20 +65,20 @@ func TestTimingViolations(t *testing.T) {
 func TestLoadTimingBudget(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "budget.json")
-	if err := os.WriteFile(path, []byte(`{"errflow": 1000, "errdrop": 500}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"closeflow": 1000, "chanlife": 500}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	budget, err := loadTimingBudget(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if budget["errflow"] != 1000 || budget["errdrop"] != 500 {
+	if budget["closeflow"] != 1000 || budget["chanlife"] != 500 {
 		t.Errorf("parsed budget %v", budget)
 	}
 	if _, err := loadTimingBudget(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file accepted")
 	}
-	if err := os.WriteFile(path, []byte(`{"errflow": "fast"}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"closeflow": "fast"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := loadTimingBudget(path); err == nil {

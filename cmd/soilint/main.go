@@ -1,13 +1,12 @@
 // Soilint runs the repo-native static analyzers over soifft packages: the
-// checks no cheaper gate performs (dropped communicator errors, per-element
-// trigonometry, racing parallel bodies, leaked pool values, conns and
-// goroutines, lock re-entry, unbounded blocking I/O, stale protocol
-// switches). See internal/analysis for the checks and the catch matrix that
-// keeps each of them.
+// checks no cheaper gate performs (per-element trigonometry in kernel
+// loops, parallel bodies writing captured state, channel close/send
+// protocols, leaked conns and files). See internal/analysis for the checks
+// and the catch matrix that keeps each of them.
 //
 // Usage:
 //
-//	soilint [-json] [-sarif] [-stats] [-timing] [-checks errdrop,errflow,...] [-v] [packages]
+//	soilint [-json] [-sarif] [-stats] [-timing] [-checks closeflow,chanlife,...] [-v] [packages]
 //
 // Packages default to ./... relative to the enclosing module root. Exit
 // status: 0 clean, 1 findings or a package that does not type-check, 2

@@ -1,7 +1,7 @@
-// Package analysis is soifft's repo-native static-analysis suite: the six
+// Package analysis is soifft's repo-native static-analysis suite: the four
 // checks that are each the first — usually the only — gate to notice some
 // class of defect seeded into the real module. That claim is an experiment,
-// not a belief: matrix_rows_test.go seeds 58 defects (every historical bug
+// not a belief: matrix_rows_test.go seeds 56 defects (every historical bug
 // that can be re-introduced deterministically, and two or three mutants of
 // real code per failure class an analyzer claimed) and records which gate
 // — the compiler, go vet, a tier-1 test, an analyzer, -race, a fuzz
@@ -13,13 +13,11 @@
 //
 // The survivors, by what they are built on:
 //
-//   - syntax and types only: communicator errors must not be discarded at
-//     the call (errdrop), kernel loops must read twiddles from tables, not
-//     compute them (twiddleloop), and par.For bodies must not write
+//   - syntax and types only: kernel loops must read twiddles from tables,
+//     not compute them (twiddleloop), and par.For bodies must not write
 //     captured state (parcapture);
-//   - the intraprocedural CFG (cfg.go): a stored communicator error must be
-//     read on every path to return (errflow), channel close/send protocols
-//     and //soilint:chan contracts must hold (chanlife), and acquired
+//   - the intraprocedural CFG (cfg.go): channel close/send protocols and
+//     //soilint:chan contracts must hold (chanlife), and acquired
 //     io.Closers must be closed or transferred on every path that uses them
 //     (closeflow, which also summarizes the module-local functions it calls
 //     to see through dial and listen wrappers).
@@ -95,9 +93,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All lists every registered analyzer in stable order.
-var All = []*Analyzer{ErrDrop, TwiddleLoop, ParCapture, ErrFlow, ChanLife, CloseFlow}
+var All = []*Analyzer{TwiddleLoop, ParCapture, ChanLife, CloseFlow}
 
-// ByName resolves a comma-separated check list ("errflow,errdrop") against
+// ByName resolves a comma-separated check list ("closeflow,chanlife") against
 // the registry; the empty string selects all analyzers.
 func ByName(list string) ([]*Analyzer, error) {
 	if strings.TrimSpace(list) == "" {

@@ -40,13 +40,6 @@ func TestAnalyzersGolden(t *testing.T) {
 		wantSuppressed []int
 	}{
 		{
-			name:           "errdrop",
-			dir:            fixtureDir("errdrop"),
-			analyzer:       ErrDrop,
-			wantActive:     []int{8, 9, 10, 11, 13},
-			wantSuppressed: []int{37},
-		},
-		{
 			name:           "twiddleloop",
 			dir:            fixtureDir("trig", "internal", "fft"),
 			analyzer:       TwiddleLoop,
@@ -59,13 +52,6 @@ func TestAnalyzersGolden(t *testing.T) {
 			analyzer:       ParCapture,
 			wantActive:     []int{11, 20, 27, 47},
 			wantSuppressed: []int{56},
-		},
-		{
-			name:           "errflow",
-			dir:            fixtureDir("errflow"),
-			analyzer:       ErrFlow,
-			wantActive:     []int{14, 24},
-			wantSuppressed: []int{72},
 		},
 		{
 			// Send-after-close (13), double close (20), close in a loop
@@ -93,15 +79,15 @@ func TestAnalyzersGolden(t *testing.T) {
 		{
 			name:           "file-ignore suppresses named check",
 			dir:            fixtureDir("fileignore"),
-			analyzer:       ErrDrop,
+			analyzer:       CloseFlow,
 			wantActive:     nil,
 			wantSuppressed: []int{12, 13, 14},
 		},
 		{
 			name:           "file-ignore leaves other checks live",
 			dir:            fixtureDir("fileignore"),
-			analyzer:       ErrFlow,
-			wantActive:     []int{20},
+			analyzer:       ChanLife,
+			wantActive:     []int{27},
 			wantSuppressed: nil,
 		},
 	}
@@ -181,9 +167,9 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(All) {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All))
 	}
-	two, err := ByName("errflow, errdrop")
-	if err != nil || len(two) != 2 || two[0] != ErrFlow || two[1] != ErrDrop {
-		t.Fatalf("ByName(errflow,errdrop) = %v, err %v", two, err)
+	two, err := ByName("closeflow, chanlife")
+	if err != nil || len(two) != 2 || two[0] != CloseFlow || two[1] != ChanLife {
+		t.Fatalf("ByName(closeflow,chanlife) = %v, err %v", two, err)
 	}
 	if _, err := ByName("nosuchcheck"); err == nil || !strings.Contains(err.Error(), "nosuchcheck") {
 		t.Fatalf("ByName(nosuchcheck) err = %v, want unknown-check error", err)
@@ -210,13 +196,13 @@ func TestParseIgnore(t *testing.T) {
 		text string
 		want []string
 	}{
-		{"//soilint:ignore errflow", []string{"errflow"}},
-		{"// soilint:ignore errflow justified because reasons", []string{"errflow"}},
-		{"//soilint:ignore errflow,errdrop shared justification", []string{"errflow", "errdrop"}},
+		{"//soilint:ignore closeflow", []string{"closeflow"}},
+		{"// soilint:ignore closeflow justified because reasons", []string{"closeflow"}},
+		{"//soilint:ignore closeflow,chanlife shared justification", []string{"closeflow", "chanlife"}},
 		{"/*soilint:ignore parcapture*/", []string{"parcapture"}},
-		{"//soilint:ignore", nil},          // no checks named
-		{"// just a comment", nil},         // not a directive
-		{"//soilint:ignored errflow", nil}, // wrong directive word
+		{"//soilint:ignore", nil},            // no checks named
+		{"// just a comment", nil},           // not a directive
+		{"//soilint:ignored closeflow", nil}, // wrong directive word
 	}
 	for _, tt := range tests {
 		got, ok := parseIgnore(tt.text)
@@ -245,14 +231,14 @@ func TestParseFileIgnore(t *testing.T) {
 		text string
 		want []string
 	}{
-		{"//soilint:file-ignore errdrop -- generated file", []string{"errdrop"}},
-		{"// soilint:file-ignore errdrop,errflow -- shared reason", []string{"errdrop", "errflow"}},
-		{"/*soilint:file-ignore poolflow -- reason*/", []string{"poolflow"}},
-		{"//soilint:file-ignore errdrop", nil},        // missing -- reason
-		{"//soilint:file-ignore errdrop --", nil},     // empty reason
-		{"//soilint:file-ignore -- reason only", nil}, // no checks named
-		{"//soilint:ignore errdrop -- reason", nil},   // wrong directive word
-		{"//soilint:file-ignored errdrop -- x", nil},  // not this directive
+		{"//soilint:file-ignore closeflow -- generated file", []string{"closeflow"}},
+		{"// soilint:file-ignore closeflow,chanlife -- shared reason", []string{"closeflow", "chanlife"}},
+		{"/*soilint:file-ignore parcapture -- reason*/", []string{"parcapture"}},
+		{"//soilint:file-ignore closeflow", nil},       // missing -- reason
+		{"//soilint:file-ignore closeflow --", nil},    // empty reason
+		{"//soilint:file-ignore -- reason only", nil},  // no checks named
+		{"//soilint:ignore closeflow -- reason", nil},  // wrong directive word
+		{"//soilint:file-ignored closeflow -- x", nil}, // not this directive
 	}
 	for _, tt := range tests {
 		got, ok := parseFileIgnore(tt.text)

@@ -7,12 +7,11 @@ import (
 )
 
 // This file is the shared control-flow core the flow-aware analyzers
-// (errflow, chanlife, closeflow) are
-// built on. It is deliberately small: an intraprocedural basic-block CFG
-// over go/ast statements, a reachability query, a backward must-analysis
-// and a def-to-exit path search. Function literals are
-// opaque to the enclosing function's CFG (their bodies execute at call
-// time, not inline) and get their own CFG via funcBodies.
+// (chanlife, closeflow) are built on. It is deliberately small: an
+// intraprocedural basic-block CFG over go/ast statements, a reachability
+// query and a backward must-analysis. Function literals are opaque to the
+// enclosing function's CFG (their bodies execute at call time, not inline)
+// and get their own CFG via funcBodies.
 
 // cfgBlock is one basic block: nodes executed in order, then control moves
 // to one of the successors. Nodes are statements plus the condition/tag
@@ -477,49 +476,6 @@ func (g *funcCFG) precededOnAllPaths(node ast.Node, classify func(ast.Node) path
 		return ok
 	}
 	return blockOK(p.b, p.idx-1)
-}
-
-// dropOnSomePath reports whether some execution path from the definition
-// node def to the function exit (or to a plain overwrite of obj) never
-// reads obj. This is the errflow core: an error variable whose value can
-// die unobserved on at least one path.
-func (g *funcCFG) dropOnSomePath(def ast.Node, obj types.Object, info *types.Info) bool {
-	p, ok := g.pos[def]
-	if !ok {
-		return false
-	}
-	visited := make(map[*cfgBlock]bool)
-	// scan walks one block from index i; returns true if a no-read path to
-	// exit or overwrite exists in this direction.
-	var scan func(b *cfgBlock, i int) bool
-	scan = func(b *cfgBlock, i int) bool {
-		for ; i < len(b.nodes); i++ {
-			n := b.nodes[i]
-			if usesObj(n, obj, info) {
-				return false // this path observed the value
-			}
-			if killsObj(n, obj, info) {
-				return true // overwritten before any read
-			}
-		}
-		if b == g.exit {
-			return true
-		}
-		for _, s := range b.succs {
-			if s == g.exit {
-				return true
-			}
-			if visited[s] {
-				continue
-			}
-			visited[s] = true
-			if scan(s, 0) {
-				return true
-			}
-		}
-		return false
-	}
-	return scan(p.b, p.idx+1)
 }
 
 // usesObj reports whether n reads obj: any identifier resolving to obj

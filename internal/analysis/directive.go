@@ -41,7 +41,7 @@ func parseDirective(text string) (verb string, args []string, ok bool) {
 	return words[0], words[1:], true
 }
 
-// splitList splits a comma-separated word ("errdrop,errflow") into its
+// splitList splits a comma-separated word ("closeflow,chanlife") into its
 // non-empty items.
 func splitList(word string) []string {
 	var items []string

@@ -61,11 +61,11 @@ func TestLoadHonoursBuildConstraints(t *testing.T) {
 // package, so a ./... run type-checks each package once.
 func TestLoadDirCaching(t *testing.T) {
 	l := loaderFor(t)
-	a, err := l.LoadDir(fixtureDir("errdrop"))
+	a, err := l.LoadDir(fixtureDir("chanlife"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.LoadDir(fixtureDir("errdrop"))
+	b, err := l.LoadDir(fixtureDir("chanlife"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,15 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// calleeLabel names a function for a diagnostic: pkg.Func, or the
+// receiver type and the method name.
+func calleeLabel(f *types.Func) string {
+	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+		return types.TypeString(recv.Type(), func(p *types.Package) string { return p.Name() }) + "." + f.Name()
+	}
+	return f.Pkg().Name() + "." + f.Name()
+}
+
 // calleeBuiltin returns the name of the builtin a call invokes ("make",
 // "append", ...), or "".
 func calleeBuiltin(info *types.Info, call *ast.CallExpr) string {

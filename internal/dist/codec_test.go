@@ -4,47 +4,11 @@ import (
 	"sync"
 	"testing"
 
-	"soifft/internal/codec"
 	"soifft/internal/cvec"
 	"soifft/internal/mpi"
 	"soifft/internal/ref"
 	"soifft/internal/soi"
 )
-
-// TestRedistributeWithCodec round-trips block -> cyclic -> block over a
-// codec-wrapped world: the lossless wrapper must be invisible to the
-// redistribution, element for element.
-func TestRedistributeWithCodec(t *testing.T) {
-	const world, localN = 4, 32
-	x := ref.RandomVector(world*localN, 21)
-	cdc := codec.MustFor(codec.DeltaPlane, 0)
-	var mu sync.Mutex
-	out := make([]complex128, len(x))
-	err := mpi.Run(world, func(raw mpi.Comm) error {
-		c := mpi.WithCodec(raw, cdc)
-		r := c.Rank()
-		cyc, err := BlockToCyclic(c, x[r*localN:(r+1)*localN])
-		if err != nil {
-			return err
-		}
-		blk, err := CyclicToBlock(c, cyc)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		copy(out[r*localN:], blk)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if out[i] != x[i] {
-			t.Fatalf("elem %d: %v != %v after compressed redistribution", i, out[i], x[i])
-		}
-	}
-}
 
 // TestDistSOICodec runs the distributed SOI with each codec applied through
 // SetCodec. The lossless codecs reproduce the uncompressed distributed

@@ -20,8 +20,8 @@ type CT struct {
 	n      int // total length
 	m      int // per-rank length N/P
 	fp     *fft.Batch
-	fm     *fft.SixStep // M-point local FFT (nil -> fmPlain)
-	fmPl   *fft.Plan
+	fm     *fft.SixStep // M-point local FFT (nil -> fmPl)
+	fmPl   *fft.Plan    // M-point local FFT for the lengths the six-step does not take
 	twA    []complex128 // dynamic-block twiddle tables for W_N^{j2*k1}
 	twB    []complex128
 	twK    int

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"soifft/internal/mpi"
+	"soifft/internal/ref"
 	"soifft/internal/soi"
 )
 
@@ -65,5 +66,55 @@ func TestShortBuffersReturnShapeError(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// longGhost is one rank's communicator that sends its first ghost piece
+// one element too long: the piece's receiver disagrees with it on the
+// geometry, and nothing else about the transform is wrong.
+type longGhost struct {
+	mpi.Comm
+	sent bool
+}
+
+func (c *longGhost) Send(dst, tag int, data []complex128) error {
+	if tag == tagGhost+1 && !c.sent {
+		c.sent = true
+		data = append(data[:len(data):len(data)], 0)
+	}
+	return c.Comm.Send(dst, tag, data)
+}
+
+// TestGhostExchangeRejectsMisSizedPiece: a ghost piece of the wrong length
+// fails Forward on the rank that receives it with a *ShapeError naming the
+// piece and its sender — on its own, not because a later all-to-all also
+// fails: the all-to-alls here are intact.
+func TestGhostExchangeRejectsMisSizedPiece(t *testing.T) {
+	const world, liar = 4, 1
+	p := testParams(4, 4)
+	plan, err := soi.NewPlan(p, soi.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := ref.RandomVector(p.N, 77)
+	localN := p.N / world
+	err = mpi.Run(world, func(c mpi.Comm) error {
+		r := c.Rank()
+		if r == liar {
+			c = &longGhost{Comm: c}
+		}
+		d, err := NewSOIFromPlan(c, plan)
+		if err != nil {
+			return err
+		}
+		dst := make([]complex128, localN)
+		return d.Forward(dst, x[r*localN:(r+1)*localN])
+	})
+	var se *ShapeError
+	if !errors.As(err, &se) {
+		t.Fatalf("Forward = %v, want a *ShapeError naming the ghost piece", err)
+	}
+	if want := fmt.Sprintf("ghost piece 1 elems from rank %d", liar); se.What != want || se.Got != se.Want+1 {
+		t.Fatalf("ShapeError = %+v, want What %q and Got = Want+1", se, want)
 	}
 }

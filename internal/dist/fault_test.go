@@ -23,64 +23,57 @@ func crashInjector(seed int64, rank int) *faultcomm.Injector {
 	return faultcomm.New(sched)
 }
 
-// TestRedistributeCrashTyped runs the block<->cyclic redistribution with one
-// rank crashed at its first operation: every surviving rank must come back
-// with a typed transport error (via crash propagation or deadline), and the
-// whole world must resolve promptly.
-func TestRedistributeCrashTyped(t *testing.T) {
-	const world = 4
-	inj := crashInjector(3, 2)
-	start := time.Now()
-	err := mpi.Run(world, func(c mpi.Comm) error {
-		ep := inj.Wrap(c)
-		local := ref.RandomVector(32, int64(100+ep.Rank()))
-		cyc, err := BlockToCyclic(ep, local)
+// TestCTForwardCrashTyped crashes one rank of the Cooley-Tukey baseline at
+// each of its operations in turn — every send and receive of its three
+// all-to-alls — and requires every rank to resolve: the crashed one to
+// ErrCrashed, each other one to a typed error or its verified block of the
+// spectrum. A rank that indexes the blocks of an exchange that failed
+// panics the test binary; one that waits on a dead peer trips the watchdog.
+func TestCTForwardCrashTyped(t *testing.T) {
+	const world, n = 4, 256
+	ops := 3 * 2 * (world - 1) // three all-to-alls of P-1 sends and P-1 receives each
+	x := ref.RandomVector(n, 66)
+	want := fftRef(x)
+	localN := n / world
+	for op := 0; op <= ops; op++ {
+		sched := faultcomm.NewSchedule(int64(op), 2*time.Second)
+		sched.CrashRank, sched.CrashOp = op%world, op
+		rep, err := faultcomm.Run(world, sched, 10*time.Second, func(c mpi.Comm) error {
+			ct, err := NewCT(c, n, 1)
+			if err != nil {
+				return err
+			}
+			r := c.Rank()
+			dst := make([]complex128, localN)
+			if err := ct.Forward(dst, x[r*localN:(r+1)*localN]); err != nil {
+				return err
+			}
+			if e := cvec.RelErrL2(dst, want[r*localN:(r+1)*localN]); e > 1e-11 {
+				return fmt.Errorf("rank %d returned a wrong block: relative error %g", r, e)
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		_, err = CyclicToBlock(ep, cyc)
-		return err
-	})
-	if err == nil {
-		t.Fatal("redistribution with a crashed rank reported success")
-	}
-	if !faultcomm.Typed(err) {
-		t.Fatalf("redistribution crash error not typed: %v\ntrace:\n%s", err, inj.Trace())
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Fatalf("crash took %v to resolve", d)
-	}
-}
-
-// TestRedistributeLosslessFaultsRoundTrip checks that delay/dup/reorder
-// injection is invisible to the redistribution protocol: the block->cyclic
-// ->block round trip still returns the original data.
-func TestRedistributeLosslessFaultsRoundTrip(t *testing.T) {
-	const world = 4
-	sched := faultcomm.NewSchedule(17, 5*time.Second)
-	sched.Delay = 0.4
-	sched.MaxDelay = time.Millisecond
-	sched.Dup = 0.4
-	sched.Reorder = 0.4
-	inj := faultcomm.New(sched)
-	err := mpi.Run(world, func(c mpi.Comm) error {
-		ep := inj.Wrap(c)
-		local := ref.RandomVector(32, int64(200+ep.Rank()))
-		cyc, err := BlockToCyclic(ep, local)
-		if err != nil {
-			return err
+		if rep.Hang {
+			t.Fatalf("%s: hang\n%s", sched, rep.Trace())
 		}
-		back, err := CyclicToBlock(ep, cyc)
-		if err != nil {
-			return err
+		for r, e := range rep.Errs {
+			switch {
+			case op == ops:
+				// One past the last operation: the crash never fires.
+				if e != nil {
+					t.Errorf("%s: rank %d failed with no fault injected: %v", sched, r, e)
+				}
+			case r == sched.CrashRank:
+				if !errors.Is(e, faultcomm.ErrCrashed) {
+					t.Errorf("%s: crashed rank resolved to %v, want ErrCrashed\n%s", sched, e, rep.Trace())
+				}
+			case e != nil && !faultcomm.Typed(e):
+				t.Errorf("%s: rank %d: non-typed %v\n%s", sched, r, e, rep.Trace())
+			}
 		}
-		if e := cvec.RelErrL2(back, local); e != 0 {
-			t.Errorf("rank %d: round trip corrupted data, rel err %g", ep.Rank(), e)
-		}
-		return ep.Flush()
-	})
-	if err != nil {
-		t.Fatalf("lossless faults failed redistribution: %v\ntrace:\n%s", err, inj.Trace())
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package faultcomm is a deterministic fault-injection harness for the
-// distributed SOI path: an mpi.Comm middleware that wraps any transport
-// (in-process or TCP) and injects transport faults from a seeded schedule
-// — message drop, bounded delay, duplication, reordering within a
+// distributed FFTs' message paths: an mpi.Comm middleware that wraps any
+// transport (in-process or TCP) and injects transport faults from a seeded
+// schedule — message drop, bounded delay, duplication, reordering within a
 // (src, tag) stream, rank crash at operation k, slow-link throttling, and
 // payload tampering (an intentionally unsurvivable shape that proves the
 // verification harness is live).
@@ -448,23 +448,14 @@ func (e *Endpoint) RecvDeadline(src, tag int, deadline time.Time) ([]complex128,
 
 // takeStashedLocked delivers a stashed message whose turn has come.
 func (e *Endpoint) takeStashedLocked(src, tag int) ([]complex128, int, bool) {
-	if src != mpi.AnySource {
-		k := stashKey{src, tag, e.recvSeq[stream{src, tag}]}
-		if data, ok := e.stash[k]; ok {
-			delete(e.stash, k)
-			e.recvSeq[stream{src, tag}]++
-			return data, src, true
-		}
+	k := stashKey{src, tag, e.recvSeq[stream{src, tag}]}
+	data, ok := e.stash[k]
+	if !ok {
 		return nil, 0, false
 	}
-	for k, data := range e.stash {
-		if k.tag == tag && k.seq == e.recvSeq[stream{k.src, tag}] {
-			delete(e.stash, k)
-			e.recvSeq[stream{k.src, tag}]++
-			return data, k.src, true
-		}
-	}
-	return nil, 0, false
+	delete(e.stash, k)
+	e.recvSeq[stream{src, tag}]++
+	return data, src, true
 }
 
 // Flush releases any reorder-held sends without closing the endpoint. The

@@ -48,28 +48,3 @@ func (b *Batch) Transform(dst, src []complex128, count, dist int, dir Direction)
 		}
 	})
 }
-
-// TransformStrided runs count transforms whose elements are interleaved:
-// transform i reads src[i + j*count] for j in [0, n). This is the access
-// pattern of step 2 of the 6-step algorithm before the explicit transpose
-// (P-point FFTs in stride P); it exists mainly as the slow baseline that the
-// copy-to-contiguous-buffer optimization in sixstep.go is measured against.
-func (b *Batch) TransformStrided(dst, src []complex128, count int, dir Direction) {
-	n := b.plan.n
-	if need := count * n; len(dst) < need || len(src) < need {
-		panic("fft: TransformStrided buffers too short")
-	}
-	par.For(b.workers, count, func(lo, hi int) {
-		in := make([]complex128, n)  // deliberate slow baseline: strided access is what sixstep.go is measured against
-		out := make([]complex128, n) // deliberate slow baseline: strided access is what sixstep.go is measured against
-		for i := lo; i < hi; i++ {
-			for j := 0; j < n; j++ {
-				in[j] = src[i+j*count]
-			}
-			b.plan.Transform(out, in, dir)
-			for j := 0; j < n; j++ {
-				dst[i+j*count] = out[j]
-			}
-		}
-	})
-}

@@ -104,27 +104,6 @@ func TestBatchTransform(t *testing.T) {
 	}
 }
 
-func TestBatchStrided(t *testing.T) {
-	const n, count = 32, 6
-	b, err := NewBatch(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := ref.RandomVector(n*count, 13)
-	dst := make([]complex128, n*count)
-	b.TransformStrided(dst, src, count, Forward)
-	for i := 0; i < count; i++ {
-		col := make([]complex128, n)
-		cvec.GatherStride(col, src, i, count)
-		want := ref.DFT(col)
-		got := make([]complex128, n)
-		cvec.GatherStride(got, dst, i, count)
-		if e := cvec.RelErrL2(got, want); e > 1e-12 {
-			t.Errorf("strided batch %d: error %g", i, e)
-		}
-	}
-}
-
 func TestBatchPanicsOnBadArgs(t *testing.T) {
 	b, _ := NewBatch(8, 1)
 	for _, fn := range []func(){

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -93,18 +94,16 @@ func TestWithCodecIdentityUnwrapped(t *testing.T) {
 }
 
 // TestWithCodecCollectives runs the generic collectives over a codec-wrapped
-// world: the wrapper must be transparent to AllToAll / Bcast / Gather /
-// Barrier, which carry both data and tiny control payloads.
+// world: the wrapper must be transparent to AllToAll / AllToAllInto /
+// Barrier, which carry both data and tiny control payloads. The ranks run
+// under Run, so a rank that fails aborts its peers instead of leaving them
+// blocked in the next collective.
 func TestWithCodecCollectives(t *testing.T) {
 	const size = 4
 	cdc := codec.MustFor(codec.DeltaPlane, 0)
-	w, err := NewWorld(size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	err = runRanks(size, func(r int) error {
-		c := WithCodec(w.Comm(r), cdc)
+	err := Run(size, func(raw Comm) error {
+		c := WithCodec(raw, cdc)
+		r := c.Rank()
 		send := make([][]complex128, size)
 		for q := range send {
 			send[q] = []complex128{complex(float64(r), float64(q))}
@@ -115,21 +114,25 @@ func TestWithCodecCollectives(t *testing.T) {
 		}
 		for s := range recv {
 			if len(recv[s]) != 1 || recv[s][0] != complex(float64(s), float64(r)) {
-				t.Errorf("rank %d: alltoall from %d got %v", r, s, recv[s])
+				return fmt.Errorf("rank %d: alltoall from %d got %v", r, s, recv[s])
 			}
 		}
-		root := ref.RandomVector(9, 42)
-		var in []complex128
-		if r == 0 {
-			in = root
+		// Blocks of several lengths, each a random vector the receiver can
+		// rebuild from (sender, receiver).
+		into := make([][]complex128, size)
+		for q := range send {
+			send[q] = ref.RandomVector(3+q, int64(10*r+q))
+			into[q] = make([]complex128, 3+r)
 		}
-		got, err := Bcast(c, 0, in)
-		if err != nil {
+		if err := AllToAllInto(c, send, into); err != nil {
 			return err
 		}
-		for i := range root {
-			if got[i] != root[i] {
-				t.Errorf("rank %d: bcast elem %d %v != %v", r, i, got[i], root[i])
+		for s := range into {
+			want := ref.RandomVector(3+r, int64(10*s+r))
+			for i := range want {
+				if into[s][i] != want[i] {
+					return fmt.Errorf("rank %d: alltoall-into from %d elem %d %v != %v", r, s, i, into[s][i], want[i])
+				}
 			}
 		}
 		return Barrier(c)
@@ -137,20 +140,6 @@ func TestWithCodecCollectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func runRanks(size int, fn func(r int) error) error {
-	errs := make(chan error, size)
-	for r := 0; r < size; r++ {
-		go func(r int) { errs <- fn(r) }(r)
-	}
-	var first error
-	for i := 0; i < size; i++ {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // TestWithCodecHostilePayloads injects raw (unencoded or tampered) messages

@@ -10,7 +10,7 @@ import (
 // died, the wire broke, the deadline passed, the world was torn down — maps
 // onto exactly one of these sentinels, wrapped in a *TransportError that
 // names the operation and the peer. The distributed algorithms above
-// (collectives, dist.SOI, dist.Redistribute) propagate them unchanged, so a
+// (collectives, dist.SOI, dist.CT) propagate them unchanged, so a
 // caller at any layer can classify a failure with errors.Is/errors.As
 // instead of string matching, and — critically for the no-hang invariant —
 // every blocked operation is guaranteed to resolve to one of them within
@@ -34,7 +34,7 @@ var ErrAborted = errors.New("mpi: world aborted")
 // errors.Is(err, ErrAborted) all see through it.
 type TransportError struct {
 	Op   string // "send", "recv", "dial" or "accept"
-	Peer int    // peer rank (AnySource for a wildcard receive)
+	Peer int    // peer rank; -1 for an accept that has not read the peer's hello
 	Tag  int    // message tag; -1 when the operation has no tag
 	Err  error  // cause; wraps ErrClosed / ErrTimeout / ErrAborted
 }

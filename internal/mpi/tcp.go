@@ -152,14 +152,16 @@ func ConnectTCPOpts(rank, size int, ln net.Listener, addrs []string, opts TCPOpt
 			return nil, errors.Join(err, n.Close())
 		}
 		defer func() {
-			// Best-effort: the mesh is formed (or torn down) either way.
-			_ = dl.SetDeadline(time.Time{}) //soilint:ignore errdrop -- clearing a deadline on an already-validated listener cannot meaningfully fail
+			// Best-effort: the mesh is formed (or torn down) either way, and
+			// clearing a deadline on an already-validated listener cannot
+			// meaningfully fail.
+			_ = dl.SetDeadline(time.Time{})
 		}()
 	}
 	for accepted := 0; accepted < size-1-rank; accepted++ {
 		conn, err := ln.Accept()
 		if err != nil {
-			return nil, errors.Join(&TransportError{Op: "accept", Peer: AnySource, Tag: -1, Err: wireErr(err)}, n.Close())
+			return nil, errors.Join(&TransportError{Op: "accept", Peer: -1, Tag: -1, Err: wireErr(err)}, n.Close())
 		}
 		var hello [4]byte
 		if !deadline.IsZero() {
@@ -168,7 +170,7 @@ func ConnectTCPOpts(rank, size int, ln net.Listener, addrs []string, opts TCPOpt
 			}
 		}
 		if _, err := io.ReadFull(conn, hello[:]); err != nil {
-			return nil, errors.Join(&TransportError{Op: "accept", Peer: AnySource, Tag: -1, Err: wireErr(err)}, conn.Close(), n.Close())
+			return nil, errors.Join(&TransportError{Op: "accept", Peer: -1, Tag: -1, Err: wireErr(err)}, conn.Close(), n.Close())
 		}
 		if err := conn.SetReadDeadline(time.Time{}); err != nil {
 			return nil, errors.Join(err, conn.Close(), n.Close())
@@ -317,9 +319,9 @@ func (n *TCPNode) readLoop(peer int, conn net.Conn) {
 }
 
 // peerLost records a broken connection: every unmatched receive naming the
-// peer fails immediately with a typed error (wildcard receives and other
-// peers are unaffected). During an orderly Close of this node the loss is
-// expected and not recorded.
+// peer fails immediately with a typed error (other peers are unaffected).
+// During an orderly Close of this node the loss is expected and not
+// recorded.
 func (n *TCPNode) peerLost(peer int, cause error) {
 	if n.closed.Load() {
 		return

@@ -32,6 +32,10 @@ import (
 	"soifft/internal/wire"
 )
 
+// kernelCacheSize bounds the lane-batch and exact-plan LRUs, each keyed by
+// transform length (and, for lane batches, batch width).
+const kernelCacheSize = 64
+
 // Config tunes a Server. Zero values select the documented defaults.
 type Config struct {
 	// MaxInFlight bounds admitted-but-unfinished transforms; admission
@@ -44,8 +48,6 @@ type Config struct {
 	Workers int
 	// PlanCacheSize bounds the SOI plan LRU. Default 32.
 	PlanCacheSize int
-	// KernelCacheSize bounds the lane-batch and exact-plan LRUs. Default 64.
-	KernelCacheSize int
 	// SOI supplies the structural knobs for SOI plans (Workers is
 	// overridden by Config.Workers).
 	SOI soifft.Config
@@ -73,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 32
-	}
-	if c.KernelCacheSize == 0 {
-		c.KernelCacheSize = 64
 	}
 	if c.MaxN <= 0 {
 		c.MaxN = 1 << 24
@@ -118,8 +117,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		soiPlans:   NewPlanCache(cfg.PlanCacheSize),
-		lanePlans:  newLaneCache(cfg.KernelCacheSize),
-		exactPlans: newExactCache(cfg.KernelCacheSize),
+		lanePlans:  newLaneCache(kernelCacheSize),
+		exactPlans: newExactCache(kernelCacheSize),
 		breakdown:  trace.NewBreakdown(),
 		listeners:  make(map[net.Listener]struct{}),
 		conns:      make(map[*conn]struct{}),
