@@ -40,25 +40,26 @@ func BenchmarkVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkDotRows times the inner kernel alone, in cache: one lane's rows
-// (NMu = 8) against one window at the benchmark's width B = 72, each sum
-// rotated by its phase and stored S = 8 apart (Apply's row-major layout),
-// under every kernel the host can execute. A tap costs 4 flops (two
-// products, two adds); ns/tap and the executed rate are the figures the
-// kernel's kill criterion reads.
+// BenchmarkDotRows times the inner kernel alone, in cache, in the call shape
+// tileBuffered uses: one lane of a tile at the benchmark geometry, its 8 rows
+// (NMu) of B = 72 taps against 32 windows DMu = 7 apart, each sum rotated by
+// its phase and stored in the lane-major tile (row stride 1, window stride
+// 8), under every kernel the host can execute. A tap costs 4 flops (two
+// products, two adds, fused or not); ns/tap and the executed rate are the
+// figures the kernel's kill criterion reads.
 func BenchmarkDotRows(b *testing.B) {
-	const rows, width, stride = 8, 72, 8
+	d := dotShape{rows: 8, b: 72, n: 32, wstep: 7, stride: 1, ostep: 8}
 	rng := rand.New(rand.NewSource(1))
-	taps, dup, win := dotOperands(rows, width, 0, rng.NormFloat64)
-	phase := phases(rows, rng, false)
-	var out [(rows-1)*stride + 1]complex128
+	taps, dup, lane := dotOperands(d, rng.NormFloat64)
+	phase := phases(d.rows, rng, false)
+	out := make([]complex128, d.outLen())
 	for _, k := range kernels() {
 		b.Run(k, func(b *testing.B) {
 			defer useKernel(k)()
 			for i := 0; i < b.N; i++ {
-				dotRows(out[:], stride, taps, dup, win, phase)
+				dotRows(out, d.stride, d.ostep, taps, dup, lane, d.wstep, d.n, phase)
 			}
-			ntaps := float64(b.N) * rows * width
+			ntaps := float64(b.N) * float64(d.n*d.rows*d.b)
 			b.ReportMetric(b.Elapsed().Seconds()*1e9/ntaps, "ns/tap")
 			b.ReportMetric(4*ntaps/b.Elapsed().Seconds()/1e9, "executed-GFLOPS")
 		})

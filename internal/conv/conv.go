@@ -31,13 +31,15 @@
 // rounding; tests pin them against each other and against a direct dense
 // evaluation of W.
 //
-// The rotated sums of Buffered come from one of two kernels that agree bit
-// for bit: dotReal and a Go rotation, pure Go, the build for every target
-// and the oracle; and on amd64 processors with AVX2 dotRowsAVX2
-// (dot_amd64.s), which sums, rotates and stores all NMu rows of a window in
-// one call, the same products added in the same order, four rows sharing
-// each load of the window. The staging gather likewise has a Go loop and an
-// AVX2 twin (gatherLanesAVX2), copies that agree trivially. Which ones run
+// The rotated sums of Buffered come from one of two kernels: dotReal and a
+// Go rotation, pure Go, the build for every target; and on amd64 processors
+// with AVX2 and FMA dotRowsFMA (dot_amd64.s), which sums, rotates and stores
+// all NMu rows of every window of a lane's tile in one call, four rows sharing
+// each load of the window, one fused multiply-add per tap pair. The two sum in
+// different orders and round differently, both within the dot product's
+// rounding bound (TestDotRowsRoundingBound); the kernel is bit-identical to a
+// math.FMA twin in the tests. The staging gather likewise has a Go loop and
+// an AVX2 twin (gatherLanesAVX2), copies that agree trivially. Which ones run
 // is decided once at init from CPUID; there is nothing to configure.
 package conv
 
@@ -309,9 +311,9 @@ func applyBuffered(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 // c*dmu. Every tap of the lane is
 // window.Filter's real LaneTaps entry times one unit phase per (j, a), so an
 // output is a real-weighted sum of the window rotated once: 4*B+6 flops
-// instead of 8*B. The sums of all of a window's rows, rotated and stored,
-// come from one dotRows call — the AVX2 kernel where the processor has it,
-// dotReal elsewhere, bit-identical.
+// instead of 8*B. The sums of all of a lane's rows over all n windows,
+// rotated and stored, come from one dotRows call — the FMA kernel where the
+// processor has it, dotReal elsewhere.
 func tileBuffered(f *window.Filter, u []complex128, rs, ls int, x []complex128, n int, stage []complex128) {
 	s := f.Segments
 	nmu, dmu, b := f.NMu, f.DMu, f.B
@@ -323,9 +325,7 @@ func tileBuffered(f *window.Filter, u []complex128, rs, ls int, x []complex128, 
 		taps := f.LaneTaps[j*nmu*b:][:nmu*b]
 		dup := f.LaneTapsDup[2*j*nmu*b:][:2*nmu*b]
 		phase := f.LanePhase[j*nmu:][:nmu]
-		for c := 0; c < n; c++ {
-			dotRows(u[c*nmu*rs+j*ls:], rs, taps, dup, lane[c*dmu:][:b], phase)
-		}
+		dotRows(u[j*ls:], rs, nmu*rs, taps, dup, lane, dmu, n, phase)
 	}
 }
 
@@ -339,14 +339,17 @@ func gatherLanesGo(stage []complex128, sl int, x []complex128, s, i0, l int) {
 	}
 }
 
-// dotRowsGo is the portable dotRows: dotReal on each row of taps (LaneTaps
-// layout, len(win) entries a row), rotated by the row's phase and stored at
-// out[a*stride].
-func dotRowsGo(out []complex128, stride int, taps []float64, win, phase []complex128) {
-	b := len(win)
-	for a, ph := range phase {
-		re, im := dotReal(taps[a*b:][:b], win)
-		out[a*stride] = complex(re*real(ph)-im*imag(ph), re*imag(ph)+im*real(ph))
+// dotRowsGo is the portable dotRows: for each of n windows c, the b elements
+// from lane[c*wstep], dotReal on each row of taps (LaneTaps layout, b entries
+// a row), rotated by the row's phase and stored at out[c*ostep + a*stride].
+func dotRowsGo(out []complex128, stride, ostep int, taps []float64, lane []complex128, wstep, n int, phase []complex128) {
+	b := len(taps) / len(phase)
+	for c := 0; c < n; c++ {
+		win, o := lane[c*wstep:][:b], out[c*ostep:]
+		for a, ph := range phase {
+			re, im := dotReal(taps[a*b:][:b], win)
+			o[a*stride] = complex(re*real(ph)-im*imag(ph), re*imag(ph)+im*real(ph))
+		}
 	}
 }
 

@@ -31,33 +31,34 @@ func eachKernel(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// dotOperands carves the operands of one dotRows call out of larger buffers
-// filled with NaN: the element directly after (and before) every operand is a
-// sentinel that poisons any result it reaches, and off shifts the window by
-// whole elements, the misalignment c*DMu gives it in tileBuffered.
-func dotOperands(rows, b, off int, draw func() float64) (taps, dup []float64, win []complex128) {
+// dotOperands carves the operands of one dotRows call of shape d out of
+// larger buffers filled with NaN: the element directly after (and before)
+// every operand is a sentinel that poisons any result it reaches, and d.off
+// shifts the lane by whole elements, the misalignment a lane's windows have
+// in tileBuffered.
+func dotOperands(d dotShape, draw func() float64) (taps, dup []float64, lane []complex128) {
 	nan := math.NaN()
-	tapBuf := make([]float64, 1+rows*b+1)
-	dupBuf := make([]float64, 1+2*rows*b+1)
-	winBuf := make([]complex128, off+b+1)
+	tapBuf := make([]float64, 1+d.rows*d.b+1)
+	dupBuf := make([]float64, 1+2*d.rows*d.b+1)
+	laneBuf := make([]complex128, d.off+d.laneLen()+1)
 	for i := range tapBuf {
 		tapBuf[i] = nan
 	}
 	for i := range dupBuf {
 		dupBuf[i] = nan
 	}
-	for i := range winBuf {
-		winBuf[i] = complex(nan, nan)
+	for i := range laneBuf {
+		laneBuf[i] = complex(nan, nan)
 	}
-	taps, dup, win = tapBuf[1:][:rows*b], dupBuf[1:][:2*rows*b], winBuf[off:][:b]
+	taps, dup, lane = tapBuf[1:][:d.rows*d.b], dupBuf[1:][:2*d.rows*d.b], laneBuf[d.off:][:d.laneLen()]
 	for i := range taps {
 		taps[i] = draw()
 		dup[2*i], dup[2*i+1] = taps[i], taps[i]
 	}
-	for i := range win {
-		win[i] = complex(draw(), draw())
+	for i := range lane {
+		lane[i] = complex(draw(), draw())
 	}
-	return taps, dup, win
+	return taps, dup, lane
 }
 
 // phases returns rows unit phases cut out of a NaN-filled buffer, so that a
@@ -211,8 +212,8 @@ func TestChunkRangeDecomposition(t *testing.T) {
 // one input, each with internal worker parallelism. The geometry has four
 // tiles of 16 chunks, the unit the Buffered kernel splits across workers,
 // and the worker counts run through 1, 3, S+1 and more than there are
-// tiles. Every result must be bit-identical to a single-worker run; the real
-// teeth come from -race.
+// tiles. Every result must be bit-identical to a single-worker run of the
+// same kernel; the real teeth come from -race.
 func TestChunkRangeRaceHammer(t *testing.T) {
 	f := design(t, window.Params{N: 16 * 448, Segments: 16, NMu: 8, DMu: 7, B: 24})
 	C := f.Chunks()
@@ -220,14 +221,14 @@ func TestChunkRangeRaceHammer(t *testing.T) {
 		t.Fatalf("geometry has %d tiles, the test wants 4", tiles)
 	}
 	x := ref.RandomVector(InputLen(f, 0, C), 99)
-	want := make([]complex128, OutputLen(f, 0, C))
-	Apply(Buffered, f, want, x, 0, C, 1)
 
 	iters := 32
 	if testing.Short() {
 		iters = 8
 	}
 	eachKernel(t, func(t *testing.T) {
+		want := make([]complex128, OutputLen(f, 0, C))
+		Apply(Buffered, f, want, x, 0, C, 1)
 		k := C/2 + 3 // off the tile grid: both halves end in a partial tile
 		loLen := OutputLen(f, 0, k)
 		for it := 0; it < iters; it++ {

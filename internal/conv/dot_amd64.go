@@ -2,31 +2,37 @@ package conv
 
 import "soifft/internal/cpu"
 
-// haveAVX2 selects dotRowsAVX2 over the portable dotReal. It is decided once,
-// here; only tests assign it, to run the portable path on an AVX2 host.
-var haveAVX2 = cpu.AVX2
+// haveFMA selects the kernels of dot_amd64.s, dotRowsFMA and gatherLanesAVX2,
+// over the portable Go: they run where the processor has both AVX2 and FMA.
+// It is decided once, here; only tests assign it, to run the portable path on
+// such a host.
+var haveFMA = cpu.AVX2 && cpu.FMA
 
 //go:noescape
-func dotRowsAVX2(out *complex128, taps *float64, win, phase *complex128, rows, b, stride int)
+func dotRowsFMA(out *complex128, taps *float64, lane, phase *complex128, rows, b, stride, wins, wstep, ostep int)
 
 //go:noescape
 func gatherLanesAVX2(stage *complex128, sl int, x *complex128, s, pairs int)
 
-// dotRows sets out[a*stride], for each of the len(phase) rows that start at
-// taps[0] (LaneTaps layout) and dup[0] (LaneTapsDup layout), to the
-// real-weighted sum of win under row a rotated by phase[a]: one kernel call
-// for all of them, or dotRowsGo. The two agree bit for bit. The reslices are
-// the kernel's bounds checks: it reads exactly dup[:2*rows*b], win[:b] and
-// phase[:rows], and writes out[a*stride] for a < rows.
-func dotRows(out []complex128, stride int, taps, dup []float64, win, phase []complex128) {
-	if !haveAVX2 {
-		dotRowsGo(out, stride, taps, win, phase)
+// dotRows sets out[c*ostep + a*stride], for each of n >= 1 windows c and each
+// of the len(phase) rows a, to the real-weighted sum of window c — the
+// b = len(taps)/len(phase) elements from lane[c*wstep] — under row a of the
+// taps, rotated by phase[a]. taps holds the rows in LaneTaps layout, dup the
+// same rows in LaneTapsDup layout. It is one dotRowsFMA call for all windows
+// and rows, or dotRowsGo; the two differ only in rounding (package doc). The
+// reslices are the kernel's bounds checks: it reads exactly dup[:2*rows*b],
+// lane[:(n-1)*wstep+b] and phase[:rows], and writes out[c*ostep + a*stride].
+func dotRows(out []complex128, stride, ostep int, taps, dup []float64, lane []complex128, wstep, n int, phase []complex128) {
+	if !haveFMA {
+		dotRowsGo(out, stride, ostep, taps, lane, wstep, n, phase)
 		return
 	}
 	rows := len(phase)
-	out = out[:(rows-1)*stride+1]
-	dup = dup[:2*rows*len(win)]
-	dotRowsAVX2(&out[0], &dup[0], &win[0], &phase[0], rows, len(win), stride)
+	b := len(taps) / rows
+	out = out[:(n-1)*ostep+(rows-1)*stride+1]
+	dup = dup[:2*rows*b]
+	lane = lane[:(n-1)*wstep+b]
+	dotRowsFMA(&out[0], &dup[0], &lane[0], &phase[0], rows, b, stride, n, wstep, ostep)
 }
 
 // gatherLanes sets stage[j*sl + i] = x[i*s + j] for the first l inputs of
@@ -36,7 +42,7 @@ func dotRows(out []complex128, stride int, taps, dup []float64, win, phase []com
 // x[:2*pairs*s] and writes 2*pairs elements from each stage[j*sl].
 func gatherLanes(stage []complex128, sl int, x []complex128, s, l int) {
 	pairs := l / 2
-	if !haveAVX2 || s%2 != 0 || pairs == 0 {
+	if !haveFMA || s%2 != 0 || pairs == 0 {
 		gatherLanesGo(stage, sl, x, s, 0, l)
 		return
 	}

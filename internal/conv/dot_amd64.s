@@ -14,28 +14,29 @@
 	VMOVUPD   X, (DI);        \
 	ADDQ      R8, DI
 
-// func dotRowsAVX2(out *complex128, taps *float64, win, phase *complex128, rows, b, stride int)
+// func dotRowsFMA(out *complex128, taps *float64, lane, phase *complex128, rows, b, stride, wins, wstep, ostep int)
 //
-// out[a*stride] = phase[a] * sum_k taps[a][k]*win[k] for a in [0, rows),
-// where row a of taps is the 2*b doubles [r0, r0, r1, r1, ...] at
-// taps + a*b*16 (window.Filter's LaneTapsDup); the sum is bit for bit what
-// dotReal returns for row a: one YMM register per row is dotReal's
-// [re0, im0, re1, im1]; the b%4 tail taps are added first into its low half;
-// each group of four taps then adds [r0,r0,r1,r1]*[w0,w1] + [r2,r2,r3,r3]*[w2,w3]
-// to it, the products summed before they meet the accumulator; the two
-// halves are added at the end, and the sum is rotated at the store
-// (ROTSTORE). Multiplies and adds only, each rounded: no FMA.
+// out[c*ostep + a*stride] = phase[a] * sum_k taps[a][k]*lane[c*wstep + k] for
+// each window c in [0, wins) and row a in [0, rows), where row a of taps is
+// the 2*b doubles [r0, r0, r1, r1, ...] at taps + a*b*16 (window.Filter's
+// LaneTapsDup). Per row and window, two YMM accumulators hold
+// [re0, im0, re1, im1]: the b%4 tail taps are fused into the low half of the
+// first; then each group of four taps fuses [r0,r0,r1,r1]*[w0,w1] into the
+// first and [r2,r2,r3,r3]*[w2,w3] into the second, one rounding per tap
+// pair, so that two independent chains hide the FMA latency. The two are
+// added, then their halves, and the sum is rotated at the store (ROTSTORE,
+// multiplies and adds). dotRowsFMAGo in the tests is the same order in
+// math.FMA, bit for bit.
 //
 // A tap and a window element are both 16 bytes, so one byte offset (AX)
 // indexes both. Rows go four at a time, sharing the two window loads of a
-// group, then one at a time. Reads rows*b*16 bytes of taps, b*16 of win and
-// rows*16 of phase; writes 16 bytes at each of out + a*stride*16.
-TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-56
+// group, then one at a time; then the next window, wstep elements on in lane
+// and ostep outputs on in out. Reads rows*b*16 bytes of taps,
+// ((wins-1)*wstep+b)*16 of lane and rows*16 of phase; writes 16 bytes at
+// each of out + (c*ostep + a*stride)*16.
+TEXT ·dotRowsFMA(SB), NOSPLIT, $0-80
 	MOVQ out+0(FP), DI
-	MOVQ taps+8(FP), SI
-	MOVQ win+16(FP), DX
-	MOVQ phase+24(FP), BX
-	MOVQ rows+32(FP), CX
+	MOVQ lane+16(FP), DX
 	MOVQ b+40(FP), R9
 	MOVQ stride+48(FP), R8
 	SHLQ $4, R8  // output stride in bytes
@@ -43,6 +44,12 @@ TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-56
 	ANDQ $-4, R10
 	SHLQ $4, R10 // byte offset of the tail taps: (b &^ 3)*16
 	SHLQ $4, R9  // byte length of a row: b*16
+
+window:
+	MOVQ DI, R14 // the window's first output
+	MOVQ taps+8(FP), SI
+	MOVQ phase+24(FP), BX
+	MOVQ rows+32(FP), CX
 
 rows4:
 	CMPQ CX, $4
@@ -54,51 +61,48 @@ rows4:
 	VXORPD X1, X1, X1
 	VXORPD X2, X2, X2
 	VXORPD X3, X3, X3
+	VXORPD X4, X4, X4
+	VXORPD X5, X5, X5
+	VXORPD X6, X6, X6
+	VXORPD X7, X7, X7
 	MOVQ R10, AX
 
 tail4:
 	CMPQ AX, R9
 	JGE  body4
 	VMOVUPD (DX)(AX*1), X8
-	VMULPD (SI)(AX*1), X8, X4
-	VMULPD (R11)(AX*1), X8, X5
-	VMULPD (R12)(AX*1), X8, X6
-	VMULPD (R13)(AX*1), X8, X7
-	VADDPD X4, X0, X0
-	VADDPD X5, X1, X1
-	VADDPD X6, X2, X2
-	VADDPD X7, X3, X3
+	VFMADD231PD (SI)(AX*1), X8, X0
+	VFMADD231PD (R11)(AX*1), X8, X1
+	VFMADD231PD (R12)(AX*1), X8, X2
+	VFMADD231PD (R13)(AX*1), X8, X3
 	ADDQ $16, AX
 	JMP  tail4
 
 body4:
-	XORQ AX, AX
+	XORQ  AX, AX
+	TESTQ R10, R10
+	JZ    store4
 
 loop4:
-	CMPQ AX, R10
-	JGE  store4
 	VMOVUPD (DX)(AX*1), Y8
 	VMOVUPD 32(DX)(AX*1), Y9
-	VMULPD (SI)(AX*1), Y8, Y4
-	VMULPD 32(SI)(AX*1), Y9, Y10
-	VMULPD (R11)(AX*1), Y8, Y5
-	VMULPD 32(R11)(AX*1), Y9, Y11
-	VMULPD (R12)(AX*1), Y8, Y6
-	VMULPD 32(R12)(AX*1), Y9, Y12
-	VMULPD (R13)(AX*1), Y8, Y7
-	VMULPD 32(R13)(AX*1), Y9, Y13
-	VADDPD Y10, Y4, Y4
-	VADDPD Y11, Y5, Y5
-	VADDPD Y12, Y6, Y6
-	VADDPD Y13, Y7, Y7
+	VFMADD231PD (SI)(AX*1), Y8, Y0
+	VFMADD231PD 32(SI)(AX*1), Y9, Y4
+	VFMADD231PD (R11)(AX*1), Y8, Y1
+	VFMADD231PD 32(R11)(AX*1), Y9, Y5
+	VFMADD231PD (R12)(AX*1), Y8, Y2
+	VFMADD231PD 32(R12)(AX*1), Y9, Y6
+	VFMADD231PD (R13)(AX*1), Y8, Y3
+	VFMADD231PD 32(R13)(AX*1), Y9, Y7
+	ADDQ $64, AX
+	CMPQ AX, R10
+	JLT  loop4
+
+store4:
 	VADDPD Y4, Y0, Y0
 	VADDPD Y5, Y1, Y1
 	VADDPD Y6, Y2, Y2
 	VADDPD Y7, Y3, Y3
-	ADDQ $64, AX
-	JMP  loop4
-
-store4:
 	VEXTRACTF128 $1, Y0, X4
 	VEXTRACTF128 $1, Y1, X5
 	VEXTRACTF128 $1, Y2, X6
@@ -118,35 +122,35 @@ store4:
 
 rows1:
 	TESTQ CX, CX
-	JLE  done
+	JLE   next
 	VXORPD X0, X0, X0
+	VXORPD X4, X4, X4
 	MOVQ R10, AX
 
 tail1:
 	CMPQ AX, R9
 	JGE  body1
 	VMOVUPD (DX)(AX*1), X8
-	VMULPD (SI)(AX*1), X8, X4
-	VADDPD X4, X0, X0
+	VFMADD231PD (SI)(AX*1), X8, X0
 	ADDQ $16, AX
 	JMP  tail1
 
 body1:
-	XORQ AX, AX
+	XORQ  AX, AX
+	TESTQ R10, R10
+	JZ    store1
 
 loop1:
-	CMPQ AX, R10
-	JGE  store1
 	VMOVUPD (DX)(AX*1), Y8
 	VMOVUPD 32(DX)(AX*1), Y9
-	VMULPD (SI)(AX*1), Y8, Y4
-	VMULPD 32(SI)(AX*1), Y9, Y10
-	VADDPD Y10, Y4, Y4
-	VADDPD Y4, Y0, Y0
+	VFMADD231PD (SI)(AX*1), Y8, Y0
+	VFMADD231PD 32(SI)(AX*1), Y9, Y4
 	ADDQ $64, AX
-	JMP  loop1
+	CMPQ AX, R10
+	JLT  loop1
 
 store1:
+	VADDPD Y4, Y0, Y0
 	VEXTRACTF128 $1, Y0, X4
 	VADDPD X4, X0, X0
 	ROTSTORE(X0, 0)
@@ -154,6 +158,17 @@ store1:
 	ADDQ R9, SI
 	DECQ CX
 	JMP  rows1
+
+next:
+	DECQ wins+56(FP) // windows left, counted down in the argument's slot
+	JZ   done
+	MOVQ wstep+64(FP), AX
+	SHLQ $4, AX
+	ADDQ AX, DX
+	MOVQ ostep+72(FP), AX
+	SHLQ $4, AX
+	LEAQ (R14)(AX*1), DI
+	JMP  window
 
 done:
 	VZEROUPPER

@@ -4,7 +4,8 @@
 // unexported switches, which only their tests assign.
 package cpu
 
-// AVX2 reports whether the processor has AVX2 and the operating system saves
-// the YMM registers across context switches. It is false on every target
-// without an assembler probe.
-var AVX2 = hasAVX2()
+// AVX2 reports whether the processor has AVX2 and FMA whether it has the
+// 256-bit fused multiply-add instructions (FMA3), each only where the
+// operating system also saves the YMM registers across context switches.
+// Both are false on every target without an assembler probe.
+var AVX2, FMA = probe()

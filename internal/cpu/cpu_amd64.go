@@ -1,3 +1,3 @@
 package cpu
 
-func hasAVX2() bool
+func probe() (avx2, fma bool)

@@ -1,20 +1,22 @@
 #include "textflag.h"
 
-// func hasAVX2() bool
+// func probe() (avx2, fma bool)
 //
-// AVX2 is usable when CPUID reports it (leaf 7, EBX bit 5), the processor has
-// AVX and the OS has turned XSAVE on (leaf 1, ECX bits 28 and 27), and XCR0
-// says the OS saves both the XMM and the YMM halves (bits 1 and 2).
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// A VEX-encoded YMM instruction is usable when the processor has AVX and the
+// OS has turned XSAVE on (leaf 1, ECX bits 28 and 27), and XCR0 says the OS
+// saves both the XMM and the YMM halves (bits 1 and 2). Then FMA is CPUID
+// leaf 1's ECX bit 12 and AVX2 leaf 7's EBX bit 5.
+TEXT ·probe(SB), NOSPLIT, $0-2
+	MOVB $0, avx2+0(FP)
+	MOVB $0, fma+1(FP)
 	XORL AX, AX
 	XORL CX, CX
 	CPUID
-	CMPL AX, $7
-	JLT  done
+	MOVL AX, SI // highest standard leaf
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
+	MOVL CX, DI // leaf 1's feature bits
 	ANDL $0x18000000, CX
 	CMPL CX, $0x18000000
 	JNE  done
@@ -23,11 +25,19 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	ANDL $6, AX
 	CMPL AX, $6
 	JNE  done
+	TESTL $0x1000, DI
+	JZ   leaf7
+	MOVB $1, fma+1(FP)
+
+leaf7:
+	CMPL SI, $7
+	JLT  done
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
 	TESTL $0x20, BX
 	JZ   done
-	MOVB $1, ret+0(FP)
+	MOVB $1, avx2+0(FP)
+
 done:
 	RET

@@ -2,4 +2,4 @@
 
 package cpu
 
-func hasAVX2() bool { return false }
+func probe() (avx2, fma bool) { return false, false }

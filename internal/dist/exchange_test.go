@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"soifft/internal/cpu"
 	"soifft/internal/cvec"
 	"soifft/internal/mpi"
 	"soifft/internal/ref"
@@ -94,18 +95,23 @@ func hashBits(v []complex128) uint64 {
 // TestForwardBitIdenticalToParent: the exchange path decides where bytes
 // live, never what they are. On every world size, pipelined or not, the
 // distributed output is bit-for-bit the single-address-space plan's (as it
-// was before the working set, the transpose pack and receive-in-place),
-// and on amd64 (no fused multiply-add) its hash is the one recorded at the
-// parent commit for the same seed. One parameter set leaves interior
-// chunks on every world size, the other has none on four ranks and a ghost
-// region spanning several successors.
+// was before the working set, the transpose pack and receive-in-place), and
+// on amd64 its hash is the one recorded for the same seed with the
+// convolution kernel the host runs: parent, recorded before the fused
+// multiply-add kernel, on the portable path of a processor without AVX2 and
+// FMA; fma, recorded when that kernel came, where it runs. Both kernels are
+// within the dot product's rounding bound (conv.TestDotRowsRoundingBound);
+// they differ in rounding only. Off amd64 the compiler may fuse dotReal's
+// products, so no hash is pinned. One parameter set leaves interior chunks
+// on every world size, the other has none on four ranks and a ghost region
+// spanning several successors.
 func TestForwardBitIdenticalToParent(t *testing.T) {
 	for _, tc := range []struct {
 		chunksPerSeg int
-		parent       uint64
+		parent, fma  uint64
 	}{
-		{2, 0xa3e54db7575ce7f6},
-		{16, 0x43b22cacc7a42788},
+		{2, 0xa3e54db7575ce7f6, 0x72188aac20ef5325},
+		{16, 0x43b22cacc7a42788, 0x99bb4c51417b7b23},
 	} {
 		p := testParams(8, tc.chunksPerSeg)
 		x := ref.RandomVector(p.N, 1234)
@@ -117,8 +123,12 @@ func TestForwardBitIdenticalToParent(t *testing.T) {
 		if err := seq.Forward(want, x); err != nil {
 			t.Fatal(err)
 		}
-		if h := hashBits(want); runtime.GOARCH == "amd64" && h != tc.parent {
-			t.Errorf("N=%d: sequential plan hashes to %#x, parent commit %#x", p.N, h, tc.parent)
+		pinned, kernel := tc.parent, "parent"
+		if cpu.AVX2 && cpu.FMA {
+			pinned, kernel = tc.fma, "fma"
+		}
+		if h := hashBits(want); runtime.GOARCH == "amd64" && h != pinned {
+			t.Errorf("N=%d: sequential plan hashes to %#x, recorded (%s kernel) %#x", p.N, h, kernel, pinned)
 		}
 		for _, world := range []int{1, 2, 4} {
 			for _, noOverlap := range []bool{false, true} {
