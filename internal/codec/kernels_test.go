@@ -163,7 +163,10 @@ func TestKernelsMatchReference(t *testing.T) {
 // at commit c895229 (the parent of the word-wise rewrite). "zero-runs" is
 // built from integers alone; the others pass through math.Sin/Sincos and the
 // FFT, whose last bits differ where the compiler fuses multiply-adds, so
-// they are pinned on amd64 only.
+// they are pinned on amd64 only. The two soiperf-response digests were
+// recorded again, under the same encoder, when fft's radix-7 pass became the
+// symmetric-pair butterfly: that changed the rounding of the 28 672-point
+// transform they hash (relative L2 change 1.7e-16).
 var goldenDigests = map[string]string{
 	"deltaplane/2block":           "cacd0b9d2f0f78044d7a271ef2accea0ea3d54a0653d7dc0ec28463da05b2c13",
 	"deltaplane/block":            "9c131d4dd752adb70e93c7ba064203394678507eea44fa1f27771d6da52c6425",
@@ -172,7 +175,7 @@ var goldenDigests = map[string]string{
 	"deltaplane/one":              "a65a1aa4ed35ceccbc66d4bdb24acce220374e99db3d942061ee7dc6ee6aa9c0",
 	"deltaplane/smooth":           "0b9356f611f22988613f0aa6c24d99c189e85a8b5a13edd1128ca3856059346c",
 	"deltaplane/soiperf-request":  "3d9f6228ceffdf488f474af69bc11170f8b11412eb484579aef64f7bb3636a6f",
-	"deltaplane/soiperf-response": "ee21430d2c73445976021b928403c95f04f1732ef62f9b18047aedfc04615310",
+	"deltaplane/soiperf-response": "acaa30bd7393f55eadd7cf2004d13c4a2b35eeaae48d7d8106d711346e629e9a",
 	"deltaplane/special":          "98dc1f8c99daa6d3122d57f476f96ee742725ab6cb17317b1c3b09d8b8a2ece3",
 	"deltaplane/zero-runs":        "2d11374924dc10d4db85d6313b9d75f992dcbfc6d69c2a51d0279afd5cbec4ff",
 	"quant/2block":                "1f2bdcb0329c50fd943ba48865fbdb918eedac630cd357792133c3bd77079579",
@@ -182,7 +185,7 @@ var goldenDigests = map[string]string{
 	"quant/one":                   "72ddf56b4fbf07bbce3f0934b6ab89b8638adbc6c355de74867aafbc6dee9532",
 	"quant/smooth":                "c3d982c529919fb8036660ca810deeda9e0cfab6072849adff5154d5f709a4a2",
 	"quant/soiperf-request":       "09cbb76bb8f050e0a9db5a52b11ab9794ac2ff33969f04964cd0c3255d19a34f",
-	"quant/soiperf-response":      "5ba6e351852ab134f8e269271f97e556047328975ddba1b6eec755c250135b00",
+	"quant/soiperf-response":      "9b75f43ac6bbfa180f7e9869abc3427efdc4dcb20c7dc5a61a490817fbef3f3f",
 	"quant/special":               "bfe0f647d0fa9407033fac39b798923fa4704c665af95eedfc0030423a2015a0",
 	"quant/zero-runs":             "4514b28b39078be32947969d0ab972f7beda184cbbc6fd7a517285b8c8672079",
 }

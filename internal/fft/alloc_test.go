@@ -13,15 +13,15 @@ import (
 )
 
 // TestPlanForwardAllocatesNothing: once warm, a transform draws all of its
-// scratch from the plan's pools — the Stockham ping-pong buffer, the generic
-// radices' butterfly inputs (a stack array) and Bluestein's length-m
+// scratch from the plan's pools — the Stockham ping-pong buffer, the odd
+// radices' leg pairs (stack arrays) and Bluestein's length-m
 // convolution buffer (m up to 4n: a fresh one per call would cost 512 MiB
 // at a served prime length near 2^24).
 func TestPlanForwardAllocatesNothing(t *testing.T) {
 	for _, n := range []int{
 		1009,  // Bluestein over a 2048-point power-of-two plan
 		65537, // Bluestein over a 2^18-point plan
-		5005,  // 5*7*11*13: every generic radix
+		5005,  // 5*7*11*13: every odd radix of stageOdd
 	} {
 		p := MustPlan(n)
 		x := ref.RandomVector(n, int64(n))

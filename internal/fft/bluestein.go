@@ -8,7 +8,7 @@ import (
 // bluestein implements the chirp-z transform: an arbitrary-length DFT
 // expressed as one circular convolution of power-of-two length m >= 2n-1.
 // It is the fallback for lengths whose largest prime factor exceeds
-// maxGenericRadix, which keeps Plan total work at O(n log n) for every n —
+// maxRadix, which keeps Plan total work at O(n log n) for every n —
 // needed because SOI produces local FFT lengths like M' = mu*M that are not
 // always smooth.
 type bluestein struct {

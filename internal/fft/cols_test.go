@@ -8,7 +8,7 @@ import (
 
 // TestForwardColsMatchesForward pins ForwardCols to Forward on each column,
 // bit for bit (NaN payloads aside): the codelet sizes, the 8-point vector
-// codelet's pairs and odd last column, Stockham plans and the generic
+// codelet's pairs and odd last column, Stockham plans and the odd
 // radices, at column counts odd and even, at an input row stride equal to
 // the count and wider, and at an output stride far wider, on random operands
 // and on operands mixed with ±0, ±Inf, NaN and denormals. The operands sit

@@ -25,7 +25,7 @@ type LaneBatch struct {
 }
 
 // NewLaneBatch builds a batch plan for `lanes` interleaved transforms of
-// length n. n must be smooth (no prime factor above maxGenericRadix);
+// length n. n must be smooth (no prime factor above maxRadix);
 // callers with rough sizes should use separate Plan transforms.
 func NewLaneBatch(n, lanes int) (*LaneBatch, error) {
 	if n < 1 || lanes < 1 {

@@ -45,7 +45,7 @@ run_gate "arm64 cross-build (portable file set)" sh -c 'GOARCH=arm64 go build ./
 # the suite) fails CI even with zero findings. Every finding is printed
 # with its [check] name, so a regression names the analyzer that fired.
 run_gate "soilint ./..." go run ./cmd/soilint -timing-budget-file timing_budget.json ./...
-run_gate "go test -race (concurrency gate)" go test -race . ./internal/par ./internal/conv ./internal/soi ./internal/mpi ./internal/dist ./internal/serve ./internal/wire ./client
+run_gate "go test -race (concurrency gate)" go test -race . ./internal/par ./internal/conv ./internal/fft ./internal/soi ./internal/mpi ./internal/dist ./internal/serve ./internal/wire ./client
 run_gate "go test -race (fault-injection sweep)" go test -race ./internal/faultcomm ./internal/testutil
 
 # Fuzz smoke: each untrusted decode surface gets a brief randomized pass
