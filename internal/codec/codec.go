@@ -89,9 +89,9 @@ func IDs() []ID { return []ID{Identity, DeltaPlane, Quant} }
 // end to end.
 var ErrCorrupt = errors.New("codec: corrupt payload")
 
-// BlockElems is the maximum element count per block. Matches the wire
-// codec's streaming chunk (4096 complex128s = 64 KiB raw) so the encode
-// and decode scratch stays cache-sized regardless of vector length.
+// BlockElems is the maximum element count per block: 4096 complex128s,
+// 64 KiB raw, so the encode and decode scratch stays cache-sized regardless
+// of vector length.
 const BlockElems = 4096
 
 // blockHeaderLen is the fixed per-block header size.

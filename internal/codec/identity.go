@@ -1,16 +1,16 @@
 package codec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
+
+	"soifft/internal/cvec"
 )
 
-// identityCodec is the wire's native representation: each complex128 as
-// two little-endian IEEE-754 float64s (real then imaginary). It exists so
-// the codec plumbing has a zero-transform member — the fallback every peer
-// understands — and so block framing (and its checksum) can be applied to
-// raw payloads too.
+// identityCodec is the wire's native representation, the vector's byte
+// image (cvec.Encode). It exists so the codec plumbing has a zero-transform
+// member — the fallback every peer understands — and so block framing (and
+// its checksum) can be applied to raw payloads too.
 type identityCodec struct{}
 
 func (identityCodec) ID() ID         { return Identity }
@@ -20,12 +20,9 @@ func (identityCodec) Lossless() bool { return true }
 func (identityCodec) MaxBodyLen(elems int) int { return elems * bytesPerElem }
 
 func (identityCodec) EncodeBlock(dst []byte, src []complex128) []byte {
-	var b [bytesPerElem]byte
-	for _, v := range src {
-		binary.LittleEndian.PutUint64(b[0:], math.Float64bits(real(v)))
-		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(v)))
-		dst = append(dst, b[:]...)
-	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(src)*bytesPerElem)[:n+len(src)*bytesPerElem]
+	cvec.Encode(dst[n:], src)
 	return dst
 }
 
@@ -34,10 +31,6 @@ func (identityCodec) DecodeBlock(dst []complex128, body []byte) error {
 		return fmt.Errorf("%w: identity body %d bytes for %d elements (want %d)",
 			ErrCorrupt, len(body), len(dst), len(dst)*bytesPerElem)
 	}
-	for i := range dst {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(body[i*bytesPerElem:]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(body[i*bytesPerElem+8:]))
-		dst[i] = complex(re, im)
-	}
+	cvec.Decode(dst, body)
 	return nil
 }

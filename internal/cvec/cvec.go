@@ -1,6 +1,6 @@
 // Package cvec provides low-level kernels on interleaved double-precision
 // complex vectors ([]complex128): strided gather, cache-blocked matrix
-// transposition and error norms.
+// transposition, error norms, and the byte image the sockets carry.
 //
 // The blocked transpose is the Go analogue of the register-tile transposes
 // the paper builds its node-local FFT on (Section 5.2): it bounds the

@@ -1,12 +1,12 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
 
 	"soifft/internal/codec"
+	"soifft/internal/cvec"
 )
 
 // WithCodec wraps inner so every payload crosses the transport as a
@@ -126,36 +126,22 @@ func (cc *codecComm) decode(msg []complex128, from, tag int) ([]complex128, erro
 	return dst, nil
 }
 
-// packBytes stores b into words, 8 bytes per float64 component,
-// little-endian, zero-padding the tail. Bit patterns are preserved exactly:
-// the components are built with math.Float64frombits and never enter
-// floating-point arithmetic.
+// packBytes stores b into words as their byte image (internal/cvec),
+// zero-padding the tail. Bit patterns are preserved exactly: the
+// components never enter floating-point arithmetic.
 func packBytes(words []complex128, b []byte) {
-	for i := range words {
-		var tail [16]byte
-		chunk := tail[:]
-		if len(b) >= 16 {
-			chunk, b = b[:16], b[16:]
-		} else {
-			copy(chunk, b)
-			b = nil
-		}
-		words[i] = complex(
-			math.Float64frombits(binary.LittleEndian.Uint64(chunk)),
-			math.Float64frombits(binary.LittleEndian.Uint64(chunk[8:])))
-	}
+	var tail [16]byte
+	full := len(b) / 16
+	cvec.Decode(words[:full], b)
+	copy(tail[:], b[16*full:])
+	cvec.Decode(words[full:], tail[:])
 }
 
 // unpackBytes is the inverse of packBytes, filling exactly len(b) bytes.
 func unpackBytes(b []byte, words []complex128) {
-	for ; len(b) >= 16; b, words = b[16:], words[1:] {
-		binary.LittleEndian.PutUint64(b, math.Float64bits(real(words[0])))
-		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(imag(words[0])))
-	}
-	if len(b) > 0 {
-		var tail [16]byte
-		binary.LittleEndian.PutUint64(tail[:], math.Float64bits(real(words[0])))
-		binary.LittleEndian.PutUint64(tail[8:], math.Float64bits(imag(words[0])))
-		copy(b, tail[:])
-	}
+	var tail [16]byte
+	full := len(b) / 16
+	cvec.Encode(b, words[:full])
+	cvec.Encode(tail[:], words[full:min(full+1, len(words))])
+	copy(b[16*full:], tail[:])
 }

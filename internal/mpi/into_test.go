@@ -181,49 +181,63 @@ func sameBits(a, b []complex128) error {
 	return nil
 }
 
-// frameLengths straddle the chunk a frame is encoded and decoded through.
-var frameLengths = []int{0, 1, frameChunkElems - 1, frameChunkElems, frameChunkElems + 1, 3*frameChunkElems + 7}
+// frameLengths include frames that cross 64 KiB (4096 elements), the read
+// buffer's size and the byte-order loops' scratch.
+var frameLengths = []int{0, 1, 4095, 4096, 4097, 3*4096 + 7}
 
-// TestFrameRoundTrip: writeFrame then readFrame is the identity on tags
-// and payload bit patterns at every chunk-boundary length, whatever sizes
-// the reads arrive in (whole, one byte at a time, random fragments that
-// split elements), and back-to-back frames do not bleed into each other.
+// TestFrameRoundTrip: on both byte-image paths (the payload's own memory,
+// and the byte-order loops), writeFrame then readFrame is the identity on
+// tags and payload bit patterns at every length, whatever sizes the reads
+// arrive in (whole, one byte at a time, half of what is asked, random
+// fragments that split elements), and back-to-back frames do not bleed
+// into each other. The frame is a big-endian header and the payload's
+// little-endian image.
 func TestFrameRoundTrip(t *testing.T) {
-	buf := make([]byte, frameHeaderLen+frameChunkElems*16)
-	var stream bytes.Buffer
-	for i, n := range frameLengths {
-		if err := writeFrame(&stream, buf, 3, 100+i, specialValues(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	readers := map[string]func() *bufio.Reader{
-		"whole": func() *bufio.Reader { return bufio.NewReaderSize(bytes.NewReader(stream.Bytes()), frameChunkElems*16) },
-		"one byte": func() *bufio.Reader {
-			return bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(stream.Bytes())), 64)
-		},
-		"fragments": func() *bufio.Reader {
-			return bufio.NewReaderSize(&fragmentReader{bytes.NewReader(stream.Bytes()), rng}, 4096)
-		},
-	}
-	for name, mk := range readers {
-		br := mk()
+	eachImagePath(t, func(t *testing.T) {
+		var stream bytes.Buffer
 		for i, n := range frameLengths {
-			tag, data, err := readFrame(br)
-			if err != nil {
-				t.Fatalf("%s: frame %d: %v", name, i, err)
-			}
-			if tag != 100+i {
-				t.Errorf("%s: frame %d: tag %d", name, i, tag)
-			}
-			if err := sameBits(data, specialValues(n)); err != nil {
-				t.Errorf("%s: frame of %d elements: %v", name, n, err)
+			if err := writeFrame(&stream, 3, 100+i, specialValues(n)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if _, _, err := readFrame(br); err == nil {
-			t.Errorf("%s: read a frame past the end of the stream", name)
+		want := []byte{0, 0, 0, 3, 0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 101, 0, 0, 0, 1}
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(real(specialValues(1)[0])))
+		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(imag(specialValues(1)[0])))
+		if got := stream.Bytes()[:len(want)]; !bytes.Equal(got, want) {
+			t.Fatalf("first frames % x, want % x", got, want)
 		}
-	}
+		rng := rand.New(rand.NewSource(1))
+		readers := map[string]func() *bufio.Reader{
+			"whole": func() *bufio.Reader { return bufio.NewReaderSize(bytes.NewReader(stream.Bytes()), readBufLen) },
+			"one byte": func() *bufio.Reader {
+				return bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(stream.Bytes())), 64)
+			},
+			"half": func() *bufio.Reader {
+				return bufio.NewReaderSize(iotest.HalfReader(bytes.NewReader(stream.Bytes())), 64)
+			},
+			"fragments": func() *bufio.Reader {
+				return bufio.NewReaderSize(&fragmentReader{bytes.NewReader(stream.Bytes()), rng}, 4096)
+			},
+		}
+		for name, mk := range readers {
+			br := mk()
+			for i, n := range frameLengths {
+				tag, data, err := readFrame(br)
+				if err != nil {
+					t.Fatalf("%s: frame %d: %v", name, i, err)
+				}
+				if tag != 100+i {
+					t.Errorf("%s: frame %d: tag %d", name, i, tag)
+				}
+				if err := sameBits(data, specialValues(n)); err != nil {
+					t.Errorf("%s: frame of %d elements: %v", name, n, err)
+				}
+			}
+			if _, _, err := readFrame(br); err == nil {
+				t.Errorf("%s: read a frame past the end of the stream", name)
+			}
+		}
+	})
 }
 
 // fragmentReader returns 1 to 40 bytes per Read.

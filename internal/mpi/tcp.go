@@ -6,11 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"soifft/internal/cvec"
 )
 
 // TCP transport: a full mesh of stream connections, one per rank pair. Rank
@@ -21,11 +22,12 @@ import (
 //
 //	uint32 src | uint32 tag | uint32 count | count * (float64 re, float64 im)
 //
-// all big-endian. This is the "symmetric mode" stand-in: every rank is a
-// peer on the interconnect, as the paper's Xeon Phi ranks are on InfiniBand
-// through the host proxy. A frame is encoded and decoded through one
-// reusable chunk per connection and direction (the wire.WriteVector
-// pattern), so neither side sizes a byte buffer by the payload.
+// with the header words big-endian and the payload its byte image
+// (internal/cvec), so a little-endian host writes a payload from, and reads
+// it into, the caller's own memory: no encode, decode or staging copy. All
+// ranks of a mesh run one binary. This is the "symmetric mode" stand-in:
+// every rank is a peer on the interconnect, as the paper's Xeon Phi ranks
+// are on InfiniBand through the host proxy.
 //
 // Failure discipline: mesh formation retries dials with capped exponential
 // backoff under one overall deadline (so rank startup order does not
@@ -71,7 +73,6 @@ type TCPNode struct {
 	box        *mailbox
 	conns      []net.Conn // conns[i] connects to rank i (nil for self)
 	writeMu    []sync.Mutex
-	writeBuf   [][]byte // writeBuf[i]: encode chunk of conns[i], guarded by writeMu[i]
 	listener   net.Listener
 	closed     atomic.Bool
 	closeOnce  sync.Once
@@ -114,7 +115,6 @@ func ConnectTCPOpts(rank, size int, ln net.Listener, addrs []string, opts TCPOpt
 		box:      newMailbox(),
 		conns:    make([]net.Conn, size),
 		writeMu:  make([]sync.Mutex, size),
-		writeBuf: make([][]byte, size),
 		listener: ln,
 	}
 	var deadline time.Time
@@ -184,7 +184,6 @@ func ConnectTCPOpts(rank, size int, ln net.Listener, addrs []string, opts TCPOpt
 	}
 	for peer, conn := range n.conns {
 		if conn != nil {
-			n.writeBuf[peer] = make([]byte, frameHeaderLen+frameChunkElems*16)
 			go n.readLoop(peer, conn)
 		}
 	}
@@ -226,49 +225,41 @@ func wireErr(err error) error {
 	return fmt.Errorf("%w: %w", ErrClosed, err)
 }
 
-// Frame geometry. A header is three uint32s; a payload crosses each
-// connection in chunks of frameChunkElems elements (64 KiB, cache-resident
-// between the encode or decode loop and the socket copy).
+// Frame geometry. A header is three uint32s; the payload follows as its
+// byte image.
 const (
-	frameHeaderLen  = 12
-	frameChunkElems = 4096
+	frameHeaderLen = 12
 	// maxFrameElems caps the element count a frame header may announce
 	// (1 GiB of payload). The count comes from the peer and sizes the
 	// receive buffer, so it is checked before anything is sized by it;
 	// Send refuses the same payloads rather than have the peer hang up.
 	maxFrameElems = 1 << 26
+	// readBufLen sizes each connection's read buffer: small frames share a
+	// read, and a larger payload is read past it, into its destination.
+	readBufLen = 64 << 10
 )
 
-// writeFrame encodes one message through buf (len frameHeaderLen +
-// 16*frameChunkElems) and writes it to w, the header sharing the first
-// chunk's write.
-func writeFrame(w io.Writer, buf []byte, src, tag int, data []complex128) error {
-	binary.BigEndian.PutUint32(buf[0:4], uint32(src))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(tag))
-	binary.BigEndian.PutUint32(buf[8:12], uint32(len(data)))
-	off := frameHeaderLen
-	for {
-		k := min(len(data), frameChunkElems)
-		out := buf[off : off+16*k]
-		for i, v := range data[:k] {
-			e := out[16*i : 16*i+16 : 16*i+16] // one bounds check per element
-			binary.BigEndian.PutUint64(e[0:8], math.Float64bits(real(v)))
-			binary.BigEndian.PutUint64(e[8:16], math.Float64bits(imag(v)))
-		}
-		if _, err := w.Write(buf[:off+16*k]); err != nil {
-			return err
-		}
-		data = data[k:]
-		if len(data) == 0 {
-			return nil
-		}
-		off = 0
+// writeFrame writes one message to w: the header and the payload's byte
+// image — on a little-endian host data's own memory — in one writev.
+func writeFrame(w io.Writer, src, tag int, data []complex128) error {
+	var hdr [frameHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(src))
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(tag))
+	binary.BigEndian.PutUint32(hdr[8:12], uint32(len(data)))
+	if b, ok := cvec.View(data); ok {
+		bufs := net.Buffers{hdr[:], b}
+		_, err := bufs.WriteTo(w)
+		return err
 	}
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	return cvec.WriteVector(w, data)
 }
 
-// readFrame reads one message from br into a payload-pool buffer, decoding
-// straight out of br's own buffer as the bytes arrive. A header announcing
-// more than maxFrameElems elements is an error before any buffer is sized.
+// readFrame reads one message from br: the header, then the payload with
+// one io.ReadFull into a payload-pool buffer. A header announcing more than
+// maxFrameElems elements is an error before any buffer is sized.
 func readFrame(br *bufio.Reader) (tag int, data []complex128, err error) {
 	hdr, err := br.Peek(frameHeaderLen)
 	if err != nil {
@@ -283,29 +274,15 @@ func readFrame(br *bufio.Reader) (tag int, data []complex128, err error) {
 	}
 	_, _ = br.Discard(frameHeaderLen) // peeked above: cannot fail
 	data = getPayload(int(count))
-	for rest := data; len(rest) > 0; {
-		// Whatever whole elements are buffered; with less than one, Peek
-		// blocks for the next read.
-		k := min(max(br.Buffered()/16, 1), len(rest))
-		in, err := br.Peek(16 * k)
-		if err != nil {
-			putPayload(data)
-			return 0, nil, err
-		}
-		for i := range rest[:k] {
-			e := in[16*i : 16*i+16 : 16*i+16]
-			re := math.Float64frombits(binary.BigEndian.Uint64(e[0:8]))
-			im := math.Float64frombits(binary.BigEndian.Uint64(e[8:16]))
-			rest[i] = complex(re, im)
-		}
-		_, _ = br.Discard(16 * k) // peeked above: cannot fail
-		rest = rest[k:]
+	if err := cvec.ReadVector(br, data); err != nil {
+		putPayload(data)
+		return 0, nil, err
 	}
 	return tag, data, nil
 }
 
 func (n *TCPNode) readLoop(peer int, conn net.Conn) {
-	br := bufio.NewReaderSize(conn, frameChunkElems*16)
+	br := bufio.NewReaderSize(conn, readBufLen)
 	for {
 		tag, data, err := readFrame(br)
 		if err != nil {
@@ -361,7 +338,7 @@ func (n *TCPNode) Send(dst, tag int, data []complex128) error {
 			return &TransportError{Op: "send", Peer: dst, Tag: tag, Err: wireErr(err)}
 		}
 	}
-	if err := writeFrame(conn, n.writeBuf[dst], n.rank, tag, data); err != nil {
+	if err := writeFrame(conn, n.rank, tag, data); err != nil {
 		return &TransportError{Op: "send", Peer: dst, Tag: tag, Err: wireErr(err)}
 	}
 	return nil

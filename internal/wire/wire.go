@@ -24,9 +24,10 @@
 //
 // Identity transform payloads are count*n complex128 values, each encoded
 // as two little-endian IEEE-754 float64s (real then imaginary) —
-// 16*count*n bytes, streamed in bounded chunks so neither side ever
-// materializes a second contiguous copy of a large request (a 2^24-point
-// transform is 256 MiB of payload; the codec's scratch stays at 64 KiB).
+// 16*count*n bytes, the vector's byte image (internal/cvec). On a
+// little-endian host that is the vector's own memory, read straight into the
+// destination and written straight from the source: neither side stages a
+// copy (a 2^24-point transform is 256 MiB of payload).
 // TError payloads are a UTF-8 message; TStatsResult payloads are UTF-8
 // "name value" lines.
 //
@@ -50,15 +51,15 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"soifft/internal/codec"
+	"soifft/internal/cvec"
 )
 
 // Magic identifies a soifftd frame. Version is the current protocol
@@ -74,7 +75,7 @@ const (
 const HeaderLen = 48
 
 // BytesPerElem is the payload encoding width of one complex128.
-const BytesPerElem = 16
+const BytesPerElem = cvec.BytesPerElem
 
 // Type enumerates frame types.
 type Type byte
@@ -328,82 +329,27 @@ func CheckTransformPayload(h *Header) error {
 	return nil
 }
 
-// chunkElems bounds the codec scratch: 4096 complex128s = 64 KiB.
-const chunkElems = 4096
-
-// chunkSlots and chunkPool hold the scratch of WriteVector and ReadVector,
-// slots first on both sides, for the reason codec's freeList gives: the two
-// ends of a connection run on different goroutines, and a sync.Pool alone
-// misses across Ps.
-var (
-	chunkSlots [4]atomic.Pointer[[]byte]
-	chunkPool  = sync.Pool{
-		New: func() any {
-			b := make([]byte, chunkElems*BytesPerElem)
-			return &b
-		},
-	}
-)
-
-func getChunk() *[]byte {
-	for i := range chunkSlots {
-		if bp := chunkSlots[i].Swap(nil); bp != nil {
-			return bp
-		}
-	}
-	return chunkPool.Get().(*[]byte)
-}
-
-func putChunk(bp *[]byte) {
-	for i := range chunkSlots {
-		if chunkSlots[i].CompareAndSwap(nil, bp) {
-			return
-		}
-	}
-	chunkPool.Put(bp)
-}
-
-// WriteVector streams x to w in bounded chunks.
+// WriteVector writes x to w as its byte image, on a little-endian host one
+// Write of x's own memory. A bufio.Writer that holds a header but has no room
+// for the payload is flushed first, so bufio passes the payload straight on
+// instead of copying it through its buffer.
 func WriteVector(w io.Writer, x []complex128) error {
-	bp := getChunk()
-	defer putChunk(bp)
-	buf := *bp
-	for len(x) > 0 {
-		c := len(x)
-		if c > chunkElems {
-			c = chunkElems
-		}
-		for i, v := range x[:c] {
-			binary.LittleEndian.PutUint64(buf[i*16:], math.Float64bits(real(v)))
-			binary.LittleEndian.PutUint64(buf[i*16+8:], math.Float64bits(imag(v)))
-		}
-		if _, err := w.Write(buf[:c*BytesPerElem]); err != nil {
+	if bw, ok := w.(*bufio.Writer); ok && bw.Buffered() > 0 && len(x)*BytesPerElem > bw.Available() {
+		if err := bw.Flush(); err != nil {
 			return fmt.Errorf("wire: writing payload: %w", err)
 		}
-		x = x[c:]
+	}
+	if err := cvec.WriteVector(w, x); err != nil {
+		return fmt.Errorf("wire: writing payload: %w", err)
 	}
 	return nil
 }
 
-// ReadVector streams len(dst) complex128s from r into dst.
+// ReadVector reads len(dst) complex128s from r into dst: on a little-endian
+// host one io.ReadFull into dst's own memory.
 func ReadVector(r io.Reader, dst []complex128) error {
-	bp := getChunk()
-	defer putChunk(bp)
-	buf := *bp
-	for len(dst) > 0 {
-		c := len(dst)
-		if c > chunkElems {
-			c = chunkElems
-		}
-		if _, err := io.ReadFull(r, buf[:c*BytesPerElem]); err != nil {
-			return fmt.Errorf("wire: reading payload: %w", err)
-		}
-		for i := range dst[:c] {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*16:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*16+8:]))
-			dst[i] = complex(re, im)
-		}
-		dst = dst[c:]
+	if err := cvec.ReadVector(r, dst); err != nil {
+		return fmt.Errorf("wire: reading payload: %w", err)
 	}
 	return nil
 }
@@ -441,7 +387,7 @@ func WriteResult(w io.Writer, reqID uint64, count int, x []complex128) error {
 // WriteResultCodec writes a TResult frame carrying x encoded with c at the
 // given protocol version (0 = current; a responder passes the request's
 // version so a v1 peer can read the reply). A nil or identity codec
-// streams the raw payload in bounded chunks; a compressing codec stages
+// writes the raw payload (WriteVector); a compressing codec stages
 // the encoded payload in a pooled buffer to learn its length — the price
 // of a length-prefixed frame.
 func WriteResultCodec(w io.Writer, version byte, reqID uint64, count int, x []complex128, c codec.Codec) error {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"soifft/internal/codec"
@@ -220,27 +222,41 @@ func TestCheckTransformPayload(t *testing.T) {
 	}
 }
 
+// TestVectorRoundTrip: on both byte-image paths (the vector's own memory,
+// and the byte-order loops with their 4096-element scratch), WriteVector
+// writes the little-endian IEEE-754 image of every bit pattern (±0, ±Inf,
+// NaN payloads, denormals) and ReadVector restores it exactly, whatever
+// sizes the reads arrive in.
 func TestVectorRoundTrip(t *testing.T) {
-	// Cross the chunk boundary to exercise the streaming path.
-	for _, n := range []int{0, 1, 3, chunkElems - 1, chunkElems, chunkElems + 5, 3*chunkElems + 17} {
-		x := ref.RandomVector(n, int64(n))
-		var buf bytes.Buffer
-		if err := WriteVector(&buf, x); err != nil {
-			t.Fatal(err)
-		}
-		if buf.Len() != n*BytesPerElem {
-			t.Fatalf("n=%d: encoded %d bytes", n, buf.Len())
-		}
-		got := make([]complex128, n)
-		if err := ReadVector(&buf, got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if x[i] != got[i] {
-				t.Fatalf("n=%d: element %d: %v != %v", n, i, got[i], x[i])
+	eachImagePath(t, func(t *testing.T) {
+		for _, n := range []int{0, 1, 3, 4095, 4096, 4101, 3*4096 + 17} {
+			x := append(ref.RandomVector(n/2, int64(n)), specialVector(n-n/2)...)
+			var buf bytes.Buffer
+			if err := WriteVector(&buf, x); err != nil {
+				t.Fatal(err)
+			}
+			want := referenceImage(x)
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("n=%d: payload differs from the little-endian image", n)
+			}
+			for name, rd := range map[string]func(io.Reader) io.Reader{
+				"whole":    func(r io.Reader) io.Reader { return r },
+				"one byte": iotest.OneByteReader,
+				"half":     iotest.HalfReader,
+			} {
+				got := make([]complex128, n)
+				if err := ReadVector(rd(bytes.NewReader(want)), got); err != nil {
+					t.Fatalf("n=%d, %s reads: %v", n, name, err)
+				}
+				for i := range x {
+					if math.Float64bits(real(x[i])) != math.Float64bits(real(got[i])) ||
+						math.Float64bits(imag(x[i])) != math.Float64bits(imag(got[i])) {
+						t.Fatalf("n=%d, %s reads: element %d: %v != %v", n, name, i, got[i], x[i])
+					}
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestReadVectorTruncated(t *testing.T) {

@@ -40,6 +40,10 @@ run_gate "go vet ./..." go vet ./...
 # compiling, and vet checks them where no .s shadows them — and internal/soi,
 # which reaches the kernels' entry points through them.
 run_gate "arm64 cross-build (portable file set)" sh -c 'GOARCH=arm64 go build ./... && GOARCH=arm64 go vet ./internal/conv ./internal/fft ./internal/cpu ./internal/soi'
+# Payloads cross the sockets as the vector's own memory where the host is
+# little-endian; s390x is big-endian, so this build is the one that compiles
+# the byte-order loops of internal/cvec as the path a host takes.
+run_gate "s390x cross-build (big-endian byte image)" sh -c 'GOARCH=s390x go build ./... && GOARCH=s390x go vet ./internal/cvec ./internal/wire ./internal/mpi ./internal/codec'
 # The combined run doubles as the hard per-analyzer wall-time gate: an
 # analyzer over its checked-in budget (or a budget entry out of sync with
 # the suite) fails CI even with zero findings. Every finding is printed
