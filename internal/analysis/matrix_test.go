@@ -6,54 +6,48 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 )
 
-// The catch matrix is the suite's reason to exist, written down as an
-// experiment: each row seeds one defect into the real module — a
-// historical bug re-introduced by reverting its fix, or a mutant of real
-// code in a failure class an analyzer claims — and records which gate
-// catches it first. An analyzer is in the suite because a row below names
-// it; an analyzer no row names is deleted, together with whatever a cheaper
-// gate already catches (DESIGN.md §7 has the table and the ranking).
+// The catch matrix is the repository's record of what each of its gates is
+// for, written down as an experiment: each row seeds one defect into the
+// real module — a historical bug re-introduced by reverting its fix, or a
+// mutant of real code in a failure class — and records which gate catches
+// it first (DESIGN.md §7 has the table and the ranking).
 //
 // Gates, cheapest to own first. A row's `first` is the lowest-ranked gate
 // that fires on its seed:
 //
 //	go build    the compiler (a package stops type-checking)
 //	go vet      the stock vet passes
-//	test        a test tier-1 runs anyway: an oracle, a golden digest, an
-//	            allocation budget, a hostile-input table, the testutil
-//	            goroutine-leak gate (deterministic, already paid for)
-//	<analyzer>  a soilint check (static, deterministic, ≈ 3 s for the tree,
-//	            but several hundred lines each to own)
-//	-race       check.sh's race gate (tier-2 only, 30 s, schedule-dependent)
+//	test        a test: an oracle, a golden digest, an allocation budget,
+//	            a hostile-input table, the testutil goroutine-leak gate, or
+//	            a within-run timing ratio that runs when named
+//	-race       check.sh's race gate (tier-2 only, schedule-dependent)
 //	fuzz        check.sh's fuzz smoke (tier-2 only, randomized)
-//	none        nothing in the repository notices
 //
-// The static half of every row runs in tier-1 (TestCatchMatrix): the seed
-// must still apply, and the set of analyzers that fire on it must be
-// exactly `static`. The dynamic half — the recorded command, run on the
-// seeded tree, must fail with `want` in its output — compiles and runs
-// tests, so it runs only when asked for by name
-// (scripts/check.sh: go test ./internal/analysis -run TestCatchMatrixDynamic).
+// TestCatchMatrix checks the rows themselves in tier-1: every seed still
+// applies and still parses, and every row records its gate's command and
+// what the command prints on the seed. TestCatchMatrixDynamic runs those
+// commands on the seeded trees; it compiles and runs tests, so it runs only
+// when asked for by name (scripts/check.sh:
+// go test ./internal/analysis -run TestCatchMatrixDynamic).
 type matrixRow struct {
-	name   string   // row id, also the subtest name
-	origin string   // "PR n: …" for a historical defect, "class: <analyzer>" for a mutant
-	edits  []edit   // the seed
-	pkgs   []string // package directories soilint must analyse to see the seed
-	static []string // analyzers (or "typecheck") that fire on pkgs — exactly these
-	first  string   // first gate to fire, in the ranking above
-	cmd    string   // the exact command of the first gate ("" when it is an analyzer: go run ./cmd/soilint <pkgs>)
-	want   string   // what the failing command prints
-	also   string   // other gates observed to fire when the row was measured
+	name   string // row id, also the subtest name
+	origin string // "PR n: …" for a historical defect, "class: <class>" for a mutant
+	edits  []edit // the seed
+	first  string // first gate to fire, in the ranking above
+	cmd    string // the exact command of the first gate
+	want   string // what the failing command prints
+	also   string // other gates observed to fire when the row was measured
 }
 
 // edit replaces the one occurrence of old in file (relative to the module
@@ -83,119 +77,50 @@ func (r matrixRow) apply(t *testing.T, root string) map[string][]byte {
 	return overlay
 }
 
-// fork returns a loader over the same module that parses overlay in place
-// of the files it names. It shares the file set, the type-checked standard
-// library and every already-loaded package the overlay cannot reach (one
-// that neither holds an overlaid file nor imports, transitively, one that
-// does), so a row costs the re-check of the packages its seed touches.
-func (l *Loader) fork(overlay map[string][]byte) *Loader {
-	f := &Loader{Root: l.Root, Module: l.Module, Overlay: overlay, fset: l.fset, std: l.std,
-		pkgs: make(map[string]*Package), loading: make(map[string]bool)}
-	dirty := make(map[*Package]bool)
-	var isDirty func(p *Package) bool
-	isDirty = func(p *Package) bool {
-		if d, ok := dirty[p]; ok {
-			return d
-		}
-		d := false
-		for name := range overlay {
-			d = d || filepath.Dir(name) == p.Dir
-		}
-		for _, dep := range p.Deps {
-			d = d || isDirty(dep)
-		}
-		dirty[p] = d
-		return d
-	}
-	for path, p := range l.pkgs {
-		if !isDirty(p) {
-			f.pkgs[path] = p
-		}
-	}
-	return f
-}
-
-// firing loads dirs under overlay and returns the sorted names of the
-// analyzers with an active finding there, "typecheck" among them when a
-// package no longer type-checks.
-func firing(t *testing.T, overlay map[string][]byte, dirs []string) (names []string, diags []Diagnostic) {
+// moduleRoot returns the directory holding go.mod, walking up from the
+// test's working directory.
+func moduleRoot(t *testing.T) string {
 	t.Helper()
-	base := loaderFor(t)
-	l := base.fork(overlay)
-	set := make(map[string]bool)
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(filepath.Join(base.Root, filepath.FromSlash(dir)))
-		if err != nil {
-			t.Fatalf("LoadDir(%s): %v", dir, err)
-		}
-		if len(pkg.TypeErrors) > 0 {
-			set["typecheck"] = true
-			t.Logf("typecheck: %v", pkg.TypeErrors[0])
-		}
-		active, _ := Run(pkg, All)
-		for _, d := range active {
-			set[d.Check] = true
-		}
-		diags = append(diags, active...)
-	}
-	for name := range set {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, diags
-}
-
-// TestCatchMatrix is the static half of every row.
-func TestCatchMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped with -short")
-	}
-	base := loaderFor(t)
-	if _, err := base.LoadPatterns([]string{"./..."}); err != nil { // warm the shared cache once
+	dir, err := os.Getwd()
+	if err != nil {
 		t.Fatal(err)
 	}
-	named := make(map[string]bool)
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			t.Fatal("no go.mod above the test's directory")
+		}
+		dir = parent
+	}
+}
+
+// TestCatchMatrix checks every row without running its gate: the seed
+// applies exactly once, each seeded Go file still parses (a row is a
+// behaviour the gate must see, not a syntax error), and the row names a
+// gate of the ranking with the command and output that show it firing.
+func TestCatchMatrix(t *testing.T) {
+	root := moduleRoot(t)
+	gates := []string{"go build", "go vet", "test", "-race", "fuzz"}
 	for _, r := range catchMatrix {
-		named[r.first] = true
 		t.Run(r.name, func(t *testing.T) {
-			got, diags := firing(t, r.apply(t, base.Root), r.pkgs)
-			want := append([]string(nil), r.static...)
-			sort.Strings(want)
-			if strings.Join(got, ",") != strings.Join(want, ",") {
-				t.Errorf("analyzers firing on the seed = %v, the row records %v", got, want)
-				for _, d := range diags {
-					t.Logf("  %s", d)
+			for name, src := range r.apply(t, root) {
+				if strings.HasSuffix(name, ".go") {
+					if _, err := parser.ParseFile(token.NewFileSet(), name, src, parser.AllErrors); err != nil {
+						t.Errorf("seeded %s does not parse: %v", name, err)
+					}
 				}
 			}
-			switch {
-			case isAnalyzer(r.first):
-				if r.cmd != "" || !slices.Contains(r.static, r.first) {
-					t.Errorf("first gate %q: an analyzer's row carries no command and lists it among the analyzers that fire", r.first)
-				}
-			case r.first == "none":
-				if r.cmd != "" || len(r.static) != 0 {
-					t.Errorf("a row nothing catches carries no command and no analyzer")
-				}
-			case slices.Contains([]string{"go build", "go vet", "test", "-race", "fuzz"}, r.first):
-				if r.cmd == "" || r.want == "" {
-					t.Errorf("first gate %q: the row must record the command and what it prints", r.first)
-				}
-			default:
-				t.Errorf("unknown first gate %q", r.first)
+			if !slices.Contains(gates, r.first) {
+				t.Errorf("first gate %q is none of %q", r.first, gates)
+			}
+			if r.cmd == "" || r.want == "" {
+				t.Errorf("first gate %q: the row must record the command and what it prints", r.first)
 			}
 		})
 	}
-	// The matrix is the suite's membership rule.
-	for _, a := range All {
-		if !named[a.Name] {
-			t.Errorf("analyzer %s is the first gate of no row: seed a defect only it catches, or delete it", a.Name)
-		}
-	}
-}
-
-func isAnalyzer(name string) bool {
-	_, err := ByName(name)
-	return err == nil && name != ""
 }
 
 // TestCatchMatrixDynamic re-runs, on each seeded tree, the command the row
@@ -208,13 +133,10 @@ func TestCatchMatrixDynamic(t *testing.T) {
 	if !strings.Contains(flag.Lookup("test.run").Value.String(), "TestCatchMatrixDynamic") {
 		t.Skip("compiles and tests one seeded tree per row (minutes); run it by name: go test ./internal/analysis -run TestCatchMatrixDynamic")
 	}
-	root := loaderFor(t).Root
+	root := moduleRoot(t)
 	for _, r := range catchMatrix {
-		if r.cmd == "" {
-			continue
-		}
 		t.Run(r.name, func(t *testing.T) {
-			t.Parallel() // most rows wait on a timeout or a leak gate, not on the CPU
+			t.Parallel()                       // most rows wait on a timeout or a leak gate, not on the CPU
 			replace := make(map[string]string) // seeded file -> its stand-in
 			dir := t.TempDir()
 			for name, src := range r.apply(t, root) {

@@ -129,20 +129,20 @@ func ConnectTCPOpts(rank, size int, ln net.Listener, addrs []string, opts TCPOpt
 		if err != nil {
 			return nil, errors.Join(&TransportError{Op: "dial", Peer: peer, Tag: -1, Err: err}, n.Close())
 		}
+		n.conns[peer] = conn // the node owns it from here: n.Close closes it
 		if !deadline.IsZero() {
 			if err := conn.SetWriteDeadline(deadline); err != nil {
-				return nil, errors.Join(err, conn.Close(), n.Close())
+				return nil, errors.Join(err, n.Close())
 			}
 		}
 		var hello [4]byte
 		binary.BigEndian.PutUint32(hello[:], uint32(rank))
 		if _, err := conn.Write(hello[:]); err != nil {
-			return nil, errors.Join(&TransportError{Op: "dial", Peer: peer, Tag: -1, Err: wireErr(err)}, conn.Close(), n.Close())
+			return nil, errors.Join(&TransportError{Op: "dial", Peer: peer, Tag: -1, Err: wireErr(err)}, n.Close())
 		}
 		if err := conn.SetWriteDeadline(time.Time{}); err != nil {
-			return nil, errors.Join(err, conn.Close(), n.Close())
+			return nil, errors.Join(err, n.Close())
 		}
-		n.conns[peer] = conn
 	}
 	// Accept one connection from every higher rank, bounded by the same
 	// overall deadline when the listener supports it.
@@ -163,21 +163,11 @@ func ConnectTCPOpts(rank, size int, ln net.Listener, addrs []string, opts TCPOpt
 		if err != nil {
 			return nil, errors.Join(&TransportError{Op: "accept", Peer: -1, Tag: -1, Err: wireErr(err)}, n.Close())
 		}
-		var hello [4]byte
-		if !deadline.IsZero() {
-			if err := conn.SetReadDeadline(deadline); err != nil {
-				return nil, errors.Join(err, conn.Close(), n.Close())
-			}
+		peer, err := readHello(conn, deadline)
+		if err == nil && (peer <= rank || peer >= size || n.conns[peer] != nil) {
+			err = fmt.Errorf("mpi: rank %d got invalid hello from %d", rank, peer)
 		}
-		if _, err := io.ReadFull(conn, hello[:]); err != nil {
-			return nil, errors.Join(&TransportError{Op: "accept", Peer: -1, Tag: -1, Err: wireErr(err)}, conn.Close(), n.Close())
-		}
-		if err := conn.SetReadDeadline(time.Time{}); err != nil {
-			return nil, errors.Join(err, conn.Close(), n.Close())
-		}
-		peer := int(binary.BigEndian.Uint32(hello[:]))
-		if peer <= rank || peer >= size || n.conns[peer] != nil {
-			err := fmt.Errorf("mpi: rank %d got invalid hello from %d", rank, peer)
+		if err != nil { // the one exit that leaves conn unowned: close it here
 			return nil, errors.Join(err, conn.Close(), n.Close())
 		}
 		n.conns[peer] = conn
@@ -188,6 +178,21 @@ func ConnectTCPOpts(rank, size int, ln net.Listener, addrs []string, opts TCPOpt
 		}
 	}
 	return n, nil
+}
+
+// readHello reads the rank an accepted connection's peer names, bounded by
+// the mesh-formation deadline.
+func readHello(conn net.Conn, deadline time.Time) (int, error) {
+	if !deadline.IsZero() {
+		if err := conn.SetReadDeadline(deadline); err != nil {
+			return 0, err
+		}
+	}
+	var hello [4]byte
+	if _, err := io.ReadFull(conn, hello[:]); err != nil {
+		return 0, &TransportError{Op: "accept", Peer: -1, Tag: -1, Err: wireErr(err)}
+	}
+	return int(binary.BigEndian.Uint32(hello[:])), conn.SetReadDeadline(time.Time{})
 }
 
 // dialRetry dials addr until it succeeds or the overall deadline passes,

@@ -45,9 +45,10 @@ type request struct {
 }
 
 // queue holds the pending requests of one batchKey. Invariant: a queue is
-// referenced by the ready channel exactly once while it has pending
-// requests (its "token"); only the token holder drains it, and the token is
-// re-enqueued when a partial drain leaves requests behind.
+// in the scheduler's ready list exactly once while it has pending requests,
+// and only then. A worker pops it, takes a batch and puts it back at the
+// tail if requests remain, all in one critical section under mu, so the
+// list is the whole hand-off between Submit and the workers.
 type queue struct {
 	key  batchKey
 	reqs []*request
@@ -61,16 +62,14 @@ type scheduler struct {
 	maxInFlight int // admitted transforms (sum of request counts)
 	maxBatch    int // transforms per executed batch
 
-	mu     sync.Mutex
-	queues map[batchKey]*queue
-	// Tokens enter and leave ready only under mu (capacity invariant below):
-	//soilint:chan token mu
-	ready    chan *queue
+	mu       sync.Mutex
+	queues   map[batchKey]*queue
+	ready    []*queue   // nonempty queues, FIFO; guarded by mu
+	work     *sync.Cond // on mu: signalled when ready grows or stop is called
 	inFlight int
 	draining bool
 	stopped  bool
-	// idle is closed when draining and inFlight reaches 0:
-	//soilint:chan token mu
+	// idle is closed, under mu, when draining and inFlight reaches 0.
 	idle chan struct{}
 	wg   sync.WaitGroup
 }
@@ -81,12 +80,9 @@ func newScheduler(workers, maxInFlight, maxBatch int, execute func([]*request, i
 		maxInFlight: maxInFlight,
 		maxBatch:    maxBatch,
 		queues:      make(map[batchKey]*queue),
-		// Capacity invariant: each nonempty queue holds one token, and
-		// there are at most maxInFlight nonempty queues (each holds >= 1
-		// request of count >= 1), so sends never block while holding mu.
-		ready: make(chan *queue, maxInFlight),
-		idle:  make(chan struct{}),
+		idle:        make(chan struct{}),
 	}
+	s.work = sync.NewCond(&s.mu)
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go s.worker()
@@ -115,8 +111,9 @@ func (s *scheduler) Submit(req *request) error {
 		s.queues[req.key] = q
 	}
 	q.reqs = append(q.reqs, req)
-	if len(q.reqs) == 1 {
-		s.ready <- q // empty -> nonempty: hand out the token
+	if len(q.reqs) == 1 { // empty -> nonempty: the queue becomes ready
+		s.ready = append(s.ready, q)
+		s.work.Signal()
 	}
 	s.mu.Unlock()
 	return nil
@@ -145,13 +142,24 @@ func (s *scheduler) finish(req *request, err error) {
 	s.mu.Unlock()
 }
 
-// worker drains ready queues: each token grants exclusive access to one
-// queue, from which up to maxBatch transforms (whole requests — a batch
-// frame is never split) are taken and executed as one kernel call.
+// worker drains ready queues: it pops the oldest, takes up to maxBatch
+// transforms from it (whole requests — a batch frame is never split) and
+// executes them as one kernel call. It exits once stop has been called and
+// no queue is ready.
 func (s *scheduler) worker() {
 	defer s.wg.Done()
-	for q := range s.ready {
-		s.mu.Lock()
+	s.mu.Lock()
+	for {
+		for len(s.ready) == 0 && !s.stopped {
+			s.work.Wait()
+		}
+		if len(s.ready) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		q := s.ready[0]
+		s.ready[0] = nil
+		s.ready = s.ready[1:]
 		var batch []*request
 		total := 0
 		for len(q.reqs) > 0 {
@@ -166,25 +174,15 @@ func (s *scheduler) worker() {
 				break
 			}
 		}
-		var orphaned []*request
-		switch {
-		case s.stopped:
-			// stop() raced us while we held the token: it could not see
-			// these requests, so we must fail them ourselves.
-			orphaned = q.reqs
-			q.reqs = nil
-		case len(q.reqs) > 0:
-			s.ready <- q // still nonempty: pass the token on
-		default:
+		if len(q.reqs) > 0 { // still nonempty: back of the line
+			s.ready = append(s.ready, q)
+			s.work.Signal()
+		} else {
 			delete(s.queues, q.key)
 		}
 		s.mu.Unlock()
-		for _, r := range orphaned {
-			s.finish(r, wire.ErrShuttingDown)
-		}
-		if len(batch) > 0 {
-			s.execute(batch, total)
-		}
+		s.execute(batch, total)
+		s.mu.Lock()
 	}
 }
 
@@ -227,7 +225,8 @@ func (s *scheduler) stop() {
 			q.reqs = nil
 		}
 		s.queues = make(map[batchKey]*queue)
-		close(s.ready)
+		s.ready = nil
+		s.work.Broadcast()
 	}
 	s.mu.Unlock()
 	for _, r := range pending {

@@ -426,7 +426,6 @@ type conn struct {
 	br  *bufio.Reader
 	// out is closed by the reader alone, after pending.Wait guarantees no
 	// more completions; the writer's range then terminates.
-	//soilint:chan owner handle
 	out     chan outFrame
 	pending sync.WaitGroup // admitted requests not yet handed to the writer
 }

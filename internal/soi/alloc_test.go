@@ -9,6 +9,7 @@ package soi
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"soifft/internal/ref"
@@ -49,13 +50,19 @@ func TestForwardAllocationBudget(t *testing.T) {
 		for i := 0; i < warmup; i++ {
 			op()
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rounds; i++ {
-			op()
-		}
-		runtime.ReadMemStats(&after)
-		perOp := (after.TotalAlloc - before.TotalAlloc) / rounds
+		perOp := func() uint64 {
+			// A collection during the measured rounds empties the pools,
+			// and their refill would read as a per-call allocation: hold
+			// the collector off for those rounds only.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rounds; i++ {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / rounds
+		}()
 		t.Logf("%s: %d bytes allocated per call", tr.name, perOp)
 		if perOp > budget {
 			t.Errorf("%s: %d bytes allocated per call, budget %d", tr.name, perOp, budget)

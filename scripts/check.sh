@@ -1,10 +1,10 @@
 #!/bin/sh
-# Tier-2 pre-PR gate: build, vet (with the arm64 cross-build of the portable
-# kernels), repo-native static analysis, the race-clean concurrency gate over
-# the packages that spawn goroutines, the fuzz smoke, and the catch matrix
-# that says what each of those gates is for. Tier-1 (go build ./... &&
-# go test ./...) must of course also pass; this script layers the discipline
-# checks on top.
+# Tier-2 pre-PR gate: build, vet (with the arm64 and s390x cross-builds of
+# the portable and big-endian file sets), the race-clean concurrency gate
+# over the packages that spawn goroutines, the fuzz smoke, the twiddle-table
+# timing ratio, and the catch matrix that says what each of those gates is
+# for. Tier-1 (go build ./... && go test ./...) must of course also pass;
+# this script layers the discipline checks on top.
 #
 # Every gate runs even if an earlier one fails, so one CI run reports all
 # broken gates; each gate prints its wall-clock time, and the script exits
@@ -44,11 +44,6 @@ run_gate "arm64 cross-build (portable file set)" sh -c 'GOARCH=arm64 go build ./
 # little-endian; s390x is big-endian, so this build is the one that compiles
 # the byte-order loops of internal/cvec as the path a host takes.
 run_gate "s390x cross-build (big-endian byte image)" sh -c 'GOARCH=s390x go build ./... && GOARCH=s390x go vet ./internal/cvec ./internal/wire ./internal/mpi ./internal/codec'
-# The combined run doubles as the hard per-analyzer wall-time gate: an
-# analyzer over its checked-in budget (or a budget entry out of sync with
-# the suite) fails CI even with zero findings. Every finding is printed
-# with its [check] name, so a regression names the analyzer that fired.
-run_gate "soilint ./..." go run ./cmd/soilint -timing-budget-file timing_budget.json ./...
 run_gate "go test -race (concurrency gate)" go test -race . ./internal/par ./internal/conv ./internal/fft ./internal/soi ./internal/mpi ./internal/dist ./internal/serve ./internal/wire ./client
 run_gate "go test -race (fault-injection sweep)" go test -race ./internal/faultcomm ./internal/testutil
 
@@ -64,13 +59,20 @@ for target in FuzzCodecRoundTrip FuzzCodecDecode FuzzKernelsMatchReference; do
     run_gate "fuzz smoke $target" go test ./internal/codec -run '^$' -fuzz "^${target}\$" -fuzztime 5s
 done
 
+# A Go stage or the naive six-step that computes its twiddles per element
+# instead of reading the table keeps every answer within tolerance; only
+# time shows it. The test compares each against a reference timed in the
+# same process (a sine/cosine call, the optimized six-step), so host drift
+# cancels; it times code, so tier-1 skips it and it runs here, by name.
+run_gate "twiddle tables (within-run timing ratio)" go test ./internal/fft -run '^TestTwiddlesComeFromTables$' -count=1
+
 # The catch matrix's dynamic rows (internal/analysis/matrix_rows_test.go,
-# DESIGN.md section 7): each seeded defect whose first catcher is a test or
-# -race is seeded again — as a build overlay, the tree is not written — and
-# the recorded command must still fail on it. Tier-1 runs the static half
-# (which analyzers fire on each seed); this half compiles and tests one
-# seeded tree per row, so it runs here, by name. Four rows at a
-# time: most of them wait on a test timeout or the leak gate's grace period.
+# DESIGN.md section 7): each seeded defect is seeded again — as a build
+# overlay, the tree is not written — and the recorded command of its first
+# gate must still fail on it. Tier-1 checks that every seed applies and
+# parses; this half compiles and tests one seeded tree per row, so it runs
+# here, by name. Four rows at a time: most of them wait on a test timeout
+# or the leak gate's grace period.
 run_gate "catch matrix (dynamic rows)" go test ./internal/analysis -run '^TestCatchMatrixDynamic$' -count=1 -parallel 4
 
 if [ -n "$failures" ]; then
