@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -323,17 +322,6 @@ func ParseStats(text string) map[string]float64 {
 		}
 	}
 	return m
-}
-
-// StatsNames returns the sorted metric names in m (stable rendering for
-// CLIs).
-func StatsNames(m map[string]float64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func (c *Client) register(p *pending, sch chan statsResult) (uint64, error) {

@@ -21,10 +21,6 @@ func TestParseStats(t *testing.T) {
 	if len(m) != 2 {
 		t.Errorf("parsed %d entries, want 2: %v", len(m), m)
 	}
-	names := StatsNames(m)
-	if len(names) != 2 || names[0] != "soifftd_completed_total" {
-		t.Errorf("StatsNames = %v", names)
-	}
 }
 
 func TestTransformArgChecks(t *testing.T) {

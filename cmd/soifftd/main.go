@@ -7,8 +7,10 @@
 //
 // Usage:
 //
-//	soifftd -listen :7311 &
-//	soiload -addr localhost:7311 -n 64 -c 8
+//	soifftd -listen :7311 -metrics 127.0.0.1:7312 &
+//	curl http://127.0.0.1:7312/metrics
+//
+// bench/soiperf's serve_* workloads are its load generator.
 //
 // SIGTERM or SIGINT starts a graceful drain: the listener closes, new
 // requests are refused with a shutting-down error frame, and in-flight

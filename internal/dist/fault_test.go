@@ -132,7 +132,7 @@ func (w *opWatch) Send(dst, tag int, data []complex128) error {
 	return w.Comm.Send(dst, tag, data)
 }
 
-func (w *opWatch) Recv(src, tag int) ([]complex128, int, error) {
+func (w *opWatch) Recv(src, tag int) ([]complex128, error) {
 	defer w.enter()()
 	return w.Comm.Recv(src, tag)
 }

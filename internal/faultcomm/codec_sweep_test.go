@@ -122,7 +122,7 @@ func TestTruncatedCompressedPayload(t *testing.T) {
 			packWords(msg[1:], cut)
 			return c.Send(1, 5, msg)
 		}
-		_, _, err := mpi.WithCodec(c, cdc).Recv(0, 5)
+		_, err := mpi.WithCodec(c, cdc).Recv(0, 5)
 		var te *mpi.TransportError
 		if !errors.As(err, &te) || !errors.Is(err, codec.ErrCorrupt) {
 			return fmt.Errorf("truncated stream: got %v, want *TransportError wrapping codec.ErrCorrupt", err)

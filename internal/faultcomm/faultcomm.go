@@ -383,7 +383,7 @@ func (e *Endpoint) flushHeldLocked() error {
 // Recv is the hardened receive: it unwraps envelopes, discards duplicates,
 // resequences early arrivals per (src, tag) stream, and bounds the whole
 // operation by the schedule's OpTimeout.
-func (e *Endpoint) Recv(src, tag int) ([]complex128, int, error) {
+func (e *Endpoint) Recv(src, tag int) ([]complex128, error) {
 	var deadline time.Time
 	if d := e.in.sched.OpTimeout; d > 0 {
 		deadline = time.Now().Add(d)
@@ -395,67 +395,66 @@ func (e *Endpoint) Recv(src, tag int) ([]complex128, int, error) {
 // held while blocked in the inner receive: programs that overlap
 // communication with a helper goroutine (dist.SOI's pipelined exchange)
 // must not find their sends wedged behind a blocked receive.
-func (e *Endpoint) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, int, error) {
+func (e *Endpoint) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, error) {
 	e.mu.Lock()
 	if _, err := e.stepLocked("recv", src, tag); err != nil {
 		e.mu.Unlock()
-		return nil, 0, err
+		return nil, err
 	}
 	// A receive demands progress from the peers, so grant the same in
 	// return: release any reorder-held sends before blocking.
 	if err := e.flushHeldLocked(); err != nil {
 		e.mu.Unlock()
-		return nil, 0, err
+		return nil, err
 	}
 	for {
-		if data, from, ok := e.takeStashedLocked(src, tag); ok {
+		if data, ok := e.takeStashedLocked(src, tag); ok {
 			e.mu.Unlock()
-			return data, from, nil
+			return data, nil
 		}
 		e.mu.Unlock()
 		var msg []complex128
-		var from int
 		var err error
 		if dr, ok := e.inner.(mpi.DeadlineRecver); ok && !deadline.IsZero() {
-			msg, from, err = dr.RecvDeadline(src, tag, deadline)
+			msg, err = dr.RecvDeadline(src, tag, deadline)
 		} else {
-			msg, from, err = e.inner.Recv(src, tag)
+			msg, err = e.inner.Recv(src, tag)
 		}
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		e.mu.Lock()
 		if len(msg) < 1 {
 			e.mu.Unlock()
-			return nil, 0, &mpi.TransportError{Op: "recv", Peer: from, Tag: tag,
+			return nil, &mpi.TransportError{Op: "recv", Peer: src, Tag: tag,
 				Err: fmt.Errorf("faultcomm: message without sequence envelope")}
 		}
 		seq := uint64(real(msg[0]))
-		k := stream{from, tag}
+		k := stream{src, tag}
 		switch expect := e.recvSeq[k]; {
 		case seq < expect:
 			// Duplicate of an already-delivered message: discard.
 		case seq > expect:
 			// Early (reordered) arrival: stash until its turn.
-			e.stash[stashKey{from, tag, seq}] = msg[1:]
+			e.stash[stashKey{src, tag, seq}] = msg[1:]
 		default:
 			e.recvSeq[k]++
 			e.mu.Unlock()
-			return msg[1:], from, nil
+			return msg[1:], nil
 		}
 	}
 }
 
 // takeStashedLocked delivers a stashed message whose turn has come.
-func (e *Endpoint) takeStashedLocked(src, tag int) ([]complex128, int, bool) {
+func (e *Endpoint) takeStashedLocked(src, tag int) ([]complex128, bool) {
 	k := stashKey{src, tag, e.recvSeq[stream{src, tag}]}
 	data, ok := e.stash[k]
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
 	delete(e.stash, k)
 	e.recvSeq[stream{src, tag}]++
-	return data, src, true
+	return data, true
 }
 
 // Flush releases any reorder-held sends without closing the endpoint. The

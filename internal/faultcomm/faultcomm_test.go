@@ -37,7 +37,7 @@ func TestLosslessDupDelivery(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			got, _, err := c.Recv(0, 5)
+			got, err := c.Recv(0, 5)
 			if err != nil {
 				return err
 			}
@@ -77,7 +77,7 @@ func TestReorderResequenced(t *testing.T) {
 			return nil
 		}
 		for i := 0; i < n; i++ {
-			got, _, err := c.Recv(0, 3)
+			got, err := c.Recv(0, 3)
 			if err != nil {
 				return err
 			}
@@ -152,7 +152,7 @@ func TestWatchdogConvertsHang(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, tvec(4, 0))
 		}
-		_, _, err := c.Recv(0, 1)
+		_, err := c.Recv(0, 1)
 		return err
 	})
 	if err != nil {
@@ -175,7 +175,7 @@ func TestDeadlineBoundsDrop(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, 1, tvec(4, 0))
 		}
-		_, _, err := c.Recv(0, 1)
+		_, err := c.Recv(0, 1)
 		return err
 	})
 	if err != nil {

@@ -58,24 +58,6 @@ func progSendRecv(c mpi.Comm) error {
 	return nil
 }
 
-func progBcast(c mpi.Comm) error {
-	var data []complex128
-	if c.Rank() == 0 {
-		data = tvec(32, 99)
-	}
-	got, err := mpi.Bcast(c, 0, data)
-	if err != nil {
-		return err
-	}
-	want := tvec(32, 99)
-	for i := range want {
-		if got[i] != want[i] {
-			return errWrong
-		}
-	}
-	return nil
-}
-
 func progAllToAll(c mpi.Comm) error {
 	p := c.Size()
 	r := c.Rank()
@@ -209,7 +191,6 @@ func sweepPrograms(t *testing.T) []program {
 	}
 	return []program{
 		{"SendRecv", progSendRecv},
-		{"Bcast", progBcast},
 		{"AllToAll", progAllToAll},
 		{"AllToAllInto", progAllToAllInto},
 		{"CTForward", progCT},

@@ -59,28 +59,26 @@ func (cc *codecComm) Send(dst, tag int, data []complex128) error {
 	return cc.inner.Send(dst, tag, msg)
 }
 
-func (cc *codecComm) Recv(src, tag int) ([]complex128, int, error) {
-	msg, from, err := cc.inner.Recv(src, tag)
+func (cc *codecComm) Recv(src, tag int) ([]complex128, error) {
+	msg, err := cc.inner.Recv(src, tag)
 	if err != nil {
-		return nil, from, err
+		return nil, err
 	}
-	data, err := cc.decode(msg, from, tag)
-	return data, from, err
+	return cc.decode(msg, src, tag)
 }
 
 // RecvDeadline forwards the per-op deadline when the inner transport
 // supports one, like the other middlewares in this package.
-func (cc *codecComm) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, int, error) {
+func (cc *codecComm) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, error) {
 	dr, ok := cc.inner.(DeadlineRecver)
 	if !ok {
 		return cc.Recv(src, tag)
 	}
-	msg, from, err := dr.RecvDeadline(src, tag, deadline)
+	msg, err := dr.RecvDeadline(src, tag, deadline)
 	if err != nil {
-		return nil, from, err
+		return nil, err
 	}
-	data, err := cc.decode(msg, from, tag)
-	return data, from, err
+	return cc.decode(msg, src, tag)
 }
 
 func (cc *codecComm) Close() error { return cc.inner.Close() }
@@ -91,9 +89,9 @@ func (cc *codecComm) Close() error { return cc.inner.Close() }
 // arrived in, and the two are held to each other by the codec size algebra
 // (codec.MaxElemsForEncoded, codec.MaxEncodedLen) so a hostile header cannot
 // size an allocation beyond a small multiple of the bytes actually received.
-func (cc *codecComm) decode(msg []complex128, from, tag int) ([]complex128, error) {
+func (cc *codecComm) decode(msg []complex128, src, tag int) ([]complex128, error) {
 	corrupt := func(format string, a ...any) error {
-		return &TransportError{Op: "recv", Peer: from, Tag: tag,
+		return &TransportError{Op: "recv", Peer: src, Tag: tag,
 			Err: fmt.Errorf("%w: "+format, append([]any{codec.ErrCorrupt}, a...)...)}
 	}
 	if len(msg) < 1 {
@@ -121,7 +119,7 @@ func (cc *codecComm) decode(msg []complex128, from, tag int) ([]complex128, erro
 	unpackBytes(enc, msg[1:])
 	dst := make([]complex128, elems)
 	if err := codec.DecodeVector(dst, cc.c, enc); err != nil {
-		return nil, &TransportError{Op: "recv", Peer: from, Tag: tag, Err: err}
+		return nil, &TransportError{Op: "recv", Peer: src, Tag: tag, Err: err}
 	}
 	return dst, nil
 }

@@ -45,12 +45,12 @@ func TestWithCodecRoundTrip(t *testing.T) {
 			if err := a.Send(1, 7, x); err != nil {
 				t.Fatalf("%s send vec %d: %v", cdc.Name(), vi, err)
 			}
-			got, from, err := b.Recv(0, 7)
+			got, err := b.Recv(0, 7)
 			if err != nil {
 				t.Fatalf("%s recv vec %d: %v", cdc.Name(), vi, err)
 			}
-			if from != 0 || len(got) != len(x) {
-				t.Fatalf("%s vec %d: from=%d len=%d, want 0/%d", cdc.Name(), vi, from, len(got), len(x))
+			if len(got) != len(x) {
+				t.Fatalf("%s vec %d: len=%d, want %d", cdc.Name(), vi, len(got), len(x))
 			}
 			tol := codec.Tolerance(cdc)
 			for i := range x {
@@ -208,7 +208,7 @@ func TestWithCodecHostilePayloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			rx := WithCodec(w.Comm(1), cdc)
-			_, _, err = rx.(DeadlineRecver).RecvDeadline(0, 3, time.Now().Add(5*time.Second))
+			_, err = rx.(DeadlineRecver).RecvDeadline(0, 3, time.Now().Add(5*time.Second))
 			var te *TransportError
 			if !errors.As(err, &te) || !errors.Is(err, codec.ErrCorrupt) {
 				t.Fatalf("hostile recv: %v, want *TransportError wrapping codec.ErrCorrupt", err)
@@ -225,7 +225,7 @@ func TestWithCodecHostilePayloads(t *testing.T) {
 	if err := w.Comm(0).Send(1, 3, goodMsg()); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := WithCodec(w.Comm(1), cdc).Recv(0, 3)
+	got, err := WithCodec(w.Comm(1), cdc).Recv(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestWithCodecDeadline(t *testing.T) {
 	}
 	defer w.Close()
 	c := WithCodec(w.Comm(0), codec.MustFor(codec.DeltaPlane, 0))
-	_, _, err = c.(DeadlineRecver).RecvDeadline(1, 1, time.Now().Add(10*time.Millisecond))
+	_, err = c.(DeadlineRecver).RecvDeadline(1, 1, time.Now().Add(10*time.Millisecond))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("deadline recv: %v, want ErrTimeout", err)
 	}

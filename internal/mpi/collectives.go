@@ -10,9 +10,8 @@ import "fmt"
 const (
 	tagAllToAll = collectiveTagBase + iota
 	tagBarrier
-	tagBcast
-	// Collectives involving multiple rounds offset the round index into the
-	// tag, spaced far enough apart to never collide.
+	// Barrier offsets its round index into the tag, spaced far enough
+	// apart to never collide.
 	tagStride = 1 << 20
 )
 
@@ -36,7 +35,7 @@ func AllToAll(c Comm, send [][]complex128) ([][]complex128, error) {
 		if err := c.Send(to, tagAllToAll+k, send[to]); err != nil {
 			return nil, err
 		}
-		data, _, err := c.Recv(from, tagAllToAll+k)
+		data, err := c.Recv(from, tagAllToAll+k)
 		if err != nil {
 			return nil, err
 		}
@@ -95,55 +94,9 @@ func Barrier(c Comm) error {
 		if err := c.Send(to, tag, nil); err != nil {
 			return err
 		}
-		if _, _, err := c.Recv(from, tag); err != nil {
+		if _, err := c.Recv(from, tag); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Bcast distributes root's data to every rank (binomial tree) and returns
-// the payload (the root receives a copy of its own data).
-func Bcast(c Comm, root int, data []complex128) ([]complex128, error) {
-	p := c.Size()
-	r := c.Rank()
-	// Rotate so the root is virtual rank 0.
-	vr := (r - root + p) % p
-	if vr == 0 {
-		data = append([]complex128(nil), data...)
-	} else {
-		data = nil
-	}
-	mask := 1
-	if vr != 0 {
-		// Highest power of two <= vr: vr receives from vr minus that bit.
-		for mask<<1 <= vr {
-			mask <<= 1
-		}
-		from := ((vr - mask) + root) % p
-		d, _, err := c.Recv(from, tagBcast+log2i(mask)*tagStride)
-		if err != nil {
-			return nil, err
-		}
-		data = d
-		mask <<= 1
-	}
-	for ; mask < p; mask <<= 1 {
-		if vr+mask < p {
-			to := (vr + mask + root) % p
-			if err := c.Send(to, tagBcast+log2i(mask)*tagStride, data); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return data, nil
-}
-
-func log2i(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
 }

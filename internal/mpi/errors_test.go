@@ -69,7 +69,7 @@ func TestSendRecvErrorPaths(t *testing.T) {
 			name: "timeout expiry: peer never sends",
 			peer: func(c Comm, ready chan<- struct{}) error {
 				close(ready)
-				_, _, err := c.Recv(0, 7)
+				_, err := c.Recv(0, 7)
 				return err
 			},
 			wantIs:   ErrTimeout,
@@ -84,7 +84,7 @@ func TestSendRecvErrorPaths(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				_, _, err = c.Recv(0, 7)
+				_, err = c.Recv(0, 7)
 				return err
 			},
 			wantIs:   ErrTimeout,
@@ -130,7 +130,6 @@ func TestCollectiveErrorPaths(t *testing.T) {
 		name string
 		run  func(c Comm) error
 	}{
-		{"Bcast", func(c Comm) error { _, err := Bcast(c, 0, data); return err }},
 		{"AllToAll", func(c Comm) error {
 			send := make([][]complex128, c.Size())
 			for i := range send {
@@ -235,11 +234,11 @@ func TestRunReportsRootCauseNotFallout(t *testing.T) {
 // communicator.
 type opaque struct{ inner Comm }
 
-func (o opaque) Rank() int                                    { return o.inner.Rank() }
-func (o opaque) Size() int                                    { return o.inner.Size() }
-func (o opaque) Send(dst, tag int, data []complex128) error   { return o.inner.Send(dst, tag, data) }
-func (o opaque) Recv(src, tag int) ([]complex128, int, error) { return o.inner.Recv(src, tag) }
-func (o opaque) Close() error                                 { return o.inner.Close() }
+func (o opaque) Rank() int                                  { return o.inner.Rank() }
+func (o opaque) Size() int                                  { return o.inner.Size() }
+func (o opaque) Send(dst, tag int, data []complex128) error { return o.inner.Send(dst, tag, data) }
+func (o opaque) Recv(src, tag int) ([]complex128, error)    { return o.inner.Recv(src, tag) }
+func (o opaque) Close() error                               { return o.inner.Close() }
 
 // TestConnectTCPDelayedListener is the startup-ordering regression test:
 // rank 1 dials before rank 0's listener exists, and the dial retry loop
@@ -292,7 +291,7 @@ func TestConnectTCPDelayedListener(t *testing.T) {
 	if err := n0.Send(1, 2, []complex128{42}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := r1.node.Recv(0, 2)
+	got, err := r1.node.Recv(0, 2)
 	if err != nil || len(got) != 1 || got[0] != 42 {
 		t.Fatalf("post-recovery exchange: %v %v", got, err)
 	}
@@ -374,7 +373,7 @@ func TestTCPPeerDeathFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, _, err := nodes[0].Recv(1, 7) // no deadline: must resolve via peerLost
+	_, err := nodes[0].Recv(1, 7) // no deadline: must resolve via peerLost
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("recv from dead peer: %v, want ErrClosed", err)
 	}
@@ -394,7 +393,7 @@ func TestTCPOpTimeout(t *testing.T) {
 	defer nodes[0].Close()
 	defer nodes[1].Close()
 	start := time.Now()
-	_, _, err := nodes[0].Recv(1, 9)
+	_, err := nodes[0].Recv(1, 9)
 	var te *TransportError
 	if !errors.As(err, &te) || !errors.Is(err, ErrTimeout) {
 		t.Fatalf("got %v, want TransportError wrapping ErrTimeout", err)
@@ -406,7 +405,7 @@ func TestTCPOpTimeout(t *testing.T) {
 	if err := nodes[1].Send(0, 9, []complex128{3}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := nodes[0].Recv(1, 9)
+	got, err := nodes[0].Recv(1, 9)
 	if err != nil || got[0] != 3 {
 		t.Fatalf("post-timeout exchange: %v %v", got, err)
 	}

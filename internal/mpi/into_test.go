@@ -327,7 +327,7 @@ func TestTCPForgedFrameHeader(t *testing.T) {
 	pending := make(chan error, 2)
 	for _, n := range nodes {
 		go func() {
-			_, _, err := n.Recv(2, 5)
+			_, err := n.Recv(2, 5)
 			pending <- err
 		}()
 	}

@@ -1,7 +1,7 @@
 // Package mpi provides the message-passing layer the distributed FFTs are
 // written against: an MPI-like communicator with point-to-point send/recv
-// and the collectives the paper's algorithms need (all-to-all, barrier),
-// plus a binomial-tree broadcast that only the tests run. Payloads are vectors of complex128 — the only data type 1D FFT traffic
+// and the collectives the paper's algorithms need (all-to-all, barrier).
+// Payloads are vectors of complex128 — the only data type 1D FFT traffic
 // carries.
 //
 // Two real transports implement the Comm interface: an in-process transport
@@ -43,8 +43,8 @@ type Comm interface {
 	// copied; the caller may reuse the slice immediately.
 	Send(dst, tag int, data []complex128) error
 	// Recv blocks until a message with the given tag from src arrives and
-	// returns its payload and source.
-	Recv(src, tag int) ([]complex128, int, error)
+	// returns its payload. There is no wildcard source.
+	Recv(src, tag int) ([]complex128, error)
 	// Close releases the endpoint. Pending Recv calls fail with ErrClosed.
 	Close() error
 }
@@ -55,8 +55,7 @@ func SendRecv(c Comm, dst int, sendData []complex128, src, tag int) ([]complex12
 	if err := c.Send(dst, tag, sendData); err != nil {
 		return nil, err
 	}
-	data, _, err := c.Recv(src, tag)
-	return data, err
+	return c.Recv(src, tag)
 }
 
 // SendRecvInto is SendRecv into a caller-owned buffer: the payload from src
@@ -76,7 +75,7 @@ func SendRecvInto(c Comm, dst int, sendData []complex128, src, tag int, recvData
 // buffer goes back to the pool; a middleware's Recv result is simply
 // dropped, as every Recv caller's is.
 func recvInto(c Comm, dst []complex128, src, tag int) error {
-	data, from, err := c.Recv(src, tag)
+	data, err := c.Recv(src, tag)
 	if err != nil {
 		return err
 	}
@@ -85,7 +84,7 @@ func recvInto(c Comm, dst []complex128, src, tag int) error {
 		defer putPayload(data)
 	}
 	if len(data) != len(dst) {
-		return &TransportError{Op: "recv", Peer: from, Tag: tag, Err: &SizeError{Got: len(data), Want: len(dst)}}
+		return &TransportError{Op: "recv", Peer: src, Tag: tag, Err: &SizeError{Got: len(data), Want: len(dst)}}
 	}
 	copy(dst, data)
 	return nil
@@ -131,7 +130,7 @@ type DeadlineRecver interface {
 	// RecvDeadline behaves like Recv but fails with a *TransportError
 	// wrapping ErrTimeout if no matching message arrives by deadline.
 	// A zero deadline means no limit.
-	RecvDeadline(src, tag int, deadline time.Time) ([]complex128, int, error)
+	RecvDeadline(src, tag int, deadline time.Time) ([]complex128, error)
 }
 
 // message is an in-flight payload.
@@ -173,7 +172,7 @@ func (mb *mailbox) put(m message) error {
 
 // get blocks until a message matching (src, tag) arrives, the box or the
 // source fails, or the deadline (zero = none) passes.
-func (mb *mailbox) get(src, tag int, deadline time.Time) ([]complex128, int, error) {
+func (mb *mailbox) get(src, tag int, deadline time.Time) ([]complex128, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	var timer *time.Timer
@@ -192,17 +191,17 @@ func (mb *mailbox) get(src, tag int, deadline time.Time) ([]complex128, int, err
 			m := mb.msgs[i]
 			if m.tag == tag && m.src == src {
 				mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-				return m.data, m.src, nil
+				return m.data, nil
 			}
 		}
 		if mb.err != nil {
-			return nil, 0, mb.err
+			return nil, mb.err
 		}
 		if e := mb.dead[src]; e != nil {
-			return nil, 0, e
+			return nil, e
 		}
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, 0, ErrTimeout
+			return nil, ErrTimeout
 		}
 		mb.cond.Wait()
 	}
@@ -307,7 +306,7 @@ func (c *inprocComm) Send(dst, tag int, data []complex128) error {
 	return c.world.boxes[dst].put(message{src: c.rank, tag: tag, data: cp})
 }
 
-func (c *inprocComm) Recv(src, tag int) ([]complex128, int, error) {
+func (c *inprocComm) Recv(src, tag int) ([]complex128, error) {
 	var deadline time.Time
 	if d := c.world.opTimeout.Load(); d > 0 {
 		deadline = time.Now().Add(time.Duration(d))
@@ -317,15 +316,15 @@ func (c *inprocComm) Recv(src, tag int) ([]complex128, int, error) {
 
 // RecvDeadline implements DeadlineRecver: a Recv that fails with a
 // *TransportError wrapping ErrTimeout once deadline passes.
-func (c *inprocComm) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, int, error) {
+func (c *inprocComm) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, error) {
 	if src < 0 || src >= c.world.size {
-		return nil, 0, fmt.Errorf("mpi: recv from invalid rank %d", src)
+		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
 	}
-	data, from, err := c.world.boxes[c.rank].get(src, tag, deadline)
+	data, err := c.world.boxes[c.rank].get(src, tag, deadline)
 	if errors.Is(err, ErrTimeout) {
-		return nil, 0, &TransportError{Op: "recv", Peer: src, Tag: tag, Err: err}
+		return nil, &TransportError{Op: "recv", Peer: src, Tag: tag, Err: err}
 	}
-	return data, from, err
+	return data, err
 }
 
 func (c *inprocComm) Close() error {

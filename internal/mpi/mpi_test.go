@@ -14,12 +14,12 @@ func TestSendRecvBasic(t *testing.T) {
 		if c.Rank() == 0 {
 			return c.Send(1, 7, []complex128{1 + 2i, 3})
 		}
-		data, src, err := c.Recv(0, 7)
+		data, err := c.Recv(0, 7)
 		if err != nil {
 			return err
 		}
-		if src != 0 || len(data) != 2 || data[0] != 1+2i || data[1] != 3 {
-			return fmt.Errorf("bad message: src=%d data=%v", src, data)
+		if len(data) != 2 || data[0] != 1+2i || data[1] != 3 {
+			return fmt.Errorf("bad message: %v", data)
 		}
 		return nil
 	})
@@ -37,7 +37,7 @@ func TestSendCopiesPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf[0] = -99 // mutate after send: receiver must still see the original
-	data, _, err := c1.Recv(0, 0)
+	data, err := c1.Recv(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +57,13 @@ func TestRecvMatchesTagAndSource(t *testing.T) {
 	if err := w.Comm(1).Send(2, 5, []complex128{5}); err != nil {
 		t.Fatal(err)
 	}
-	data, src, err := c2.Recv(1, 5)
-	if err != nil || src != 1 || data[0] != 5 {
-		t.Fatalf("tag-5 recv: %v src=%d data=%v", err, src, data)
+	data, err := c2.Recv(1, 5)
+	if err != nil || data[0] != 5 {
+		t.Fatalf("tag-5 recv: %v data=%v", err, data)
 	}
-	data, src, err = c2.Recv(0, 9)
-	if err != nil || src != 0 || data[0] != 9 {
-		t.Fatalf("tag-9 recv: %v src=%d data=%v", err, src, data)
+	data, err = c2.Recv(0, 9)
+	if err != nil || data[0] != 9 {
+		t.Fatalf("tag-9 recv: %v data=%v", err, data)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestRecvBlocksUntilSend(t *testing.T) {
 	defer w.Close()
 	done := make(chan []complex128)
 	go func() {
-		data, _, _ := w.Comm(1).Recv(0, 3)
+		data, _ := w.Comm(1).Recv(0, 3)
 		done <- data
 	}()
 	if err := w.Comm(0).Send(1, 3, []complex128{42}); err != nil {
@@ -89,7 +89,7 @@ func TestClosedWorldErrors(t *testing.T) {
 	if err := w.Comm(0).Send(1, 0, nil); err != ErrClosed {
 		t.Fatalf("send after close: %v", err)
 	}
-	if _, _, err := w.Comm(1).Recv(0, 0); err != ErrClosed {
+	if _, err := w.Comm(1).Recv(0, 0); err != ErrClosed {
 		t.Fatalf("recv after close: %v", err)
 	}
 }
@@ -104,7 +104,7 @@ func TestInvalidArgs(t *testing.T) {
 	if err := c.Send(1, -3, nil); err == nil {
 		t.Error("negative tag should fail")
 	}
-	if _, _, err := c.Recv(9, 0); err == nil {
+	if _, err := c.Recv(9, 0); err == nil {
 		t.Error("recv from rank 9 should fail")
 	}
 	if _, err := NewWorld(0); err == nil {
@@ -174,31 +174,6 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 5, 8} {
-		for root := 0; root < size; root += 2 {
-			payload := []complex128{3 + 4i, 5, 6i}
-			err := Run(size, func(c Comm) error {
-				var in []complex128
-				if c.Rank() == root {
-					in = payload
-				}
-				out, err := Bcast(c, root, in)
-				if err != nil {
-					return err
-				}
-				if len(out) != 3 || out[0] != 3+4i || out[2] != 6i {
-					return fmt.Errorf("rank %d got %v", c.Rank(), out)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("size=%d root=%d: %v", size, root, err)
-			}
-		}
-	}
-}
-
 // tcpWorld spins up a full TCP mesh on loopback and runs fn per rank.
 func tcpWorld(t *testing.T, size int, fn func(Comm) error) {
 	t.Helper()
@@ -244,14 +219,14 @@ func TestTCPSendRecv(t *testing.T) {
 		if err := c.Send(next, 1, payload); err != nil {
 			return err
 		}
-		got, src, err := c.Recv(prev, 1)
+		got, err := c.Recv(prev, 1)
 		if err != nil {
 			return err
 		}
 		want := ref.RandomVector(100, int64(prev))
 		for i := range want {
 			if got[i] != want[i] {
-				return fmt.Errorf("rank %d: wire corruption at %d (src %d)", c.Rank(), i, src)
+				return fmt.Errorf("rank %d: wire corruption at %d (src %d)", c.Rank(), i, prev)
 			}
 		}
 		return nil
@@ -263,7 +238,7 @@ func TestTCPSelfSend(t *testing.T) {
 		if err := c.Send(c.Rank(), 4, []complex128{7i}); err != nil {
 			return err
 		}
-		d, _, err := c.Recv(c.Rank(), 4)
+		d, err := c.Recv(c.Rank(), 4)
 		if err != nil || d[0] != 7i {
 			return fmt.Errorf("self-send: %v %v", d, err)
 		}
@@ -286,14 +261,7 @@ func TestTCPCollectives(t *testing.T) {
 				return fmt.Errorf("alltoall mismatch")
 			}
 		}
-		if err := Barrier(c); err != nil {
-			return err
-		}
-		out, err := Bcast(c, 1, []complex128{11})
-		if err != nil || out[0] != 11 {
-			return fmt.Errorf("bcast: %v %v", out, err)
-		}
-		return nil
+		return Barrier(c)
 	})
 }
 
@@ -320,7 +288,7 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := nodes[1].Recv(0, 9)
+		_, err := nodes[1].Recv(0, 9)
 		done <- err
 	}()
 	nodes[1].Close()

@@ -349,7 +349,7 @@ func (n *TCPNode) Send(dst, tag int, data []complex128) error {
 	return nil
 }
 
-func (n *TCPNode) Recv(src, tag int) ([]complex128, int, error) {
+func (n *TCPNode) Recv(src, tag int) ([]complex128, error) {
 	var deadline time.Time
 	if d := n.opts.OpTimeout; d > 0 {
 		deadline = time.Now().Add(d)
@@ -359,12 +359,12 @@ func (n *TCPNode) Recv(src, tag int) ([]complex128, int, error) {
 
 // RecvDeadline implements DeadlineRecver: a Recv that fails with a
 // *TransportError wrapping ErrTimeout once deadline passes.
-func (n *TCPNode) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, int, error) {
-	data, from, err := n.box.get(src, tag, deadline)
+func (n *TCPNode) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, error) {
+	data, err := n.box.get(src, tag, deadline)
 	if errors.Is(err, ErrTimeout) {
-		return nil, 0, &TransportError{Op: "recv", Peer: src, Tag: tag, Err: err}
+		return nil, &TransportError{Op: "recv", Peer: src, Tag: tag, Err: err}
 	}
-	return data, from, err
+	return data, err
 }
 
 // Close tears down the mesh and the listener.

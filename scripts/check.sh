@@ -1,10 +1,11 @@
 #!/bin/sh
 # Tier-2 pre-PR gate: build, vet (with the arm64 and s390x cross-builds of
-# the portable and big-endian file sets), the race-clean concurrency gate
-# over the packages that spawn goroutines, the fuzz smoke, the twiddle-table
-# timing ratio, and the catch matrix that says what each of those gates is
-# for. Tier-1 (go build ./... && go test ./...) must of course also pass;
-# this script layers the discipline checks on top.
+# the portable and big-endian file sets), one run of every command and
+# example, the race-clean concurrency gate over the packages that spawn
+# goroutines, the fuzz smoke, the twiddle-table timing ratio, and the catch
+# matrix that says what each of those gates is for. Tier-1 (go build ./...
+# && go test ./...) must of course also pass; this script layers the
+# discipline checks on top.
 #
 # Every gate runs even if an earlier one fails, so one CI run reports all
 # broken gates; each gate prints its wall-clock time, and the script exits
@@ -44,6 +45,31 @@ run_gate "arm64 cross-build (portable file set)" sh -c 'GOARCH=arm64 go build ./
 # little-endian; s390x is big-endian, so this build is the one that compiles
 # the byte-order loops of internal/cvec as the path a host takes.
 run_gate "s390x cross-build (big-endian byte image)" sh -c 'GOARCH=s390x go build ./... && GOARCH=s390x go vet ./internal/cvec ./internal/wire ./internal/mpi ./internal/codec'
+# Every command and example runs once with small arguments and must exit 0;
+# otherwise a driver that breaks or drifts is caught by nothing but `go
+# build`. gfft exits 1 when its forward result is off the serial FFT by more
+# than 1e-6, soibench -verify and the examples fail on their own checks.
+# soifftd is left out: the serve tests and bench/soiperf start it.
+entry_points() {
+    bin=$(mktemp -d) || return 1
+    go build -o "$bin/" ./cmd/gfft ./cmd/soibench ./cmd/perfmodel \
+        ./examples/quickstart ./examples/spectrum ./examples/tcpcluster || { rm -rf "$bin"; return 1; }
+    rc=0
+    for run in "gfft -n 28672 -ranks 4" "gfft -n 28672 -ranks 4 -exact" \
+        "soibench -table 1,2,3 -fig 3,8,9,12 -verify" "perfmodel" \
+        "quickstart" "spectrum" "tcpcluster"; do
+        # $run is split into the command and its arguments on purpose.
+        # shellcheck disable=SC2086
+        if ! out=$("$bin"/$run 2>&1); then
+            printf '%s\n' "$out"
+            echo "entry point failed: $run"
+            rc=1
+        fi
+    done
+    rm -rf "$bin"
+    return $rc
+}
+run_gate "entry points run" entry_points
 run_gate "go test -race (concurrency gate)" go test -race . ./internal/par ./internal/conv ./internal/fft ./internal/soi ./internal/mpi ./internal/dist ./internal/serve ./internal/wire ./client
 run_gate "go test -race (fault-injection sweep)" go test -race ./internal/faultcomm ./internal/testutil
 
