@@ -71,7 +71,7 @@ type Client struct {
 
 	wmu    sync.Mutex // serializes request frames onto bw
 	conn   net.Conn
-	bw     *bufio.Writer
+	bw     *wire.Writer
 	nextID uint64
 
 	pmu      sync.Mutex
@@ -100,7 +100,7 @@ func Dial(addr string) (*Client, error) {
 func New(conn net.Conn) *Client {
 	c := &Client{
 		conn:       conn,
-		bw:         bufio.NewWriterSize(conn, 64<<10),
+		bw:         wire.NewWriter(conn, 64<<10),
 		inflight:   make(map[uint64]*pending),
 		stats:      make(map[uint64]chan statsResult),
 		readerDone: make(chan struct{}),
@@ -238,7 +238,10 @@ func (c *Client) transform(ctx context.Context, dst, src []complex128, count int
 // — byte-identical to a pre-codec client, so old servers need no fallback
 // logic. A compressing codec needs the v2 header fields and stages the
 // encoded payload in a pooled buffer, held until the write has returned, to
-// learn its declared length.
+// learn its declared length. Every request is encoded, whatever it saves:
+// the request's codec is what names the response's. A frame larger than
+// the write buffer leaves in one write of header and payload
+// (wire.Writer.WriteFrame).
 func (c *Client) send(ctx context.Context, h *wire.Header, src []complex128) error {
 	var enc []byte
 	if c.codec == nil {
@@ -257,13 +260,10 @@ func (c *Client) send(ctx context.Context, h *wire.Header, src []complex128) err
 	defer c.wmu.Unlock()
 	err := c.conn.SetWriteDeadline(c.writeDeadline(ctx))
 	if err == nil {
-		err = wire.WriteHeader(c.bw, h)
-	}
-	if err == nil {
 		if enc != nil {
-			_, err = c.bw.Write(enc)
+			err = c.bw.WriteFrame(h, enc)
 		} else {
-			err = wire.WriteVector(c.bw, src)
+			err = c.bw.WriteVectorFrame(h, src)
 		}
 	}
 	if err == nil {

@@ -1,8 +1,10 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -157,4 +159,58 @@ func relDiff(a, b float64) float64 {
 		return d
 	}
 	return d / m
+}
+
+// TestClientDecodesRawFallback: a server answers a compressed request raw
+// when the response's first block does not pay (wire.WriteResultCodec), so
+// a client under a codec reads a v2 identity frame — and decodes it, like
+// the encoded answer beside it, bit for bit.
+func TestClientDecodesRawFallback(t *testing.T) {
+	const n = 28672
+	noise := ref.RandomVector(n, 17)
+	smooth := make([]complex128, n)
+	for i := range smooth {
+		s, c := math.Sincos(2 * math.Pi * 3 * float64(i) / n)
+		smooth[i] = complex(c, 0.5*s)
+	}
+	dp := codec.MustFor(codec.DeltaPlane, 0)
+	for _, tc := range []struct {
+		name    string
+		resp    []complex128
+		encoded bool
+	}{{"noise", noise, false}, {"smooth", smooth, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := forgedBytesPeer(t, func(req wire.Header) (wire.Header, []byte) {
+				var frame bytes.Buffer
+				w := wire.NewWriter(&frame, 64<<10)
+				encoded, err := wire.WriteResultCodec(w, req.Version, req.ReqID, 1, tc.resp, dp)
+				if err == nil {
+					err = w.Flush()
+				}
+				h, herr := wire.ReadHeader(&frame)
+				switch {
+				case err != nil || herr != nil:
+					t.Errorf("writing the response: %v, %v", err, herr)
+				case encoded != tc.encoded:
+					t.Errorf("response encoded %v, want %v", encoded, tc.encoded)
+				case !encoded && (h.Version != 2 || h.Codec != codec.Identity || h.CodecParam != 0 || h.PayloadLen != n*wire.BytesPerElem):
+					t.Errorf("fallback header %+v, want a v2 identity frame of %d bytes", h, n*wire.BytesPerElem)
+				}
+				return h, frame.Bytes()
+			})
+			if err := cl.SetCodec("deltaplane", 0); err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]complex128, n)
+			if err := cl.Forward(context.Background(), dst, noise); err != nil {
+				t.Fatal(err)
+			}
+			for i := range dst {
+				if math.Float64bits(real(dst[i])) != math.Float64bits(real(tc.resp[i])) ||
+					math.Float64bits(imag(dst[i])) != math.Float64bits(imag(tc.resp[i])) {
+					t.Fatalf("elem %d: %v, sent %v", i, dst[i], tc.resp[i])
+				}
+			}
+		})
+	}
 }

@@ -234,6 +234,33 @@ func AppendVector(dst []byte, c Codec, x []complex128) []byte {
 	return dst
 }
 
+// 1/minSaving is the smallest fraction of its raw bytes a payload must save
+// for encoding it to pay. Encoding costs raw/E + raw/D of CPU (encode at E,
+// decode at D, both over the raw bytes) and saves s·raw/L of transfer on a
+// link of rate L, so a saving s pays only on links slower than
+// s / (1/E + 1/D). At the deltaplane rates measured on a 2-vCPU AVX2 Xeon,
+// E = 2.2 GB/s and D = 2.8 GB/s, that is 1.23 GB/s · s, and s = 1/8 puts
+// break-even at ≈ 154 MB/s, about 1 GbE. A spectrum (saving 0.8 %) or
+// noise (0.3 %) never reaches it; a smooth signal (34 %) does.
+const minSaving = 8
+
+// AppendVectorIfSmaller encodes x onto dst, like AppendVector, when its
+// first block saves at least 1/minSaving of its raw bytes, and reports
+// whether it did; otherwise it returns dst unchanged and false, and the
+// caller sends x raw. The probe block is the stream's first, so a payload
+// that passes is encoded once and is byte for byte AppendVector's stream.
+func AppendVectorIfSmaller(dst []byte, c Codec, x []complex128) ([]byte, bool) {
+	k := min(len(x), BlockElems)
+	if k == 0 {
+		return dst, false
+	}
+	enc := appendBlock(dst, c, x[:k])
+	if raw := k * bytesPerElem; minSaving*(len(enc)-len(dst)) > (minSaving-1)*raw {
+		return dst, false
+	}
+	return AppendVector(enc, c, x[k:]), true
+}
+
 // freeList pools buffers for callers that borrow on one goroutine what another
 // returned. A sync.Pool alone keeps a returned buffer in the private slot of
 // the P that returned it, so a borrower on another P (a client on two

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -65,14 +66,25 @@ func TestServeCodecRoundTrip(t *testing.T) {
 // pooled staging a request (client side) or a response (server side) is
 // encoded into is borrowed by one goroutine while another is still writing
 // from its own: a buffer handed back before its write returns is re-filled
-// under that write. Every answer is checked against the reference DFT, not
-// against an earlier answer, because batch coalescing may change the last
-// bits from one call to the next.
+// under that write. The inputs are smooth, so every caller's Inverse of a
+// spectrum answers with a smooth signal whose encoding pays and goes
+// through the server's staging, while its Forward answers with a spectrum
+// that falls back to raw; every request is encoded. Every answer is checked
+// against the reference DFT, not against an earlier answer, because batch
+// coalescing may change the last bits from one call to the next. The
+// response counters then split the codec responses exactly so, and leave
+// an identity call out.
 func TestServeCodecConcurrentClients(t *testing.T) {
-	_, addr := startServer(t, Config{})
+	srv, addr := startServer(t, Config{})
 	ctx := context.Background()
 	const n, callers, calls = 2048, 4, 40
-	base := ref.RandomVector(n, 11)
+	base := make([]complex128, n)
+	for _, tone := range []struct{ bin, amp, phase float64 }{{1, 1, 0.3}, {3, 0.6, 1.1}, {7, 0.25, 2.9}} {
+		for i := range base {
+			s, c := math.Sincos(2*math.Pi*tone.bin*float64(i)/n + tone.phase)
+			base[i] += complex(tone.amp*c, tone.amp*s)
+		}
+	}
 	baseDFT := ref.DFT(base)
 	var wg sync.WaitGroup
 	for c := range 2 {
@@ -95,11 +107,19 @@ func TestServeCodecConcurrentClients(t *testing.T) {
 				dst := make([]complex128, n)
 				for i := range calls {
 					if err := cl.Forward(ctx, dst, x); err != nil {
-						t.Errorf("client %d caller %d call %d: %v", c, g, i, err)
+						t.Errorf("client %d caller %d call %d: Forward: %v", c, g, i, err)
 						return
 					}
 					if e := cvec.RelErrL2(dst, want); e > 1e-9 {
-						t.Errorf("client %d caller %d call %d: rel err %g > 1e-9", c, g, i, e)
+						t.Errorf("client %d caller %d call %d: Forward rel err %g > 1e-9", c, g, i, e)
+						return
+					}
+					if err := cl.Inverse(ctx, dst, want); err != nil {
+						t.Errorf("client %d caller %d call %d: Inverse: %v", c, g, i, err)
+						return
+					}
+					if e := cvec.RelErrL2(dst, x); e > 1e-9 {
+						t.Errorf("client %d caller %d call %d: Inverse rel err %g > 1e-9", c, g, i, e)
 						return
 					}
 				}
@@ -107,6 +127,21 @@ func TestServeCodecConcurrentClients(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	plain := dialClient(t, addr)
+	if err := plain.Inverse(ctx, make([]complex128, n), baseDFT); err != nil {
+		t.Fatal(err)
+	}
+	snap := srv.Snapshot()
+	if want := int64(2 * callers * calls); snap.ResponsesEncoded != want || snap.ResponsesRaw != want {
+		t.Errorf("responses encoded %d, raw %d; want %d each (identity calls uncounted)", snap.ResponsesEncoded, snap.ResponsesRaw, want)
+	}
+	m := client.ParseStats(srv.MetricsText())
+	if m["soifftd_responses_encoded_total"] != float64(snap.ResponsesEncoded) || m["soifftd_responses_raw_total"] != float64(snap.ResponsesRaw) {
+		t.Errorf("metrics text: encoded %v, raw %v; snapshot %d, %d", m["soifftd_responses_encoded_total"], m["soifftd_responses_raw_total"], snap.ResponsesEncoded, snap.ResponsesRaw)
+	}
 }
 
 // TestServeSOICodecBudget runs the SOI path with a lossy request codec

@@ -632,7 +632,7 @@ func (cn *conn) completeRequest(r *request, err error) {
 // flushed once, so batching amortizes response syscalls as well as kernel
 // dispatch.
 func (cn *conn) writeLoop() {
-	bw := bufio.NewWriterSize(cn.c, 256<<10)
+	bw := wire.NewWriter(cn.c, 256<<10)
 	dead := false
 	for f := range cn.out {
 		if !dead {
@@ -648,7 +648,9 @@ func (cn *conn) writeLoop() {
 				case f.err != nil:
 					err = wire.WriteErrorVersion(bw, f.ver, f.reqID, f.err)
 				default:
-					err = wire.WriteResultCodec(bw, f.ver, f.reqID, f.count, f.data, f.codec)
+					var encoded bool
+					encoded, err = wire.WriteResultCodec(bw, f.ver, f.reqID, f.count, f.data, f.codec)
+					cn.srv.stats.countResponse(f.codec, encoded)
 				}
 			}
 			if err == nil && len(cn.out) == 0 {

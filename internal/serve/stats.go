@@ -5,12 +5,13 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"soifft/internal/codec"
 	"soifft/internal/trace"
 )
 
 // serverStats holds the server's monotonic counters. All fields count
 // transforms (a TBatch frame of count k moves each counter by k), except
-// batches, statsReqs and the connection counters.
+// batches, statsReqs and the connection and response counters.
 type serverStats struct {
 	accepted          atomic.Int64 // admitted past geometry validation
 	completed         atomic.Int64 // executed successfully
@@ -22,6 +23,21 @@ type serverStats struct {
 	batchedTransforms atomic.Int64 // transforms summed over executed batches
 	maxBatch          atomic.Int64 // widest executed batch
 	connsTotal        atomic.Int64 // connections accepted over the lifetime
+	// Result frames answering a request under a compressing codec, by how
+	// the payload went out: encoded, or raw because its first block did
+	// not pay (wire.WriteResultCodec).
+	responsesEncoded atomic.Int64
+	responsesRaw     atomic.Int64
+}
+
+// countResponse counts one result frame written under request codec c.
+func (st *serverStats) countResponse(c codec.Codec, encoded bool) {
+	switch {
+	case encoded:
+		st.responsesEncoded.Add(1)
+	case c != nil && c.ID() != codec.Identity:
+		st.responsesRaw.Add(1)
+	}
 }
 
 // Snapshot is a point-in-time view of the server's counters, phase times
@@ -37,6 +53,8 @@ type Snapshot struct {
 	BatchedTransforms int64
 	MaxBatch          int64
 	ConnsTotal        int64
+	ResponsesEncoded  int64
+	ResponsesRaw      int64
 	InFlight          int64
 	PlanCache         CacheStats
 	PhaseSeconds      map[string]float64
@@ -63,6 +81,8 @@ func (s *Server) Snapshot() Snapshot {
 		BatchedTransforms: s.stats.batchedTransforms.Load(),
 		MaxBatch:          s.stats.maxBatch.Load(),
 		ConnsTotal:        s.stats.connsTotal.Load(),
+		ResponsesEncoded:  s.stats.responsesEncoded.Load(),
+		ResponsesRaw:      s.stats.responsesRaw.Load(),
 		InFlight:          int64(s.sched.InFlight()),
 		PlanCache:         s.soiPlans.Stats(),
 		PhaseSeconds:      make(map[string]float64, 4),
@@ -97,6 +117,8 @@ func (s *Server) MetricsText() string {
 	line("soifftd_mean_batch_size", snap.MeanBatch())
 	line("soifftd_max_batch_size", snap.MaxBatch)
 	line("soifftd_connections_total", snap.ConnsTotal)
+	line("soifftd_responses_encoded_total", snap.ResponsesEncoded)
+	line("soifftd_responses_raw_total", snap.ResponsesRaw)
 	line("soifftd_inflight", snap.InFlight)
 	line("soifftd_plan_cache_entries", snap.PlanCache.Entries)
 	line("soifftd_plan_cache_hits_total", snap.PlanCache.Hits)

@@ -38,11 +38,13 @@
 // mantissa drop count). The compressed payload is the codec's
 // self-describing block stream; PayloadLen declares its exact byte length,
 // bounded by codec.MaxEncodedLen. A v2 peer always accepts v1 frames, and
-// a response frame echoes the request's version and codec, so a v1-only
-// peer (which never sends a codec byte) interoperates untouched — the
-// identity fallback. Version 1 frames with a nonzero byte 5 or byte 7 are
-// rejected: those bytes were reserved-zero in v1, so a nonzero value is
-// corruption, not negotiation.
+// a response frame echoes the request's version, so a v1-only peer (which
+// never sends a codec byte) interoperates untouched — the identity
+// fallback. A response's codec is the request's, or identity when the
+// payload's first codec block does not pay (codec.AppendVectorIfSmaller):
+// a receiver decodes every frame by its own header. Version 1 frames with
+// a nonzero byte 5 or byte 7 are rejected: those bytes were reserved-zero
+// in v1, so a nonzero value is corruption, not negotiation.
 //
 // Requests are identified by reqID, so a connection may pipeline: many
 // requests in flight, responses in completion order. That out-of-order
@@ -57,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 
 	"soifft/internal/codec"
 	"soifft/internal/cvec"
@@ -204,6 +207,16 @@ func (h *Header) Inverse() bool {
 // an explicit h.Version must be within [MinVersion, Version], and a v1
 // header cannot carry a codec (those bytes were reserved-zero in v1).
 func WriteHeader(w io.Writer, h *Header) error {
+	var buf [HeaderLen]byte
+	if err := putHeader(&buf, h); err != nil {
+		return err
+	}
+	_, err := w.Write(buf[:])
+	return err
+}
+
+// putHeader encodes h into buf under WriteHeader's rules.
+func putHeader(buf *[HeaderLen]byte, h *Header) error {
 	v := h.Version
 	if v == 0 {
 		v = Version
@@ -217,7 +230,6 @@ func WriteHeader(w io.Writer, h *Header) error {
 	if h.Flags>>8 != 0 {
 		return fmt.Errorf("wire: flags %#04x use the high byte, which carries the codec parameter", h.Flags)
 	}
-	var buf [HeaderLen]byte
 	binary.LittleEndian.PutUint16(buf[0:], Magic)
 	buf[2] = v
 	buf[3] = byte(h.Type)
@@ -230,8 +242,7 @@ func WriteHeader(w io.Writer, h *Header) error {
 	binary.LittleEndian.PutUint64(buf[24:], h.N)
 	binary.LittleEndian.PutUint64(buf[32:], uint64(h.Deadline))
 	binary.LittleEndian.PutUint64(buf[40:], h.PayloadLen)
-	_, err := w.Write(buf[:])
-	return err
+	return nil
 }
 
 // ReadHeader decodes one frame header from r, validating magic, version and
@@ -330,15 +341,9 @@ func CheckTransformPayload(h *Header) error {
 }
 
 // WriteVector writes x to w as its byte image, on a little-endian host one
-// Write of x's own memory. A bufio.Writer that holds a header but has no room
-// for the payload is flushed first, so bufio passes the payload straight on
-// instead of copying it through its buffer.
+// Write of x's own memory. A frame writer behind a buffer uses
+// Writer.WriteVectorFrame, which keeps the payload out of the buffer.
 func WriteVector(w io.Writer, x []complex128) error {
-	if bw, ok := w.(*bufio.Writer); ok && bw.Buffered() > 0 && len(x)*BytesPerElem > bw.Available() {
-		if err := bw.Flush(); err != nil {
-			return fmt.Errorf("wire: writing payload: %w", err)
-		}
-	}
 	if err := cvec.WriteVector(w, x); err != nil {
 		return fmt.Errorf("wire: writing payload: %w", err)
 	}
@@ -377,20 +382,73 @@ func DiscardPayload(r io.Reader, n uint64) error {
 	return nil
 }
 
-// WriteResult writes a TResult frame carrying x (count transforms of
-// len(x)/count points each) as a raw identity payload at the current
-// protocol version.
-func WriteResult(w io.Writer, reqID uint64, count int, x []complex128) error {
-	return WriteResultCodec(w, 0, reqID, count, x, nil)
+// Writer is a connection's buffered frame writer: a bufio.Writer over the
+// connection that keeps the connection too, so a frame too large for the
+// buffer can pass it by. Frames that fit are gathered in the buffer and
+// leave together on Flush; a larger one leaves as one net.Buffers write of
+// its header and payload — one writev(2) on a socket, with the payload
+// taken from the caller's memory, not copied through the buffer.
+type Writer struct {
+	*bufio.Writer
+	conn io.Writer
+	// A large frame's header and write list, held here so that sending
+	// one allocates nothing.
+	hdr  [HeaderLen]byte
+	vec  [2][]byte
+	bufs net.Buffers
 }
 
-// WriteResultCodec writes a TResult frame carrying x encoded with c at the
-// given protocol version (0 = current; a responder passes the request's
-// version so a v1 peer can read the reply). A nil or identity codec
-// writes the raw payload (WriteVector); a compressing codec stages
-// the encoded payload in a pooled buffer to learn its length — the price
-// of a length-prefixed frame.
-func WriteResultCodec(w io.Writer, version byte, reqID uint64, count int, x []complex128, c codec.Codec) error {
+// NewWriter returns a Writer on conn with a size-byte buffer.
+func NewWriter(conn io.Writer, size int) *Writer {
+	return &Writer{Writer: bufio.NewWriterSize(conn, size), conn: conn}
+}
+
+// WriteFrame writes a frame of header h and payload, which must be
+// h.PayloadLen bytes. A frame larger than the buffer first flushes the
+// frames buffered ahead of it, then goes out in one write.
+func (w *Writer) WriteFrame(h *Header, payload []byte) error {
+	if HeaderLen+len(payload) <= w.Size() {
+		if err := WriteHeader(w, h); err != nil {
+			return err
+		}
+		_, err := w.Write(payload)
+		return err
+	}
+	if err := putHeader(&w.hdr, h); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	w.vec = [2][]byte{w.hdr[:], payload}
+	w.bufs = w.vec[:]
+	_, err := w.bufs.WriteTo(w.conn)
+	w.vec[1] = nil // the payload may be pooled staging
+	return err
+}
+
+// WriteVectorFrame writes a frame of header h and x's byte image as its
+// identity payload: WriteFrame of x's own memory where cvec.View has it.
+func (w *Writer) WriteVectorFrame(h *Header, x []complex128) error {
+	if b, ok := cvec.View(x); ok {
+		return w.WriteFrame(h, b)
+	}
+	if err := WriteHeader(w, h); err != nil {
+		return err
+	}
+	return WriteVector(w, x)
+}
+
+// WriteResultCodec writes a TResult frame carrying x (count transforms of
+// len(x)/count points each) at the given protocol version (0 = current; a
+// responder passes the request's version so a v1 peer can read the reply),
+// and reports whether the payload went out encoded. Under a compressing
+// codec c, x is encoded into a pooled staging buffer — a length-prefixed
+// frame must know its payload's length before the first byte leaves — if
+// its first block pays (codec.AppendVectorIfSmaller). Otherwise, and under
+// a nil or identity codec, the frame carries x raw under an identity
+// header: raw output is exact, so it is within any codec's tolerance.
+func WriteResultCodec(w *Writer, version byte, reqID uint64, count int, x []complex128, c codec.Codec) (encoded bool, err error) {
 	h := Header{
 		Version: version,
 		Type:    TResult,
@@ -398,24 +456,18 @@ func WriteResultCodec(w io.Writer, version byte, reqID uint64, count int, x []co
 		ReqID:   reqID,
 		N:       uint64(len(x) / count),
 	}
-	if c == nil || c.ID() == codec.Identity {
-		h.PayloadLen = uint64(len(x)) * BytesPerElem
-		if err := WriteHeader(w, &h); err != nil {
-			return err
+	if c != nil && c.ID() != codec.Identity {
+		st := codec.BorrowStaging(len(x))
+		defer codec.ReturnStaging(st)
+		if enc, ok := codec.AppendVectorIfSmaller(*st, c, x); ok {
+			h.Codec = c.ID()
+			h.CodecParam = codec.Param(c)
+			h.PayloadLen = uint64(len(enc))
+			return true, w.WriteFrame(&h, enc)
 		}
-		return WriteVector(w, x)
 	}
-	st := codec.BorrowStaging(len(x))
-	defer codec.ReturnStaging(st)
-	enc := codec.AppendVector(*st, c, x)
-	h.Codec = c.ID()
-	h.CodecParam = codec.Param(c)
-	h.PayloadLen = uint64(len(enc))
-	if err := WriteHeader(w, &h); err != nil {
-		return err
-	}
-	_, err := w.Write(enc)
-	return err
+	h.PayloadLen = uint64(len(x)) * BytesPerElem
+	return false, w.WriteVectorFrame(&h, x)
 }
 
 // WriteError writes a TError frame for err (code via CodeFor, message is
@@ -443,7 +495,7 @@ func WriteErrorVersion(w io.Writer, version byte, reqID uint64, err error) error
 	return werr
 }
 
-// maxErrLen bounds TError / TStatsResult payloads a receiver will buffer.
+// maxTextLen bounds TError / TStatsResult payloads a receiver will buffer.
 const maxTextLen = 1 << 20
 
 // ReadText reads a text payload (TError message, TStatsResult body).

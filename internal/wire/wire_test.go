@@ -348,7 +348,11 @@ func TestReadTextLimit(t *testing.T) {
 func TestWriteResultGeometry(t *testing.T) {
 	x := ref.RandomVector(32, 2)
 	var buf bytes.Buffer
-	if err := WriteResult(&buf, 8, 4, x); err != nil {
+	w := NewWriter(&buf, 4096)
+	if _, err := WriteResultCodec(w, 0, 8, 4, x, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	h, err := ReadHeader(&buf)
