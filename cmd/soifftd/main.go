@@ -1,8 +1,8 @@
 // Command soifftd serves batched FFTs over TCP.
 //
 // It fronts the soifft library with internal/serve: concurrent requests for
-// the same transform length are coalesced into one call to the batched FFT
-// kernel, SOI plans are cached across requests, and admission control sheds load beyond -max-inflight with a typed
+// the same transform length are coalesced into one worker pass over the
+// cached plan for that length, SOI plans are cached across requests, and admission control sheds load beyond -max-inflight with a typed
 // overload error instead of queueing without bound.
 //
 // Usage:
@@ -39,7 +39,7 @@ func main() {
 		listen       = flag.String("listen", "127.0.0.1:7311", "TCP listen address (host:port; port 0 picks a free port)")
 		metricsAddr  = flag.String("metrics", "", "optional HTTP address serving the plain-text metrics (e.g. 127.0.0.1:7312)")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "executor pool size")
-		maxBatch     = flag.Int("max-batch", 32, "max transforms coalesced into one kernel call (1 disables batching)")
+		maxBatch     = flag.Int("max-batch", 32, "max transforms one worker takes from a queue per pass (1 disables batching)")
 		maxInflight  = flag.Int("max-inflight", 256, "admitted-transform bound; beyond it requests are shed")
 		planCache    = flag.Int("plan-cache", 32, "SOI plan LRU capacity")
 		maxN         = flag.Int("max-n", 1<<24, "largest accepted transform length")

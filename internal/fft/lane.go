@@ -48,10 +48,9 @@ func NewLaneBatch(n, lanes int) (*LaneBatch, error) {
 	return lb, nil
 }
 
-// N returns the per-transform length.
-func (lb *LaneBatch) N() int { return lb.n }
-
-// Transform runs all lanes in place on x (length >= n*lanes).
+// Transform runs all lanes in place on x (length >= n*lanes). The six-step
+// reads its columns in place through forwardFrom instead; Transform is the
+// in-place form, kept for measuring the kernel on its own.
 func (lb *LaneBatch) Transform(x []complex128, dir Direction) {
 	total := lb.n * lb.lanes
 	if len(x) < total {
@@ -106,9 +105,3 @@ func (lb *LaneBatch) forwardFrom(dst, src []complex128, rowStride int) {
 	defer lb.work.Put(wp)
 	runStages(lb.stages, dst, src, (*wp)[:total], rowStride)
 }
-
-// Forward runs all lanes forward, in place.
-func (lb *LaneBatch) Forward(x []complex128) { lb.Transform(x, Forward) }
-
-// Inverse runs all lanes inverse (1/n scaled), in place.
-func (lb *LaneBatch) Inverse(x []complex128) { lb.Transform(x, Inverse) }

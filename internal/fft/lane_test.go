@@ -23,13 +23,14 @@ func laneBatchMatchesSeparateTransforms(t *testing.T) {
 			for l := range src {
 				src[l] = ref.RandomVector(n, int64(n*lanes+l))
 			}
-			x := make([]complex128, n*lanes)
+			in := make([]complex128, n*lanes)
 			for j := 0; j < n; j++ {
 				for l := 0; l < lanes; l++ {
-					x[j*lanes+l] = src[l][j]
+					in[j*lanes+l] = src[l][j]
 				}
 			}
-			lb.Forward(x)
+			x := make([]complex128, n*lanes)
+			lb.forwardFrom(x, in, lanes)
 			p := MustPlan(n)
 			for l := 0; l < lanes; l++ {
 				want := make([]complex128, n)
@@ -51,8 +52,8 @@ func TestLaneBatchInverseRoundTrip(t *testing.T) {
 	}
 	x := ref.RandomVector(96*8, 9)
 	orig := append([]complex128(nil), x...)
-	lb.Forward(x)
-	lb.Inverse(x)
+	lb.Transform(x, Forward)
+	lb.Transform(x, Inverse)
 	if e := cvec.RelErrL2(x, orig); e > 1e-13 {
 		t.Errorf("lane round trip error %g", e)
 	}
@@ -77,20 +78,19 @@ func BenchmarkLaneBatchVsSeparate(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := ref.RandomVector(n*lanes, 1)
+	out := make([]complex128, n*lanes)
 	b.Run("lane-interleaved", func(b *testing.B) {
-		buf := append([]complex128(nil), x...)
 		b.SetBytes(int64(n*lanes) * 16)
 		for i := 0; i < b.N; i++ {
-			lb.Forward(buf)
+			lb.forwardFrom(out, x, lanes)
 		}
 	})
 	b.Run("separate-calls", func(b *testing.B) {
 		p := MustPlan(n)
-		buf := append([]complex128(nil), x...)
 		b.SetBytes(int64(n*lanes) * 16)
 		for i := 0; i < b.N; i++ {
 			for l := 0; l < lanes; l++ {
-				p.Forward(buf[l*n:(l+1)*n], buf[l*n:(l+1)*n])
+				p.Forward(out[l*n:(l+1)*n], x[l*n:(l+1)*n])
 			}
 		}
 	})

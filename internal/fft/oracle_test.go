@@ -221,8 +221,10 @@ func TestKernelOracleFig11Sizes(t *testing.T) {
 	})
 }
 
-// TestKernelOracleLaneBatch drives the lane-interleaved batch kernel, both
-// directions, against the (oracle-verified) Plan on each deinterleaved lane.
+// TestKernelOracleLaneBatch drives the lane-interleaved batch kernel against
+// the (oracle-verified) Plan on each deinterleaved lane: forward through
+// forwardFrom, the six-step's entry, and inverse through the in-place
+// Transform.
 func TestKernelOracleLaneBatch(t *testing.T) {
 	forEachKernel(t, runOracleLaneBatch)
 }
@@ -242,7 +244,11 @@ func runOracleLaneBatch(t *testing.T) {
 		x := ref.RandomVector(n*lanes, int64(n*lanes))
 		for _, dir := range []Direction{Forward, Inverse} {
 			got := append([]complex128(nil), x...)
-			lb.Transform(got, dir)
+			if dir == Forward {
+				lb.forwardFrom(got, x, lanes)
+			} else {
+				lb.Transform(got, dir)
+			}
 			col := make([]complex128, n)
 			want := make([]complex128, n)
 			for l := 0; l < lanes; l++ {

@@ -144,30 +144,14 @@ func (c *PlanCache) Stats() CacheStats {
 	}
 }
 
-// laneKey identifies one lane-interleaved batch kernel instance.
-type laneKey struct {
-	n     int
-	lanes int
-}
-
-// newLaneCache caches fft.LaneBatch kernels keyed by (n, lanes). Under a
-// steady offered load the executed batch width stabilizes, so the working
-// set is a handful of entries per hot size.
-func newLaneCache(capacity int) *lru[laneKey, *fft.LaneBatch] {
-	return newLRU(capacity, func(k laneKey) (*fft.LaneBatch, error) {
-		return fft.NewLaneBatch(k.n, k.lanes)
-	})
-}
-
-// newExactCache caches scalar fft.Plan instances keyed by length — the
-// fallback for rough (Bluestein) sizes and single-transform batches.
+// newExactCache caches fft.Plan instances keyed by length: every exact
+// transform, smooth or rough (Bluestein), runs on one of them.
 func newExactCache(capacity int) *lru[int, *fft.Plan] {
 	return newLRU(capacity, fft.NewPlan)
 }
 
-// bufPool pools []complex128 scratch by exact length, so the per-request
-// src/dst buffers and the per-batch gather buffer don't churn the GC at
-// serving rates.
+// bufPool pools []complex128 buffers by exact length, so the per-request
+// src/dst buffers don't churn the GC at serving rates.
 type bufPool struct {
 	mu    sync.Mutex
 	pools map[int]*sync.Pool

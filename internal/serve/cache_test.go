@@ -126,23 +126,6 @@ func TestPlanCacheKeyCanonical(t *testing.T) {
 }
 
 func TestKernelCaches(t *testing.T) {
-	lanes := newLaneCache(4)
-	lb, err := lanes.Get(laneKey{n: 64, lanes: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb2, err := lanes.Get(laneKey{n: 64, lanes: 8})
-	if err != nil || lb != lb2 {
-		t.Error("lane cache rebuilt an existing kernel")
-	}
-	// Rough lengths have no lane kernel; the error must not be cached.
-	if _, err := lanes.Get(laneKey{n: 146, lanes: 8}); err == nil {
-		t.Error("rough length accepted by lane cache")
-	}
-	if lanes.Len() != 1 {
-		t.Errorf("lane cache holds %d entries, want 1", lanes.Len())
-	}
-
 	exact := newExactCache(4)
 	p, err := exact.Get(146)
 	if err != nil {
@@ -151,8 +134,15 @@ func TestKernelCaches(t *testing.T) {
 	if p.N() != 146 {
 		t.Errorf("exact cache plan N=%d", p.N())
 	}
+	if p2, err := exact.Get(146); err != nil || p2 != p {
+		t.Error("exact cache rebuilt an existing plan")
+	}
+	// An invalid length fails to build; the error must not be cached.
 	if _, err := exact.Get(-1); err == nil {
 		t.Error("invalid length accepted by exact cache")
+	}
+	if exact.Len() != 1 {
+		t.Errorf("exact cache holds %d entries, want 1", exact.Len())
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"soifft/internal/wire"
 )
 
-// batchKey groups requests that can execute as one batched kernel call:
+// batchKey groups requests that can execute as one batch on one plan:
 // same length, same direction, same algorithm.
 type batchKey struct {
 	n   int
@@ -144,8 +144,8 @@ func (s *scheduler) finish(req *request, err error) {
 
 // worker drains ready queues: it pops the oldest, takes up to maxBatch
 // transforms from it (whole requests — a batch frame is never split) and
-// executes them as one kernel call. It exits once stop has been called and
-// no queue is ready.
+// executes them as one batch on one plan. It exits once stop has been
+// called and no queue is ready.
 func (s *scheduler) worker() {
 	defer s.wg.Done()
 	s.mu.Lock()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -124,10 +125,9 @@ func TestServeSOI(t *testing.T) {
 }
 
 // TestServeBatchFrame sends count transforms in one TBatch frame — batches
-// of 128, 256 and 8192 elements, so both small and cache-spilling lane
-// kernels run — and checks each transform, forward and inverse, against the
-// scalar fft.Plan (same arithmetic, so 1e-12) and forward against the
-// reference DFT.
+// of 128, 256 and 8192 elements — and checks each transform, forward and
+// inverse, bit for bit against fft.Plan (the server runs the same plan on
+// each transform) and forward against the reference DFT.
 func TestServeBatchFrame(t *testing.T) {
 	_, addr := startServer(t, Config{})
 	cl := dialClient(t, addr)
@@ -153,8 +153,8 @@ func TestServeBatchFrame(t *testing.T) {
 			for i := 0; i < count; i++ {
 				x, got := src[i*n:(i+1)*n], dst[i*n:(i+1)*n]
 				plan.Transform(want, x, dir)
-				if e := cvec.RelErrL2(got, want); e > 1e-12 {
-					t.Errorf("batch %dx%d inverse=%v transform %d: rel err %g vs fft.Plan", n, count, inverse, i, e)
+				if j := firstBitDiff(got, want); j >= 0 {
+					t.Errorf("batch %dx%d inverse=%v transform %d: bin %d is %v, fft.Plan gives %v", n, count, inverse, i, j, got[j], want[j])
 				}
 				if !inverse {
 					if e := cvec.RelErrL2(got, ref.DFT(x)); e > 1e-9 {
@@ -164,6 +164,94 @@ func TestServeBatchFrame(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestServeExactAnswersArePlanBits: pipelined callers on two connections
+// send n = 64 and n = 1024 transforms, forward and inverse, as single
+// frames (which the scheduler coalesces into batches up to MaxBatch wide)
+// and as TBatch frames. Every answer must be the bits fft.Plan gives for
+// that transform, whatever batch it ran in, and the buffer pool must hold
+// only request-sized buffers: nothing is staged per batch.
+func TestServeExactAnswersArePlanBits(t *testing.T) {
+	srv, addr := startServer(t, Config{Workers: 1, MaxBatch: 32})
+	const conns, callers, rounds = 2, 16, 4
+	sizes := []int{64, 1024}
+	counts := []int{1, 4}
+	plans := map[int]*fft.Plan{}
+	for _, n := range sizes {
+		plans[n] = fft.MustPlan(n)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		cl := dialClient(t, addr)
+		cl.SetAlg(client.Exact)
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				ctx := context.Background()
+				for r := 0; r < rounds; r++ {
+					for _, n := range sizes {
+						for _, count := range counts {
+							for _, inverse := range []bool{false, true} {
+								src := ref.RandomVector(n*count, seed)
+								seed++
+								got := make([]complex128, n*count)
+								// count 1 goes out as a TForward or TInverse frame.
+								if err := cl.Batch(ctx, got, src, count, inverse); err != nil {
+									t.Errorf("n=%d count=%d inverse=%v: %v", n, count, inverse, err)
+									return
+								}
+								dir := fft.Forward
+								if inverse {
+									dir = fft.Inverse
+								}
+								want := make([]complex128, n)
+								for i := 0; i < count; i++ {
+									plans[n].Transform(want, src[i*n:(i+1)*n], dir)
+									if j := firstBitDiff(got[i*n:(i+1)*n], want); j >= 0 {
+										t.Errorf("n=%d count=%d inverse=%v transform %d: bin %d is %v, fft.Plan gives %v",
+											n, count, inverse, i, j, got[i*n+j], want[j])
+										return
+									}
+								}
+							}
+						}
+					}
+				}
+			}(int64(1000 * (c*callers + g + 1)))
+		}
+	}
+	wg.Wait()
+
+	if st := srv.Snapshot(); st.MaxBatch < 2 {
+		t.Errorf("max executed batch %d: the pipelined callers never coalesced", st.MaxBatch)
+	}
+	requestSized := map[int]bool{}
+	for _, n := range sizes {
+		for _, count := range counts {
+			requestSized[n*count] = true
+		}
+	}
+	srv.bufs.mu.Lock()
+	defer srv.bufs.mu.Unlock()
+	for elems := range srv.bufs.pools {
+		if !requestSized[elems] {
+			t.Errorf("buffer pool holds %d-element buffers, which no request is", elems)
+		}
+	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in any bit,
+// or -1.
+func firstBitDiff(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
 }
 
 // rawRequest writes one transform frame directly (bypassing the client

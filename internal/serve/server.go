@@ -1,17 +1,18 @@
 // Package serve implements soifftd's serving engine: a TCP front end over
 // the internal/wire protocol, per-size batching queues that coalesce
-// same-length requests into one call to the lane-interleaved batch FFT
-// kernel, a single-flight LRU plan cache, bounded admission control,
+// same-length requests into one worker pass over the cached plan for that
+// length, a single-flight LRU plan cache, bounded admission control,
 // deadline propagation, and graceful drain.
 //
 // The batching discipline (DESIGN.md §8): requests are grouped by
 // (length, direction, algorithm); an executor worker drains up to MaxBatch
-// transforms from one group and executes them as a single kernel call.
-// Because responses carry request IDs, a connection may pipeline, and the
+// transforms from one group and runs them one after another on a single
+// plan lookup, each reading its request's buffer in place. Because
+// responses carry request IDs, a connection may pipeline, and the
 // per-connection writer flushes once per burst of completed responses
-// rather than once per response — batching therefore amortizes both the
-// kernel dispatch and the response syscalls, which is where the throughput
-// of small hot sizes comes from.
+// rather than once per response — batching therefore amortizes the plan
+// lookup, the worker hand-off and the response syscalls, which is where the
+// throughput of small hot sizes comes from.
 package serve
 
 import (
@@ -32,17 +33,16 @@ import (
 	"soifft/internal/wire"
 )
 
-// kernelCacheSize bounds the lane-batch and exact-plan LRUs, each keyed by
-// transform length (and, for lane batches, batch width).
-const kernelCacheSize = 64
+// exactCacheSize bounds the exact-plan LRU, keyed by transform length.
+const exactCacheSize = 64
 
 // Config tunes a Server. Zero values select the documented defaults.
 type Config struct {
 	// MaxInFlight bounds admitted-but-unfinished transforms; admission
 	// beyond it sheds load with wire.ErrOverloaded. Default 256.
 	MaxInFlight int
-	// MaxBatch bounds the transforms coalesced into one kernel call.
-	// Default 32. 1 disables batching (the comparison baseline).
+	// MaxBatch bounds the transforms one worker takes from a queue per
+	// pass. Default 32. 1 disables batching (the comparison baseline).
 	MaxBatch int
 	// Workers is the executor pool size. Default GOMAXPROCS.
 	Workers int
@@ -94,7 +94,6 @@ type Server struct {
 	cfg        Config
 	sched      *scheduler
 	soiPlans   *PlanCache
-	lanePlans  *lru[laneKey, *fft.LaneBatch]
 	exactPlans *lru[int, *fft.Plan]
 	bufs       bufPool
 	breakdown  *trace.Breakdown
@@ -117,8 +116,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		soiPlans:   NewPlanCache(cfg.PlanCacheSize),
-		lanePlans:  newLaneCache(kernelCacheSize),
-		exactPlans: newExactCache(kernelCacheSize),
+		exactPlans: newExactCache(exactCacheSize),
 		breakdown:  trace.NewBreakdown(),
 		listeners:  make(map[net.Listener]struct{}),
 		conns:      make(map[*conn]struct{}),
@@ -299,7 +297,7 @@ func (s *Server) execute(batch []*request, total int) {
 	if key.alg == algSOI {
 		err = s.executeSOI(key, live)
 	} else {
-		err = s.executeExact(key, live, total)
+		err = s.executeExact(key, live)
 	}
 	for _, r := range live {
 		if err != nil {
@@ -311,57 +309,19 @@ func (s *Server) execute(batch []*request, total int) {
 	}
 }
 
-// executeExact runs a batch through the lane-interleaved batch kernel
-// (smooth lengths, >= 2 transforms) or the scalar plan otherwise.
-func (s *Server) executeExact(key batchKey, live []*request, total int) error {
+// executeExact runs every transform of a batch through the one cached
+// fft.Plan for its length, reading each request's src and writing its dst
+// in place: the plan already runs its radix kernels at unit stride, so
+// there is nothing to gain from staging the batch in another layout.
+func (s *Server) executeExact(key batchKey, live []*request) error {
 	planTimer := s.breakdown.Timer(trace.PhasePlan)
-	var lb *fft.LaneBatch
-	if total > 1 {
-		// Rough (Bluestein) lengths have no lane kernel; fall through to
-		// the scalar plan on error.
-		lb, _ = s.lanePlans.Get(laneKey{n: key.n, lanes: total})
-	}
-	var plan *fft.Plan
-	if lb == nil {
-		var err error
-		plan, err = s.exactPlans.Get(key.n)
-		if err != nil {
-			planTimer()
-			return fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
-		}
-	}
+	plan, err := s.exactPlans.Get(key.n)
 	planTimer()
+	if err != nil {
+		return fmt.Errorf("%w: %v", wire.ErrBadRequest, err)
+	}
 
 	defer s.breakdown.Timer(trace.PhaseExecute)()
-	if lb != nil {
-		// One kernel call for the whole batch: gather the transforms into
-		// lane-interleaved order (element j of lane l at buf[j*total+l]),
-		// run, and scatter back into each request's dst.
-		buf := s.bufs.get(key.n * total)
-		l := 0
-		for _, r := range live {
-			for c := 0; c < r.count; c++ {
-				seg := r.src[c*key.n : (c+1)*key.n]
-				for j, v := range seg {
-					buf[j*total+l] = v
-				}
-				l++
-			}
-		}
-		lb.Transform(buf, key.dir)
-		l = 0
-		for _, r := range live {
-			for c := 0; c < r.count; c++ {
-				seg := r.dst[c*key.n : (c+1)*key.n]
-				for j := range seg {
-					seg[j] = buf[j*total+l]
-				}
-				l++
-			}
-		}
-		s.bufs.put(buf)
-		return nil
-	}
 	for _, r := range live {
 		for c := 0; c < r.count; c++ {
 			plan.Transform(r.dst[c*key.n:(c+1)*key.n], r.src[c*key.n:(c+1)*key.n], key.dir)
@@ -629,8 +589,8 @@ func (cn *conn) completeRequest(r *request, err error) {
 
 // writeLoop serializes completions. The flush discipline is flush-on-idle:
 // a burst of completions (one executed batch) is written back-to-back and
-// flushed once, so batching amortizes response syscalls as well as kernel
-// dispatch.
+// flushed once, so batching amortizes response syscalls as well as the
+// plan lookup.
 func (cn *conn) writeLoop() {
 	bw := wire.NewWriter(cn.c, 256<<10)
 	dead := false

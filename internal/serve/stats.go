@@ -19,7 +19,7 @@ type serverStats struct {
 	shedDeadline      atomic.Int64 // expired before execution
 	badRequest        atomic.Int64 // rejected frames (geometry, alg, limits)
 	statsReqs         atomic.Int64 // TStats frames served
-	batches           atomic.Int64 // executed kernel batches
+	batches           atomic.Int64 // executed batches
 	batchedTransforms atomic.Int64 // transforms summed over executed batches
 	maxBatch          atomic.Int64 // widest executed batch
 	connsTotal        atomic.Int64 // connections accepted over the lifetime
