@@ -31,16 +31,21 @@
 // rounding; tests pin them against each other and against a direct dense
 // evaluation of W.
 //
-// The rotated sums of Buffered come from one of two kernels: dotReal and a
-// Go rotation, pure Go, the build for every target; and on amd64 processors
-// with AVX2 and FMA dotRowsFMA (dot_amd64.s), which sums, rotates and stores
-// all NMu rows of every window of a lane's tile in one call, four rows sharing
-// each load of the window, one fused multiply-add per tap pair. The two sum in
-// different orders and round differently, both within the dot product's
-// rounding bound (TestDotRowsRoundingBound); the kernel is bit-identical to a
-// math.FMA twin in the tests. The staging gather likewise has a Go loop and
-// an AVX2 twin (gatherLanesAVX2), copies that agree trivially. Which ones run
-// is decided once at init from CPUID; there is nothing to configure.
+// The rotated sums of Buffered come from one of three kernels: dotReal and a
+// Go rotation, pure Go, the build for every target; on amd64 processors with
+// AVX2 and FMA dotRowsFMA (dot_amd64.s), which sums, rotates and stores all
+// NMu rows of every window of a lane's tile in one call, four rows sharing
+// each load of the window, one fused multiply-add per tap pair; and where the
+// processor also has AVX-512F, dotRowsAVX512 for every block of four rows by
+// four windows, one 512-bit fused multiply-add per four taps, each load
+// shared by four outputs, with dotRowsFMA for the rows and windows left over.
+// dotRowsAVX512 does dotRowsFMA's operations in dotRowsFMA's order, so the
+// two give the same bits, pinned to one math.FMA twin in the tests. dotReal
+// sums in a different order and rounds differently; every kernel is within
+// the dot product's rounding bound (TestDotRowsRoundingBound). The staging
+// gather likewise has a Go loop and an AVX2 twin (gatherLanesAVX2), copies
+// that agree trivially. Which ones run is decided once at init from CPUID;
+// there is nothing to configure.
 package conv
 
 import (
@@ -312,8 +317,8 @@ func applyBuffered(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 // window.Filter's real LaneTaps entry times one unit phase per (j, a), so an
 // output is a real-weighted sum of the window rotated once: 4*B+6 flops
 // instead of 8*B. The sums of all of a lane's rows over all n windows,
-// rotated and stored, come from one dotRows call — the FMA kernel where the
-// processor has it, dotReal elsewhere.
+// rotated and stored, come from one dotRows call — the vector kernels where
+// the processor has them, dotReal elsewhere.
 func tileBuffered(f *window.Filter, u []complex128, rs, ls int, x []complex128, n int, stage []complex128) {
 	s := f.Segments
 	nmu, dmu, b := f.NMu, f.DMu, f.B

@@ -174,6 +174,221 @@ done:
 	VZEROUPPER
 	RET
 
+// FMA16 fuses the four windows in Z16-Z19 against the four rows of taps in
+// Z20-Z23: window w under row r into accumulator Z(4w + r).
+#define FMA16 \
+	VFMADD231PD Z20, Z16, Z0;  \
+	VFMADD231PD Z21, Z16, Z1;  \
+	VFMADD231PD Z22, Z16, Z2;  \
+	VFMADD231PD Z23, Z16, Z3;  \
+	VFMADD231PD Z20, Z17, Z4;  \
+	VFMADD231PD Z21, Z17, Z5;  \
+	VFMADD231PD Z22, Z17, Z6;  \
+	VFMADD231PD Z23, Z17, Z7;  \
+	VFMADD231PD Z20, Z18, Z8;  \
+	VFMADD231PD Z21, Z18, Z9;  \
+	VFMADD231PD Z22, Z18, Z10; \
+	VFMADD231PD Z23, Z18, Z11; \
+	VFMADD231PD Z20, Z19, Z12; \
+	VFMADD231PD Z21, Z19, Z13; \
+	VFMADD231PD Z22, Z19, Z14; \
+	VFMADD231PD Z23, Z19, Z15
+
+// SUMROT sums the accumulators A, B, C, D of one window's four rows into A,
+// row a's output in A's 128-bit lane a, and rotates them: each accumulator
+// holds four complex partial sums L0-L3, which VSHUFF64X2 pairs so that
+// the first add gives L0 + L2 and L1 + L3 and the second their sum,
+// (L0 + L2) + (L1 + L3) as dotRowsFMA adds them. The rotation is ROTSTORE's
+// with the phases' [pr, pr] in Z24 and [-pi, pi] in Z25, so that one add of
+// [re*pr, im*pr] and [-(im*pi), re*pi] is VADDSUBPD's x - y, x + y (no EVEX
+// form exists) to the bit. Uses Z26 and Z27.
+#define SUMROT(A, B, C, D) \
+	VSHUFF64X2 $0x44, B, A, Z26; \
+	VSHUFF64X2 $0xEE, B, A, Z27; \
+	VADDPD     Z27, Z26, A;      \
+	VSHUFF64X2 $0x44, D, C, Z26; \
+	VSHUFF64X2 $0xEE, D, C, Z27; \
+	VADDPD     Z27, Z26, C;      \
+	VSHUFF64X2 $0x88, C, A, Z26; \
+	VSHUFF64X2 $0xDD, C, A, Z27; \
+	VADDPD     Z27, Z26, A;      \
+	VMULPD     A, Z24, Z26;      \
+	VPERMILPD  $0x55, A, A;      \
+	VMULPD     A, Z25, A;        \
+	VADDPD     A, Z26, A
+
+// SCATTER stores the four outputs in Z's 128-bit lanes at (AX), R8 bytes
+// apart.
+#define SCATTER(Z) \
+	VEXTRACTF32X4 $0, Z, (AX);       \
+	VEXTRACTF32X4 $1, Z, (AX)(R8*1); \
+	VEXTRACTF32X4 $2, Z, (AX)(R8*2); \
+	ADDQ          R8, AX;            \
+	VEXTRACTF32X4 $3, Z, (AX)(R8*2); \
+	SUBQ          R8, AX
+
+// The sign bit of the real part of each of four complex128: XORed into
+// [pi, pi] it gives [-pi, pi].
+DATA signRe<>+0x00(SB)/8, $0x8000000000000000
+DATA signRe<>+0x08(SB)/8, $0
+DATA signRe<>+0x10(SB)/8, $0x8000000000000000
+DATA signRe<>+0x18(SB)/8, $0
+DATA signRe<>+0x20(SB)/8, $0x8000000000000000
+DATA signRe<>+0x28(SB)/8, $0
+DATA signRe<>+0x30(SB)/8, $0x8000000000000000
+DATA signRe<>+0x38(SB)/8, $0
+GLOBL signRe<>(SB), RODATA|NOPTR, $64
+
+// func dotRowsAVX512(out *complex128, taps *float64, lane, phase *complex128, rows, b, stride, wins, wstep, ostep int)
+//
+// dotRowsFMA for rows and wins both multiples of four, in AVX-512F, to the
+// bit: one ZMM accumulator per output holds dotRowsFMA's two YMM
+// accumulators of it side by side, [L0, L1, L2, L3] with Lk the complex
+// partial sum of the taps ≡ k (mod 4), so that one fused multiply-add of
+// [r0,r0,r1,r1,r2,r2,r3,r3] by the window's four elements is dotRowsFMA's
+// two, lane for lane. The b%4 tail taps go first, into L0 alone (the loads
+// are masked to its two doubles by K1; the other lanes add 0*0 to +0). Then
+// SUMROT adds (L0 + L2) + (L1 + L3) and rotates. Four rows by four windows
+// make a block of sixteen independent accumulators, Z0-Z15, which hide the
+// FMA latency; each group of four taps loads the four windows and the four
+// rows once for the block's sixteen FMAs. Blocks go four windows at a
+// time along the lane, then the next four rows. Reads and writes exactly
+// what dotRowsFMA does with the same arguments; the argument slots of
+// stride, wstep and ostep are turned into bytes, those of out, taps, phase
+// and rows into the current row block's.
+TEXT ·dotRowsAVX512(SB), NOSPLIT, $0-80
+	MOVL  $3, AX
+	KMOVW AX, K1        // the two doubles of one complex
+	SHLQ  $4, stride+48(FP)
+	SHLQ  $4, wstep+64(FP)
+	SHLQ  $4, ostep+72(FP)
+	MOVQ  stride+48(FP), R8
+	MOVQ  b+40(FP), R9
+	MOVQ  R9, R10
+	ANDQ  $-4, R10
+	SHLQ  $4, R10       // byte offset of the tail taps: (b &^ 3)*16
+	SHLQ  $4, R9        // byte length of a row: b*16
+
+rows4:
+	MOVQ      phase+24(FP), AX
+	VMOVDDUP  (AX), Z24
+	VPERMILPD $0xFF, (AX), Z25
+	VPXORQ    signRe<>(SB), Z25, Z25
+	MOVQ      taps+8(FP), SI
+	LEAQ      (SI)(R9*1), R14
+	LEAQ      (SI)(R9*2), R15
+	LEAQ      (R14)(R9*2), BX
+	MOVQ      lane+16(FP), DX
+	MOVQ      wstep+64(FP), AX
+	LEAQ      (DX)(AX*1), R11
+	LEAQ      (DX)(AX*2), R12
+	LEAQ      (R11)(AX*2), R13
+	MOVQ      out+0(FP), DI
+	MOVQ      wins+56(FP), CX
+
+wins4:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	MOVQ   R10, AX
+
+tail:
+	CMPQ      AX, R9
+	JGE       body
+	VMOVUPD.Z (DX)(AX*1), K1, Z16
+	VMOVUPD.Z (R11)(AX*1), K1, Z17
+	VMOVUPD.Z (R12)(AX*1), K1, Z18
+	VMOVUPD.Z (R13)(AX*1), K1, Z19
+	VMOVUPD.Z (SI)(AX*1), K1, Z20
+	VMOVUPD.Z (R14)(AX*1), K1, Z21
+	VMOVUPD.Z (R15)(AX*1), K1, Z22
+	VMOVUPD.Z (BX)(AX*1), K1, Z23
+	FMA16
+	ADDQ      $16, AX
+	JMP       tail
+
+body:
+	XORQ  AX, AX
+	TESTQ R10, R10
+	JZ    sum
+
+loop:
+	VMOVUPD (DX)(AX*1), Z16
+	VMOVUPD (R11)(AX*1), Z17
+	VMOVUPD (R12)(AX*1), Z18
+	VMOVUPD (R13)(AX*1), Z19
+	VMOVUPD (SI)(AX*1), Z20
+	VMOVUPD (R14)(AX*1), Z21
+	VMOVUPD (R15)(AX*1), Z22
+	VMOVUPD (BX)(AX*1), Z23
+	FMA16
+	ADDQ    $64, AX
+	CMPQ    AX, R10
+	JLT     loop
+
+sum:
+	SUMROT(Z0, Z1, Z2, Z3)
+	SUMROT(Z4, Z5, Z6, Z7)
+	SUMROT(Z8, Z9, Z10, Z11)
+	SUMROT(Z12, Z13, Z14, Z15)
+	MOVQ DI, AX
+	CMPQ R8, $16
+	JNE  scatter
+	VMOVUPD Z0, (AX)     // stride 1: a window's four outputs are adjacent
+	ADDQ    ostep+72(FP), AX
+	VMOVUPD Z4, (AX)
+	ADDQ    ostep+72(FP), AX
+	VMOVUPD Z8, (AX)
+	ADDQ    ostep+72(FP), AX
+	VMOVUPD Z12, (AX)
+	ADDQ    ostep+72(FP), AX
+	JMP     stored
+
+scatter:
+	SCATTER(Z0)
+	ADDQ ostep+72(FP), AX
+	SCATTER(Z4)
+	ADDQ ostep+72(FP), AX
+	SCATTER(Z8)
+	ADDQ ostep+72(FP), AX
+	SCATTER(Z12)
+	ADDQ ostep+72(FP), AX
+
+stored:
+	MOVQ AX, DI // the next block's first window
+	MOVQ wstep+64(FP), AX
+	SHLQ $2, AX
+	ADDQ AX, DX
+	ADDQ AX, R11
+	ADDQ AX, R12
+	ADDQ AX, R13
+	SUBQ $4, CX
+	JNZ  wins4
+
+	MOVQ R8, AX
+	SHLQ $2, AX
+	ADDQ AX, out+0(FP)
+	LEAQ (SI)(R9*4), SI
+	MOVQ SI, taps+8(FP)
+	ADDQ $64, phase+24(FP)
+	SUBQ $4, rows+32(FP)
+	JNZ  rows4
+	VZEROUPPER
+	RET
+
 // func gatherLanesAVX2(stage *complex128, sl int, x *complex128, s, pairs int)
 //
 // stage[j*sl + i] = x[i*s + j] for i in [0, 2*pairs) and j in [0, s), s even:

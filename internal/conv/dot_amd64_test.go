@@ -8,26 +8,42 @@ import (
 	"soifft/internal/cpu"
 )
 
-// kernels names the convolution kernels the host can execute: the vector
-// ones ("avx2": dotRowsFMA and gatherLanesAVX2), when the processor has AVX2
-// and FMA, and the portable ones.
+// kernels names the convolution kernels the host can execute: "avx512"
+// (dotRowsAVX512 with dotRowsFMA for the remainders, and gatherLanesAVX2)
+// when the processor has AVX-512F besides AVX2 and FMA, "avx2" (dotRowsFMA
+// and gatherLanesAVX2) when it has AVX2 and FMA, and "portable" always.
 func kernels() []string {
-	if cpu.AVX2 && cpu.FMA {
+	switch {
+	case cpu.AVX2 && cpu.FMA && cpu.AVX512F:
+		return []string{"avx512", "avx2", "portable"}
+	case cpu.AVX2 && cpu.FMA:
 		return []string{"avx2", "portable"}
 	}
 	return []string{"portable"}
 }
 
-// useKernel makes the named kernel the one dotRows runs and returns the
-// function that puts the host's own choice back. It is the only place that
-// assigns haveFMA.
-func useKernel(name string) (restore func()) {
-	host := haveFMA
-	haveFMA = name == "avx2"
-	return func() { haveFMA = host }
+// kernelInUse names the kernel dotRows runs now.
+func kernelInUse() string {
+	switch {
+	case haveAVX512:
+		return "avx512"
+	case haveFMA:
+		return "avx2"
+	}
+	return "portable"
 }
 
-// dotRowsFMAGo is dotRowsFMA in Go, the kernel's oracle: the same fused
+// useKernel makes the named kernel the one dotRows runs and returns the
+// function that puts the host's own choice back. It is the only place that
+// assigns haveFMA and haveAVX512.
+func useKernel(name string) (restore func()) {
+	fma, avx512 := haveFMA, haveAVX512
+	haveFMA, haveAVX512 = name != "portable", name == "avx512"
+	return func() { haveFMA, haveAVX512 = fma, avx512 }
+}
+
+// dotRowsFMAGo is dotRowsFMA in Go, the oracle of both vector kernels
+// (dotRowsAVX512 does the same operations in the same order): the same fused
 // multiply-adds in the same order, math.FMA rounding once as VFMADD231PD
 // does. acc0 and acc1 are the kernel's two YMM accumulators of a row,
 // [re, im] of a group's first tap and then of its second in acc0, of its
@@ -58,15 +74,28 @@ func dotRowsFMAGo(out []complex128, stride, ostep int, taps []float64, lane []co
 	}
 }
 
-// checkDotRows runs the kernel and its twin on one set of operands of shape
-// d and requires equal bits (equal NaN-ness where a result is NaN), and that
-// the kernel wrote its n*rows outputs and nothing between or after them.
+// checkDotRows runs each vector kernel the host has and their twin on one
+// set of operands of shape d and requires equal bits (equal NaN-ness where a
+// result is NaN), and that the kernel wrote its n*rows outputs and nothing
+// between or after them.
 func checkDotRows(t *testing.T, d dotShape, draw func() float64, phase []complex128) {
 	t.Helper()
 	taps, dup, lane := dotOperands(d, draw)
 	n := d.outLen()
 	want := make([]complex128, n)
 	dotRowsFMAGo(want, d.stride, d.ostep, taps, lane, d.wstep, d.n, phase)
+	for _, k := range kernels() {
+		if k != "portable" {
+			checkDotRowsKernel(t, k, d, taps, dup, lane, phase, want)
+		}
+	}
+}
+
+// checkDotRowsKernel is checkDotRows for the kernel k.
+func checkDotRowsKernel(t *testing.T, k string, d dotShape, taps, dup []float64, lane, phase, want []complex128) {
+	t.Helper()
+	defer useKernel(k)()
+	n := d.outLen()
 	const guard = 0x5a5a
 	gotBuf := make([]complex128, n+d.ostep)
 	for i := range gotBuf {
@@ -85,12 +114,12 @@ func checkDotRows(t *testing.T, d dotShape, draw func() float64, phase []complex
 	for i, g := range gotBuf {
 		if !isOut[i] {
 			if g != guard {
-				t.Fatalf("%+v: kernel wrote element %d, no row's output", d, i)
+				t.Fatalf("%s %+v: kernel wrote element %d, no row's output", k, d, i)
 			}
 			continue
 		}
 		if w := want[i]; !same(real(g), real(w)) || !same(imag(g), imag(w)) {
-			t.Fatalf("%+v output %d: kernel %v (%x, %x), Go %v (%x, %x)", d, i,
+			t.Fatalf("%s %+v output %d: kernel %v (%x, %x), Go %v (%x, %x)", k, d, i,
 				g, math.Float64bits(real(g)), math.Float64bits(imag(g)),
 				w, math.Float64bits(real(w)), math.Float64bits(imag(w)))
 		}
@@ -103,15 +132,16 @@ func needFMA(t *testing.T) {
 	}
 }
 
-// TestDotRowsBitIdentical pins dotRowsFMA to dotRowsFMAGo bit for bit over
-// every width through 96 (all tail lengths, zero to 24 groups of four), 1 to
-// 17 rows (zero to four blocks of four, zero to three single rows), eight
-// lane offsets and the output strides of both layouts (1 for ApplyTile's
-// lane-major tile, S = 8 for Apply's rows), each with 1 to 33 windows in
-// turn (a tile has up to 32 at the benchmark geometry), one, DMu = 7 or B
-// elements apart, and every other case with a gap between the windows'
-// outputs; on random data, the rotation by random unit phases and by phases
-// with ±0, ±1, ±i and denormal parts.
+// TestDotRowsBitIdentical pins the vector kernels (dotRowsFMA, and where the
+// host has AVX-512F dotRowsAVX512 with its remainders) to dotRowsFMAGo bit
+// for bit over every width through 96 (all tail lengths, zero to 24 groups of
+// four), 1 to 17 rows (zero to four blocks of four, zero to three single
+// rows), eight lane offsets and the output strides of both layouts (1 for
+// ApplyTile's lane-major tile, S = 8 for Apply's rows), each with 1 to 33
+// windows in turn (a tile has up to 32 at the benchmark geometry), one,
+// DMu = 7 or B elements apart, and every other case with a gap between the
+// windows' outputs; on random data, the rotation by random unit phases and
+// by phases with ±0, ±1, ±i and denormal parts.
 func TestDotRowsBitIdentical(t *testing.T) {
 	needFMA(t)
 	rng := rand.New(rand.NewSource(22))

@@ -20,6 +20,17 @@ func (d dotShape) laneLen() int { return (d.n-1)*d.wstep + d.b }
 // outLen returns the length of out up to and including the last output.
 func (d dotShape) outLen() int { return (d.n-1)*d.ostep + (d.rows-1)*d.stride + 1 }
 
+// TestHostKernels logs the convolution kernels this host runs, so that a
+// test log says whether the 512-bit path was exercised, and requires the
+// production choice to be the first of them, the fastest.
+func TestHostKernels(t *testing.T) {
+	ks := kernels()
+	t.Logf("convolution kernels this host runs: %v; dotRows uses %s", ks, kernelInUse())
+	if kernelInUse() != ks[0] {
+		t.Errorf("dotRows uses %s, not the fastest kernel the host runs, %s", kernelInUse(), ks[0])
+	}
+}
+
 // TestDotRowsRoundingBound holds every kernel to the rounding bound of the
 // dot product instead of to another kernel's bits. For an output
 // p * sum_k r_k*w_k of a B-tap row, each component is within

@@ -1,3 +1,3 @@
 package cpu
 
-func probe() (avx2, fma bool)
+func probe() (avx2, fma, avx512f bool)

@@ -2,4 +2,4 @@
 
 package cpu
 
-func probe() (avx2, fma bool) { return false, false }
+func probe() (avx2, fma, avx512f bool) { return false, false, false }

@@ -11,7 +11,8 @@ import (
 // TestProbeMatchesProcCPUInfo compares the probed bits with the flags Linux
 // reports for the same processor, so that a wrong CPUID bit fails here
 // instead of silently choosing a kernel. The kernel clears avx2 and fma there
-// when it does not save the YMM state, as the probe's XGETBV check does.
+// when it does not save the YMM state, and avx512f when it does not save the
+// opmask and ZMM state, as the probe's XGETBV checks do.
 func TestProbeMatchesProcCPUInfo(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
 		t.Skip("the probe and /proc/cpuinfo are compared on linux/amd64 only")
@@ -33,9 +34,10 @@ func TestProbeMatchesProcCPUInfo(t *testing.T) {
 	for _, c := range []struct {
 		flag  string
 		probe bool
-	}{{"avx2", AVX2}, {"fma", FMA}} {
+	}{{"avx2", AVX2}, {"fma", FMA}, {"avx512f", AVX512F}} {
 		if want := slices.Contains(flags, c.flag); c.probe != want {
 			t.Errorf("probe says %s = %v, /proc/cpuinfo says %v", c.flag, c.probe, want)
 		}
+		t.Logf("%s: %v", c.flag, c.probe)
 	}
 }

@@ -42,9 +42,9 @@ func TestForwardMatchesFFTPaperParams(t *testing.T) {
 	if e > 1e-7 {
 		t.Errorf("SOI error vs FFT: %g (designed alias bound %g)", e, pl.EstimatedError())
 	}
-	// The error must be consistent with the designed bound: within 100x.
-	if e > 100*pl.EstimatedError() {
-		t.Errorf("measured error %g far exceeds designed bound %g", e, pl.EstimatedError())
+	// The designed bound is an upper bound on the measured error.
+	if e > pl.EstimatedError() {
+		t.Errorf("measured error %g exceeds the designed bound %g", e, pl.EstimatedError())
 	}
 }
 
@@ -225,7 +225,7 @@ func TestQuickRandomParams(t *testing.T) {
 			return false
 		}
 		e := cvec.RelErrL2(got, fftReference(x))
-		return e < 100*pl.EstimatedError()
+		return e <= pl.EstimatedError()
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
@@ -250,29 +250,37 @@ func TestSingleSegmentRejected(t *testing.T) {
 }
 
 func TestEstimatedErrorCoversMeasured(t *testing.T) {
-	// The designed bound must cover the measured error (within a small
-	// constant) across configurations — the contract EstimatedError
-	// documents.
+	// The designed bound must cover the measured error across
+	// configurations and inputs — the contract EstimatedError documents —
+	// with no slack factor: a point above it is a bug in the bound.
+	worst := 0.0
 	for _, tc := range []window.Params{
 		{N: 4 * 448, Segments: 4, NMu: 8, DMu: 7, B: 72},
 		{N: 8 * 448, Segments: 8, NMu: 8, DMu: 7, B: 72},
+		{N: 16 * 896, Segments: 16, NMu: 8, DMu: 7, B: 72},
 		{N: 4 * 448, Segments: 4, NMu: 8, DMu: 7, B: 32},
+		{N: 4 * 448, Segments: 4, NMu: 8, DMu: 7, B: 48},
 		{N: 4 * 512, Segments: 4, NMu: 5, DMu: 4, B: 48},
+		{N: 8 * 512, Segments: 8, NMu: 5, DMu: 4, B: 72},
 	} {
 		pl, err := NewPlan(tc, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := ref.RandomVector(tc.N, 31)
 		got := make([]complex128, tc.N)
-		if err := pl.Forward(got, x); err != nil {
-			t.Fatal(err)
-		}
-		e := cvec.RelErrL2(got, fftReference(x))
-		if e > 10*pl.EstimatedError() {
-			t.Errorf("%+v: measured %g exceeds 10x designed bound %g", tc, e, pl.EstimatedError())
+		for seed := int64(31); seed < 36; seed++ {
+			x := ref.RandomVector(tc.N, seed)
+			if err := pl.Forward(got, x); err != nil {
+				t.Fatal(err)
+			}
+			e := cvec.RelErrL2(got, fftReference(x))
+			worst = max(worst, e/pl.EstimatedError())
+			if e > pl.EstimatedError() {
+				t.Errorf("%+v seed %d: measured %g exceeds the designed bound %g", tc, seed, e, pl.EstimatedError())
+			}
 		}
 	}
+	t.Logf("largest measured/estimated error: %.3g", worst)
 }
 
 func TestWorkerCountsAgree(t *testing.T) {

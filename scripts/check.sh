@@ -2,8 +2,8 @@
 # Tier-2 pre-PR gate: build, vet (with the arm64 and s390x cross-builds of
 # the portable and big-endian file sets), one run of every command and
 # example, the race-clean concurrency gate over the packages that spawn
-# goroutines, the fuzz smoke, the twiddle-table timing ratio, and the catch
-# matrix that says what each of those gates is for. Tier-1 (go build ./...
+# goroutines, the fuzz smoke, the twiddle-table and vector-kernel timing
+# ratios, and the catch matrix that says what each of those gates is for. Tier-1 (go build ./...
 # && go test ./...) must of course also pass; this script layers the
 # discipline checks on top.
 #
@@ -91,6 +91,12 @@ done
 # same process (a sine/cosine call, the optimized six-step), so host drift
 # cancels; it times code, so tier-1 skips it and it runs here, by name.
 run_gate "twiddle tables (within-run timing ratio)" go test ./internal/fft -run '^TestTwiddlesComeFromTables$' -count=1
+
+# A convolution kernel ships only where it is at least 1.3x the next one
+# down (avx512 over avx2, avx2 over portable); one that keeps its bits but
+# loses its speed fails nothing else. Timed the same way, interleaved in one
+# process; -v prints the kernels this host ran and their ratios.
+run_gate "vector kernels pay (within-run timing ratio)" go test ./internal/conv -run '^TestVectorKernelsPay$' -count=1 -v
 
 # The catch matrix's dynamic rows (internal/analysis/matrix_rows_test.go,
 # DESIGN.md section 7): each seeded defect is seeded again — as a build
