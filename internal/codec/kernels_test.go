@@ -11,7 +11,9 @@ import (
 	"sort"
 	"testing"
 
+	"soifft/internal/cvec"
 	"soifft/internal/fft"
+	"soifft/internal/ref"
 )
 
 // Wire compatibility of the word-wise deltaplane kernels. Two independent
@@ -68,28 +70,51 @@ func zeroRunBlocks() [][]complex128 {
 	return blocks
 }
 
-// soiperfPayloads is the serve_28k_codec_open request/response pair: the
-// benchmark's smooth 8-mode input at n = 28 672 (bench/soiperf smoothInputs,
-// seed 1) and its exact spectrum.
-func soiperfPayloads(t testing.TB) (request, response []complex128) {
-	const n = 28672
+// soiperfN is the length of the serve_28k_codec_open payloads.
+const soiperfN = 28672
+
+// tone is one mode of the benchmark's smooth input: amp*exp(i*(w*j + phase))
+// with w = 2*pi*bin/soiperfN.
+type tone struct {
+	bin        int
+	amp, phase float64
+}
+
+// soiperfTones draws the eight modes of bench/soiperf's smoothInputs, seed 1.
+func soiperfTones() []tone {
 	rng := rand.New(rand.NewSource(1))
-	x := make([]complex128, n)
-	for m := 0; m < 8; m++ {
-		bin := 1 + rng.Intn(32)
-		amp := 0.5 + rng.Float64()
-		phase := 2 * math.Pi * rng.Float64()
-		w := 2 * math.Pi * float64(bin) / float64(n)
+	tones := make([]tone, 8)
+	for m := range tones {
+		tones[m].bin = 1 + rng.Intn(32)
+		tones[m].amp = 0.5 + rng.Float64()
+		tones[m].phase = 2 * math.Pi * rng.Float64()
+	}
+	return tones
+}
+
+// synthesize sums the tones into a soiperfN-point signal.
+func synthesize(tones []tone) []complex128 {
+	x := make([]complex128, soiperfN)
+	for _, tn := range tones {
+		w := 2 * math.Pi * float64(tn.bin) / soiperfN
 		for i := range x {
-			s, c := math.Sincos(w*float64(i) + phase)
-			x[i] += complex(amp*c, amp*s)
+			s, c := math.Sincos(w*float64(i) + tn.phase)
+			x[i] += complex(tn.amp*c, tn.amp*s)
 		}
 	}
-	plan, err := fft.NewPlan(n)
+	return x
+}
+
+// soiperfPayloads is the serve_28k_codec_open request/response pair: the
+// benchmark's smooth 8-mode input at n = 28 672 (bench/soiperf smoothInputs,
+// seed 1) and its spectrum, computed by fft.Plan.
+func soiperfPayloads(t testing.TB) (request, response []complex128) {
+	x := synthesize(soiperfTones())
+	plan, err := fft.NewPlan(soiperfN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := make([]complex128, n)
+	y := make([]complex128, soiperfN)
 	plan.Forward(y, x)
 	return x, y
 }
@@ -163,10 +188,14 @@ func TestKernelsMatchReference(t *testing.T) {
 // at commit c895229 (the parent of the word-wise rewrite). "zero-runs" is
 // built from integers alone; the others pass through math.Sin/Sincos and the
 // FFT, whose last bits differ where the compiler fuses multiply-adds, so
-// they are pinned on amd64 only. The two soiperf-response digests were
-// recorded again, under the same encoder, when fft's radix-7 pass became the
-// symmetric-pair butterfly: that changed the rounding of the 28 672-point
-// transform they hash (relative L2 change 1.7e-16).
+// they are pinned on amd64 only, beside each input's own digest
+// (goldenInputs): a stream digest is only checked against the input it was
+// recorded for. The two soiperf-response digests were recorded again, under
+// the same encoder, when fft's radix-7 pass became the symmetric-pair
+// butterfly (relative L2 change of the spectrum 1.7e-16), and the deltaplane
+// one again when factorize dropped its aliasing rule (the 28 672-point
+// schedule went from 8,8,8,4,2,7 to 8,8,8,8,7; TestSoiperfResponseModes; the
+// quant stream did not move).
 var goldenDigests = map[string]string{
 	"deltaplane/2block":           "cacd0b9d2f0f78044d7a271ef2accea0ea3d54a0653d7dc0ec28463da05b2c13",
 	"deltaplane/block":            "9c131d4dd752adb70e93c7ba064203394678507eea44fa1f27771d6da52c6425",
@@ -175,7 +204,7 @@ var goldenDigests = map[string]string{
 	"deltaplane/one":              "a65a1aa4ed35ceccbc66d4bdb24acce220374e99db3d942061ee7dc6ee6aa9c0",
 	"deltaplane/smooth":           "0b9356f611f22988613f0aa6c24d99c189e85a8b5a13edd1128ca3856059346c",
 	"deltaplane/soiperf-request":  "3d9f6228ceffdf488f474af69bc11170f8b11412eb484579aef64f7bb3636a6f",
-	"deltaplane/soiperf-response": "acaa30bd7393f55eadd7cf2004d13c4a2b35eeaae48d7d8106d711346e629e9a",
+	"deltaplane/soiperf-response": "9931b203ef1e51119440d968b253b2b009855200d41e9c5f125e315830f37299",
 	"deltaplane/special":          "98dc1f8c99daa6d3122d57f476f96ee742725ab6cb17317b1c3b09d8b8a2ece3",
 	"deltaplane/zero-runs":        "2d11374924dc10d4db85d6313b9d75f992dcbfc6d69c2a51d0279afd5cbec4ff",
 	"quant/2block":                "1f2bdcb0329c50fd943ba48865fbdb918eedac630cd357792133c3bd77079579",
@@ -190,6 +219,25 @@ var goldenDigests = map[string]string{
 	"quant/zero-runs":             "4514b28b39078be32947969d0ab972f7beda184cbbc6fd7a517285b8c8672079",
 }
 
+// goldenInputs are SHA-256 of each named vector's bit pattern (the
+// little-endian image of its float64 parts), recorded from the inputs the
+// stream digests above were checked against; soiperf-response's again with
+// its deltaplane stream. An input that moves is a change upstream of the
+// codec — math.Sincos, or the FFT that computes soiperf-response, whose
+// tolerance mode is TestSoiperfResponseModes — not a codec change.
+var goldenInputs = map[string]string{
+	"2block":           "1dc3599529fb63179338cc402fa0755196412752407b10af12169d5163cf0093",
+	"block":            "7f612d1b3b2e9c495d6787c59c2fba60cf335b0b2acbe1a4cfd05eb0a78914ef",
+	"empty":            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+	"noise":            "84a2ebf70c45e0ee8a780cfd27f58180160aae4fbfb5c378dff69eab1fa08474",
+	"one":              "b40c667a24831cf34dd0d22e4a794854700d256cfd666158fe211e238208b62a",
+	"smooth":           "8051c3ebc3757dc954e0059ed30f764116bafe93efa464569d167722286891e7",
+	"soiperf-request":  "2ec88580eeaa22d8bf402025b75ed3597eab583ef13a8b37b1ab856445f93d91",
+	"soiperf-response": "299d6cc5c3b6a6ef1051277742ff675ec6b3517d9a5537029668b953659ac657",
+	"special":          "42f6e7e36636fbd5602696fe3a2c1f1491cbcc66b30ecb8670d647529b93539c",
+	"zero-runs":        "266a2afe80e993fa7c269ac1ef48f5ad8d0316a915a04ba833e36249a7c5dc76",
+}
+
 func TestEncodedStreamDigests(t *testing.T) {
 	q, err := NewQuant(1e-9)
 	if err != nil {
@@ -201,16 +249,90 @@ func TestEncodedStreamDigests(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, c := range []Codec{deltaPlaneCodec{}, q} {
-		for _, name := range names {
-			if name != "zero-runs" && runtime.GOARCH != "amd64" {
-				continue
-			}
+	for _, name := range names {
+		if name != "zero-runs" && runtime.GOARCH != "amd64" {
+			continue
+		}
+		if got := inputDigest(vectors[name]); got != goldenInputs[name] {
+			t.Errorf("input %q moved: %q, // recorded %q; its stream digests were recorded for the old input and are not checked", name, got, goldenInputs[name])
+			continue
+		}
+		for _, c := range []Codec{deltaPlaneCodec{}, q} {
 			key := c.Name() + "/" + name
 			sum := sha256.Sum256(AppendVector(nil, c, vectors[name]))
 			if got := hex.EncodeToString(sum[:]); got != goldenDigests[key] {
 				t.Errorf("%q: %q, // recorded %q", key, got, goldenDigests[key])
 			}
+		}
+	}
+}
+
+// inputDigest is SHA-256 of x's little-endian image.
+func inputDigest(x []complex128) string {
+	b := make([]byte, 16*len(x))
+	cvec.Encode(b, x)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestSoiperfResponseModes is the tolerance mode of the soiperf-response
+// input, the one named vector an FFT computes. Its bit mode is its digest in
+// goldenInputs. The tolerance mode holds it within the rounding model of the
+// exact spectrum of the ideal signal (n*amp*exp(i*phase) at each tone's bin,
+// zero elsewhere): ref.FFTBound(n) for the transform plus the synthesis of
+// the request, whose per-sample error is at most sum(amp)*Roundoff*(4*maxArg
+// + 10) (the argument w*j + phase rounded three times, Sincos, eight sums),
+// n times that over the spectrum's L2 norm. The six-step, a reordered
+// summation of the same DFT, passes the tolerance mode and fails the bit
+// mode; a request with one tone's amplitude coefficient off by 1e-9 fails
+// both.
+func TestSoiperfResponseModes(t *testing.T) {
+	tones := soiperfTones()
+	exact := make([]complex128, soiperfN)
+	sumAmp, maxArg := 0.0, 0.0
+	for _, tn := range tones {
+		s, c := math.Sincos(tn.phase)
+		exact[tn.bin] += complex(soiperfN*tn.amp*c, soiperfN*tn.amp*s)
+		sumAmp += tn.amp
+		maxArg = max(maxArg, 2*math.Pi*float64(tn.bin)*(soiperfN-1)/soiperfN+tn.phase)
+	}
+	synth := soiperfN * sumAmp * ref.Roundoff * (4*maxArg + 10) / cvec.L2Norm(exact)
+	model := ref.FFTBound(soiperfN) + synth
+	modes := func(y []complex128) (bit, tol bool, d float64) {
+		d = cvec.RelErrL2(y, exact)
+		return inputDigest(y) == goldenInputs["soiperf-response"], d <= model, d
+	}
+
+	_, y := soiperfPayloads(t)
+	six, err := fft.NewSixStep(soiperfN, fft.SixStepOpt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := make([]complex128, soiperfN)
+	six.Forward(twin, synthesize(tones))
+	seededTones := slices.Clone(tones)
+	seededTones[0].amp *= 1 + 1e-9
+	seeded := make([]complex128, soiperfN)
+	fft.MustPlan(soiperfN).Forward(seeded, synthesize(seededTones))
+
+	pinned := runtime.GOARCH == "amd64"
+	for _, tc := range []struct {
+		name     string
+		y        []complex128
+		bit, tol bool
+	}{
+		{"fft.Plan", y, pinned, true},
+		{"six-step twin", twin, false, true},
+		{"one-coefficient error", seeded, false, false},
+	} {
+		bit, tol, d := modes(tc.y)
+		t.Logf("%s: %.3g from the exact spectrum (model %.3g: transform %.3g, synthesis %.3g)",
+			tc.name, d, model, ref.FFTBound(soiperfN), synth)
+		if pinned && bit != tc.bit {
+			t.Errorf("%s: bit mode passes %v, want %v", tc.name, bit, tc.bit)
+		}
+		if tol != tc.tol {
+			t.Errorf("%s: tolerance mode passes %v, want %v", tc.name, tol, tc.tol)
 		}
 	}
 }

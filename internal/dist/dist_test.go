@@ -93,6 +93,47 @@ func TestDistSOINoOverlapIdentical(t *testing.T) {
 	}
 }
 
+// TestDistFinishWorkersAgree: a rank finishes as many segments at once as
+// the plan's SegmentWorkers (one per worker on the plain engine, up to the
+// rank's segment count), and the count changes no bit of the output, with
+// the finishes overlapped with the exchanges or not.
+func TestDistFinishWorkersAgree(t *testing.T) {
+	const world = 2
+	p := testParams(8, 2) // 4 segments per rank
+	x := ref.RandomVector(p.N, 6)
+	var want []complex128
+	for _, workers := range []int{1, 3, 8} {
+		opts := soi.DefaultOptions()
+		opts.Workers = workers
+		plan, err := soi.NewPlan(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := mpi.NewWorld(world)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewSOIFromPlan(w.Comm(0), plan)
+		w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(d.workset().ys), min(workers, p.Segments/world); got != want {
+			t.Errorf("workers=%d: %d segments finish at once, want %d", workers, got, want)
+		}
+		for _, noOverlap := range []bool{false, true} {
+			got := runDistSOI(t, world, p, opts, x, noOverlap)
+			if want == nil {
+				want = got
+				continue
+			}
+			if e := cvec.RelErrL2(got, want); e != 0 {
+				t.Errorf("workers=%d noOverlap=%v: output differs from one worker by %g", workers, noOverlap, e)
+			}
+		}
+	}
+}
+
 func TestDistSOIMatchesSequentialSOI(t *testing.T) {
 	// The distributed pipeline must agree with the single-address-space
 	// plan bit-for-bit in structure (same kernels, same order per segment).

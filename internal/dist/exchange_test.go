@@ -5,13 +5,18 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/cmplx"
 	"net"
+	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"soifft/internal/conv"
 	"soifft/internal/cpu"
 	"soifft/internal/cvec"
+	"soifft/internal/fft"
 	"soifft/internal/mpi"
 	"soifft/internal/ref"
 	"soifft/internal/soi"
@@ -92,28 +97,110 @@ func hashBits(v []complex128) uint64 {
 	return h.Sum64()
 }
 
+// forwardPins are the recorded outputs of the sequential plan on
+// ref.RandomVector(N, 1234) at testParams(8, chunksPerSeg): one parameter set
+// leaves interior chunks on every world size, the other has none on four
+// ranks and a ghost region spanning several successors. Each pin has two
+// modes (checkForwardPin). The bit mode holds the output's hash to the one
+// recorded for the convolution kernel the host runs: portable, on an amd64
+// processor without AVX2 and FMA; fma, where the fused multiply-add kernels
+// run (the 256- and 512-bit ones round alike). Off amd64 the compiler may
+// fuse dotReal's products, so no hash is pinned. The tolerance mode holds the
+// output within the rounding model of a stored reference and within the
+// designed bound of the exact DFT, on every host. Both hashes were recorded
+// again when factorize dropped its aliasing rule and cache-sized segments
+// moved to the plain Stockham plan, after the tolerance mode had accepted the
+// new outputs (CHANGES.md lists the old values).
+var forwardPins = []struct {
+	chunksPerSeg  int
+	portable, fma uint64
+}{
+	{2, 0x409f21727459e17b, 0xa3fe59c4bc18bb32},
+	{16, 0x0dcd7575b4e627c1, 0x7cc1205c44c22593},
+}
+
+// forwardRefSamples is how many outputs of each pin testdata/
+// forward_reference.bin stores: y[k*N/forwardRefSamples] for every k, as
+// little-endian float64 (re, im) pairs, pin after pin. They are the fma
+// kernel's outputs at commit 93ee46f, whose stage 4 ran the six-step with the
+// aliasing radix schedule.
+const forwardRefSamples = 896
+
+// forwardModel is the error model of one evaluation of pl's output: its
+// relative L2 rounding error against the exact SOI operator. The
+// convolution's dot products of B taps and a phase contribute DotBound(B+2)
+// times the prototype's tap mass over the passband floor (the norms of |W|
+// and of W^-1 at the output), the Segments- and M'-point FFTs their FFTBound
+// scaled by the demodulation's spread PassbandMax/PassbandMin, and the
+// demodulating multiply three roundoffs.
+func forwardModel(win *window.Filter) float64 {
+	mass := 0.0
+	for _, taps := range win.Taps {
+		m := 0.0
+		for _, h := range taps {
+			m += cmplx.Abs(h)
+		}
+		mass = max(mass, m)
+	}
+	spread := win.PassbandMax / win.PassbandMin
+	return ref.DotBound(win.B+2)*mass/win.PassbandMin +
+		spread*(ref.FFTBound(win.Segments)+ref.FFTBound(win.MPrime())) + 3*ref.Roundoff
+}
+
+// forwardReference returns pin i's stored reference samples.
+func forwardReference(t *testing.T, i int) []complex128 {
+	t.Helper()
+	b, err := os.ReadFile("testdata/forward_reference.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 16 * forwardRefSamples
+	if len(b) != size*len(forwardPins) {
+		t.Fatalf("forward_reference.bin holds %d bytes, want %d", len(b), size*len(forwardPins))
+	}
+	out := make([]complex128, forwardRefSamples)
+	cvec.Decode(out, b[i*size:(i+1)*size])
+	return out
+}
+
+// checkForwardPin reports whether y, an output of pin i's input under a plan
+// with window win, passes each mode. bit is false, too, where no hash is
+// pinned. tol holds the sampled outputs within twice forwardModel (the
+// reference is an evaluation too) of the stored reference, and within
+// EstimatedError of ref.DFT at the same bins; detail says by how much.
+func checkForwardPin(t *testing.T, i int, win *window.Filter, x, y []complex128) (bit, tol bool, detail string) {
+	t.Helper()
+	pin := forwardPins[i]
+	want, kernel := pin.portable, "portable"
+	if cpu.AVX2 && cpu.FMA {
+		want, kernel = pin.fma, "fma"
+	}
+	h := hashBits(y)
+	bit = runtime.GOARCH == "amd64" && h == want
+	stride := len(y) / forwardRefSamples
+	bins := make([]int, forwardRefSamples)
+	got := make([]complex128, forwardRefSamples)
+	for k := range bins {
+		bins[k] = k * stride
+		got[k] = y[k*stride]
+	}
+	model := 2 * forwardModel(win)
+	dRef := cvec.RelErrL2(got, forwardReference(t, i))
+	dDFT := cvec.RelErrL2(got, ref.DFTAt(x, bins))
+	tol = dRef <= model && dDFT <= win.AliasBound()
+	detail = fmt.Sprintf("hash %#x (%s kernel recorded %#x); %.3g from the reference (model %.3g), %.3g from ref.DFT (EstimatedError %.3g)",
+		h, kernel, want, dRef, model, dDFT, win.AliasBound())
+	return bit, tol, detail
+}
+
 // TestForwardBitIdenticalToParent: the exchange path decides where bytes
 // live, never what they are. On every world size, pipelined or not, the
 // distributed output is bit-for-bit the single-address-space plan's (as it
 // was before the working set, the transpose pack and receive-in-place), and
-// on amd64 its hash is the one recorded for the same seed with the
-// convolution kernel the host runs: parent, recorded before the fused
-// multiply-add kernel, on the portable path of a processor without AVX2 and
-// FMA; fma, recorded when that kernel came, where it runs. Both kernels are
-// within the dot product's rounding bound (conv.TestDotRowsRoundingBound);
-// they differ in rounding only. Off amd64 the compiler may fuse dotReal's
-// products, so no hash is pinned. One parameter set leaves interior chunks
-// on every world size, the other has none on four ranks and a ghost region
-// spanning several successors.
+// the plan's output passes both modes of its pin (forwardPins).
 func TestForwardBitIdenticalToParent(t *testing.T) {
-	for _, tc := range []struct {
-		chunksPerSeg int
-		parent, fma  uint64
-	}{
-		{2, 0xa3e54db7575ce7f6, 0x72188aac20ef5325},
-		{16, 0x43b22cacc7a42788, 0x99bb4c51417b7b23},
-	} {
-		p := testParams(8, tc.chunksPerSeg)
+	for i, pin := range forwardPins {
+		p := testParams(8, pin.chunksPerSeg)
 		x := ref.RandomVector(p.N, 1234)
 		seq, err := soi.NewPlan(p, soi.DefaultOptions())
 		if err != nil {
@@ -123,12 +210,13 @@ func TestForwardBitIdenticalToParent(t *testing.T) {
 		if err := seq.Forward(want, x); err != nil {
 			t.Fatal(err)
 		}
-		pinned, kernel := tc.parent, "parent"
-		if cpu.AVX2 && cpu.FMA {
-			pinned, kernel = tc.fma, "fma"
+		bit, tol, detail := checkForwardPin(t, i, seq.Win, x, want)
+		t.Logf("N=%d: %s", p.N, detail)
+		if !bit && runtime.GOARCH == "amd64" {
+			t.Errorf("N=%d: sequential plan fails the bit mode: %s", p.N, detail)
 		}
-		if h := hashBits(want); runtime.GOARCH == "amd64" && h != pinned {
-			t.Errorf("N=%d: sequential plan hashes to %#x, recorded (%s kernel) %#x", p.N, h, kernel, pinned)
+		if !tol {
+			t.Errorf("N=%d: sequential plan fails the tolerance mode: %s", p.N, detail)
 		}
 		for _, world := range []int{1, 2, 4} {
 			for _, noOverlap := range []bool{false, true} {
@@ -159,6 +247,61 @@ func TestForwardBitIdenticalToParent(t *testing.T) {
 	}
 }
 
+// TestForwardPinModes shows what each mode of the forward pins tells apart.
+// Two twins that only reorder sums pass the tolerance mode and fail the bit
+// mode: the Baseline convolution (complex taps, summed in tap order) and the
+// naive six-step for stage 4. A seeded one-tap coefficient error — the
+// largest lane tap the production kernel reads scaled by 1+1e-9, a change
+// far inside EstimatedError — fails both.
+func TestForwardPinModes(t *testing.T) {
+	for i, pin := range forwardPins {
+		p := testParams(8, pin.chunksPerSeg)
+		x := ref.RandomVector(p.N, 1234)
+		win, err := window.Design(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeded := *win
+		seeded.LaneTaps = slices.Clone(win.LaneTaps)
+		seeded.LaneTapsDup = slices.Clone(win.LaneTapsDup)
+		k := 0
+		for j, v := range win.LaneTaps {
+			if math.Abs(v) > math.Abs(win.LaneTaps[k]) {
+				k = j
+			}
+		}
+		seeded.LaneTaps[k] *= 1 + 1e-9
+		seeded.LaneTapsDup[2*k], seeded.LaneTapsDup[2*k+1] = seeded.LaneTaps[k], seeded.LaneTaps[k]
+		for _, tc := range []struct {
+			name     string
+			win      *window.Filter
+			opts     soi.Options
+			bit, tol bool
+		}{
+			{"baseline convolution", win, soi.Options{ConvVariant: conv.Baseline}, false, true},
+			{"naive six-step", win, soi.Options{FFTVariant: fft.SixStepNaive}, false, true},
+			{"one-tap error", &seeded, soi.DefaultOptions(), false, false},
+		} {
+			pl, err := soi.NewPlanFromFilter(tc.win, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := make([]complex128, p.N)
+			if err := pl.Forward(y, x); err != nil {
+				t.Fatal(err)
+			}
+			bit, tol, detail := checkForwardPin(t, i, win, x, y)
+			t.Logf("N=%d %s: %s", p.N, tc.name, detail)
+			if runtime.GOARCH == "amd64" && bit != tc.bit {
+				t.Errorf("N=%d %s: bit mode passes %v, want %v", p.N, tc.name, bit, tc.bit)
+			}
+			if tol != tc.tol {
+				t.Errorf("N=%d %s: tolerance mode passes %v, want %v", p.N, tc.name, tol, tc.tol)
+			}
+		}
+	}
+}
+
 // TestReuseHammer drives one dist.SOI per rank through alternating Forward
 // and Inverse calls, four rank goroutines sharing one plan and the process-
 // wide payload pools, so that every buffer of the working set is reused
@@ -182,8 +325,9 @@ func TestReuseHammer(t *testing.T) {
 			wants[i] = ref.IDFT(xs[i])
 		}
 	}
-	tol := 10 * plan.EstimatedError()
+	tol := plan.EstimatedError()
 	for _, transport := range []string{"inproc", "tcp"} {
+		worst := make([]float64, world) // per rank: measured error over tol
 		comms := make([]mpi.Comm, world)
 		if transport == "tcp" {
 			for r, n := range tcpMesh(t, world) {
@@ -215,8 +359,10 @@ func TestReuseHammer(t *testing.T) {
 				if err != nil {
 					return fmt.Errorf("rank %d round %d: %w", r, i, err)
 				}
-				if e := cvec.RelErrL2(dst, wants[i][r*localN:(r+1)*localN]); e > tol {
-					return fmt.Errorf("rank %d round %d: relative error %g > %g", r, i, e, tol)
+				e := cvec.RelErrL2(dst, wants[i][r*localN:(r+1)*localN])
+				worst[r] = max(worst[r], e/tol)
+				if e > tol {
+					return fmt.Errorf("rank %d round %d: relative error %g > EstimatedError %g", r, i, e, tol)
 				}
 			}
 			return nil
@@ -224,6 +370,7 @@ func TestReuseHammer(t *testing.T) {
 		if err != nil {
 			t.Errorf("%s: %v", transport, err)
 		}
+		t.Logf("%s: worst measured/EstimatedError %.3f", transport, slices.Max(worst))
 	}
 }
 

@@ -138,8 +138,8 @@ func (w *opWatch) Recv(src, tag int) ([]complex128, error) {
 }
 
 // TestForwardJoinsExchangeOnFailure: the pipelined Forward runs exchange
-// g+1 on its own goroutine while it finishes segment g, and that goroutine
-// reads the working set. Whatever kills the transform — a rank crashing at
+// g+1 while segment g finishes on its own goroutine, and both read the
+// working set. Whatever kills the transform — a rank crashing at
 // any operation of the ghost exchange or of the four all-to-alls, or
 // dropped messages turning receives into timeouts — Forward must not
 // return while an operation it started is still in flight, nor start one

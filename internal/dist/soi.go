@@ -18,6 +18,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"soifft/internal/codec"
@@ -46,6 +47,8 @@ type SOI struct {
 	ws atomic.Pointer[workset]
 
 	// Breakdown, when non-nil, accumulates per-phase wall time on this rank.
+	// Segments that finish at once (soi.Plan.SegmentWorkers) each add their
+	// own span to the local-FFT phase.
 	Breakdown *trace.Breakdown
 
 	// NoOverlap disables the pipelining of per-segment all-to-alls with
@@ -71,8 +74,10 @@ type workset struct {
 	seg []complex128
 	// send and recv are the all-to-all's block views into ut and seg.
 	send, recv [][]complex128
-	y          []complex128 // M': FinishSegment's staging
-	conj       []complex128 // localN: Inverse's conjugated input, built on first use
+	// ys are FinishSegment's scratches, M' each: one per segment that
+	// finishes at once, the plan's SegmentWorkers up to segPerRank.
+	ys   [][]complex128
+	conj []complex128 // localN: Inverse's conjugated input, built on first use
 }
 
 // NewSOI builds the distributed plan. p.Segments is the total segment count
@@ -125,13 +130,17 @@ func (d *SOI) workset() *workset {
 	}
 	p := d.plan.Win.Params
 	world := d.comm.Size()
+	ys := make([][]complex128, min(d.plan.SegmentWorkers(), d.segPerRank))
+	for i := range ys {
+		ys[i] = make([]complex128, p.MPrime())
+	}
 	return &workset{
 		tail: make([]complex128, d.localN+p.GhostElems()-d.interior*p.DMu*p.Segments),
 		ut:   make([]complex128, d.rowsPerRank*p.Segments),
 		seg:  make([]complex128, d.segPerRank*p.MPrime()),
 		send: make([][]complex128, world),
 		recv: make([][]complex128, world),
-		y:    make([]complex128, p.MPrime()),
+		ys:   ys,
 	}
 }
 
@@ -266,8 +275,12 @@ func (d *SOI) exchangeGhost(tail, src []complex128) error {
 // exchangeAndFinish runs segPerRank all-to-alls (one per local segment
 // index g, carrying lane q*segPerRank+g to each rank q) that assemble
 // segment vector t_g in its slot of ws.seg, and finishes each with the
-// M'-point FFT + projection + demodulation. Unless NoOverlap is set,
-// exchange g+1 proceeds concurrently with the finish of segment g; it is
+// M'-point FFT + projection + demodulation. The exchanges run one at a time
+// on the calling goroutine; each finish runs on its own goroutine with one
+// of the len(ws.ys) scratches (the plan's SegmentWorkers), so that many
+// segments finish at once. Unless NoOverlap is set, segment g starts to
+// finish as soon as it has arrived, while exchange g+1 proceeds; with
+// NoOverlap the finishes start after the last exchange. Every finish is
 // joined before returning, on every path.
 func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 	p := d.plan.Win.Params
@@ -286,35 +299,36 @@ func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 		err := mpi.AllToAllInto(d.comm, ws.send, ws.recv)
 		return shapeError(err, "all-to-all block rows")
 	}
+	free := make(chan []complex128, len(ws.ys))
+	for _, y := range ws.ys {
+		free <- y
+	}
+	var finishing sync.WaitGroup
+	defer finishing.Wait()
 	finish := func(g int) {
-		stop := timer(d.Breakdown, trace.PhaseLocalFFT)
-		defer stop()
-		d.plan.FinishSegment(dst[g*m:(g+1)*m], ws.seg[g*mp:(g+1)*mp], ws.y)
+		y := <-free
+		finishing.Add(1)
+		go func() {
+			defer finishing.Done()
+			stop := timer(d.Breakdown, trace.PhaseLocalFFT)
+			d.plan.FinishSegment(dst[g*m:(g+1)*m], ws.seg[g*mp:(g+1)*mp], y)
+			stop()
+			free <- y
+		}()
 	}
 
-	if d.NoOverlap {
-		// Sequential: exchange then finish, one group at a time.
-		for g := 0; g < d.segPerRank; g++ {
-			if err := exchange(g); err != nil {
-				return err
-			}
-			finish(g)
-		}
-		return nil
-	}
-	// At most one exchange is in flight, and each iteration receives its
-	// result before anything else can return, so no exchange outlives this
-	// call.
-	arrived := make(chan error, 1)
-	go func() { arrived <- exchange(0) }()
 	for g := 0; g < d.segPerRank; g++ {
-		if err := <-arrived; err != nil {
+		if err := exchange(g); err != nil {
 			return err
 		}
-		if g+1 < d.segPerRank {
-			go func() { arrived <- exchange(g + 1) }()
+		if !d.NoOverlap {
+			finish(g)
 		}
-		finish(g)
+	}
+	if d.NoOverlap {
+		for g := 0; g < d.segPerRank; g++ {
+			finish(g)
+		}
 	}
 	return nil
 }

@@ -2,8 +2,10 @@ package fft
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"soifft/internal/par"
 	"soifft/internal/ref"
 )
 
@@ -191,4 +193,65 @@ func BenchmarkTwiddleSchemes(b *testing.B) {
 		}
 		_ = acc
 	})
+}
+
+// BenchmarkSegmentEngines is the sweep behind soi's segment-engine threshold:
+// stages 4 and 5 of SOI segments (the M'-point FFT, the demodulation and the
+// projection onto the first M = 7M'/8 bins) on each engine with GOMAXPROCS
+// workers w, as soi.Plan.Forward runs them. An operation is w segments:
+// plain runs one Plan.ForwardDemodulate into the M outputs per worker at
+// once, each with its own scratch; six-step runs SixStepOpt with the
+// demodulation fused into its last pass and its passes split across the w
+// workers, then the copy of the M outputs, for one segment after another.
+// It reports ms/segment. As in Forward each segment is the next of several
+// segment vectors that together span at least 8 MiB, so a segment arrives
+// from beyond L2, not hot from the last call. (plain overwrites the segment
+// it reads; transforming those values again is the same work.) -cpu 1 is
+// the one-worker sweep. The largest sizes need several hundred MB; run them
+// alone: -bench 'SegmentEngines/M.=4194304' -benchtime 3x.
+func BenchmarkSegmentEngines(b *testing.B) {
+	w := runtime.GOMAXPROCS(0)
+	for _, mp := range []int{1 << 16, 1 << 18, 1 << 20, 7 << 18, 1 << 21, 1 << 22} {
+		m := mp / 8 * 7
+		segs := max(2, w, (8<<20)/(16*mp))
+		t := ref.RandomVector(segs*mp, 3)
+		demod := ref.RandomVector(mp, 4)
+		clear(demod[m:])
+		scratch := make([]complex128, w*mp)
+		dst := make([]complex128, segs*m)
+		perSegment := func(b *testing.B) {
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N*w), "ms/segment")
+		}
+		b.Run(fmt.Sprintf("M'=%d/plain", mp), func(b *testing.B) {
+			p := MustPlan(mp)
+			b.SetBytes(int64(w*mp) * 16)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				par.For(w, w, func(lo, hi int) {
+					for j := lo; j < hi; j++ {
+						f := (i*w + j) % segs
+						p.ForwardDemodulate(dst[f*m:(f+1)*m], t[f*mp:(f+1)*mp], scratch[j*mp:(j+1)*mp], demod)
+					}
+				})
+			}
+			perSegment(b)
+		})
+		b.Run(fmt.Sprintf("M'=%d/six-step", mp), func(b *testing.B) {
+			s, err := NewSixStep(mp, SixStepOpt, w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.SetDemod(demod)
+			b.SetBytes(int64(w*mp) * 16)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < w; j++ {
+					f := (i*w + j) % segs
+					s.Forward(scratch[:mp], t[f*mp:(f+1)*mp])
+					copy(dst[f*m:(f+1)*m], scratch[:m])
+				}
+			}
+			perSegment(b)
+		})
+	}
 }

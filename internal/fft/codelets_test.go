@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"slices"
 	"testing"
 
 	"soifft/internal/cvec"
@@ -51,37 +52,87 @@ func TestCodeletInverseThroughPlan(t *testing.T) {
 	}
 }
 
+// TestRadix8Schedule pins factorize's rule: radix-8 passes while at least
+// three factors of two remain, then one radix-4 or one radix-2 pass, then the
+// odd radices; a LaneBatch runs the schedule of the Plan of its length,
+// whatever its lane count (DESIGN.md, "The radix schedule").
 func TestRadix8Schedule(t *testing.T) {
-	// Powers of two factor into radix-8 passes while the accumulated stride
-	// stays off the 4 KiB-aliasing lattice (s = 1, 8, 64), then radix-4
-	// passes with at most one radix-2 remainder (see factorize).
-	radices, smooth := factorize(1<<12, 1)
-	if !smooth {
-		t.Fatal("2^12 not smooth")
-	}
-	eights := 0
-	for _, r := range radices {
-		if r == 8 {
-			eights++
+	for _, c := range []struct {
+		n    int
+		want []int
+	}{
+		{1 << 9, []int{8, 8, 8}},
+		{1 << 10, []int{8, 8, 8, 2}},
+		{1 << 12, []int{8, 8, 8, 8}},
+		{1 << 13, []int{8, 8, 8, 8, 2}},
+		{1 << 14, []int{8, 8, 8, 8, 4}},
+		{1 << 16, []int{8, 8, 8, 8, 8, 2}},
+		{7 << 12, []int{8, 8, 8, 8, 7}},
+		{7 << 16, []int{8, 8, 8, 8, 8, 2, 7}},
+		{12, []int{4, 3}},
+	} {
+		got, smooth := factorize(c.n)
+		if !smooth || !slices.Equal(got, c.want) {
+			t.Errorf("factorize(%d) = %v, %v; want %v", c.n, got, smooth, c.want)
+		}
+		plan := radicesOf(MustPlan(c.n).stages)
+		for _, lanes := range []int{1, 3, 8} {
+			lb, err := NewLaneBatch(c.n, lanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lane := radicesOf(lb.stages); !slices.Equal(lane, plan) {
+				t.Errorf("n=%d: LaneBatch of %d lanes runs %v, Plan %v", c.n, lanes, lane, plan)
+			}
 		}
 	}
-	if eights != 3 {
-		t.Errorf("2^12 schedule %v: want three radix-8 passes", radices)
+}
+
+// TestScheduleModes holds a schedule change to the kernel oracle's
+// tolerance, on every kernel the host has. At n = 4096 factorize emitted
+// 8,8,8,4,2 while it had its aliasing rule and 8,8,8,8 since: the two plans
+// differ in their last bits (the bit mode, which nothing pins at this size,
+// would fail) and both lie within ref.FFTBound of ref.DFT (the tolerance
+// mode passes). The plan of today with one twiddle off by 1e-9 fails it.
+func TestScheduleModes(t *testing.T) {
+	const n = 1 << 12
+	x := ref.RandomVector(n, 12)
+	want := ref.DFT(x)
+	today := MustPlan(n)
+	aliasing := &Plan{n: n, stages: buildStages(n, 1, []int{8, 8, 8, 4, 2})}
+	poolVectors(&aliasing.work, n)
+	seeded := &Plan{n: n, stages: slices.Clone(today.stages)}
+	poolVectors(&seeded.work, n)
+	seeded.stages[1].tw = slices.Clone(seeded.stages[1].tw)
+	seeded.stages[1].tw[5] *= 1 + 1e-9
+	forEachKernel(t, func(t *testing.T) {
+		outs := map[string][]complex128{}
+		for _, c := range []struct {
+			name   string
+			p      *Plan
+			within bool
+		}{{"today", today, true}, {"aliasing", aliasing, true}, {"seeded", seeded, false}} {
+			y := make([]complex128, n)
+			c.p.Forward(y, x)
+			outs[c.name] = y
+			e := cvec.RelErrL2(y, want)
+			t.Logf("%s schedule %v: %.3g from ref.DFT (bound %.3g)", c.name, radicesOf(c.p.stages), e, ref.FFTBound(n))
+			if (e <= ref.FFTBound(n)) != c.within {
+				t.Errorf("%s: %.3g from ref.DFT, bound %.3g: within %v, want %v", c.name, e, ref.FFTBound(n), !c.within, c.within)
+			}
+		}
+		if firstBitDiff(outs["today"], outs["aliasing"]) < 0 {
+			t.Error("the two schedules agree bit for bit: the bit mode cannot tell them apart")
+		}
+	})
+}
+
+func radicesOf(stages []stage) []int {
+	var r []int
+	for _, st := range stages {
+		r = append(r, st.r)
 	}
-	radices, _ = factorize(1<<13, 1) // 8,8,8,4,4
-	if len(radices) != 5 || radices[3] != 4 || radices[4] != 4 {
-		t.Errorf("2^13 schedule %v", radices)
-	}
-	radices, _ = factorize(1<<14, 1) // 8,8,8,4,4,2
-	if len(radices) != 6 || radices[5] != 2 {
-		t.Errorf("2^14 schedule %v", radices)
-	}
-	// A lane batch starts its stride at `lanes`, so it leaves radix-8 for
-	// radix-4 a stage sooner.
-	radices, _ = factorize(1<<9, 8) // 8,8,4,2 (strides 8, 64, 512, 2048)
-	if len(radices) != 4 || radices[2] != 4 || radices[3] != 2 {
-		t.Errorf("2^9 lane-8 schedule %v", radices)
-	}
+	return r
 }
 
 func BenchmarkCodelets(b *testing.B) {

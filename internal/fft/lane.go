@@ -31,10 +31,7 @@ func NewLaneBatch(n, lanes int) (*LaneBatch, error) {
 	if n < 1 || lanes < 1 {
 		return nil, fmt.Errorf("fft: invalid LaneBatch %d x %d", n, lanes)
 	}
-	// The accumulated stride starts at `lanes`, so the alias-avoidance
-	// schedule must see it too: a lane batch reaches page-aliasing strides
-	// `lanes` times sooner than a scalar plan of the same length.
-	radices, smooth := factorize(n, lanes)
+	radices, smooth := factorize(n)
 	if !smooth {
 		return nil, fmt.Errorf("fft: LaneBatch length %d has a large prime factor", n)
 	}

@@ -32,15 +32,6 @@ const (
 	denseOracleMax = 2048
 )
 
-// oracleTol bounds the relative L2 error of any engine against an exact
-// oracle (dense or analytic) at size n: 8*eps*max(1, log2 n), eps = 2^-53,
-// the O(eps log n) rounding growth of an FFT with a constant about four
-// times the worst any engine, input family and size has shown (2.0, at
-// n = 3). A wrong butterfly constant or twiddle lands far above it.
-func oracleTol(n int) float64 {
-	return 8 * 0x1p-53 * math.Max(1, math.Log2(float64(n)))
-}
-
 // Size classes. Smooth sizes exercise every radix mix and the codelet
 // dispatch (n = 1, 2 included as the degenerate edges); rough sizes route
 // through Bluestein; the large sizes are the two Fig. 11 geometry points
@@ -174,8 +165,8 @@ func runOracleSize(t *testing.T, n int) {
 				got := make([]complex128, n)
 				eng.run(got, in.x, dir)
 				if want != nil {
-					if e := cvec.RelErrL2(got, want); e > oracleTol(n) {
-						t.Errorf("%s/%s/%s n=%d: relerr %g vs oracle, bound %g", eng.name, dirName(dir), in.name, n, e, oracleTol(n))
+					if e := cvec.RelErrL2(got, want); e > ref.FFTBound(n) {
+						t.Errorf("%s/%s/%s n=%d: relerr %g vs oracle, bound %g", eng.name, dirName(dir), in.name, n, e, ref.FFTBound(n))
 					}
 				}
 			}

@@ -17,10 +17,11 @@
 // Every engine works on interleaved []complex128, with one Go kernel source
 // per radix (one for the odd radices 5 to 13); on amd64 hosts with AVX2 the
 // radix-2, -4 and -8 stages, radix 7's untwiddled last pass, the 8-point
-// codelet and the six-step's twiddle and demodulation products run as
-// Go-assembler twins (stockham_amd64.s) that agree with the Go kernels bit
-// for bit. Forward transforms are unnormalized; Inverse applies the 1/n
-// factor, so Inverse(Forward(x)) == x.
+// codelet, the six-step's twiddle and demodulation products and
+// ForwardDemodulate's fused last radix-2 pass run as Go-assembler twins
+// (stockham_amd64.s) that agree with the Go kernels bit for bit. Forward
+// transforms are unnormalized; Inverse applies the 1/n factor, so
+// Inverse(Forward(x)) == x.
 package fft
 
 import (
@@ -75,7 +76,7 @@ func NewPlan(n int) (*Plan, error) {
 	if n <= 2 {
 		return p, nil
 	}
-	radices, smooth := factorize(n, 1)
+	radices, smooth := factorize(n)
 	if !smooth {
 		b, err := newBluestein(n)
 		if err != nil {
@@ -110,44 +111,27 @@ func MustPlan(n int) *Plan {
 // N returns the transform length.
 func (p *Plan) N() int { return p.n }
 
-// aliasingStride8 reports whether a radix-8 butterfly whose write legs are
-// separated by s complex elements maps all eight of them onto one L1 set
-// group: 256 complex128 elements = 4096 bytes.
-func aliasingStride8(s int) bool { return s%256 == 0 }
-
 // factorize splits n into the radix schedule used by the Stockham kernel.
-// Powers of two are emitted as radix-8 passes with a radix-4/2 remainder:
-// the specialized high-radix butterflies cut the number of passes over
-// memory to ~log8(n) — the same motivation as the paper's radix-8/16
-// register blocking (Section 5.2.4).
-//
-// strideMul is the stride the first stage starts at (1 for a Plan, `lanes`
-// for a LaneBatch) and gates the radix-8 emission: once the accumulated
-// stride lands on the 4 KiB-aliasing lattice (aliasingStride8), the
-// remaining power-of-two factors come out as radix-4 passes. An aliasing
-// radix-8 stage needs 16 L1 ways per set (8 write legs on top of the 8
-// aliasing read legs every power-of-two length has) against 8-way hardware
-// and thrashes at every working-set size; a radix-4 stage needs exactly 8
-// ways and stays at streaming bandwidth, so two radix-4 passes beat one
-// thrashing radix-8 pass.
+// Powers of two are emitted as radix-8 passes while at least three factors
+// of two remain, then one radix-4 or one radix-2 pass: the specialized
+// high-radix butterflies cut the number of passes over memory to ~log8(n) —
+// the same motivation as the paper's radix-8/16 register blocking (Section
+// 5.2.4). A Plan and a LaneBatch of the same length get the same schedule.
 //
 // Returns smooth=false when n has a prime factor > maxRadix.
-func factorize(n, strideMul int) (radices []int, smooth bool) {
+func factorize(n int) (radices []int, smooth bool) {
 	e2 := 0
 	for n%2 == 0 {
 		e2++
 		n /= 2
 	}
-	s := strideMul
-	for e2 >= 3 && !aliasingStride8(s) {
+	for ; e2 >= 3; e2 -= 3 {
 		radices = append(radices, 8) // plan-time factorization, O(log n) appends
-		s *= 8
-		e2 -= 3
 	}
-	for ; e2 >= 2; e2 -= 2 {
-		radices = append(radices, 4) // plan-time factorization, O(log n) appends
-	}
-	if e2 == 1 {
+	switch e2 {
+	case 2:
+		radices = append(radices, 4)
+	case 1:
 		radices = append(radices, 2)
 	}
 	for _, r := range []int{3, 5, 7, 11, 13} {
@@ -265,6 +249,67 @@ func (p *Plan) Forward(dst, src []complex128) { p.Transform(dst, src, Forward) }
 
 // Inverse computes the normalized (1/n) inverse DFT of src into dst.
 func (p *Plan) Inverse(dst, src []complex128) { p.Transform(dst, src, Inverse) }
+
+// demodulate sets dst[k] = x[k] * d[k] for k in [0, len(dst)): the
+// pointwise product by W^-1 that SixStep fuses into its last pass
+// (SetDemod), for a spectrum a plain Plan computed; a dst shorter than x is
+// the projection onto its first len(dst) bins. x and d must be at least as
+// long as dst; dst may alias x.
+func demodulate(dst, x, d []complex128) {
+	n := len(dst)
+	x, d = x[:n], d[:n]
+	for k := range dst {
+		dst[k] = x[k] * d[k]
+	}
+}
+
+// ForwardDemodulate sets dst[k] = X[k] * d[k] for k in [0, len(dst)), X the
+// forward DFT of src: Forward into scratch followed by demodulate, bit for
+// bit. Where the plan's last pass is radix 2 (the powers of two 2^(3j+1)
+// from 2^7 up, such as a 2^16 = 8^5*2 SOI segment) and dst holds at least
+// the first half of the spectrum, the passes before it run between src and
+// scratch, and it stores its butterflies times d straight into dst: the
+// spectrum is never written out and read back, and the working set is the
+// caller's three vectors. src is overwritten there. len(dst) <= N; src and
+// scratch must have length >= N and overlap neither each other nor dst; d
+// must be at least as long as dst.
+func (p *Plan) ForwardDemodulate(dst, src, scratch, d []complex128) {
+	n := p.n
+	if len(src) < n || len(scratch) < n || len(dst) > n {
+		panic(fmt.Sprintf("fft: ForwardDemodulate buffers: len(dst)=%d len(src)=%d len(scratch)=%d n=%d", len(dst), len(src), len(scratch), n))
+	}
+	last := len(p.stages) - 1
+	if last < 1 || p.stages[last].r != 2 || len(dst) < n/2 {
+		p.Forward(scratch, src)
+		demodulate(dst, scratch, d)
+		return
+	}
+	// The passes before the last alternate between scratch and src, landing
+	// in whichever of the two the parity of their count makes the last
+	// written (runStages); the plan's pooled vector is not touched.
+	x, w := scratch[:n], src[:n]
+	if last%2 == 0 {
+		x, w = w, x
+	}
+	runStages(p.stages[:last], x, src[:n], w, 1)
+	radix2Demodulate(dst, x, p.stages[last].tw[0], d[:len(dst)])
+}
+
+// radix2Demodulate is the last pass of ForwardDemodulate: the radix-2
+// butterflies of a last stage (m = 1) over x, s = len(x)/2 apart, their
+// outputs y[q] = a + b and y[q+s] = (a - b) * w multiplied by d into dst,
+// for the outputs below len(dst) >= s.
+func radix2Demodulate(dst, x []complex128, w complex128, d []complex128) {
+	s := len(x) / 2
+	both := len(dst) - s // q below it has both outputs in dst
+	for q := radix2DemodulateVec(dst, x, w, d); q < s; q++ {
+		a, b := x[q], x[q+s]
+		dst[q] = (a + b) * d[q]
+		if q < both {
+			dst[q+s] = ((a - b) * w) * d[q+s]
+		}
+	}
+}
 
 // ForwardCols computes the forward DFT of each of the first rows columns of
 // the N-by-xs matrix x, column r being x[k*xs + r] for k in [0, N), and stores

@@ -107,7 +107,7 @@ func TestFactorize(t *testing.T) {
 		{17, false}, {2 * 17, false}, {1 << 20, true}, {7 * (1 << 10), true},
 	}
 	for _, c := range cases {
-		radices, smooth := factorize(c.n, 1)
+		radices, smooth := factorize(c.n)
 		if smooth != c.smooth {
 			t.Errorf("factorize(%d): smooth=%v want %v", c.n, smooth, c.smooth)
 		}

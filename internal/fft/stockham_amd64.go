@@ -31,6 +31,9 @@ func twiddleTileAVX2(w, buf, twA, twB *complex128, n1, n2, j2lo, n, k int, shift
 //go:noescape
 func demodScatterAVX2(dst, rbuf, demod *complex128, n1, n2, stride int)
 
+//go:noescape
+func radix2DemodulateAVX2(dst, x, d, w *complex128, s, both, only int)
+
 // stageVec runs st with its vector kernel, when the host has AVX2 and there
 // is one for the stage's radix and shape, and reports whether it did. The
 // kernels take two complex128 per register: the strided ones (radices 2, 4
@@ -111,4 +114,20 @@ func (s *SixStep) demodScatterVec(dst, rbuf []complex128, lo, stride int) bool {
 	rbuf = rbuf[:(tileCols-1)*stride+n2]
 	demodScatterAVX2(&dst[0], &rbuf[0], &demod[0], n1, n2, stride)
 	return true
+}
+
+// radix2DemodulateVec runs all of radix2Demodulate's butterflies with the
+// vector kernel, two q at a time, and returns s; it runs none and returns 0
+// when the host has no AVX2, or when s or the count of q with both outputs
+// in dst is odd, which would split a register's pair. The reslices are the
+// kernel's bounds checks.
+func radix2DemodulateVec(dst, x []complex128, w complex128, d []complex128) int {
+	s := len(x) / 2
+	both := len(dst) - s
+	if !haveAVX2 || both%2 != 0 || s%2 != 0 {
+		return 0
+	}
+	x, d = x[:2*s], d[:len(dst)]
+	radix2DemodulateAVX2(&dst[0], &x[0], &d[0], &w, s, both/2, (s-both)/2)
+	return s
 }

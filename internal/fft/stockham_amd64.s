@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// AVX2 twins of the Stockham stages, the 8-point codelet and the six-step's
-// two per-element products (stockham.go, codelets.go, sixstep.go). Each does
+// AVX2 twins of the Stockham stages, the 8-point codelet, the six-step's
+// two per-element products and the plain plan's last radix-2 pass fused with
+// its demodulation (stockham.go, codelets.go, sixstep.go, plan.go). Each does
 // the Go twin's operations on the same operands in the same order, two
 // complex128 per YMM register, so the two agree bit for bit (NaN payloads
 // aside): multiplies and adds only, each rounded, no FMA.
@@ -539,6 +540,65 @@ dsk:
 	ADDQ        R8, DX
 	DECQ        CX
 	JNZ         dsk
+	VZEROUPPER
+	RET
+
+// func radix2DemodulateAVX2(dst, x, d, w *complex128, s, both, only int)
+//
+// radix2Demodulate two q at a time: a = x[q], b = x[q+s], dst[q] =
+// (a + b) * d[q] for q in [0, 2*(both+only)), and dst[q+s] = ((a - b) * w)
+// * d[q+s] for q in [0, 2*both); w is the stage's one twiddle, read at w.
+TEXT ·radix2DemodulateAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         d+16(FP), DX
+	MOVQ         w+24(FP), R8
+	MOVQ         s+32(FP), R9
+	SHLQ         $4, R9
+	MOVQ         both+40(FP), CX
+	MOVQ         only+48(FP), BX
+	VBROADCASTSD (R8), Y10
+	VBROADCASTSD 8(R8), Y11
+
+r2both:
+	TESTQ     CX, CX
+	JZ        r2only
+	VMOVUPD   (SI), Y0
+	VMOVUPD   (SI)(R9*1), Y1
+	VADDPD    Y1, Y0, Y2
+	VSUBPD    Y1, Y0, Y3
+	VMOVUPD   (DX), Y4
+	CMULR(Y4, Y2)
+	VMOVUPD   Y2, (DI)
+	VMULPD    Y10, Y3, Y12
+	VPERMILPD $5, Y3, Y3
+	VMULPD    Y11, Y3, Y13
+	VADDSUBPD Y13, Y12, Y3
+	VMOVUPD   (DX)(R9*1), Y4
+	CMULR(Y4, Y3)
+	VMOVUPD   Y3, (DI)(R9*1)
+	ADDQ      $32, SI
+	ADDQ      $32, DX
+	ADDQ      $32, DI
+	DECQ      CX
+	JMP       r2both
+
+r2only:
+	TESTQ   BX, BX
+	JZ      r2done
+	VMOVUPD (SI), Y0
+	VMOVUPD (SI)(R9*1), Y1
+	VADDPD  Y1, Y0, Y2
+	VMOVUPD (DX), Y4
+	CMULR(Y4, Y2)
+	VMOVUPD Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    BX
+	JMP     r2only
+
+r2done:
 	VZEROUPPER
 	RET
 

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"soifft/internal/cpu"
+	"soifft/internal/ref"
 )
 
 // kernels names the stage kernels the host can execute: the AVX2 ones, when
@@ -162,6 +164,52 @@ func TestSixStepProductsMatchGo(t *testing.T) {
 				}
 			}
 			s.SetDemod(nil)
+		}
+	}
+}
+
+// TestForwardDemodulateMatchesPlan pins ForwardDemodulate to Forward then
+// demodulate bit for bit, on every kernel the host has: at the lengths whose
+// last pass is radix 2 (fused) and at lengths and projections that fall
+// back, for outputs from half the spectrum to all of it (odd counts end the
+// vector pass early); and the fused pass's vector kernel to its Go loop on
+// random and special operands.
+func TestForwardDemodulateMatchesPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	forEachKernel(t, func(t *testing.T) {
+		for _, n := range []int{128, 1024, 8192, 1 << 16, 4096, 7 << 10} {
+			p := MustPlan(n)
+			src := ref.RandomVector(n, int64(n))
+			d := ref.RandomVector(n, int64(n+1))
+			for _, m := range []int{n / 2, n/2 + 1, n/2 + 2, n / 8 * 7, n - 1, n, n/2 - 2} {
+				want := make([]complex128, n)
+				p.Forward(want, src)
+				demodulate(want[:m], want, d)
+				got, intact := guarded(m)
+				p.ForwardDemodulate(got, slices.Clone(src), make([]complex128, n), d)
+				if !intact() {
+					t.Fatalf("n=%d m=%d: wrote outside dst", n, m)
+				}
+				sameBits(t, fmt.Sprintf("n=%d m=%d", n, m), got, want[:m])
+			}
+		}
+	})
+	needAVX2(t)
+	for _, specials := range []bool{false, true} {
+		draw := operandDraw(rng, specials)
+		for _, m := range []int{32, 34, 36, 48, 64} {
+			x, d := carve(64, draw), carve(m, draw)
+			w := complex(draw(), draw())
+			want := make([]complex128, m)
+			func() {
+				defer useKernel("portable")()
+				radix2Demodulate(want, x, w, d)
+			}()
+			got, intact := guarded(m)
+			if radix2DemodulateVec(got, x, w, d) != 32 || !intact() {
+				t.Fatalf("m=%d: vector kernel did not run or wrote outside dst", m)
+			}
+			sameBits(t, fmt.Sprintf("m=%d specials=%v", m, specials), got, want)
 		}
 	}
 }

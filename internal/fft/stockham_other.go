@@ -12,3 +12,5 @@ func dft8ColsVec([]complex128, int, []complex128, int, int) int { return 0 }
 func (s *SixStep) twiddleTileVec([]complex128, []complex128, int) bool { return false }
 
 func (s *SixStep) demodScatterVec([]complex128, []complex128, int, int) bool { return false }
+
+func radix2DemodulateVec([]complex128, []complex128, complex128, []complex128) int { return 0 }

@@ -92,8 +92,8 @@ func TestTwiddlesComeFromTables(t *testing.T) {
 	sixRatio := float64(tNaive) / float64(tOpt)
 	t.Logf("radix-2 pass: %.2f ns/butterfly, expi %.2f ns/call, ratio %.2f (bound %.1f); sink %v",
 		perButterfly, perExpi, stageRatio, maxStage, real(sink) != 0)
-	t.Logf("six-step at 2^16: naive %v, opt %v per %d calls, ratio %.2f (bound %.1f)",
-		tNaive, tOpt, sixCalls, sixRatio, maxSixSteps)
+	t.Logf("six-step at n=%d: naive %v, opt %v per %d calls, ratio %.2f (bound %.1f)",
+		n, tNaive, tOpt, sixCalls, sixRatio, maxSixSteps)
 	if stageRatio > maxStage {
 		t.Errorf("radix-2 pass costs %.2f expi calls per butterfly, bound %.1f: is a stage computing its twiddles?", stageRatio, maxStage)
 	}

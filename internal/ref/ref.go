@@ -13,21 +13,35 @@ import (
 // definition: X[k] = sum_j x[j] exp(-2*pi*i*j*k/n). O(n^2); intended for
 // n up to a few thousand in tests.
 func DFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sumRe, sumIm float64
-		for j := 0; j < n; j++ {
-			// Reduce j*k mod n in integers to keep the angle small.
-			a := -2 * math.Pi * float64((j*k)%n) / float64(n)
-			s, c := math.Sincos(a)
-			re, im := real(x[j]), imag(x[j])
-			sumRe += re*c - im*s
-			sumIm += re*s + im*c
-		}
-		out[k] = complex(sumRe, sumIm)
+	out := make([]complex128, len(x))
+	for k := range out {
+		out[k] = dftBin(x, k)
 	}
 	return out
+}
+
+// DFTAt computes the listed bins of the DFT of x, out[i] = X[bins[i]], by
+// DFT's sum: O(n) per bin, for spot checks at sizes where DFT is too slow.
+func DFTAt(x []complex128, bins []int) []complex128 {
+	out := make([]complex128, len(bins))
+	for i, k := range bins {
+		out[i] = dftBin(x, k)
+	}
+	return out
+}
+
+func dftBin(x []complex128, k int) complex128 {
+	n := len(x)
+	var sumRe, sumIm float64
+	for j := 0; j < n; j++ {
+		// Reduce j*k mod n in integers to keep the angle small.
+		a := -2 * math.Pi * float64((j*k)%n) / float64(n)
+		s, c := math.Sincos(a)
+		re, im := real(x[j]), imag(x[j])
+		sumRe += re*c - im*s
+		sumIm += re*s + im*c
+	}
+	return complex(sumRe, sumIm)
 }
 
 // IDFT computes the normalized inverse DFT of x directly. O(n^2).

@@ -94,23 +94,27 @@ func TestServeSOI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tol := 10 * local.EstimatedError()
+	tol := local.EstimatedError()
 
 	x := ref.RandomVector(n, 7)
 	dst := make([]complex128, n)
 	if err := cl.Forward(ctx, dst, x); err != nil {
 		t.Fatalf("SOI Forward: %v", err)
 	}
-	if e := cvec.RelErrL2(dst, ref.DFT(x)); e > tol {
-		t.Errorf("SOI Forward: rel err %g > tol %g", e, tol)
+	eFwd := cvec.RelErrL2(dst, ref.DFT(x))
+	if eFwd > tol {
+		t.Errorf("SOI Forward: rel err %g > EstimatedError %g", eFwd, tol)
 	}
 	inv := make([]complex128, n)
 	if err := cl.Inverse(ctx, inv, dst); err != nil {
 		t.Fatalf("SOI Inverse: %v", err)
 	}
-	if e := cvec.RelErrL2(inv, x); e > tol {
-		t.Errorf("SOI Inverse(Forward): rel err %g > tol %g", e, tol)
+	eRound := cvec.RelErrL2(inv, x)
+	if eRound > tol {
+		t.Errorf("SOI Inverse(Forward): rel err %g > EstimatedError %g", eRound, tol)
 	}
+	t.Logf("worst measured/EstimatedError %.3f (Forward %.3f, Inverse(Forward) %.3f)",
+		max(eFwd, eRound)/tol, eFwd/tol, eRound/tol)
 
 	// SOI-invalid length -> typed bad-request error, connection stays usable.
 	if err := cl.Forward(ctx, make([]complex128, 100), make([]complex128, 100)); !errors.Is(err, wire.ErrBadRequest) {

@@ -82,19 +82,22 @@ func TestForwardAllocationBudget(t *testing.T) {
 }
 
 // TestPooledWorkingSet: what a plan retains per concurrent transform at the
-// repository benchmark's N = 7*2^16 is the segment vectors, the finish
-// scratch and a tail of a few chunks, 9.5 MB, where the staged pipeline
-// held the extended input, u, t and the scratch, 25.2 MB.
+// repository benchmark's N = 7*2^16 is the segment vectors, a tail of a few
+// chunks and one finish scratch per stage-4 worker: 9.5 MB with one worker,
+// where the staged pipeline held the extended input, u, t and the scratch,
+// 25.2 MB. Each further stage-4 worker adds its own M' scratch to the budget.
 func TestPooledWorkingSet(t *testing.T) {
-	const budget = 10 << 20
 	pl, err := NewPlan(benchParams(16), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := pl.scratch.New().(*scratch)
-	if bytes := 16 * (len(sc.tail) + len(sc.t) + len(sc.y) + len(sc.conj)); bytes > budget {
-		t.Errorf("pooled working set %d bytes, budget %d", bytes, budget)
+	seg := len(*pl.segs.New().(*[]complex128))
+	w := pl.SegmentWorkers()
+	budget := 10<<20 + 16*seg*(w-1)
+	if bytes := 16 * (len(sc.tail) + len(sc.t) + w*seg + len(sc.conj)); bytes > budget {
+		t.Errorf("pooled working set %d bytes with %d stage-4 workers, budget %d", bytes, w, budget)
 	} else {
-		t.Logf("pooled working set %d bytes (tail %d elements)", bytes, len(sc.tail))
+		t.Logf("pooled working set %d bytes with %d stage-4 workers (tail %d elements)", bytes, w, len(sc.tail))
 	}
 }

@@ -1,6 +1,7 @@
 package soi
 
 import (
+	"runtime"
 	"testing"
 
 	"soifft/internal/ref"
@@ -14,13 +15,14 @@ func benchParams(logN int) window.Params {
 }
 
 // BenchmarkForward458k is soiperf's lib_soi_458k operation, one Forward at
-// N = 7*2^16 on a single-worker plan, for A/B runs of the library path
-// without soiperf: run it with -cpu 1; it reports ms/op beside ns/op and
+// N = 7*2^16 on a plan with GOMAXPROCS workers, for A/B runs of the library
+// path without soiperf: -cpu 1 is soiperf's one-processor operation, -cpu 2
+// shows the stages' parallel scaling. It reports ms/op beside ns/op and
 // B/op.
 func BenchmarkForward458k(b *testing.B) {
 	p := benchParams(16)
 	opts := DefaultOptions()
-	opts.Workers = 1
+	opts.Workers = runtime.GOMAXPROCS(0)
 	pl, err := NewPlan(p, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -20,9 +20,14 @@
 //     lane-major, so the S-point transforms run over its columns and write
 //     each bin's run straight into its segment vector: stage 3 is where
 //     stage 2 stores, not a pass.
-//  4. Large local FFT: M'-point transform of t_f (6-step, Section 5.2).
-//  5. Project to the top M bins and demodulate by W^-1 (fused into the
-//     final pass of the 6-step FFT).
+//  4. Large local FFT: M'-point transform of t_f. A segment vector that
+//     fits in cache (plainSegmentBytes) runs on the plain Stockham fft.Plan,
+//     one segment per worker; a larger one on the paper's 6-step (Section
+//     5.2), whose segments live in DRAM, its passes split across the
+//     workers.
+//  5. Project to the top M bins and demodulate by W^-1, fused into the
+//     final pass of either FFT (fft.Plan.ForwardDemodulate when that pass is
+//     radix 2, the 6-step's own fusion), or one pass after the plain plan.
 //
 // Segment f of the output is y[f*M : (f+1)*M] — the transform is in-order.
 package soi
@@ -41,7 +46,11 @@ import (
 type Options struct {
 	Workers     int          // intra-node workers; <= 0 selects GOMAXPROCS
 	ConvVariant conv.Variant // convolution strategy (default Buffered)
-	FFTVariant  fft.Variant  // local large-FFT strategy (default SixStepOpt)
+	// FFTVariant is the stage-4 strategy. SixStepOpt, the zero value, runs
+	// segments of at most plainSegmentBytes on the plain fft.Plan and larger
+	// ones on the optimized six-step; SixStepNaive always runs the naive
+	// six-step (Fig. 10's first step).
+	FFTVariant fft.Variant
 }
 
 // DefaultOptions returns the optimized configuration.
@@ -54,11 +63,15 @@ type Plan struct {
 	Win  *window.Filter
 	opts Options
 
-	fp *fft.Plan    // Segments-point FFT (stage 2)
-	fm *fft.SixStep // M'-point FFT (stage 4)
+	fp *fft.Plan // Segments-point FFT (stage 2)
+	// Stage 4's M'-point FFT: fm, the plain plan, for a cache-sized segment,
+	// else six, the six-step with stage 5's demodulation fused (plainSegment).
+	fm  *fft.Plan
+	six *fft.SixStep
 
 	scratch sync.Pool // *scratch: Forward's and Inverse's working set
 	tiles   sync.Pool // *tile: one ConvolveToSegments worker's buffers
+	segs    sync.Pool // *[]complex128: one stage-4 worker's M' scratch
 }
 
 // scratch is the working set of one transform. A transform takes one from
@@ -70,7 +83,6 @@ type scratch struct {
 	// convolve straight from the caller's src.
 	tail []complex128
 	t    []complex128 // N': the segment vectors t_f, M' each
-	y    []complex128 // M': FinishSegment's staging
 	conj []complex128 // N: Inverse's conjugated input, built on first use
 }
 
@@ -97,8 +109,11 @@ func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 		return &scratch{
 			tail: make([]complex128, own+win.GhostElems()),
 			t:    make([]complex128, win.MPrime()*win.Segments), // N' = mu*N
-			y:    make([]complex128, win.MPrime()),
 		}
+	}
+	pl.segs.New = func() any {
+		y := make([]complex128, win.MPrime())
+		return &y
 	}
 	pl.tiles.New = func() any {
 		return &tile{
@@ -110,10 +125,16 @@ func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 	if pl.fp, err = fft.NewPlan(win.Segments); err != nil {
 		return nil, err
 	}
+	mp := win.MPrime()
+	if plainSegment(opts.FFTVariant, mp) {
+		if pl.fm, err = fft.NewPlan(mp); err != nil {
+			return nil, err
+		}
+		return pl, nil
+	}
 	// M' = NMu*Segments*k with NMu, Segments >= 2 is composite, so the
 	// six-step's 2D split exists for every validated window.Params.
-	mp := win.MPrime()
-	if pl.fm, err = fft.NewSixStep(mp, opts.FFTVariant, opts.Workers); err != nil {
+	if pl.six, err = fft.NewSixStep(mp, opts.FFTVariant, opts.Workers); err != nil {
 		return nil, err
 	}
 	// Fused W^-1: multiply during the final pass of the 6-step FFT. Bins >=
@@ -121,8 +142,31 @@ func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 	// branch-free.
 	demodFull := make([]complex128, mp)
 	copy(demodFull, win.Demod)
-	pl.fm.SetDemod(demodFull)
+	pl.six.SetDemod(demodFull)
 	return pl, nil
+}
+
+// plainSegmentBytes is the largest segment vector, M' complex128 values,
+// whose stage-4 FFT runs on the plain Stockham fft.Plan. The paper picks the
+// six-step because its segments live in DRAM (Section 5.2, Fig. 4); below
+// this size they live in cache, where the plain plan's log8(M') passes beat
+// the six-step's two tiled passes. The value comes from a one-worker sweep,
+// fft.BenchmarkSegmentEngines on a 2-vCPU AVX-512 Xeon (EXPERIMENTS.md, "The
+// segment FFT on the plain plan"), per segment: the plain plan was faster up
+// to 2^20 points (16 MiB; 0.90 against 1.23 ms at 2^16, 23 against 30 ms at
+// 2^20) and no faster at 7*2^18 (28 MiB) and 2^21 (32 MiB). The same sweep
+// with two workers (the plain plan one segment per worker, the six-step its
+// passes split across both) found the plain plan ahead at every size up to
+// 2^22 (64 MiB), so the crossover lies above the constant, not at it. No
+// benchmark workload runs a segment above it: that side is unverified end
+// to end, and the constant waits for a DRAM-resident workload (ROADMAP item
+// 5(a)) before it moves.
+const plainSegmentBytes = 16 << 20
+
+// plainSegment reports whether stage 4 runs a segment of mp points on the
+// plain plan under variant v; otherwise it runs the six-step.
+func plainSegment(v fft.Variant, mp int) bool {
+	return v == fft.SixStepOpt && mp*16 <= plainSegmentBytes
 }
 
 // Params returns the plan's SOI parameters.
@@ -182,10 +226,28 @@ func (pl *Plan) forward(dst, src []complex128, sc *scratch) {
 	pl.ConvolveToSegments(sc.t, p.MPrime(), src, 0, interior)
 	pl.ConvolveToSegments(sc.t[interior*p.NMu:], p.MPrime(), sc.tail, interior, p.Chunks())
 
-	// Stage 4+5 per segment.
-	for f := 0; f < p.Segments; f++ {
-		pl.FinishSegment(dst[f*p.M():(f+1)*p.M()], sc.t[f*p.MPrime():(f+1)*p.MPrime()], sc.y)
+	// Stage 4+5 per segment, split across SegmentWorkers.
+	par.For(pl.SegmentWorkers(), p.Segments, func(lo, hi int) {
+		y := pl.segs.Get().(*[]complex128)
+		defer pl.segs.Put(y)
+		for f := lo; f < hi; f++ {
+			pl.FinishSegment(dst[f*p.M():(f+1)*p.M()], sc.t[f*p.MPrime():(f+1)*p.MPrime()], *y)
+		}
+	})
+}
+
+// SegmentWorkers returns how many FinishSegment calls should run at once:
+// the plan's workers on the plain plan, which transforms a segment on one
+// worker, and 1 on the six-step, which splits each segment's passes across
+// the workers itself.
+func (pl *Plan) SegmentWorkers() int {
+	if pl.six != nil {
+		return 1
 	}
+	if pl.opts.Workers <= 0 {
+		return par.DefaultWorkers()
+	}
+	return pl.opts.Workers
 }
 
 // ConvolveToSegments runs stages 1 to 3 for chunks [c0, c1) in one pass over
@@ -216,11 +278,19 @@ func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c
 }
 
 // FinishSegment runs stages 4 and 5 for one segment: the M'-point FFT of
-// tf with the demodulation by W^-1 fused into its last pass, then the
-// projection to the top M bins, writing the M in-order spectrum values of
-// the segment into dst. scratch must have length >= M'.
+// tf, the demodulation by W^-1 and the projection to the top M bins,
+// writing the M in-order spectrum values of the segment into dst. The plain
+// plan stores its last pass times W^-1 into dst, or demodulates in one pass
+// after it (fft.Plan.ForwardDemodulate); the six-step fuses the
+// demodulation into its last pass and dst is a copy. scratch must have
+// length >= M'. tf's contents are not kept: the plain plan transforms
+// between tf and scratch.
 func (pl *Plan) FinishSegment(dst, tf, scratch []complex128) {
 	m := pl.Win.M()
-	pl.fm.Forward(scratch, tf)
+	if pl.fm != nil {
+		pl.fm.ForwardDemodulate(dst[:m], tf, scratch, pl.Win.Demod)
+		return
+	}
+	pl.six.Forward(scratch, tf)
 	copy(dst[:m], scratch[:m])
 }

@@ -287,7 +287,8 @@ func TestWorkerCountsAgree(t *testing.T) {
 	// The unit of parallel work in stages 1-3 is the tile, not the lane: at
 	// S = 16 a tile is 16 chunks and the 64 chunks make 4 interior tiles
 	// and 1 tail tile, so S+1 workers and 64 workers (more than tiles) both
-	// exceed what there is to split.
+	// exceed what there is to split. Stage 4's unit is the segment, S of
+	// them on the plain plan.
 	for _, p := range []window.Params{paperParams(4, 8), paperParams(16, 4)} {
 		win, err := window.Design(p)
 		if err != nil {

@@ -13,11 +13,10 @@ import (
 //	X[k] = w^{k^2/2} * sum_nu (h[nu] * w^{nu^2/2}) * w^{-(k-nu)^2/2}
 //
 // i.e. one linear convolution with the chirp kernel, done with an FFT of
-// size >= len(h)+K-1. This is what makes designing demodulation tables for
-// M in the millions affordable.
-func partialDFT(h []complex128, bigN, K int) []complex128 {
+// length m >= len(h)+K-1 (chirpLen is the shortest). This is what makes
+// designing demodulation tables for M in the millions affordable.
+func partialDFT(h []complex128, bigN, K, m int) []complex128 {
 	L := len(h)
-	m := fft.NextPow2(L + K - 1)
 	plan := fft.MustPlan(m)
 
 	// w = exp(+2*pi*i/bigN); w^{t^2/2} = exp(+pi*i*t^2/bigN). Reduce t^2
@@ -56,3 +55,7 @@ func partialDFT(h []complex128, bigN, K int) []complex128 {
 	}
 	return out
 }
+
+// chirpLen is the FFT length partialDFT uses for L taps and K bins: the
+// smallest power of two that holds their linear convolution.
+func chirpLen(L, K int) int { return fft.NextPow2(L + K - 1) }

@@ -210,7 +210,6 @@ func Design(p Params) (*Filter, error) {
 	}
 	f := &Filter{Params: p}
 	M := p.M()
-	Mp := p.MPrime()
 	mu := p.Mu()
 
 	// All frequencies below are in units of output bins (cycles per N
@@ -253,24 +252,10 @@ func Design(p Params) (*Filter, error) {
 		return nil, fmt.Errorf("window: designed taps do not factor: %w", err)
 	}
 
-	// Exact response at every output bin, via chirp-z partial DFT:
-	// G[k] = sum_nu h_0[nu] e^{+2*pi*i*nu*k/N}, k in [0, M).
-	g := partialDFT(f.Taps[0], p.N, M)
-	f.Demod = make([]complex128, M)
-	f.PassbandMin = math.Inf(1)
-	scale := float64(p.N) / float64(Mp)
-	for k := 0; k < M; k++ {
-		mag := cabs(g[k])
-		if mag < f.PassbandMin {
-			f.PassbandMin = mag
-		}
-		if mag > f.PassbandMax {
-			f.PassbandMax = mag
-		}
-		if mag == 0 {
-			return nil, fmt.Errorf("window: zero response at bin %d; parameters %+v are unusable", k, p)
-		}
-		f.Demod[k] = complex(scale, 0) / g[k]
+	var err error
+	f.Demod, f.PassbandMin, f.PassbandMax, err = demodulation(p, f.Taps[0], chirpLen(len(f.Taps[0]), M))
+	if err != nil {
+		return nil, err
 	}
 	// Fractional-shift fidelity: the extreme shifts (a = 0 and a = NMu-1,
 	// the farthest from the centred grid) lose the most window tail to
@@ -290,6 +275,29 @@ func Design(p Params) (*Filter, error) {
 		}
 	}
 	return f, nil
+}
+
+// demodulation returns the diagonal of W^-1 for the prototype taps h0,
+// Demod[k] = N/(M'*G(k)) for k in [0, M), with the smallest and largest |G|
+// over those bins. G is the exact response at every output bin, G[k] =
+// sum_nu h0[nu] e^{+2*pi*i*nu*k/N}, from one chirp-z partial DFT of length m
+// (chirpLen; a longer one evaluates the same sums in another order).
+func demodulation(p Params, h0 []complex128, m int) (demod []complex128, pmin, pmax float64, err error) {
+	M := p.M()
+	g := partialDFT(h0, p.N, M, m)
+	demod = make([]complex128, M)
+	pmin = math.Inf(1)
+	scale := float64(p.N) / float64(p.MPrime())
+	for k := 0; k < M; k++ {
+		mag := cabs(g[k])
+		pmin = min(pmin, mag)
+		pmax = max(pmax, mag)
+		if mag == 0 {
+			return nil, 0, 0, fmt.Errorf("window: zero response at bin %d; parameters %+v are unusable", k, p)
+		}
+		demod[k] = complex(scale, 0) / g[k]
+	}
+	return demod, pmin, pmax, nil
 }
 
 // phaseError reports a tap that is not a real multiple of its lane's

@@ -132,7 +132,7 @@ func TestMu54Design(t *testing.T) {
 func TestPartialDFTMatchesDirect(t *testing.T) {
 	h := ref.RandomVector(37, 3)
 	const bigN, K = 1024, 100
-	got := partialDFT(h, bigN, K)
+	got := partialDFT(h, bigN, K, chirpLen(len(h), K))
 	want := make([]complex128, K)
 	for k := 0; k < K; k++ {
 		var re, im float64

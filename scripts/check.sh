@@ -98,6 +98,12 @@ run_gate "twiddle tables (within-run timing ratio)" go test ./internal/fft -run 
 # process; -v prints the kernels this host ran and their ratios.
 run_gate "vector kernels pay (within-run timing ratio)" go test ./internal/conv -run '^TestVectorKernelsPay$' -count=1 -v
 
+# Stage 4 runs cache-sized segments on the plain Stockham plan because it
+# measured faster than the six-step there; an engine change that keeps the
+# bits but loses that margin fails nothing else. Timed the same way, at the
+# benchmark's M' = 2^16: the plain engine must be at least 1.10x the six-step.
+run_gate "segment engine pays (within-run timing ratio)" go test ./internal/soi -run '^TestSegmentEnginePays$' -count=1 -v
+
 # The catch matrix's dynamic rows (internal/analysis/matrix_rows_test.go,
 # DESIGN.md section 7): each seeded defect is seeded again — as a build
 # overlay, the tree is not written — and the recorded command of its first
