@@ -68,39 +68,45 @@ func BenchmarkSixStepVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkStages prices each Stockham stage kernel in isolation, AVX2
-// against its Go twin, in ns per butterfly, at the shapes the 2^16-point
-// six-step (256 x 256) runs: the column pass's lane batch (radix 8 at s = 8
-// reading its first pass at xs = n2 = 256, radix 8 at s = 64, radix 4 at
-// s = 512), the row pass's plan (radix 8 unit-stride, radix 8 at s = 8,
-// radix 4 at s = 64), the radix-2 tail of a 1024-point plan and the last
-// pass of the 28 672-point plan (radix 7, untwiddled at m = 1, s = 4096). A
-// kernel under 1.3x its twin here does not ship (DESIGN.md section 11).
+// BenchmarkStages prices each Stockham stage kernel in isolation, under
+// every kernel set the host has, in ns per butterfly, at the plans that
+// run in production: the 2^16-point SOI segment plan (radix 8 at s = 1, 8,
+// 64, 512 and 4096, then radix 2 at s = 32768, which ForwardDemodulate
+// fuses with the demodulation: "fused-demod", into a 32-byte-aligned dst,
+// the pass that streams), and soifftd's exact 1024-point (8·8·8·2) and
+// 28 672-point (8^4·7, radix 7 untwiddled at m = 1) plans. Each stage reads
+// and writes the same two vectors every call, so they are as hot as the
+// cache holds them. A kernel under 1.3x the next one down here does not
+// ship (DESIGN.md section 11; TestWideStagePays gates the 512-bit stage).
 func BenchmarkStages(b *testing.B) {
-	shapes := []struct{ r, m, s, xs int }{
-		{8, 32, 8, 256}, {8, 4, 64, 64}, {4, 1, 512, 512},
-		{8, 32, 1, 1}, {8, 4, 8, 8}, {4, 1, 64, 64},
-		{2, 1, 512, 512},
-		{7, 1, 4096, 4096},
-	}
-	for _, sh := range shapes {
-		st := &stage{r: sh.r, m: sh.m, s: sh.s, rs: sh.xs, tw: ref.RandomVector((sh.r-1)*sh.m, 1)}
-		if sh.r == 8 && sh.s == 1 {
-			st.twv = pairTwiddles(st.tw, sh.m)
+	for _, n := range []int{1 << 16, 1024, 7 << 12} {
+		p := MustPlan(n)
+		x := ref.RandomVector(n, 2)
+		y := make([]complex128, n)
+		for i := range p.stages {
+			st := &p.stages[i]
+			for _, k := range kernels() {
+				b.Run(fmt.Sprintf("n=%d/r=%d/s=%d/%s", n, st.r, st.s, k), func(b *testing.B) {
+					defer useKernel(k)()
+					for i := 0; i < b.N; i++ {
+						runStage(st, y, x)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*st.m*st.s), "ns/butterfly")
+				})
+			}
 		}
-		if sh.r == 7 {
-			st.cs = oddConstants(7)
-		}
-		x := ref.RandomVector(sh.xs*(sh.r*sh.m-1)+sh.s, 2)
-		y := make([]complex128, sh.r*sh.m*sh.s)
-		for _, k := range kernels() {
-			b.Run(fmt.Sprintf("r=%d/m=%d/s=%d/xs=%d/%s", sh.r, sh.m, sh.s, sh.xs, k), func(b *testing.B) {
-				defer useKernel(k)()
-				for i := 0; i < b.N; i++ {
-					runStage(st, y, x)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sh.m*sh.s), "ns/butterfly")
-			})
+		if last := p.stages[len(p.stages)-1]; n == 1<<16 && last.r == 2 {
+			d := ref.RandomVector(n, 3)
+			m := n / 8 * 7
+			for _, k := range kernels() {
+				b.Run(fmt.Sprintf("n=%d/fused-demod/%s", n, k), func(b *testing.B) {
+					defer useKernel(k)()
+					for i := 0; i < b.N; i++ {
+						radix2Demodulate(y[:m], x, last.tw[0], d[:m])
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n/2), "ns/butterfly")
+				})
+			}
 		}
 	}
 	// The 8-point codelet over the columns of a lane-major tile, each bin's

@@ -18,8 +18,11 @@
 // per radix (one for the odd radices 5 to 13); on amd64 hosts with AVX2 the
 // radix-2, -4 and -8 stages, radix 7's untwiddled last pass, the 8-point
 // codelet, the six-step's twiddle and demodulation products and
-// ForwardDemodulate's fused last radix-2 pass run as Go-assembler twins
-// (stockham_amd64.s) that agree with the Go kernels bit for bit. Forward
+// ForwardDemodulate's fused last radix-2 pass (which streams its output
+// with non-temporal stores) run as Go-assembler twins (stockham_amd64.s)
+// that agree with the Go kernels bit for bit; where the host also has
+// AVX-512F, the radix-8 stages at a stride that is a multiple of four run
+// at 512 bits, four complex128 per register, with the same bits. Forward
 // transforms are unnormalized; Inverse applies the 1/n factor, so
 // Inverse(Forward(x)) == x.
 package fft
@@ -58,12 +61,6 @@ type stage struct {
 	// cs[(k-1)*h+(j-1)] and sin(2*pi*j*k/r) at cs[h*h+(k-1)*h+(j-1)], for
 	// output pair k and leg pair j in [1, h] (oddConstants); nil otherwise.
 	cs []float64
-	// twv is tw laid out for the unit-stride radix-8 vector kernel, which
-	// takes butterflies p and p+1 together: for each such pair and t in
-	// [0, 7), the real parts [wr_p, wr_p, wr_p+1, wr_p+1] then the imaginary
-	// parts likewise, the same values as tw. Built only for r == 8, s == 1
-	// and even m.
-	twv []float64
 }
 
 // NewPlan creates a transform plan for length n (n >= 1).
@@ -159,9 +156,6 @@ func buildStages(n, strideMul int, radices []int) []stage {
 				st.tw[pi*(r-1)+(t-1)] = twiddle(Forward, pi*t, cur)
 			}
 		}
-		if r == 8 && s == 1 && m%2 == 0 {
-			st.twv = pairTwiddles(st.tw, m)
-		}
 		if r >= 5 && r%2 != 0 {
 			st.cs = oddConstants(r)
 		}
@@ -185,20 +179,6 @@ func oddConstants(r int) []float64 {
 		}
 	}
 	return cs
-}
-
-// pairTwiddles lays out a radix-8 stage's table tw (m even) as stage.twv.
-func pairTwiddles(tw []complex128, m int) []float64 {
-	twv := make([]float64, 28*m)
-	for p := 0; p < m; p += 2 {
-		for t := 0; t < 7; t++ {
-			v := twv[(p/2*7+t)*8:][:8]
-			w0, w1 := tw[p*7+t], tw[(p+1)*7+t]
-			v[0], v[1], v[2], v[3] = real(w0), real(w0), real(w1), real(w1)
-			v[4], v[5], v[6], v[7] = imag(w0), imag(w0), imag(w1), imag(w1)
-		}
-	}
-	return twv
 }
 
 // Transform computes the DFT of src into dst. dst and src must both have
@@ -270,13 +250,19 @@ func demodulate(dst, x, d []complex128) {
 // the first half of the spectrum, the passes before it run between src and
 // scratch, and it stores its butterflies times d straight into dst: the
 // spectrum is never written out and read back, and the working set is the
-// caller's three vectors. src is overwritten there. len(dst) <= N; src and
-// scratch must have length >= N and overlap neither each other nor dst; d
-// must be at least as long as dst.
+// caller's three vectors. src is overwritten there. On amd64 that pass
+// stores dst with non-temporal stores where dst is 32-byte aligned: dst is
+// written once and not read back here, so its lines are not fetched into
+// the cache only to be overwritten. len(dst) <= N; src and scratch must have
+// length >= N and overlap neither each other nor dst (it panics if they
+// do); d must be at least as long as dst.
 func (p *Plan) ForwardDemodulate(dst, src, scratch, d []complex128) {
 	n := p.n
 	if len(src) < n || len(scratch) < n || len(dst) > n {
 		panic(fmt.Sprintf("fft: ForwardDemodulate buffers: len(dst)=%d len(src)=%d len(scratch)=%d n=%d", len(dst), len(src), len(scratch), n))
+	}
+	if overlaps(src[:n], scratch[:n]) || overlaps(dst, src[:n]) || overlaps(dst, scratch[:n]) {
+		panic("fft: ForwardDemodulate buffers dst, src and scratch overlap")
 	}
 	last := len(p.stages) - 1
 	if last < 1 || p.stages[last].r != 2 || len(dst) < n/2 {

@@ -90,6 +90,34 @@ func TestToneIsolation(t *testing.T) {
 	}
 }
 
+// TestForwardDemodulateRejectsOverlap checks that ForwardDemodulate panics
+// when any two of dst, src and scratch share an element: the fused pass
+// reads one while it writes another, so an overlap would corrupt the
+// spectrum silently.
+func TestForwardDemodulateRejectsOverlap(t *testing.T) {
+	const n = 1024
+	p := MustPlan(n)
+	d := make([]complex128, n)
+	buf := make([]complex128, 4*n)
+	cases := map[string][3][]complex128{
+		"dst in src":        {buf[10 : 10+n/2], buf[:n], buf[2*n : 3*n]},
+		"dst in scratch":    {buf[2*n+5 : 2*n+5+n/2], buf[:n], buf[2*n : 3*n]},
+		"src meets scratch": {buf[3*n : 3*n+n/2], buf[:n], buf[n-1 : 2*n-1]},
+	}
+	for name, c := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ForwardDemodulate did not panic", name)
+				}
+			}()
+			p.ForwardDemodulate(c[0], c[1], c[2], d)
+		}()
+	}
+	// Adjacent buffers do not overlap.
+	p.ForwardDemodulate(buf[3*n:3*n+n/2], buf[:n], buf[n:2*n], d)
+}
+
 func TestPlanErrors(t *testing.T) {
 	for _, n := range []int{0, -1, -100} {
 		if _, err := NewPlan(n); err == nil {

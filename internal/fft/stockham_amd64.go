@@ -2,16 +2,24 @@ package fft
 
 import "soifft/internal/cpu"
 
-// haveAVX2 selects the kernels of stockham_amd64.s over their Go twins. It is
-// decided once, here; only tests assign it, to run the portable path on an
-// AVX2 host.
-var haveAVX2 = cpu.AVX2
+// haveAVX2 selects the kernels of stockham_amd64.s over their Go twins;
+// haveAVX512 further selects radix8AVX512 over radix8AVX2 for the radix-8
+// stages whose stride is a multiple of four, where the processor also has
+// AVX-512F. They are decided once, here; only tests assign them, to run the
+// other kernels on such a host.
+var (
+	haveAVX2   = cpu.AVX2
+	haveAVX512 = haveAVX2 && cpu.AVX512F
+)
 
 //go:noescape
 func radix8AVX2(y, x, tw *complex128, m, s, xs int)
 
 //go:noescape
-func radix8UnitAVX2(y, x *complex128, twv *float64, m int)
+func radix8AVX512(y, x, tw *complex128, m, s, xs int)
+
+//go:noescape
+func radix8UnitAVX2(y, x, tw *complex128, m int)
 
 //go:noescape
 func radix4AVX2(y, x, tw *complex128, m, s, xs int)
@@ -36,9 +44,10 @@ func radix2DemodulateAVX2(dst, x, d, w *complex128, s, both, only int)
 
 // stageVec runs st with its vector kernel, when the host has AVX2 and there
 // is one for the stage's radix and shape, and reports whether it did. The
-// kernels take two complex128 per register: the strided ones (radices 2, 4
-// and 8, and radix 7's untwiddled m = 1 pass) two q at a time (s even), the
-// unit-stride radix-8 two butterflies at a time (m even, twv built). The
+// AVX2 kernels take two complex128 per register: the strided ones (radices
+// 2, 4 and 8, and radix 7's untwiddled m = 1 pass) two q at a time (s even),
+// the unit-stride radix-8 two butterflies at a time (m even). The 512-bit
+// radix-8 kernel takes four q at a time (s a multiple of four). The
 // reslices are the kernels' bounds checks: each reads exactly
 // x[:xs*(r*m-1)+s] and tw[:(r-1)*m] (radix 7: cs[:18] instead) and writes
 // y[:r*m*s].
@@ -47,9 +56,9 @@ func stageVec(st *stage, y, x []complex128) bool {
 		return false
 	}
 	r, m, s, xs := st.r, st.m, st.s, st.readStride()
-	if r == 8 && s == 1 && xs == 1 && st.twv != nil {
+	if r == 8 && s == 1 && xs == 1 && m%2 == 0 {
 		y, x = y[:8*m], x[:8*m]
-		radix8UnitAVX2(&y[0], &x[0], &st.twv[:28*m][0], m)
+		radix8UnitAVX2(&y[0], &x[0], &st.tw[:7*m][0], m)
 		return true
 	}
 	if r == 7 && m == 1 && s%2 == 0 {
@@ -62,10 +71,12 @@ func stageVec(st *stage, y, x []complex128) bool {
 	}
 	y, x = y[:r*m*s], x[:xs*(r*m-1)+s]
 	tw := st.tw[:(r-1)*m]
-	switch r {
-	case 8:
+	switch {
+	case r == 8 && haveAVX512 && s%4 == 0:
+		radix8AVX512(&y[0], &x[0], &tw[0], m, s, xs)
+	case r == 8:
 		radix8AVX2(&y[0], &x[0], &tw[0], m, s, xs)
-	case 4:
+	case r == 4:
 		radix4AVX2(&y[0], &x[0], &tw[0], m, s, xs)
 	default:
 		radix2AVX2(&y[0], &x[0], &tw[0], m, s, xs)

@@ -5,7 +5,9 @@
 // its demodulation (stockham.go, codelets.go, sixstep.go, plan.go). Each does
 // the Go twin's operations on the same operands in the same order, two
 // complex128 per YMM register, so the two agree bit for bit (NaN payloads
-// aside): multiplies and adds only, each rounded, no FMA.
+// aside): multiplies and adds only, each rounded, no FMA. One AVX-512F
+// twin, radix8AVX512, does radix8AVX2's operations four complex128 per ZMM
+// register and so gives its bits too.
 //
 // A complex product z*w is Go's (zr*wr - zi*wi, zr*wi + zi*wr):
 //
@@ -106,14 +108,6 @@ GLOBL rsqrt2nh<>(SB), RODATA|NOPTR, $32
 	VMULPD       Y13, Z, Y13; \
 	VADDSUBPD    Y13, Y12, Z
 
-// CMULV sets Z = Z * w for a pair of twiddles already laid out as
-// [wr0, wr0, wr1, wr1] at off(DX) and [wi0, wi0, wi1, wi1] at off+32(DX).
-#define CMULV(off, Z) \
-	VMULPD    off(DX), Z, Y12; \
-	VPERMILPD $5, Z, Z; \
-	VMULPD    off+32(DX), Z, Y13; \
-	VADDSUBPD Y13, Y12, Z
-
 // CMULR sets Z = Z * W for W a pair of complex128 in a register; uses Y14
 // and Y15.
 #define CMULR(W, Z) \
@@ -123,6 +117,16 @@ GLOBL rsqrt2nh<>(SB), RODATA|NOPTR, $32
 	VPERMILPD $5, Z, Z; \
 	VMULPD    Y15, Z, Y15; \
 	VADDSUBPD Y15, Y14, Z
+
+// CMULP sets Z = Z * w for the pair of butterflies p and p+1 of a
+// unit-stride radix-8 pass: twiddle t of butterfly p at off(DX) in the low
+// lane, of butterfly p+1 at off+112(DX) in the high lane, both read from the
+// stage's own table. Uses Y4, which BFLY8 leaves free, and CMULR's Y14 and
+// Y15.
+#define CMULP(off, Z) \
+	VMOVUPD     off(DX), X4; \
+	VINSERTF128 $1, off+112(DX), Y4, Y4; \
+	CMULR(Y4, Z)
 
 // func radix8AVX2(y, x, tw *complex128, m, s, xs int)
 //
@@ -197,16 +201,16 @@ r8q:
 	VZEROUPPER
 	RET
 
-// func radix8UnitAVX2(y, x *complex128, twv *float64, m int)
+// func radix8UnitAVX2(y, x, tw *complex128, m int)
 //
 // stageRadix8Unit (s = 1) for even m, butterflies p and p+1 together: the
 // eight legs of the pair are contiguous in x, its outputs are y[8p:8p+8] and
-// y[8p+8:8p+16], and its twiddles come from the stage's twv table (see
-// stage.twv).
+// y[8p+8:8p+16], and its twiddles are tw[7p:7p+14], each pair of one t
+// joined in a register by CMULP.
 TEXT ·radix8UnitAVX2(SB), NOSPLIT, $0-32
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
-	MOVQ twv+16(FP), DX
+	MOVQ tw+16(FP), DX
 	MOVQ m+24(FP), R8
 	MOVQ R8, CX
 	SHRQ $1, CX
@@ -228,32 +232,179 @@ r8u:
 	BFLY8
 	VMOVUPD      X8, (DI)
 	VEXTRACTF128 $1, Y8, 128(DI)
-	CMULV(0, Y0)
+	CMULP(0, Y0)
 	VMOVUPD      X0, 16(DI)
 	VEXTRACTF128 $1, Y0, 144(DI)
-	CMULV(64, Y10)
+	CMULP(16, Y10)
 	VMOVUPD      X10, 32(DI)
 	VEXTRACTF128 $1, Y10, 160(DI)
-	CMULV(128, Y2)
+	CMULP(32, Y2)
 	VMOVUPD      X2, 48(DI)
 	VEXTRACTF128 $1, Y2, 176(DI)
-	CMULV(192, Y9)
+	CMULP(48, Y9)
 	VMOVUPD      X9, 64(DI)
 	VEXTRACTF128 $1, Y9, 192(DI)
-	CMULV(256, Y1)
+	CMULP(64, Y1)
 	VMOVUPD      X1, 80(DI)
 	VEXTRACTF128 $1, Y1, 208(DI)
-	CMULV(320, Y11)
+	CMULP(80, Y11)
 	VMOVUPD      X11, 96(DI)
 	VEXTRACTF128 $1, Y11, 224(DI)
-	CMULV(384, Y3)
+	CMULP(96, Y3)
 	VMOVUPD      X3, 112(DI)
 	VEXTRACTF128 $1, Y3, 240(DI)
 	ADDQ         $32, SI
 	ADDQ         $256, DI
-	ADDQ         $448, DX
+	ADDQ         $224, DX
 	DECQ         CX
 	JNZ          r8u
+	VZEROUPPER
+	RET
+
+// BFLY8Z is BFLY8 on four complex128 per ZMM register, u0..u7 in Z0..Z7,
+// leaving output t where BFLY8 leaves it (Y8 -> Z8, ...). VADDSUBPD has no
+// 512-bit form: each of BFLY8's two becomes a sign flip of one operand's
+// real lanes and a VADDPD, x - y being x + (-y) exactly, so the bits are
+// BFLY8's. Constants: neghi in Z28, neglo in Z29, rsqrt2 in Z30, rsqrt2nh
+// in Z31. Uses Z4..Z7 as scratch.
+#define BFLY8Z \
+	VADDPD    Z4, Z0, Z8; \
+	VSUBPD    Z4, Z0, Z0; \
+	VADDPD    Z5, Z1, Z9; \
+	VSUBPD    Z5, Z1, Z1; \
+	VADDPD    Z6, Z2, Z10; \
+	VSUBPD    Z6, Z2, Z2; \
+	VADDPD    Z7, Z3, Z11; \
+	VSUBPD    Z7, Z3, Z3; \
+	VPERMILPD $0x55, Z1, Z4; \
+	VPXORQ    Z28, Z4, Z4; \
+	VADDPD    Z4, Z1, Z1; \
+	VMULPD    Z30, Z1, Z1; \
+	VPERMILPD $0x55, Z2, Z2; \
+	VPXORQ    Z28, Z2, Z2; \
+	VPERMILPD $0x55, Z3, Z4; \
+	VPXORQ    Z29, Z3, Z3; \
+	VADDPD    Z3, Z4, Z3; \
+	VMULPD    Z31, Z3, Z3; \
+	VADDPD    Z10, Z8, Z4; \
+	VSUBPD    Z10, Z8, Z5; \
+	VADDPD    Z11, Z9, Z6; \
+	VSUBPD    Z11, Z9, Z7; \
+	VPERMILPD $0x55, Z7, Z7; \
+	VPXORQ    Z29, Z7, Z7; \
+	VADDPD    Z6, Z4, Z8; \
+	VSUBPD    Z6, Z4, Z9; \
+	VSUBPD    Z7, Z5, Z10; \
+	VADDPD    Z7, Z5, Z11; \
+	VADDPD    Z2, Z0, Z4; \
+	VSUBPD    Z2, Z0, Z5; \
+	VADDPD    Z3, Z1, Z6; \
+	VSUBPD    Z3, Z1, Z7; \
+	VPERMILPD $0x55, Z7, Z7; \
+	VPXORQ    Z29, Z7, Z7; \
+	VADDPD    Z6, Z4, Z0; \
+	VSUBPD    Z6, Z4, Z1; \
+	VSUBPD    Z7, Z5, Z2; \
+	VADDPD    Z7, Z5, Z3
+
+// TWZ broadcasts the twiddle at off(DX) into WR = [wr, wr, ...] and
+// WI = [-wi, wi, ...] (neglo in Z29).
+#define TWZ(off, WR, WI) \
+	VBROADCASTSD off(DX), WR; \
+	VBROADCASTSD off+8(DX), WI; \
+	VPXORQ       Z29, WI, WI
+
+// CMULZ sets Z = Z * w for w held by TWZ in WR and WI: Z*[wr, wr] plus
+// swap(Z)*[-wi, wi], which is CMULB's VADDSUBPD to the bit, zi*(-wi) being
+// -(zi*wi) exactly. Uses Z12 and Z13.
+#define CMULZ(WR, WI, Z) \
+	VMULPD    WR, Z, Z12; \
+	VPERMILPD $0x55, Z, Z; \
+	VMULPD    WI, Z, Z13; \
+	VADDPD    Z13, Z12, Z
+
+// func radix8AVX512(y, x, tw *complex128, m, s, xs int)
+//
+// radix8AVX2 at a stride s that is a multiple of four, q four at a time, on
+// AVX-512F: the same operations on the same operands, so the same bits. The
+// seven twiddles of butterfly p are broadcast into Z14..Z27 once, before its
+// s/4 steps.
+TEXT ·radix8AVX512(SB), NOSPLIT, $0-48
+	MOVQ             y+0(FP), AX
+	MOVQ             x+8(FP), R14
+	MOVQ             tw+16(FP), DX
+	MOVQ             m+24(FP), BX
+	MOVQ             s+32(FP), R13
+	SHLQ             $4, R13          // output leg stride in bytes
+	MOVQ             xs+40(FP), R8
+	SHLQ             $4, R8
+	MOVQ             R8, xs+40(FP)    // input row stride in bytes
+	IMULQ            BX, R8           // input leg stride in bytes
+	VBROADCASTF64X4  neghi<>(SB), Z28
+	VBROADCASTF64X4  neglo<>(SB), Z29
+	VBROADCASTF64X4  rsqrt2<>(SB), Z30
+	VBROADCASTF64X4  rsqrt2nh<>(SB), Z31
+
+z8p:
+	TWZ(0, Z14, Z15)
+	TWZ(16, Z16, Z17)
+	TWZ(32, Z18, Z19)
+	TWZ(48, Z20, Z21)
+	TWZ(64, Z22, Z23)
+	TWZ(80, Z24, Z25)
+	TWZ(96, Z26, Z27)
+	MOVQ R14, SI
+	LEAQ (SI)(R8*2), R9
+	ADDQ R8, R9            // leg 3
+	LEAQ (R9)(R8*2), R10
+	ADDQ R8, R10           // leg 6
+	MOVQ AX, DI
+	LEAQ (DI)(R13*2), R11
+	ADDQ R13, R11          // leg 3
+	LEAQ (R11)(R13*2), R12
+	ADDQ R13, R12          // leg 6
+	MOVQ s+32(FP), CX
+	SHRQ $2, CX
+
+z8q:
+	VMOVUPD (SI), Z0
+	VMOVUPD (SI)(R8*1), Z1
+	VMOVUPD (SI)(R8*2), Z2
+	VMOVUPD (R9), Z3
+	VMOVUPD (R9)(R8*1), Z4
+	VMOVUPD (R9)(R8*2), Z5
+	VMOVUPD (R10), Z6
+	VMOVUPD (R10)(R8*1), Z7
+	BFLY8Z
+	VMOVUPD Z8, (DI)
+	CMULZ(Z14, Z15, Z0)
+	VMOVUPD Z0, (DI)(R13*1)
+	CMULZ(Z16, Z17, Z10)
+	VMOVUPD Z10, (DI)(R13*2)
+	CMULZ(Z18, Z19, Z2)
+	VMOVUPD Z2, (R11)
+	CMULZ(Z20, Z21, Z9)
+	VMOVUPD Z9, (R11)(R13*1)
+	CMULZ(Z22, Z23, Z1)
+	VMOVUPD Z1, (R11)(R13*2)
+	CMULZ(Z24, Z25, Z11)
+	VMOVUPD Z11, (R12)
+	CMULZ(Z26, Z27, Z3)
+	VMOVUPD Z3, (R12)(R13*1)
+	ADDQ    $64, SI
+	ADDQ    $64, R9
+	ADDQ    $64, R10
+	ADDQ    $64, DI
+	ADDQ    $64, R11
+	ADDQ    $64, R12
+	DECQ    CX
+	JNZ     z8q
+
+	ADDQ $112, DX
+	ADDQ xs+40(FP), R14
+	LEAQ (AX)(R13*8), AX
+	DECQ BX
+	JNZ  z8p
 	VZEROUPPER
 	RET
 
@@ -543,11 +694,50 @@ dsk:
 	VZEROUPPER
 	RET
 
+// R2BOTH is one step of radix2DemodulateAVX2's first loop, storing with ST:
+// dst[q] = (a + b) * d[q] and dst[q+s] = ((a - b) * w) * d[q+s] for the two
+// q at SI, DX and DI.
+#define R2BOTH(ST) \
+	VMOVUPD   (SI), Y0; \
+	VMOVUPD   (SI)(R9*1), Y1; \
+	VADDPD    Y1, Y0, Y2; \
+	VSUBPD    Y1, Y0, Y3; \
+	VMOVUPD   (DX), Y4; \
+	CMULR(Y4, Y2); \
+	ST        Y2, (DI); \
+	VMULPD    Y10, Y3, Y12; \
+	VPERMILPD $5, Y3, Y3; \
+	VMULPD    Y11, Y3, Y13; \
+	VADDSUBPD Y13, Y12, Y3; \
+	VMOVUPD   (DX)(R9*1), Y4; \
+	CMULR(Y4, Y3); \
+	ST        Y3, (DI)(R9*1); \
+	ADDQ      $32, SI; \
+	ADDQ      $32, DX; \
+	ADDQ      $32, DI
+
+// R2ONLY is one step of its second loop: dst[q] = (a + b) * d[q] alone.
+#define R2ONLY(ST) \
+	VMOVUPD (SI), Y0; \
+	VMOVUPD (SI)(R9*1), Y1; \
+	VADDPD  Y1, Y0, Y2; \
+	VMOVUPD (DX), Y4; \
+	CMULR(Y4, Y2); \
+	ST      Y2, (DI); \
+	ADDQ    $32, SI; \
+	ADDQ    $32, DX; \
+	ADDQ    $32, DI
+
 // func radix2DemodulateAVX2(dst, x, d, w *complex128, s, both, only int)
 //
 // radix2Demodulate two q at a time: a = x[q], b = x[q+s], dst[q] =
 // (a + b) * d[q] for q in [0, 2*(both+only)), and dst[q+s] = ((a - b) * w)
 // * d[q+s] for q in [0, 2*both); w is the stage's one twiddle, read at w.
+// Where dst is 32-byte aligned (s even keeps dst + s aligned too) every
+// store is non-temporal: dst is the caller's output, written once and not
+// read here, so its lines are not fetched into the cache to be overwritten.
+// One SFENCE orders those stores before the return. An unaligned dst, which
+// VMOVNTPD would fault on, takes ordinary stores.
 TEXT ·radix2DemodulateAVX2(SB), NOSPLIT, $0-56
 	MOVQ         dst+0(FP), DI
 	MOVQ         x+8(FP), SI
@@ -559,44 +749,41 @@ TEXT ·radix2DemodulateAVX2(SB), NOSPLIT, $0-56
 	MOVQ         only+48(FP), BX
 	VBROADCASTSD (R8), Y10
 	VBROADCASTSD 8(R8), Y11
+	TESTQ        $31, DI
+	JNZ          r2both
+
+r2ntboth:
+	TESTQ CX, CX
+	JZ    r2ntonly
+	R2BOTH(VMOVNTPD)
+	DECQ  CX
+	JMP   r2ntboth
+
+r2ntonly:
+	TESTQ BX, BX
+	JZ    r2ntdone
+	R2ONLY(VMOVNTPD)
+	DECQ  BX
+	JMP   r2ntonly
+
+r2ntdone:
+	SFENCE
+	VZEROUPPER
+	RET
 
 r2both:
-	TESTQ     CX, CX
-	JZ        r2only
-	VMOVUPD   (SI), Y0
-	VMOVUPD   (SI)(R9*1), Y1
-	VADDPD    Y1, Y0, Y2
-	VSUBPD    Y1, Y0, Y3
-	VMOVUPD   (DX), Y4
-	CMULR(Y4, Y2)
-	VMOVUPD   Y2, (DI)
-	VMULPD    Y10, Y3, Y12
-	VPERMILPD $5, Y3, Y3
-	VMULPD    Y11, Y3, Y13
-	VADDSUBPD Y13, Y12, Y3
-	VMOVUPD   (DX)(R9*1), Y4
-	CMULR(Y4, Y3)
-	VMOVUPD   Y3, (DI)(R9*1)
-	ADDQ      $32, SI
-	ADDQ      $32, DX
-	ADDQ      $32, DI
-	DECQ      CX
-	JMP       r2both
+	TESTQ CX, CX
+	JZ    r2only
+	R2BOTH(VMOVUPD)
+	DECQ  CX
+	JMP   r2both
 
 r2only:
-	TESTQ   BX, BX
-	JZ      r2done
-	VMOVUPD (SI), Y0
-	VMOVUPD (SI)(R9*1), Y1
-	VADDPD  Y1, Y0, Y2
-	VMOVUPD (DX), Y4
-	CMULR(Y4, Y2)
-	VMOVUPD Y2, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	DECQ    BX
-	JMP     r2only
+	TESTQ BX, BX
+	JZ    r2done
+	R2ONLY(VMOVUPD)
+	DECQ  BX
+	JMP   r2only
 
 r2done:
 	VZEROUPPER

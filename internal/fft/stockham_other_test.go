@@ -7,3 +7,5 @@ package fft
 func kernels() []string { return []string{"portable"} }
 
 func useKernel(string) (restore func()) { return func() {} }
+
+func kernelInUse() string { return "portable" }

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// TestHostKernels logs the stage kernels this host runs, so that a test log
+// says whether the 512-bit radix-8 stage was exercised, and requires the
+// production choice to be the first of them, the fastest.
+func TestHostKernels(t *testing.T) {
+	ks := kernels()
+	t.Logf("Stockham stage kernels this host runs: %v; the plans use %s", ks, kernelInUse())
+	if kernelInUse() != ks[0] {
+		t.Errorf("the plans use %s, not the fastest kernel set the host runs, %s", kernelInUse(), ks[0])
+	}
+}
+
 // TestRadix8UnitMatchesStrided pins stageRadix8Unit to the strided radix-8
 // loop run at s == 1, bit for bit, over every butterfly count m in 1..64.
 // Random operands check the arithmetic order; operands sprinkled with ±0,

@@ -22,12 +22,16 @@
 //     stage 2 stores, not a pass.
 //  4. Large local FFT: M'-point transform of t_f. A segment vector that
 //     fits in cache (plainSegmentBytes) runs on the plain Stockham fft.Plan,
-//     one segment per worker; a larger one on the paper's 6-step (Section
-//     5.2), whose segments live in DRAM, its passes split across the
-//     workers.
+//     one segment per worker, its radix-8 passes at 512 bits where the
+//     host has AVX-512F; a larger one on the paper's 6-step (Section 5.2),
+//     whose segments live in DRAM, its passes split across the workers.
 //  5. Project to the top M bins and demodulate by W^-1, fused into the
 //     final pass of either FFT (fft.Plan.ForwardDemodulate when that pass is
 //     radix 2, the 6-step's own fusion), or one pass after the plain plan.
+//     The fused radix-2 pass streams the output past the cache
+//     (non-temporal stores, where the output is 32-byte aligned): it is
+//     the caller's y, written once. The segment vectors t_f are stored
+//     ordinarily, since stage 4 reads them straight back.
 //
 // Segment f of the output is y[f*M : (f+1)*M] — the transform is in-order.
 package soi

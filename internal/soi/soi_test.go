@@ -1,6 +1,7 @@
 package soi
 
 import (
+	"math"
 	"math/cmplx"
 	"sync"
 	"testing"
@@ -313,6 +314,42 @@ func TestWorkerCountsAgree(t *testing.T) {
 			}
 			if e := cvec.RelErrL2(got, ref1); e != 0 {
 				t.Errorf("S=%d workers=%d: results differ by %g (parallelization must be bitwise deterministic)", p.Segments, workers, e)
+			}
+		}
+	}
+}
+
+// TestForwardIntoUnalignedDst runs Forward into a dst sliced at element 1 of
+// its allocation, 16 bytes off the 32-byte alignment at which the segment
+// FFT's fused last pass stores its output non-temporally, and into a dst at
+// element 0 of another: each segment's output must be the same bits either
+// way, and the element before the sliced dst untouched. M' = 1024 and 128
+// end in the fused radix-2 pass.
+func TestForwardIntoUnalignedDst(t *testing.T) {
+	for _, p := range []window.Params{paperParams(8, 16), paperParams(4, 4)} {
+		pl, err := NewPlan(p, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := ref.RandomVector(p.N, 49)
+		want := make([]complex128, p.N)
+		if err := pl.Forward(want, x); err != nil {
+			t.Fatal(err)
+		}
+		const guard = complex(0x5a5a, -0x5a5a)
+		buf := make([]complex128, p.N+1)
+		buf[0] = guard
+		got := buf[1:]
+		if err := pl.Forward(got, x); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != guard {
+			t.Errorf("N=%d: Forward wrote the element before dst", p.N)
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if math.Float64bits(real(g)) != math.Float64bits(real(w)) || math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+				t.Fatalf("N=%d: bin %d is %v into dst at element 1, %v at element 0", p.N, i, got[i], want[i])
 			}
 		}
 	}

@@ -2,10 +2,10 @@
 # Tier-2 pre-PR gate: build, vet (with the arm64 and s390x cross-builds of
 # the portable and big-endian file sets), one run of every command and
 # example, the race-clean concurrency gate over the packages that spawn
-# goroutines, the fuzz smoke, the twiddle-table and vector-kernel timing
-# ratios, and the catch matrix that says what each of those gates is for. Tier-1 (go build ./...
-# && go test ./...) must of course also pass; this script layers the
-# discipline checks on top.
+# goroutines, the fuzz smoke, the twiddle-table, vector-kernel, wide-stage
+# and segment-engine timing ratios, and the catch matrix that says what each
+# of those gates is for. Tier-1 (go build ./... && go test ./...) must of
+# course also pass; this script layers the discipline checks on top.
 #
 # Every gate runs even if an earlier one fails, so one CI run reports all
 # broken gates; each gate prints its wall-clock time, and the script exits
@@ -97,6 +97,11 @@ run_gate "twiddle tables (within-run timing ratio)" go test ./internal/fft -run 
 # loses its speed fails nothing else. Timed the same way, interleaved in one
 # process; -v prints the kernels this host ran and their ratios.
 run_gate "vector kernels pay (within-run timing ratio)" go test ./internal/conv -run '^TestVectorKernelsPay$' -count=1 -v
+# The same rule for the FFT's 512-bit radix-8 stage: at least 1.3x
+# radix8AVX2 (geometric mean over the 8192-point plan's radix-8 stages at a
+# stride that is a multiple of four), timed the same way; it skips on a
+# host without AVX-512F.
+run_gate "wide stage pays (within-run timing ratio)" go test ./internal/fft -run '^TestWideStagePays$' -count=1 -v
 
 # Stage 4 runs cache-sized segments on the plain Stockham plan because it
 # measured faster than the six-step there; an engine change that keeps the
