@@ -118,7 +118,7 @@ func TestDistFinishWorkersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := len(d.workset().ys), min(workers, p.Segments/world); got != want {
+		if got, want := cap(d.ws.New().free), min(workers, p.Segments/world); got != want {
 			t.Errorf("workers=%d: %d segments finish at once, want %d", workers, got, want)
 		}
 		for _, noOverlap := range []bool{false, true} {

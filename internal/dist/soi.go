@@ -19,10 +19,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"soifft/internal/codec"
 	"soifft/internal/mpi"
+	"soifft/internal/par"
 	"soifft/internal/soi"
 	"soifft/internal/trace"
 	"soifft/internal/window"
@@ -41,10 +41,9 @@ type SOI struct {
 	localN        int // input/output elements per rank = N/P
 	rowsPerRank   int // M'/P rows of the permutation matrix per rank
 
-	// ws holds the working set between transforms: a pool of one, since
-	// one transform runs at a time. A transform takes it (or builds a
-	// fresh one), and stores it back once nothing references it.
-	ws atomic.Pointer[workset]
+	// ws keeps the working set between transforms (one, as one transform
+	// runs at a time); a transform puts it back once nothing references it.
+	ws par.FreeList[*workset]
 
 	// Breakdown, when non-nil, accumulates per-phase wall time on this rank.
 	// Segments that finish at once (soi.Plan.SegmentWorkers) each add their
@@ -74,9 +73,9 @@ type workset struct {
 	seg []complex128
 	// send and recv are the all-to-all's block views into ut and seg.
 	send, recv [][]complex128
-	// ys are FinishSegment's scratches, M' each: one per segment that
-	// finishes at once, the plan's SegmentWorkers up to segPerRank.
-	ys   [][]complex128
+	// free holds FinishSegment's scratches, M' each, one per segment that
+	// finishes at once (SegmentWorkers up to segPerRank); full between calls.
+	free chan []complex128
 	conj []complex128 // localN: Inverse's conjugated input, built on first use
 }
 
@@ -120,27 +119,24 @@ func NewSOIFromPlan(c mpi.Comm, plan *soi.Plan) (*SOI, error) {
 	if ghost := p.GhostElems(); ghost >= p.N {
 		return nil, fmt.Errorf("dist: ghost region %d spans the whole input N=%d; increase N or reduce B", ghost, p.N)
 	}
+	d.ws.New = d.newWorkset
 	return d, nil
 }
 
-// workset takes the plan's working set, building one when none is stored.
-func (d *SOI) workset() *workset {
-	if ws := d.ws.Swap(nil); ws != nil {
-		return ws
-	}
+// newWorkset builds one transform's working set.
+func (d *SOI) newWorkset() *workset {
 	p := d.plan.Win.Params
-	world := d.comm.Size()
-	ys := make([][]complex128, min(d.plan.SegmentWorkers(), d.segPerRank))
-	for i := range ys {
-		ys[i] = make([]complex128, p.MPrime())
+	free := make(chan []complex128, min(d.plan.SegmentWorkers(), d.segPerRank))
+	for range cap(free) {
+		free <- make([]complex128, p.MPrime())
 	}
 	return &workset{
 		tail: make([]complex128, d.localN+p.GhostElems()-d.interior*p.DMu*p.Segments),
 		ut:   make([]complex128, d.rowsPerRank*p.Segments),
 		seg:  make([]complex128, d.segPerRank*p.MPrime()),
-		send: make([][]complex128, world),
-		recv: make([][]complex128, world),
-		ys:   ys,
+		send: make([][]complex128, d.comm.Size()),
+		recv: make([][]complex128, d.comm.Size()),
+		free: free,
 	}
 }
 
@@ -186,8 +182,8 @@ func (d *SOI) Forward(dst, src []complex128) error {
 	if len(src) < d.localN || len(dst) < d.localN {
 		return &ShapeError{What: "buffers too short", Got: min(len(src), len(dst)), Want: d.localN}
 	}
-	ws := d.workset()
-	defer d.ws.Store(ws)
+	ws := d.ws.Get()
+	defer d.ws.Put(ws)
 	return d.forward(dst[:d.localN], src[:d.localN], ws)
 }
 
@@ -199,8 +195,8 @@ func (d *SOI) Inverse(dst, src []complex128) error {
 	if len(src) < d.localN || len(dst) < d.localN {
 		return &ShapeError{What: "buffers too short", Got: min(len(src), len(dst)), Want: d.localN}
 	}
-	ws := d.workset()
-	defer d.ws.Store(ws)
+	ws := d.ws.Get()
+	defer d.ws.Put(ws)
 	if ws.conj == nil {
 		ws.conj = make([]complex128, d.localN)
 	}
@@ -277,7 +273,7 @@ func (d *SOI) exchangeGhost(tail, src []complex128) error {
 // segment vector t_g in its slot of ws.seg, and finishes each with the
 // M'-point FFT + projection + demodulation. The exchanges run one at a time
 // on the calling goroutine; each finish runs on its own goroutine with one
-// of the len(ws.ys) scratches (the plan's SegmentWorkers), so that many
+// of the cap(ws.free) scratches (the plan's SegmentWorkers), so that many
 // segments finish at once. Unless NoOverlap is set, segment g starts to
 // finish as soon as it has arrived, while exchange g+1 proceeds; with
 // NoOverlap the finishes start after the last exchange. Every finish is
@@ -299,21 +295,17 @@ func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 		err := mpi.AllToAllInto(d.comm, ws.send, ws.recv)
 		return shapeError(err, "all-to-all block rows")
 	}
-	free := make(chan []complex128, len(ws.ys))
-	for _, y := range ws.ys {
-		free <- y
-	}
 	var finishing sync.WaitGroup
 	defer finishing.Wait()
 	finish := func(g int) {
-		y := <-free
+		y := <-ws.free
 		finishing.Add(1)
 		go func() {
 			defer finishing.Done()
 			stop := timer(d.Breakdown, trace.PhaseLocalFFT)
 			d.plan.FinishSegment(dst[g*m:(g+1)*m], ws.seg[g*mp:(g+1)*mp], y)
 			stop()
-			free <- y
+			ws.free <- y
 		}()
 	}
 

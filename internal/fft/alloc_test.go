@@ -1,9 +1,3 @@
-//go:build !race
-
-// Allocation counts are measured without the race detector: under it
-// sync.Pool drops a quarter of all Puts at random, so the pools miss and the
-// figure measures the detector, not the kernels.
-
 package fft
 
 import (
@@ -13,7 +7,7 @@ import (
 )
 
 // TestPlanForwardAllocatesNothing: once warm, a transform draws all of its
-// scratch from the plan's pools — the Stockham ping-pong buffer, the odd
+// scratch from the plan's free lists — the Stockham ping-pong buffer, the odd
 // radices' leg pairs (stack arrays) and Bluestein's length-m
 // convolution buffer (m up to 4n: a fresh one per call would cost 512 MiB
 // at a served prime length near 2^24).
@@ -26,14 +20,14 @@ func TestPlanForwardAllocatesNothing(t *testing.T) {
 		p := MustPlan(n)
 		x := ref.RandomVector(n, int64(n))
 		dst := make([]complex128, n)
-		p.Forward(dst, x) // warm the pools
+		p.Forward(dst, x) // warm the free lists
 		if a := testing.AllocsPerRun(10, func() { p.Forward(dst, x) }); a != 0 {
 			t.Errorf("n=%d: %v allocations per warm Forward, want 0", n, a)
 		}
 	}
 
 	// The six-step reads its src in place and stages tiles and rows through
-	// its pools; the lane batch ping-pongs through its own. Each variant's
+	// its free lists; the lane batch ping-pongs through its own. Each variant's
 	// ceiling is its per-call set-up on one worker — the naive variant's
 	// par.For closures — so scratch made per row or per tile shows as
 	// hundreds.

@@ -59,13 +59,12 @@ func newBluestein(n int) (*bluestein, error) {
 // transform computes dst = DFT_dir(src) for the rough length n.
 // The inverse direction is the conjugation identity applied around the
 // forward chirp machinery. The length-m convolution buffer comes from the
-// sub-plan's pool of length-m vectors (m <= 4n: a fresh one per call would
-// cost 512 MiB at a prime length near 2^24).
+// sub-plan's free list of length-m vectors (m <= 4n: a fresh one per call
+// would cost 512 MiB at a prime length near 2^24).
 func (b *bluestein) transform(dst, src []complex128, dir Direction) {
 	n, m := b.n, b.m
-	ap := b.sub.work.Get().(*[]complex128)
-	defer b.sub.work.Put(ap)
-	a := *ap
+	a := b.sub.work.Get()
+	defer b.sub.work.Put(a)
 	clear(a[n:]) // the zero padding of the linear convolution
 	if dir == Forward {
 		for j := 0; j < n; j++ {

@@ -100,9 +100,9 @@ func TestScheduleModes(t *testing.T) {
 	want := ref.DFT(x)
 	today := MustPlan(n)
 	aliasing := &Plan{n: n, stages: buildStages(n, 1, []int{8, 8, 8, 4, 2})}
-	poolVectors(&aliasing.work, n)
+	aliasing.work.New = today.work.New
 	seeded := &Plan{n: n, stages: slices.Clone(today.stages)}
-	poolVectors(&seeded.work, n)
+	seeded.work.New = today.work.New
 	seeded.stages[1].tw = slices.Clone(seeded.stages[1].tw)
 	seeded.stages[1].tw[5] *= 1 + 1e-9
 	forEachKernel(t, func(t *testing.T) {

@@ -2,7 +2,8 @@ package fft
 
 import (
 	"fmt"
-	"sync"
+
+	"soifft/internal/par"
 )
 
 // LaneBatch performs `lanes` independent length-n transforms stored
@@ -21,7 +22,7 @@ import (
 type LaneBatch struct {
 	n, lanes int
 	stages   []stage
-	work     sync.Pool
+	work     par.FreeList[[]complex128]
 }
 
 // NewLaneBatch builds a batch plan for `lanes` interleaved transforms of
@@ -36,7 +37,7 @@ func NewLaneBatch(n, lanes int) (*LaneBatch, error) {
 		return nil, fmt.Errorf("fft: LaneBatch length %d has a large prime factor", n)
 	}
 	lb := &LaneBatch{n: n, lanes: lanes}
-	poolVectors(&lb.work, n*lanes)
+	lb.work.New = func() []complex128 { return make([]complex128, n*lanes) }
 	if n == 1 {
 		return lb, nil
 	}
@@ -57,9 +58,8 @@ func (lb *LaneBatch) Transform(x []complex128, dir Direction) {
 	if lb.n == 1 {
 		return // length-1 transforms are the identity in both directions
 	}
-	wp := lb.work.Get().(*[]complex128)
-	defer lb.work.Put(wp)
-	w := (*wp)[:total]
+	w := lb.work.Get() // length n*lanes, total
+	defer lb.work.Put(w)
 
 	// In place, the first pass may read x only when it writes w (an even
 	// count); otherwise the input is staged in w, which it then reads.
@@ -78,7 +78,6 @@ func (lb *LaneBatch) Transform(x []complex128, dir Direction) {
 		copy(src, x)
 	}
 	runStages(lb.stages, x, src, w, lb.lanes)
-	// Result is in x now.
 	if dir == Inverse {
 		inv := 1 / float64(lb.n)
 		for i, v := range x {
@@ -98,7 +97,7 @@ func (lb *LaneBatch) forwardFrom(dst, src []complex128, rowStride int) {
 		copy(dst, src[:lb.lanes])
 		return
 	}
-	wp := lb.work.Get().(*[]complex128)
-	defer lb.work.Put(wp)
-	runStages(lb.stages, dst, src, (*wp)[:total], rowStride)
+	w := lb.work.Get()
+	defer lb.work.Put(w)
+	runStages(lb.stages, dst, src, w, rowStride)
 }

@@ -29,8 +29,9 @@ package fft
 
 import (
 	"fmt"
-	"sync"
 	"unsafe"
+
+	"soifft/internal/par"
 )
 
 // maxRadix is the largest prime factor handled by the mixed-radix
@@ -38,13 +39,13 @@ import (
 const maxRadix = 13
 
 // Plan holds precomputed twiddle factors and dispatch information for
-// transforms of one fixed length. A Plan is safe for concurrent use; each
-// call draws scratch space from an internal pool.
+// transforms of one fixed length. A Plan is safe for concurrent use; it
+// owns its scratch vectors, made on first use, one per peak concurrent call.
 type Plan struct {
 	n      int
 	stages []stage    // mixed-radix schedule (nil when blue != nil or n <= 2)
 	blue   *bluestein // chirp-z fallback for rough sizes
-	work   sync.Pool
+	work   par.FreeList[[]complex128]
 }
 
 // stage describes one Stockham pass: the current sub-transform length is
@@ -69,7 +70,7 @@ func NewPlan(n int) (*Plan, error) {
 		return nil, fmt.Errorf("fft: invalid transform length %d", n)
 	}
 	p := &Plan{n: n}
-	poolVectors(&p.work, n)
+	p.work.New = func() []complex128 { return make([]complex128, n) }
 	if n <= 2 {
 		return p, nil
 	}
@@ -84,15 +85,6 @@ func NewPlan(n int) (*Plan, error) {
 	}
 	p.stages = buildStages(n, 1, radices)
 	return p, nil
-}
-
-// poolVectors arms p to hand out *[]complex128 scratch of length n, the one
-// shape every pool in this package holds.
-func poolVectors(p *sync.Pool, n int) {
-	p.New = func() any {
-		b := make([]complex128, n)
-		return &b
-	}
 }
 
 // MustPlan is NewPlan that panics on error, for tests and internal use with
@@ -272,7 +264,7 @@ func (p *Plan) ForwardDemodulate(dst, src, scratch, d []complex128) {
 	}
 	// The passes before the last alternate between scratch and src, landing
 	// in whichever of the two the parity of their count makes the last
-	// written (runStages); the plan's pooled vector is not touched.
+	// written (runStages); the plan's scratch vector is not touched.
 	x, w := scratch[:n], src[:n]
 	if last%2 == 0 {
 		x, w = w, x
@@ -320,9 +312,8 @@ func (p *Plan) ForwardCols(y []complex128, ys int, x []complex128, xs, rows int)
 	if done == rows {
 		return
 	}
-	wp := p.work.Get().(*[]complex128)
-	defer p.work.Put(wp)
-	col := *wp
+	col := p.work.Get()
+	defer p.work.Put(col)
 	for r := done; r < rows; r++ {
 		for k := range col {
 			col[k] = x[k*xs+r]
@@ -335,15 +326,14 @@ func (p *Plan) ForwardCols(y []complex128, ys int, x []complex128, xs, rows int)
 }
 
 // stockham runs the mixed-radix autosort pipeline. The two ping-pong buffers
-// are dst and a pooled scratch vector (runStages), so the last pass always
-// lands in dst, with no final copy (one fewer memory sweep — the kind of
-// accounting Section 5.2 of the paper is about). The first pass reads src
-// in place; only an inverse (which conjugates its input first) or an odd
+// are dst and one of the plan's scratch vectors (runStages), so the last
+// pass always lands in dst, with no final copy (one fewer memory sweep — the
+// kind of accounting Section 5.2 of the paper is about). The first pass reads
+// src in place; only an inverse (which conjugates its input first) or an odd
 // stage count over an src that dst overlaps stages a copy.
 func (p *Plan) stockham(dst, src []complex128, dir Direction) {
-	wp := p.work.Get().(*[]complex128)
-	defer p.work.Put(wp)
-	w := *wp
+	w := p.work.Get()
+	defer p.work.Put(w)
 
 	odd := len(p.stages)%2 != 0
 	x := src

@@ -3,7 +3,6 @@ package fft
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"soifft/internal/cvec"
 	"soifft/internal/par"
@@ -87,13 +86,12 @@ type SixStep struct {
 	// and non-smooth n1 fall back to per-column transforms.
 	lane *LaneBatch
 
-	work sync.Pool // naive variant: scratch of length n
-	jobs sync.Pool // optimized variant: *sixStepJob
-	// Per-chunk staging buffers for the fused passes. Pooled so the hot
-	// par.For bodies never allocate: a fresh make per chunk costs a page
-	// fault per tile and defeats the bandwidth model.
-	tilePool sync.Pool // length tileCols*(n1+rowPad), column pass
-	rowPool  sync.Pool // length (n2+rowPad)*tileCols, row pass
+	work par.FreeList[[]complex128] // naive variant: scratch of length n
+	jobs par.FreeList[*sixStepJob]  // optimized variant
+	// Per-chunk staging buffers of the fused passes, kept: a make per chunk
+	// in the hot par.For bodies would cost a page fault per tile.
+	tileBufs par.FreeList[[]complex128] // length tileCols*(n1+rowPad), column pass
+	rowBufs  par.FreeList[[]complex128] // length (n2+rowPad)*tileCols, row pass
 }
 
 // NewSixStep builds a 6-step plan for length n with the given variant.
@@ -121,10 +119,10 @@ func NewSixStep(n int, variant Variant, workers int) (*SixStep, error) {
 		workers = par.DefaultWorkers()
 	}
 	s := &SixStep{n: n, n1: n1, n2: n2, p1: p1, p2: p2, variant: variant, workers: workers}
-	poolVectors(&s.work, n)
+	s.work.New = func() []complex128 { return make([]complex128, n) }
 	s.jobs.New = s.newJob
-	poolVectors(&s.tilePool, tileCols*(n1+rowPad))
-	poolVectors(&s.rowPool, (n2+rowPad)*tileCols)
+	s.tileBufs.New = func() []complex128 { return make([]complex128, tileCols*(n1+rowPad)) }
+	s.rowBufs.New = func() []complex128 { return make([]complex128, (n2+rowPad)*tileCols) }
 	if variant == SixStepNaive {
 		s.twFull = make([]complex128, n)
 		for j2 := 0; j2 < n2; j2++ {
@@ -209,11 +207,9 @@ func (s *SixStep) Forward(dst, src []complex128) {
 // forwardNaive is Fig. 4a: every step is a separate full pass.
 func (s *SixStep) forwardNaive(dst, src []complex128) {
 	n1, n2 := s.n1, s.n2
-	t1p := s.work.Get().(*[]complex128)
-	t2p := s.work.Get().(*[]complex128)
-	defer s.work.Put(t1p)
-	defer s.work.Put(t2p)
-	t1, t2 := *t1p, *t2p
+	t1, t2 := s.work.Get(), s.work.Get()
+	defer s.work.Put(t1)
+	defer s.work.Put(t2)
 
 	// 1: transpose n1 x n2 -> n2 x n1.
 	cvec.Transpose(t1, src, n1, n2)
@@ -260,23 +256,23 @@ func (s *SixStep) forwardNaive(dst, src []complex128) {
 // forwardOpt is Fig. 4b: steps 1-4 fused into one tile pass, steps 5-6 (and
 // demodulation) fused into a second: 4 memory sweeps total.
 func (s *SixStep) forwardOpt(dst, src []complex128) {
-	j := s.jobs.Get().(*sixStepJob)
+	j := s.jobs.Get()
 	defer s.jobs.Put(j)
 	j.dst, j.src = dst, src
 
 	// Column pass: each worker takes runs of 8 tiles and transforms them
-	// itself through a pooled buffer.
+	// itself through a staging buffer from the free list.
 	par.ForChunked(s.workers, (s.n2+tileCols-1)/tileCols, 8, j.columns)
 	// Row pass: 8 rows per chunk ("loop_b over P rows, 8 rows at a time")
 	// so the permuted writeback emits full cache lines (8 consecutive k1
 	// values share each k2 line of dst).
 	par.ForChunked(s.workers, s.n1, tileCols, j.rows)
-	j.dst, j.src = nil, nil // the pool must not keep the caller's vectors alive
+	j.dst, j.src = nil, nil // the free list must not keep the caller's vectors alive
 }
 
 // sixStepJob is one optimized Forward's working set: the length-n
 // intermediate w, the call's vectors, and the par bodies of its two passes,
-// bound to the job once when the pool builds it, so that a warm Forward
+// bound to the job once when the free list builds it, so that a warm Forward
 // allocates nothing (a closure over the call's vectors would escape into
 // par and be allocated on every call).
 type sixStepJob struct {
@@ -285,7 +281,7 @@ type sixStepJob struct {
 	columns, rows func(lo, hi int)
 }
 
-func (s *SixStep) newJob() any {
+func (s *SixStep) newJob() *sixStepJob {
 	j := &sixStepJob{s: s, w: make([]complex128, s.n)}
 	j.columns, j.rows = j.columnChunk, j.rowChunk
 	return j
@@ -294,30 +290,30 @@ func (s *SixStep) newJob() any {
 // columnChunk is the column pass over tiles [lo, hi). A full tile with a
 // smooth n1 runs its 8 column FFTs together, lane-interleaved (outer-loop
 // vectorization): the first Stockham pass reads them from src in place, n2
-// elements apart, and the last writes the pooled buffer row-major, which
+// elements apart, and the last writes the staging buffer row-major, which
 // twiddleTile then scatters into w. An edge tile, or a non-smooth n1, is
 // gathered into the buffer and transformed column by column.
 func (j *sixStepJob) columnChunk(lo, hi int) {
 	s := j.s
-	bp := s.tilePool.Get().(*[]complex128)
-	defer s.tilePool.Put(bp)
+	buf := s.tileBufs.Get()
+	defer s.tileBufs.Put(buf)
 	for t := lo; t < hi; t++ {
 		j2lo := t * tileCols
 		if s.lane != nil && s.n2-j2lo >= tileCols {
-			s.lane.forwardFrom(*bp, j.src[j2lo:], s.n2)
-			s.twiddleTile(j.w, *bp, j2lo)
+			s.lane.forwardFrom(buf, j.src[j2lo:], s.n2)
+			s.twiddleTile(j.w, buf, j2lo)
 			continue
 		}
-		s.gatherTile(*bp, j.src, t)
-		s.processTile(j.w, *bp, t)
+		s.gatherTile(buf, j.src, t)
+		s.processTile(j.w, buf, t)
 	}
 }
 
 // rowChunk is the row pass over the row group [lo, hi).
 func (j *sixStepJob) rowChunk(lo, hi int) {
-	rp := j.s.rowPool.Get().(*[]complex128)
-	defer j.s.rowPool.Put(rp)
-	j.s.rowGroupFFTScatter(j.dst, j.w, lo, hi, *rp)
+	rbuf := j.s.rowBufs.Get()
+	defer j.s.rowBufs.Put(rbuf)
+	j.s.rowGroupFFTScatter(j.dst, j.w, lo, hi, rbuf)
 }
 
 // gatherTile stages one tile of columns from src into buf as a padded

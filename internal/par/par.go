@@ -85,3 +85,31 @@ func ForChunked(workers, n, chunk int, body func(lo, hi int)) {
 	}
 	wg.Wait()
 }
+
+// FreeList has sync.Pool's shape but keeps every value put back, through
+// collections and across Ps: one working set per peak concurrent caller.
+type FreeList[T any] struct {
+	New  func() T
+	mu   sync.Mutex
+	free []T
+}
+
+// Get returns a value put back earlier, or a new one from New.
+func (f *FreeList[T]) Get() T {
+	f.mu.Lock()
+	if n := len(f.free) - 1; n >= 0 {
+		v := f.free[n]
+		f.free = f.free[:n]
+		f.mu.Unlock()
+		return v
+	}
+	f.mu.Unlock()
+	return f.New() // outside the lock: New is the caller's code
+}
+
+// Put returns v for the next Get.
+func (f *FreeList[T]) Put(v T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.free = append(f.free, v)
+}

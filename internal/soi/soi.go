@@ -38,7 +38,6 @@ package soi
 
 import (
 	"fmt"
-	"sync"
 
 	"soifft/internal/conv"
 	"soifft/internal/fft"
@@ -73,14 +72,14 @@ type Plan struct {
 	fm  *fft.Plan
 	six *fft.SixStep
 
-	scratch sync.Pool // *scratch: Forward's and Inverse's working set
-	tiles   sync.Pool // *tile: one ConvolveToSegments worker's buffers
-	segs    sync.Pool // *[]complex128: one stage-4 worker's M' scratch
+	scratch par.FreeList[*scratch]     // Forward's and Inverse's working set
+	tiles   par.FreeList[*tile]        // one ConvolveToSegments worker's buffers
+	segs    par.FreeList[[]complex128] // one stage-4 worker's M' scratch
 }
 
 // scratch is the working set of one transform. A transform takes one from
-// the plan's pool and returns it, so steady-state calls allocate nothing
-// and concurrent calls never share buffers.
+// the plan's free list and returns it: steady-state calls allocate nothing,
+// concurrent calls share no buffers, and the plan keeps one per peak caller.
 type scratch struct {
 	// tail is the input the non-interior chunks read: the end of src
 	// followed by the ghost elements, src's start again. The interior chunks
@@ -108,18 +107,15 @@ func NewPlan(p window.Params, opts Options) (*Plan, error) {
 // window design, skipping the design search.
 func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 	pl := &Plan{Win: win, opts: opts}
-	pl.scratch.New = func() any {
+	pl.scratch.New = func() *scratch {
 		own := win.N - win.InteriorChunks(win.Chunks())*win.DMu*win.Segments
 		return &scratch{
 			tail: make([]complex128, own+win.GhostElems()),
 			t:    make([]complex128, win.MPrime()*win.Segments), // N' = mu*N
 		}
 	}
-	pl.segs.New = func() any {
-		y := make([]complex128, win.MPrime())
-		return &y
-	}
-	pl.tiles.New = func() any {
+	pl.segs.New = func() []complex128 { return make([]complex128, win.MPrime()) }
+	pl.tiles.New = func() *tile {
 		return &tile{
 			out:   make([]complex128, win.Segments*conv.TileStride(win)),
 			stage: make([]complex128, conv.StageLen(win)),
@@ -187,7 +183,7 @@ func (pl *Plan) Forward(dst, src []complex128) error {
 	if len(src) < n || len(dst) < n {
 		return fmt.Errorf("soi: buffers too short for N=%d", n)
 	}
-	sc := pl.scratch.Get().(*scratch)
+	sc := pl.scratch.Get()
 	defer pl.scratch.Put(sc)
 	pl.forward(dst[:n], src[:n], sc)
 	return nil
@@ -200,7 +196,7 @@ func (pl *Plan) Inverse(dst, src []complex128) error {
 	if len(src) < n || len(dst) < n {
 		return fmt.Errorf("soi: buffers too short for N=%d", n)
 	}
-	sc := pl.scratch.Get().(*scratch)
+	sc := pl.scratch.Get()
 	defer pl.scratch.Put(sc)
 	if sc.conj == nil {
 		sc.conj = make([]complex128, n)
@@ -232,10 +228,10 @@ func (pl *Plan) forward(dst, src []complex128, sc *scratch) {
 
 	// Stage 4+5 per segment, split across SegmentWorkers.
 	par.For(pl.SegmentWorkers(), p.Segments, func(lo, hi int) {
-		y := pl.segs.Get().(*[]complex128)
+		y := pl.segs.Get()
 		defer pl.segs.Put(y)
 		for f := lo; f < hi; f++ {
-			pl.FinishSegment(dst[f*p.M():(f+1)*p.M()], sc.t[f*p.MPrime():(f+1)*p.MPrime()], *y)
+			pl.FinishSegment(dst[f*p.M():(f+1)*p.M()], sc.t[f*p.MPrime():(f+1)*p.MPrime()], y)
 		}
 	})
 }
@@ -269,7 +265,7 @@ func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c
 	tc, ldu := conv.TileChunks(pl.Win), conv.TileStride(pl.Win)
 	ntiles := (c1 - c0 + tc - 1) / tc
 	par.For(pl.opts.Workers, ntiles, func(lo, hi int) {
-		tl := pl.tiles.Get().(*tile)
+		tl := pl.tiles.Get()
 		defer pl.tiles.Put(tl)
 		for i := lo; i < hi; i++ {
 			c := i * tc // first chunk of the tile, relative to c0

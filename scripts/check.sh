@@ -72,6 +72,10 @@ entry_points() {
 run_gate "entry points run" entry_points
 run_gate "go test -race (concurrency gate)" go test -race . ./internal/par ./internal/conv ./internal/fft ./internal/soi ./internal/mpi ./internal/dist ./internal/serve ./internal/wire ./client
 run_gate "go test -race (fault-injection sweep)" go test -race ./internal/faultcomm ./internal/testutil
+# The transform path's working sets belong to its plans (par.FreeList), so
+# the allocation budgets hold at the default GOMAXPROCS with the collector
+# on; fifty runs in a row show that they hold every time, not most times.
+run_gate "allocation budgets (50 runs)" go test ./internal/soi ./internal/fft ./internal/dist -run 'Alloc' -count=50
 
 # Fuzz smoke: each untrusted decode surface gets a brief randomized pass
 # beyond the checked-in corpus — the wire frame codec and the payload block
