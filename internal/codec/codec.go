@@ -1,11 +1,11 @@
-// Package codec implements pluggable payload compression for the FFT
-// traffic this repository moves: the soifftd wire protocol's transform
-// payloads (internal/wire, internal/serve, client) and the all-to-all
-// exchanges of the distributed transforms (internal/mpi, internal/dist).
-//
-// SOI's whole premise is communication-boundedness — the original
-// IntelLabs implementation ships compress.h in its hot path — so shrinking
-// the exchanged volume is worth CPU cycles. Three codecs are built in:
+// Package codec implements pluggable payload compression for the soifftd
+// wire protocol's transform payloads (internal/wire, internal/serve,
+// client). The distributed transforms' all-to-all carries raw vectors: the
+// original IntelLabs implementation compresses it (compress.h), but on the
+// benchmark's segment blocks the lossless codec saves nothing, and a smooth
+// input's blocks pay only on links slower than about 160 MB/s
+// (EXPERIMENTS.md, "The mesh carries raw vectors"). Three codecs are built
+// in:
 //
 //   - Identity: raw little-endian float64 pairs, the wire's native format.
 //   - DeltaPlane (lossless): split-complex second-order delta of the

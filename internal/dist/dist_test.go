@@ -25,7 +25,7 @@ func testParams(segments, chunksPerSeg int) window.Params {
 
 // runDistSOI executes the distributed SOI over an in-process world and
 // returns the gathered full output.
-func runDistSOI(t *testing.T, world int, p window.Params, opts soi.Options, x []complex128, noOverlap bool) []complex128 {
+func runDistSOI(t *testing.T, world int, p window.Params, opts soi.Options, x []complex128) []complex128 {
 	t.Helper()
 	out := make([]complex128, p.N)
 	localN := p.N / world
@@ -35,7 +35,6 @@ func runDistSOI(t *testing.T, world int, p window.Params, opts soi.Options, x []
 		if err != nil {
 			return err
 		}
-		d.NoOverlap = noOverlap
 		d.Breakdown = trace.NewBreakdown()
 		r := c.Rank()
 		dst := make([]complex128, localN)
@@ -76,27 +75,16 @@ func TestDistSOIMatchesSerial(t *testing.T) {
 		p := testParams(tc.segments, tc.chunks)
 		x := ref.RandomVector(p.N, int64(tc.world*100+tc.segments))
 		want := fftRef(x)
-		got := runDistSOI(t, tc.world, p, soi.DefaultOptions(), x, false)
+		got := runDistSOI(t, tc.world, p, soi.DefaultOptions(), x)
 		if e := cvec.RelErrL2(got, want); e > 1e-6 {
 			t.Errorf("world=%d segments=%d: error %g", tc.world, tc.segments, e)
 		}
 	}
 }
 
-func TestDistSOINoOverlapIdentical(t *testing.T) {
-	p := testParams(8, 2)
-	x := ref.RandomVector(p.N, 5)
-	a := runDistSOI(t, 4, p, soi.DefaultOptions(), x, false)
-	b := runDistSOI(t, 4, p, soi.DefaultOptions(), x, true)
-	if e := cvec.RelErrL2(a, b); e != 0 {
-		t.Errorf("overlap changed results: %g", e)
-	}
-}
-
 // TestDistFinishWorkersAgree: a rank finishes as many segments at once as
 // the plan's SegmentWorkers (one per worker on the plain engine, up to the
-// rank's segment count), and the count changes no bit of the output, with
-// the finishes overlapped with the exchanges or not.
+// rank's segment count), and the count changes no bit of the output.
 func TestDistFinishWorkersAgree(t *testing.T) {
 	const world = 2
 	p := testParams(8, 2) // 4 segments per rank
@@ -121,15 +109,13 @@ func TestDistFinishWorkersAgree(t *testing.T) {
 		if got, want := cap(d.ws.New().free), min(workers, p.Segments/world); got != want {
 			t.Errorf("workers=%d: %d segments finish at once, want %d", workers, got, want)
 		}
-		for _, noOverlap := range []bool{false, true} {
-			got := runDistSOI(t, world, p, opts, x, noOverlap)
-			if want == nil {
-				want = got
-				continue
-			}
-			if e := cvec.RelErrL2(got, want); e != 0 {
-				t.Errorf("workers=%d noOverlap=%v: output differs from one worker by %g", workers, noOverlap, e)
-			}
+		got := runDistSOI(t, world, p, opts, x)
+		if want == nil {
+			want = got
+			continue
+		}
+		if e := cvec.RelErrL2(got, want); e != 0 {
+			t.Errorf("workers=%d: output differs from one worker by %g", workers, e)
 		}
 	}
 }
@@ -147,7 +133,7 @@ func TestDistSOIMatchesSequentialSOI(t *testing.T) {
 	if err := seq.Forward(want, x); err != nil {
 		t.Fatal(err)
 	}
-	got := runDistSOI(t, 4, p, soi.DefaultOptions(), x, false)
+	got := runDistSOI(t, 4, p, soi.DefaultOptions(), x)
 	if e := cvec.RelErrL2(got, want); e > 1e-12 {
 		t.Errorf("distributed vs sequential SOI: %g", e)
 	}
@@ -161,7 +147,7 @@ func TestDistSOIGhostSpanningMultipleRanks(t *testing.T) {
 		t.Skip("parameters do not exercise multi-rank ghost")
 	}
 	x := ref.RandomVector(p.N, 21)
-	got := runDistSOI(t, 4, p, soi.DefaultOptions(), x, false)
+	got := runDistSOI(t, 4, p, soi.DefaultOptions(), x)
 	if e := cvec.RelErrL2(got, fftRef(x)); e > 1e-6 {
 		t.Errorf("multi-rank ghost: error %g", e)
 	}

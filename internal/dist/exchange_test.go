@@ -194,7 +194,7 @@ func checkForwardPin(t *testing.T, i int, win *window.Filter, x, y []complex128)
 }
 
 // TestForwardBitIdenticalToParent: the exchange path decides where bytes
-// live, never what they are. On every world size, pipelined or not, the
+// live, never what they are. On every world size the
 // distributed output is bit-for-bit the single-address-space plan's (as it
 // was before the working set, the transpose pack and receive-in-place), and
 // the plan's output passes both modes of its pin (forwardPins).
@@ -219,28 +219,25 @@ func TestForwardBitIdenticalToParent(t *testing.T) {
 			t.Errorf("N=%d: sequential plan fails the tolerance mode: %s", p.N, detail)
 		}
 		for _, world := range []int{1, 2, 4} {
-			for _, noOverlap := range []bool{false, true} {
-				got := make([]complex128, p.N)
-				localN := p.N / world
-				err := mpi.Run(world, func(c mpi.Comm) error {
-					d, err := NewSOIFromPlan(c, seq)
-					if err != nil {
-						return err
-					}
-					d.NoOverlap = noOverlap
-					r := c.Rank()
-					return d.Forward(got[r*localN:(r+1)*localN], x[r*localN:(r+1)*localN])
-				})
+			got := make([]complex128, p.N)
+			localN := p.N / world
+			err := mpi.Run(world, func(c mpi.Comm) error {
+				d, err := NewSOIFromPlan(c, seq)
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
-				for i := range want {
-					if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
-						math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
-						t.Errorf("N=%d world=%d noOverlap=%v: output[%d] = %v, sequential plan %v",
-							p.N, world, noOverlap, i, got[i], want[i])
-						break
-					}
+				r := c.Rank()
+				return d.Forward(got[r*localN:(r+1)*localN], x[r*localN:(r+1)*localN])
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Errorf("N=%d world=%d: output[%d] = %v, sequential plan %v",
+						p.N, world, i, got[i], want[i])
+					break
 				}
 			}
 		}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sync"
 
-	"soifft/internal/codec"
 	"soifft/internal/mpi"
 	"soifft/internal/par"
 	"soifft/internal/soi"
@@ -49,10 +48,6 @@ type SOI struct {
 	// Segments that finish at once (soi.Plan.SegmentWorkers) each add their
 	// own span to the local-FFT phase.
 	Breakdown *trace.Breakdown
-
-	// NoOverlap disables the pipelining of per-segment all-to-alls with
-	// local FFTs (for ablation measurements).
-	NoOverlap bool
 }
 
 // workset is the working set of one transform; a steady-state transform
@@ -138,26 +133,6 @@ func (d *SOI) newWorkset() *workset {
 		recv: make([][]complex128, d.comm.Size()),
 		free: free,
 	}
-}
-
-// SetCodec compresses this rank's exchanges (ghost traffic and the
-// all-to-alls) with the named payload codec — see codec.ByName. Every rank
-// of the world must apply the same codec before the first transform; the
-// peer streams are decoded against the local configuration. A lossy codec's
-// tolerance (tol 0 asks for the whole budget) is clamped by codec.Clamp to
-// a 1/codec.BudgetShare share of the plan's designed accuracy bound, the
-// same clamp the serving layer applies, so compression error stays far
-// inside EstimatedError. Not safe to call concurrently with a transform.
-func (d *SOI) SetCodec(name string, tol float64) error {
-	if tol == 0 {
-		tol = d.EstimatedError() / codec.BudgetShare
-	}
-	c, err := codec.ByName(name, tol)
-	if err != nil {
-		return fmt.Errorf("dist: %w", err)
-	}
-	d.comm = mpi.WithCodec(d.comm, codec.Clamp(c, d.EstimatedError()))
-	return nil
 }
 
 // Params returns the SOI parameters.
@@ -274,10 +249,9 @@ func (d *SOI) exchangeGhost(tail, src []complex128) error {
 // M'-point FFT + projection + demodulation. The exchanges run one at a time
 // on the calling goroutine; each finish runs on its own goroutine with one
 // of the cap(ws.free) scratches (the plan's SegmentWorkers), so that many
-// segments finish at once. Unless NoOverlap is set, segment g starts to
-// finish as soon as it has arrived, while exchange g+1 proceeds; with
-// NoOverlap the finishes start after the last exchange. Every finish is
-// joined before returning, on every path.
+// segments finish at once. Segment g starts to finish as soon as it has
+// arrived, while exchange g+1 proceeds. Every finish is joined before
+// returning, on every path.
 func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 	p := d.plan.Win.Params
 	mp := p.MPrime()
@@ -297,7 +271,10 @@ func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 	}
 	var finishing sync.WaitGroup
 	defer finishing.Wait()
-	finish := func(g int) {
+	for g := 0; g < d.segPerRank; g++ {
+		if err := exchange(g); err != nil {
+			return err
+		}
 		y := <-ws.free
 		finishing.Add(1)
 		go func() {
@@ -307,20 +284,6 @@ func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 			stop()
 			ws.free <- y
 		}()
-	}
-
-	for g := 0; g < d.segPerRank; g++ {
-		if err := exchange(g); err != nil {
-			return err
-		}
-		if !d.NoOverlap {
-			finish(g)
-		}
-	}
-	if d.NoOverlap {
-		for g := 0; g < d.segPerRank; g++ {
-			finish(g)
-		}
 	}
 	return nil
 }

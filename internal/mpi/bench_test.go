@@ -6,14 +6,11 @@ import (
 	"net"
 	"sync"
 	"testing"
-
-	"soifft/internal/codec"
 )
 
 // benchAllToAll measures one all-to-all of blockElems smooth complex values
-// per pair across an in-process world, every endpoint wrapped in
-// WithCodec(cdc) (nil: unwrapped).
-func benchAllToAll(b *testing.B, size, blockElems int, cdc codec.Codec) {
+// per pair across an in-process world.
+func benchAllToAll(b *testing.B, size, blockElems int) {
 	w, err := NewWorld(size)
 	if err != nil {
 		b.Fatal(err)
@@ -38,7 +35,7 @@ func benchAllToAll(b *testing.B, size, blockElems int, cdc codec.Codec) {
 		for r := 0; r < size; r++ {
 			go func(r int) {
 				defer wg.Done()
-				if _, err := AllToAll(WithCodec(w.Comm(r), cdc), send[r]); err != nil {
+				if _, err := AllToAll(w.Comm(r), send[r]); err != nil {
 					b.Error(err)
 				}
 			}(r)
@@ -51,17 +48,10 @@ func BenchmarkAllToAllInProc(b *testing.B) {
 	for _, size := range []int{4, 8} {
 		for _, elems := range []int{64, 4096} {
 			b.Run(fmt.Sprintf("ranks=%d/block=%d", size, elems), func(b *testing.B) {
-				benchAllToAll(b, size, elems, nil)
+				benchAllToAll(b, size, elems)
 			})
 		}
 	}
-}
-
-// BenchmarkAllToAllInProcCodec is the same exchange with every payload
-// crossing as a deltaplane block stream: the price of mpi.WithCodec where
-// the link itself is free.
-func BenchmarkAllToAllInProcCodec(b *testing.B) {
-	benchAllToAll(b, 4, 4096, codec.MustFor(codec.DeltaPlane, 0))
 }
 
 func BenchmarkAllToAllTCP(b *testing.B) {

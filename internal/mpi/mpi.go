@@ -7,9 +7,10 @@
 // Two real transports implement the Comm interface: an in-process transport
 // (one goroutine per rank, used by soifft.Cluster, the cmd tools and the
 // examples) and a TCP transport (full mesh over net.Conn, demonstrating that
-// the algorithm layer runs unchanged over a real wire). Middlewares wrap a
-// Comm without changing its semantics: WithCodec compresses payloads, and
-// internal/faultcomm injects transport faults for the robustness tests.
+// the algorithm layer runs unchanged over a real wire). Payloads cross both
+// as raw vectors, uncompressed. A middleware may wrap a Comm without
+// changing its semantics: internal/faultcomm injects transport faults for
+// the robustness tests.
 //
 // Semantics follow MPI's blocking mode: Send may buffer (the payload is
 // copied, the caller may reuse its slice immediately); Recv blocks until a
@@ -72,8 +73,9 @@ func SendRecvInto(c Comm, dst int, sendData []complex128, src, tag int, recvData
 // recvInto receives the next (src, tag) message into dst, which the payload
 // must fill exactly. The in-package transports hand out payload-pool
 // buffers nothing else references, so once the payload is copied out its
-// buffer goes back to the pool; a middleware's Recv result is simply
-// dropped, as every Recv caller's is.
+// buffer goes back to the pool. Who else holds a buffer from any other Comm
+// (a middleware such as internal/faultcomm's) is unknown here, so its Recv
+// result is simply dropped, as every Recv caller's is.
 func recvInto(c Comm, dst []complex128, src, tag int) error {
 	data, err := c.Recv(src, tag)
 	if err != nil {
@@ -123,8 +125,8 @@ func putPayload(b []complex128) {
 }
 
 // DeadlineRecver is the optional per-op deadline extension of Comm. The
-// in-process and TCP transports implement it; middlewares (WithCodec, the
-// fault-injection harness) forward it when their inner transport supports
+// in-process and TCP transports implement it; a middleware (the
+// fault-injection harness) forwards it when its inner transport supports
 // it.
 type DeadlineRecver interface {
 	// RecvDeadline behaves like Recv but fails with a *TransportError

@@ -94,19 +94,33 @@ func TestClosedWorldErrors(t *testing.T) {
 	}
 }
 
+// TestInvalidArgs: both transports reject an out-of-range rank and a
+// negative tag, a send to the rank itself included. The cases run in order
+// and stop at the first miss, before the receive that would block on a
+// transport that accepted rank 9.
 func TestInvalidArgs(t *testing.T) {
-	w, _ := NewWorld(2)
-	defer w.Close()
-	c := w.Comm(0)
-	if err := c.Send(5, 0, nil); err == nil {
-		t.Error("send to rank 5 should fail")
+	check := func(c Comm) error {
+		peer := 1 - c.Rank()
+		if err := c.Send(5, 0, nil); err == nil {
+			return fmt.Errorf("rank %d: send to rank 5 accepted", c.Rank())
+		}
+		if err := c.Send(peer, -3, nil); err == nil {
+			return fmt.Errorf("rank %d: negative tag to rank %d accepted", c.Rank(), peer)
+		}
+		if err := c.Send(c.Rank(), -1, nil); err == nil {
+			return fmt.Errorf("rank %d: negative tag to itself accepted", c.Rank())
+		}
+		if _, err := c.Recv(9, 0); err == nil {
+			return fmt.Errorf("rank %d: recv from rank 9 accepted", c.Rank())
+		}
+		return nil
 	}
-	if err := c.Send(1, -3, nil); err == nil {
-		t.Error("negative tag should fail")
-	}
-	if _, err := c.Recv(9, 0); err == nil {
-		t.Error("recv from rank 9 should fail")
-	}
+	t.Run("inproc", func(t *testing.T) {
+		if err := Run(2, check); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("tcp", func(t *testing.T) { tcpWorld(t, 2, check) })
 	if _, err := NewWorld(0); err == nil {
 		t.Error("world of size 0 should fail")
 	}

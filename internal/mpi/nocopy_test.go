@@ -100,32 +100,3 @@ func TestFrameNoCopy(t *testing.T) {
 		t.Errorf("readFrame: %d payload bytes read straight into the returned buffer, want %d", direct, want)
 	}
 }
-
-// TestPackBytesBothPaths: packBytes and unpackBytes round-trip every
-// length, on both byte-image paths, and the padded tail of the last word
-// is zero.
-func TestPackBytesBothPaths(t *testing.T) {
-	eachImagePath(t, func(t *testing.T) {
-		for n := 0; n <= 49; n++ {
-			b := make([]byte, n)
-			for i := range b {
-				b[i] = byte(0xA5 ^ i*37)
-			}
-			words := make([]complex128, (n+15)/16)
-			for i := range words {
-				words[i] = complex(-1, -1) // nonzero, so a missed pad shows
-			}
-			packBytes(words, b)
-			img := make([]byte, 16*len(words))
-			cvec.Encode(img, words)
-			if !bytes.Equal(img[:n], b) || !bytes.Equal(img[n:], make([]byte, len(img)-n)) {
-				t.Fatalf("%d bytes: packed image % x", n, img)
-			}
-			back := make([]byte, n)
-			unpackBytes(back, words)
-			if !bytes.Equal(back, b) {
-				t.Fatalf("%d bytes: unpacked % x, want % x", n, back, b)
-			}
-		}
-	})
-}

@@ -320,6 +320,9 @@ func (n *TCPNode) Rank() int { return n.rank }
 func (n *TCPNode) Size() int { return n.size }
 
 func (n *TCPNode) Send(dst, tag int, data []complex128) error {
+	if tag < 0 {
+		return fmt.Errorf("mpi: negative tag %d", tag)
+	}
 	if dst == n.rank {
 		cp := getPayload(len(data))
 		copy(cp, data)
@@ -327,9 +330,6 @@ func (n *TCPNode) Send(dst, tag int, data []complex128) error {
 	}
 	if dst < 0 || dst >= n.size || n.conns[dst] == nil {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
-	}
-	if tag < 0 {
-		return fmt.Errorf("mpi: negative tag %d", tag)
 	}
 	if len(data) > maxFrameElems {
 		return fmt.Errorf("mpi: send of %d elements exceeds the %d-element frame cap", len(data), maxFrameElems)
@@ -360,6 +360,9 @@ func (n *TCPNode) Recv(src, tag int) ([]complex128, error) {
 // RecvDeadline implements DeadlineRecver: a Recv that fails with a
 // *TransportError wrapping ErrTimeout once deadline passes.
 func (n *TCPNode) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, error) {
+	if src < 0 || src >= n.size {
+		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
+	}
 	data, err := n.box.get(src, tag, deadline)
 	if errors.Is(err, ErrTimeout) {
 		return nil, &TransportError{Op: "recv", Peer: src, Tag: tag, Err: err}

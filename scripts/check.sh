@@ -2,9 +2,10 @@
 # Tier-2 pre-PR gate: build, vet (with the arm64 and s390x cross-builds of
 # the portable and big-endian file sets), one run of every command and
 # example, the race-clean concurrency gate over the packages that spawn
-# goroutines, the fuzz smoke, the twiddle-table, vector-kernel, wide-stage
-# and segment-engine timing ratios, and the catch matrix that says what each
-# of those gates is for. Tier-1 (go build ./... && go test ./...) must of
+# goroutines and the race-clean fault-injection sweep, fifty runs of the
+# soi/fft/dist allocation budgets, the fuzz smoke, the twiddle-table,
+# vector-kernel, wide-stage and segment-engine timing ratios, and the catch
+# matrix that says what each of those gates is for. Tier-1 (go build ./... && go test ./...) must of
 # course also pass; this script layers the discipline checks on top.
 #
 # Every gate runs even if an earlier one fails, so one CI run reports all
