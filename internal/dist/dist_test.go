@@ -302,3 +302,40 @@ func TestDistSOIInverse(t *testing.T) {
 		t.Errorf("distributed inverse vs reference IDFT: %g", e)
 	}
 }
+
+// TestWorksetHoldsRemoteLanesOnly: a rank's own lanes are stored straight
+// into its slots of its segment vectors, so ut holds only the
+// (S − S/P)·M'/P elements of the lanes other ranks own, and every own
+// lane's destination is the very memory its all-to-all slot receives into,
+// so AllToAllInto copies nothing for it.
+func TestWorksetHoldsRemoteLanesOnly(t *testing.T) {
+	p := testParams(8, 4)
+	plan, err := soi.NewPlan(p, soi.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, world := range []int{1, 2, 4, 8} {
+		w, err := mpi.NewWorld(world)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		for r := range world {
+			d, err := NewSOIFromPlan(w.Comm(r), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := d.newWorkset()
+			own := p.Segments / world
+			if want := (p.Segments - own) * p.MPrime() / world; len(ws.ut) != want {
+				t.Errorf("world %d rank %d: ut holds %d elements, want (S - S/P)·M'/P = %d", world, r, len(ws.ut), want)
+			}
+			for g := range own {
+				send, recv := ws.send[g][r], ws.recv[g][r]
+				if len(send) == 0 || &send[0] != &recv[0] || len(send) != len(recv) {
+					t.Errorf("world %d rank %d: own block of exchange %d is not its receive slot", world, r, g)
+				}
+			}
+		}
+	}
+}

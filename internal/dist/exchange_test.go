@@ -194,10 +194,13 @@ func checkForwardPin(t *testing.T, i int, win *window.Filter, x, y []complex128)
 }
 
 // TestForwardBitIdenticalToParent: the exchange path decides where bytes
-// live, never what they are. On every world size the
-// distributed output is bit-for-bit the single-address-space plan's (as it
-// was before the working set, the transpose pack and receive-in-place), and
-// the plan's output passes both modes of its pin (forwardPins).
+// live, never what they are. On every world size, in process and over a
+// loopback TCP mesh (where receives are read from the socket straight into
+// the segment vectors), the distributed output is bit-for-bit the
+// single-address-space plan's (as it was before the working set, the
+// transpose pack, receive-in-place and the own lanes stored straight into
+// the segment vectors), and the plan's output passes both modes of its pin
+// (forwardPins).
 func TestForwardBitIdenticalToParent(t *testing.T) {
 	for i, pin := range forwardPins {
 		p := testParams(8, pin.chunksPerSeg)
@@ -218,25 +221,36 @@ func TestForwardBitIdenticalToParent(t *testing.T) {
 		if !tol {
 			t.Errorf("N=%d: sequential plan fails the tolerance mode: %s", p.N, detail)
 		}
-		for _, world := range []int{1, 2, 4} {
+		for _, leg := range []struct {
+			transport string
+			world     int
+		}{{"inproc", 1}, {"inproc", 2}, {"inproc", 4}, {"tcp", 2}, {"tcp", 4}} {
+			world := leg.world
 			got := make([]complex128, p.N)
 			localN := p.N / world
-			err := mpi.Run(world, func(c mpi.Comm) error {
+			forward := func(c mpi.Comm) error {
 				d, err := NewSOIFromPlan(c, seq)
 				if err != nil {
 					return err
 				}
 				r := c.Rank()
 				return d.Forward(got[r*localN:(r+1)*localN], x[r*localN:(r+1)*localN])
-			})
+			}
+			var err error
+			if leg.transport == "tcp" {
+				nodes := tcpMesh(t, world)
+				err = eachRank(world, func(r int) error { return forward(nodes[r]) })
+			} else {
+				err = mpi.Run(world, forward)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
 				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
 					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
-					t.Errorf("N=%d world=%d: output[%d] = %v, sequential plan %v",
-						p.N, world, i, got[i], want[i])
+					t.Errorf("N=%d %s world=%d: output[%d] = %v, sequential plan %v",
+						p.N, leg.transport, world, i, got[i], want[i])
 					break
 				}
 			}

@@ -52,22 +52,31 @@ type SOI struct {
 
 // workset is the working set of one transform; a steady-state transform
 // allocates nothing in proportion to N. Per payload byte the exchange path
-// is: convolved, transformed and scattered into its send block of ut in one
-// pass (soi.Plan.ConvolveToSegments), sent, and received into the segment's
-// slot of seg, where the M'-point FFT reads it.
+// is one pass and one crossing: convolved, transformed and stored by
+// soi.Plan.ConvolveToSegments either straight into the rank's own slot of
+// its segment vector (the rank's own lanes, which never travel) or into its
+// send block of ut (every other lane), then sent, and received into the
+// segment's slot of seg, where the M'-point FFT reads it.
 type workset struct {
 	// tail is the input the last chunks' windows read: the end of the
 	// rank's block followed by the ghost elements of the successor ranks.
 	// The interior chunks convolve straight from the caller's src.
 	tail []complex128
-	// ut holds the rank's rowsPerRank rows of the convolution output, lane-
-	// major: run f is lane f, the block sent to the rank that owns segment f.
+	// ut holds the rank's rowsPerRank rows of the remote lanes of the
+	// convolution output, lane-major: one run per lane that another rank
+	// owns, the block sent to that rank.
 	ut []complex128
 	// seg holds the segPerRank segment vectors, M' elements each, that the
 	// all-to-alls assemble.
 	seg []complex128
-	// send and recv are the all-to-all's block views into ut and seg.
-	send, recv [][]complex128
+	// lanes[f] is where lane f's rowsPerRank rows go: the rank's own slot
+	// of one of its segment vectors, or a run of ut. bins is
+	// ConvolveToSegments' view of lanes for one range of chunks.
+	lanes, bins [][]complex128
+	// send[g] and recv[g] are all-to-all g's blocks: views of lanes and of
+	// segment g's slots in seg. A rank's own block is one slice in both, so
+	// it is not copied.
+	send, recv [][][]complex128
 	// free holds FinishSegment's scratches, M' each, one per segment that
 	// finishes at once (SegmentWorkers up to segPerRank); full between calls.
 	free chan []complex128
@@ -121,18 +130,43 @@ func NewSOIFromPlan(c mpi.Comm, plan *soi.Plan) (*SOI, error) {
 // newWorkset builds one transform's working set.
 func (d *SOI) newWorkset() *workset {
 	p := d.plan.Win.Params
+	mp, world, rank := p.MPrime(), d.comm.Size(), d.comm.Rank()
 	free := make(chan []complex128, min(d.plan.SegmentWorkers(), d.segPerRank))
 	for range cap(free) {
-		free <- make([]complex128, p.MPrime())
+		free <- make([]complex128, mp)
 	}
-	return &workset{
-		tail: make([]complex128, d.localN+p.GhostElems()-d.interior*p.DMu*p.Segments),
-		ut:   make([]complex128, d.rowsPerRank*p.Segments),
-		seg:  make([]complex128, d.segPerRank*p.MPrime()),
-		send: make([][]complex128, d.comm.Size()),
-		recv: make([][]complex128, d.comm.Size()),
-		free: free,
+	ws := &workset{
+		tail:  make([]complex128, d.localN+p.GhostElems()-d.interior*p.DMu*p.Segments),
+		ut:    make([]complex128, (p.Segments-d.segPerRank)*d.rowsPerRank),
+		seg:   make([]complex128, d.segPerRank*mp),
+		lanes: make([][]complex128, p.Segments),
+		bins:  make([][]complex128, p.Segments),
+		send:  make([][][]complex128, d.segPerRank),
+		recv:  make([][][]complex128, d.segPerRank),
+		free:  free,
 	}
+	// Lane f = q*segPerRank + g is row block q of segment g: rank q's.
+	slot := func(g, q int) []complex128 {
+		return ws.seg[g*mp+q*d.rowsPerRank : g*mp+(q+1)*d.rowsPerRank]
+	}
+	remote := 0
+	for f := range ws.lanes {
+		if q, g := f/d.segPerRank, f%d.segPerRank; q == rank {
+			ws.lanes[f] = slot(g, q)
+		} else {
+			ws.lanes[f] = ws.ut[remote*d.rowsPerRank : (remote+1)*d.rowsPerRank]
+			remote++
+		}
+	}
+	for g := range ws.send {
+		ws.send[g] = make([][]complex128, world)
+		ws.recv[g] = make([][]complex128, world)
+		for q := range world {
+			ws.send[g][q] = ws.lanes[q*d.segPerRank+g]
+			ws.recv[g][q] = slot(g, q)
+		}
+	}
+	return ws
 }
 
 // Params returns the SOI parameters.
@@ -193,27 +227,35 @@ func (d *SOI) Inverse(dst, src []complex128) error {
 func (d *SOI) forward(dst, src []complex128, ws *workset) error {
 	p := d.plan.Win.Params
 
-	// Phase 1: nearest-neighbour ghost exchange (latency-bound short
-	// messages, Section 5.1), then convolution + S-point FFTs + permutation
-	// straight into the send blocks. The interior chunks read src in place;
-	// the last few, whose windows cross the end of the block, read its tail
-	// followed by the ghost elements.
-	stopEtc := timer(d.Breakdown, trace.PhaseEtc)
-	err := d.exchangeGhost(ws.tail, src)
-	stopEtc()
-	if err != nil {
-		return err
+	// Phase 1, once the all-to-alls' receives are posted: nearest-neighbour
+	// ghost exchange (latency-bound short messages, Section 5.1), then
+	// convolution + S-point FFTs + permutation straight into the send
+	// blocks and the rank's own segment slots. The interior chunks read src
+	// in place; the last few, whose windows cross the end of the block, read
+	// its tail followed by the ghost elements.
+	convolve := func() error {
+		stopEtc := timer(d.Breakdown, trace.PhaseEtc)
+		err := d.exchangeGhost(ws.tail, src)
+		stopEtc()
+		if err != nil {
+			return err
+		}
+		stopConv := timer(d.Breakdown, trace.PhaseConv)
+		defer stopConv()
+		c0 := d.comm.Rank() * d.chunksPerRank
+		split := c0 + d.interior
+		copy(ws.bins, ws.lanes)
+		d.plan.ConvolveToSegments(ws.bins, src, c0, split)
+		for f, lane := range ws.lanes {
+			ws.bins[f] = lane[d.interior*p.NMu:]
+		}
+		d.plan.ConvolveToSegments(ws.bins, ws.tail, split, c0+d.chunksPerRank)
+		return nil
 	}
-	stopConv := timer(d.Breakdown, trace.PhaseConv)
-	c0 := d.comm.Rank() * d.chunksPerRank
-	split := c0 + d.interior
-	d.plan.ConvolveToSegments(ws.ut, d.rowsPerRank, src, c0, split)
-	d.plan.ConvolveToSegments(ws.ut[d.interior*p.NMu:], d.rowsPerRank, ws.tail, split, c0+d.chunksPerRank)
-	stopConv()
 
 	// Phase 2+3: per-segment-group all-to-alls, pipelined with the local
 	// M'-point FFT + demodulation of the previously received group.
-	return d.exchangeAndFinish(dst, ws)
+	return d.exchangeAndFinish(dst, ws, convolve)
 }
 
 // exchangeGhost fills tail with the end of src that the non-interior chunks
@@ -246,35 +288,30 @@ func (d *SOI) exchangeGhost(tail, src []complex128) error {
 // exchangeAndFinish runs segPerRank all-to-alls (one per local segment
 // index g, carrying lane q*segPerRank+g to each rank q) that assemble
 // segment vector t_g in its slot of ws.seg, and finishes each with the
-// M'-point FFT + projection + demodulation. The exchanges run one at a time
-// on the calling goroutine; each finish runs on its own goroutine with one
-// of the cap(ws.free) scratches (the plan's SegmentWorkers), so that many
-// segments finish at once. Segment g starts to finish as soon as it has
-// arrived, while exchange g+1 proceeds. Every finish is joined before
-// returning, on every path.
-func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
+// M'-point FFT + projection + demodulation. Every exchange's receives are
+// posted first (mpi.AllToAllsInto), then convolve fills the send blocks:
+// the slots the receives fill are disjoint from every send block, from the
+// rank's own slots and from the segments already finishing. The exchanges
+// run one at a time on the calling goroutine; each finish runs on its own
+// goroutine with one of the cap(ws.free) scratches (the plan's
+// SegmentWorkers), so that many segments finish at once. Segment g starts
+// to finish as soon as it has arrived, while exchange g+1 proceeds. Every
+// finish is joined before returning, on every path.
+func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset, convolve func() error) error {
 	p := d.plan.Win.Params
 	mp := p.MPrime()
 	m := p.M()
 
-	exchange := func(g int) error {
-		stop := timer(d.Breakdown, trace.PhaseExposedMPI)
-		defer stop()
-		tg := ws.seg[g*mp : (g+1)*mp]
-		for q := range ws.send {
-			f := q*d.segPerRank + g // global segment index for destination q
-			ws.send[q] = ws.ut[f*d.rowsPerRank : (f+1)*d.rowsPerRank]
-			ws.recv[q] = tg[q*d.rowsPerRank : (q+1)*d.rowsPerRank]
-		}
-		err := mpi.AllToAllInto(d.comm, ws.send, ws.recv)
-		return shapeError(err, "all-to-all block rows")
-	}
 	var finishing sync.WaitGroup
 	defer finishing.Wait()
-	for g := 0; g < d.segPerRank; g++ {
-		if err := exchange(g); err != nil {
-			return err
-		}
+	stop := func() {}
+	fill := func() error {
+		err := convolve()
+		stop = timer(d.Breakdown, trace.PhaseExposedMPI)
+		return err
+	}
+	err := mpi.AllToAllsInto(d.comm, ws.send, ws.recv, fill, func(g int) {
+		stop()
 		y := <-ws.free
 		finishing.Add(1)
 		go func() {
@@ -284,8 +321,10 @@ func (d *SOI) exchangeAndFinish(dst []complex128, ws *workset) error {
 			stop()
 			ws.free <- y
 		}()
-	}
-	return nil
+		stop = timer(d.Breakdown, trace.PhaseExposedMPI)
+	})
+	stop()
+	return shapeError(err, "all-to-all block rows")
 }
 
 // shapeError turns a peer's mis-sized payload into the *ShapeError the

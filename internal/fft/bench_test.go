@@ -115,13 +115,17 @@ func BenchmarkStages(b *testing.B) {
 	// long).
 	const cols, xs, ys = 256, 260, 1 << 16
 	tileX := ref.RandomVector(7*xs+cols, 3)
-	segs := make([]complex128, 7*ys+cols)
+	segVecs := make([]complex128, 8*ys)
+	segs := make([][]complex128, 8)
+	for f := range segs {
+		segs[f] = segVecs[f*ys : f*ys+cols]
+	}
 	p := MustPlan(8)
 	for _, k := range kernels() {
 		b.Run("dft8-cols/"+k, func(b *testing.B) {
 			defer useKernel(k)()
 			for i := 0; i < b.N; i++ {
-				p.ForwardCols(segs, ys, tileX, xs, cols)
+				p.ForwardCols(segs, tileX, xs, cols)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cols), "ns/butterfly")
 		})

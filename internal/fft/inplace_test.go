@@ -46,15 +46,18 @@ func TestOutOfPlaceLeavesSourceUnchanged(t *testing.T) {
 				mat[3*k+1] = v
 			}
 			keepMat := append([]complex128(nil), mat...)
-			cols := make([]complex128, 2*n)
-			p.ForwardCols(cols, 2, mat, 3, 2)
+			cols := make([][]complex128, n)
+			for f := range cols {
+				cols[f] = make([]complex128, 2)
+			}
+			p.ForwardCols(cols, mat, 3, 2)
 			if i := firstBitDiff(mat, keepMat); i >= 0 {
 				t.Fatalf("plan n=%d: ForwardCols changed x[%d]", n, i)
 			}
 			want := make([]complex128, n)
 			p.Forward(want, src)
 			for f, w := range want {
-				if g := cols[2*f+1]; firstBitDiff([]complex128{g}, []complex128{w}) >= 0 {
+				if g := cols[f][1]; firstBitDiff([]complex128{g}, []complex128{w}) >= 0 {
 					t.Fatalf("plan n=%d: ForwardCols differs from Forward at bin %d", n, f)
 				}
 			}

@@ -291,23 +291,24 @@ func radix2Demodulate(dst, x []complex128, w complex128, d []complex128) {
 
 // ForwardCols computes the forward DFT of each of the first rows columns of
 // the N-by-xs matrix x, column r being x[k*xs + r] for k in [0, N), and stores
-// bin f of column r at y[f*ys + r]: the Segments-point transforms of a
-// lane-major convolution tile written straight into the segment vectors
-// (paper Section 5.2.4, "ffts in strides of P"). The columns agree bit for
-// bit with Forward on each: at N = 8 they go two at a time through the
-// vector codelet, elsewhere one at a time through Transform. y must not
-// overlap x.
-func (p *Plan) ForwardCols(y []complex128, ys int, x []complex128, xs, rows int) {
+// bin f of column r at y[f][r]: the Segments-point transforms of a lane-major
+// convolution tile written straight into the segment vectors (paper Section
+// 5.2.4, "ffts in strides of P"), each bin's run wherever its caller keeps
+// it. len(y) must be N and each y[f] must hold rows elements. The columns
+// agree bit for bit with Forward on each: at N = 8 they go two at a time
+// through the vector codelet, elsewhere one at a time through Transform.
+// No y[f] may overlap x.
+func (p *Plan) ForwardCols(y [][]complex128, x []complex128, xs, rows int) {
 	n := p.n
 	if rows <= 0 {
 		return
 	}
-	if xs < rows || ys < rows {
-		panic(fmt.Sprintf("fft: ForwardCols strides %d, %d below %d rows", xs, ys, rows))
+	if xs < rows || len(y) != n {
+		panic(fmt.Sprintf("fft: ForwardCols of %d rows with input stride %d into %d bins, want %d", rows, xs, len(y), n))
 	}
 	done := 0
 	if n == 8 {
-		done = dft8ColsVec(y, ys, x, xs, rows)
+		done = dft8ColsVec((*[8][]complex128)(y), x, xs, rows)
 	}
 	if done == rows {
 		return
@@ -320,7 +321,7 @@ func (p *Plan) ForwardCols(y []complex128, ys int, x []complex128, xs, rows int)
 		}
 		p.Transform(col, col, Forward)
 		for f, v := range col {
-			y[f*ys+r] = v
+			y[f][r] = v
 		}
 	}
 }

@@ -31,7 +31,7 @@ func radix2AVX2(y, x, tw *complex128, m, s, xs int)
 func radix7AVX2(y, x *complex128, cs *float64, s, xs int)
 
 //go:noescape
-func dft8ColsAVX2(y *complex128, ys int, x *complex128, xs, pairs int)
+func dft8ColsAVX2(y *[8]*complex128, x *complex128, xs, pairs int)
 
 //go:noescape
 func twiddleTileAVX2(w, buf, twA, twB *complex128, n1, n2, j2lo, n, k int, shift uint)
@@ -85,16 +85,20 @@ func stageVec(st *stage, y, x []complex128) bool {
 }
 
 // dft8ColsVec runs dft8 on the leading even number of the rows columns of x
-// (row stride xs), storing bin f of column r at y[f*ys + r], and returns how
+// (row stride xs), storing bin f of column r at y[f][r], and returns how
 // many columns it transformed. The reslices are the kernel's bounds checks:
-// it reads x[k*xs + r] and writes y[f*ys + r] for r below that count.
-func dft8ColsVec(y []complex128, ys int, x []complex128, xs, rows int) int {
+// it reads x[k*xs + r] and writes y[f][r] for r below that count.
+func dft8ColsVec(y *[8][]complex128, x []complex128, xs, rows int) int {
 	pairs := rows / 2
 	if !haveAVX2 || pairs == 0 {
 		return 0
 	}
-	x, y = x[:7*xs+2*pairs], y[:7*ys+2*pairs]
-	dft8ColsAVX2(&y[0], ys, &x[0], xs, pairs)
+	x = x[:7*xs+2*pairs]
+	var bins [8]*complex128
+	for f, yf := range y {
+		bins[f] = &yf[:2*pairs][0]
+	}
+	dft8ColsAVX2(&bins, &x[0], xs, pairs)
 	return 2 * pairs
 }
 

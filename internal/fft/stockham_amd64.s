@@ -512,28 +512,31 @@ r2q:
 	VZEROUPPER
 	RET
 
-// func dft8ColsAVX2(y *complex128, ys int, x *complex128, xs, pairs int)
+// func dft8ColsAVX2(y *[8]*complex128, x *complex128, xs, pairs int)
 //
 // dft8 on the 2*pairs columns of the 8-row matrix at x (row stride xs), two
 // adjacent columns together: element k of columns r and r+1 is one register,
-// loaded from x + 16*(k*xs + r); bin f of both is stored at
-// y + 16*(f*ys + r).
-TEXT ·dft8ColsAVX2(SB), NOSPLIT, $0-40
-	MOVQ y+0(FP), DI
-	MOVQ ys+8(FP), R8
-	SHLQ $4, R8            // output row stride in bytes
-	MOVQ x+16(FP), SI
-	MOVQ xs+24(FP), R9
+// loaded from x + 16*(k*xs + r); bin f of both is stored at y[f] + 16*r.
+// The eight bins' runs are independent pointers that share the offset AX.
+TEXT ·dft8ColsAVX2(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), AX
+	MOVQ 0(AX), DI         // bin 0
+	MOVQ 8(AX), R8
+	MOVQ 16(AX), R12
+	MOVQ 24(AX), R13
+	MOVQ 32(AX), R14
+	MOVQ 40(AX), R15
+	MOVQ 48(AX), BX
+	MOVQ 56(AX), DX        // bin 7
+	MOVQ x+8(FP), SI
+	MOVQ xs+16(FP), R9
 	SHLQ $4, R9            // input row stride in bytes
-	MOVQ pairs+32(FP), CX
+	MOVQ pairs+24(FP), CX
 	LEAQ (SI)(R9*2), R10
 	ADDQ R9, R10           // input row 3
 	LEAQ (R10)(R9*2), R11
 	ADDQ R9, R11           // input row 6
-	LEAQ (DI)(R8*2), R12
-	ADDQ R8, R12           // bin 3
-	LEAQ (R12)(R8*2), R13
-	ADDQ R8, R13           // bin 6
+	XORQ AX, AX            // output offset in bytes
 
 d8c:
 	VMOVUPD (SI), Y0
@@ -545,20 +548,18 @@ d8c:
 	VMOVUPD (R11), Y6
 	VMOVUPD (R11)(R9*1), Y7
 	BFLY8
-	VMOVUPD Y8, (DI)
-	VMOVUPD Y0, (DI)(R8*1)
-	VMOVUPD Y10, (DI)(R8*2)
-	VMOVUPD Y2, (R12)
-	VMOVUPD Y9, (R12)(R8*1)
-	VMOVUPD Y1, (R12)(R8*2)
-	VMOVUPD Y11, (R13)
-	VMOVUPD Y3, (R13)(R8*1)
+	VMOVUPD Y8, (DI)(AX*1)
+	VMOVUPD Y0, (R8)(AX*1)
+	VMOVUPD Y10, (R12)(AX*1)
+	VMOVUPD Y2, (R13)(AX*1)
+	VMOVUPD Y9, (R14)(AX*1)
+	VMOVUPD Y1, (R15)(AX*1)
+	VMOVUPD Y11, (BX)(AX*1)
+	VMOVUPD Y3, (DX)(AX*1)
 	ADDQ    $32, SI
 	ADDQ    $32, R10
 	ADDQ    $32, R11
-	ADDQ    $32, DI
-	ADDQ    $32, R12
-	ADDQ    $32, R13
+	ADDQ    $32, AX
 	DECQ    CX
 	JNZ     d8c
 	VZEROUPPER

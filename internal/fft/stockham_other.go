@@ -7,7 +7,7 @@ package fft
 
 func stageVec(*stage, []complex128, []complex128) bool { return false }
 
-func dft8ColsVec([]complex128, int, []complex128, int, int) int { return 0 }
+func dft8ColsVec(*[8][]complex128, []complex128, int, int) int { return 0 }
 
 func (s *SixStep) twiddleTileVec([]complex128, []complex128, int) bool { return false }
 

@@ -17,7 +17,9 @@ import (
 // TCP transport: a full mesh of stream connections, one per rank pair. Rank
 // i listens; ranks j > i dial i and identify themselves with a hello frame.
 // A reader goroutine per connection feeds the same mailbox the in-process
-// transport uses, so matching semantics are identical. The wire format per
+// transport uses, so matching semantics are identical; a payload whose
+// receive is posted it reads from the socket straight into the posted
+// buffer. The wire format per
 // message is:
 //
 //	uint32 src | uint32 tag | uint32 count | count * (float64 re, float64 im)
@@ -262,42 +264,117 @@ func writeFrame(w io.Writer, src, tag int, data []complex128) error {
 	return cvec.WriteVector(w, data)
 }
 
-// readFrame reads one message from br: the header, then the payload with
-// one io.ReadFull into a payload-pool buffer. A header announcing more than
-// maxFrameElems elements is an error before any buffer is sized.
-func readFrame(br *bufio.Reader) (tag int, data []complex128, err error) {
+// readHeader reads one frame's header from br and returns its tag and
+// element count. A header announcing more than maxFrameElems elements is an
+// error before any buffer is sized by it.
+func readHeader(br *bufio.Reader) (tag, count int, err error) {
 	hdr, err := br.Peek(frameHeaderLen)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, err
 	}
 	// hdr[0:4], the sender's claimed rank, is advisory: the connection
 	// authenticates the sender.
 	tag = int(binary.BigEndian.Uint32(hdr[4:8]))
-	count := binary.BigEndian.Uint32(hdr[8:12])
-	if count > maxFrameElems {
-		return 0, nil, fmt.Errorf("frame announces %d elements, cap %d", count, maxFrameElems)
+	n := binary.BigEndian.Uint32(hdr[8:12])
+	if n > maxFrameElems {
+		return 0, 0, fmt.Errorf("frame announces %d elements, cap %d", n, maxFrameElems)
 	}
 	_, _ = br.Discard(frameHeaderLen) // peeked above: cannot fail
-	data = getPayload(int(count))
-	if err := cvec.ReadVector(br, data); err != nil {
-		putPayload(data)
-		return 0, nil, err
-	}
-	return tag, data, nil
+	return tag, int(n), nil
 }
 
+// readPayload reads a frame's payload of count elements from br into a
+// spare buffer of the box: on a little-endian host one io.ReadFull, which
+// reads past br's buffer into the payload's own memory.
+func (mb *mailbox) readPayload(br *bufio.Reader, count int) ([]complex128, error) {
+	data := mb.takeBuf(count)
+	if err := cvec.ReadVector(br, data); err != nil {
+		mb.giveBuf(data)
+		return nil, err
+	}
+	return data, nil
+}
+
+// readLoop reads the frames from peer. A frame whose receive is posted is
+// read straight into the posted buffer (where the byte image is the
+// vector's memory), one whose posted receive has another length is
+// discarded, and any other is read into a spare buffer of the mailbox,
+// which matches or queues it.
 func (n *TCPNode) readLoop(peer int, conn net.Conn) {
 	br := bufio.NewReaderSize(conn, readBufLen)
 	for {
-		tag, data, err := readFrame(br)
+		tag, count, err := readHeader(br)
 		if err != nil {
 			n.peerLost(peer, err)
 			return
 		}
-		if err := n.box.put(message{src: peer, tag: tag, data: data}); err != nil {
+		var p *recvPost
+		matched := false
+		if cvec.NativeImage {
+			n.box.mu.Lock()
+			if p, matched = n.box.match(peer, tag, count); p != nil {
+				p.stopper = conn
+			}
+			n.box.mu.Unlock()
+		}
+		switch {
+		case p != nil:
+			err = n.readPosted(br, conn, p)
+		case matched:
+			_, err = br.Discard(count * cvec.BytesPerElem)
+		default:
+			var data []complex128
+			if data, err = n.box.readPayload(br, count); err == nil {
+				if n.box.put(message{src: peer, tag: tag, data: data}) != nil {
+					return // the box is closed
+				}
+			}
+		}
+		if err != nil {
+			n.peerLost(peer, err)
 			return
 		}
 	}
+}
+
+// readPosted reads a frame's payload from br into the posted buffer and
+// completes the post. A waiter that gives up on the post meanwhile moves the
+// connection's read deadline into the past: the read stops, the post takes
+// the waiter's error, and the rest of the payload is read and discarded
+// with the deadline cleared, so the stream stays in step and nothing writes
+// the buffer after the waiter returns. Any other read error loses the peer.
+func (n *TCPNode) readPosted(br *bufio.Reader, conn net.Conn, p *recvPost) error {
+	b, _ := cvec.View(p.dst)
+	got, err := io.ReadFull(br, b)
+	mb := n.box
+	mb.mu.Lock()
+	abandoned := p.abandoned
+	switch {
+	case err == nil:
+		p.err = nil
+	case abandoned && isTimeout(err):
+		p.err = p.cause
+	default:
+		p.err = &TransportError{Op: "recv", Peer: p.src, Tag: p.tag, Err: wireErr(err)}
+	}
+	p.state = postDone
+	mb.cond.Broadcast()
+	mb.mu.Unlock()
+	if !abandoned {
+		return err
+	}
+	if derr := conn.SetReadDeadline(time.Time{}); derr != nil {
+		return derr
+	}
+	if err != nil && isTimeout(err) {
+		_, err = br.Discard(len(b) - got)
+	}
+	return err
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // peerLost records a broken connection: every unmatched receive naming the
@@ -324,9 +401,7 @@ func (n *TCPNode) Send(dst, tag int, data []complex128) error {
 		return fmt.Errorf("mpi: negative tag %d", tag)
 	}
 	if dst == n.rank {
-		cp := getPayload(len(data))
-		copy(cp, data)
-		return n.box.put(message{src: n.rank, tag: tag, data: cp})
+		return n.box.send(n.rank, tag, data)
 	}
 	if dst < 0 || dst >= n.size || n.conns[dst] == nil {
 		return fmt.Errorf("mpi: send to invalid rank %d", dst)
@@ -364,11 +439,26 @@ func (n *TCPNode) RecvDeadline(src, tag int, deadline time.Time) ([]complex128, 
 		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
 	}
 	data, err := n.box.get(src, tag, deadline)
-	if errors.Is(err, ErrTimeout) {
-		return nil, &TransportError{Op: "recv", Peer: src, Tag: tag, Err: err}
-	}
-	return data, err
+	return data, recvError(src, tag, err)
 }
+
+func (n *TCPNode) postRecv(src, tag int, dst []complex128) (*recvPost, error) {
+	if src < 0 || src >= n.size {
+		return nil, fmt.Errorf("mpi: recv from invalid rank %d", src)
+	}
+	return n.box.post(src, tag, dst), nil
+}
+
+func (n *TCPNode) waitRecv(p *recvPost) error {
+	var deadline time.Time
+	if d := n.opts.OpTimeout; d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	src, tag := p.src, p.tag // wait releases p
+	return recvError(src, tag, n.box.wait(p, deadline, false))
+}
+
+func (n *TCPNode) cancelRecv(p *recvPost) { n.box.wait(p, time.Time{}, true) }
 
 // Close tears down the mesh and the listener.
 func (n *TCPNode) Close() error {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"soifft/internal/codec"
 	"soifft/internal/ref"
 	"soifft/internal/wire"
 )
@@ -36,7 +37,8 @@ func TestServeHostileGeometry(t *testing.T) {
 	hostile := []struct {
 		name string
 		h    wire.Header
-		sent int // payload elems actually written
+		sent int    // payload elems actually written
+		raw  []byte // or these payload bytes
 	}{
 		{
 			// N*Count*BytesPerElem wraps mod 2^64 to exactly PayloadLen: a
@@ -64,6 +66,14 @@ func TestServeHostileGeometry(t *testing.T) {
 			h:    wire.Header{Type: wire.TForward, Alg: wire.AlgExact, Count: 1, ReqID: 4, N: 1 << 20, PayloadLen: 2 * wire.BytesPerElem},
 			sent: 2,
 		},
+		{
+			// Within every limit and under the codec's payload ceiling, but
+			// no deltaplane stream of one byte encodes 4 x 2^16 points: the
+			// floor rejects it before the 4 MiB request buffer is taken.
+			name: "compressed payload under the floor",
+			h:    wire.Header{Type: wire.TBatch, Alg: wire.AlgExact, Codec: codec.DeltaPlane, Count: 4, ReqID: 5, N: 1 << 16, PayloadLen: 1},
+			raw:  []byte{0},
+		},
 	}
 
 	for _, tc := range hostile {
@@ -72,6 +82,9 @@ func TestServeHostileGeometry(t *testing.T) {
 			payload = make([]complex128, tc.sent)
 		}
 		rawRequest(t, conn, tc.h, payload)
+		if _, err := conn.Write(tc.raw); err != nil {
+			t.Fatal(err)
+		}
 		h, msg := readResponse(t, conn)
 		if h.Type != wire.TError || h.Code != wire.CodeBadRequest || h.ReqID != tc.h.ReqID {
 			t.Fatalf("%s: got type=%v code=%d id=%d msg=%q, want bad-request for id %d",
@@ -81,7 +94,7 @@ func TestServeHostileGeometry(t *testing.T) {
 
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	// Four rejected frames must not cost anything like their declared
+	// Five rejected frames must not cost anything like their declared
 	// sizes: tiny error frames and scratch only. 1 MiB is two orders of
 	// magnitude above what the exchange needs and 2^40 below the forgeries.
 	if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {

@@ -57,12 +57,15 @@ func BenchmarkConvolveToSegments458k(b *testing.B) {
 		b.Fatal(err)
 	}
 	x := ref.RandomVector(p.N+p.GhostElems(), 1)
-	t := make([]complex128, p.MPrime()*p.Segments)
-	pl.ConvolveToSegments(t, p.MPrime(), x, 0, p.Chunks())
+	t := make([][]complex128, p.Segments)
+	for f := range t {
+		t[f] = make([]complex128, p.MPrime())
+	}
+	pl.ConvolveToSegments(t, x, 0, p.Chunks())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.ConvolveToSegments(t, p.MPrime(), x, 0, p.Chunks())
+		pl.ConvolveToSegments(t, x, 0, p.Chunks())
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 }

@@ -85,14 +85,18 @@ type scratch struct {
 	// followed by the ghost elements, src's start again. The interior chunks
 	// convolve straight from the caller's src.
 	tail []complex128
-	t    []complex128 // N': the segment vectors t_f, M' each
-	conj []complex128 // N: Inverse's conjugated input, built on first use
+	t    []complex128   // N': the segment vectors t_f, M' each
+	bins [][]complex128 // Segments: ConvolveToSegments' destinations in t
+	conj []complex128   // N: Inverse's conjugated input, built on first use
 }
 
 // tile is what one worker of ConvolveToSegments computes in: the lane-major
-// outputs of conv.TileChunks chunks, conv.TileStride apart, and the
-// convolution's lane staging.
-type tile struct{ out, stage []complex128 }
+// outputs of conv.TileChunks chunks, conv.TileStride apart, the
+// convolution's lane staging, and the tile's run of each bin's destination.
+type tile struct {
+	out, stage []complex128
+	bins       [][]complex128
+}
 
 // NewPlan designs the window and builds the FFT sub-plans for p.
 func NewPlan(p window.Params, opts Options) (*Plan, error) {
@@ -112,6 +116,7 @@ func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 		return &scratch{
 			tail: make([]complex128, own+win.GhostElems()),
 			t:    make([]complex128, win.MPrime()*win.Segments), // N' = mu*N
+			bins: make([][]complex128, win.Segments),
 		}
 	}
 	pl.segs.New = func() []complex128 { return make([]complex128, win.MPrime()) }
@@ -119,6 +124,7 @@ func NewPlanFromFilter(win *window.Filter, opts Options) (*Plan, error) {
 		return &tile{
 			out:   make([]complex128, win.Segments*conv.TileStride(win)),
 			stage: make([]complex128, conv.StageLen(win)),
+			bins:  make([][]complex128, win.Segments),
 		}
 	}
 	var err error
@@ -223,15 +229,22 @@ func (pl *Plan) forward(dst, src []complex128, sc *scratch) {
 	for i := range sc.tail[own:] {
 		sc.tail[own+i] = src[i%p.N]
 	}
-	pl.ConvolveToSegments(sc.t, p.MPrime(), src, 0, interior)
-	pl.ConvolveToSegments(sc.t[interior*p.NMu:], p.MPrime(), sc.tail, interior, p.Chunks())
+	mp := p.MPrime()
+	for f := range sc.bins {
+		sc.bins[f] = sc.t[f*mp : (f+1)*mp]
+	}
+	pl.ConvolveToSegments(sc.bins, src, 0, interior)
+	for f, tf := range sc.bins {
+		sc.bins[f] = tf[interior*p.NMu:]
+	}
+	pl.ConvolveToSegments(sc.bins, sc.tail, interior, p.Chunks())
 
 	// Stage 4+5 per segment, split across SegmentWorkers.
 	par.For(pl.SegmentWorkers(), p.Segments, func(lo, hi int) {
 		y := pl.segs.Get()
 		defer pl.segs.Put(y)
 		for f := lo; f < hi; f++ {
-			pl.FinishSegment(dst[f*p.M():(f+1)*p.M()], sc.t[f*p.MPrime():(f+1)*p.MPrime()], y)
+			pl.FinishSegment(dst[f*p.M():(f+1)*p.M()], sc.t[f*mp:(f+1)*mp], y)
 		}
 	})
 }
@@ -255,11 +268,13 @@ func (pl *Plan) SegmentWorkers() int {
 // (whose origin is global input index c0*DMu*Segments, length >=
 // conv.InputLen) into a lane-major tile, and while it is cache-resident the
 // Segments-point FFT over the tile's columns stores bin f of row r of the
-// range at t[f*ld+r], element r of segment f's vector. With ld = M' t holds
-// the whole segment vectors; a distributed rank passes its share of the rows
-// as ld, and t's runs of ld are the blocks of its all-to-all. Tiles share no
-// state and are split across the plan's workers.
-func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c1 int) {
+// range at t[f][r]. len(t) must be Segments, and each t[f] must hold the
+// range's (c1-c0)*NMu rows. Where t[f] lies is the caller's: in one address
+// space it is segment f's vector from the range's first row; a distributed
+// rank passes the slots of its own segment vectors for its own lanes and its
+// all-to-all send blocks for the rest. Tiles share no state and are split
+// across the plan's workers.
+func (pl *Plan) ConvolveToSegments(t [][]complex128, x []complex128, c0, c1 int) {
 	p := pl.Win.Params
 	s, nmu := p.Segments, p.NMu
 	tc, ldu := conv.TileChunks(pl.Win), conv.TileStride(pl.Win)
@@ -272,7 +287,10 @@ func (pl *Plan) ConvolveToSegments(t []complex128, ld int, x []complex128, c0, c
 			n := min(tc, c1-c0-c)
 			rows := n * nmu
 			conv.ApplyTile(pl.opts.ConvVariant, pl.Win, tl.out, ldu, x[c*p.DMu*s:], c0+c, c0+c+n, tl.stage)
-			pl.fp.ForwardCols(t[c*nmu:], ld, tl.out, ldu, rows)
+			for f, tf := range t {
+				tl.bins[f] = tf[c*nmu : c*nmu+rows]
+			}
+			pl.fp.ForwardCols(tl.bins, tl.out, ldu, rows)
 		}
 	})
 }

@@ -313,8 +313,10 @@ func CheckedSize(n uint64, count uint32) (int, error) {
 // against its declared geometry (count transforms of n points) and codec.
 // Identity payloads have exactly one legal length; compressed payloads are
 // data-dependent, so the declared length is bounded by the codec size
-// algebra (codec.MaxEncodedLen) — still a hard allocation cap — and the
-// codec ID/parameter pair must resolve to a codec this build understands.
+// algebra from above (codec.MaxEncodedLen) — still a hard allocation cap —
+// and from below (codec.MaxElemsForEncoded: a few bytes cannot declare a
+// large geometry), and the codec ID/parameter pair must resolve to a codec
+// this build understands.
 func CheckTransformPayload(h *Header) error {
 	elems, err := CheckedSize(h.N, h.Count)
 	if err != nil {
@@ -336,6 +338,12 @@ func CheckTransformPayload(h *Header) error {
 	if bound := codec.MaxEncodedLen(elems); h.PayloadLen == 0 || h.PayloadLen > bound {
 		return fmt.Errorf("%w: %v payload %d bytes outside (0,%d] for %d elements",
 			ErrBadRequest, h.Codec, h.PayloadLen, bound, elems)
+	}
+	// The floor: no encoding of elems elements is that short, so the frame
+	// is rejected before its declared geometry sizes a buffer.
+	if uint64(elems) > codec.MaxElemsForEncoded(h.PayloadLen) {
+		return fmt.Errorf("%w: %v payload %d bytes cannot encode %d elements (at most %d)",
+			ErrBadRequest, h.Codec, h.PayloadLen, elems, codec.MaxElemsForEncoded(h.PayloadLen))
 	}
 	return nil
 }

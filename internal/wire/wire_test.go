@@ -188,8 +188,12 @@ func TestCheckedSize(t *testing.T) {
 func TestCheckTransformPayload(t *testing.T) {
 	for _, h := range []Header{
 		{Type: TBatch, Count: 3, N: 64, PayloadLen: 3 * 64 * BytesPerElem},
-		// Compressed payloads: any length in (0, MaxEncodedLen] is plausible.
-		{Type: TForward, Codec: codec.DeltaPlane, Count: 1, N: 64, PayloadLen: 1},
+		// Compressed payloads: any length from the floor that
+		// codec.MaxElemsForEncoded sets (64 elements need at least 8 bytes)
+		// to MaxEncodedLen is plausible, and the most compact real stream,
+		// all zeros, clears the floor.
+		{Type: TForward, Codec: codec.DeltaPlane, Count: 1, N: 64, PayloadLen: 8},
+		{Type: TBatch, Codec: codec.DeltaPlane, Count: 4, N: 1 << 16, PayloadLen: uint64(len(codec.AppendVector(nil, codec.MustFor(codec.DeltaPlane, 0), make([]complex128, 4<<16))))},
 		{Type: TForward, Codec: codec.DeltaPlane, Count: 1, N: 64, PayloadLen: codec.MaxEncodedLen(64)},
 		{Type: TBatch, Codec: codec.Quant, CodecParam: 30, Count: 3, N: 64, PayloadLen: 200},
 	} {
@@ -207,10 +211,13 @@ func TestCheckTransformPayload(t *testing.T) {
 		{Type: TBatch, Count: 4, N: 1<<62 + 1, PayloadLen: 64},
 		{Type: TForward, Count: 1, N: 1<<64 - 1, PayloadLen: 1<<64 - BytesPerElem},
 		// Codec-aware rejections: identity with a stray parameter, a codec
-		// payload above the size-algebra bound or empty, an unknown codec ID,
-		// and a Quant header whose drop-bits parameter is out of range.
+		// payload above the size-algebra bound, under its floor or empty, an
+		// unknown codec ID, and a Quant header whose drop-bits parameter is
+		// out of range.
 		{Type: TForward, CodecParam: 9, Count: 1, N: 64, PayloadLen: 64 * BytesPerElem},
 		{Type: TForward, Codec: codec.DeltaPlane, Count: 1, N: 64, PayloadLen: codec.MaxEncodedLen(64) + 1},
+		{Type: TForward, Codec: codec.DeltaPlane, Count: 1, N: 64, PayloadLen: 7},
+		{Type: TBatch, Codec: codec.DeltaPlane, Count: 4, N: 1 << 16, PayloadLen: 1},
 		{Type: TForward, Codec: codec.DeltaPlane, Count: 1, N: 64, PayloadLen: 0},
 		{Type: TForward, Codec: codec.ID(9), Count: 1, N: 64, PayloadLen: 64},
 		{Type: TForward, Codec: codec.Quant, CodecParam: 0, Count: 1, N: 64, PayloadLen: 64},
